@@ -286,24 +286,6 @@ func BenchmarkFirstPlayerProbe(b *testing.B) {
 	}
 }
 
-func TestBlackboardGrowPreSizes(t *testing.T) {
-	var bb Blackboard
-	bb.Grow(16, 1024)
-	if err := bb.Write(0, "x", []byte{1, 2, 3}, 24); err != nil {
-		t.Fatal(err)
-	}
-	if bb.PayloadBytes() != 3 || bb.Len() != 1 || bb.Bits() != 24 {
-		t.Fatalf("accounting after Grow: payload=%d len=%d bits=%d", bb.PayloadBytes(), bb.Len(), bb.Bits())
-	}
-	// Growing a non-empty blackboard must not move the payload buffer:
-	// handed-out entry views alias it.
-	view := bb.Entries()[0]
-	bb.Grow(1024, 1<<20)
-	if &view.Data[0] != &bb.Entries()[0].Data[0] {
-		t.Fatal("Grow moved a live payload buffer")
-	}
-}
-
 func TestBlackboardResetHighWaterReuse(t *testing.T) {
 	var bb Blackboard
 	payload := make([]byte, 100)

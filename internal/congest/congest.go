@@ -103,7 +103,7 @@ type BufferedProgram interface {
 }
 
 // MessageHook observes every delivered message. The reduction framework
-// uses it to charge cut-edge messages to a blackboard. The message payload
+// uses it to count the bits of cut-edge messages. The message payload
 // is only valid for the duration of the call; hooks that retain it must
 // copy.
 type MessageHook func(round int, msg Message) error

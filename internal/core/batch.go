@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"congestlb/internal/bitvec"
-	"congestlb/internal/cc"
 	"congestlb/internal/congest"
 	"congestlb/internal/obs"
 )
@@ -28,13 +27,14 @@ type BatchSim struct {
 // lockstep pass and returns per-sim reports and errors (reports[i] is
 // meaningful iff errs[i] is nil), plus the engine's batch statistics.
 //
-// Each report is field-for-field identical to what SimulateBuiltCtx would
-// return for the same sim, with one exception: SolveCacheHits/Misses stay
-// zero. The shared solve cache's counter deltas cannot be attributed to
-// one instance of an interleaved lockstep pass; callers that need
-// attribution take the delta across the whole batch (the experiment
-// runner books it per batch job) or route solves through a private
-// session cache as congestlb.Lab does.
+// Each sim's cut traffic is counted by the same hook SimulateBuiltCtx
+// installs, ahead of the sim's own Cfg.Hook. Each report is field-for-field
+// identical to what SimulateBuiltCtx would return for the same sim, with
+// one exception: SolveCacheHits/Misses stay zero. The shared solve
+// cache's counter deltas cannot be attributed to one instance of an
+// interleaved lockstep pass; callers that need attribution take the delta
+// across the whole batch (the experiment runner books it per batch job)
+// or route solves through a private session cache as congestlb.Lab does.
 func SimulateBatch(ctx context.Context, sims []BatchSim) ([]SimulationReport, []error, congest.BatchStats) {
 	reports := make([]SimulationReport, len(sims))
 	errs := make([]error, len(sims))
@@ -47,13 +47,11 @@ func SimulateBatch(ctx context.Context, sims []BatchSim) ([]SimulationReport, []
 	defer sp.End()
 	em := congest.NewEngineMetrics(obs.FromContext(ctx))
 
-	// Per-sim pre-work mirroring SimulateBuiltCtx: truth evaluation,
-	// blackboard pre-sized from the process high-water mark, the
-	// cut-routing hook. Sims that fail pre-work never enter the engine.
+	// Per-sim pre-work mirroring SimulateBuiltCtx: truth evaluation and the
+	// cut-counting hook. Sims that fail pre-work never enter the engine.
 	type prep struct {
-		board  cc.Blackboard
-		writes int64
-		truth  bool
+		tally cutCounter
+		truth bool
 	}
 	preps := make([]*prep, len(sims))
 	items := make([]congest.BatchItem, 0, len(sims))
@@ -66,28 +64,13 @@ func SimulateBatch(ctx context.Context, sims []BatchSim) ([]SimulationReport, []
 			continue
 		}
 		p := &prep{truth: truth}
-		p.board.Grow(int(boardHWEntries.Load()), int(boardHWPayload.Load()))
 		preps[i] = p
 
-		part := s.Inst.Partition
-		userHook := s.Cfg.Hook
 		cfg := s.Cfg
 		if cfg.Metrics == nil {
 			cfg.Metrics = em
 		}
-		cfg.Hook = func(round int, msg congest.Message) error {
-			if part.Of(msg.From) != part.Of(msg.To) {
-				tag := cc.Tag{Round: round, From: msg.From, To: msg.To}
-				if err := p.board.WriteTagged(part.Of(msg.From), tag, msg.Data, msg.Bits()); err != nil {
-					return err
-				}
-				p.writes++
-			}
-			if userHook != nil {
-				return userHook(round, msg)
-			}
-			return nil
-		}
+		cfg.Hook = p.tally.hook(s.Inst.Partition, s.Cfg.Hook)
 		items = append(items, congest.BatchItem{
 			Graph:    s.Inst.Graph,
 			Programs: s.Factory(s.Inst),
@@ -115,9 +98,6 @@ func SimulateBatch(ctx context.Context, sims []BatchSim) ([]SimulationReport, []
 			errs[i] = err
 			continue
 		}
-		storeMax(&boardHWEntries, int64(p.board.Len()))
-		storeMax(&boardHWPayload, int64(p.board.PayloadBytes()))
-
 		g := s.Inst.Graph
 		bw := s.Cfg.BandwidthBits
 		if bw == 0 {
@@ -131,8 +111,8 @@ func SimulateBatch(ctx context.Context, sims []BatchSim) ([]SimulationReport, []
 			CutSize:          cut,
 			Bandwidth:        bw,
 			Rounds:           results[k].Stats.Rounds,
-			BlackboardBits:   p.board.Bits(),
-			BlackboardWrites: p.writes,
+			BlackboardBits:   p.tally.bits,
+			BlackboardWrites: p.tally.writes,
 			CongestTotalBits: results[k].Stats.TotalBits,
 			AccountingBound:  int64(results[k].Stats.Rounds) * int64(cut) * bw,
 			Opt:              opt,

@@ -2,11 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"congestlb/internal/bitvec"
-	"congestlb/internal/cc"
 	"congestlb/internal/congest"
 	"congestlb/internal/graphs"
 	"congestlb/internal/mis/cache"
@@ -15,7 +14,7 @@ import (
 
 // SimulationReport is the outcome of one run of the Theorem 5 simulation:
 // a CONGEST algorithm executed on G_x̄ with every cut-crossing message
-// written to a shared blackboard.
+// charged to the induced blackboard protocol.
 type SimulationReport struct {
 	// Family and Players identify the construction.
 	Family  string
@@ -28,7 +27,9 @@ type SimulationReport struct {
 	// Rounds is the number of CONGEST rounds the algorithm used (T).
 	Rounds int
 	// BlackboardBits is the transcript length of the induced protocol —
-	// the quantity Theorem 5 bounds by Rounds·CutSize·Bandwidth.
+	// the quantity Theorem 5 bounds by Rounds·CutSize·Bandwidth. It is
+	// counted (the bits of every cut-crossing message), not read off a
+	// stored transcript.
 	BlackboardBits int64
 	// BlackboardWrites is the number of cut-crossing messages.
 	BlackboardWrites int64
@@ -66,18 +67,32 @@ func (r SimulationReport) AccountingHolds() bool {
 // Correct reports whether the induced protocol answered correctly.
 func (r SimulationReport) Correct() bool { return r.Decision == r.Truth }
 
-// boardHWEntries/boardHWPayload remember the largest blackboard transcript
-// (entry count / payload bytes) any Simulate call in this process
-// produced; the next call pre-sizes its fresh blackboard accordingly.
-var boardHWEntries, boardHWPayload atomic.Int64
+// errZeroBitWrite is what a cc.Blackboard write of an empty payload
+// returns: a cut-crossing message must carry at least one bit.
+var errZeroBitWrite = errors.New("cc: write of 0 bits")
 
-// storeMax raises v to at least x.
-func storeMax(v *atomic.Int64, x int64) {
-	for {
-		cur := v.Load()
-		if x <= cur || v.CompareAndSwap(cur, x) {
-			return
+// cutCounter is the Theorem 5 charge of one simulation: the bits and the
+// number of messages crossing the player cut. The report needs only these
+// counts, so no transcript is kept; a caller who wants one chains its own
+// Config.Hook (a congest.Tracer, say).
+type cutCounter struct{ bits, writes int64 }
+
+// hook returns a MessageHook that counts every message crossing part's
+// cut — the owner of the sender writes it on the shared blackboard, where
+// the owner of the receiver reads it — and then calls user, if set.
+func (c *cutCounter) hook(part *graphs.Partition, user congest.MessageHook) congest.MessageHook {
+	return func(round int, msg congest.Message) error {
+		if part.Of(msg.From) != part.Of(msg.To) {
+			if msg.Bits() == 0 {
+				return errZeroBitWrite
+			}
+			c.bits += msg.Bits()
+			c.writes++
 		}
+		if user != nil {
+			return user(round, msg)
+		}
+		return nil
 	}
 }
 
@@ -90,9 +105,10 @@ type ProgramFactory func(inst Instance) []congest.NodeProgram
 type OptExtractor func(result congest.Result, inst Instance) (int64, error)
 
 // Simulate realises Theorem 5 for one input vector: it builds G_x̄, runs
-// the given CONGEST algorithm on it, routes every message crossing the
-// player partition onto a cc.Blackboard, and decides the promise pairwise
-// disjointness function from the algorithm's output via the gap predicate.
+// the given CONGEST algorithm on it, counts the bits and messages crossing
+// the player partition — the blackboard cost of the induced protocol — and
+// decides the promise pairwise disjointness function from the algorithm's
+// output via the gap predicate.
 //
 // The returned report carries both sides of the accounting identity — the
 // actual transcript length and the Rounds·|cut|·B bound — so callers (and
@@ -128,6 +144,12 @@ func SimulateBuilt(fam Family, in bitvec.Inputs, inst Instance, factory ProgramF
 // wrapped in a "simulate" span and — unless the caller stamped
 // cfg.Metrics itself — the engine records its round/message/bit totals
 // into that registry.
+//
+// The cut traffic is counted, not copied: a caller who wants the
+// transcript itself sets cfg.Hook (a congest.Tracer, or a hook writing
+// each cut-crossing message to a cc.Blackboard), which runs after the
+// count. A cut-crossing message of 0 bits fails the run, as a blackboard
+// write of 0 bits would.
 func SimulateBuiltCtx(ctx context.Context, fam Family, in bitvec.Inputs, inst Instance, factory ProgramFactory, extract OptExtractor, cfg congest.Config) (SimulationReport, error) {
 	var sp obs.Span
 	ctx, sp = obs.Begin(ctx, "simulate")
@@ -141,32 +163,8 @@ func SimulateBuiltCtx(ctx context.Context, fam Family, in bitvec.Inputs, inst In
 	}
 	g, part := inst.Graph, inst.Partition
 
-	// Pre-size the transcript from the previous simulation's high-water
-	// mark: reduction runs at one scale are typically repeated (benchmark
-	// iterations, experiment sweeps), and the blackboard otherwise regrows
-	// from nothing by append-doubling on every run.
-	var board cc.Blackboard
-	board.Grow(int(boardHWEntries.Load()), int(boardHWPayload.Load()))
-	var writes int64
-	userHook := cfg.Hook
-	cfg.Hook = func(round int, msg congest.Message) error {
-		if part.Of(msg.From) != part.Of(msg.To) {
-			// The owner of the sender writes the message on the shared
-			// blackboard, where the owner of the receiver reads it. The
-			// structured tag replaces the old per-message label string:
-			// it renders identically on transcript inspection but costs
-			// no allocation per cut-crossing message.
-			tag := cc.Tag{Round: round, From: msg.From, To: msg.To}
-			if err := board.WriteTagged(part.Of(msg.From), tag, msg.Data, msg.Bits()); err != nil {
-				return err
-			}
-			writes++
-		}
-		if userHook != nil {
-			return userHook(round, msg)
-		}
-		return nil
-	}
+	var tally cutCounter
+	cfg.Hook = tally.hook(part, cfg.Hook)
 
 	programs := factory(inst)
 	net, err := congest.NewNetwork(g, programs, cfg)
@@ -188,9 +186,6 @@ func SimulateBuiltCtx(ctx context.Context, fam Family, in bitvec.Inputs, inst In
 		return SimulationReport{}, err
 	}
 
-	storeMax(&boardHWEntries, int64(board.Len()))
-	storeMax(&boardHWPayload, int64(board.PayloadBytes()))
-
 	cut := part.CutSize(g)
 	report := SimulationReport{
 		Family:           fam.Name(),
@@ -199,8 +194,8 @@ func SimulateBuiltCtx(ctx context.Context, fam Family, in bitvec.Inputs, inst In
 		CutSize:          cut,
 		Bandwidth:        net.Bandwidth(),
 		Rounds:           result.Stats.Rounds,
-		BlackboardBits:   board.Bits(),
-		BlackboardWrites: writes,
+		BlackboardBits:   tally.bits,
+		BlackboardWrites: tally.writes,
 		CongestTotalBits: result.Stats.TotalBits,
 		AccountingBound:  int64(result.Stats.Rounds) * int64(cut) * net.Bandwidth(),
 		SolveCacheHits:   cacheAfter.Hits - cacheBefore.Hits,
