@@ -38,22 +38,22 @@ func TestWireAppendDecodeAllocationFree(t *testing.T) {
 	}
 }
 
-// allocTestGraph builds the deterministic ~64-node random graph shared by
-// the allocation and determinism tests.
-func allocTestGraph(t *testing.T, n int, seed int64) *graphs.Graph {
-	t.Helper()
+// allocTestGraph builds the deterministic connected random graph shared by
+// the allocation, determinism and reference tests: a Hamiltonian path plus
+// every other pair with probability chords.
+func allocTestGraph(tb testing.TB, n int, chords float64, seed int64) *graphs.Graph {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	g := graphs.NewWithN(n)
 	for i := 0; i < n; i++ {
 		g.AddNodeID(int64(rng.Intn(50) + 1))
 	}
-	// A Hamiltonian path keeps the graph connected, then random chords.
 	for i := 1; i < n; i++ {
 		g.MustAddEdge(i-1, i)
 	}
 	for u := 0; u < n; u++ {
 		for v := u + 2; v < n; v++ {
-			if rng.Float64() < 0.08 {
+			if rng.Float64() < chords {
 				g.MustAddEdge(u, v)
 			}
 		}
@@ -70,7 +70,7 @@ func allocTestGraph(t *testing.T, n int, seed int64) *graphs.Graph {
 // costs tens of thousands of allocations at this size.
 func TestRunAllocationBudget(t *testing.T) {
 	const n = 64
-	g := allocTestGraph(t, n, 1729)
+	g := allocTestGraph(t, n, 0.08, 1729)
 
 	const budget = 3000
 	allocs := testing.AllocsPerRun(5, func() {

@@ -8,6 +8,7 @@ import (
 	"congestlb/internal/congest"
 	"congestlb/internal/graphs"
 	"congestlb/internal/mis"
+	"congestlb/internal/mis/cache"
 )
 
 // randomGraph builds a connected random weighted graph: a random spanning
@@ -256,5 +257,29 @@ func BenchmarkGossipExact16(b *testing.B) {
 		if _, err := net.Run(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkGossipExact90 runs GossipExact on a 90-node graph through a
+// warm solve session: every local solve is a cache hit, so B/op and
+// allocs/op are the gossip's own.
+func BenchmarkGossipExact90(b *testing.B) {
+	const n = 90
+	g := allocTestGraph(b, n, 0.08, 90)
+	sess := cache.NewSession(cache.New(4), 1)
+	run := func() {
+		net, err := congest.NewNetwork(g, NewGossipExactProgramsWith(sess, n), congest.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := net.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }

@@ -12,7 +12,7 @@ import (
 // bit-identical Results (outputs and stats) under Parallel true and false.
 func TestParallelEnginesBitIdentical(t *testing.T) {
 	const n = 64
-	g := allocTestGraph(t, n, 4242)
+	g := allocTestGraph(t, n, 0.08, 4242)
 
 	cases := []struct {
 		name string

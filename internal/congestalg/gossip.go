@@ -29,6 +29,12 @@ import (
 // local solve runs directly on the reconstructed graph with no label
 // formatting at all.
 //
+// Forwarding runs off one append-only log per node: every record the node
+// keeps — its own at Init, then each first arrival — is logged once, and
+// each round neighbour i is sent the next logged record that did not come
+// from i. A record costs one 8-byte log entry however many neighbours it
+// is forwarded to.
+//
 // Output: []graphs.NodeID — the (identical) optimum independent set
 // computed at every node, or an error value if the local solve failed.
 type GossipExact struct {
@@ -43,14 +49,14 @@ type GossipExact struct {
 
 	// buf retains record payloads beyond the engine's per-round delivery
 	// window (append-only; records are addressed by offset, so growth
-	// never invalidates a queued reference). queues[i] holds packed
-	// (offset<<8 | length) references to records not yet forwarded to
-	// neighbour i, qhead[i] the next to send — pointer-free queues that
-	// cost 8 bytes per pending record and nothing to the garbage
-	// collector.
+	// never invalidates a logged entry). log holds one pointer-free
+	// (offset<<24 | source<<8 | length) entry per kept record, source
+	// being the index of the neighbour it came from (0xFFFF for the
+	// node's own records); cursor[i] is the first entry neither sent to
+	// nor skipped for neighbour i.
 	buf    []byte
-	queues [][]uint64
-	qhead  []int
+	log    []uint64
+	cursor []int
 
 	solved bool
 	result []graphs.NodeID
@@ -90,35 +96,47 @@ func (g *GossipExact) Init(info congest.NodeInfo) {
 	g.knownCount = 0
 	g.degSum = 0
 	g.buf = nil
-	g.queues = make([][]uint64, len(info.Neighbors))
-	g.qhead = make([]int, len(info.Neighbors))
+	g.log = nil
+	g.cursor = make([]int, len(info.Neighbors))
 	g.solved = false
 	g.result = nil
 	g.errVal = nil
 
 	self := nodeRecord{id: info.ID, weight: info.Weight, degree: len(info.Neighbors)}
 	g.storeNode(self)
-	g.enqueueForAll(g.retain(encodeNodeRecord(self)), -1)
+	g.keep(encodeNodeRecord(self), -1)
 	for _, v := range info.Neighbors {
 		if info.ID < v {
 			e := edgeRecord{u: info.ID, v: v}
 			g.rebuilt.MustAddEdge(e.u, e.v)
-			g.enqueueForAll(g.retain(encodeEdgeRecord(e)), -1)
+			g.keep(encodeEdgeRecord(e), -1)
 		}
 	}
 }
 
-// retain appends data to the program's record store and returns the packed
-// (offset<<8 | length) reference that addresses it.
-func (g *GossipExact) retain(data []byte) uint64 {
+// keep appends a record to the store and its entry to the forwarding log.
+// from is the index of the neighbour it came from, -1 for the node's own
+// records; -1 packs to 0xFFFF, which no neighbour index reaches because
+// node IDs are 16 bits on the wire.
+func (g *GossipExact) keep(data []byte, from int) {
 	off := len(g.buf)
 	g.buf = append(g.buf, data...)
-	return uint64(off)<<8 | uint64(len(data))
+	g.log = append(g.log, uint64(off)<<24|uint64(uint16(from))<<8|uint64(len(data)))
 }
 
-// payload resolves a packed reference back to its bytes.
-func (g *GossipExact) payload(ref uint64) []byte {
-	off, length := ref>>8, ref&0xFF
+// next returns the log position of the next record to send neighbour i,
+// skipping those that came from i; len(g.log) when there is none.
+func (g *GossipExact) next(i int) int {
+	c := g.cursor[i]
+	for c < len(g.log) && int(g.log[c]>>8&0xFFFF) == i {
+		c++
+	}
+	return c
+}
+
+// payload resolves a log entry back to its record bytes.
+func (g *GossipExact) payload(entry uint64) []byte {
+	off, length := entry>>24, entry&0xFF
 	return g.buf[off : off+length : off+length]
 }
 
@@ -129,17 +147,6 @@ func (g *GossipExact) storeNode(r nodeRecord) {
 	g.knownCount++
 	g.degSum += r.degree
 	g.rebuilt.SetWeight(r.id, r.weight)
-}
-
-// enqueueForAll queues a retained record reference for every neighbour
-// except the one at index except (-1 for own records).
-func (g *GossipExact) enqueueForAll(ref uint64, except int) {
-	for i := range g.queues {
-		if i == except {
-			continue
-		}
-		g.queues[i] = append(g.queues[i], ref)
-	}
 }
 
 // Round implements congest.NodeProgram.
@@ -155,7 +162,6 @@ func (g *GossipExact) AppendRound(round int, inbox []congest.Message, out []cong
 			g.fail(fmt.Errorf("gossip at node %d: %w", g.info.ID, err))
 			return out
 		}
-		from := neighborIndex(g.info.Neighbors, m.From)
 		switch kind {
 		case wireNode:
 			if nr.id < 0 || nr.id >= g.info.N {
@@ -164,7 +170,7 @@ func (g *GossipExact) AppendRound(round int, inbox []congest.Message, out []cong
 			}
 			if !g.known[nr.id] {
 				g.storeNode(nr)
-				g.enqueueForAll(g.retain(m.Data), from)
+				g.keep(m.Data, neighborIndex(g.info.Neighbors, m.From))
 			}
 		case wireEdge:
 			if !g.rebuilt.HasEdge(er.u, er.v) {
@@ -172,16 +178,18 @@ func (g *GossipExact) AppendRound(round int, inbox []congest.Message, out []cong
 					g.fail(fmt.Errorf("gossip at node %d: rebuild edge: %w", g.info.ID, err))
 					return out
 				}
-				g.enqueueForAll(g.retain(m.Data), from)
+				g.keep(m.Data, neighborIndex(g.info.Neighbors, m.From))
 			}
 		}
 	}
 
 	for i, v := range g.info.Neighbors {
-		if g.qhead[i] < len(g.queues[i]) {
-			out = append(out, congest.Message{From: g.info.ID, To: v, Data: g.payload(g.queues[i][g.qhead[i]])})
-			g.qhead[i]++
+		c := g.next(i)
+		if c < len(g.log) {
+			out = append(out, congest.Message{From: g.info.ID, To: v, Data: g.payload(g.log[c])})
+			c++
 		}
+		g.cursor[i] = c
 	}
 
 	if !g.solved && g.complete() {
@@ -217,14 +225,14 @@ func (g *GossipExact) fail(err error) {
 	g.errVal = err
 }
 
-// Done implements congest.NodeProgram: finished once solved and with all
-// queues drained.
+// Done implements congest.NodeProgram: finished once solved and with
+// nothing left to send any neighbour.
 func (g *GossipExact) Done() bool {
 	if !g.solved {
 		return false
 	}
-	for i := range g.queues {
-		if g.qhead[i] < len(g.queues[i]) {
+	for i := range g.cursor {
+		if g.next(i) < len(g.log) {
 			return false
 		}
 	}

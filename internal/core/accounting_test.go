@@ -168,11 +168,12 @@ func allocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestSimulateAllocatesNoTranscript bounds what the Theorem 5 accounting
-// allocates: with every local solve a cache hit, a GossipExact simulation
-// costs under 1 MiB more than a hook-free run of the same programs, where
-// a transcript copy of the cut traffic would take over 10 MiB.
-func TestSimulateAllocatesNoTranscript(t *testing.T) {
+// linearGossip returns a Theorem 5 simulation of GossipExact on linear
+// t=3, α=1, ℓ=4 (n=90, m=780) and a hook-free run of the same programs.
+// Both share one solve session, warmed here, so every local solve is a
+// cache hit.
+func linearGossip(t *testing.T) (simulate, run func()) {
+	t.Helper()
 	p := lbgraph.Params{T: 3, Alpha: 1, Ell: 4}
 	l, err := lbgraph.NewLinear(p)
 	if err != nil {
@@ -187,12 +188,12 @@ func TestSimulateAllocatesNoTranscript(t *testing.T) {
 		t.Fatal(err)
 	}
 	factory := core.GossipProgramsWith(cache.NewSession(cache.New(16), 1))
-	simulate := func() {
+	simulate = func() {
 		if _, err := core.SimulateBuilt(l, in, inst, factory, core.GossipOpt, congest.Config{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	run := func() {
+	run = func() {
 		net, err := congest.NewNetwork(inst.Graph, factory(inst), congest.Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -203,9 +204,31 @@ func TestSimulateAllocatesNoTranscript(t *testing.T) {
 	}
 	simulate() // warm the solve session and the engine's buffers
 	run()
+	return simulate, run
+}
+
+// TestSimulateAllocatesNoTranscript bounds what the Theorem 5 accounting
+// allocates: with every local solve a cache hit, a GossipExact simulation
+// costs under 1 MiB more than a hook-free run of the same programs, where
+// a transcript copy of the cut traffic would take over 10 MiB.
+func TestSimulateAllocatesNoTranscript(t *testing.T) {
+	simulate, run := linearGossip(t)
 	base, sim := allocated(run), allocated(simulate)
 	if sim > base+1<<20 {
 		t.Fatalf("SimulateBuilt allocated %d B, hook-free run %d B: accounting costs %d B, want < 1 MiB",
 			sim, base, sim-base)
 	}
+}
+
+// TestGossipRunAllocationBound bounds the round loop and the programs
+// themselves: a warm, hook-free GossipExact run on linear t=3, α=1, ℓ=4
+// allocates under 12 MiB. One forwarding log per node keeps it near
+// 5.8 MiB; one forwarding queue per neighbour took 31 MiB.
+func TestGossipRunAllocationBound(t *testing.T) {
+	_, run := linearGossip(t)
+	got := allocated(run)
+	if got >= 12<<20 {
+		t.Fatalf("warm hook-free GossipExact run allocated %d B, want < 12 MiB", got)
+	}
+	t.Logf("warm hook-free GossipExact run allocated %.2f MiB", float64(got)/(1<<20))
 }

@@ -50,8 +50,18 @@ func New(capacityHint int) *Graph {
 	return &Graph{
 		weights: make([]int64, 0, capacityHint),
 		labels:  make([]string, 0, capacityHint),
-		byLabel: make(map[string]NodeID, capacityHint),
+		rows:    make([][]uint64, 0, capacityHint),
 	}
+}
+
+// labelTable returns the label index, creating it on the first labelled
+// write sized for the node capacity: labelled builds still get a pre-sized
+// table, and label-free rebuilds never allocate one.
+func (g *Graph) labelTable() map[string]NodeID {
+	if g.byLabel == nil {
+		g.byLabel = make(map[string]NodeID, cap(g.weights))
+	}
+	return g.byLabel
 }
 
 // NewWithN returns an empty graph pre-sized for exactly n nodes: node
@@ -115,7 +125,7 @@ func (g *Graph) AddNode(label string, weight int64) (NodeID, error) {
 	id := len(g.weights)
 	g.weights = append(g.weights, weight)
 	g.labels = append(g.labels, label)
-	g.byLabel[label] = id
+	g.labelTable()[label] = id
 	g.rows = append(g.rows, g.newRow())
 	return id, nil
 }
@@ -147,19 +157,20 @@ func (g *Graph) materializeLabels() {
 		return
 	}
 	g.hasAuto = false
+	byLabel := g.labelTable()
 	for u, label := range g.labels {
 		if label != "" {
 			continue
 		}
 		candidate := autoLabel(u)
 		for {
-			if _, taken := g.byLabel[candidate]; !taken {
+			if _, taken := byLabel[candidate]; !taken {
 				break
 			}
 			candidate += "'"
 		}
 		g.labels[u] = candidate
-		g.byLabel[candidate] = u
+		byLabel[candidate] = u
 	}
 }
 
@@ -370,11 +381,10 @@ func (g *Graph) Clone() *Graph {
 	out.weights = append(out.weights, g.weights...)
 	out.labels = append(out.labels, g.labels...)
 	for label, id := range g.byLabel {
-		out.byLabel[label] = id
+		out.labelTable()[label] = id
 	}
-	out.rows = make([][]uint64, len(g.rows))
-	for u, row := range g.rows {
-		out.rows[u] = append([]uint64(nil), row...)
+	for _, row := range g.rows {
+		out.rows = append(out.rows, append([]uint64(nil), row...))
 	}
 	out.edges = g.edges
 	return out

@@ -264,8 +264,49 @@ func TestClone(t *testing.T) {
 	if g.Weight(0) == 42 {
 		t.Fatal("clone shares weights")
 	}
+	if id, ok := c.NodeByLabel("p2"); !ok || id != 2 {
+		t.Fatalf("clone NodeByLabel(p2) = (%d, %v)", id, ok)
+	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The type doc promises a zero value ready to use, label table included.
+func TestZeroValueGraph(t *testing.T) {
+	var g Graph
+	a, err := g.AddNode("a", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := g.AddNodeID(2)
+	g.MustAddEdge(a, b)
+	if id, ok := g.NodeByLabel("a"); !ok || id != a || !g.HasEdge(a, b) {
+		t.Fatalf("NodeByLabel(a) = (%d, %v), edge %v", id, ok, g.HasEdge(a, b))
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// AddNodeID documents that it does not allocate on a NewWithN graph.
+func TestAddNodeIDPresizedAllocationFree(t *testing.T) {
+	const n, runs = 90, 10
+	// AllocsPerRun calls the function once more to warm up.
+	graphs := make([]*Graph, runs+1)
+	for i := range graphs {
+		graphs[i] = NewWithN(n)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		g := graphs[next]
+		next++
+		for i := 0; i < n; i++ {
+			g.AddNodeID(1)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d AddNodeID calls on NewWithN(%d) allocated %.1f times, want 0", n, n, allocs)
 	}
 }
 
