@@ -3,7 +3,6 @@ package congest
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"congestlb/internal/fault"
 	"congestlb/internal/graphs"
@@ -179,7 +178,7 @@ func RunBatch(ctx context.Context, items []BatchItem) ([]Result, []error, BatchS
 				Weight:    inst.g.Weight(u),
 				Neighbors: inst.g.Neighbors(u),
 				N:         size,
-				Rand:      rand.New(rand.NewSource(seed ^ (int64(u)+1)*0x5DEECE66D)),
+				Rand:      nodeRand(seed, u),
 			})
 		}
 	}

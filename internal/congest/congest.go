@@ -64,9 +64,37 @@ type NodeInfo struct {
 	// N is the number of nodes in the network.
 	N int
 	// Rand is the node's private randomness, seeded deterministically
-	// from the engine seed and the node ID.
+	// from the engine seed and the node ID. Its source is created on the
+	// first draw, so programs that never draw pay no generator state.
 	Rand *rand.Rand
 }
+
+// nodeRand returns node u's private generator under the engine seed: the
+// stream of rand.NewSource(seed ^ (u+1)·0x5DEECE66D), created lazily.
+func nodeRand(seed int64, u int) *rand.Rand {
+	return rand.New(&lazySource{seed: seed ^ (int64(u)+1)*0x5DEECE66D})
+}
+
+// lazySource is a rand.Source64 that creates rand.NewSource(seed) on its
+// first draw. An eager source is a ~4.9 KB table filled from the seed,
+// and most node programs never draw.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (s *lazySource) get() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	}
+	return s.src
+}
+
+func (s *lazySource) Int63() int64   { return s.get().Int63() }
+func (s *lazySource) Uint64() uint64 { return s.get().Uint64() }
+
+// Seed drops the current source; the next draw creates one from seed.
+func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
 
 // NodeProgram is the per-node state machine. Implementations must not
 // retain or mutate the inbox slice — or any message payload in it — across
@@ -289,7 +317,7 @@ func (n *Network) RunCtx(ctx context.Context) (Result, error) {
 			Weight:    n.g.Weight(u),
 			Neighbors: n.g.Neighbors(u),
 			N:         size,
-			Rand:      rand.New(rand.NewSource(n.cfg.Seed ^ (int64(u)+1)*0x5DEECE66D)),
+			Rand:      nodeRand(n.cfg.Seed, u),
 		})
 	}
 

@@ -24,5 +24,10 @@ func benchFixed(b *testing.B, p Params, cached bool) {
 	}
 }
 
-func BenchmarkBuildFixedUncachedT4(b *testing.B) { benchFixed(b, Params{T: 4, Alpha: 1, Ell: 5}, false) }
-func BenchmarkBuildFixedCachedT4(b *testing.B)   { benchFixed(b, Params{T: 4, Alpha: 1, Ell: 5}, true) }
+func BenchmarkBuildFixedUncachedT4(b *testing.B) {
+	benchFixed(b, Params{T: 4, Alpha: 1, Ell: 5}, false)
+}
+
+func BenchmarkBuildFixedCachedT4(b *testing.B) {
+	benchFixed(b, Params{T: 4, Alpha: 1, Ell: 5}, true)
+}

@@ -21,6 +21,9 @@ type Linear struct {
 	p     Params
 	opts  LinearOptions
 	words [][]int // words[m] = codeword of message m, symbols in [1,q]
+	// k, q and perCopy fix the node layout: p.K(), p.Q() and
+	// p.NodesPerCopy(), computed once (Q runs a primality search).
+	k, q, perCopy int
 }
 
 var _ core.Family = (*Linear)(nil)
@@ -54,36 +57,37 @@ func NewLinearVariant(p Params, opts LinearOptions) (*Linear, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	k, q := p.K(), p.Q()
 	cm := opts.Code
 	if cm == nil {
-		rs, err := code.NewReedSolomon(p.Alpha, p.M(), uint64(p.Q()), p.K())
+		rs, err := code.NewReedSolomon(p.Alpha, p.M(), uint64(q), k)
 		if err != nil {
 			return nil, fmt.Errorf("lbgraph: code: %w", err)
 		}
 		cm = rs
 	}
-	if _, m, _, q := cm.Params(); m != p.M() || q > p.Q() {
+	if _, cmM, _, cmQ := cm.Params(); cmM != p.M() || cmQ > q {
 		return nil, fmt.Errorf("lbgraph: code has (M=%d,q=%d), construction needs (M=%d,q≤%d)",
-			m, q, p.M(), p.Q())
+			cmM, cmQ, p.M(), q)
 	}
-	if cm.NumMessages() < p.K() {
-		return nil, fmt.Errorf("lbgraph: code admits %d messages, need k=%d", cm.NumMessages(), p.K())
+	if cm.NumMessages() < k {
+		return nil, fmt.Errorf("lbgraph: code admits %d messages, need k=%d", cm.NumMessages(), k)
 	}
-	words := make([][]int, p.K())
+	words := make([][]int, k)
 	for m := range words {
 		w, err := cm.Encode(m)
 		if err != nil {
 			return nil, fmt.Errorf("lbgraph: encode %d: %w", m, err)
 		}
 		for h, sym := range w {
-			if sym < 1 || sym > p.Q() {
+			if sym < 1 || sym > q {
 				return nil, fmt.Errorf("lbgraph: codeword %d has symbol %d at position %d outside [1,%d]",
-					m, sym, h, p.Q())
+					m, sym, h, q)
 			}
 		}
 		words[m] = w
 	}
-	return &Linear{p: p, opts: opts, words: words}, nil
+	return &Linear{p: p, opts: opts, words: words, k: k, q: q, perCopy: k + p.M()*q}, nil
 }
 
 // Params returns the family's parameters.
@@ -112,7 +116,7 @@ func (l *Linear) Name() string {
 func (l *Linear) Players() int { return l.p.T }
 
 // InputBits implements core.Family: the strings have length k.
-func (l *Linear) InputBits() int { return l.p.K() }
+func (l *Linear) InputBits() int { return l.k }
 
 // Gap implements core.Family with the Lemma 2 thresholds.
 func (l *Linear) Gap() core.GapPredicate {
@@ -121,13 +125,13 @@ func (l *Linear) Gap() core.GapPredicate {
 
 // ANode returns the node ID of v^i_m (0-based i ∈ [0,t), m ∈ [0,k)).
 func (l *Linear) ANode(i, m int) graphs.NodeID {
-	return i*l.p.NodesPerCopy() + m
+	return i*l.perCopy + m
 }
 
 // SigmaNode returns the node ID of σ^i_(h,r): position h ∈ [0,M), symbol
 // index r ∈ [0,q) (the paper's symbol r+1).
 func (l *Linear) SigmaNode(i, h, r int) graphs.NodeID {
-	return i*l.p.NodesPerCopy() + l.p.K() + h*l.p.Q() + r
+	return i*l.perCopy + l.k + h*l.q + r
 }
 
 // CodeNodes returns Code^i_m — the M nodes spelling codeword C(m) in copy
@@ -157,9 +161,9 @@ func (l *Linear) BuildFixedWith(sess *CacheSession) (core.Instance, error) {
 // buildFixedUncached performs the actual construction.
 func (l *Linear) buildFixedUncached() (core.Instance, error) {
 	p := l.p
-	k, m, q, t := p.K(), p.M(), p.Q(), p.T
-	g := graphs.New(t * p.NodesPerCopy())
-	part, err := graphs.NewPartition(t*p.NodesPerCopy(), t)
+	k, m, q, t := l.k, p.M(), l.q, p.T
+	g := graphs.New(t * l.perCopy)
+	part, err := graphs.NewPartition(t*l.perCopy, t)
 	if err != nil {
 		return core.Instance{}, err
 	}
@@ -267,7 +271,7 @@ func (l *Linear) BuildWith(sess *CacheSession, in bitvec.Inputs) (core.Instance,
 		return inst, nil
 	}
 	for i := 0; i < l.p.T; i++ {
-		for m := 0; m < l.p.K(); m++ {
+		for m := 0; m < l.k; m++ {
 			if in[i].Get(m) {
 				inst.Graph.SetWeight(l.ANode(i, m), int64(l.p.Ell))
 			}
@@ -327,9 +331,9 @@ func BuildBaseWith(sess *CacheSession, p Params) (*graphs.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodes := make([]graphs.NodeID, l.p.NodesPerCopy())
+	nodes := make([]graphs.NodeID, l.perCopy)
 	for u := range nodes {
-		nodes[u] = u // copy 0 occupies the first NodesPerCopy IDs
+		nodes[u] = u // copy 0 occupies the first perCopy IDs
 	}
 	base, _, err := inst.Graph.InducedSubgraph(nodes)
 	if err != nil {

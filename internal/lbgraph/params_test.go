@@ -1,8 +1,11 @@
 package lbgraph
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"congestlb/internal/code"
 )
 
 func TestParamsValidate(t *testing.T) {
@@ -128,6 +131,92 @@ func TestParamsString(t *testing.T) {
 	for _, want := range []string{"t=2", "k=3", "q=3"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String %q missing %q", s, want)
+		}
+	}
+}
+
+// TestFamilyLayoutMatchesParams pins the node layout the families fix at
+// construction to the Params formulas, for M prime (q = M) and not
+// (q > M): copy c starts at c·|V_H|, v_m at offset m, σ_(h,r) at offset
+// k + h·q + r, and Code_m is σ_(h, C(m)_h − 1) for each position h. The
+// linear family's copy i is c = i; the quadratic family's copy (i, b) is
+// c = 2i + b.
+func TestFamilyLayoutMatchesParams(t *testing.T) {
+	for _, m := range []int{3, 4, 6, 8, 9, 10} {
+		for _, alpha := range []int{1, 2} {
+			p := Params{T: 3, Alpha: alpha, Ell: m - alpha}
+			t.Run(fmt.Sprintf("M=%d,alpha=%d", m, alpha), func(t *testing.T) {
+				k, q, per := p.K(), p.Q(), p.NodesPerCopy()
+				lin, err := NewLinear(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				quad, err := NewQuadratic(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rs, err := code.NewReedSolomon(p.Alpha, m, uint64(q), k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// checkCopy compares one copy's nodes, as the family
+				// numbers them, with the formulas at offset off.
+				checkCopy := func(name string, off int, aNode func(mm int) int,
+					sigmaNode func(h, r int) int, codeNodes func(mm int) []int) {
+					t.Helper()
+					for mm := 0; mm < k; mm++ {
+						if got := aNode(mm); got != off+mm {
+							t.Fatalf("%s: v_%d = %d, want %d", name, mm, got, off+mm)
+						}
+						word, err := rs.Encode(mm)
+						if err != nil {
+							t.Fatal(err)
+						}
+						nodes := codeNodes(mm)
+						if len(nodes) != m {
+							t.Fatalf("%s: Code_%d has %d nodes, want M=%d", name, mm, len(nodes), m)
+						}
+						for h, sym := range word {
+							if want := off + k + h*q + sym - 1; nodes[h] != want {
+								t.Fatalf("%s: Code_%d[%d] = %d, want %d", name, mm, h, nodes[h], want)
+							}
+						}
+					}
+					for h := 0; h < m; h++ {
+						for r := 0; r < q; r++ {
+							if got, want := sigmaNode(h, r), off+k+h*q+r; got != want {
+								t.Fatalf("%s: sigma_(%d,%d) = %d, want %d", name, h, r, got, want)
+							}
+						}
+					}
+				}
+				for i := 0; i < p.T; i++ {
+					checkCopy(fmt.Sprintf("linear copy %d", i), i*per,
+						func(mm int) int { return lin.ANode(i, mm) },
+						func(h, r int) int { return lin.SigmaNode(i, h, r) },
+						func(mm int) []int { return lin.CodeNodes(i, mm) })
+					for b := 0; b < 2; b++ {
+						checkCopy(fmt.Sprintf("quadratic copy (%d,%d)", i, b), (2*i+b)*per,
+							func(mm int) int { return quad.ANode(i, b, mm) },
+							func(h, r int) int { return quad.SigmaNode(i, b, h, r) },
+							func(mm int) []int { return quad.CodeNodes(i, b, mm) })
+					}
+				}
+				linInst, err := lin.BuildFixed()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := linInst.Graph.N(); got != p.LinearN() {
+					t.Fatalf("linear N = %d, want LinearN = %d", got, p.LinearN())
+				}
+				quadInst, err := quad.BuildFixed()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := quadInst.Graph.N(); got != p.QuadraticN() {
+					t.Fatalf("quadratic N = %d, want QuadraticN = %d", got, p.QuadraticN())
+				}
+			})
 		}
 	}
 }

@@ -24,6 +24,9 @@ type Quadratic struct {
 	opts  QuadraticOptions
 	rs    *code.ReedSolomon
 	words [][]int
+	// k, q and perCopy fix the node layout: p.K(), p.Q() and
+	// p.NodesPerCopy(), computed once (Q runs a primality search).
+	k, q, perCopy int
 }
 
 var _ core.Family = (*Quadratic)(nil)
@@ -51,11 +54,12 @@ func NewQuadraticVariant(p Params, opts QuadraticOptions) (*Quadratic, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	rs, err := code.NewReedSolomon(p.Alpha, p.M(), uint64(p.Q()), p.K())
+	k, q := p.K(), p.Q()
+	rs, err := code.NewReedSolomon(p.Alpha, p.M(), uint64(q), k)
 	if err != nil {
 		return nil, fmt.Errorf("lbgraph: code: %w", err)
 	}
-	words := make([][]int, p.K())
+	words := make([][]int, k)
 	for m := range words {
 		w, err := rs.Encode(m)
 		if err != nil {
@@ -63,7 +67,7 @@ func NewQuadraticVariant(p Params, opts QuadraticOptions) (*Quadratic, error) {
 		}
 		words[m] = w
 	}
-	return &Quadratic{p: p, opts: opts, rs: rs, words: words}, nil
+	return &Quadratic{p: p, opts: opts, rs: rs, words: words, k: k, q: q, perCopy: k + p.M()*q}, nil
 }
 
 // Params returns the family's parameters.
@@ -85,7 +89,7 @@ func (f *Quadratic) Name() string {
 func (f *Quadratic) Players() int { return f.p.T }
 
 // InputBits implements core.Family: strings have length k².
-func (f *Quadratic) InputBits() int { return f.p.K() * f.p.K() }
+func (f *Quadratic) InputBits() int { return f.k * f.k }
 
 // Gap implements core.Family with the Lemma 3 thresholds.
 func (f *Quadratic) Gap() core.GapPredicate {
@@ -96,7 +100,7 @@ func (f *Quadratic) Gap() core.GapPredicate {
 // standing for the paper's superscripts (i, 1) and (i, 2). Player i owns
 // the two consecutive copies 2i and 2i+1, keeping V^i contiguous.
 func (f *Quadratic) copyOffset(i, b int) int {
-	return (2*i + b) * f.p.NodesPerCopy()
+	return (2*i + b) * f.perCopy
 }
 
 // ANode returns v^(i,b)_m.
@@ -106,7 +110,7 @@ func (f *Quadratic) ANode(i, b, m int) graphs.NodeID {
 
 // SigmaNode returns σ^(i,b)_(h,r), r ∈ [0,q).
 func (f *Quadratic) SigmaNode(i, b, h, r int) graphs.NodeID {
-	return f.copyOffset(i, b) + f.p.K() + h*f.p.Q() + r
+	return f.copyOffset(i, b) + f.k + h*f.q + r
 }
 
 // CodeNodes returns Code^(i,b)_m.
@@ -135,8 +139,8 @@ func (f *Quadratic) BuildFixedWith(sess *CacheSession) (core.Instance, error) {
 // buildFixedUncached performs the actual construction.
 func (f *Quadratic) buildFixedUncached() (core.Instance, error) {
 	p := f.p
-	k, m, q, t := p.K(), p.M(), p.Q(), p.T
-	n := p.QuadraticN()
+	k, m, q, t := f.k, p.M(), f.q, p.T
+	n := 2 * t * f.perCopy
 	g := graphs.New(n)
 	part, err := graphs.NewPartition(n, t)
 	if err != nil {
@@ -243,7 +247,7 @@ func (f *Quadratic) BuildWith(sess *CacheSession, in bitvec.Inputs) (core.Instan
 	if f.opts.OmitInputEdges {
 		return inst, nil
 	}
-	k := f.p.K()
+	k := f.k
 	for i := 0; i < f.p.T; i++ {
 		mat, err := bitvec.MatrixFromVector(in[i], k)
 		if err != nil {
@@ -287,7 +291,7 @@ func (f *Quadratic) WitnessLarge(in bitvec.Inputs, inst core.Instance) ([]graphs
 	if !ok {
 		return nil, fmt.Errorf("lbgraph: no common index pair; witness requires a uniquely-intersecting input")
 	}
-	k := f.p.K()
+	k := f.k
 	m1, m2 := flat/k, flat%k
 	var set []graphs.NodeID
 	for i := 0; i < f.p.T; i++ {
