@@ -31,11 +31,15 @@ type GraphSpec struct {
 	Edges [][2]int `json:"edges"`
 }
 
-// graph materialises the spec, validating as it goes.
-func (s GraphSpec) graph() (*congestlb.Graph, error) {
-	const maxNodes = 1 << 20
-	if s.N <= 0 || s.N > maxNodes {
-		return nil, fmt.Errorf("graph: n must be in 1..%d, got %d", maxNodes, s.N)
+// graph materialises the spec, validating as it goes. The memory check
+// (solveBytes, for the tenant's solver workers) runs before anything of
+// the graph's size is allocated.
+func (s GraphSpec) graph(workers int) (*congestlb.Graph, error) {
+	if s.N <= 0 {
+		return nil, fmt.Errorf("graph: n must be positive, got %d", s.N)
+	}
+	if err := checkSolveBytes(int64(s.N), workers); err != nil {
+		return nil, err
 	}
 	if s.Weights != nil && len(s.Weights) != s.N {
 		return nil, fmt.Errorf("graph: %d weights for %d nodes", len(s.Weights), s.N)
@@ -161,30 +165,45 @@ type ExperimentsResult struct {
 	Report   string                       `json:"report,omitempty"`
 }
 
-// familyFrom resolves the wire family name and parameters.
-func familyFrom(name string, p ParamsSpec) (congestlb.Family, error) {
+// familyFrom resolves the wire family name and parameters. It validates
+// the parameters and checks reduceBytes against memBudget before the
+// family, whose codeword table alone is k·M words, is built.
+func familyFrom(name string, p ParamsSpec, workers int) (congestlb.Family, error) {
 	params := congestlb.Params{T: p.T, Alpha: p.Alpha, Ell: p.Ell}
+	var build func() (congestlb.Family, error)
 	switch name {
 	case "linear":
-		return congestlb.NewLinear(params)
+		build = func() (congestlb.Family, error) { return congestlb.NewLinear(params) }
 	case "quadratic":
-		return congestlb.NewQuadratic(params)
+		build = func() (congestlb.Family, error) { return congestlb.NewQuadratic(params) }
 	case "unweighted", "unweighted_linear":
-		return congestlb.NewUnweightedLinear(params)
+		build = func() (congestlb.Family, error) { return congestlb.NewUnweightedLinear(params) }
 	default:
 		return nil, fmt.Errorf("family: unknown %q (want linear, quadratic or unweighted)", name)
 	}
+	if err := params.Validate(); err != nil {
+		return nil, err
+	}
+	if err := checkReduceBytes(name, params, workers); err != nil {
+		return nil, err
+	}
+	return build()
 }
 
-// parseInputs decodes '0'/'1' strings into input vectors. The strings
-// are parsed directly (never round-tripped through Vector.String, which
-// truncates long vectors for display).
-func parseInputs(raw []string) (congestlb.Inputs, error) {
-	if len(raw) == 0 {
-		return nil, fmt.Errorf("inputs: none given")
+// parseInputs decodes '0'/'1' strings into input vectors, one per player
+// of fam, each fam.InputBits() long. The strings are parsed directly
+// (never round-tripped through Vector.String, which truncates long
+// vectors for display).
+func parseInputs(fam congestlb.Family, raw []string) (congestlb.Inputs, error) {
+	if len(raw) != fam.Players() {
+		return nil, fmt.Errorf("inputs: %d given, want one per player (%d)", len(raw), fam.Players())
 	}
+	bits := fam.InputBits()
 	in := make(congestlb.Inputs, len(raw))
 	for i, s := range raw {
+		if len(s) != bits {
+			return nil, fmt.Errorf("inputs[%d]: %d bits, want %d", i, len(s), bits)
+		}
 		v := bitvec.New(len(s))
 		for j := 0; j < len(s); j++ {
 			switch s[j] {

@@ -1,0 +1,109 @@
+package serve
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"net/http"
+
+	"congestlb"
+)
+
+// memBudget bounds the memory one request may ask for. The figure is
+// computed from the request's size parameters before anything of that
+// size is allocated, so a small body cannot make the daemon attempt a
+// huge allocation.
+const memBudget = 256 << 20
+
+// errTooLarge marks a request whose computed memory exceeds memBudget;
+// the handlers answer it with 413.
+var errTooLarge = errors.New("over the memory budget")
+
+// statusOf maps a request validation error to its status code.
+func statusOf(err error) int {
+	if errors.Is(err, errTooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// satAdd and satMul add and multiply non-negative int64s, saturating at
+// math.MaxInt64, so a cost computed from hostile parameters cannot wrap
+// around below the budget.
+func satAdd(a, b int64) int64 {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
+}
+
+func satMul(a, b int64) int64 {
+	if a != 0 && b > math.MaxInt64/a {
+		return math.MaxInt64
+	}
+	return a * b
+}
+
+// rowBytes is the size of one n-node adjacency bitset row.
+func rowBytes(n int64) int64 {
+	words := n / 64
+	if n%64 != 0 {
+		words++
+	}
+	return words * 8
+}
+
+// solveBytes is the memory an exact solve of an n-node graph asks for,
+// computed from n alone: the graph's n adjacency rows, the solver's
+// rank-space copy of them, and n+1 per-depth candidate rows for each
+// solver worker.
+func solveBytes(n int64, workers int) int64 {
+	rows := satAdd(2*n, satMul(int64(workers), satAdd(n, 1)))
+	return satMul(rows, rowBytes(n))
+}
+
+// checkSolveBytes rejects an n-node solve over memBudget with errTooLarge.
+func checkSolveBytes(n int64, workers int) error {
+	if b := solveBytes(n, workers); b > memBudget {
+		return fmt.Errorf("graph: n=%d needs %d bytes with %d solver workers, %w of %d bytes",
+			n, b, workers, errTooLarge, memBudget)
+	}
+	return nil
+}
+
+// reduceNodes is the node count of the named family at p, computed from
+// the parameters alone (p must be valid): t·(k + M·q) for linear, twice
+// that for quadratic, and t·(k·ℓ + M·q) for the unweighted blow-up,
+// whose A-nodes weigh at most ℓ. The product saturates.
+func reduceNodes(name string, p congestlb.Params) int64 {
+	k, m, q := int64(p.K()), int64(p.M()), int64(p.Q())
+	perCopy := k + m*q
+	switch name {
+	case "quadratic":
+		return satMul(2, satMul(int64(p.T), perCopy))
+	case "unweighted", "unweighted_linear":
+		return satMul(int64(p.T), k*int64(p.Ell)+m*q)
+	default:
+		return satMul(int64(p.T), perCopy)
+	}
+}
+
+// reduceBytes is the memory a reduction over n nodes asks for: every
+// node's GossipExact rebuild of the n-node graph, the exact solve of the
+// instance, and the family's k·M codeword table.
+func reduceBytes(n int64, p congestlb.Params, workers int) int64 {
+	rebuilt := satMul(n, satMul(n, rowBytes(n)))
+	table := int64(p.K()) * int64(p.M()) * 8
+	return satAdd(satAdd(rebuilt, solveBytes(n, workers)), table)
+}
+
+// checkReduceBytes rejects a reduction over memBudget with errTooLarge.
+// p must be valid.
+func checkReduceBytes(name string, p congestlb.Params, workers int) error {
+	n := reduceNodes(name, p)
+	if b := reduceBytes(n, p, workers); b > memBudget {
+		return fmt.Errorf("reduce: %s at %v has n=%d nodes and needs %d bytes with %d solver workers, %w of %d bytes",
+			name, p, n, b, workers, errTooLarge, memBudget)
+	}
+	return nil
+}

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -166,21 +168,65 @@ func (s *Server) rejectBusy(w http.ResponseWriter, code int, why string) {
 	writeError(w, code, "%s", why)
 }
 
-// maxBody bounds request bodies; graphs of the permitted size fit well
-// within it.
+// maxBody bounds request bodies; a larger one is a 413.
 const maxBody = 32 << 20
 
-// decodeBody decodes the JSON request body into v (strictly — unknown
-// fields are an error, catching typos like "dedaline_ms" before they
-// silently change semantics). False means the 400 was already written.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
+// writeBodyError answers a failed body read or decode: 413 when the body
+// ran past maxBody, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "body: over the %d-byte limit", tooBig.Limit)
+		return
+	}
+	writeError(w, http.StatusBadRequest, "body: %v", err)
+}
+
+// decodeBody decodes the JSON request body from r into v (strictly —
+// unknown fields are an error, catching typos like "dedaline_ms" before
+// they silently change semantics). False means the error response was
+// already written.
+func decodeBody(w http.ResponseWriter, r io.Reader, v any) bool {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "body: %v", err)
+		writeBodyError(w, err)
 		return false
 	}
 	return true
+}
+
+// decodeSolve reads a POST /v1/solve body into a pooled buffer and
+// decodes it: scanSolve first, and the strict decode plus GraphSpec.graph
+// for every body the scanner declines. The returned request carries the
+// options only; its Graph is left empty. False means the error response
+// was already written.
+func decodeSolve(w http.ResponseWriter, r *http.Request, workers int) (SolveRequest, *congestlb.Graph, bool) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyPool.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
+		writeBodyError(w, err)
+		return SolveRequest{}, nil, false
+	}
+	if req, g, ok := scanSolve(buf.Bytes(), workers); ok {
+		return req, g, true
+	}
+	var req SolveRequest
+	if !decodeBody(w, bytes.NewReader(buf.Bytes()), &req) {
+		return req, nil, false
+	}
+	g, err := req.Graph.graph(workers)
+	if err != nil {
+		writeError(w, statusOf(err), "%v", err)
+		return req, nil, false
+	}
+	req.Graph = GraphSpec{}
+	return req, g, true
 }
 
 // effectiveDeadline resolves the job deadline from the request and the
@@ -286,13 +332,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	var req SolveRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	g, err := req.Graph.graph()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	req, g, ok := decodeSolve(w, r, t.solverWorkers())
+	if !ok {
 		return
 	}
 	if req.MaxSteps < 0 {
@@ -310,15 +351,15 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ReduceRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, http.MaxBytesReader(w, r.Body, maxBody), &req) {
 		return
 	}
-	fam, err := familyFrom(req.Family, req.Params)
+	fam, err := familyFrom(req.Family, req.Params, t.solverWorkers())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, statusOf(err), "%v", err)
 		return
 	}
-	in, err := parseInputs(req.Inputs)
+	in, err := parseInputs(fam, req.Inputs)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -334,7 +375,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ExperimentsRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, http.MaxBytesReader(w, r.Body, maxBody), &req) {
 		return
 	}
 	s.submit(w, t, "experiments", req.jobOptions, func(ctx context.Context, job *Job) (any, error, bool) {

@@ -425,28 +425,63 @@ func TestAuth(t *testing.T) {
 	}
 }
 
-// TestBadRequests: malformed bodies are 400 before admission ever runs.
+// TestBadRequests: malformed bodies are 400, and requests over the
+// memory budget or the body limit 413, before admission ever runs.
 func TestBadRequests(t *testing.T) {
-	_, ts := testServer(t, twoTenants())
+	s, ts := testServer(t, twoTenants())
+	const linear = `"family":"linear","params":{"t":2,"alpha":1,"ell":3}`
 	cases := []struct {
 		path, body string
+		code       int
 	}{
-		{"/v1/solve", `{`},
-		{"/v1/solve", `{"graph":{"n":0,"edges":[]}}`},
-		{"/v1/solve", `{"graph":{"n":3,"edges":[[0,9]]}}`},
-		{"/v1/solve", `{"graph":{"n":3,"weights":[1],"edges":[]}}`},
-		{"/v1/solve", `{"graph":{"n":3,"edges":[]},"max_steps":-1}`},
-		{"/v1/solve", `{"graph":{"n":3,"edges":[]},"dedaline_ms":5}`}, // typo: unknown field
-		{"/v1/reduce", `{"family":"cubic","params":{"t":2,"alpha":1,"ell":3},"inputs":["0"]}`},
-		{"/v1/reduce", `{"family":"linear","params":{"t":2,"alpha":1,"ell":3},"inputs":["01x"]}`},
-		{"/v1/reduce", `{"family":"linear","params":{"t":2,"alpha":1,"ell":3},"inputs":[]}`},
+		{"/v1/solve", `{`, 400},
+		{"/v1/solve", `{"graph":{"n":0,"edges":[]}}`, 400},
+		{"/v1/solve", `{"graph":{"n":3,"edges":[[0,9]]}}`, 400},
+		{"/v1/solve", `{"graph":{"n":3,"weights":[1],"edges":[]}}`, 400},
+		{"/v1/solve", `{"graph":{"n":3,"edges":[]},"max_steps":-1}`, 400},
+		{"/v1/solve", `{"graph":{"n":3,"edges":[]},"dedaline_ms":5}`, 400}, // typo: unknown field
+		{"/v1/solve", `{"graph":{"n":3,"edges":[[0,1]]},"max_steps":1.5}`, 400},
+		{"/v1/solve", `{"graph":{"n":1048576,"edges":[]}}`, 413},
+		{"/v1/solve", `{"graph":{"N":1048576,"Edges":[]}}`, 413},
+		{"/v1/reduce", `{"family":"cubic","params":{"t":2,"alpha":1,"ell":3},"inputs":["0"]}`, 400},
+		{"/v1/reduce", `{` + linear + `,"inputs":["01x"]}`, 400},
+		{"/v1/reduce", `{` + linear + `,"inputs":[]}`, 400},
+		{"/v1/reduce", `{` + linear + `,"inputs":["0110"]}`, 400},
+		{"/v1/reduce", `{` + linear + `,"inputs":["0","0"]}`, 400},
+		{"/v1/reduce", `{` + linear + `,"inputs":["0110","01x0"]}`, 400},
+		{"/v1/reduce", `{"family":"linear","params":{"t":1,"alpha":1,"ell":3},"inputs":["0110"]}`, 400},
+		{"/v1/reduce", `{"family":"linear","params":{"t":2,"alpha":1,"ell":65535},"inputs":["0","0"]}`, 413},
+		{"/v1/reduce", `{"family":"quadratic","params":{"t":2,"alpha":2,"ell":200},"inputs":["0","0"]}`, 413},
 	}
 	for _, c := range cases {
 		resp, data := call(t, "POST", ts.URL+c.path, "ka", c.body)
-		if resp.StatusCode != 400 {
-			t.Errorf("%s %s: %d %s, want 400", c.path, c.body, resp.StatusCode, data)
+		if resp.StatusCode != c.code {
+			t.Errorf("%s %s: %d %s, want %d", c.path, c.body, resp.StatusCode, data, c.code)
 		}
 	}
+	// A body past maxBody is a 413 on every POST endpoint. It is served
+	// in-process: over a socket the client may still be writing when the
+	// server closes the connection.
+	for _, path := range []string{"/v1/solve", "/v1/reduce", "/v1/experiments"} {
+		body := io.MultiReader(io.LimitReader(spaces{}, maxBody), strings.NewReader(`{}`))
+		req := httptest.NewRequest("POST", path, body)
+		req.Header.Set("X-API-Key", "ka")
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: %d %s, want 413", path, maxBody+2, rec.Code, rec.Body)
+		}
+	}
+}
+
+// spaces is an endless reader of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
 }
 
 // inputStrings renders input vectors in the wire's '0'/'1' form.

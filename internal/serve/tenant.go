@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -64,6 +65,15 @@ func newTenant(cfg TenantConfig, tier *congestlb.SharedSolveTier, reg *obs.Regis
 		requests: reg.Counter(obs.Labeled(obs.MServeRequests, "tenant", cfg.Name)),
 		rejected: reg.Counter(obs.Labeled(obs.MServeRejected, "tenant", cfg.Name)),
 	}, nil
+}
+
+// solverWorkers is the branch-and-bound worker count the tenant's solves
+// run with: the Lab's setting, else GOMAXPROCS, as the Lab resolves it.
+func (t *Tenant) solverWorkers() int {
+	if w := t.Lab.SolverWorkers(); w > 0 {
+		return w
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // setLastEnvelope stores the marshalled envelope of a completed
