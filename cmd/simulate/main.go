@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	simulate -t 2 -alpha 1 -ell 3 -case disjoint -seed 3 [-parallel]
+//	simulate -t 2 -alpha 1 -ell 3 -case disjoint -seed 3 [-bandwidth B]
 package main
 
 import (
@@ -34,7 +34,6 @@ func run(args []string, w io.Writer) error {
 	inputCase := fs.String("case", "intersecting", "input case: intersecting or disjoint")
 	seed := fs.Int64("seed", 3, "random seed")
 	bandwidth := fs.Int64("bandwidth", 0, "CONGEST bandwidth B in bits (0 = default Θ(log n))")
-	parallel := fs.Bool("parallel", false, "use the goroutine-per-node engine")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -67,7 +66,7 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	defer lab.Close()
-	cfg := congestlb.CongestConfig{BandwidthBits: *bandwidth, Seed: *seed, Parallel: *parallel}
+	cfg := congestlb.CongestConfig{BandwidthBits: *bandwidth, Seed: *seed}
 	report, err := lab.RunReduction(context.Background(), fam, in, cfg)
 	if err != nil {
 		return err

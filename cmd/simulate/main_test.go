@@ -22,14 +22,6 @@ func TestSimulateBothCases(t *testing.T) {
 	}
 }
 
-func TestSimulateParallelEngine(t *testing.T) {
-	var buf bytes.Buffer
-	err := run([]string{"-t", "2", "-alpha", "1", "-ell", "3", "-case", "disjoint", "-parallel"}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSimulateRejectsVacuousGap(t *testing.T) {
 	var buf bytes.Buffer
 	// ℓ=2, t=2, α=1: ℓ ≤ αt, gap vacuous.

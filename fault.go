@@ -5,9 +5,9 @@ import "congestlb/internal/fault"
 // Fault containment (see docs/robustness.md).
 //
 // Every layer of a Lab that executes user work — scheduler jobs,
-// experiment bodies, exact-solver workers, the pipelined and batched
-// CONGEST engines — recovers panics into a *PanicError that fails only
-// the owning job or solve; the pool, the Lab, and sibling tenants keep
+// experiment bodies, exact-solver workers, the batched CONGEST engine —
+// recovers panics into a *PanicError that fails only the owning job,
+// solve or batch instance; the pool, the Lab, and sibling tenants keep
 // running. The chaos harness behind EnableFaults injects deterministic
 // faults (disk errors, corrupt cache entries, panics, stalls) to prove
 // it.

@@ -4,25 +4,23 @@
 // message to each of its neighbours, with B = O(log n).
 //
 // The simulator enforces the bandwidth bound bit-exactly, accounts every
-// message, and exposes a per-message hook that the reduction framework
-// (internal/core) uses to route cut-edge messages onto a communication-
-// complexity blackboard, realising the simulation argument of Theorem 5 in
-// Efron, Grossman and Khoury (PODC 2020).
+// message, and, given a player partition (Config.Cut), tallies the bits
+// and messages crossing it: the blackboard cost that the simulation
+// argument of Theorem 5 in Efron, Grossman and Khoury (PODC 2020) charges
+// the induced t-party protocol. internal/core runs its reductions that way.
 //
-// Node behaviour is written as a NodeProgram state machine. The engine can
-// run programs sequentially (fully deterministic), or on a two-stage
-// pipeline over persistent workers holding contiguous node ranges, where
-// round k+1's compute overlaps round k's delivery (deterministic too:
-// message delivery is ordered by node ID, per-node randomness comes from
-// per-node seeded generators, and a barrier protocol keeps transcripts
-// bit-identical — see pipeline.go). Many small instances can additionally
-// run through one lockstep engine pass via RunBatch (see batch.go).
+// Node behaviour is written as a NodeProgram state machine. Every run goes
+// through one round loop (see instance.step), which is deterministic:
+// message delivery is ordered by sender ID and per-node randomness comes
+// from per-node seeded generators. Network.RunCtx steps one instance;
+// RunBatch steps many small instances in lockstep (see batch.go).
 //
 // The round loop is (near-)zero-allocation: delivered payloads live in a
 // per-round byte arena reused across rounds, inbox/outbox backing arrays
-// are recycled, duplicate-send detection uses a stamped array instead of
-// per-round maps, and adjacency checks hit the graph's bitset rows
-// directly. See docs/performance.md for the architecture and measurements.
+// are recycled, and an outbox whose destinations walk the sender's sorted
+// neighbour list is validated by that walk alone. Any other outbox falls
+// back to a stamped duplicate array and the graph's bitset rows. See
+// docs/performance.md for the architecture and measurements.
 package congest
 
 import (
@@ -31,8 +29,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"runtime"
+	"slices"
 	"sync/atomic"
 
 	"congestlb/internal/graphs"
@@ -130,10 +127,9 @@ type BufferedProgram interface {
 	AppendRound(round int, inbox []Message, out []Message) []Message
 }
 
-// MessageHook observes every delivered message. The reduction framework
-// uses it to count the bits of cut-edge messages. The message payload
-// is only valid for the duration of the call; hooks that retain it must
-// copy.
+// MessageHook observes every delivered message, after the engine has
+// validated it and tallied it against Config.Cut. The message payload is
+// only valid for the duration of the call; hooks that retain it must copy.
 type MessageHook func(round int, msg Message) error
 
 // Config parameterises a simulation run.
@@ -149,19 +145,20 @@ type Config struct {
 	// Seed drives all node randomness; runs with equal seeds are
 	// identical.
 	Seed int64
-	// Parallel selects the pipelined engine: node ranges are computed by
-	// a persistent worker set, and round k+1's compute overlaps round k's
-	// delivery. Results are bit-identical to the sequential engine; only
-	// wall-clock differs. The CONGESTLB_PIPELINE environment variable
-	// overrides this field for every run ("1"/"on"/"force" enables,
-	// "0"/"off" disables) — the forcing lever the determinism CI uses.
+	// Deprecated: Parallel is ignored. Every run goes through the one
+	// round loop; the field remains so that existing callers compile.
 	Parallel bool
-	// Workers caps the pipelined engine's worker count; 0 means
-	// GOMAXPROCS. The determinism suites pin 1/2/4/8 regardless of host
-	// core count. With one effective worker the sequential engine runs —
-	// the pipeline would have nothing to overlap.
+	// Deprecated: Workers is ignored, like Parallel.
 	Workers int
-	// Hook, if set, observes every delivered message.
+	// Cut, if set, is a partition of the nodes among players. Every
+	// delivered message whose sender and receiver have different owners
+	// adds its bits to Stats.CutBits and one write to Stats.CutMessages:
+	// the blackboard cost Theorem 5 charges the induced protocol. A
+	// crossing message of 0 bits fails the run, as a blackboard write of
+	// 0 bits would. Cut must cover exactly the graph's nodes.
+	Cut *graphs.Partition
+	// Hook, if set, observes every delivered message, after the Cut
+	// tally.
 	Hook MessageHook
 	// Metrics, if set, receives the run's cost counters on successful
 	// completion (see EngineMetrics). internal/core stamps it from a
@@ -185,6 +182,11 @@ type Stats struct {
 	TotalBits int64
 	// MaxMessageBits is the largest single message observed.
 	MaxMessageBits int64
+	// CutBits and CutMessages are the payload volume and the number of
+	// the delivered messages that crossed Config.Cut; both stay 0 without
+	// a Cut.
+	CutBits     int64
+	CutMessages int64
 }
 
 // Result is the outcome of a completed run.
@@ -199,6 +201,12 @@ var ErrBandwidthExceeded = errors.New("congest: message exceeds bandwidth")
 
 // ErrMaxRounds reports a run that did not terminate in time.
 var ErrMaxRounds = errors.New("congest: exceeded maximum rounds")
+
+// errZeroBitCut fails a run in which a message of 0 bits crosses
+// Config.Cut: the induced protocol cannot write an empty payload on its
+// blackboard. The text is the one a blackboard-writing hook produced
+// when the tally ran as a hook, and callers match on it.
+var errZeroBitCut = errors.New("congest: hook: cc: write of 0 bits")
 
 // byteArena is a bump allocator for message payloads: copy carves a stable
 // copy of p out of a backing block reused across rounds. Old blocks
@@ -230,38 +238,60 @@ func (a *byteArena) copy(p []byte) []byte {
 // reset must no longer be read.
 func (a *byteArena) reset() { a.off = 0 }
 
-// Network binds a graph to one NodeProgram per node.
-type Network struct {
+// adjacency holds a graph's sorted neighbour lists in one slab:
+// nbrs[off[u]:off[u+1]] are u's neighbours in increasing order. The round
+// loop validates ordered sends against it (see deliver).
+type adjacency struct {
+	off  []int
+	nbrs []graphs.NodeID
+}
+
+func newAdjacency(g *graphs.Graph) *adjacency {
+	size := g.N()
+	a := &adjacency{off: make([]int, size+1), nbrs: make([]graphs.NodeID, 0, 2*g.M())}
+	for u := 0; u < size; u++ {
+		g.ForEachNeighbor(u, func(v graphs.NodeID) { a.nbrs = append(a.nbrs, v) })
+		a.off[u+1] = len(a.nbrs)
+	}
+	return a
+}
+
+// instance is the engine state of one run: the programs, the adjacency
+// their sends are checked against, the per-node inboxes and outboxes, the
+// payload arena and the running Stats. A Network holds one; RunBatch holds
+// one per item, with inboxes, outboxes and seen marks cut out of slabs
+// shared by the batch.
+type instance struct {
 	g        *graphs.Graph
+	adj      *adjacency
 	programs []NodeProgram
 	// buffered[u] is programs[u] if it implements BufferedProgram, else
 	// nil; resolved once so the round loop avoids per-call type asserts.
-	buffered []BufferedProgram
-	cfg      Config
-	bw       int64
+	buffered  []BufferedProgram
+	bw        int64
+	maxRounds int
+	cut       *graphs.Partition
+	hook      MessageHook
 
-	// Reusable per-run state (see Run).
 	inboxes  [][]Message
 	outboxes [][]Message
 	arena    byteArena
-	// seen/seenStamp implement duplicate-destination detection without a
-	// per-node-per-round map: seen[v] == seenStamp means v already
-	// received a message from the outbox currently being validated.
-	seen      []int64
-	seenStamp int64
-	// pipe holds the pipelined engine's state, retained across Run calls
-	// like the sequential buffers above (nil until the first pipelined run).
-	pipe *pipeline
+	// seen implements duplicate-destination detection without a
+	// per-node-per-round map: seen[v] == stamp means v already received a
+	// message from the outbox being validated. Stamps only ever grow.
+	seen  []int64
+	stats Stats
 }
 
-// NewNetwork validates the wiring and prepares a run. programs[u] drives
-// node u; len(programs) must equal g.N().
-func NewNetwork(g *graphs.Graph, programs []NodeProgram, cfg Config) (*Network, error) {
+// newInstance applies the admission checks shared by NewNetwork and
+// RunBatch and resolves cfg's defaults for g.
+func newInstance(g *graphs.Graph, programs []NodeProgram, cfg Config) (*instance, error) {
 	if g == nil {
 		return nil, fmt.Errorf("congest: nil graph")
 	}
-	if len(programs) != g.N() {
-		return nil, fmt.Errorf("congest: %d programs for %d nodes", len(programs), g.N())
+	size := g.N()
+	if len(programs) != size {
+		return nil, fmt.Errorf("congest: %d programs for %d nodes", len(programs), size)
 	}
 	for u, p := range programs {
 		if p == nil {
@@ -270,18 +300,223 @@ func NewNetwork(g *graphs.Graph, programs []NodeProgram, cfg Config) (*Network, 
 	}
 	bw := cfg.BandwidthBits
 	if bw == 0 {
-		bw = DefaultBandwidth(g.N())
+		bw = DefaultBandwidth(size)
 	}
 	if bw < 1 {
 		return nil, fmt.Errorf("congest: bandwidth %d bits must be >= 1", bw)
 	}
-	buffered := make([]BufferedProgram, len(programs))
+	if cfg.Cut != nil {
+		if err := cfg.Cut.Validate(g); err != nil {
+			return nil, fmt.Errorf("congest: cut: %w", err)
+		}
+	}
+	maxRounds := cfg.MaxRounds
+	if maxRounds == 0 {
+		maxRounds = 4*size*size + 64
+	}
+	buffered := make([]BufferedProgram, size)
 	for u, p := range programs {
 		if bp, ok := p.(BufferedProgram); ok {
 			buffered[u] = bp
 		}
 	}
-	return &Network{g: g, programs: programs, buffered: buffered, cfg: cfg, bw: bw}, nil
+	return &instance{
+		g:         g,
+		programs:  programs,
+		buffered:  buffered,
+		bw:        bw,
+		maxRounds: maxRounds,
+		cut:       cfg.Cut,
+		hook:      cfg.Hook,
+	}, nil
+}
+
+// initPrograms hands every program its NodeInfo. The neighbour lists the
+// programs get are copies, cut from one slab: the round loop validates
+// against s.adj, which no program may be able to modify.
+func (s *instance) initPrograms(seed int64) {
+	size := len(s.programs)
+	nbrs := slices.Clone(s.adj.nbrs)
+	for u := 0; u < size; u++ {
+		lo, hi := s.adj.off[u], s.adj.off[u+1]
+		s.programs[u].Init(NodeInfo{
+			ID:        u,
+			Weight:    s.g.Weight(u),
+			Neighbors: nbrs[lo:hi:hi],
+			N:         size,
+			Rand:      nodeRand(seed, u),
+		})
+	}
+}
+
+// step runs one round: the MaxRounds failsafe, the termination check, the
+// programs' Round calls, then deliver. finished reports that every program
+// was done at the round boundary; stats.Rounds is then set.
+func (s *instance) step(round int, stamp *int64) (finished bool, err error) {
+	if round > s.maxRounds {
+		return false, fmt.Errorf("%w: %d", ErrMaxRounds, s.maxRounds)
+	}
+	allDone := true
+	for _, p := range s.programs {
+		if !p.Done() {
+			allDone = false
+			break
+		}
+	}
+	if allDone {
+		s.stats.Rounds = round - 1
+		return true, nil
+	}
+	for u, p := range s.programs {
+		if p.Done() {
+			s.outboxes[u] = s.outboxes[u][:0]
+			continue
+		}
+		if bp := s.buffered[u]; bp != nil {
+			s.outboxes[u] = bp.AppendRound(round, s.inboxes[u], s.outboxes[u][:0])
+		} else {
+			s.outboxes[u] = p.Round(round, s.inboxes[u])
+		}
+	}
+	return false, s.deliver(round, stamp)
+}
+
+// deliver validates, accounts for and delivers the round's sends. All
+// Round calls of the round have returned, so the payloads delivered last
+// round are dead: their arena is recycled for this round's copies.
+// Iterating senders in ID order leaves every inbox sorted by sender — the
+// deterministic delivery order — with no sort pass.
+//
+// An outbox is checked in two phases. While its destinations are strictly
+// increasing neighbours of the sender, each is found in the sender's
+// sorted neighbour list after the previous one: at the next position in
+// one comparison, elsewhere by binary search. A match proves adjacency,
+// and the strict increase proves it is no duplicate. The first send that
+// does not match (or is forged, or too large) ends that phase: the sends
+// before it are stamped into seen, and validateMsg checks it and the rest
+// of the outbox, so every error is the one validateMsg gives.
+//
+// A validated send is tallied against the cut, copied into the arena,
+// shown to the hook and appended to its receiver's inbox, in that order.
+// The Stats are summed in locals and added once the round is delivered.
+func (s *instance) deliver(round int, stamp *int64) error {
+	s.arena.reset()
+	inboxes, arena, cut, hook, bw := s.inboxes, &s.arena, s.cut, s.hook, s.bw
+	for u := range inboxes {
+		inboxes[u] = inboxes[u][:0]
+	}
+	var messages, totalBits, maxBits, cutBits, cutMessages int64
+	for u, out := range s.outboxes {
+		if len(out) == 0 {
+			continue
+		}
+		*stamp++
+		owner := 0
+		if cut != nil {
+			owner = cut.Of(u)
+		}
+		nbrs := s.adj.nbrs[s.adj.off[u]:s.adj.off[u+1]]
+		next, ordered := 0, true
+		for i := range out {
+			msg := &out[i]
+			bits := msg.Bits()
+			if ordered {
+				if msg.From != u || bits > bw {
+					ordered = false
+				} else if next < len(nbrs) && nbrs[next] == msg.To {
+					next++
+				} else if j, found := slices.BinarySearch(nbrs[next:], msg.To); found {
+					next += j + 1
+				} else {
+					ordered = false
+				}
+				if !ordered {
+					for _, prev := range out[:i] {
+						s.seen[prev.To] = *stamp
+					}
+				}
+			}
+			if !ordered {
+				if err := validateMsg(s.g, bw, u, *msg, round, s.seen, *stamp); err != nil {
+					return err
+				}
+			}
+			if cut != nil && cut.Of(msg.To) != owner {
+				if bits == 0 {
+					return errZeroBitCut
+				}
+				cutBits += bits
+				cutMessages++
+			}
+			messages++
+			totalBits += bits
+			maxBits = max(maxBits, bits)
+			delivered := Message{From: u, To: msg.To, Data: arena.copy(msg.Data)}
+			if hook != nil {
+				if err := hook(round, delivered); err != nil {
+					return fmt.Errorf("congest: hook: %w", err)
+				}
+			}
+			inboxes[msg.To] = append(inboxes[msg.To], delivered)
+		}
+	}
+	s.stats.Messages += messages
+	s.stats.TotalBits += totalBits
+	s.stats.MaxMessageBits = max(s.stats.MaxMessageBits, maxBits)
+	s.stats.CutBits += cutBits
+	s.stats.CutMessages += cutMessages
+	return nil
+}
+
+// validateMsg enforces the CONGEST sending rules for one outbox message of
+// sender u in the given round: no forged sender, neighbours only, at most
+// one message per destination (seen[v] == stamp marks v as already served
+// from this outbox), and the bandwidth bound, checked in that order.
+func validateMsg(g *graphs.Graph, bw int64, u int, msg Message, round int, seen []int64, stamp int64) error {
+	if msg.From != u {
+		return fmt.Errorf("congest: node %d forged sender %d in round %d", u, msg.From, round)
+	}
+	if !g.HasEdge(u, msg.To) {
+		return fmt.Errorf("congest: node %d sent to non-neighbour %d in round %d", u, msg.To, round)
+	}
+	if seen[msg.To] == stamp {
+		return fmt.Errorf("congest: node %d sent two messages to %d in round %d", u, msg.To, round)
+	}
+	seen[msg.To] = stamp
+	if msg.Bits() > bw {
+		return fmt.Errorf("%w: %d bits > B=%d (node %d→%d, round %d)",
+			ErrBandwidthExceeded, msg.Bits(), bw, msg.From, msg.To, round)
+	}
+	return nil
+}
+
+func (s *instance) collect() Result {
+	outputs := make([]any, len(s.programs))
+	for u := range outputs {
+		outputs[u] = s.programs[u].Output()
+	}
+	return Result{Stats: s.stats, Outputs: outputs}
+}
+
+// Network binds a graph to one NodeProgram per node.
+type Network struct {
+	// instance is retained across Run calls: repeated runs (benchmark
+	// iterations, replayed simulations) reuse the inbox/outbox backing
+	// arrays and the arena block at their previous high-water capacity
+	// instead of re-growing them by doubling.
+	instance
+	cfg   Config
+	stamp int64
+}
+
+// NewNetwork validates the wiring and prepares a run. programs[u] drives
+// node u; len(programs) must equal g.N().
+func NewNetwork(g *graphs.Graph, programs []NodeProgram, cfg Config) (*Network, error) {
+	inst, err := newInstance(g, programs, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Network{instance: *inst, cfg: cfg}, nil
 }
 
 // Bandwidth returns the effective per-edge bit budget B.
@@ -307,40 +542,18 @@ func (n *Network) RunCtx(ctx context.Context) (Result, error) {
 	}
 	ctxDone := ctx.Done()
 	size := n.g.N()
-	maxRounds := n.cfg.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 4*size*size + 64
-	}
-	for u := 0; u < size; u++ {
-		n.programs[u].Init(NodeInfo{
-			ID:        u,
-			Weight:    n.g.Weight(u),
-			Neighbors: n.g.Neighbors(u),
-			N:         size,
-			Rand:      nodeRand(n.cfg.Seed, u),
-		})
-	}
-
-	var stats Stats
-	// Run state is retained across Run calls on the same Network: repeated
-	// runs (benchmark iterations, replayed simulations) reuse the inbox/
-	// outbox backing arrays and the arena block at their previous
-	// high-water capacity instead of re-growing them by doubling. Stale
-	// `seen` stamps are harmless because seenStamp only ever increases.
+	n.adj = newAdjacency(n.g)
+	n.initPrograms(n.cfg.Seed)
+	n.stats = Stats{}
 	if len(n.inboxes) != size {
 		n.inboxes = make([][]Message, size)
 		n.outboxes = make([][]Message, size)
 		n.seen = make([]int64, size)
-		n.seenStamp = 0
 	} else {
 		for u := 0; u < size; u++ {
 			n.inboxes[u] = n.inboxes[u][:0]
 			n.outboxes[u] = n.outboxes[u][:0]
 		}
-	}
-
-	if workers := n.effectiveWorkers(); workers > 1 {
-		return n.runPipelined(ctx, workers, maxRounds)
 	}
 	// Fresh Networks seed their arena from the process-wide high-water
 	// mark, so the first rounds of a new run skip the grow-and-orphan
@@ -369,107 +582,15 @@ func (n *Network) RunCtx(ctx context.Context) (Result, error) {
 			default:
 			}
 		}
-		if round > maxRounds {
-			return Result{}, fmt.Errorf("%w: %d", ErrMaxRounds, maxRounds)
+		finished, err := n.step(round, &n.stamp)
+		if err != nil {
+			return Result{}, err
 		}
-		allDone := true
-		for u := 0; u < size; u++ {
-			if !n.programs[u].Done() {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
-			stats.Rounds = round - 1
-			n.cfg.Metrics.recordRun(stats)
-			return n.collect(stats), nil
-		}
-
-		n.stepRange(round, 0, size)
-
-		// All Round calls of this round have returned, so the payloads
-		// delivered last round are dead: recycle their arena, then
-		// validate, account, and deliver this round's sends out of it.
-		// Iterating senders in ID order leaves every inbox sorted by
-		// sender — the deterministic delivery order — with no sort pass.
-		n.arena.reset()
-		for u := 0; u < size; u++ {
-			n.inboxes[u] = n.inboxes[u][:0]
-		}
-		for u := 0; u < size; u++ {
-			n.seenStamp++
-			for _, msg := range n.outboxes[u] {
-				if err := validateMsg(n.g, n.bw, u, msg, round, n.seen, n.seenStamp); err != nil {
-					return Result{}, err
-				}
-				stats.Messages++
-				stats.TotalBits += msg.Bits()
-				if msg.Bits() > stats.MaxMessageBits {
-					stats.MaxMessageBits = msg.Bits()
-				}
-				delivered := Message{From: msg.From, To: msg.To, Data: n.arena.copy(msg.Data)}
-				if n.cfg.Hook != nil {
-					if err := n.cfg.Hook(round, delivered); err != nil {
-						return Result{}, fmt.Errorf("congest: hook: %w", err)
-					}
-				}
-				n.inboxes[msg.To] = append(n.inboxes[msg.To], delivered)
-			}
+		if finished {
+			n.cfg.Metrics.recordRun(n.stats)
+			return n.collect(), nil
 		}
 	}
-}
-
-// validateMsg enforces the CONGEST sending rules for one outbox message of
-// sender u in the given round: no forged sender, neighbours only, at most
-// one message per destination (seen[v] == stamp marks v as already served
-// from this outbox), and the bandwidth bound. Shared by the sequential
-// delivery loop, the pipelined engine's compute-stage validation, and the
-// batch engine, so all three report byte-identical errors.
-func validateMsg(g *graphs.Graph, bw int64, u int, msg Message, round int, seen []int64, stamp int64) error {
-	if msg.From != u {
-		return fmt.Errorf("congest: node %d forged sender %d in round %d", u, msg.From, round)
-	}
-	if !g.HasEdge(u, msg.To) {
-		return fmt.Errorf("congest: node %d sent to non-neighbour %d in round %d", u, msg.To, round)
-	}
-	if seen[msg.To] == stamp {
-		return fmt.Errorf("congest: node %d sent two messages to %d in round %d", u, msg.To, round)
-	}
-	seen[msg.To] = stamp
-	if msg.Bits() > bw {
-		return fmt.Errorf("%w: %d bits > B=%d (node %d→%d, round %d)",
-			ErrBandwidthExceeded, msg.Bits(), bw, msg.From, msg.To, round)
-	}
-	return nil
-}
-
-// effectiveWorkers resolves Config.Parallel/Workers and the
-// CONGESTLB_PIPELINE override into the engine to use: 1 means the
-// sequential loop, >1 the pipelined engine with that many workers. The
-// environment variable is read per Run (not cached) so tests can flip it
-// with t.Setenv.
-func (n *Network) effectiveWorkers() int {
-	parallel := n.cfg.Parallel
-	switch os.Getenv("CONGESTLB_PIPELINE") {
-	case "1", "on", "force":
-		parallel = true
-	case "0", "off":
-		parallel = false
-	}
-	if !parallel {
-		return 1
-	}
-	w := n.cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n.g.N() {
-		w = n.g.N()
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // arenaHighWater remembers the delivery-arena block size recent Runs in
@@ -503,61 +624,4 @@ func (n *Network) recordArenaHighWater() {
 			return
 		}
 	}
-}
-
-// stepRange invokes Round (or AppendRound) for nodes [lo, hi) in ID order.
-// Distinct ranges touch disjoint engine and program state, so the worker
-// pool can run them concurrently.
-func (n *Network) stepRange(round, lo, hi int) {
-	for u := lo; u < hi; u++ {
-		if n.programs[u].Done() {
-			n.outboxes[u] = n.outboxes[u][:0]
-			continue
-		}
-		if bp := n.buffered[u]; bp != nil {
-			n.outboxes[u] = bp.AppendRound(round, n.inboxes[u], n.outboxes[u][:0])
-		} else {
-			n.outboxes[u] = n.programs[u].Round(round, n.inboxes[u])
-		}
-	}
-}
-
-// splitByDegree partitions [0, g.N()) into at most `workers` contiguous,
-// non-empty ranges of roughly equal cumulative degree, returned as bounds
-// (range w is [bounds[w], bounds[w+1])). A node's per-round work in the
-// message-bound programs scales with its degree (inbox size, outbox size,
-// forwarding queues), so equal-degree ranges balance skewed constructions
-// — a hub-heavy lower-bound graph no longer serialises on the worker that
-// happened to draw the hubs, which equal-count splitting does. Each node
-// costs degree+1, so isolated nodes still carry weight and every split is
-// well-defined on edgeless graphs.
-func splitByDegree(g *graphs.Graph, workers int) []int {
-	size := g.N()
-	var total int64
-	for u := 0; u < size; u++ {
-		total += int64(g.Degree(u)) + 1
-	}
-	bounds := make([]int, 1, workers+1)
-	var cum int64
-	for u := 0; u < size; u++ {
-		cum += int64(g.Degree(u)) + 1
-		w := len(bounds) // ranges closed so far + 1
-		remainingWorkers := workers - w
-		// Close the current range once it reached its fair share, but
-		// never so late that the remaining workers outnumber the
-		// remaining nodes.
-		if u+1 < size && w < workers &&
-			(cum*int64(workers) >= int64(w)*total || size-(u+1) <= remainingWorkers) {
-			bounds = append(bounds, u+1)
-		}
-	}
-	return append(bounds, size)
-}
-
-func (n *Network) collect(stats Stats) Result {
-	outputs := make([]any, n.g.N())
-	for u := range outputs {
-		outputs[u] = n.programs[u].Output()
-	}
-	return Result{Stats: stats, Outputs: outputs}
 }

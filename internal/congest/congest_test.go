@@ -417,71 +417,6 @@ func star(t *testing.T, n int) *graphs.Graph {
 	return g
 }
 
-func TestSplitByDegreeCoversContiguously(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		g       *graphs.Graph
-		workers int
-	}{
-		{"ring/4", ring(t, 64), 4},
-		{"ring/1", ring(t, 64), 1},
-		{"ring/n", ring(t, 8), 8},
-		{"star/4", star(t, 65), 4},
-		{"star/2", star(t, 3), 2},
-		{"edgeless/3", func() *graphs.Graph {
-			g := graphs.New(9)
-			for i := 0; i < 9; i++ {
-				g.MustAddNode(fmt.Sprintf("i%d", i), 1)
-			}
-			return g
-		}(), 3},
-	} {
-		bounds := splitByDegree(tc.g, tc.workers)
-		if bounds[0] != 0 || bounds[len(bounds)-1] != tc.g.N() {
-			t.Fatalf("%s: bounds %v do not cover [0,%d)", tc.name, bounds, tc.g.N())
-		}
-		if len(bounds)-1 > tc.workers {
-			t.Fatalf("%s: %d ranges for %d workers", tc.name, len(bounds)-1, tc.workers)
-		}
-		for i := 1; i < len(bounds); i++ {
-			if bounds[i] <= bounds[i-1] {
-				t.Fatalf("%s: empty or decreasing range in %v", tc.name, bounds)
-			}
-		}
-	}
-}
-
-// TestSplitByDegreeBalancesSkew is the satellite property: on a star, the
-// hub's degree dominates, so degree-weighted splitting must give the hub's
-// worker far fewer nodes than an equal-count split would.
-func TestSplitByDegreeBalancesSkew(t *testing.T) {
-	n, workers := 1025, 4
-	g := star(t, n)
-	bounds := splitByDegree(g, workers)
-	hubRange := bounds[1] - bounds[0]
-	equalCount := (n + workers - 1) / workers
-	if hubRange >= equalCount/4 {
-		t.Fatalf("hub range holds %d nodes; equal-count chunking would hold %d — no degree balancing",
-			hubRange, equalCount)
-	}
-	// Cumulative degree+1 per range should be near total/workers for every
-	// range (within a factor of two).
-	total := 0
-	for u := 0; u < n; u++ {
-		total += g.Degree(u) + 1
-	}
-	fair := total / workers
-	for w := 0; w+1 < len(bounds); w++ {
-		load := 0
-		for u := bounds[w]; u < bounds[w+1]; u++ {
-			load += g.Degree(u) + 1
-		}
-		if load > 2*fair+n { // hub alone may exceed fair share; allow one node's slack
-			t.Fatalf("range %d load %d far above fair share %d (bounds %v)", w, load, fair, bounds)
-		}
-	}
-}
-
 // TestRunStateRetainedAcrossRuns re-runs one Network and requires identical
 // results — the retained inbox/outbox/arena state must be invisible.
 func TestRunStateRetainedAcrossRuns(t *testing.T) {
@@ -500,5 +435,323 @@ func TestRunStateRetainedAcrossRuns(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("re-run diverged:\nfirst  %+v\nsecond %+v", first, second)
+	}
+}
+
+// staggered sends its ID to every neighbour for id%4+1 rounds, then
+// terminates — nodes drop out of the round loop at different times.
+type staggered struct {
+	info NodeInfo
+	last int
+	done bool
+}
+
+func (s *staggered) Init(info NodeInfo) {
+	s.info = info
+	s.last = info.ID%4 + 1
+	s.done = false
+}
+
+func (s *staggered) Round(round int, inbox []Message) []Message {
+	if round > s.last {
+		s.done = true
+		return nil
+	}
+	out := make([]Message, 0, len(s.info.Neighbors))
+	for _, v := range s.info.Neighbors {
+		out = append(out, Message{From: s.info.ID, To: v, Data: []byte{byte(s.info.ID), byte(round)}})
+	}
+	return out
+}
+
+func (s *staggered) Done() bool  { return s.done }
+func (s *staggered) Output() any { return s.last }
+
+// hookRec is one hook observation; the transcript — the ordered sequence
+// of hookRecs — is the run-equivalence currency of these tests.
+type hookRec struct {
+	round    int
+	from, to int
+	data     string
+}
+
+// runTranscript executes one run recording the full hook transcript.
+func runTranscript(t *testing.T, g *graphs.Graph, programs []NodeProgram, cfg Config) (Result, []hookRec, error) {
+	t.Helper()
+	var tx []hookRec
+	userHook := cfg.Hook
+	cfg.Hook = func(round int, msg Message) error {
+		tx = append(tx, hookRec{round: round, from: msg.From, to: msg.To, data: string(msg.Data)})
+		if userHook != nil {
+			return userHook(round, msg)
+		}
+		return nil
+	}
+	net, err := NewNetwork(g, programs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	result, err := net.Run()
+	return result, tx, err
+}
+
+// The TestPipeline* tests below are named for the pipelined engine they
+// once pinned to the sequential one. That engine is gone, and
+// Config.Parallel and Config.Workers are deprecated and ignored; the
+// tests now pin that setting them changes nothing — results, stats, hook
+// transcripts and error strings — for as long as the fields exist.
+
+// TestPipelineMatchesSequential: result, stats and the complete message
+// transcript are identical with and without Parallel at workers 1, 2, 4
+// and 8, on a uniform ring and a hub-skewed star, for uniform and
+// staggered termination.
+func TestPipelineMatchesSequential(t *testing.T) {
+	cases := []struct {
+		name     string
+		g        *graphs.Graph
+		programs func(n int) []NodeProgram
+	}{
+		{"ring/flood", ring(t, 24), floodPrograms},
+		{"star/flood", star(t, 25), floodPrograms},
+		{"ring/staggered", ring(t, 24), func(n int) []NodeProgram {
+			out := make([]NodeProgram, n)
+			for i := range out {
+				out[i] = &staggered{}
+			}
+			return out
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.g.N()
+			seqRes, seqTx, err := runTranscript(t, tc.g, tc.programs(n), Config{Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 4, 8} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					res, tx, err := runTranscript(t, tc.g, tc.programs(n),
+						Config{Seed: 7, Parallel: true, Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(seqRes, res) {
+						t.Fatalf("result diverged:\nseq %+v\nparallel %+v", seqRes, res)
+					}
+					if !reflect.DeepEqual(seqTx, tx) {
+						t.Fatalf("hook transcript diverged (%d vs %d records)", len(seqTx), len(tx))
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestPipelineErrorsMatchSequential: every validation failure mode gives
+// the same error string with and without Parallel, and the error reported
+// is the first in sender order when two nodes misbehave.
+func TestPipelineErrorsMatchSequential(t *testing.T) {
+	mkPrograms := func(n int, bad map[int]Message) []NodeProgram {
+		programs := make([]NodeProgram, n)
+		for i := range programs {
+			if msg, ok := bad[i]; ok {
+				programs[i] = &misbehaver{msg: msg}
+			} else {
+				programs[i] = &silent{}
+			}
+		}
+		return programs
+	}
+	cases := []struct {
+		name string
+		bad  map[int]Message
+	}{
+		{"forged", map[int]Message{2: {From: 5, To: 3, Data: []byte{1}}}},
+		{"non-neighbour", map[int]Message{2: {From: 2, To: 7, Data: []byte{1}}}},
+		{"bandwidth", map[int]Message{2: {From: 2, To: 3, Data: make([]byte, 100)}}},
+		// Two misbehavers: node 3's error must win over node 13's.
+		{"first-in-sender-order", map[int]Message{
+			3:  {From: 3, To: 9, Data: []byte{1}},
+			13: {From: 13, To: 2, Data: []byte{1}},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := ring(t, 16)
+			seqNet, err := NewNetwork(g, mkPrograms(16, tc.bad), Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, seqErr := seqNet.Run()
+			if seqErr == nil {
+				t.Fatal("sequential run accepted the bad message")
+			}
+			for _, workers := range []int{2, 4, 8} {
+				net, err := NewNetwork(g, mkPrograms(16, tc.bad), Config{Parallel: true, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, parErr := net.Run()
+				if parErr == nil || parErr.Error() != seqErr.Error() {
+					t.Fatalf("workers=%d error %q, sequential %q", workers, parErr, seqErr)
+				}
+			}
+		})
+	}
+}
+
+// TestPipelineDuplicateRejected covers the duplicate check separately:
+// duplicateSender hardcodes From: 0, so it must sit at node 0.
+func TestPipelineDuplicateRejected(t *testing.T) {
+	g := ring(t, 8)
+	mk := func() []NodeProgram {
+		programs := make([]NodeProgram, 8)
+		programs[0] = &duplicateSender{}
+		for i := 1; i < 8; i++ {
+			programs[i] = &silent{}
+		}
+		return programs
+	}
+	seqNet, _ := NewNetwork(g, mk(), Config{})
+	_, seqErr := seqNet.Run()
+	net, _ := NewNetwork(g, mk(), Config{Parallel: true, Workers: 4})
+	if _, err := net.Run(); err == nil || err.Error() != seqErr.Error() {
+		t.Fatalf("parallel error %q, sequential %q", err, seqErr)
+	}
+}
+
+// TestPipelineMaxRounds: the failsafe fires with the same error and the
+// same hook transcript, covering rounds 1..MaxRounds, with and without
+// Parallel.
+func TestPipelineMaxRounds(t *testing.T) {
+	mk := func(n int) []NodeProgram {
+		programs := make([]NodeProgram, n)
+		for i := range programs {
+			programs[i] = &chatterbox{}
+		}
+		return programs
+	}
+	g := ring(t, 12)
+	_, seqTx, seqErr := runTranscript(t, g, mk(12), Config{MaxRounds: 10})
+	if !errors.Is(seqErr, ErrMaxRounds) {
+		t.Fatalf("sequential error = %v", seqErr)
+	}
+	_, tx, err := runTranscript(t, g, mk(12), Config{MaxRounds: 10, Parallel: true, Workers: 4})
+	if !errors.Is(err, ErrMaxRounds) || err.Error() != seqErr.Error() {
+		t.Fatalf("parallel error %q, sequential %q", err, seqErr)
+	}
+	if !reflect.DeepEqual(seqTx, tx) {
+		t.Fatalf("transcript diverged on MaxRounds abort: %d vs %d records", len(seqTx), len(tx))
+	}
+}
+
+// TestPipelineCancel: a cancelled context aborts a run that sets Parallel
+// with the context's error.
+func TestPipelineCancel(t *testing.T) {
+	g := ring(t, 12)
+	programs := make([]NodeProgram, 12)
+	for i := range programs {
+		programs[i] = &chatterbox{}
+	}
+	net, err := NewNetwork(g, programs, Config{Parallel: true, Workers: 4, MaxRounds: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := net.RunCtx(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("error = %v, want context.Canceled", err)
+	}
+}
+
+// TestPipelineHookErrorAborts: hook failures abort with the wrapped error
+// when Parallel is set too.
+func TestPipelineHookErrorAborts(t *testing.T) {
+	g := ring(t, 8)
+	boom := errors.New("boom")
+	cfg := Config{Parallel: true, Workers: 4, Hook: func(int, Message) error { return boom }}
+	net, err := NewNetwork(g, floodPrograms(8), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Run(); !errors.Is(err, boom) {
+		t.Fatalf("error = %v, want wrapped boom", err)
+	}
+}
+
+// TestPipelineRunStateRetainedAcrossRuns: repeated runs on one Network
+// that sets Parallel reuse the retained buffers invisibly.
+func TestPipelineRunStateRetainedAcrossRuns(t *testing.T) {
+	g := ring(t, 24)
+	net, err := NewNetwork(g, floodPrograms(24), Config{Seed: 7, Parallel: true, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := net.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := net.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("re-run diverged:\nfirst  %+v\nsecond %+v", first, second)
+	}
+}
+
+// TestArenaHighWaterDecays is the retention fix: after a big run inflates
+// the process-wide arena estimate, a stream of small runs must pull it
+// back down to the small instance's envelope instead of every fresh small
+// Network inheriting (ceiling-capped) blocks sized for the big run
+// forever.
+func TestArenaHighWaterDecays(t *testing.T) {
+	// Inflate: a dense flood on a moderately large ring settles on a
+	// multi-kilobyte arena block.
+	big := ring(t, 256)
+	bigNet, err := NewNetwork(big, floodPrograms(256), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bigNet.Run(); err != nil {
+		t.Fatal(err)
+	}
+	inflated := arenaHighWater.Load()
+
+	// The small instance's own per-round ceiling: 2m directed messages of
+	// at most B bytes.
+	smallG := ring(t, 8)
+	bw := DefaultBandwidth(8)
+	ceil := int64(2*smallG.M()) * ((bw + 7) / 8)
+	if inflated <= ceil {
+		t.Skipf("big run settled at %d bytes, below the small ceiling %d — nothing to decay", inflated, ceil)
+	}
+
+	// Steady state: each fresh small Network seeds at most ceil bytes and
+	// records its settled size back, decaying the estimate geometrically.
+	for i := 0; i < 64; i++ {
+		net, err := NewNetwork(smallG, floodPrograms(8), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := net.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settled := arenaHighWater.Load()
+	if settled > ceil {
+		t.Fatalf("arena high-water stuck at %d bytes after small runs; want <= small ceiling %d (was %d)",
+			settled, ceil, inflated)
+	}
+	// And a fresh small Network now seeds within its own envelope.
+	net, err := NewNetwork(smallG, floodPrograms(8), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := int64(len(net.arena.buf)); got > ceil {
+		t.Fatalf("fresh small Network arena %d bytes exceeds its ceiling %d", got, ceil)
 	}
 }

@@ -1,0 +1,441 @@
+package congest
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"congestlb/internal/graphs"
+)
+
+// The round loop validates an outbox by walking the sender's sorted
+// neighbour list while the destinations ascend, and falls back to
+// validateMsg at the first send that does not. These tests pin that fast
+// path to a reference loop that validates every message with validateMsg,
+// on random graphs and on outboxes that break every sending rule right
+// after a legal, in-order prefix.
+
+// scriptBandwidth is B for the scripted runs: legal payloads are at most
+// 3 bytes, the oversize one is 5.
+const scriptBandwidth = 32
+
+// scripted sends, for a few rounds, outboxes drawn from its generator:
+// mostly legal ones (empty, in neighbour order, shuffled, in order with
+// the last two swapped) and, with probability 1/bad, one that breaks a
+// sending rule after an in-order prefix. Its output digests everything it
+// received, in delivery order.
+type scripted struct {
+	info   NodeInfo
+	bad    int
+	rounds int
+	digest uint64
+	done   bool
+}
+
+func (s *scripted) Init(info NodeInfo) {
+	s.info = info
+	s.rounds = 1 + info.Rand.Intn(4)
+}
+
+func (s *scripted) Round(round int, inbox []Message) []Message {
+	return s.AppendRound(round, inbox, nil)
+}
+
+func (s *scripted) AppendRound(round int, inbox []Message, out []Message) []Message {
+	for _, m := range inbox {
+		s.digest = s.digest*1099511628211 ^ uint64(round)<<32 ^ uint64(m.From)<<16 ^ uint64(m.To)
+		for _, b := range m.Data {
+			s.digest = s.digest*31 + uint64(b)
+		}
+	}
+	if round > s.rounds {
+		s.done = true
+		return out
+	}
+	r, u, nbrs := s.info.Rand, s.info.ID, s.info.Neighbors
+	payload := func() []byte {
+		n := 1 + r.Intn(3)
+		if r.Intn(64) == 0 {
+			n = 0
+		}
+		data := make([]byte, n)
+		r.Read(data)
+		return data
+	}
+	send := func(to int) { out = append(out, Message{From: u, To: to, Data: payload()}) }
+	// sorted returns a random non-empty (if possible) ascending subset of
+	// the neighbours.
+	sorted := func() []int {
+		var sub []int
+		for _, v := range nbrs {
+			if r.Intn(3) != 0 {
+				sub = append(sub, v)
+			}
+		}
+		if len(sub) == 0 && len(nbrs) > 0 {
+			sub = append(sub, nbrs[r.Intn(len(nbrs))])
+		}
+		return sub
+	}
+	prefix := func() []int {
+		sub := sorted()
+		for _, v := range sub {
+			send(v)
+		}
+		return sub
+	}
+
+	if r.Intn(s.bad) != 0 {
+		switch r.Intn(4) {
+		case 0: // empty
+		case 1:
+			prefix()
+		case 2:
+			sub := sorted()
+			r.Shuffle(len(sub), func(i, j int) { sub[i], sub[j] = sub[j], sub[i] })
+			for _, v := range sub {
+				send(v)
+			}
+		case 3:
+			sub := sorted()
+			if k := len(sub); k >= 2 {
+				sub[k-2], sub[k-1] = sub[k-1], sub[k-2]
+			}
+			for _, v := range sub {
+				send(v)
+			}
+		}
+		return out
+	}
+	switch r.Intn(8) {
+	case 0: // a duplicate after an in-order prefix: [1,3,1]
+		if sub := prefix(); len(sub) > 0 {
+			send(sub[r.Intn(len(sub))])
+		}
+	case 1: // an adjacent duplicate: [3,3]
+		if sub := prefix(); len(sub) > 0 {
+			send(sub[len(sub)-1])
+		}
+	case 2: // a non-neighbour (or the sender itself) inside an ascending run
+		w := r.Intn(s.info.N)
+		for len(nbrs) < s.info.N-1 && slices.Contains(nbrs, w) {
+			w = r.Intn(s.info.N)
+		}
+		sent := false
+		for _, v := range sorted() {
+			if !sent && w < v {
+				send(w)
+				sent = true
+			}
+			send(v)
+		}
+		if !sent {
+			send(w)
+		}
+	case 3:
+		prefix()
+		send(-1)
+	case 4:
+		prefix()
+		send(s.info.N)
+	case 5: // a forged sender after an in-order prefix
+		prefix()
+		if len(nbrs) > 0 {
+			out = append(out, Message{From: (u + 1) % s.info.N, To: nbrs[0], Data: []byte{1}})
+		}
+	case 6: // an oversize payload after an in-order prefix
+		if sub := prefix(); len(sub) > 0 {
+			out = append(out, Message{From: u, To: sub[len(sub)-1], Data: make([]byte, scriptBandwidth/8+1)})
+		}
+	case 7: // an oversize payload to a later neighbour
+		sub := prefix()
+		if len(sub) > 0 && sub[len(sub)-1] != nbrs[len(nbrs)-1] {
+			out = append(out, Message{From: u, To: nbrs[len(nbrs)-1], Data: make([]byte, scriptBandwidth/8+1)})
+		}
+	}
+	return out
+}
+
+func (s *scripted) Done() bool  { return s.done }
+func (s *scripted) Output() any { return s.digest }
+
+func scriptedPrograms(n, bad int) []NodeProgram {
+	programs := make([]NodeProgram, n)
+	for i := range programs {
+		programs[i] = &scripted{bad: bad}
+	}
+	return programs
+}
+
+// referenceRun is the round loop with no fast path: every message goes
+// through validateMsg, then the Stats, the cut tally and the hook, in
+// that order. Programs get fresh neighbour lists and run through Round.
+func referenceRun(g *graphs.Graph, programs []NodeProgram, cfg Config) (Result, error) {
+	size := g.N()
+	bw := cfg.BandwidthBits
+	if bw == 0 {
+		bw = DefaultBandwidth(size)
+	}
+	maxRounds := cfg.MaxRounds
+	if maxRounds == 0 {
+		maxRounds = 4*size*size + 64
+	}
+	for u, p := range programs {
+		p.Init(NodeInfo{ID: u, Weight: g.Weight(u), Neighbors: g.Neighbors(u), N: size, Rand: nodeRand(cfg.Seed, u)})
+	}
+	inboxes := make([][]Message, size)
+	seen := make([]int64, size)
+	var stamp int64
+	var st Stats
+	for round := 1; ; round++ {
+		if round > maxRounds {
+			return Result{}, fmt.Errorf("%w: %d", ErrMaxRounds, maxRounds)
+		}
+		allDone := true
+		for _, p := range programs {
+			allDone = allDone && p.Done()
+		}
+		if allDone {
+			st.Rounds = round - 1
+			outputs := make([]any, size)
+			for u, p := range programs {
+				outputs[u] = p.Output()
+			}
+			return Result{Stats: st, Outputs: outputs}, nil
+		}
+		outboxes := make([][]Message, size)
+		for u, p := range programs {
+			if !p.Done() {
+				outboxes[u] = p.Round(round, inboxes[u])
+			}
+		}
+		next := make([][]Message, size)
+		for u := range outboxes {
+			stamp++
+			for _, msg := range outboxes[u] {
+				if err := validateMsg(g, bw, u, msg, round, seen, stamp); err != nil {
+					return Result{}, err
+				}
+				st.Messages++
+				st.TotalBits += msg.Bits()
+				st.MaxMessageBits = max(st.MaxMessageBits, msg.Bits())
+				if cfg.Cut != nil && cfg.Cut.Of(msg.From) != cfg.Cut.Of(msg.To) {
+					if msg.Bits() == 0 {
+						return Result{}, errors.New("congest: hook: cc: write of 0 bits")
+					}
+					st.CutBits += msg.Bits()
+					st.CutMessages++
+				}
+				delivered := Message{From: msg.From, To: msg.To, Data: append([]byte(nil), msg.Data...)}
+				if cfg.Hook != nil {
+					if err := cfg.Hook(round, delivered); err != nil {
+						return Result{}, fmt.Errorf("congest: hook: %w", err)
+					}
+				}
+				next[msg.To] = append(next[msg.To], delivered)
+			}
+		}
+		inboxes = next
+	}
+}
+
+// outcome is one run's observable result: the hook transcript, and the
+// error text or the Result.
+type outcome struct {
+	err string
+	res Result
+	tx  []hookRec
+}
+
+func recorder(tx *[]hookRec) MessageHook {
+	return func(round int, msg Message) error {
+		*tx = append(*tx, hookRec{round: round, from: msg.From, to: msg.To, data: string(msg.Data)})
+		return nil
+	}
+}
+
+func outcomeOf(res Result, tx []hookRec, err error) outcome {
+	if err != nil {
+		return outcome{err: err.Error(), tx: tx}
+	}
+	return outcome{res: res, tx: tx}
+}
+
+// scriptedRun is one differential case: a graph, a config (with or
+// without a cut) and the malformed-outbox rate of its programs.
+type scriptedRun struct {
+	g   *graphs.Graph
+	cfg Config
+	bad int
+}
+
+func randomGraph(rng *rand.Rand, n int, p float64) *graphs.Graph {
+	g := graphs.NewWithN(n)
+	for u := 0; u < n; u++ {
+		g.AddNodeID(1)
+	}
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if rng.Float64() < p {
+				g.MustAddEdge(u, v)
+			}
+		}
+	}
+	return g
+}
+
+func scriptedRuns(t *testing.T) []scriptedRun {
+	t.Helper()
+	rng := rand.New(rand.NewSource(41))
+	var runs []scriptedRun
+	for gi := 0; gi < 24; gi++ {
+		n := 2 + rng.Intn(30)
+		g := randomGraph(rng, n, 0.05+0.5*rng.Float64())
+		for k := 0; k < 8; k++ {
+			cfg := Config{BandwidthBits: scriptBandwidth, Seed: rng.Int63()}
+			if k%2 == 1 {
+				part := graphs.MustNewPartition(n, 2+rng.Intn(2))
+				for u := 0; u < n; u++ {
+					part.MustAssign(u, rng.Intn(part.T()))
+				}
+				cfg.Cut = part
+			}
+			runs = append(runs, scriptedRun{g: g, cfg: cfg, bad: 2 + rng.Intn(60)})
+		}
+	}
+	return runs
+}
+
+// TestOrderedSendsMatchPerMessageValidation runs every scripted case
+// through the reference loop, Network.RunCtx and one RunBatch pass: each
+// run must give the reference's hook transcript, and its error string or
+// its Result (Stats with the cut tally, outputs). A failing run's
+// transcript pins where it failed: a send is refused before the hook
+// sees it, and the sends before it were delivered. Every error kind must
+// occur, and so must runs that succeed.
+func TestOrderedSendsMatchPerMessageValidation(t *testing.T) {
+	runs := scriptedRuns(t)
+	want := make([]outcome, len(runs))
+	for i, r := range runs {
+		var tx []hookRec
+		cfg := r.cfg
+		cfg.Hook = recorder(&tx)
+		res, err := referenceRun(r.g, scriptedPrograms(r.g.N(), r.bad), cfg)
+		want[i] = outcomeOf(res, tx, err)
+	}
+
+	kinds := map[string]int{}
+	for _, w := range want {
+		kind := "ok"
+		for _, k := range []string{"forged", "non-neighbour", "two messages", "exceeds bandwidth", "write of 0 bits"} {
+			if strings.Contains(w.err, k) {
+				kind = k
+			}
+		}
+		if w.err != "" && kind == "ok" {
+			t.Fatalf("unexpected reference error %q", w.err)
+		}
+		kinds[kind]++
+	}
+	for _, k := range []string{"ok", "forged", "non-neighbour", "two messages", "exceeds bandwidth", "write of 0 bits"} {
+		if kinds[k] == 0 {
+			t.Fatalf("no scripted run ended %q (outcomes %v)", k, kinds)
+		}
+	}
+	t.Logf("reference outcomes: %v", kinds)
+
+	check := func(engine string, i int, got outcome) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("%s run %d (n=%d, cut=%v): got %q %+v (%d hooked), reference %q %+v (%d hooked)",
+				engine, i, runs[i].g.N(), runs[i].cfg.Cut != nil,
+				got.err, got.res.Stats, len(got.tx), want[i].err, want[i].res.Stats, len(want[i].tx))
+		}
+	}
+	for i, r := range runs {
+		var tx []hookRec
+		cfg := r.cfg
+		cfg.Hook = recorder(&tx)
+		net, err := NewNetwork(r.g, scriptedPrograms(r.g.N(), r.bad), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := net.RunCtx(context.Background())
+		check("RunCtx", i, outcomeOf(res, tx, err))
+	}
+
+	items := make([]BatchItem, len(runs))
+	txs := make([][]hookRec, len(runs))
+	for i, r := range runs {
+		cfg := r.cfg
+		cfg.Hook = recorder(&txs[i])
+		items[i] = BatchItem{Graph: r.g, Programs: scriptedPrograms(r.g.N(), r.bad), Config: cfg}
+	}
+	results, errs, _ := RunBatch(context.Background(), items)
+	for i := range runs {
+		check("RunBatch", i, outcomeOf(results[i], txs[i], errs[i]))
+	}
+}
+
+// TestNeighborListsAreCopies: a program that overwrites the neighbour
+// list it was given cannot change what the engine accepts — a send to a
+// non-neighbour is still refused.
+func TestNeighborListsAreCopies(t *testing.T) {
+	g := ring(t, 5)
+	programs := []NodeProgram{&rewriter{}, &silent{}, &silent{}, &silent{}, &silent{}}
+	net, err := NewNetwork(g, programs, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = net.Run()
+	if want := "congest: node 0 sent to non-neighbour 2 in round 1"; err == nil || err.Error() != want {
+		t.Fatalf("error = %v, want %q", err, want)
+	}
+}
+
+// rewriter overwrites its neighbour list with {1, 2} and sends to both.
+type rewriter struct {
+	info NodeInfo
+	done bool
+}
+
+func (r *rewriter) Init(info NodeInfo) { r.info = info }
+func (r *rewriter) Round(int, []Message) []Message {
+	r.done = true
+	r.info.Neighbors[0], r.info.Neighbors[1] = 1, 2
+	return []Message{{From: 0, To: r.info.Neighbors[0], Data: []byte{1}}, {From: 0, To: r.info.Neighbors[1], Data: []byte{1}}}
+}
+func (r *rewriter) Done() bool  { return r.done }
+func (r *rewriter) Output() any { return nil }
+
+// TestCutTally: with a Cut, Stats counts exactly the delivered messages
+// whose endpoints have different owners; a Cut that does not cover the
+// graph is refused before the run.
+func TestCutTally(t *testing.T) {
+	g := ring(t, 6)
+	part := graphs.MustNewPartition(6, 2)
+	for u := 3; u < 6; u++ {
+		part.MustAssign(u, 1)
+	}
+	net, err := NewNetwork(g, floodPrograms(6), Config{Cut: part})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := net.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two cut edges ({2,3} and {5,0}), both directions, one 16-bit message
+	// per direction in each of the 6 sending rounds.
+	if want := int64(2 * 2 * 6); res.Stats.CutMessages != want || res.Stats.CutBits != 16*want {
+		t.Fatalf("cut tally %d messages / %d bits, want %d / %d", res.Stats.CutMessages, res.Stats.CutBits, want, 16*want)
+	}
+	if _, err := NewNetwork(g, floodPrograms(6), Config{Cut: graphs.MustNewPartition(5, 2)}); err == nil {
+		t.Fatal("a cut over 5 nodes accepted for 6")
+	}
+}

@@ -2,11 +2,11 @@ package congest
 
 import "congestlb/internal/obs"
 
-// EngineMetrics is the round engines' resolved observability handle
-// set. Resolve one from a registry with NewEngineMetrics and stamp it
-// onto Config.Metrics (internal/core does this automatically from a
-// context-bound registry); all three engines — sequential, pipelined,
-// and the lockstep batch engine — record into it.
+// EngineMetrics is the round loop's resolved observability handle set.
+// Resolve one from a registry with NewEngineMetrics and stamp it onto
+// Config.Metrics (internal/core does this automatically from a
+// context-bound registry); Network.RunCtx and RunBatch both record into
+// it.
 //
 // Only successfully completed runs are recorded: a cancelled or failed
 // simulation books nothing, so engine_runs counts results callers

@@ -16,20 +16,14 @@ type RoundStat struct {
 //	var tr congest.Tracer
 //	cfg := congest.Config{Hook: tr.Hook()}
 //
-// Hook invocation contract (all three engines): hooks are always called
-// from exactly one goroutine, in global sender-ID order within a round,
-// rounds ascending — so Tracer needs no locking. The goroutine differs
-// by engine: the sequential engine calls hooks inline from its delivery
-// loop; the pipelined engine replays each round's messages on the main
-// run goroutine (hookPass) concurrently with the delivery workers —
-// both read the same already-computed parity buffer, the workers never
-// write it — so the hook still sees the exact sequential order but runs
-// overlapped with inbox scatter; the batch engine calls each item's
-// hook from its single lockstep loop. Consequently a hook must not
-// mutate engine or program state, and the Message passed to it (its
-// Data slice is arena-backed) is valid only for the duration of the
-// call. One Tracer must not be shared across concurrently running
-// instances; per-item Tracers under RunBatch are fine.
+// Hook invocation contract: Network.RunCtx and RunBatch call hooks from
+// the goroutine running the round loop, in global sender-ID order within
+// a round, rounds ascending — so Tracer needs no locking. RunBatch calls
+// each item's hook from its single lockstep loop. A hook must not mutate
+// engine or program state, and the Message passed to it (its Data slice
+// is arena-backed) is valid only for the duration of the call. One Tracer
+// must not be shared across concurrently running instances; per-item
+// Tracers under RunBatch are fine.
 type Tracer struct {
 	stats []RoundStat
 }

@@ -39,10 +39,9 @@ func TestTracerCollectsPerRoundStats(t *testing.T) {
 	}
 }
 
-// TestTracerPipelinedEngine pins the Tracer contract under the pipelined
-// engine: hooks run on the engine's own goroutine in the sequential
-// delivery order, so an unlocked Tracer observes the identical per-round
-// trace at any worker count.
+// TestTracerPipelinedEngine is named for the pipelined engine, which is
+// gone. It pins that a run setting the deprecated Parallel and Workers
+// fields gives an unlocked Tracer the identical per-round trace.
 func TestTracerPipelinedEngine(t *testing.T) {
 	var ref Tracer
 	net, err := NewNetwork(ring(t, 16), floodPrograms(16), Config{Seed: 21, Hook: ref.Hook()})

@@ -7,9 +7,10 @@ import (
 	"congestlb/internal/congest"
 )
 
-// TestParallelEnginesBitIdentical protects the worker-pool engine: on a
-// ~64-node random graph, Luby, RankGreedy, and GossipExact must produce
-// bit-identical Results (outputs and stats) under Parallel true and false.
+// TestParallelEnginesBitIdentical: on a ~64-node random graph, Luby,
+// RankGreedy and GossipExact produce bit-identical Results (outputs and
+// stats) under Parallel true and false. Parallel is deprecated and
+// ignored; this pins that it stays so while the field exists.
 func TestParallelEnginesBitIdentical(t *testing.T) {
 	const n = 64
 	g := allocTestGraph(t, n, 0.08, 4242)

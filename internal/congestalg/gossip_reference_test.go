@@ -154,9 +154,10 @@ func shapeGraph(n int, keep func(u, v int) bool) *graphs.Graph {
 }
 
 // TestGossipExactMatchesQueueReference pins GossipExact's forwarding order:
-// on every engine, each delivered message (round, sender, receiver,
-// payload), the run's Stats and every node's Output equal those of the
-// per-neighbour-queue reference.
+// alone, with the deprecated Parallel and Workers set, and in a batch,
+// each delivered message (round, sender, receiver, payload), the run's
+// Stats and every node's Output equal those of the per-neighbour-queue
+// reference.
 func TestGossipExactMatchesQueueReference(t *testing.T) {
 	nets := []struct {
 		name string
@@ -199,8 +200,7 @@ func TestGossipExactMatchesQueueReference(t *testing.T) {
 				cfg  congest.Config
 			}{
 				{"sequential", congest.Config{}},
-				{"pipelined-w2", congest.Config{Parallel: true, Workers: 2}},
-				{"pipelined-w4", congest.Config{Parallel: true, Workers: 4}},
+				{"parallel-w4", congest.Config{Parallel: true, Workers: 4}},
 			} {
 				var got, want run
 				cfg := e.cfg

@@ -8,8 +8,8 @@ import (
 	"congestlb/internal/congest"
 )
 
-// The goroutine-per-node engine must be bit-identical to the sequential
-// one for every algorithm in the package (determinism relies on per-node
+// Setting the deprecated, ignored Config.Parallel must leave every
+// algorithm in the package bit-identical (determinism relies on per-node
 // seeded randomness and ordered delivery, not on scheduling).
 
 func TestParallelEngineEquivalence(t *testing.T) {

@@ -47,8 +47,9 @@ func emptyPrograms(inst core.Instance) []congest.NodeProgram {
 }
 
 // TestSimulateRejectsZeroBitCutMessage: a message of 0 bits cannot be a
-// blackboard write, so one crossing the cut fails the run on every engine
-// with the blackboard's error text.
+// blackboard write, so one crossing the cut fails the run — alone, with
+// the deprecated Parallel and Workers set, and in a batch — with the
+// blackboard's error text.
 func TestSimulateRejectsZeroBitCutMessage(t *testing.T) {
 	const want = "core: run: congest: hook: cc: write of 0 bits"
 	l := mustLinear(t)
@@ -65,7 +66,7 @@ func TestSimulateRejectsZeroBitCutMessage(t *testing.T) {
 		cfg  congest.Config
 	}{
 		{"sequential", congest.Config{}},
-		{"pipelined", congest.Config{Parallel: true, Workers: 2}},
+		{"parallel-w4", congest.Config{Parallel: true, Workers: 4}},
 	} {
 		_, err := core.SimulateBuilt(l, in, inst, emptyPrograms, core.GossipOpt, tc.cfg)
 		if err == nil || err.Error() != want {
@@ -93,9 +94,10 @@ func referenceBoard(inst core.Instance, bb *cc.Blackboard) congest.MessageHook {
 }
 
 // TestCutCountsMatchBlackboardTranscript pins the count-only accounting to
-// a real transcript: on every family and engine, BlackboardBits and
-// BlackboardWrites equal the Bits and Len of a blackboard that a chained
-// user hook fills with every cut-crossing message.
+// a real transcript: on every family, alone, with the deprecated Parallel
+// and Workers set, and in a batch, BlackboardBits and BlackboardWrites
+// equal the Bits and Len of a blackboard that a chained user hook fills
+// with every cut-crossing message.
 func TestCutCountsMatchBlackboardTranscript(t *testing.T) {
 	p := lbgraph.Params{T: 2, Alpha: 1, Ell: 3}
 	lin, err := lbgraph.NewLinear(p)
@@ -135,8 +137,7 @@ func TestCutCountsMatchBlackboardTranscript(t *testing.T) {
 			cfg  congest.Config
 		}{
 			{"sequential", congest.Config{}},
-			{"pipelined-w2", congest.Config{Parallel: true, Workers: 2}},
-			{"pipelined-w4", congest.Config{Parallel: true, Workers: 4}},
+			{"parallel-w4", congest.Config{Parallel: true, Workers: 4}},
 		} {
 			var bb cc.Blackboard
 			cfg := tc.cfg

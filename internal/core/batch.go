@@ -27,10 +27,11 @@ type BatchSim struct {
 // lockstep pass and returns per-sim reports and errors (reports[i] is
 // meaningful iff errs[i] is nil), plus the engine's batch statistics.
 //
-// Each sim's cut traffic is counted by the same hook SimulateBuiltCtx
-// installs, ahead of the sim's own Cfg.Hook. Each report is field-for-field
-// identical to what SimulateBuiltCtx would return for the same sim, with
-// one exception: SolveCacheHits/Misses stay zero. The shared solve
+// Each sim's cut traffic is tallied by the engine against the sim's
+// partition, as in SimulateBuiltCtx, ahead of the sim's own Cfg.Hook.
+// Each report is field-for-field identical to what SimulateBuiltCtx
+// would return for the same sim, with one exception:
+// SolveCacheHits/Misses stay zero. The shared solve
 // cache's counter deltas cannot be attributed to one instance of an
 // interleaved lockstep pass; callers that need attribution take the delta
 // across the whole batch (the experiment runner books it per batch job)
@@ -48,12 +49,8 @@ func SimulateBatch(ctx context.Context, sims []BatchSim) ([]SimulationReport, []
 	em := congest.NewEngineMetrics(obs.FromContext(ctx))
 
 	// Per-sim pre-work mirroring SimulateBuiltCtx: truth evaluation and the
-	// cut-counting hook. Sims that fail pre-work never enter the engine.
-	type prep struct {
-		tally cutCounter
-		truth bool
-	}
-	preps := make([]*prep, len(sims))
+	// cut. Sims that fail pre-work never enter the engine.
+	truths := make([]bool, len(sims))
 	items := make([]congest.BatchItem, 0, len(sims))
 	itemSim := make([]int, 0, len(sims)) // engine item -> sim index
 	for i := range sims {
@@ -63,14 +60,13 @@ func SimulateBatch(ctx context.Context, sims []BatchSim) ([]SimulationReport, []
 			errs[i] = fmt.Errorf("core: inputs: %w", err)
 			continue
 		}
-		p := &prep{truth: truth}
-		preps[i] = p
+		truths[i] = truth
 
 		cfg := s.Cfg
 		if cfg.Metrics == nil {
 			cfg.Metrics = em
 		}
-		cfg.Hook = p.tally.hook(s.Inst.Partition, s.Cfg.Hook)
+		cfg.Cut = s.Inst.Partition
 		items = append(items, congest.BatchItem{
 			Graph:    s.Inst.Graph,
 			Programs: s.Factory(s.Inst),
@@ -87,7 +83,6 @@ func SimulateBatch(ctx context.Context, sims []BatchSim) ([]SimulationReport, []
 			continue
 		}
 		s := &sims[i]
-		p := preps[i]
 		opt, err := s.Extract(results[k], s.Inst)
 		if err != nil {
 			errs[i] = fmt.Errorf("core: extract: %w", err)
@@ -111,13 +106,13 @@ func SimulateBatch(ctx context.Context, sims []BatchSim) ([]SimulationReport, []
 			CutSize:          cut,
 			Bandwidth:        bw,
 			Rounds:           results[k].Stats.Rounds,
-			BlackboardBits:   p.tally.bits,
-			BlackboardWrites: p.tally.writes,
+			BlackboardBits:   results[k].Stats.CutBits,
+			BlackboardWrites: results[k].Stats.CutMessages,
 			CongestTotalBits: results[k].Stats.TotalBits,
 			AccountingBound:  int64(results[k].Stats.Rounds) * int64(cut) * bw,
 			Opt:              opt,
 			Decision:         decision,
-			Truth:            p.truth,
+			Truth:            truths[i],
 		}
 	}
 	return reports, errs, bstats

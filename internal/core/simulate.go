@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"congestlb/internal/bitvec"
@@ -67,35 +66,6 @@ func (r SimulationReport) AccountingHolds() bool {
 // Correct reports whether the induced protocol answered correctly.
 func (r SimulationReport) Correct() bool { return r.Decision == r.Truth }
 
-// errZeroBitWrite is what a cc.Blackboard write of an empty payload
-// returns: a cut-crossing message must carry at least one bit.
-var errZeroBitWrite = errors.New("cc: write of 0 bits")
-
-// cutCounter is the Theorem 5 charge of one simulation: the bits and the
-// number of messages crossing the player cut. The report needs only these
-// counts, so no transcript is kept; a caller who wants one chains its own
-// Config.Hook (a congest.Tracer, say).
-type cutCounter struct{ bits, writes int64 }
-
-// hook returns a MessageHook that counts every message crossing part's
-// cut — the owner of the sender writes it on the shared blackboard, where
-// the owner of the receiver reads it — and then calls user, if set.
-func (c *cutCounter) hook(part *graphs.Partition, user congest.MessageHook) congest.MessageHook {
-	return func(round int, msg congest.Message) error {
-		if part.Of(msg.From) != part.Of(msg.To) {
-			if msg.Bits() == 0 {
-				return errZeroBitWrite
-			}
-			c.bits += msg.Bits()
-			c.writes++
-		}
-		if user != nil {
-			return user(round, msg)
-		}
-		return nil
-	}
-}
-
 // ProgramFactory builds the CONGEST node programs that will run on a built
 // instance (one program per node).
 type ProgramFactory func(inst Instance) []congest.NodeProgram
@@ -145,11 +115,12 @@ func SimulateBuilt(fam Family, in bitvec.Inputs, inst Instance, factory ProgramF
 // cfg.Metrics itself — the engine records its round/message/bit totals
 // into that registry.
 //
-// The cut traffic is counted, not copied: a caller who wants the
-// transcript itself sets cfg.Hook (a congest.Tracer, or a hook writing
-// each cut-crossing message to a cc.Blackboard), which runs after the
-// count. A cut-crossing message of 0 bits fails the run, as a blackboard
-// write of 0 bits would.
+// The cut traffic is counted, not copied: the run sets cfg.Cut to the
+// instance's partition and the engine tallies the crossing bits and
+// messages in its round loop. A caller who wants the transcript itself
+// sets cfg.Hook (a congest.Tracer, or a hook writing each cut-crossing
+// message to a cc.Blackboard), which runs after the tally. A cut-crossing
+// message of 0 bits fails the run, as a blackboard write of 0 bits would.
 func SimulateBuiltCtx(ctx context.Context, fam Family, in bitvec.Inputs, inst Instance, factory ProgramFactory, extract OptExtractor, cfg congest.Config) (SimulationReport, error) {
 	var sp obs.Span
 	ctx, sp = obs.Begin(ctx, "simulate")
@@ -162,9 +133,7 @@ func SimulateBuiltCtx(ctx context.Context, fam Family, in bitvec.Inputs, inst In
 		return SimulationReport{}, fmt.Errorf("core: inputs: %w", err)
 	}
 	g, part := inst.Graph, inst.Partition
-
-	var tally cutCounter
-	cfg.Hook = tally.hook(part, cfg.Hook)
+	cfg.Cut = part
 
 	programs := factory(inst)
 	net, err := congest.NewNetwork(g, programs, cfg)
@@ -194,8 +163,8 @@ func SimulateBuiltCtx(ctx context.Context, fam Family, in bitvec.Inputs, inst In
 		CutSize:          cut,
 		Bandwidth:        net.Bandwidth(),
 		Rounds:           result.Stats.Rounds,
-		BlackboardBits:   tally.bits,
-		BlackboardWrites: tally.writes,
+		BlackboardBits:   result.Stats.CutBits,
+		BlackboardWrites: result.Stats.CutMessages,
 		CongestTotalBits: result.Stats.TotalBits,
 		AccountingBound:  int64(result.Stats.Rounds) * int64(cut) * net.Bandwidth(),
 		SolveCacheHits:   cacheAfter.Hits - cacheBefore.Hits,

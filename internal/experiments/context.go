@@ -509,81 +509,51 @@ type BatchPoint struct {
 
 // GoBatch submits a sweep of simulation points, fusing them into one
 // core.SimulateBatch lockstep pass per call instead of one pool job per
-// point — the batched counterpart of a w.Go-per-point loop. Points whose
-// Cfg.Parallel is set opt out of the fusion: a point big enough for the
-// pipelined engine wants a dedicated job, not a lockstep slot, so it is
-// submitted as its own Go job in position. The fused job is submitted at
-// the first batched point's position, which keeps Gather's
-// earliest-error contract exact for the sweep shapes the experiments use
-// (parallel points, if any, after the batched ones); within the fused job
-// the earliest point's error wins, matching a sequential point loop.
+// point — the batched counterpart of a w.Go-per-point loop. The fused job
+// is submitted in one Go call, which keeps Gather's earliest-error
+// contract exact; within the fused job the earliest point's error wins,
+// matching a sequential point loop. A point that wants a dedicated job
+// (runScaling's largest) is submitted with Go instead.
 //
 // Like Go, GoBatch is experiment-goroutine-only and the points' Build
 // callbacks and Report slots must not be shared with other jobs.
 func (w *Ctx) GoBatch(points []BatchPoint) {
-	batched := make([]BatchPoint, 0, len(points))
-	for _, pt := range points {
-		if !pt.Cfg.Parallel {
-			batched = append(batched, pt)
-		}
+	if len(points) == 0 {
+		return
 	}
-	first := true
-	for _, pt := range points {
-		if pt.Cfg.Parallel {
-			pt := pt
-			w.Go(func() error {
-				inst, err := pt.Build()
-				if err != nil {
-					return err
-				}
-				rep, err := core.SimulateBuiltCtx(w.Context(), pt.Fam, pt.In, inst, pt.Factory, pt.Extract, pt.Cfg)
-				if err != nil {
-					return err
-				}
-				if pt.Report != nil {
-					*pt.Report = rep
-				}
-				return nil
+	points = append([]BatchPoint(nil), points...)
+	w.NoteBatch(len(points))
+	w.Go(func() error {
+		pointErrs := make([]error, len(points))
+		sims := make([]core.BatchSim, 0, len(points))
+		simPoint := make([]int, 0, len(points))
+		for bi, pt := range points {
+			inst, err := pt.Build()
+			if err != nil {
+				pointErrs[bi] = err
+				continue
+			}
+			sims = append(sims, core.BatchSim{
+				Fam: pt.Fam, In: pt.In, Inst: inst,
+				Factory: pt.Factory, Extract: pt.Extract, Cfg: pt.Cfg,
 			})
-			continue
+			simPoint = append(simPoint, bi)
 		}
-		if !first {
-			continue
+		reports, errs, _ := core.SimulateBatch(w.Context(), sims)
+		for k, bi := range simPoint {
+			if errs[k] != nil {
+				pointErrs[bi] = errs[k]
+				continue
+			}
+			if points[bi].Report != nil {
+				*points[bi].Report = reports[k]
+			}
 		}
-		first = false
-		w.NoteBatch(len(batched))
-		w.Go(func() error {
-			pointErrs := make([]error, len(batched))
-			sims := make([]core.BatchSim, 0, len(batched))
-			simPoint := make([]int, 0, len(batched))
-			for bi, pt := range batched {
-				inst, err := pt.Build()
-				if err != nil {
-					pointErrs[bi] = err
-					continue
-				}
-				sims = append(sims, core.BatchSim{
-					Fam: pt.Fam, In: pt.In, Inst: inst,
-					Factory: pt.Factory, Extract: pt.Extract, Cfg: pt.Cfg,
-				})
-				simPoint = append(simPoint, bi)
+		for _, err := range pointErrs {
+			if err != nil {
+				return err
 			}
-			reports, errs, _ := core.SimulateBatch(w.Context(), sims)
-			for k, bi := range simPoint {
-				if errs[k] != nil {
-					pointErrs[bi] = errs[k]
-					continue
-				}
-				if batched[bi].Report != nil {
-					*batched[bi].Report = reports[k]
-				}
-			}
-			for _, err := range pointErrs {
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
+		}
+		return nil
+	})
 }

@@ -207,9 +207,9 @@ func TestCtxGatherReusable(t *testing.T) {
 }
 
 // TestCtxGoBatchMatchesPerPointJobs pins the batched submission path: a
-// GoBatch sweep produces the same reports a w.Go-per-point loop would,
-// fuses the non-parallel points into one pool job, and books the batch
-// accounting.
+// GoBatch sweep plus one point submitted with w.Go (the shape runScaling
+// uses) produces the same reports a w.Go-per-point loop would, fuses the
+// batched points into one pool job, and books the batch accounting.
 func TestCtxGoBatchMatchesPerPointJobs(t *testing.T) {
 	p := lbgraph.Params{T: 2, Alpha: 1, Ell: 3}
 	l, err := lbgraph.NewLinear(p)
@@ -246,23 +246,29 @@ func TestCtxGoBatchMatchesPerPointJobs(t *testing.T) {
 		}
 		w := NewCtx(nil, nil).WithScheduler(sched)
 		reports := make([]core.SimulationReport, len(inputs))
-		points := make([]BatchPoint, len(inputs))
-		for i, in := range inputs {
+		points := make([]BatchPoint, len(inputs)-1)
+		for i, in := range inputs[:len(inputs)-1] {
 			in := in
-			cfg := congest.Config{Seed: 11}
-			if i == len(inputs)-1 {
-				cfg.Parallel = true // opts out of the fusion as its own job
-			}
 			points[i] = BatchPoint{
 				Fam: l, In: in,
 				Build:   func() (core.Instance, error) { return l.BuildWith(w.Builds, in) },
 				Factory: core.CollectProgramsWith(w.Solve),
 				Extract: core.WitnessOpt,
-				Cfg:     cfg,
+				Cfg:     congest.Config{Seed: 11},
 				Report:  &reports[i],
 			}
 		}
 		w.GoBatch(points)
+		last := len(inputs) - 1
+		w.Go(func() error {
+			inst, err := l.BuildWith(w.Builds, inputs[last])
+			if err != nil {
+				return err
+			}
+			reports[last], err = core.SimulateBuiltCtx(w.Context(), l, inputs[last], inst,
+				core.CollectProgramsWith(w.Solve), core.WitnessOpt, congest.Config{Seed: 11})
+			return err
+		})
 		if err := w.Gather(); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -279,11 +285,11 @@ func TestCtxGoBatchMatchesPerPointJobs(t *testing.T) {
 			} else {
 				got.SolveCacheHits, got.SolveCacheMisses = 0, 0
 				if got != solo[i] {
-					t.Fatalf("workers=%d parallel point diverged:\nbatch %+v\nsolo  %+v", workers, got, solo[i])
+					t.Fatalf("workers=%d solo-job point diverged:\njob  %+v\nsolo %+v", workers, got, solo[i])
 				}
 			}
 		}
-		// One fused job for the two batched points plus one parallel job.
+		// One fused job for the two batched points plus the solo job.
 		if w.InstanceJobs() != 2 {
 			t.Fatalf("workers=%d: %d instance jobs, want 2", workers, w.InstanceJobs())
 		}

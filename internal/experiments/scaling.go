@@ -42,22 +42,13 @@ func scalingInputs(p lbgraph.Params, rng *rand.Rand) (bitvec.Inputs, error) {
 	return in, err
 }
 
-// scalingConfig is point i's engine configuration: the shared seed, with
-// the pipelined engine requested on the largest point — the only one big
-// enough to amortise worker dispatch — which also routes it around the
-// lockstep batch as a dedicated job.
-func scalingConfig(i, total int) congest.Config {
-	cfg := congest.Config{Seed: 11}
-	if i == total-1 {
-		cfg.Parallel = true
-	}
-	return cfg
-}
+// scalingConfig is the engine configuration of every sweep point.
+var scalingConfig = congest.Config{Seed: 11}
 
 // RunScalingPoint runs sweep point i alone — build plus full Theorem 5
-// simulation with the exact inputs, seed and engine configuration the
-// experiment uses — by replaying the sweep RNG up to the point. This is
-// the unit the per-point scaling benchmarks measure.
+// simulation with the exact inputs and seed the experiment uses — by
+// replaying the sweep RNG up to the point. This is the unit the per-point
+// scaling benchmarks measure.
 func RunScalingPoint(w *Ctx, i int) (core.SimulationReport, error) {
 	points := ScalingPoints()
 	if i < 0 || i >= len(points) {
@@ -80,7 +71,7 @@ func RunScalingPoint(w *Ctx, i int) (core.SimulationReport, error) {
 	if err != nil {
 		return core.SimulationReport{}, err
 	}
-	return core.SimulateBuiltCtx(w.Context(), l, in, inst, core.CollectProgramsWith(w.Solve), core.WitnessOpt, scalingConfig(i, len(points)))
+	return core.SimulateBuiltCtx(w.Context(), l, in, inst, core.CollectProgramsWith(w.Solve), core.WitnessOpt, scalingConfig)
 }
 
 func runScaling(w *Ctx) error {
@@ -89,11 +80,10 @@ func runScaling(w *Ctx) error {
 	tab := newTable("params", "n", "k", "∣cut∣", "rounds T", "blackboard bits", "bound T·∣cut∣·B", "utilisation")
 	params := ScalingPoints()
 	// Inputs are drawn sequentially (the RNG stream must match the
-	// sequential run); the sweep itself is one batched GoBatch call: the
-	// small points run the lockstep batch engine in a single pool job, the
-	// largest point opts into the pipelined engine as its own job
-	// (scalingConfig). CollectSolve keeps the sweep fast: its traffic
-	// rides the BFS tree instead of flooding every edge.
+	// sequential run). The small points run the lockstep batch engine in
+	// a single pool job (GoBatch); the largest point, about as costly as
+	// both, runs as its own job. CollectSolve keeps the sweep fast: its
+	// traffic rides the BFS tree instead of flooding every edge.
 	reports := make([]core.SimulationReport, len(params))
 	points := make([]BatchPoint, len(params))
 	for i, p := range params {
@@ -110,11 +100,20 @@ func runScaling(w *Ctx) error {
 			Build:   func() (core.Instance, error) { return l.BuildWith(w.Builds, in) },
 			Factory: core.CollectProgramsWith(w.Solve),
 			Extract: core.WitnessOpt,
-			Cfg:     scalingConfig(i, len(params)),
+			Cfg:     scalingConfig,
 			Report:  &reports[i],
 		}
 	}
-	w.GoBatch(points)
+	last := points[len(points)-1]
+	w.GoBatch(points[:len(points)-1])
+	w.Go(func() error {
+		inst, err := last.Build()
+		if err != nil {
+			return err
+		}
+		*last.Report, err = core.SimulateBuiltCtx(w.Context(), last.Fam, last.In, inst, last.Factory, last.Extract, last.Cfg)
+		return err
+	})
 	if err := w.Gather(); err != nil {
 		return err
 	}

@@ -20,7 +20,7 @@
 //
 // The package also owns PanicError, the structured error every recovery
 // site in the repo (scheduler jobs, experiment bodies, solver workers,
-// pipeline/batch engines) converts panics into. It lives here — not in
+// the batch engine) converts panics into. It lives here — not in
 // the congestlb facade — so that leaf packages can return it without an
 // import cycle; the facade re-exports it as congestlb.PanicError.
 package fault
@@ -299,7 +299,7 @@ func Stall(p Point, key string) {
 
 // PanicError is the structured error a recovered panic becomes. Op names
 // the owning work item ("job", "experiment:scaling", "solver worker w1",
-// "pipeline worker 2", "batch instance 3"); Value is the recovered panic
+// "batch instance 3"); Value is the recovered panic
 // value and Stack the goroutine stack captured at recovery.
 //
 // Error() deliberately excludes the stack: report lines built from it

@@ -76,7 +76,7 @@ const (
 	MSchedJobs       = "sched_jobs"        // counter: jobs ever enqueued
 	MSchedJobWaitNS  = "sched_job_wait_ns" // histogram: enqueue→claim latency
 
-	// CONGEST round engines (sequential, pipelined, batched).
+	// CONGEST round loop (Network.RunCtx and congest.RunBatch).
 	MEngineRuns     = "engine_runs"     // counter: completed simulations
 	MEngineRounds   = "engine_rounds"   // counter: rounds across completed simulations
 	MEngineMessages = "engine_messages" // counter: messages delivered

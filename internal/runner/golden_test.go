@@ -74,44 +74,13 @@ func TestGoldenReportDeterminism(t *testing.T) {
 	}
 }
 
-// TestGoldenReportDeterminismPipelined re-runs the determinism contract
-// with the pipelined CONGEST engine forced on for every simulation
-// (CONGESTLB_PIPELINE=force overrides Config.Parallel), so the suite
-// pins that pipelining — like sharding — is never observable in the
-// markdown: the baseline here is the plain sequential-engine Jobs:1
-// report, and pipelined runs at every jobs count must reproduce it byte
-// for byte. CI runs this under -race with multiple cores, where the
-// pipeline actually spins up workers.
-func TestGoldenReportDeterminismPipelined(t *testing.T) {
-	fast, heavy := goldenPartition()
-	exps := fast
-	if !testing.Short() {
-		exps = append(append([]experiments.Experiment{}, fast...), heavy...)
-	}
-	var golden bytes.Buffer
-	if _, err := Run(exps, Options{Jobs: 1}, &golden); err != nil {
-		t.Fatal(err)
-	}
-	t.Setenv("CONGESTLB_PIPELINE", "force")
-	for _, jobs := range []int{1, 2, 4} {
-		var piped bytes.Buffer
-		if _, err := Run(exps, Options{Jobs: jobs}, &piped); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(golden.Bytes(), piped.Bytes()) {
-			t.Fatalf("pipelined report at -jobs %d differs from sequential-engine run:\n%s",
-				jobs, firstDiff(golden.Bytes(), piped.Bytes()))
-		}
-	}
-}
-
 // TestGoldenReportDeterminismObserved re-runs the determinism contract
 // with full observability attached: a live registry (metrics recorded by
 // caches, scheduler and engines; spans opened around every experiment,
-// job, simulate and solve) and the pipelined engine forced on. The
-// baseline is the plain registry-less sequential run, so the test pins
-// the non-perturbation guarantee — enabling observability must never be
-// observable in the markdown report, at any jobs count.
+// job, simulate and solve). The baseline is the plain registry-less
+// sequential run, so the test pins the non-perturbation guarantee —
+// enabling observability must never be observable in the markdown
+// report, at any jobs count.
 func TestGoldenReportDeterminismObserved(t *testing.T) {
 	fast, heavy := goldenPartition()
 	exps := fast
@@ -122,7 +91,6 @@ func TestGoldenReportDeterminismObserved(t *testing.T) {
 	if _, err := Run(exps, Options{Jobs: 1}, &golden); err != nil {
 		t.Fatal(err)
 	}
-	t.Setenv("CONGESTLB_PIPELINE", "force")
 	for _, jobs := range []int{1, 2, 4, 8} {
 		reg := obs.NewRegistry()
 		var observed bytes.Buffer

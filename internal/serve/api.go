@@ -102,12 +102,26 @@ type ParamsSpec struct {
 }
 
 // CongestSpec is the wire form of the CONGEST model configuration.
+// BandwidthBits and MaxRounds of 0 select the engine's defaults.
+// Parallel and Workers are accepted and ignored.
 type CongestSpec struct {
 	BandwidthBits int64 `json:"bandwidth_bits,omitempty"`
 	MaxRounds     int   `json:"max_rounds,omitempty"`
 	Seed          int64 `json:"seed,omitempty"`
 	Parallel      bool  `json:"parallel,omitempty"`
 	Workers       int   `json:"workers,omitempty"`
+}
+
+// validate refuses the values the engine could only fail on after
+// admission: a negative bandwidth or round limit.
+func (c CongestSpec) validate() error {
+	if c.BandwidthBits < 0 {
+		return fmt.Errorf("config.bandwidth_bits: %d, want >= 0 (0 = default)", c.BandwidthBits)
+	}
+	if c.MaxRounds < 0 {
+		return fmt.Errorf("config.max_rounds: %d, want >= 0 (0 = default)", c.MaxRounds)
+	}
+	return nil
 }
 
 // ReduceRequest is the POST /v1/reduce body.

@@ -364,6 +364,10 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	if err := req.Config.validate(); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	s.submit(w, t, "reduce", req.jobOptions, func(ctx context.Context, job *Job) (any, error, bool) {
 		return t.runReduce(ctx, fam, in, req, job)
 	})

@@ -450,6 +450,8 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/reduce", `{` + linear + `,"inputs":["0","0"]}`, 400},
 		{"/v1/reduce", `{` + linear + `,"inputs":["0110","01x0"]}`, 400},
 		{"/v1/reduce", `{"family":"linear","params":{"t":1,"alpha":1,"ell":3},"inputs":["0110"]}`, 400},
+		{"/v1/reduce", `{` + linear + `,"inputs":["0110","0001"],"config":{"bandwidth_bits":-1}}`, 400},
+		{"/v1/reduce", `{` + linear + `,"inputs":["0110","0001"],"config":{"max_rounds":-1}}`, 400},
 		{"/v1/reduce", `{"family":"linear","params":{"t":2,"alpha":1,"ell":65535},"inputs":["0","0"]}`, 413},
 		{"/v1/reduce", `{"family":"quadratic","params":{"t":2,"alpha":2,"ell":200},"inputs":["0","0"]}`, 413},
 	}

@@ -133,8 +133,6 @@ func (t *Tenant) runReduce(ctx context.Context, fam congestlb.Family, in congest
 		BandwidthBits: req.Config.BandwidthBits,
 		MaxRounds:     req.Config.MaxRounds,
 		Seed:          req.Config.Seed,
-		Parallel:      req.Config.Parallel,
-		Workers:       req.Config.Workers,
 	}
 	report, err := t.Lab.RunReduction(ctx, fam, in, cfg)
 	if err != nil {
