@@ -18,6 +18,8 @@ import (
 	"congestlb/internal/core"
 	"congestlb/internal/experiments"
 	"congestlb/internal/fault"
+	"congestlb/internal/lbgraph"
+	"congestlb/internal/mis/cache"
 )
 
 // BenchmarkFaultOverhead prices the disabled fault layer: every injection
@@ -46,6 +48,20 @@ func BenchmarkFaultOverhead(b *testing.B) {
 	}
 }
 
+// benchSolve and benchBuilds are the one solve session and build session
+// every experiment benchmark runs on: a benchmark meets the caches its own
+// earlier iterations and the earlier benchmarks warmed, as an experiment
+// of a suite run meets its run's caches.
+var (
+	benchSolve  = cache.NewSession(cache.New(0), 0)
+	benchBuilds = lbgraph.NewCacheSession(lbgraph.NewBuildCache(0))
+)
+
+// benchCtx is an experiment context over the benchmarks' shared sessions.
+func benchCtx() *experiments.Ctx {
+	return experiments.NewCtx(io.Discard, benchSolve).WithBuilds(benchBuilds)
+}
+
 // benchExperiment runs one registered experiment per iteration, failing the
 // bench if its internal assertions fail.
 func benchExperiment(b *testing.B, id string) {
@@ -57,7 +73,7 @@ func benchExperiment(b *testing.B, id string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.Run(experiments.NewCtx(io.Discard, nil)); err != nil {
+		if err := e.Run(benchCtx()); err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}
 	}
@@ -98,7 +114,7 @@ func BenchmarkExpScaling(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for j := 0; j < b.N; j++ {
-				if _, err := experiments.RunScalingPoint(experiments.NewCtx(io.Discard, nil), i); err != nil {
+				if _, err := experiments.RunScalingPoint(benchCtx(), i); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -108,10 +124,11 @@ func BenchmarkExpScaling(b *testing.B) {
 
 // BenchmarkLabOverhead measures what the Lab handle adds to a full
 // RunReduction on the figure instance, against the same reduction run
-// straight through the core machinery (both warm their respective solve
-// caches after the first iteration, so the steady state isolates the
-// handle's session/context plumbing). The two numbers must stay within
-// noise of each other — the Lab is indirection, not work.
+// straight through the core machinery on build and solve sessions of its
+// own (both warm their caches after the first iteration, so the steady
+// state isolates the handle's session/context plumbing). The two numbers
+// must stay within noise of each other — the Lab is indirection, not
+// work.
 func BenchmarkLabOverhead(b *testing.B) {
 	p := congestlb.FigureParams(2)
 	fam, err := congestlb.NewLinear(p)
@@ -126,9 +143,15 @@ func BenchmarkLabOverhead(b *testing.B) {
 	cfg := congestlb.CongestConfig{Seed: 7}
 
 	b.Run("direct", func(b *testing.B) {
+		builds := lbgraph.NewCacheSession(lbgraph.NewBuildCache(0))
+		programs := core.GossipProgramsWith(cache.NewSession(cache.New(0), 0))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Simulate(fam, in, core.GossipPrograms, core.GossipOpt, cfg); err != nil {
+			inst, err := fam.BuildWith(builds, in)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := core.SimulateBuilt(fam, in, inst, programs, core.GossipOpt, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

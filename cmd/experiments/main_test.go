@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"congestlb/internal/mis/cache"
 	"congestlb/internal/runner"
 )
 
@@ -89,13 +88,13 @@ func TestExperimentsJSONEnvelope(t *testing.T) {
 
 // TestExperimentsCacheDirWarmRun is the persistence story end to end: a
 // cold run with -cache-dir writes solve entries; a second run over the
-// same directory (with the in-memory cache emptied, as a new process
-// would be) reports disk hits and no fresh solver work for those graphs.
+// same directory (on a fresh Lab, so with an empty in-memory cache, as a
+// new process would be) reports disk hits and no fresh solver work for
+// those graphs.
 func TestExperimentsCacheDirWarmRun(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "solvecache")
 	ids := "figure1,twoparty"
 
-	cache.Shared().Reset()
 	coldPath := filepath.Join(t.TempDir(), "cold.json")
 	if err := run([]string{"-id", ids, "-cache-dir", dir, "-json", coldPath}, io.Discard); err != nil {
 		t.Fatal(err)
@@ -108,8 +107,6 @@ func TestExperimentsCacheDirWarmRun(t *testing.T) {
 		t.Fatalf("cold run claims disk hits: %+v", cold.Cache)
 	}
 
-	// Simulate a fresh process: drop the in-memory tier, keep the disk.
-	cache.Shared().Reset()
 	warmPath := filepath.Join(t.TempDir(), "warm.json")
 	if err := run([]string{"-id", ids, "-cache-dir", dir, "-json", warmPath}, io.Discard); err != nil {
 		t.Fatal(err)
@@ -122,7 +119,6 @@ func TestExperimentsCacheDirWarmRun(t *testing.T) {
 		t.Fatalf("warm run did not skip solver work: cold %d steps, warm %d",
 			cold.Cache.StepsSolved, warm.Cache.StepsSolved)
 	}
-	cache.Shared().Reset()
 }
 
 func readEnvelope(t *testing.T, path string) runner.Envelope {

@@ -41,9 +41,12 @@
 //	report, _ := lab.RunReduction(ctx, fam, in, congestlb.CongestConfig{})
 //	fmt.Println(report.Opt, report.AccountingHolds())
 //
-// The historical package-level entry points (RunReduction, ExactMaxIS,
-// the Set*/Shared* configuration globals, …) remain as deprecated
-// wrappers over a default Lab backed by the process-wide shared caches.
+// Every solve and every build goes through a cache its caller owns: a
+// Lab's, or, for the session-less helpers (BuildInstance,
+// GossipExactPrograms, …), none or one of their own. Nothing in the
+// process is shared by default. Version 2.0.0 removed the 1.x
+// package-level entry points (RunReduction, ExactMaxIS, the Set*/Shared*
+// configuration globals, …); docs/api.md maps each to its Lab method.
 //
 // See examples/ for runnable programs and EXPERIMENTS.md for the
 // regenerated paper results.
@@ -71,7 +74,6 @@
 package congestlb
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -169,89 +171,21 @@ type (
 	// SolverOptions configures the exact MaxIS solver (clique cover, step
 	// budget, branch-and-bound worker count).
 	SolverOptions = mis.Options
-	// SolveCacheStats is a snapshot of the shared solve cache's counters,
+	// SolveCacheStats is a snapshot of a Lab's solve-cache counters,
 	// including the persistent disk tier's.
 	SolveCacheStats = cache.Stats
-	// SolveSession is a per-caller view of the solve cache with exact
-	// traffic attribution and a solver worker default; see NewSolveSession.
+	// SolveSession is a per-caller view of a Lab's solve cache with exact
+	// traffic attribution and a solver worker default; see
+	// Lab.NewSolveSession.
 	SolveSession = cache.Session
-	// BuildCacheStats is a snapshot of the shared lower-bound-graph build
-	// cache's counters (lbgraph constructions memoised content-addressed,
+	// BuildCacheStats is a snapshot of a Lab's lower-bound-graph build
+	// cache counters (lbgraph constructions memoised content-addressed,
 	// returned as private deep copies).
 	BuildCacheStats = lbgraph.CacheStats
-	// BuildSession is a per-caller view of the build cache with exact
-	// traffic attribution; see NewBuildSession.
+	// BuildSession is a per-caller view of a Lab's build cache with exact
+	// traffic attribution; see Lab.NewBuildSession.
 	BuildSession = lbgraph.CacheSession
 )
-
-// SetSolverWorkers sets the process-wide branch-and-bound worker default
-// used by exact solves that do not pin SolverOptions.Workers, returning
-// the previous setting (0 = GOMAXPROCS at solve time). Results are
-// deterministic at any worker count.
-//
-// Deprecated: process-wide configuration cannot isolate concurrent
-// workloads. Create a Lab with New(WithSolverWorkers(n)) — or call
-// (*Lab).SetSolverWorkers on your own Lab — instead.
-func SetSolverWorkers(n int) int { return DefaultLab().SetSolverWorkers(n) }
-
-// SolverWorkers reports the current process-wide worker default (0 =
-// GOMAXPROCS at solve time).
-//
-// Deprecated: use (*Lab).SolverWorkers on your own Lab.
-func SolverWorkers() int { return DefaultLab().SolverWorkers() }
-
-// SetSolveCacheDir attaches a persistent on-disk tier to the shared solve
-// cache (pass "" to detach): solves of content-identical graphs in later
-// processes are served from disk instead of re-running branch-and-bound.
-//
-// Deprecated: re-pointing the process-wide cache directory mid-run races
-// with in-flight sessions on the shared cache. Create a Lab with
-// New(WithSolveCacheDir(dir)) — its tier is private and its lifetime is
-// the Lab's.
-func SetSolveCacheDir(dir string) error { return DefaultLab().SetSolveCacheDir(dir) }
-
-// SharedSolveCacheStats snapshots the shared solve cache's counters.
-//
-// Deprecated: use (*Lab).SolveCacheStats on your own Lab.
-func SharedSolveCacheStats() SolveCacheStats { return DefaultLab().SolveCacheStats() }
-
-// NewSolveSession returns a view of the shared solve cache that counts
-// exactly the traffic routed through it and stamps the given solver worker
-// count (0 = default) onto its solves. Pass it to the *With program
-// constructors and protocol runners for per-caller attribution.
-//
-// Deprecated: use (*Lab).NewSolveSession on your own Lab, which stamps the
-// Lab's worker default and books against the Lab's private cache. (This
-// is the one deprecated function that is not a DefaultLab() wrapper: it
-// keeps constructing a raw shared-cache session because its explicit
-// workers parameter has no Lab equivalent — the Lab's own default is the
-// replacement for per-session worker counts.)
-func NewSolveSession(workers int) *SolveSession { return cache.NewSession(nil, workers) }
-
-// SharedBuildCacheStats snapshots the shared lower-bound-graph build
-// cache's counters. Family Build/BuildFixed calls are memoised there
-// content-addressed (construction kind, parameters, codeword table,
-// ablation flags) and served as private deep copies, so repeated sweep
-// points and cross-experiment reuse skip the Θ(k²)-edge rebuild entirely.
-//
-// Deprecated: use (*Lab).BuildCacheStats on your own Lab.
-func SharedBuildCacheStats() BuildCacheStats { return DefaultLab().BuildCacheStats() }
-
-// SetBuildCacheEnabled switches the shared build cache on or off and
-// returns the previous setting. Builds are deterministic, so the cache is
-// semantically transparent; disabling exists for A/B measurements.
-//
-// Deprecated: use New(WithBuildCache(false)) or
-// (*Lab).SetBuildCacheEnabled on your own Lab; the process-wide switch
-// flips the cache under every caller at once.
-func SetBuildCacheEnabled(on bool) bool { return DefaultLab().SetBuildCacheEnabled(on) }
-
-// NewBuildSession returns a view of the shared build cache that counts
-// exactly the construction traffic routed through it. Pass it to the
-// families' BuildWith/BuildFixedWith methods for per-caller attribution.
-//
-// Deprecated: use (*Lab).NewBuildSession on your own Lab.
-func NewBuildSession() *BuildSession { return DefaultLab().NewBuildSession() }
 
 // NewLinear constructs the Section 4 family for the given parameters.
 func NewLinear(p Params) (*LinearFamily, error) { return lbgraph.NewLinear(p) }
@@ -305,71 +239,12 @@ func RandomPromiseInstance(k, t int, density, disjointBias float64, rng *rand.Ra
 	return bitvec.RandomPromiseInstance(k, t, bitvec.GenOptions{Density: density}, disjointBias, rng)
 }
 
-// ExactMaxIS solves an instance exactly using its natural clique cover.
-// Repeated solves of content-identical instances are served from the
-// shared content-addressed solve cache.
-//
-// Deprecated: use (*Lab).ExactMaxIS, which takes a context (cancellation
-// returns the best incumbent with ctx.Err()) and a private cache.
-func ExactMaxIS(inst Instance) (Solution, error) {
-	return DefaultLab().ExactMaxIS(context.Background(), inst)
-}
-
-// ExactMaxISGraph solves an arbitrary graph exactly (no clique cover: the
-// solver bounds with a clique partition rebuilt at every search node),
-// through the shared content-addressed solve cache.
-//
-// Deprecated: use (*Lab).ExactMaxISGraph.
-func ExactMaxISGraph(g *Graph) (Solution, error) {
-	return DefaultLab().ExactMaxISGraph(context.Background(), g)
-}
-
 // VerifyIndependent checks a set is independent and returns its weight.
 func VerifyIndependent(g *Graph, set []NodeID) (int64, error) { return mis.Verify(g, set) }
-
-// RunReduction executes the Theorem 5 simulation with the standard
-// gossip-and-solve-exactly CONGEST algorithm: it builds G_x̄, runs the
-// algorithm, charges every cut-crossing message to a blackboard, decides
-// promise pairwise disjointness via the gap predicate and reports the full
-// accounting.
-//
-// Deprecated: use (*Lab).RunReduction, which takes a context (cancelling
-// it stops the round loop between rounds) and runs through the Lab's
-// private caches.
-func RunReduction(fam Family, in Inputs, cfg CongestConfig) (SimulationReport, error) {
-	return DefaultLab().RunReduction(context.Background(), fam, in, cfg)
-}
-
-// Simulate is RunReduction with a caller-chosen CONGEST algorithm and
-// output interpretation.
-//
-// Deprecated: use (*Lab).Simulate.
-func Simulate(fam Family, in Inputs, factory core.ProgramFactory, extract core.OptExtractor, cfg CongestConfig) (SimulationReport, error) {
-	return DefaultLab().Simulate(context.Background(), fam, in, factory, extract, cfg)
-}
-
-// VerifyGap builds the instance for in, solves it exactly, and checks the
-// correct side of the family's gap predicate, returning the optimum. Only
-// the optimum value is consumed, so the solve is flagged WeightOnly — the
-// parallel engine skips its canonicalisation tail.
-//
-// Deprecated: use (*Lab).VerifyGap.
-func VerifyGap(fam Family, in Inputs) (int64, error) {
-	return DefaultLab().VerifyGap(context.Background(), fam, in)
-}
 
 // AuditLocality mechanically checks Definition 4's locality condition on
 // two input tuples differing only in player i's string.
 func AuditLocality(fam Family, a, b Inputs, i int) error { return core.AuditLocality(fam, a, b, i) }
-
-// SplitBest runs the Section 1 limitation protocol: every player solves
-// its own part locally and announces one value, achieving a
-// 1/t-approximation for t·O(log n) bits.
-//
-// Deprecated: use (*Lab).SplitBest.
-func SplitBest(inst Instance) (SplitBestReport, error) {
-	return DefaultLab().SplitBest(context.Background(), inst)
-}
 
 // NewCongestNetwork binds node programs to a graph under a config.
 func NewCongestNetwork(g *Graph, programs []NodeProgram, cfg CongestConfig) (*Network, error) {
@@ -383,7 +258,9 @@ func LubyPrograms(n int) []NodeProgram { return congestalg.NewLubyPrograms(n) }
 // RankGreedyPrograms returns the deterministic weighted-greedy programs.
 func RankGreedyPrograms(n int) []NodeProgram { return congestalg.NewRankGreedyPrograms(n) }
 
-// GossipExactPrograms returns the learn-everything-and-solve programs.
+// GossipExactPrograms returns the learn-everything-and-solve programs. The
+// n programs solve on one fresh cache of their own; a Lab's
+// NewSolveSession with core.GossipProgramsWith puts them on the Lab's.
 func GossipExactPrograms(n int) []NodeProgram { return congestalg.NewGossipExactPrograms(n) }
 
 // LeaderBFSPrograms returns the min-ID leader election + BFS tree programs.
@@ -425,10 +302,11 @@ func PlayersForEpsilon(epsilon float64, quadratic bool) int {
 }
 
 // Version identifies the library release.
-const Version = "1.0.0"
+const Version = "2.0.0"
 
 // BuildInstance is a convenience that constructs and validates an instance
-// for a family and input, with a descriptive error context.
+// for a family and input, with a descriptive error context. It builds from
+// scratch; Lab.BuildInstance memoises in the Lab's build cache.
 func BuildInstance(fam Family, in Inputs) (Instance, error) {
 	inst, err := fam.Build(in)
 	if err != nil {

@@ -63,20 +63,21 @@ type CollectSolve struct {
 	// and the parent announcement), reused across rounds.
 	sendBuf []byte
 
-	// sess routes the root's exact solve (nil = shared solve cache).
+	// sess routes the root's exact solve (nil = a direct solve).
 	sess *cache.Session
 }
 
 var _ congest.BufferedProgram = (*CollectSolve)(nil)
 
-// NewCollectSolvePrograms returns one CollectSolve program per node.
+// NewCollectSolvePrograms returns one CollectSolve program per node. Only
+// the root solves, once, so its solve runs directly.
 func NewCollectSolvePrograms(n int) []congest.NodeProgram {
 	return NewCollectSolveProgramsWith(nil, n)
 }
 
 // NewCollectSolveProgramsWith is NewCollectSolvePrograms with the root's
-// exact solve routed through the given solve session (nil = the shared
-// cache), so callers get exact attribution of the solver work their run
+// exact solve routed through the given solve session (nil = a direct
+// solve), so callers get exact attribution of the solver work their run
 // triggers.
 func NewCollectSolveProgramsWith(sess *cache.Session, n int) []congest.NodeProgram {
 	programs := make([]congest.NodeProgram, n)

@@ -62,21 +62,24 @@ type GossipExact struct {
 	result []graphs.NodeID
 	errVal error
 
-	// sess routes the local solve (nil = shared solve cache).
+	// sess routes the local solve (nil = a direct solve).
 	sess *cache.Session
 }
 
 var _ congest.BufferedProgram = (*GossipExact)(nil)
 
-// NewGossipExactPrograms returns one GossipExact program per node.
+// NewGossipExactPrograms returns one GossipExact program per node. The n
+// programs share one session over a fresh solve cache, so the run
+// branch-and-bounds the graph every node learns once, not n times, and
+// shares nothing with any other run.
 func NewGossipExactPrograms(n int) []congest.NodeProgram {
-	return NewGossipExactProgramsWith(nil, n)
+	return NewGossipExactProgramsWith(cache.NewSession(cache.New(0), 0), n)
 }
 
 // NewGossipExactProgramsWith is NewGossipExactPrograms with every node's
-// local solve routed through the given solve session (nil = the shared
-// cache), so callers get exact attribution of the solver work their run
-// triggers.
+// local solve routed through the given solve session (nil = every node
+// solves directly), so callers get exact attribution of the solver work
+// their run triggers.
 func NewGossipExactProgramsWith(sess *cache.Session, n int) []congest.NodeProgram {
 	programs := make([]congest.NodeProgram, n)
 	for i := range programs {

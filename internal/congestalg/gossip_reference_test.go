@@ -9,7 +9,6 @@ import (
 	"congestlb/internal/congest"
 	"congestlb/internal/graphs"
 	"congestlb/internal/mis"
-	"congestlb/internal/mis/cache"
 )
 
 // queueGossip is the reference GossipExact's message order is pinned to:
@@ -98,7 +97,7 @@ func (q *queueGossip) Round(_ int, inbox []congest.Message) []congest.Message {
 	}
 	if !q.solved && q.knownCount == q.info.N && q.rebuilt.M() == q.degSum/2 {
 		q.solved = true
-		sol, err := cache.Exact(q.rebuilt, mis.Options{})
+		sol, err := mis.Exact(q.rebuilt, mis.Options{})
 		if err != nil {
 			panic(err)
 		}

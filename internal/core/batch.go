@@ -30,12 +30,10 @@ type BatchSim struct {
 // Each sim's cut traffic is tallied by the engine against the sim's
 // partition, as in SimulateBuiltCtx, ahead of the sim's own Cfg.Hook.
 // Each report is field-for-field identical to what SimulateBuiltCtx
-// would return for the same sim, with one exception:
-// SolveCacheHits/Misses stay zero. The shared solve
-// cache's counter deltas cannot be attributed to one instance of an
-// interleaved lockstep pass; callers that need attribution take the delta
-// across the whole batch (the experiment runner books it per batch job)
-// or route solves through a private session cache as congestlb.Lab does.
+// would return for the same sim, SolveCacheHits/Misses (zero in both)
+// included. Callers that need the solve traffic read it off the session
+// their factories solve through, at batch granularity (the experiment
+// runner books it per experiment).
 func SimulateBatch(ctx context.Context, sims []BatchSim) ([]SimulationReport, []error, congest.BatchStats) {
 	reports := make([]SimulationReport, len(sims))
 	errs := make([]error, len(sims))

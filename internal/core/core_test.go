@@ -165,6 +165,36 @@ func TestSimulateTheorem5EndToEnd(t *testing.T) {
 	}
 }
 
+// TestSessionlessSimulateSharesNoState pins that no state crosses
+// session-less runs: two consecutive core.Simulate calls with the
+// session-less gossip factory on the same instance return identical
+// reports, because each run builds from scratch and solves on a cache of
+// its own.
+func TestSessionlessSimulateSharesNoState(t *testing.T) {
+	p := lbgraph.FigureParams(2)
+	l, err := lbgraph.NewLinear(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, _, err := bitvec.RandomUniquelyIntersecting(p.K(), p.T, bitvec.GenOptions{Density: 0.3}, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reports [2]core.SimulationReport
+	for i := range reports {
+		reports[i], err = core.Simulate(l, in, core.GossipPrograms, core.GossipOpt, congest.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reports[0] != reports[1] {
+		t.Fatalf("second session-less run differs from the first:\n%+v\n%+v", reports[0], reports[1])
+	}
+	if reports[0].N != p.LinearN() || !reports[0].Correct() {
+		t.Fatalf("unexpected report: %+v", reports[0])
+	}
+}
+
 func TestSimulateRejectsPromiseViolation(t *testing.T) {
 	l := mustLinear(t)
 	k := testParams.K()

@@ -15,13 +15,16 @@ import (
 // disjointness with certainty, exercising Theorem 5 end to end.
 
 // GossipPrograms is the ProgramFactory running GossipExact on an instance.
+// Each run's nodes solve through a cache of their own (see
+// congestalg.NewGossipExactPrograms); GossipProgramsWith puts them on a
+// caller's session instead.
 func GossipPrograms(inst Instance) []congest.NodeProgram {
 	return congestalg.NewGossipExactPrograms(inst.Graph.N())
 }
 
 // GossipProgramsWith returns a GossipPrograms variant whose local solves
-// run through the given solve session (nil = the shared cache), for
-// callers that need exact attribution of the solver work a simulation
+// run through the given solve session (nil = every node solves directly),
+// for callers that need exact attribution of the solver work a simulation
 // triggers.
 func GossipProgramsWith(sess *cache.Session) ProgramFactory {
 	return func(inst Instance) []congest.NodeProgram {
@@ -52,7 +55,7 @@ func CollectPrograms(inst Instance) []congest.NodeProgram {
 }
 
 // CollectProgramsWith is CollectPrograms with the root's solve routed
-// through the given solve session (nil = the shared cache).
+// through the given solve session (nil = a direct solve).
 func CollectProgramsWith(sess *cache.Session) ProgramFactory {
 	return func(inst Instance) []congest.NodeProgram {
 		return congestalg.NewCollectSolveProgramsWith(sess, inst.Graph.N())

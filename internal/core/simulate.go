@@ -7,7 +7,6 @@ import (
 	"congestlb/internal/bitvec"
 	"congestlb/internal/congest"
 	"congestlb/internal/graphs"
-	"congestlb/internal/mis/cache"
 	"congestlb/internal/obs"
 )
 
@@ -37,16 +36,13 @@ type SimulationReport struct {
 	CongestTotalBits int64
 	// AccountingBound is Rounds·CutSize·Bandwidth.
 	AccountingBound int64
-	// SolveCacheHits and SolveCacheMisses are the shared exact-solve
-	// cache's counter deltas observed across this run: in a GossipExact
-	// run the n per-node solves of the identical learned graph show up as
-	// one miss and n-1 hits. The deltas are exact for a sequential caller;
-	// when several simulations run concurrently (the sharded experiment
-	// runner) they are attributed approximately, since the counters are
-	// process-global. Callers that route solves through a private cache
-	// (congestlb.Lab.RunReduction) overwrite both fields from their
-	// session's exact per-call counters, since the shared deltas would
-	// describe someone else's traffic entirely.
+	// SolveCacheHits and SolveCacheMisses count the run's exact-solve
+	// cache lookups: in a GossipExact run the n per-node solves of the
+	// identical learned graph show up as one miss and n-1 hits. The
+	// simulation itself cannot see the solve session inside the caller's
+	// program factory, so it leaves both zero; the caller that owns the
+	// session fills them from its counters (congestlb.Lab.RunReduction
+	// does).
 	SolveCacheHits, SolveCacheMisses uint64
 	// Opt is the MaxIS value extracted from the algorithm's outputs.
 	Opt int64
@@ -140,12 +136,10 @@ func SimulateBuiltCtx(ctx context.Context, fam Family, in bitvec.Inputs, inst In
 	if err != nil {
 		return SimulationReport{}, fmt.Errorf("core: network: %w", err)
 	}
-	cacheBefore := cache.Shared().Stats()
 	result, err := net.RunCtx(ctx)
 	if err != nil {
 		return SimulationReport{}, fmt.Errorf("core: run: %w", err)
 	}
-	cacheAfter := cache.Shared().Stats()
 	opt, err := extract(result, inst)
 	if err != nil {
 		return SimulationReport{}, fmt.Errorf("core: extract: %w", err)
@@ -167,8 +161,6 @@ func SimulateBuiltCtx(ctx context.Context, fam Family, in bitvec.Inputs, inst In
 		BlackboardWrites: result.Stats.CutMessages,
 		CongestTotalBits: result.Stats.TotalBits,
 		AccountingBound:  int64(result.Stats.Rounds) * int64(cut) * net.Bandwidth(),
-		SolveCacheHits:   cacheAfter.Hits - cacheBefore.Hits,
-		SolveCacheMisses: cacheAfter.Misses - cacheBefore.Misses,
 		Opt:              opt,
 		Decision:         decision,
 		Truth:            truth,

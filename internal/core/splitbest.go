@@ -46,7 +46,7 @@ func SplitBest(inst Instance) (SplitBestReport, error) {
 }
 
 // SplitBestWith is SplitBest with every exact solve routed through the
-// given solve session (nil = the shared cache), so callers get exact
+// given solve session (nil = direct solves), so callers get exact
 // attribution of the protocol's solver work.
 func SplitBestWith(sess *cache.Session, inst Instance) (SplitBestReport, error) {
 	g, part := inst.Graph, inst.Partition

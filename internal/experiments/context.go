@@ -320,7 +320,8 @@ type Ctx struct {
 	// when built by NewCtx.
 	Solve *cache.Session
 	// Builds memoises and attributes this run's lower-bound graph
-	// constructions; never nil when built by NewCtx.
+	// constructions; nil (build from scratch, count nothing) until
+	// WithBuilds sets it.
 	Builds *lbgraph.CacheSession
 
 	// sched executes Go's jobs; nil runs them inline at submission (the
@@ -345,16 +346,17 @@ type Ctx struct {
 }
 
 // NewCtx builds an experiment context. A nil writer discards the report;
-// nil sessions get fresh ones over the shared caches. Without a scheduler
-// (WithScheduler), Go runs jobs inline — exactly the sequential pipeline.
+// a nil solve session gets a fresh one over a fresh solve cache. Without a
+// scheduler (WithScheduler), Go runs jobs inline — exactly the sequential
+// pipeline.
 func NewCtx(w io.Writer, solve *cache.Session) *Ctx {
 	if w == nil {
 		w = io.Discard
 	}
 	if solve == nil {
-		solve = cache.NewSession(nil, 0)
+		solve = cache.NewSession(cache.New(0), 0)
 	}
-	return &Ctx{Writer: w, Solve: solve, Builds: lbgraph.NewCacheSession(nil)}
+	return &Ctx{Writer: w, Solve: solve}
 }
 
 // WithScheduler routes this context's Go jobs through the given pool and
@@ -373,13 +375,11 @@ func (w *Ctx) WithContext(ctx context.Context) *Ctx {
 	return w
 }
 
-// WithBuilds replaces the build-cache session (nil keeps the current one),
-// so the runner can attribute lower-bound graph constructions to a
-// caller-chosen cache — the per-Lab isolation seam.
+// WithBuilds sets the build-cache session, so the runner can memoise and
+// attribute lower-bound graph constructions in a caller-chosen cache — the
+// per-Lab isolation seam.
 func (w *Ctx) WithBuilds(b *lbgraph.CacheSession) *Ctx {
-	if b != nil {
-		w.Builds = b
-	}
+	w.Builds = b
 	return w
 }
 

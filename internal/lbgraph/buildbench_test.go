@@ -2,23 +2,24 @@ package lbgraph
 
 import "testing"
 
+// benchFixed times BuildFixed of p: from scratch (a nil session), or as a
+// hit in a primed cache of the bench's own.
 func benchFixed(b *testing.B, p Params, cached bool) {
 	l, err := NewLinear(p)
 	if err != nil {
 		b.Fatal(err)
 	}
-	SharedBuildCache().Reset()
-	prev := SetCacheEnabled(cached)
-	defer SetCacheEnabled(prev)
+	var sess *CacheSession
 	if cached {
-		if _, err := l.BuildFixed(); err != nil { // prime
+		sess = NewCacheSession(NewBuildCache(0))
+		if _, err := l.BuildFixedWith(sess); err != nil { // prime
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.BuildFixed(); err != nil {
+		if _, err := l.BuildFixedWith(sess); err != nil {
 			b.Fatal(err)
 		}
 	}

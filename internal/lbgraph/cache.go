@@ -32,8 +32,10 @@ package lbgraph
 //
 // The cache is transparent by construction: builds are deterministic, so
 // a cloned cached instance is identical to a fresh build and enabling the
-// cache never changes any report. SetCacheEnabled(false) bypasses it for
-// A/B tests.
+// cache never changes any report. There is no process-wide cache: a build
+// is memoised only in a cache its caller owns and hands in through a
+// CacheSession (a congestlb.Lab, an experiment run). Build and BuildFixed
+// build from scratch.
 
 import (
 	"container/list"
@@ -51,9 +53,10 @@ import (
 // CacheKey is the canonical content hash of one construction.
 type CacheKey [sha256.Size]byte
 
-// DefaultCacheCapacity bounds the shared build cache. Fixed graphs are a
-// few hundred kilobytes at experiment sizes and the suite builds a few
-// dozen distinct parameterisations, so this is generous.
+// DefaultCacheCapacity bounds a BuildCache built with a non-positive
+// capacity. Fixed graphs are a few hundred kilobytes at experiment sizes
+// and the suite builds a few dozen distinct parameterisations, so this is
+// generous.
 const DefaultCacheCapacity = 64
 
 // CacheStats is a snapshot of the build cache counters.
@@ -96,9 +99,9 @@ type BuildCache struct {
 
 // buildMetrics is the build cache's resolved registry handle set.
 // Events mirror the CacheStats/CacheSession bookkeeping one for one.
-// Note that a session in bypass mode (NewUncachedCacheSession) never
-// reaches the cache, so uncached-builds A/B runs book no build_cache_*
-// events — the envelope's legacy lbgraph block is the record there.
+// Note that a session over no cache (NewCacheSession(nil)) never reaches
+// a cache, so uncached-builds A/B runs book no build_cache_* events — the
+// envelope's legacy lbgraph block is the record there.
 type buildMetrics struct {
 	hits, misses, waits *obs.Counter
 	latency             *obs.Histogram
@@ -260,33 +263,25 @@ func cloneInstance(inst core.Instance) core.Instance {
 }
 
 // CacheSession is a per-caller view of a BuildCache: it forwards builds to
-// the underlying cache (the process-wide shared one by default) while
-// keeping its own exact hit/miss counters. A nil *CacheSession is valid
-// and counts nothing, so deep callers can be handed "no session" without
-// branching. Mirrors cache.Session in internal/mis/cache.
+// the underlying cache while keeping its own exact hit/miss counters. A
+// session over no cache (NewCacheSession(nil)) builds every construction
+// from scratch and books it as a miss. A nil *CacheSession is valid too:
+// it builds from scratch and counts nothing, so deep callers can be handed
+// "no session" without branching. Mirrors cache.Session in
+// internal/mis/cache.
 type CacheSession struct {
-	c *BuildCache // nil = the shared cache, resolved at call time
-	// bypass skips every cache entirely: builds run from scratch and book
-	// as misses. It is how a Lab configured with the build cache off
-	// expresses that choice per-handle instead of flipping the process-wide
-	// SetCacheEnabled switch under everyone else.
-	bypass bool
+	c *BuildCache // nil = no cache: every build runs and books a miss
 
 	mu    sync.Mutex
 	stats CacheStats
 }
 
-// NewCacheSession returns a session over c (nil = the shared build cache).
+// NewCacheSession returns a session over c (nil = no cache). A session
+// over no cache is how a Lab configured with the build cache off expresses
+// that choice: results are identical either way (builds are
+// deterministic), and the mode exists for A/B measurements.
 func NewCacheSession(c *BuildCache) *CacheSession {
 	return &CacheSession{c: c}
-}
-
-// NewUncachedCacheSession returns a session that never consults any build
-// cache: every construction runs from scratch (recorded as a miss), with
-// attribution still exact. Builds are deterministic so results are
-// identical either way; the mode exists for per-handle A/B measurements.
-func NewUncachedCacheSession() *CacheSession {
-	return &CacheSession{bypass: true}
 }
 
 // Stats returns a snapshot of the session's counters. Entries is always 0:
@@ -310,50 +305,20 @@ func (s *CacheSession) record(f func(*CacheStats)) {
 	s.mu.Unlock()
 }
 
-// instance routes a build through the session: the shared (or
-// session-pinned) cache serves or runs it, the session books the traffic.
-// With the cache disabled the build runs directly but attribution stays
-// exact.
-func (s *CacheSession) instance(key CacheKey, build func() (core.Instance, error)) (core.Instance, error) {
-	c := (*BuildCache)(nil)
-	if s != nil {
-		if s.bypass {
-			inst, err := build()
-			s.record(func(st *CacheStats) { st.Misses++ })
-			return inst, err
-		}
-		c = s.c
+// instance routes a build through the session: the session's cache serves
+// or runs it, the session books the traffic. key is computed only when
+// there is a cache to look it up in.
+func (s *CacheSession) instance(key func() CacheKey, build func() (core.Instance, error)) (core.Instance, error) {
+	if s == nil {
+		return build()
 	}
-	if c == nil {
-		if !cacheEnabled.Load() {
-			inst, err := build()
-			s.record(func(st *CacheStats) { st.Misses++ })
-			return inst, err
-		}
-		c = sharedBuildCache
+	if s.c == nil {
+		inst, err := build()
+		s.record(func(st *CacheStats) { st.Misses++ })
+		return inst, err
 	}
-	return c.instance(key, build, s)
+	return s.c.instance(key(), build, s)
 }
-
-// sharedBuildCache is the process-wide cache behind every family build.
-var sharedBuildCache = NewBuildCache(DefaultCacheCapacity)
-
-// cacheEnabled gates the shared build cache.
-var cacheEnabled atomic.Bool
-
-func init() { cacheEnabled.Store(true) }
-
-// SharedBuildCache returns the process-wide build cache instance.
-func SharedBuildCache() *BuildCache { return sharedBuildCache }
-
-// SetCacheEnabled switches the shared build-cache fast path on or off and
-// reports the previous setting. Disabling does not clear the cache; call
-// SharedBuildCache().Reset() for that. Intended for tests comparing cached
-// and uncached builds.
-func SetCacheEnabled(on bool) bool { return cacheEnabled.Swap(on) }
-
-// CacheEnabled reports whether the shared build-cache fast path is on.
-func CacheEnabled() bool { return cacheEnabled.Load() }
 
 // keyHasher accumulates the canonical content of a construction. The hash
 // covers a kind tag (no two families can collide whatever their

@@ -12,12 +12,10 @@ import (
 	"congestlb/internal/graphs"
 )
 
-// freshBuildCache points the tests at a private, empty shared cache and
-// restores the previous state afterwards.
-func freshBuildCache(t *testing.T) {
-	t.Helper()
-	SharedBuildCache().Reset()
-	t.Cleanup(func() { SharedBuildCache().Reset() })
+// newCachedSession returns an empty build cache and a session over it.
+func newCachedSession() (*BuildCache, *CacheSession) {
+	c := NewBuildCache(0)
+	return c, NewCacheSession(c)
 }
 
 // graphsEqual compares two graphs on content: node count, weights, edges
@@ -43,28 +41,26 @@ func graphsEqual(t *testing.T, a, b *graphs.Graph) bool {
 // TestBuildCacheTransparent pins the foundational property: a cached
 // build is content-identical to an uncached one.
 func TestBuildCacheTransparent(t *testing.T) {
-	freshBuildCache(t)
+	c, sess := newCachedSession()
 	p := Params{T: 2, Alpha: 1, Ell: 3}
 	l := mustLinear(t, p)
 
-	prev := SetCacheEnabled(false)
 	uncached, err := l.BuildFixed()
-	SetCacheEnabled(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := l.BuildFixed() // miss
+	cold, err := l.BuildFixedWith(sess) // miss
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := l.BuildFixed() // hit
+	warm, err := l.BuildFixedWith(sess) // hit
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !graphsEqual(t, uncached.Graph, cold.Graph) || !graphsEqual(t, uncached.Graph, warm.Graph) {
 		t.Fatal("cached build differs from uncached build")
 	}
-	st := SharedBuildCache().Stats()
+	st := c.Stats()
 	if st.Misses != 1 || st.Hits != 1 {
 		t.Fatalf("expected 1 miss + 1 hit, got %+v", st)
 	}
@@ -136,7 +132,7 @@ func TestBuildCacheKeysDistinct(t *testing.T) {
 // check: interleaved builds of different families with the same parameters
 // must each get their own construction.
 func TestBuildCacheCrossFamilyServesRightGraph(t *testing.T) {
-	freshBuildCache(t)
+	c, sess := newCachedSession()
 	p := Params{T: 2, Alpha: 1, Ell: 3}
 	lin := mustLinear(t, p)
 	quad, err := NewQuadratic(p)
@@ -144,11 +140,11 @@ func TestBuildCacheCrossFamilyServesRightGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		li, err := lin.BuildFixed()
+		li, err := lin.BuildFixedWith(sess)
 		if err != nil {
 			t.Fatal(err)
 		}
-		qi, err := quad.BuildFixed()
+		qi, err := quad.BuildFixedWith(sess)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +155,7 @@ func TestBuildCacheCrossFamilyServesRightGraph(t *testing.T) {
 			t.Fatalf("round %d: quadratic build has %d nodes, want %d", i, qi.Graph.N(), p.QuadraticN())
 		}
 	}
-	st := SharedBuildCache().Stats()
+	st := c.Stats()
 	if st.Misses != 2 || st.Hits != 2 {
 		t.Fatalf("expected 2 misses + 2 hits, got %+v", st)
 	}
@@ -169,11 +165,11 @@ func TestBuildCacheCrossFamilyServesRightGraph(t *testing.T) {
 // returned instance and asserts the next hit is pristine: mutating a
 // returned graph must not poison the cache.
 func TestBuildCacheCopyOnReturnIsolation(t *testing.T) {
-	freshBuildCache(t)
+	c, sess := newCachedSession()
 	p := Params{T: 2, Alpha: 1, Ell: 3}
 	l := mustLinear(t, p)
 
-	first, err := l.BuildFixed()
+	first, err := l.BuildFixedWith(sess)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +186,7 @@ func TestBuildCacheCopyOnReturnIsolation(t *testing.T) {
 	first.CliqueCover[0][0] = wantCover0
 	_ = first.Partition.Assign(0, 1)
 
-	second, err := l.BuildFixed()
+	second, err := l.BuildFixedWith(sess)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +206,7 @@ func TestBuildCacheCopyOnReturnIsolation(t *testing.T) {
 	if second.Partition.Of(0) != 0 {
 		t.Fatal("cache poisoned: partition shares storage with the returned copy")
 	}
-	st := SharedBuildCache().Stats()
+	st := c.Stats()
 	if st.Misses != 1 || st.Hits != 1 {
 		t.Fatalf("expected 1 miss + 1 hit, got %+v", st)
 	}
@@ -220,7 +216,7 @@ func TestBuildCacheCopyOnReturnIsolation(t *testing.T) {
 	x1, x2 := bitvec.New(p.K()), bitvec.New(p.K())
 	x1.Set(0)
 	x2.Set(1)
-	weighted, err := l.Build(bitvec.Inputs{x1, x2})
+	weighted, err := l.BuildWith(sess, bitvec.Inputs{x1, x2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,14 +275,14 @@ func TestBuildCacheSingleFlight(t *testing.T) {
 }
 
 // TestBuildCacheSessionAttribution pins the per-caller counters: two
-// sessions over the shared cache each see exactly their own traffic, and
-// the shared counters see the sum.
+// sessions over one cache each see exactly their own traffic, and the
+// cache's counters see the sum.
 func TestBuildCacheSessionAttribution(t *testing.T) {
-	freshBuildCache(t)
+	c := NewBuildCache(0)
 	p := Params{T: 2, Alpha: 1, Ell: 3}
 	l := mustLinear(t, p)
 
-	a, b := NewCacheSession(nil), NewCacheSession(nil)
+	a, b := NewCacheSession(c), NewCacheSession(c)
 	if _, err := l.BuildFixedWith(a); err != nil { // miss
 		t.Fatal(err)
 	}
@@ -303,21 +299,24 @@ func TestBuildCacheSessionAttribution(t *testing.T) {
 	if sb.Misses != 0 || sb.Hits != 2 {
 		t.Fatalf("session b stats %+v, want 2 hits", sb)
 	}
-	shared := SharedBuildCache().Stats()
-	if shared.Hits != sa.Hits+sb.Hits || shared.Misses != sa.Misses+sb.Misses {
-		t.Fatalf("shared stats %+v do not sum sessions %+v + %+v", shared, sa, sb)
+	total := c.Stats()
+	if total.Hits != sa.Hits+sb.Hits || total.Misses != sa.Misses+sb.Misses {
+		t.Fatalf("cache stats %+v do not sum sessions %+v + %+v", total, sa, sb)
 	}
 	// Entries belongs to the cache, never to a view of it.
 	if sa.Entries != 0 || sb.Entries != 0 {
 		t.Fatal("session stats report cache occupancy")
 	}
-	// A nil session is the no-attribution fast path.
+	// A nil session builds from scratch: no cache, no attribution.
 	var nilSess *CacheSession
 	if _, err := l.BuildFixedWith(nilSess); err != nil {
 		t.Fatal(err)
 	}
 	if nilSess.Stats() != (CacheStats{}) {
 		t.Fatal("nil session accumulated stats")
+	}
+	if after := c.Stats(); after != total {
+		t.Fatalf("nil session reached the cache: %+v, was %+v", after, total)
 	}
 }
 
@@ -355,25 +354,25 @@ func TestBuildCacheEviction(t *testing.T) {
 	}
 }
 
-// TestBuildCacheDisabledBypasses pins SetCacheEnabled(false): builds run
-// directly, the shared cache sees no traffic, sessions still count misses.
+// TestBuildCacheDisabledBypasses pins a session over no cache
+// (NewCacheSession(nil), the Lab's WithBuildCache(false)): every build runs
+// from scratch, returns its own instance, and books a miss.
 func TestBuildCacheDisabledBypasses(t *testing.T) {
-	freshBuildCache(t)
-	prev := SetCacheEnabled(false)
-	defer SetCacheEnabled(prev)
-
 	p := Params{T: 2, Alpha: 1, Ell: 3}
 	l := mustLinear(t, p)
 	sess := NewCacheSession(nil)
-	for i := 0; i < 2; i++ {
-		if _, err := l.BuildFixedWith(sess); err != nil {
+	var got [2]core.Instance
+	for i := range got {
+		inst, err := l.BuildFixedWith(sess)
+		if err != nil {
 			t.Fatal(err)
 		}
+		got[i] = inst
 	}
-	if st := SharedBuildCache().Stats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("disabled cache saw traffic: %+v", st)
+	if got[0].Graph == got[1].Graph || !graphsEqual(t, got[0].Graph, got[1].Graph) {
+		t.Fatal("uncached builds share a graph or differ in content")
 	}
-	if st := sess.Stats(); st.Misses != 2 {
-		t.Fatalf("session attribution lost while disabled: %+v", st)
+	if st := sess.Stats(); st.Misses != 2 || st.Hits != 0 {
+		t.Fatalf("session attribution lost without a cache: %+v", st)
 	}
 }

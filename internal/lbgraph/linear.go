@@ -146,16 +146,16 @@ func (l *Linear) CodeNodes(i, m int) []graphs.NodeID {
 
 // BuildFixed constructs the fixed graph G (all weights 1) with its player
 // partition and natural clique cover. The weights of G_x̄ are applied on
-// top by Build. Repeated builds are served from the shared build cache as
-// private deep copies; see cache.go.
+// top by Build. It builds from scratch; BuildFixedWith memoises.
 func (l *Linear) BuildFixed() (core.Instance, error) {
 	return l.BuildFixedWith(nil)
 }
 
-// BuildFixedWith is BuildFixed with the cache traffic attributed to the
-// given session (nil = shared cache, no attribution).
+// BuildFixedWith is BuildFixed through the given build-cache session:
+// repeated builds are served from the session's cache as private deep
+// copies (see cache.go). A nil session builds from scratch.
 func (l *Linear) BuildFixedWith(sess *CacheSession) (core.Instance, error) {
-	return sess.instance(l.fixedKey(), l.buildFixedUncached)
+	return sess.instance(l.fixedKey, l.buildFixedUncached)
 }
 
 // buildFixedUncached performs the actual construction.
@@ -319,7 +319,7 @@ func BuildBase(p Params) (*graphs.Graph, error) {
 	return BuildBaseWith(nil, p)
 }
 
-// BuildBaseWith is BuildBase with build-cache attribution.
+// BuildBaseWith is BuildBase through the given build-cache session.
 func BuildBaseWith(sess *CacheSession, p Params) (*graphs.Graph, error) {
 	single := p
 	single.T = 2 // NewLinear requires t ≥ 2; we keep only copy 0 below.

@@ -123,17 +123,17 @@ func (f *Quadratic) CodeNodes(i, b, m int) []graphs.NodeID {
 }
 
 // BuildFixed constructs the fixed graph F: all structure except the
-// input edges. Weights are already final (they do not depend on x̄).
-// Repeated builds are served from the shared build cache as private deep
-// copies; see cache.go.
+// input edges. Weights are already final (they do not depend on x̄). It
+// builds from scratch; BuildFixedWith memoises.
 func (f *Quadratic) BuildFixed() (core.Instance, error) {
 	return f.BuildFixedWith(nil)
 }
 
-// BuildFixedWith is BuildFixed with the cache traffic attributed to the
-// given session (nil = shared cache, no attribution).
+// BuildFixedWith is BuildFixed through the given build-cache session:
+// repeated builds are served from the session's cache as private deep
+// copies (see cache.go). A nil session builds from scratch.
 func (f *Quadratic) BuildFixedWith(sess *CacheSession) (core.Instance, error) {
-	return sess.instance(f.fixedKey(), f.buildFixedUncached)
+	return sess.instance(f.fixedKey, f.buildFixedUncached)
 }
 
 // buildFixedUncached performs the actual construction.

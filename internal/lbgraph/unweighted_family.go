@@ -53,8 +53,8 @@ func (u *UnweightedLinear) Gap() core.GapPredicate { return u.inner.Gap() }
 
 // Build implements core.Family: the weighted instance followed by the
 // Remark 1 blow-up, with the clique cover translated layer by layer. The
-// underlying fixed construction is served from the shared build cache;
-// the blow-up itself is linear in the output size and recomputed.
+// blow-up is linear in the output size; BuildWith memoises only the
+// underlying fixed construction.
 func (u *UnweightedLinear) Build(in bitvec.Inputs) (core.Instance, error) {
 	return u.BuildWith(nil, in)
 }

@@ -17,12 +17,12 @@
 // content-addressed disk tier (see disk.go) that survives the process, so
 // repeated suite runs skip branch-and-bound entirely.
 //
-// A process-wide Shared instance backs the package-level Exact function,
-// which the CONGEST programs and the experiment suite call in place of
-// mis.Exact. SetEnabled turns the shared cache off (tests use this to
-// compare cached and uncached runs); because the underlying solver is
-// deterministic, cached and fresh results are identical, so enabling the
-// cache never changes any report.
+// There is no process-wide cache: every Cache belongs to its caller (a
+// congestlb.Lab, an experiment run, one session-less CONGEST run). The
+// CONGEST programs and the experiment suite solve through a Session over
+// their caller's cache. Because the underlying solver is deterministic,
+// cached and fresh results are identical, so a cache never changes any
+// report.
 package cache
 
 import (
@@ -52,10 +52,10 @@ func isPanicError(err error) bool {
 // weights, clique cover and step budget.
 type Key [sha256.Size]byte
 
-// DefaultCapacity is the entry bound of the shared cache. Solutions are
-// small (a node-ID slice plus counters), so a few hundred distinct graphs
-// fit comfortably; the dominant workload needs exactly one entry live at a
-// time.
+// DefaultCapacity is the entry bound of a Cache built with a non-positive
+// capacity. Solutions are small (a node-ID slice plus counters), so a few
+// hundred distinct graphs fit comfortably; the dominant workload needs
+// exactly one entry live at a time.
 const DefaultCapacity = 256
 
 // Stats is a snapshot of the cache counters.
@@ -666,40 +666,4 @@ func KeyOf(g *graphs.Graph, opts mis.Options) (Key, bool) {
 		buf = append(buf, 0)
 	}
 	return sha256.Sum256(buf), true
-}
-
-// shared is the process-wide cache behind the package-level Exact.
-var shared = New(DefaultCapacity)
-
-// enabled gates the shared cache; non-zero means on.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// Shared returns the process-wide cache instance.
-func Shared() *Cache { return shared }
-
-// SetEnabled switches the shared-cache fast path on or off and reports the
-// previous setting. Disabling does not clear the cache; call
-// Shared().Reset() for that. Intended for tests comparing cached and
-// uncached runs.
-func SetEnabled(on bool) bool { return enabled.Swap(on) }
-
-// Enabled reports whether the shared-cache fast path is on.
-func Enabled() bool { return enabled.Load() }
-
-// Exact is the drop-in replacement for mis.Exact used by the CONGEST
-// programs and the experiment suite: it routes through the shared cache
-// when enabled and falls back to a direct solve otherwise.
-func Exact(g *graphs.Graph, opts mis.Options) (mis.Solution, error) {
-	return ExactCtx(context.Background(), g, opts)
-}
-
-// ExactCtx is Exact under a context (see Cache.ExactCtx for the
-// cancellation contract).
-func ExactCtx(ctx context.Context, g *graphs.Graph, opts mis.Options) (mis.Solution, error) {
-	if !enabled.Load() {
-		return mis.ExactCtx(ctx, g, opts)
-	}
-	return shared.ExactCtx(ctx, g, opts)
 }

@@ -270,27 +270,6 @@ func TestConcurrentSingleFlight(t *testing.T) {
 	}
 }
 
-func TestSharedToggle(t *testing.T) {
-	prev := SetEnabled(false)
-	defer SetEnabled(prev)
-	Shared().Reset()
-	g := pathGraph(8)
-	if _, err := Exact(g, mis.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if s := Shared().Stats(); s.Misses != 0 && s.Hits != 0 {
-		t.Fatalf("disabled cache still recorded traffic: %+v", s)
-	}
-	SetEnabled(true)
-	if _, err := Exact(g, mis.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if s := Shared().Stats(); s.Misses != 1 {
-		t.Fatalf("enabled cache did not record the solve: %+v", s)
-	}
-	Shared().Reset()
-}
-
 // TestWeightOnlyServedByCanonicalEntry pins the one-directional fallback:
 // a weight-only lookup is served by a completed canonical entry for the
 // same graph (no duplicate branch-and-bound), while a canonical lookup is

@@ -10,23 +10,23 @@ import (
 )
 
 // Session is a per-caller view of a Cache: it forwards every solve to the
-// underlying cache (the process-wide Shared one by default) while keeping
-// its own exact event counters, and applies a default solver worker count
-// to solves that do not pin one.
+// underlying cache while keeping its own exact event counters, and applies
+// a default solver worker count to solves that do not pin one.
 //
 // Sessions exist for attribution. The runner's experiment jobs all meet in
-// the one shared cache, so diffing the process-global counters around a job
+// their run's one cache, so diffing the cache's counters around a job
 // misattributes whatever concurrent jobs did in the window; handing each
 // job its own Session makes the per-experiment cache/step numbers in the
 // JSON envelope exact at any -jobs count. With single-flight dedup, the
 // session that runs a solve books its steps under StepsSolved while every
 // session served by someone else's solve books them under StepsSaved.
 //
-// A nil *Session is valid: it behaves exactly like the package-level Exact
-// with no local accounting, so deep callers (the CONGEST node programs) can
-// be handed "no session" without branching.
+// A session over no cache (NewSession(nil, w)) solves every call directly
+// and books it as a miss. A nil *Session is valid too: it solves directly
+// with mis.ExactCtx and counts nothing, so deep callers (the CONGEST node
+// programs) can be handed "no session" without branching.
 type Session struct {
-	c       *Cache // nil = the Shared cache, resolved at call time
+	c       *Cache // nil = no cache: every solve runs and books a miss
 	workers int
 	// ctx is the context bound by WithContext (nil = Background): every
 	// Exact call through the session observes it. It exists because the
@@ -43,7 +43,7 @@ type Session struct {
 	stats Stats
 }
 
-// NewSession returns a session over c (nil = the Shared cache) whose solves
+// NewSession returns a session over c (nil = no cache) whose solves
 // default to the given solver worker count (0 = leave Options.Workers
 // alone).
 func NewSession(c *Cache, workers int) *Session {
@@ -115,8 +115,8 @@ func (s *Session) record(f func(*Stats)) {
 
 // Exact solves through the session: the underlying cache serves or runs the
 // solve, the session books the traffic, and the session's bound context
-// (WithContext) governs cancellation. On a nil session this is exactly the
-// package-level Exact.
+// (WithContext) governs cancellation. On a nil session this is exactly
+// mis.Exact.
 func (s *Session) Exact(g *graphs.Graph, opts mis.Options) (mis.Solution, error) {
 	return s.ExactCtx(s.context(), g, opts)
 }
@@ -125,7 +125,7 @@ func (s *Session) Exact(g *graphs.Graph, opts mis.Options) (mis.Solution, error)
 // bound one for this call.
 func (s *Session) ExactCtx(ctx context.Context, g *graphs.Graph, opts mis.Options) (mis.Solution, error) {
 	if s == nil {
-		return ExactCtx(ctx, g, opts)
+		return mis.ExactCtx(ctx, g, opts)
 	}
 	if opts.Workers == 0 {
 		opts.Workers = s.workers
@@ -133,21 +133,15 @@ func (s *Session) ExactCtx(ctx context.Context, g *graphs.Graph, opts mis.Option
 	if opts.Progress == nil {
 		opts.Progress = s.progress
 	}
-	c := s.c
-	if c == nil {
-		if !enabled.Load() {
-			// Shared-cache fast path switched off (tests): solve directly
-			// but keep the attribution exact.
-			sol, err := mis.ExactCtx(ctx, g, opts)
-			s.record(func(st *Stats) {
-				st.Misses++
-				if err == nil {
-					st.StepsSolved += sol.Steps
-				}
-			})
-			return sol, err
-		}
-		c = shared
+	if s.c == nil {
+		sol, err := mis.ExactCtx(ctx, g, opts)
+		s.record(func(st *Stats) {
+			st.Misses++
+			if err == nil {
+				st.StepsSolved += sol.Steps
+			}
+		})
+		return sol, err
 	}
-	return c.exact(ctx, g, opts, s)
+	return s.c.exact(ctx, g, opts, s)
 }

@@ -40,8 +40,7 @@ type Options struct {
 	// Workers × stepFlushBatch before stopping.
 	MaxSteps int64
 	// Workers is the number of branch-and-bound workers exploring the
-	// search tree concurrently. 0 selects the package default
-	// (SetDefaultWorkers; GOMAXPROCS until overridden), 1 forces the
+	// search tree concurrently. 0 selects GOMAXPROCS, 1 forces the
 	// sequential engine. Graphs below parallelMinNodes always solve
 	// sequentially — at that size goroutine startup costs more than the
 	// whole search. Optimal solutions are identical — weight and witness
@@ -85,42 +84,16 @@ const defaultMaxSteps = 50_000_000
 // solve is microseconds of work and spawning workers would dominate it.
 const parallelMinNodes = 48
 
-// defaultWorkers holds the package-wide worker default applied when
-// Options.Workers is 0; 0 or negative means GOMAXPROCS at solve time.
-var defaultWorkers atomic.Int64
-
-// SetDefaultWorkers sets the worker count used by solves whose
-// Options.Workers is zero and returns the previous setting (0 meaning the
-// initial GOMAXPROCS-at-solve-time default). Pass 0 to restore that
-// default, 1 to force sequential solving process-wide.
-func SetDefaultWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(defaultWorkers.Swap(int64(n)))
-}
-
-// DefaultWorkers reports the current package default (0 = GOMAXPROCS at
-// solve time).
-func DefaultWorkers() int { return int(defaultWorkers.Load()) }
-
 // resolveWorkers turns an Options.Workers request into the effective
 // worker count for an n-node solve.
 func resolveWorkers(requested, n int) int {
 	if n < parallelMinNodes {
 		return 1
 	}
-	w := requested
-	if w <= 0 {
-		w = int(defaultWorkers.Load())
+	if requested > 0 {
+		return requested
 	}
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return runtime.GOMAXPROCS(0)
 }
 
 // Exact computes a maximum-weight independent set by branch-and-bound with

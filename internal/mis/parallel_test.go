@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"congestlb/internal/graphs"
@@ -205,23 +206,14 @@ func TestParallelSmallGraphFallsBackSequential(t *testing.T) {
 	}
 }
 
-// TestSetDefaultWorkers pins the package-default plumbing Options.Workers=0
-// resolves through.
-func TestSetDefaultWorkers(t *testing.T) {
-	prev := SetDefaultWorkers(3)
-	defer SetDefaultWorkers(prev)
-	if got := DefaultWorkers(); got != 3 {
-		t.Fatalf("DefaultWorkers = %d, want 3", got)
-	}
-	if got := resolveWorkers(0, parallelMinNodes); got != 3 {
-		t.Fatalf("resolveWorkers(0) = %d, want the package default 3", got)
-	}
+// TestResolveWorkers pins how Options.Workers resolves: an explicit count
+// wins, and 0 means GOMAXPROCS.
+func TestResolveWorkers(t *testing.T) {
 	if got := resolveWorkers(2, parallelMinNodes); got != 2 {
 		t.Fatalf("resolveWorkers(2) = %d, explicit option must win", got)
 	}
-	SetDefaultWorkers(0)
-	if got := DefaultWorkers(); got != 0 {
-		t.Fatalf("DefaultWorkers after reset = %d, want 0 (GOMAXPROCS)", got)
+	if got, want := resolveWorkers(0, parallelMinNodes), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("resolveWorkers(0) = %d, want GOMAXPROCS %d", got, want)
 	}
 }
 

@@ -158,8 +158,7 @@ func TestRunCtxScheduledEnvelopeJobs(t *testing.T) {
 
 // TestUncachedBuildsEnvelopeAttribution: with UncachedBuilds the run-level
 // lbgraph block must equal the sum of the per-experiment (all-miss)
-// session counters — never a diff of the shared build cache the run
-// bypassed, which would book other tenants' traffic.
+// session counters — the run has no build cache to diff.
 func TestUncachedBuildsEnvelopeAttribution(t *testing.T) {
 	exps, err := experiments.Select([]string{"figure1", "codes"})
 	if err != nil {

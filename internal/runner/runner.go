@@ -25,15 +25,15 @@
 // internal/experiments/context.go). The pool size is therefore NOT
 // clamped to the experiment count — extra workers drain instance jobs.
 //
-// Experiments run concurrently, so their solver work meets in the shared
+// Experiments run concurrently, so their solver work meets in the run's
 // content-addressed solve cache (internal/mis/cache) and their graph
-// constructions in the shared build cache (internal/lbgraph): a graph
+// constructions in the run's build cache (internal/lbgraph): a graph
 // solved or built by one job is a cache hit for every other job that
-// needs the same one. Each job nevertheless sees only its own traffic: it
-// runs under private cache.Session / lbgraph.CacheSession views, which is
-// what makes the per-experiment numbers in the envelope exact at any pool
-// size (they used to be diffs of process-global counters, approximate
-// whenever jobs overlapped).
+// needs the same one. Both caches belong to the caller (Options) or, when
+// it passes none, to the run alone. Each job nevertheless sees only its
+// own traffic: it runs under private cache.Session / lbgraph.CacheSession
+// views, which is what makes the per-experiment numbers in the envelope
+// exact at any pool size.
 package runner
 
 import (
@@ -48,7 +48,6 @@ import (
 	"congestlb/internal/experiments"
 	"congestlb/internal/fault"
 	"congestlb/internal/lbgraph"
-	"congestlb/internal/mis"
 	"congestlb/internal/mis/cache"
 	"congestlb/internal/obs"
 )
@@ -94,16 +93,16 @@ type Options struct {
 	// every exact solve of the run (0 = the solver's default, GOMAXPROCS).
 	// The effective value is recorded in the envelope.
 	SolverWorkers int
-	// SolveCache pins the run's exact solves to a caller-owned cache
-	// instead of the process-wide shared one; BuildCache does the same for
-	// the lower-bound graph constructions. Both nil by default (shared
-	// caches), both set by congestlb.Lab so two Labs in one process share
-	// no cache state whatsoever.
+	// SolveCache pins the run's exact solves to a caller-owned cache;
+	// BuildCache does the same for the lower-bound graph constructions.
+	// congestlb.Lab sets both, so two Labs in one process share no cache
+	// state whatsoever. A nil cache gives the run a fresh one of its own,
+	// so nothing carries over from one run to the next.
 	SolveCache *cache.Cache
 	BuildCache *lbgraph.BuildCache
-	// UncachedBuilds bypasses every build cache (constructions run from
-	// scratch, attribution intact) — the Lab's WithBuildCache(false) mode.
-	// BuildCache is ignored when set.
+	// UncachedBuilds runs every construction from scratch (attribution
+	// intact) — the Lab's WithBuildCache(false) mode. BuildCache is
+	// ignored when set.
 	UncachedBuilds bool
 	// Scheduler reuses a caller-owned worker pool across runs instead of
 	// starting (and stopping) a private one. The caller keeps ownership:
@@ -230,13 +229,12 @@ type Envelope struct {
 	OK        int `json:"ok"`
 	Failed    int `json:"failed"`
 	Cancelled int `json:"cancelled,omitempty"`
-	// Cache reports the shared solve cache's traffic across the run: the
-	// hit/miss/eviction/steps fields are counter deltas (this run only);
-	// Entries is the cache's occupancy level at the end of the run, not a
-	// delta.
+	// Cache reports the run's solve-cache traffic: the hit/miss/eviction/
+	// steps fields are counter deltas (this run only); Entries is the
+	// cache's occupancy level at the end of the run, not a delta.
 	Cache cache.Stats `json:"cache"`
-	// LBGraph reports the shared lower-bound-graph build cache's traffic
-	// across the run, with the same delta/occupancy convention as Cache.
+	// LBGraph reports the run's lower-bound-graph build-cache traffic, with
+	// the same delta/occupancy convention as Cache.
 	LBGraph lbgraph.CacheStats `json:"lbgraph_cache"`
 	// Batch sums the per-experiment batched-simulation accounting.
 	Batch BatchTotals `json:"batch"`
@@ -283,36 +281,27 @@ func RunCtx(ctx context.Context, exps []experiments.Experiment, opts Options, w 
 	}
 	solverWorkers := opts.SolverWorkers
 	if solverWorkers <= 0 {
-		solverWorkers = mis.DefaultWorkers()
-	}
-	if solverWorkers <= 0 {
 		solverWorkers = runtime.GOMAXPROCS(0)
 	}
-	// The stats below diff the caches this run actually uses: the shared
-	// pair by default, the caller's own (a Lab's) when pinned in Options.
-	// An UncachedBuilds run touches no build cache at all — its run-level
-	// lbgraph numbers come from summing the per-experiment sessions
-	// instead (below), so no snapshot is taken.
-	statsCache := opts.SolveCache
-	if statsCache == nil {
-		statsCache = cache.Shared()
+	// The caches this run uses: the caller's own (a Lab's) when pinned in
+	// Options, else fresh ones. An UncachedBuilds run uses no build cache
+	// at all — its run-level lbgraph numbers come from summing the
+	// per-experiment sessions (below), so no snapshot is taken.
+	if opts.SolveCache == nil {
+		opts.SolveCache = cache.New(0)
 	}
-	var statsBuild *lbgraph.BuildCache
-	if !opts.UncachedBuilds {
-		statsBuild = opts.BuildCache
-		if statsBuild == nil {
-			statsBuild = lbgraph.SharedBuildCache()
-		}
+	if opts.UncachedBuilds {
+		opts.BuildCache = nil
+	} else if opts.BuildCache == nil {
+		opts.BuildCache = lbgraph.NewBuildCache(0)
 	}
 	// An observed run points the caches it uses at its registry (a Lab
 	// already did this for its own caches; re-attaching the same registry
-	// is idempotent). Last attachment wins, so two concurrent observed
-	// runs over the *shared* caches would attribute approximately — pin
-	// caches per run (as Lab does) when that matters.
+	// is idempotent).
 	if opts.Obs != nil {
-		statsCache.SetRegistry(opts.Obs)
-		if statsBuild != nil {
-			statsBuild.SetRegistry(opts.Obs)
+		opts.SolveCache.SetRegistry(opts.Obs)
+		if opts.BuildCache != nil {
+			opts.BuildCache.SetRegistry(opts.Obs)
 		}
 	}
 
@@ -353,10 +342,10 @@ func RunCtx(ctx context.Context, exps []experiments.Experiment, opts Options, w 
 		Experiments:   make([]ExperimentResult, len(exps)),
 	}
 	start := time.Now()
-	cacheBefore := statsCache.Stats()
+	cacheBefore := opts.SolveCache.Stats()
 	var buildBefore lbgraph.CacheStats
-	if statsBuild != nil {
-		buildBefore = statsBuild.Stats()
+	if opts.BuildCache != nil {
+		buildBefore = opts.BuildCache.Stats()
 	}
 
 	type slot struct {
@@ -412,20 +401,20 @@ func RunCtx(ctx context.Context, exps []experiments.Experiment, opts Options, w 
 		env.Cache.WorkerPanics += st.WorkerPanics
 		env.Cache.DegradedSolves += st.DegradedSolves
 	}
-	cacheAfter := statsCache.Stats()
+	cacheAfter := opts.SolveCache.Stats()
 	env.Cache.Evictions = cacheAfter.Evictions - cacheBefore.Evictions
 	env.Cache.Entries = cacheAfter.Entries
 	// Same summation story for the build cache (whose per-experiment
 	// session counters already sit in the records); with UncachedBuilds
-	// (statsBuild nil) there is no cache to snapshot occupancy from.
+	// (no BuildCache) there is no cache to snapshot occupancy from.
 	for _, r := range env.Experiments {
 		env.LBGraph.Hits += r.LBGraphHits
 		env.LBGraph.Misses += r.LBGraphMisses
 		env.Batch.BatchJobs += r.BatchJobs
 		env.Batch.BatchedInstances += r.BatchedInstances
 	}
-	if statsBuild != nil {
-		buildAfter := statsBuild.Stats()
+	if opts.BuildCache != nil {
+		buildAfter := opts.BuildCache.Stats()
 		env.LBGraph.Evictions = buildAfter.Evictions - buildBefore.Evictions
 		env.LBGraph.Entries = buildAfter.Entries
 	}
@@ -490,12 +479,7 @@ func runOne(ctx context.Context, e experiments.Experiment, sched *experiments.Sc
 	ctx, esp = obs.Begin(ctx, "experiment:"+e.ID)
 	defer esp.End()
 	sess := cache.NewSession(opts.SolveCache, opts.SolverWorkers).WithContext(ctx)
-	var bsess *lbgraph.CacheSession
-	if opts.UncachedBuilds {
-		bsess = lbgraph.NewUncachedCacheSession()
-	} else {
-		bsess = lbgraph.NewCacheSession(opts.BuildCache)
-	}
+	bsess := lbgraph.NewCacheSession(opts.BuildCache) // no cache with UncachedBuilds
 	ectx := experiments.NewCtx(buf, sess).WithBuilds(bsess).WithScheduler(sched).WithContext(ctx)
 	start := time.Now()
 	recovered, err := runBody(ectx, e)

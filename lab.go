@@ -1,19 +1,16 @@
 package congestlb
 
-// Lab is the library's service handle: an instantiable, context-aware
-// replacement for the old process-wide configuration globals. Each Lab owns
-// its own exact-solve cache (with an optional persistent disk tier), its
-// own lower-bound-graph build cache, its own branch-and-bound worker
-// default and its own experiment worker pool — two Labs in one process
-// share nothing, so a server can host isolated tenants, A/B configurations
-// or concurrent workloads without any cross-talk, and every long-running
-// operation takes a context.Context that cancels it cooperatively.
-//
-// The old package-level Set*/Shared* functions and long-running free
-// functions remain as deprecated thin wrappers over a lazily-created
-// default Lab backed by the process-wide shared caches, so existing code
-// keeps its exact behaviour. See docs/api.md for the lifecycle, the full
-// option set, the deprecation map and the isolation guarantees.
+// Lab is the library's service handle: the one path to its caches and
+// solver configuration. Each Lab owns its own exact-solve cache (with an
+// optional persistent disk tier), its own lower-bound-graph build cache,
+// its own branch-and-bound worker default and its own experiment worker
+// pool — two Labs in one process share nothing, and nothing in the process
+// is shared by default, so a server can host isolated tenants, A/B
+// configurations or concurrent workloads without any cross-talk. Every
+// long-running operation takes a context.Context that cancels it
+// cooperatively. See docs/api.md for the lifecycle, the full option set,
+// the migration table from the 1.x package-level API and the isolation
+// guarantees.
 
 import (
 	"context"
@@ -27,7 +24,6 @@ import (
 	"congestlb/internal/core"
 	"congestlb/internal/experiments"
 	"congestlb/internal/lbgraph"
-	"congestlb/internal/mis"
 	"congestlb/internal/mis/cache"
 	"congestlb/internal/obs"
 	"congestlb/internal/runner"
@@ -65,16 +61,21 @@ type ExperimentResult = runner.ExperimentResult
 // AllExperiments returns every registered experiment in ID order.
 func AllExperiments() []Experiment { return experiments.All() }
 
+// ErrClosed is returned by Lab operations that require an open Lab —
+// RunExperiments, SetSolveCacheDir, and any Close after the first. Pure
+// solve/simulate methods keep working on a closed Lab and never return
+// it.
+var ErrClosed = errors.New("congestlb: Lab is closed")
+
 // Lab is a self-contained instance of the library's services. The zero
-// value is not usable; create Labs with New (isolated) or use DefaultLab
-// (the shared-state instance behind the deprecated package-level API).
+// value is not usable; create Labs with New.
 //
-// Isolation guarantees: a Lab created by New owns a private solve cache,
-// private disk tier (if configured), private build cache, private solver
-// worker default and private scheduler pool. No operation on one Lab can
-// observe or mutate another Lab's state; in particular two Labs with
-// different solve-cache directories never cross-populate. The only state
-// Labs inherently share is the process itself (GOMAXPROCS, memory).
+// Isolation guarantees: a Lab owns a private solve cache, private disk
+// tier (if configured), private build cache, private solver worker default
+// and private scheduler pool. No operation on one Lab can observe or
+// mutate another Lab's state; in particular two Labs with different
+// solve-cache directories never cross-populate. The only state Labs
+// inherently share is the process itself (GOMAXPROCS, memory).
 //
 // Every potentially long-running method takes a context.Context:
 // cancellation stops CONGEST round loops at round boundaries, queued
@@ -88,22 +89,11 @@ func AllExperiments() []Experiment { return experiments.All() }
 // A Lab is safe for concurrent use. Close releases its worker pool and
 // detaches its disk tier; a closed Lab rejects RunExperiments but its
 // pure solve/simulate methods keep working.
-// ErrClosed is returned by Lab operations that require an open Lab —
-// RunExperiments, SetSolveCacheDir, and any Close after the first. Pure
-// solve/simulate methods keep working on a closed Lab and never return
-// it.
-var ErrClosed = errors.New("congestlb: Lab is closed")
-
 type Lab struct {
-	// solve/builds are nil on the default Lab, which resolves to the
-	// process-wide shared instances at call time (preserving the exact
-	// semantics of the deprecated globals, including SetEnabled gates).
+	// solve is never nil. builds is nil until the build cache is first
+	// on (WithBuildCache(false) leaves it nil).
 	solve  *cache.Cache
 	builds *lbgraph.BuildCache
-	// def marks the default Lab: its solver-worker setting delegates to
-	// the mis package default so programs constructed without a session
-	// agree with it, exactly as the deprecated SetSolverWorkers did.
-	def bool
 
 	// reg is the Lab's metrics registry (nil unless WithMetrics): the
 	// solve/build caches, scheduler, engines and spans all record into
@@ -243,9 +233,8 @@ func WithObserver(o ProgressObserver) Option {
 }
 
 // New creates an isolated Lab from the given options. The returned Lab
-// shares no mutable state with any other Lab or with the deprecated
-// package-level API; callers that use RunExperiments should Close it when
-// done to release its worker pool.
+// shares no mutable state with any other Lab; callers that use
+// RunExperiments should Close it when done to release its worker pool.
 func New(opts ...Option) (*Lab, error) {
 	cfg := labConfig{buildCache: true}
 	for _, o := range opts {
@@ -280,45 +269,6 @@ func New(opts ...Option) (*Lab, error) {
 	return l, nil
 }
 
-// defaultLab is the lazily-created Lab behind the deprecated package-level
-// API: nil solve/builds resolve to the process-wide shared caches, and its
-// worker setting delegates to the mis package default — so the wrappers
-// behave exactly as the globals they replace.
-var (
-	defaultLabOnce sync.Once
-	defaultLabInst *Lab
-)
-
-// DefaultLab returns the process-wide Lab the deprecated package-level
-// functions delegate to. It is backed by the shared caches (so legacy code
-// and DefaultLab users observe one coherent state) and must not be Closed.
-// New code should create its own Lab with New.
-func DefaultLab() *Lab {
-	defaultLabOnce.Do(func() {
-		defaultLabInst = &Lab{def: true}
-	})
-	return defaultLabInst
-}
-
-// solveCache resolves the Lab's solve cache (shared for the default Lab).
-func (l *Lab) solveCache() *cache.Cache {
-	if l.solve == nil {
-		return cache.Shared()
-	}
-	return l.solve
-}
-
-// buildCache resolves the Lab's build cache (shared for the default Lab;
-// nil when the Lab was configured with WithBuildCache(false)).
-func (l *Lab) buildCache() *lbgraph.BuildCache {
-	if l.def {
-		return lbgraph.SharedBuildCache()
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.builds
-}
-
 // solveSession builds a ctx-bound attributed session over the Lab's solve
 // cache, stamping the Lab's solver-worker default onto solves. On an
 // observed Lab the context carries the registry (so solves open spans
@@ -331,57 +281,18 @@ func (l *Lab) solveSession(ctx context.Context) *cache.Session {
 		}
 		ctx = obs.NewContext(ctx, l.reg)
 	}
-	s := cache.NewSession(l.solve, l.sessionWorkers()).WithContext(ctx)
+	s := l.NewSolveSession().WithContext(ctx)
 	if l.progress != nil {
 		s = s.WithProgress(l.progress)
 	}
 	return s
 }
 
-// sessionWorkers is the worker count stamped onto session solves: the
-// default Lab stamps nothing (0) so the mis package default keeps
-// resolving at solve time, exactly like the legacy path. Isolated Labs
-// with no explicit setting pin GOMAXPROCS here instead of leaving 0,
-// because 0 would fall through to the mutable process-wide mis default at
-// solve time — another tenant's (or legacy code's) SetSolverWorkers could
-// silently reconfigure this Lab, breaking the share-nothing guarantee.
-func (l *Lab) sessionWorkers() int {
-	if l.def {
-		return 0
-	}
-	l.mu.Lock()
-	w := l.workers
-	l.mu.Unlock()
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return w
-}
-
-// newBuildSession builds an attributed session over the Lab's build cache.
-func (l *Lab) newBuildSession() *lbgraph.CacheSession {
-	if l.def {
-		return lbgraph.NewCacheSession(nil)
-	}
-	l.mu.Lock()
-	off, builds := l.buildCacheOff, l.builds
-	l.mu.Unlock()
-	if off {
-		return lbgraph.NewUncachedCacheSession()
-	}
-	return lbgraph.NewCacheSession(builds)
-}
-
 // SetSolverWorkers sets the Lab's branch-and-bound worker default and
-// returns the previous setting (0 = GOMAXPROCS at solve time). On the
-// default Lab this is the process-wide default, as the deprecated
-// package-level SetSolverWorkers always was.
+// returns the previous setting (0 = GOMAXPROCS at solve time).
 func (l *Lab) SetSolverWorkers(n int) int {
 	if n < 0 {
 		n = 0
-	}
-	if l.def {
-		return mis.SetDefaultWorkers(n)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -393,40 +304,40 @@ func (l *Lab) SetSolverWorkers(n int) int {
 // SolverWorkers reports the Lab's current worker default (0 = GOMAXPROCS
 // at solve time).
 func (l *Lab) SolverWorkers() int {
-	if l.def {
-		return mis.DefaultWorkers()
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.workers
 }
 
 // SetSolveCacheDir attaches (or, with "", detaches) the persistent disk
-// tier of this Lab's solve cache. Unlike the deprecated global, this can
-// never smear configuration across tenants: only this Lab's solves are
-// affected. A closed Lab refuses re-attachment — Close's detach is final,
-// so a caller may delete the directory after Close returns.
+// tier of this Lab's solve cache; only this Lab's solves are affected. A
+// closed Lab refuses re-attachment — Close's detach is final, so a caller
+// may delete the directory after Close returns. The closed check and the
+// attach happen under one hold of the Lab's lock, and Close marks the Lab
+// closed under the same lock before it detaches, so an attach can never
+// land after Close's detach.
 func (l *Lab) SetSolveCacheDir(dir string) error {
 	l.mu.Lock()
-	closed := l.closed
-	l.mu.Unlock()
-	if closed {
+	defer l.mu.Unlock()
+	if l.closed {
 		return ErrClosed
 	}
-	return l.solveCache().SetDir(dir, 0)
+	return l.solve.SetDir(dir, 0)
 }
 
 // SolveCacheDir reports the Lab's attached disk-tier directory ("" when
 // none).
-func (l *Lab) SolveCacheDir() string { return l.solveCache().DiskDir() }
+func (l *Lab) SolveCacheDir() string { return l.solve.DiskDir() }
 
 // SolveCacheStats snapshots the Lab's solve-cache counters.
-func (l *Lab) SolveCacheStats() SolveCacheStats { return l.solveCache().Stats() }
+func (l *Lab) SolveCacheStats() SolveCacheStats { return l.solve.Stats() }
 
 // BuildCacheStats snapshots the Lab's build-cache counters (zero when the
 // Lab was configured with WithBuildCache(false)).
 func (l *Lab) BuildCacheStats() BuildCacheStats {
-	c := l.buildCache()
+	l.mu.Lock()
+	c := l.builds
+	l.mu.Unlock()
 	if c == nil {
 		return BuildCacheStats{}
 	}
@@ -451,12 +362,8 @@ func (l *Lab) SpanStats() []SpanStat { return l.reg.SpanStatsSince(0) }
 func (l *Lab) MetricsHandler() http.Handler { return obs.Handler(l.reg) }
 
 // SetBuildCacheEnabled switches the Lab's build cache on or off and
-// returns the previous setting. On the default Lab this is the
-// process-wide lbgraph switch, preserving the deprecated global's scope.
+// returns the previous setting.
 func (l *Lab) SetBuildCacheEnabled(on bool) bool {
-	if l.def {
-		return lbgraph.SetCacheEnabled(on)
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	prev := !l.buildCacheOff
@@ -472,11 +379,20 @@ func (l *Lab) SetBuildCacheEnabled(on bool) bool {
 // counts exactly the traffic routed through it and stamps the Lab's solver
 // worker default onto its solves.
 func (l *Lab) NewSolveSession() *SolveSession {
-	return cache.NewSession(l.solve, l.sessionWorkers())
+	return cache.NewSession(l.solve, l.SolverWorkers())
 }
 
-// NewBuildSession returns an attributed view of the Lab's build cache.
-func (l *Lab) NewBuildSession() *BuildSession { return l.newBuildSession() }
+// NewBuildSession returns an attributed view of the Lab's build cache (a
+// view over no cache, counting every build as a miss, while the build
+// cache is off).
+func (l *Lab) NewBuildSession() *BuildSession {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.buildCacheOff {
+		return lbgraph.NewCacheSession(nil)
+	}
+	return lbgraph.NewCacheSession(l.builds)
+}
 
 // labBuilder is implemented by the concrete families (Linear, Quadratic,
 // UnweightedLinear): Build with the construction routed through an
@@ -490,16 +406,16 @@ type labBuilder interface {
 // family supports attribution, else through the family directly.
 func (l *Lab) buildInstance(fam Family, in Inputs) (Instance, error) {
 	if fb, ok := fam.(labBuilder); ok {
-		return fb.BuildWith(l.newBuildSession(), in)
+		return fb.BuildWith(l.NewBuildSession(), in)
 	}
 	return fam.Build(in)
 }
 
 // BuildInstance constructs and validates an instance for a family and
 // input through this Lab's build cache — the Lab counterpart of the
-// package-level BuildInstance, which routes through the process-wide
-// shared cache. Use this form when the instance feeds the Lab's other
-// methods, so build traffic books (and memoises) inside the Lab.
+// package-level BuildInstance, which builds from scratch. Use this form
+// when the instance feeds the Lab's other methods, so build traffic books
+// (and memoises) inside the Lab.
 func (l *Lab) BuildInstance(fam Family, in Inputs) (Instance, error) {
 	inst, err := l.buildInstance(fam, in)
 	if err != nil {
@@ -534,11 +450,9 @@ func (l *Lab) RunReduction(ctx context.Context, fam Family, in Inputs, cfg Conge
 	if err != nil {
 		return report, err
 	}
-	// The report's cache counters default to process-wide shared-cache
-	// deltas (see SimulationReport), which are meaningless for a Lab
-	// routing its solves through a private cache — and could even pick up
-	// a concurrent tenant's traffic. The per-call session counted exactly
-	// this run's lookups, so report the exact numbers instead.
+	// Core leaves the report's cache counters zero (see
+	// SimulationReport); the per-call session counted exactly this run's
+	// lookups.
 	st := sess.Stats()
 	report.SolveCacheHits, report.SolveCacheMisses = st.Hits, st.Misses
 	return report, nil
@@ -602,20 +516,18 @@ func (l *Lab) RunReductionBatch(ctx context.Context, fam Family, ins []Inputs, c
 
 // Simulate is RunReduction with a caller-chosen CONGEST algorithm and
 // output interpretation. The instance is built through the Lab's build
-// cache; whether the *solves* inside the node programs honour the Lab's
-// isolation is up to the factory, since the Lab cannot reach inside it.
-// Factories whose programs solve MaxIS must route those solves through a
-// session from NewSolveSession, bound to ctx via SolveSession.WithContext
-// (as core.GossipProgramsWith/CollectProgramsWith accept) — a session-less
-// factory such as core.GossipPrograms falls back to the process-wide
-// shared solve cache, outside this Lab's isolation and cancellation.
+// cache; whether the *solves* inside the node programs go through the
+// Lab's solve cache is up to the factory, since the Lab cannot reach
+// inside it. Factories whose programs solve MaxIS should route those
+// solves through a session from NewSolveSession, bound to ctx via
+// SolveSession.WithContext (as core.GossipProgramsWith/CollectProgramsWith
+// accept) — a session-less factory such as core.GossipPrograms solves on a
+// cache of its own, outside this Lab's counters and cancellation.
 //
-// The report's SolveCacheHits/Misses are zeroed on isolated Labs: the
-// underlying machinery can only diff the process-wide shared cache, which
-// this Lab does not use, so the numbers would describe other tenants'
-// traffic. Callers wanting exact counts read Stats() on the session they
-// handed the factory (RunReduction, which owns its session, reports them
-// itself).
+// The report's SolveCacheHits/Misses are zero: the Lab cannot see the
+// factory's session. Callers wanting the counts read Stats() on the
+// session they handed the factory (RunReduction, which owns its session,
+// reports them itself).
 func (l *Lab) Simulate(ctx context.Context, fam Family, in Inputs, factory core.ProgramFactory, extract core.OptExtractor, cfg CongestConfig) (SimulationReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -627,11 +539,7 @@ func (l *Lab) Simulate(ctx context.Context, fam Family, in Inputs, factory core.
 	if err != nil {
 		return SimulationReport{}, fmt.Errorf("core: build: %w", err)
 	}
-	report, err := core.SimulateBuiltCtx(ctx, fam, in, inst, factory, extract, cfg)
-	if !l.def {
-		report.SolveCacheHits, report.SolveCacheMisses = 0, 0
-	}
-	return report, err
+	return core.SimulateBuiltCtx(ctx, fam, in, inst, factory, extract, cfg)
 }
 
 // ExactMaxIS solves an instance exactly using its natural clique cover,
@@ -758,7 +666,7 @@ func (l *Lab) RunExperiments(ctx context.Context, ids []string, w io.Writer) (Ex
 	}
 	defer l.endRun()
 	return runner.RunCtx(ctx, exps, runner.Options{
-		SolverWorkers:  l.sessionWorkers(),
+		SolverWorkers:  l.SolverWorkers(),
 		SolveCache:     l.solve,
 		BuildCache:     builds,
 		UncachedBuilds: uncached,
@@ -798,9 +706,6 @@ func (l *Lab) Load() LoadStats {
 	}
 	sched := l.sched
 	l.mu.Unlock()
-	if l.def {
-		ls.SolverWorkers = mis.DefaultWorkers()
-	}
 	if sched != nil {
 		ls.QueueDepth = sched.QueueDepth()
 		ls.PoolWorkers = sched.Workers()
@@ -813,14 +718,10 @@ func (l *Lab) Load() LoadStats {
 // racing) Close blocks until that teardown finishes, then returns
 // ErrClosed — so any Close returning means the pool is drained and the
 // disk tier detached, and the error tells the caller it was not the one
-// that did it. The default Lab must not be closed. In-flight
-// RunExperiments calls finish first (Scheduler.Close drains); pure
-// solve/simulate methods keep working on a closed Lab. See docs/api.md
-// for the full post-Close contract.
+// that did it. In-flight RunExperiments calls finish first
+// (Scheduler.Close drains); pure solve/simulate methods keep working on a
+// closed Lab. See docs/api.md for the full post-Close contract.
 func (l *Lab) Close() error {
-	if l.def {
-		return errors.New("congestlb: the default Lab cannot be closed")
-	}
 	l.mu.Lock()
 	if l.closeDone != nil {
 		// Another Close owns the teardown. Block until it completes, then
@@ -852,8 +753,5 @@ func (l *Lab) Close() error {
 	if sched != nil {
 		sched.Close()
 	}
-	if l.solve != nil {
-		return l.solve.SetDir("", 0)
-	}
-	return nil
+	return l.solve.SetDir("", 0)
 }

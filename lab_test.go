@@ -368,9 +368,6 @@ func TestLabCloseSemantics(t *testing.T) {
 	if _, err := lab.ExactMaxIS(context.Background(), inst); err != nil {
 		t.Fatalf("closed Lab lost pure solving: %v", err)
 	}
-	if err := congestlb.DefaultLab().Close(); err == nil {
-		t.Fatal("default Lab allowed Close")
-	}
 }
 
 // TestLabCloseConcurrent: many goroutines racing Close on one Lab —
@@ -403,6 +400,36 @@ func TestLabCloseConcurrent(t *testing.T) {
 	}
 	if nils != 1 || closed != closers-1 {
 		t.Fatalf("%d nil / %d ErrClosed, want exactly 1 / %d", nils, closed, closers-1)
+	}
+}
+
+// TestLabSetSolveCacheDirRacesClose races SetSolveCacheDir against Close
+// on fresh Labs: whichever wins, once Close has returned nil the disk tier
+// stays detached — Close's detach is final, so a caller may delete the
+// directory.
+func TestLabSetSolveCacheDirRacesClose(t *testing.T) {
+	dir := t.TempDir()
+	const pairs = 5000
+	reattached := 0
+	for i := 0; i < pairs; i++ {
+		lab, err := congestlb.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		setErr := make(chan error, 1)
+		go func() { setErr <- lab.SetSolveCacheDir(dir) }()
+		if err := lab.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		if err := <-setErr; err != nil && !errors.Is(err, congestlb.ErrClosed) {
+			t.Fatalf("SetSolveCacheDir: %v", err)
+		}
+		if lab.SolveCacheDir() != "" {
+			reattached++
+		}
+	}
+	if reattached > 0 {
+		t.Fatalf("%d of %d SetSolveCacheDir/Close pairs re-attached the disk tier after Close returned", reattached, pairs)
 	}
 }
 
@@ -453,10 +480,9 @@ func TestLabSolverWorkersOption(t *testing.T) {
 	if env.SolverWorkers != 2 {
 		t.Fatalf("envelope solver workers %d, want 2", env.SolverWorkers)
 	}
-	// Isolation: configuring this Lab never touched the process-wide
-	// default the old globals govern.
-	if got := congestlb.DefaultLab().SolverWorkers(); got == 2 || got == 3 {
-		t.Fatalf("default Lab observed an isolated Lab's worker setting: %d", got)
+	// Isolation: configuring this Lab never reaches another Lab.
+	if got := newTestLab(t).SolverWorkers(); got != 0 {
+		t.Fatalf("a fresh Lab observed another Lab's worker setting: %d", got)
 	}
 }
 
@@ -485,8 +511,7 @@ func TestLabBuildInstanceUsesLabCache(t *testing.T) {
 }
 
 // TestLabBuildCacheToggle pins WithBuildCache(false): constructions still
-// work, attribution records pure misses, and the per-Lab switch leaves the
-// shared build cache alone.
+// work and cache nothing, and the per-Lab switch turns the cache back on.
 func TestLabBuildCacheToggle(t *testing.T) {
 	fam, _ := buildTestInstance(t, 61)
 	lab := newTestLab(t, congestlb.WithBuildCache(false))
