@@ -8,7 +8,9 @@
 // headers, PASS/ok trailers) is ignored. Benchmarks are emitted sorted by
 // name, one object per benchmark with ns/op, B/op and allocs/op, plus a
 // metrics map holding every other reported unit (b.ReportMetric values such
-// as steps/op).
+// as steps/op). Repeated result lines of one benchmark (`go test -count N`)
+// fold into one object holding the median of every unit, the sample count
+// and the lowest and highest ns/op.
 //
 // It also consumes the experiment runner's JSON result envelope
 // (cmd/experiments -json):
@@ -52,7 +54,8 @@
 //
 //	benchjson -compare [-threshold 0.25] [-floor 1000000] old.json new.json
 //
-// prints per-benchmark ns/op and B/op deltas and exits non-zero if any
+// prints per-benchmark ns/op and B/op deltas (medians, for baselines
+// recorded with -count) and exits non-zero if any
 // benchmark regressed by more than the threshold (default 0.25 = +25%).
 // -floor exempts benchmarks whose old ns/op is below the given value from
 // the ns/op gate: at a 1-iteration smoke, microsecond-scale timings are
@@ -77,7 +80,10 @@ import (
 	"congestlb/internal/runner"
 )
 
-// Result is one benchmark measurement.
+// Result is one benchmark measurement. For a benchmark run more than once
+// (-count N), every unit holds the median over the samples, and Samples,
+// MinNsPerOp and MaxNsPerOp record how many there were and their ns/op
+// range; all three are absent for a single sample.
 type Result struct {
 	Name        string  `json:"name"`
 	Iterations  int64   `json:"iterations"`
@@ -86,7 +92,10 @@ type Result struct {
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 	// Metrics holds the remaining units by name ("steps/op": 2977). They
 	// are archived only: -compare gates on ns/op and B/op alone.
-	Metrics map[string]float64 `json:"metrics,omitempty"`
+	Metrics    map[string]float64 `json:"metrics,omitempty"`
+	Samples    int                `json:"samples,omitempty"`
+	MinNsPerOp float64            `json:"min_ns_per_op,omitempty"`
+	MaxNsPerOp float64            `json:"max_ns_per_op,omitempty"`
 }
 
 // parseLine parses one `go test -bench` result line, reporting ok=false
@@ -153,23 +162,72 @@ func parseLine(line string) (Result, bool) {
 
 // convert reads bench output from r and writes the JSON baseline to w.
 func convert(r io.Reader, w io.Writer) error {
-	var results []Result
+	samples := make(map[string][]Result)
 	scanner := bufio.NewScanner(r)
 	for scanner.Scan() {
 		if res, ok := parseLine(scanner.Text()); ok {
-			results = append(results, res)
+			samples[res.Name] = append(samples[res.Name], res)
 		}
 	}
 	if err := scanner.Err(); err != nil {
 		return err
 	}
-	if len(results) == 0 {
+	if len(samples) == 0 {
 		return fmt.Errorf("benchjson: no benchmark lines found in input")
+	}
+	results := make([]Result, 0, len(samples))
+	for _, runs := range samples {
+		results = append(results, fold(runs))
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].Name < results[j].Name })
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(results)
+}
+
+// fold merges the samples of one benchmark into one Result: the median of
+// every unit (the mean of the middle two for an even count), the sample
+// count and the ns/op range. One sample is returned as it is.
+func fold(runs []Result) Result {
+	if len(runs) == 1 {
+		return runs[0]
+	}
+	median := func(unit func(Result) float64) float64 {
+		vals := make([]float64, len(runs))
+		for i, r := range runs {
+			vals[i] = unit(r)
+		}
+		sort.Float64s(vals)
+		mid := len(vals) / 2
+		if len(vals)%2 == 1 {
+			return vals[mid]
+		}
+		return (vals[mid-1] + vals[mid]) / 2
+	}
+	out := Result{
+		Name:        runs[0].Name,
+		Iterations:  int64(median(func(r Result) float64 { return float64(r.Iterations) })),
+		NsPerOp:     median(func(r Result) float64 { return r.NsPerOp }),
+		BytesPerOp:  int64(median(func(r Result) float64 { return float64(r.BytesPerOp) })),
+		AllocsPerOp: int64(median(func(r Result) float64 { return float64(r.AllocsPerOp) })),
+		Samples:     len(runs),
+		MinNsPerOp:  runs[0].NsPerOp,
+		MaxNsPerOp:  runs[0].NsPerOp,
+	}
+	for _, r := range runs {
+		out.MinNsPerOp = min(out.MinNsPerOp, r.NsPerOp)
+		out.MaxNsPerOp = max(out.MaxNsPerOp, r.NsPerOp)
+		for unit := range r.Metrics {
+			if _, done := out.Metrics[unit]; done {
+				continue
+			}
+			if out.Metrics == nil {
+				out.Metrics = make(map[string]float64)
+			}
+			out.Metrics[unit] = median(func(r Result) float64 { return r.Metrics[unit] })
+		}
+	}
+	return out
 }
 
 // checkEnvelope validates an experiment result envelope: well-formed JSON

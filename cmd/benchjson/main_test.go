@@ -664,3 +664,41 @@ func TestOpenEnvelopeFileAndURL(t *testing.T) {
 		t.Fatalf("summary missing experiment:\n%s", buf.String())
 	}
 }
+
+// TestConvertFoldsRepeatedSamples: `go test -count N` prints one result
+// line per sample; convert keeps one Result per benchmark holding the
+// medians, the sample count and the ns/op range, and a benchmark run once
+// stays as it was, without the sample fields.
+func TestConvertFoldsRepeatedSamples(t *testing.T) {
+	const input = `goos: linux
+BenchmarkSimulateReduce/linear-t3-2     1  92404726 ns/op  5598058 B/op  4388 allocs/op
+BenchmarkSimulateReduce/quadratic-t2-2  1  66406235 ns/op  4364951 B/op  4485 allocs/op  12 steps/op
+BenchmarkSimulateReduce/linear-t3-2     1  86972273 ns/op  5437872 B/op  3922 allocs/op
+BenchmarkSimulateReduce/quadratic-t2-2  1  59295557 ns/op  4195617 B/op  3987 allocs/op  10 steps/op
+BenchmarkSimulateReduce/linear-t3-2     1  89000000 ns/op  5500000 B/op  4000 allocs/op
+BenchmarkSimulateReduce/quadratic-t2-2  1  61000000 ns/op  4200000 B/op  4100 allocs/op  11 steps/op
+BenchmarkFloodRing256-2                 3  1000 ns/op
+PASS
+`
+	var buf bytes.Buffer
+	if err := convert(strings.NewReader(input), &buf); err != nil {
+		t.Fatal(err)
+	}
+	var got []Result
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	want := []Result{
+		{Name: "BenchmarkFloodRing256", Iterations: 3, NsPerOp: 1000},
+		{Name: "BenchmarkSimulateReduce/linear-t3", Iterations: 1, NsPerOp: 89000000, BytesPerOp: 5500000, AllocsPerOp: 4000,
+			Samples: 3, MinNsPerOp: 86972273, MaxNsPerOp: 92404726},
+		{Name: "BenchmarkSimulateReduce/quadratic-t2", Iterations: 1, NsPerOp: 61000000, BytesPerOp: 4200000, AllocsPerOp: 4100,
+			Metrics: map[string]float64{"steps/op": 11}, Samples: 3, MinNsPerOp: 59295557, MaxNsPerOp: 66406235},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("folded results:\n got %+v\nwant %+v", got, want)
+	}
+	if strings.Contains(buf.String()[:strings.Index(buf.String(), "BenchmarkSimulateReduce")], "samples") {
+		t.Fatalf("a single sample carries sample fields:\n%s", buf.String())
+	}
+}

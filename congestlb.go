@@ -53,11 +53,10 @@
 //
 // # Performance
 //
-// The CONGEST simulator's round loop is (near-)zero-allocation: delivered
-// payloads live in a per-round byte arena, inboxes/outboxes are recycled,
-// duplicate-send checks use a stamped array, adjacency validation hits the
-// graph's bitset rows, and the parallel engine is a persistent worker pool
-// over contiguous node ranges (bit-identical to the sequential engine).
+// The CONGEST simulator's round loop is (near-)zero-allocation: it hands
+// each message straight to its receiver's Receive with the payload still
+// in the sender's buffer, outboxes are recycled, and an outbox that walks
+// the sender's sorted neighbour list is validated by that walk.
 // Reference algorithms encode messages into per-program scratch buffers,
 // and the gossip/collect baselines rebuild the learned graph label-free
 // via graphs.NewWithN/AddNodeID. Exact MaxIS solves are memoised in a

@@ -35,14 +35,56 @@ func (r AuditReport) String() string {
 }
 
 // AuditExhaustive measures the distance of every pair of distinct messages.
-// It is quadratic in NumMessages and intended for codes with at most a few
-// thousand messages; it returns an error above the safety threshold.
+// It is intended for codes with at most a few thousand messages and
+// returns an error above the safety threshold.
+//
+// A ReedSolomon code over its full message space is affine: codeword m is
+// the evaluation of a fixed polynomial plus the one whose coefficients are
+// m's base-q digits. So d(i, j) = d(0, j ⊖ i), with ⊖ digit-wise
+// subtraction mod q, and the report follows from the n−1 distances
+// d(0, k): their minimum, reached first in the scan at pair (0, k) for
+// the least such k. Every other code, and a truncated message set, is
+// audited pair by pair in quadratic time.
 func AuditExhaustive(c Code) (AuditReport, error) {
 	n := c.NumMessages()
 	const maxMessages = 1 << 13
 	if n > maxMessages {
 		return AuditReport{}, fmt.Errorf("code: refusing exhaustive audit of %d messages (max %d); use AuditSampled", n, maxMessages)
 	}
+	if rs, ok := c.(*ReedSolomon); ok && rs.fullSpace() {
+		return auditAffine(rs)
+	}
+	return auditPairwise(c)
+}
+
+// auditAffine is AuditExhaustive for a ReedSolomon code over its full
+// message space, in time linear in the number of messages.
+func auditAffine(rs *ReedSolomon) (AuditReport, error) {
+	n := rs.NumMessages()
+	report := AuditReport{PairsChecked: n * (n - 1) / 2, MinDistance: int(^uint(0) >> 1), Exhaustive: true}
+	zero, err := rs.Encode(0)
+	if err != nil {
+		return AuditReport{}, fmt.Errorf("code: audit encode 0: %w", err)
+	}
+	for k := 1; k < n; k++ {
+		w, err := rs.Encode(k)
+		if err != nil {
+			return AuditReport{}, fmt.Errorf("code: audit encode %d: %w", k, err)
+		}
+		if d := Distance(zero, w); d < report.MinDistance {
+			report.MinDistance = d
+			report.ArgMin = [2]int{0, k}
+		}
+	}
+	if report.PairsChecked == 0 {
+		report.MinDistance = 0
+	}
+	return report, nil
+}
+
+// auditPairwise is AuditExhaustive for any code: it measures every pair.
+func auditPairwise(c Code) (AuditReport, error) {
+	n := c.NumMessages()
 	words := make([][]int, n)
 	for m := 0; m < n; m++ {
 		w, err := c.Encode(m)

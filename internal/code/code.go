@@ -138,6 +138,19 @@ func (rs *ReedSolomon) Params() (l, m, d, q int) {
 // NumMessages implements Code.
 func (rs *ReedSolomon) NumMessages() int { return rs.numMessages }
 
+// fullSpace reports whether the code accepts every message of GF(q)^L, the
+// condition under which its codewords form an affine space.
+func (rs *ReedSolomon) fullSpace() bool {
+	q, size := int(rs.f.P()), 1
+	for i := 0; i < rs.l; i++ {
+		if size > rs.numMessages/q {
+			return false
+		}
+		size *= q
+	}
+	return size == rs.numMessages
+}
+
 // Encode implements Code. Message index m is decomposed into base-q digits
 // c_0..c_{L-1}; the codeword is p(x_h)+1 for h = 1..M where
 // p(x) = x^L + Σ_j c_j x^j.

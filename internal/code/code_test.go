@@ -335,3 +335,58 @@ func BenchmarkReedSolomonEncode(b *testing.B) {
 		_ = rs.MustEncode(i % rs.NumMessages())
 	}
 }
+
+// TestAuditAffineMatchesPairwise pins the linear-time Reed–Solomon audit
+// to the pairwise one, whole report for whole report: on the six presets
+// of the codes experiment and on every (L, M, q) with L ≤ 3 and prime
+// q ≤ 13. A truncated message set is not affine and must take the
+// pairwise path.
+func TestAuditAffineMatchesPairwise(t *testing.T) {
+	type params struct {
+		l, m int
+		q    uint64
+	}
+	cases := []params{{1, 3, 3}, {1, 5, 5}, {2, 4, 5}, {2, 8, 11}, {3, 9, 13}, {2, 16, 17}}
+	for _, q := range []uint64{2, 3, 5, 7, 11, 13} {
+		for l := 1; l <= 3; l++ {
+			for m := l; m <= int(q); m++ {
+				cases = append(cases, params{l, m, q})
+			}
+		}
+	}
+	for _, p := range cases {
+		rs, err := NewReedSolomon(p.l, p.m, p.q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rs.fullSpace() {
+			t.Fatalf("RS(L=%d,M=%d,q=%d) over its full space reads as truncated", p.l, p.m, p.q)
+		}
+		fast, err := AuditExhaustive(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle, err := auditPairwise(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fast != oracle {
+			t.Fatalf("RS(L=%d,M=%d,q=%d): affine audit %+v, pairwise %+v", p.l, p.m, p.q, fast, oracle)
+		}
+	}
+
+	truncated, err := NewReedSolomon(2, 4, 5, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if truncated.fullSpace() {
+		t.Fatal("7 of 25 messages read as the full space")
+	}
+	got, err := AuditExhaustive(truncated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := auditPairwise(truncated); got != want || got.PairsChecked != 21 {
+		t.Fatalf("truncated audit %+v, want %+v over 21 pairs", got, want)
+	}
+}

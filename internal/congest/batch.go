@@ -12,14 +12,13 @@ import (
 // The batch engine: RunBatch advances B instances in lockstep, one round
 // of every live instance per pass, and steps each through the same round
 // loop as Network.RunCtx (instance.step). Node state is laid out
-// structure-of-arrays — inboxes, outboxes and the duplicate-destination
+// structure-of-arrays — the outboxes, done flags and duplicate-destination
 // marks of all instances live in three flat slabs indexed off(i)+node,
 // with one stamp counter serving the entire batch. Instances that share a
 // *graphs.Graph (a sweep over one built instance, one graph family
 // repeated) share its neighbour lists, built once per distinct graph;
-// each instance keeps a private payload arena, Stats and error, so
-// per-instance Results are bit-identical to running the same Network
-// alone. Instances that fail — validation, MaxRounds, a hook error — drop
+// each instance keeps private Stats and error, so per-instance Results
+// are bit-identical to running the same Network alone. Instances that fail — validation, MaxRounds, a hook error — drop
 // out of the lockstep individually; the rest keep running.
 
 // BatchItem is one instance of a batched run. Config.Parallel and
@@ -104,17 +103,17 @@ func RunBatch(ctx context.Context, items []BatchItem) ([]Result, []error, BatchS
 
 	// The structure-of-arrays slabs: one allocation per state kind for
 	// the whole batch, sliced into per-instance windows.
-	inSlab := make([][]Message, total)
 	outSlab := make([][]Message, total)
+	doneSlab := make([]bool, total)
 	seenSlab := make([]int64, total)
 	off := 0
 	for i, inst := range insts {
 		if inst == nil {
 			continue
 		}
-		size := len(inst.programs)
-		inst.inboxes = inSlab[off : off+size : off+size]
+		size := len(inst.nodes)
 		inst.outboxes = outSlab[off : off+size : off+size]
+		inst.done = doneSlab[off : off+size : off+size]
 		inst.seen = seenSlab[off : off+size : off+size]
 		off += size
 		inst.initPrograms(items[i].Config.Seed)

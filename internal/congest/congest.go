@@ -15,12 +15,16 @@
 // from per-node seeded generators. Network.RunCtx steps one instance;
 // RunBatch steps many small instances in lockstep (see batch.go).
 //
-// The round loop is (near-)zero-allocation: delivered payloads live in a
-// per-round byte arena reused across rounds, inbox/outbox backing arrays
-// are recycled, and an outbox whose destinations walk the sender's sorted
-// neighbour list is validated by that walk alone. Any other outbox falls
-// back to a stamped duplicate array and the graph's bitset rows. See
-// docs/performance.md for the architecture and measurements.
+// Delivery is push: once a message is validated, tallied against the cut
+// and shown to the hook, the round loop hands it to its receiver's
+// PushProgram.Receive with the payload still in the sender's buffer, so no
+// message is queued in an inbox or copied. Programs that only implement
+// Round are driven through an inbox adapter that keeps Round's contract.
+// Outbox backing arrays are recycled, and an outbox whose destinations
+// walk the sender's sorted neighbour list is validated by that walk alone;
+// any other outbox falls back to a stamped duplicate array and the graph's
+// bitset rows. See docs/performance.md for the architecture and
+// measurements.
 package congest
 
 import (
@@ -30,7 +34,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync/atomic"
 
 	"congestlb/internal/graphs"
 )
@@ -41,10 +44,10 @@ type Message struct {
 	// From in the network graph.
 	From, To graphs.NodeID
 	// Data is the payload; its bit size is 8*len(Data) and must not
-	// exceed the per-edge bandwidth. Delivered payloads are only valid
-	// for the duration of the Round (or hook) call that receives them:
-	// the engine recycles the backing storage, so programs that keep a
-	// payload across rounds must copy it.
+	// exceed the per-edge bandwidth. A delivered payload is only valid
+	// for the duration of the Receive, Round or hook call that gets it,
+	// and must not be modified: programs that keep a payload across
+	// calls must copy it.
 	Data []byte
 }
 
@@ -95,17 +98,19 @@ func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
 
 // NodeProgram is the per-node state machine. Implementations must not
 // retain or mutate the inbox slice — or any message payload in it — across
-// calls: the engine reuses both between rounds.
+// calls: the engine reuses both between rounds. A program that also
+// implements PushProgram is driven through Receive and Send instead of
+// Round.
 type NodeProgram interface {
 	// Init is called once before the first round.
 	Init(info NodeInfo)
 	// Round consumes the messages delivered this round (sent by
 	// neighbours in the previous round; empty in round 1) and returns the
 	// messages to send. Returning a message to a non-neighbour or two
-	// messages to the same neighbour is an error. Returned payloads only
-	// need to stay valid until the program's next Round call: the engine
-	// copies them into its delivery arena, so programs may (and should)
-	// encode payloads into per-program scratch buffers.
+	// messages to the same neighbour is an error. Returned payloads must
+	// stay valid and unchanged until the program's next Round call: the
+	// engine hands them to their receivers in place, so programs may (and
+	// should) encode payloads into per-program scratch buffers.
 	Round(round int, inbox []Message) []Message
 	// Done reports whether the node has terminated. A terminated node
 	// stops sending; the run ends when every node is done.
@@ -114,22 +119,33 @@ type NodeProgram interface {
 	Output() any
 }
 
-// BufferedProgram is an optional NodeProgram extension for allocation-free
-// sending: the engine calls AppendRound with a reusable outbox slice (length
-// zero, capacity recycled across rounds) instead of Round, so steady-state
-// rounds need no outbox allocation at all. Round and AppendRound must be
-// behaviourally identical; Round is still used by engines unaware of the
-// extension.
-type BufferedProgram interface {
+// PushProgram is a NodeProgram the round loop drives by push delivery. In
+// round r the engine calls Send(r) on every node not yet done, reads the
+// node's Done() right after it, and then delivers the round's messages:
+// each validated message is tallied, shown to the hook and handed to its
+// receiver's Receive(r, m), unless the receiver reported done after its
+// Send. Round must behave as Receive(round-1, m) for every inbox message,
+// in order, followed by Send(round, nil).
+type PushProgram interface {
 	NodeProgram
-	// AppendRound is Round, but appends the outgoing messages to out
-	// (always non-nil with length 0) and returns it.
-	AppendRound(round int, inbox []Message, out []Message) []Message
+	// Receive consumes one message sent to the node in the given round,
+	// in sender-ID order among that round's messages. m.Data is the
+	// sender's buffer: it is valid only during the call and must be
+	// neither retained nor modified.
+	Receive(round int, m Message)
+	// Send appends the messages the node sends in the given round to out
+	// (length 0, capacity recycled across rounds) and returns it. Their
+	// payloads are read in place while the round is delivered, which may
+	// interleave with the node's own Receive calls, so they must stay
+	// unchanged until the node's next Send.
+	Send(round int, out []Message) []Message
 }
 
 // MessageHook observes every delivered message, after the engine has
-// validated it and tallied it against Config.Cut. The message payload is
-// only valid for the duration of the call; hooks that retain it must copy.
+// validated it and tallied it against Config.Cut and before its receiver
+// gets it. The payload is the sender's buffer: it is only valid for the
+// duration of the call and must not be modified; hooks that retain it must
+// copy.
 type MessageHook func(round int, msg Message) error
 
 // Config parameterises a simulation run.
@@ -208,36 +224,6 @@ var ErrMaxRounds = errors.New("congest: exceeded maximum rounds")
 // when the tally ran as a hook, and callers match on it.
 var errZeroBitCut = errors.New("congest: hook: cc: write of 0 bits")
 
-// byteArena is a bump allocator for message payloads: copy carves a stable
-// copy of p out of a backing block reused across rounds. Old blocks
-// orphaned by growth stay valid for the slices already issued (the garbage
-// collector reclaims them once those die), so growth never invalidates a
-// delivered payload; in steady state, once the block covers the peak round
-// volume, copy allocates nothing.
-type byteArena struct {
-	buf []byte
-	off int
-}
-
-func (a *byteArena) copy(p []byte) []byte {
-	if a.off+len(p) > len(a.buf) {
-		size := 2 * (a.off + len(p))
-		if size < 4096 {
-			size = 4096
-		}
-		a.buf = make([]byte, size)
-		a.off = 0
-	}
-	dst := a.buf[a.off : a.off+len(p) : a.off+len(p)]
-	copy(dst, p)
-	a.off += len(p)
-	return dst
-}
-
-// reset recycles the arena for the next round. Slices issued before the
-// reset must no longer be read.
-func (a *byteArena) reset() { a.off = 0 }
-
 // adjacency holds a graph's sorted neighbour lists in one slab:
 // nbrs[off[u]:off[u+1]] are u's neighbours in increasing order. The round
 // loop validates ordered sends against it (see deliver).
@@ -257,25 +243,27 @@ func newAdjacency(g *graphs.Graph) *adjacency {
 }
 
 // instance is the engine state of one run: the programs, the adjacency
-// their sends are checked against, the per-node inboxes and outboxes, the
-// payload arena and the running Stats. A Network holds one; RunBatch holds
-// one per item, with inboxes, outboxes and seen marks cut out of slabs
-// shared by the batch.
+// their sends are checked against, the per-node outboxes and done flags,
+// and the running Stats. A Network holds one; RunBatch holds one per item,
+// with outboxes, done flags and seen marks cut out of slabs shared by the
+// batch.
 type instance struct {
-	g        *graphs.Graph
-	adj      *adjacency
-	programs []NodeProgram
-	// buffered[u] is programs[u] if it implements BufferedProgram, else
-	// nil; resolved once so the round loop avoids per-call type asserts.
-	buffered  []BufferedProgram
+	g   *graphs.Graph
+	adj *adjacency
+	// nodes[u] drives node u: its program if that is a PushProgram, else
+	// an inboxAdapter over it; resolved once so the round loop makes no
+	// per-call type asserts.
+	nodes     []PushProgram
 	bw        int64
 	maxRounds int
 	cut       *graphs.Partition
 	hook      MessageHook
 
-	inboxes  [][]Message
 	outboxes [][]Message
-	arena    byteArena
+	// done[u] is node u's Done(), read after Init and after each of its
+	// Send calls; live counts the nodes not done.
+	done []bool
+	live int
 	// seen implements duplicate-destination detection without a
 	// per-node-per-round map: seen[v] == stamp means v already received a
 	// message from the outbox being validated. Stamps only ever grow.
@@ -314,16 +302,17 @@ func newInstance(g *graphs.Graph, programs []NodeProgram, cfg Config) (*instance
 	if maxRounds == 0 {
 		maxRounds = 4*size*size + 64
 	}
-	buffered := make([]BufferedProgram, size)
+	nodes := make([]PushProgram, size)
 	for u, p := range programs {
-		if bp, ok := p.(BufferedProgram); ok {
-			buffered[u] = bp
+		if pp, ok := p.(PushProgram); ok {
+			nodes[u] = pp
+		} else {
+			nodes[u] = &inboxAdapter{NodeProgram: p}
 		}
 	}
 	return &instance{
 		g:         g,
-		programs:  programs,
-		buffered:  buffered,
+		nodes:     nodes,
 		bw:        bw,
 		maxRounds: maxRounds,
 		cut:       cfg.Cut,
@@ -331,61 +320,59 @@ func newInstance(g *graphs.Graph, programs []NodeProgram, cfg Config) (*instance
 	}, nil
 }
 
-// initPrograms hands every program its NodeInfo. The neighbour lists the
-// programs get are copies, cut from one slab: the round loop validates
-// against s.adj, which no program may be able to modify.
+// initPrograms hands every program its NodeInfo and reads its Done(). The
+// neighbour lists the programs get are copies, cut from one slab: the
+// round loop validates against s.adj, which no program may be able to
+// modify.
 func (s *instance) initPrograms(seed int64) {
-	size := len(s.programs)
+	size := len(s.nodes)
 	nbrs := slices.Clone(s.adj.nbrs)
-	for u := 0; u < size; u++ {
+	s.live = 0
+	for u, p := range s.nodes {
 		lo, hi := s.adj.off[u], s.adj.off[u+1]
-		s.programs[u].Init(NodeInfo{
+		p.Init(NodeInfo{
 			ID:        u,
 			Weight:    s.g.Weight(u),
 			Neighbors: nbrs[lo:hi:hi],
 			N:         size,
 			Rand:      nodeRand(seed, u),
 		})
+		s.done[u] = p.Done()
+		if !s.done[u] {
+			s.live++
+		}
 	}
 }
 
 // step runs one round: the MaxRounds failsafe, the termination check, the
-// programs' Round calls, then deliver. finished reports that every program
-// was done at the round boundary; stats.Rounds is then set.
+// Send calls of the nodes not done, each followed by a read of the node's
+// Done(), then deliver. finished reports that every node was done at the
+// round boundary; stats.Rounds is then set.
 func (s *instance) step(round int, stamp *int64) (finished bool, err error) {
 	if round > s.maxRounds {
 		return false, fmt.Errorf("%w: %d", ErrMaxRounds, s.maxRounds)
 	}
-	allDone := true
-	for _, p := range s.programs {
-		if !p.Done() {
-			allDone = false
-			break
-		}
-	}
-	if allDone {
+	if s.live == 0 {
 		s.stats.Rounds = round - 1
 		return true, nil
 	}
-	for u, p := range s.programs {
-		if p.Done() {
+	for u, p := range s.nodes {
+		if s.done[u] {
 			s.outboxes[u] = s.outboxes[u][:0]
 			continue
 		}
-		if bp := s.buffered[u]; bp != nil {
-			s.outboxes[u] = bp.AppendRound(round, s.inboxes[u], s.outboxes[u][:0])
-		} else {
-			s.outboxes[u] = p.Round(round, s.inboxes[u])
+		s.outboxes[u] = p.Send(round, s.outboxes[u][:0])
+		if p.Done() {
+			s.done[u] = true
+			s.live--
 		}
 	}
 	return false, s.deliver(round, stamp)
 }
 
-// deliver validates, accounts for and delivers the round's sends. All
-// Round calls of the round have returned, so the payloads delivered last
-// round are dead: their arena is recycled for this round's copies.
-// Iterating senders in ID order leaves every inbox sorted by sender — the
-// deterministic delivery order — with no sort pass.
+// deliver validates, accounts for and delivers the round's sends.
+// Iterating senders in ID order hands every receiver its messages in
+// sender order — the deterministic delivery order — with no sort pass.
 //
 // An outbox is checked in two phases. While its destinations are strictly
 // increasing neighbours of the sender, each is found in the sender's
@@ -396,15 +383,13 @@ func (s *instance) step(round int, stamp *int64) (finished bool, err error) {
 // before it are stamped into seen, and validateMsg checks it and the rest
 // of the outbox, so every error is the one validateMsg gives.
 //
-// A validated send is tallied against the cut, copied into the arena,
-// shown to the hook and appended to its receiver's inbox, in that order.
-// The Stats are summed in locals and added once the round is delivered.
+// A validated send is tallied against the cut, shown to the hook and
+// handed to its receiver's Receive — unless the receiver reported done
+// after its Send this round — in that order, with its payload in the
+// sender's buffer. The Stats are summed in locals and added once the
+// round is delivered.
 func (s *instance) deliver(round int, stamp *int64) error {
-	s.arena.reset()
-	inboxes, arena, cut, hook, bw := s.inboxes, &s.arena, s.cut, s.hook, s.bw
-	for u := range inboxes {
-		inboxes[u] = inboxes[u][:0]
-	}
+	nodes, done, cut, hook, bw := s.nodes, s.done, s.cut, s.hook, s.bw
 	var messages, totalBits, maxBits, cutBits, cutMessages int64
 	for u, out := range s.outboxes {
 		if len(out) == 0 {
@@ -451,13 +436,14 @@ func (s *instance) deliver(round int, stamp *int64) error {
 			messages++
 			totalBits += bits
 			maxBits = max(maxBits, bits)
-			delivered := Message{From: u, To: msg.To, Data: arena.copy(msg.Data)}
 			if hook != nil {
-				if err := hook(round, delivered); err != nil {
+				if err := hook(round, *msg); err != nil {
 					return fmt.Errorf("congest: hook: %w", err)
 				}
 			}
-			inboxes[msg.To] = append(inboxes[msg.To], delivered)
+			if !done[msg.To] {
+				nodes[msg.To].Receive(round, *msg)
+			}
 		}
 	}
 	s.stats.Messages += messages
@@ -466,6 +452,35 @@ func (s *instance) deliver(round int, stamp *int64) error {
 	s.stats.CutBits += cutBits
 	s.stats.CutMessages += cutMessages
 	return nil
+}
+
+// inboxAdapter drives a NodeProgram that only implements Round through the
+// push interface: Receive queues each message with its payload copied into
+// the adapter's buffer, and Send hands the queue to Round as the inbox of
+// the node's next round. The buffer is reused once Round has returned;
+// growth leaves the payloads already queued in the old block.
+type inboxAdapter struct {
+	NodeProgram
+	inbox []Message
+	buf   []byte
+}
+
+func (a *inboxAdapter) Init(info NodeInfo) {
+	a.inbox, a.buf = a.inbox[:0], a.buf[:0]
+	a.NodeProgram.Init(info)
+}
+
+func (a *inboxAdapter) Receive(_ int, m Message) {
+	off := len(a.buf)
+	a.buf = append(a.buf, m.Data...)
+	m.Data = a.buf[off:len(a.buf):len(a.buf)]
+	a.inbox = append(a.inbox, m)
+}
+
+func (a *inboxAdapter) Send(round int, out []Message) []Message {
+	out = append(out, a.Round(round, a.inbox)...)
+	a.inbox, a.buf = a.inbox[:0], a.buf[:0]
+	return out
 }
 
 // validateMsg enforces the CONGEST sending rules for one outbox message of
@@ -491,9 +506,9 @@ func validateMsg(g *graphs.Graph, bw int64, u int, msg Message, round int, seen 
 }
 
 func (s *instance) collect() Result {
-	outputs := make([]any, len(s.programs))
-	for u := range outputs {
-		outputs[u] = s.programs[u].Output()
+	outputs := make([]any, len(s.nodes))
+	for u, p := range s.nodes {
+		outputs[u] = p.Output()
 	}
 	return Result{Stats: s.stats, Outputs: outputs}
 }
@@ -501,9 +516,9 @@ func (s *instance) collect() Result {
 // Network binds a graph to one NodeProgram per node.
 type Network struct {
 	// instance is retained across Run calls: repeated runs (benchmark
-	// iterations, replayed simulations) reuse the inbox/outbox backing
-	// arrays and the arena block at their previous high-water capacity
-	// instead of re-growing them by doubling.
+	// iterations, replayed simulations) reuse the outbox backing arrays
+	// and the inbox adapters' buffers at their previous capacity instead
+	// of re-growing them by doubling.
 	instance
 	cfg   Config
 	stamp int64
@@ -543,36 +558,17 @@ func (n *Network) RunCtx(ctx context.Context) (Result, error) {
 	ctxDone := ctx.Done()
 	size := n.g.N()
 	n.adj = newAdjacency(n.g)
-	n.initPrograms(n.cfg.Seed)
-	n.stats = Stats{}
-	if len(n.inboxes) != size {
-		n.inboxes = make([][]Message, size)
+	if len(n.outboxes) != size {
 		n.outboxes = make([][]Message, size)
+		n.done = make([]bool, size)
 		n.seen = make([]int64, size)
 	} else {
-		for u := 0; u < size; u++ {
-			n.inboxes[u] = n.inboxes[u][:0]
+		for u := range n.outboxes {
 			n.outboxes[u] = n.outboxes[u][:0]
 		}
 	}
-	// Fresh Networks seed their arena from the process-wide high-water
-	// mark, so the first rounds of a new run skip the grow-and-orphan
-	// doubling the previous runs already paid for. The seed is capped at
-	// this network's own per-round ceiling — 2m directed messages of at
-	// most B bits each — so a small network never inherits a huge run's
-	// block (with concurrent Networks that would multiply peak RSS for no
-	// benefit).
-	if n.arena.buf == nil {
-		hw := arenaHighWater.Load()
-		if ceil := int64(2*n.g.M()) * ((n.bw + 7) / 8); hw > ceil {
-			hw = ceil
-		}
-		if hw > 0 {
-			n.arena.buf = make([]byte, hw)
-		}
-	}
-	defer n.recordArenaHighWater()
-	n.arena.reset()
+	n.initPrograms(n.cfg.Seed)
+	n.stats = Stats{}
 
 	for round := 1; ; round++ {
 		if ctxDone != nil {
@@ -589,39 +585,6 @@ func (n *Network) RunCtx(ctx context.Context) (Result, error) {
 		if finished {
 			n.cfg.Metrics.recordRun(n.stats)
 			return n.collect(), nil
-		}
-	}
-}
-
-// arenaHighWater remembers the delivery-arena block size recent Runs in
-// this process settled on. New Networks pre-size their arena from it, so a
-// fresh Network serving a workload the process has seen before reaches its
-// steady state without any doubling steps.
-var arenaHighWater atomic.Int64
-
-// recordArenaHighWater folds this run's settled arena size into the
-// process-wide estimate. Growth takes effect immediately; shrinkage decays
-// — a run that settled below the stored estimate pulls it a quarter of the
-// way down. A one-off huge run (a big batch, a scaling sweep) therefore
-// stops inflating fresh Networks after a handful of small runs, instead of
-// pinning the estimate at its lifetime peak forever. Runs that delivered
-// nothing at all carry no sizing information and leave the estimate alone.
-func (n *Network) recordArenaHighWater() {
-	size := int64(len(n.arena.buf))
-	if size == 0 {
-		return
-	}
-	for {
-		cur := arenaHighWater.Load()
-		target := size
-		if size < cur {
-			// size + 3/4 of the gap: floors to size itself once the gap
-			// closes, so the estimate converges exactly instead of
-			// stalling a few bytes high on integer division.
-			target = size + (cur-size)*3/4
-		}
-		if target == cur || arenaHighWater.CompareAndSwap(cur, target) {
-			return
 		}
 	}
 }

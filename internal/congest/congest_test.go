@@ -418,7 +418,7 @@ func star(t *testing.T, n int) *graphs.Graph {
 }
 
 // TestRunStateRetainedAcrossRuns re-runs one Network and requires identical
-// results — the retained inbox/outbox/arena state must be invisible.
+// results — the retained outboxes and inbox adapters must be invisible.
 func TestRunStateRetainedAcrossRuns(t *testing.T) {
 	g := ring(t, 48)
 	net, err := NewNetwork(g, floodPrograms(48), Config{Seed: 7})
@@ -697,61 +697,5 @@ func TestPipelineRunStateRetainedAcrossRuns(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("re-run diverged:\nfirst  %+v\nsecond %+v", first, second)
-	}
-}
-
-// TestArenaHighWaterDecays is the retention fix: after a big run inflates
-// the process-wide arena estimate, a stream of small runs must pull it
-// back down to the small instance's envelope instead of every fresh small
-// Network inheriting (ceiling-capped) blocks sized for the big run
-// forever.
-func TestArenaHighWaterDecays(t *testing.T) {
-	// Inflate: a dense flood on a moderately large ring settles on a
-	// multi-kilobyte arena block.
-	big := ring(t, 256)
-	bigNet, err := NewNetwork(big, floodPrograms(256), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bigNet.Run(); err != nil {
-		t.Fatal(err)
-	}
-	inflated := arenaHighWater.Load()
-
-	// The small instance's own per-round ceiling: 2m directed messages of
-	// at most B bytes.
-	smallG := ring(t, 8)
-	bw := DefaultBandwidth(8)
-	ceil := int64(2*smallG.M()) * ((bw + 7) / 8)
-	if inflated <= ceil {
-		t.Skipf("big run settled at %d bytes, below the small ceiling %d — nothing to decay", inflated, ceil)
-	}
-
-	// Steady state: each fresh small Network seeds at most ceil bytes and
-	// records its settled size back, decaying the estimate geometrically.
-	for i := 0; i < 64; i++ {
-		net, err := NewNetwork(smallG, floodPrograms(8), Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := net.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	settled := arenaHighWater.Load()
-	if settled > ceil {
-		t.Fatalf("arena high-water stuck at %d bytes after small runs; want <= small ceiling %d (was %d)",
-			settled, ceil, inflated)
-	}
-	// And a fresh small Network now seeds within its own envelope.
-	net, err := NewNetwork(smallG, floodPrograms(8), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := int64(len(net.arena.buf)); got > ceil {
-		t.Fatalf("fresh small Network arena %d bytes exceeds its ceiling %d", got, ceil)
 	}
 }

@@ -43,10 +43,7 @@ func (s *scripted) Init(info NodeInfo) {
 }
 
 func (s *scripted) Round(round int, inbox []Message) []Message {
-	return s.AppendRound(round, inbox, nil)
-}
-
-func (s *scripted) AppendRound(round int, inbox []Message, out []Message) []Message {
+	var out []Message
 	for _, m := range inbox {
 		s.digest = s.digest*1099511628211 ^ uint64(round)<<32 ^ uint64(m.From)<<16 ^ uint64(m.To)
 		for _, b := range m.Data {
@@ -437,5 +434,78 @@ func TestCutTally(t *testing.T) {
 	}
 	if _, err := NewNetwork(g, floodPrograms(6), Config{Cut: graphs.MustNewPartition(5, 2)}); err == nil {
 		t.Fatal("a cut over 5 nodes accepted for 6")
+	}
+}
+
+// counter is a PushProgram that broadcasts its ID until its Send in round
+// stop, then reports done; its output is the number of messages Receive
+// got. Nodes stop at different rounds, so neighbours keep sending to a
+// node that is done.
+type counter struct {
+	info     NodeInfo
+	stop     int
+	received int
+	done     bool
+}
+
+func (c *counter) Init(info NodeInfo) {
+	*c = counter{info: info, stop: 1 + info.ID%3}
+}
+
+func (c *counter) Receive(int, Message) { c.received++ }
+
+func (c *counter) Send(round int, out []Message) []Message {
+	for _, v := range c.info.Neighbors {
+		out = append(out, Message{From: c.info.ID, To: v, Data: []byte{byte(c.info.ID)}})
+	}
+	c.done = round >= c.stop
+	return out
+}
+
+func (c *counter) Round(round int, inbox []Message) []Message {
+	for _, m := range inbox {
+		c.Receive(round-1, m)
+	}
+	return c.Send(round, nil)
+}
+
+func (c *counter) Done() bool  { return c.done }
+func (c *counter) Output() any { return c.received }
+
+// TestReceiveSkipsNodesDone: a node that reported done after its Send gets
+// no Receive calls for that round's messages — the inbox loop never
+// consumed them either — while the messages still count in the Stats and
+// reach the hook. Push delivery through RunCtx and RunBatch must give the
+// reference inbox loop's outputs, Stats and transcript.
+func TestReceiveSkipsNodesDone(t *testing.T) {
+	programs := func(n int) []NodeProgram {
+		out := make([]NodeProgram, n)
+		for i := range out {
+			out[i] = &counter{}
+		}
+		return out
+	}
+	g := ring(t, 7)
+	var refTx []hookRec
+	want, err := referenceRun(g, programs(7), Config{Hook: recorder(&refTx)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tx []hookRec
+	net, err := NewNetwork(g, programs(7), Config{Hook: recorder(&tx)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := net.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(tx, refTx) {
+		t.Fatalf("RunCtx: %+v (%d hooked), reference %+v (%d hooked)", got, len(tx), want, len(refTx))
+	}
+	var batchTx []hookRec
+	results, errs, _ := RunBatch(context.Background(), []BatchItem{{Graph: g, Programs: programs(7), Config: Config{Hook: recorder(&batchTx)}}})
+	if errs[0] != nil || !reflect.DeepEqual(results[0], want) || !reflect.DeepEqual(batchTx, refTx) {
+		t.Fatalf("RunBatch: %+v %v, reference %+v", results[0], errs[0], want)
 	}
 }

@@ -20,8 +20,9 @@ type RoundStat struct {
 // the goroutine running the round loop, in global sender-ID order within
 // a round, rounds ascending — so Tracer needs no locking. RunBatch calls
 // each item's hook from its single lockstep loop. A hook must not mutate
-// engine or program state, and the Message passed to it (its Data slice
-// is arena-backed) is valid only for the duration of the call. One Tracer
+// engine or program state, and the Message passed to it is valid only for
+// the duration of the call: its Data is the sender's buffer, which the
+// hook must neither retain nor modify. One Tracer
 // must not be shared across concurrently running instances; per-item
 // Tracers under RunBatch are fine.
 type Tracer struct {

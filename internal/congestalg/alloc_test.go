@@ -62,10 +62,10 @@ func allocTestGraph(tb testing.TB, n int, chords float64, seed int64) *graphs.Gr
 }
 
 // TestRunAllocationBudget pins the allocation count of a mid-size
-// Network.Run: the round loop is arena- and buffer-recycled, so the only
-// allocations left are the O(n) per-run setup (program Init state, per-node
-// randomness, inbox/outbox tables) — nothing proportional to rounds ×
-// messages. The budget is deliberately generous headroom over the measured
+// Network.Run: the round loop copies no payload and recycles its outboxes,
+// so the only allocations left are the O(n) per-run setup (program Init
+// state, per-node randomness, outbox and done tables) — nothing
+// proportional to rounds × messages. The budget is deliberately generous headroom over the measured
 // value (~1k) while still catching any per-message regression, which
 // costs tens of thousands of allocations at this size.
 func TestRunAllocationBudget(t *testing.T) {

@@ -36,7 +36,7 @@ type LeaderBFS struct {
 	sendBuf []byte
 }
 
-var _ congest.BufferedProgram = (*LeaderBFS)(nil)
+var _ congest.PushProgram = (*LeaderBFS)(nil)
 
 // NewLeaderBFSPrograms returns one LeaderBFS program per node.
 func NewLeaderBFSPrograms(n int) []congest.NodeProgram {
@@ -59,22 +59,28 @@ func (b *LeaderBFS) Init(info congest.NodeInfo) {
 
 // Round implements congest.NodeProgram.
 func (b *LeaderBFS) Round(round int, inbox []congest.Message) []congest.Message {
-	return b.AppendRound(round, inbox, nil)
+	for _, m := range inbox {
+		b.Receive(round-1, m)
+	}
+	return b.Send(round, nil)
 }
 
-// AppendRound implements congest.BufferedProgram.
-func (b *LeaderBFS) AppendRound(round int, inbox []congest.Message, out []congest.Message) []congest.Message {
-	for _, m := range inbox {
-		leader, dist, err := decodeBFS(m.Data)
-		if err != nil {
-			continue // tolerate garbage; flooding is self-correcting
-		}
-		if leader < b.leader || (leader == b.leader && dist+1 < b.dist) {
-			b.leader = leader
-			b.dist = dist + 1
-			b.parent = m.From
-		}
+// Receive implements congest.PushProgram: a better (leader, distance)
+// offer is adopted with its sender as parent.
+func (b *LeaderBFS) Receive(_ int, m congest.Message) {
+	leader, dist, err := decodeBFS(m.Data)
+	if err != nil {
+		return // tolerate garbage; flooding is self-correcting
 	}
+	if leader < b.leader || (leader == b.leader && dist+1 < b.dist) {
+		b.leader = leader
+		b.dist = dist + 1
+		b.parent = m.From
+	}
+}
+
+// Send implements congest.PushProgram.
+func (b *LeaderBFS) Send(round int, out []congest.Message) []congest.Message {
 	if round > b.info.N {
 		b.done = true
 		return out

@@ -30,7 +30,10 @@ import (
 // its own subgraph; the union of the per-component optima is the global
 // optimum, so outputs remain exact.
 //
-// Output: bool — membership in the computed optimum independent set.
+// Output: bool — membership in the computed optimum independent set — or
+// an error value if the root's solve failed, a tree-phase message was
+// malformed, or the node's own record does not fit the wire format (see
+// nodeRecord.fits).
 type CollectSolve struct {
 	info congest.NodeInfo
 
@@ -41,8 +44,8 @@ type CollectSolve struct {
 	children  []graphs.NodeID
 	childDone map[graphs.NodeID]bool
 
-	// Upcast state. Queued payloads are arena-retained: the engine
-	// recycles inbox storage between rounds.
+	// Upcast state. Queued payloads are arena-retained: Receive only
+	// lends them.
 	arena     recArena
 	upQueue   [][]byte
 	ownQueued bool
@@ -59,6 +62,11 @@ type CollectSolve struct {
 	failed    error
 	done      bool
 
+	// ownErr reports that the node's own record does not fit the wire
+	// format; the node still takes part, so the run terminates, and
+	// outputs the error.
+	ownErr error
+
 	// sendBuf is the scratch buffer for broadcast payloads (BFS floods
 	// and the parent announcement), reused across rounds.
 	sendBuf []byte
@@ -67,7 +75,7 @@ type CollectSolve struct {
 	sess *cache.Session
 }
 
-var _ congest.BufferedProgram = (*CollectSolve)(nil)
+var _ congest.PushProgram = (*CollectSolve)(nil)
 
 // NewCollectSolvePrograms returns one CollectSolve program per node. Only
 // the root solves, once, so its solve runs directly.
@@ -95,8 +103,8 @@ const (
 	collectEnd
 )
 
-// Static single-byte payloads; outgoing payloads are copied by the engine
-// at delivery, so sharing them across nodes and rounds is safe.
+// Static single-byte payloads; receivers never modify a payload, so
+// sharing them across nodes and rounds is safe.
 var (
 	collectDoneMsg = []byte{collectDone}
 	collectEndMsg  = []byte{collectEnd}
@@ -122,56 +130,64 @@ func (cs *CollectSolve) Init(info congest.NodeInfo) {
 	cs.endSeen = false
 	cs.failed = nil
 	cs.done = false
+	cs.ownErr = nodeRecord{id: info.ID, weight: info.Weight, degree: len(info.Neighbors)}.fits()
 	cs.sendBuf = make([]byte, 0, nodeRecordLen)
 }
 
 // Round implements congest.NodeProgram.
 func (cs *CollectSolve) Round(round int, inbox []congest.Message) []congest.Message {
-	return cs.AppendRound(round, inbox, nil)
+	for _, m := range inbox {
+		cs.Receive(round-1, m)
+	}
+	return cs.Send(round, nil)
 }
 
-// AppendRound implements congest.BufferedProgram.
-func (cs *CollectSolve) AppendRound(round int, inbox []congest.Message, out []congest.Message) []congest.Message {
+// Receive implements congest.PushProgram. The BFS flood runs in rounds
+// 1..n; its round-n messages arrive with the BFS settled and are dropped,
+// and the parent announcements of round n+1 start the tree phase.
+func (cs *CollectSolve) Receive(round int, m congest.Message) {
+	switch n := cs.info.N; {
+	case round < n:
+		cs.bfsReceive(m)
+	case round > n:
+		cs.consume(m)
+	}
+}
+
+// Send implements congest.PushProgram.
+func (cs *CollectSolve) Send(round int, out []congest.Message) []congest.Message {
 	n := cs.info.N
 	switch {
 	case round <= n:
-		return cs.bfsRound(inbox, out)
+		cs.sendBuf = appendBFS(cs.sendBuf[:0], cs.leader, cs.dist)
 	case round == n+1:
 		// BFS has stabilised; announce the parent to all neighbours.
 		cs.sendBuf = appendParent(cs.sendBuf[:0], cs.parent)
-		for _, v := range cs.info.Neighbors {
-			out = append(out, congest.Message{From: cs.info.ID, To: v, Data: cs.sendBuf})
-		}
-		return out
 	default:
-		return cs.treeRound(inbox, out)
+		return cs.treeSend(out)
 	}
-}
-
-func (cs *CollectSolve) bfsRound(inbox []congest.Message, out []congest.Message) []congest.Message {
-	for _, m := range inbox {
-		leader, dist, err := decodeBFS(m.Data)
-		if err != nil {
-			continue
-		}
-		if leader < cs.leader || (leader == cs.leader && dist+1 < cs.dist) {
-			cs.leader = leader
-			cs.dist = dist + 1
-			cs.parent = m.From
-		}
-	}
-	cs.sendBuf = appendBFS(cs.sendBuf[:0], cs.leader, cs.dist)
 	for _, v := range cs.info.Neighbors {
 		out = append(out, congest.Message{From: cs.info.ID, To: v, Data: cs.sendBuf})
 	}
 	return out
 }
 
-// treeRound drives the upcast and downcast phases.
-func (cs *CollectSolve) treeRound(inbox []congest.Message, out []congest.Message) []congest.Message {
-	for _, m := range inbox {
-		cs.consume(m)
+// bfsReceive adopts a better (leader, distance) offer and its sender as
+// parent.
+func (cs *CollectSolve) bfsReceive(m congest.Message) {
+	leader, dist, err := decodeBFS(m.Data)
+	if err != nil {
+		return
 	}
+	if leader < cs.leader || (leader == cs.leader && dist+1 < cs.dist) {
+		cs.leader = leader
+		cs.dist = dist + 1
+		cs.parent = m.From
+	}
+}
+
+// treeSend drives the upcast and downcast phases.
+func (cs *CollectSolve) treeSend(out []congest.Message) []congest.Message {
 	if cs.failed != nil {
 		cs.done = true
 		return out
@@ -211,11 +227,12 @@ func (cs *CollectSolve) treeRound(inbox []congest.Message, out []congest.Message
 	return out
 }
 
-// consume dispatches one received message by tag. Payloads that must
-// survive past this round (relayed records and downcast items) are copied
-// into the program arena.
+// consume dispatches one tree-phase message by tag. Payloads that must
+// survive past this call (relayed records and downcast items) are copied
+// into the program arena. A malformed message fails the node.
 func (cs *CollectSolve) consume(m congest.Message) {
-	if len(m.Data) == 0 {
+	if err := checkTreeMessage(m.Data); err != nil {
+		cs.fail(fmt.Errorf("congestalg: collect at %d: %w", cs.info.ID, err))
 		return
 	}
 	switch m.Data[0] {
@@ -247,6 +264,38 @@ func (cs *CollectSolve) consume(m congest.Message) {
 	}
 }
 
+// checkTreeMessage reports a tree-phase message that is not one of the
+// tags above at its wire length; node and edge records are decoded, so a
+// malformed one fails the node that receives it, not the root.
+func checkTreeMessage(data []byte) error {
+	if len(data) == 0 {
+		return fmt.Errorf("congestalg: empty record")
+	}
+	switch data[0] {
+	case wireNode, wireEdge:
+		_, _, _, err := decodeRecord(data)
+		return err
+	case collectParent, collectMember:
+		if len(data) == 3 {
+			return nil
+		}
+	case collectDone, collectEnd:
+		if len(data) == 1 {
+			return nil
+		}
+	default:
+		return fmt.Errorf("congestalg: unknown record type %d", data[0])
+	}
+	return fmt.Errorf("congestalg: malformed message % x", data)
+}
+
+// fail records the node's first error, which becomes its output.
+func (cs *CollectSolve) fail(err error) {
+	if cs.failed == nil {
+		cs.failed = err
+	}
+}
+
 // queueOwnRecords seeds the upcast (or root store) with this node's own
 // record and its owned edges (those toward higher IDs).
 func (cs *CollectSolve) queueOwnRecords() {
@@ -273,7 +322,7 @@ func (cs *CollectSolve) queueOwnRecords() {
 func (cs *CollectSolve) storeRecord(data []byte) {
 	nr, er, kind, err := decodeRecord(data)
 	if err != nil {
-		cs.failed = err
+		cs.fail(err)
 		return
 	}
 	switch kind {
@@ -347,6 +396,9 @@ func (cs *CollectSolve) Done() bool { return cs.done }
 func (cs *CollectSolve) Output() any {
 	if cs.failed != nil {
 		return cs.failed
+	}
+	if cs.ownErr != nil {
+		return cs.ownErr
 	}
 	return cs.member
 }

@@ -283,3 +283,25 @@ func BenchmarkGossipExact90(b *testing.B) {
 		run()
 	}
 }
+
+// TestNodeRecordFits: a node record names the first field its wire
+// format cannot carry — the ID and the degree get 16 bits, the weight 32
+// unsigned — with its value; records at the limits fit.
+func TestNodeRecordFits(t *testing.T) {
+	for _, tc := range []struct {
+		r    nodeRecord
+		want string
+	}{
+		{nodeRecord{id: 65535, weight: 1<<32 - 1, degree: 65535}, ""},
+		{nodeRecord{id: 0, weight: 0, degree: 0}, ""},
+		{nodeRecord{id: 65536, weight: 1, degree: 1}, "congestalg: node ID 65536 does not fit the 16-bit wire field"},
+		{nodeRecord{id: 3, weight: 1 << 32, degree: 1}, "congestalg: weight 4294967296 of node 3 does not fit the 32-bit wire field"},
+		{nodeRecord{id: 3, weight: -1, degree: 1}, "congestalg: weight -1 of node 3 does not fit the 32-bit wire field"},
+		{nodeRecord{id: 3, weight: 1, degree: 65536}, "congestalg: degree 65536 of node 3 does not fit the 16-bit wire field"},
+	} {
+		err := tc.r.fits()
+		if got := fmt.Sprint(err); (tc.want == "" && err != nil) || (tc.want != "" && got != tc.want) {
+			t.Fatalf("%+v: fits() = %v, want %q", tc.r, err, tc.want)
+		}
+	}
+}

@@ -36,7 +36,9 @@ import (
 // is forwarded to.
 //
 // Output: []graphs.NodeID — the (identical) optimum independent set
-// computed at every node, or an error value if the local solve failed.
+// computed at every node, or an error value if the local solve failed, a
+// received record was malformed, or the node's own record does not fit
+// the wire format (see nodeRecord.fits).
 type GossipExact struct {
 	info congest.NodeInfo
 
@@ -47,9 +49,10 @@ type GossipExact struct {
 	knownCount int
 	degSum     int
 
-	// buf retains record payloads beyond the engine's per-round delivery
-	// window (append-only; records are addressed by offset, so growth
-	// never invalidates a logged entry). log holds one pointer-free
+	// buf keeps the record payloads, which are only lent to Receive
+	// (append-only; records are addressed by offset, so growth never
+	// invalidates a logged entry, and the records sent out of it stay
+	// unchanged while they are delivered). log holds one pointer-free
 	// (offset<<24 | source<<8 | length) entry per kept record, source
 	// being the index of the neighbour it came from (0xFFFF for the
 	// node's own records); cursor[i] is the first entry neither sent to
@@ -66,7 +69,7 @@ type GossipExact struct {
 	sess *cache.Session
 }
 
-var _ congest.BufferedProgram = (*GossipExact)(nil)
+var _ congest.PushProgram = (*GossipExact)(nil)
 
 // NewGossipExactPrograms returns one GossipExact program per node. The n
 // programs share one session over a fresh solve cache, so the run
@@ -106,6 +109,11 @@ func (g *GossipExact) Init(info congest.NodeInfo) {
 	g.errVal = nil
 
 	self := nodeRecord{id: info.ID, weight: info.Weight, degree: len(info.Neighbors)}
+	if err := self.fits(); err != nil {
+		// The node still gossips, so the run terminates; its output is
+		// the error.
+		g.errVal = fmt.Errorf("gossip at node %d: %w", info.ID, err)
+	}
 	g.storeNode(self)
 	g.keep(encodeNodeRecord(self), -1)
 	for _, v := range info.Neighbors {
@@ -154,38 +162,45 @@ func (g *GossipExact) storeNode(r nodeRecord) {
 
 // Round implements congest.NodeProgram.
 func (g *GossipExact) Round(round int, inbox []congest.Message) []congest.Message {
-	return g.AppendRound(round, inbox, nil)
+	for _, m := range inbox {
+		g.Receive(round-1, m)
+	}
+	return g.Send(round, nil)
 }
 
-// AppendRound implements congest.BufferedProgram.
-func (g *GossipExact) AppendRound(round int, inbox []congest.Message, out []congest.Message) []congest.Message {
-	for _, m := range inbox {
-		nr, er, kind, err := decodeRecord(m.Data)
-		if err != nil {
-			g.fail(fmt.Errorf("gossip at node %d: %w", g.info.ID, err))
-			return out
+// Receive implements congest.PushProgram: a record that is new to the node
+// lands in the rebuilt graph and is logged for forwarding.
+func (g *GossipExact) Receive(_ int, m congest.Message) {
+	nr, er, kind, err := decodeRecord(m.Data)
+	if err != nil {
+		g.fail(fmt.Errorf("gossip at node %d: %w", g.info.ID, err))
+		return
+	}
+	switch kind {
+	case wireNode:
+		if nr.id >= g.info.N {
+			g.fail(fmt.Errorf("gossip at node %d: node record %d out of range", g.info.ID, nr.id))
+			return
 		}
-		switch kind {
-		case wireNode:
-			if nr.id < 0 || nr.id >= g.info.N {
-				g.fail(fmt.Errorf("gossip at node %d: node record %d out of range", g.info.ID, nr.id))
-				return out
+		if !g.known[nr.id] {
+			g.storeNode(nr)
+			g.keep(m.Data, neighborIndex(g.info.Neighbors, m.From))
+		}
+	case wireEdge:
+		if !g.rebuilt.HasEdge(er.u, er.v) {
+			if err := g.rebuilt.AddEdge(er.u, er.v); err != nil {
+				g.fail(fmt.Errorf("gossip at node %d: rebuild edge: %w", g.info.ID, err))
+				return
 			}
-			if !g.known[nr.id] {
-				g.storeNode(nr)
-				g.keep(m.Data, neighborIndex(g.info.Neighbors, m.From))
-			}
-		case wireEdge:
-			if !g.rebuilt.HasEdge(er.u, er.v) {
-				if err := g.rebuilt.AddEdge(er.u, er.v); err != nil {
-					g.fail(fmt.Errorf("gossip at node %d: rebuild edge: %w", g.info.ID, err))
-					return out
-				}
-				g.keep(m.Data, neighborIndex(g.info.Neighbors, m.From))
-			}
+			g.keep(m.Data, neighborIndex(g.info.Neighbors, m.From))
 		}
 	}
+}
 
+// Send implements congest.PushProgram: every neighbour gets the next
+// logged record that did not come from it, and a node that has learnt the
+// whole graph solves it.
+func (g *GossipExact) Send(_ int, out []congest.Message) []congest.Message {
 	for i, v := range g.info.Neighbors {
 		c := g.next(i)
 		if c < len(g.log) {
@@ -194,7 +209,6 @@ func (g *GossipExact) AppendRound(round int, inbox []congest.Message, out []cong
 		}
 		g.cursor[i] = c
 	}
-
 	if !g.solved && g.complete() {
 		g.solve()
 	}
@@ -213,6 +227,9 @@ func (g *GossipExact) complete() bool {
 // branch-and-bound and the other n-1 hit the cached solution.
 func (g *GossipExact) solve() {
 	g.solved = true
+	if g.errVal != nil {
+		return
+	}
 	sol, err := g.sess.Exact(g.rebuilt, mis.Options{})
 	if err != nil {
 		g.fail(fmt.Errorf("gossip at node %d: local solve: %w", g.info.ID, err))
@@ -223,9 +240,12 @@ func (g *GossipExact) solve() {
 	g.result = set
 }
 
+// fail ends the node's part in the solve; the first error is its output.
 func (g *GossipExact) fail(err error) {
 	g.solved = true
-	g.errVal = err
+	if g.errVal == nil {
+		g.errVal = err
+	}
 }
 
 // Done implements congest.NodeProgram: finished once solved and with
@@ -251,28 +271,29 @@ func (g *GossipExact) Output() any {
 }
 
 // ExactSetFromOutputs extracts the common solution from a GossipExact run,
-// verifying that every node agrees.
+// verifying that every node agrees. A node that output an error fails the
+// extraction with the first such error (OutputError).
 func ExactSetFromOutputs(result congest.Result) ([]graphs.NodeID, error) {
+	if err := OutputError(result); err != nil {
+		return nil, err
+	}
 	var ref []graphs.NodeID
 	for u, out := range result.Outputs {
-		switch val := out.(type) {
-		case error:
-			return nil, fmt.Errorf("congestalg: node %d failed: %w", u, val)
-		case []graphs.NodeID:
-			if ref == nil {
-				ref = val
-				continue
-			}
-			if len(val) != len(ref) {
-				return nil, fmt.Errorf("congestalg: node %d disagrees on solution size", u)
-			}
-			for i := range val {
-				if val[i] != ref[i] {
-					return nil, fmt.Errorf("congestalg: node %d disagrees on solution", u)
-				}
-			}
-		default:
+		val, ok := out.([]graphs.NodeID)
+		if !ok {
 			return nil, fmt.Errorf("congestalg: node %d produced unexpected output %T", u, out)
+		}
+		if ref == nil {
+			ref = val
+			continue
+		}
+		if len(val) != len(ref) {
+			return nil, fmt.Errorf("congestalg: node %d disagrees on solution size", u)
+		}
+		for i := range val {
+			if val[i] != ref[i] {
+				return nil, fmt.Errorf("congestalg: node %d disagrees on solution", u)
+			}
 		}
 	}
 	if ref == nil {

@@ -1,6 +1,7 @@
 package congestalg
 
 import (
+	"fmt"
 	"sort"
 
 	"congestlb/internal/congest"
@@ -38,12 +39,12 @@ type Luby struct {
 	neighborState []byte
 	neighborValue []uint32
 	// sendBuf is the scratch buffer the broadcast payload is encoded
-	// into; the engine copies payloads at delivery, so reusing it across
-	// rounds is safe and allocation-free.
+	// into, reused across rounds: only Send writes it, so it stays
+	// unchanged while its round is delivered.
 	sendBuf []byte
 }
 
-var _ congest.BufferedProgram = (*Luby)(nil)
+var _ congest.PushProgram = (*Luby)(nil)
 
 // NewLubyPrograms returns one Luby program per node of an n-node network.
 func NewLubyPrograms(n int) []congest.NodeProgram {
@@ -72,25 +73,30 @@ func (l *Luby) Init(info congest.NodeInfo) {
 
 // Round implements congest.NodeProgram.
 func (l *Luby) Round(round int, inbox []congest.Message) []congest.Message {
-	return l.AppendRound(round, inbox, nil)
+	for _, m := range inbox {
+		l.Receive(round-1, m)
+	}
+	return l.Send(round, nil)
 }
 
-// AppendRound implements congest.BufferedProgram.
-func (l *Luby) AppendRound(round int, inbox []congest.Message, out []congest.Message) []congest.Message {
-	for _, m := range inbox {
-		state, value, err := decodeStatus(m.Data)
-		if err != nil {
-			// A malformed message indicates a simulator bug; halting the
-			// node surfaces it as missing progress in tests.
-			l.state = stateOut
-			continue
-		}
-		if i := neighborIndex(l.info.Neighbors, m.From); i >= 0 {
-			l.neighborState[i] = state
-			l.neighborValue[i] = value
-		}
+// Receive implements congest.PushProgram: it records the sender's latest
+// broadcast.
+func (l *Luby) Receive(_ int, m congest.Message) {
+	state, value, err := decodeStatus(m.Data)
+	if err != nil {
+		// A malformed message indicates a simulator bug; halting the
+		// node surfaces it as missing progress in tests.
+		l.state = stateOut
+		return
 	}
+	if i := neighborIndex(l.info.Neighbors, m.From); i >= 0 {
+		l.neighborState[i] = state
+		l.neighborValue[i] = value
+	}
+}
 
+// Send implements congest.PushProgram.
+func (l *Luby) Send(round int, out []congest.Message) []congest.Message {
 	if round%2 == 1 { // draw round
 		// React to joins announced in the previous decide round.
 		if l.state == stateUndecided {
@@ -109,7 +115,11 @@ func (l *Luby) AppendRound(round int, inbox []congest.Message, out []congest.Mes
 			l.state = stateIn
 		}
 	}
-	return l.appendBroadcast(out)
+	l.sendBuf = appendStatus(l.sendBuf[:0], l.state, l.value)
+	for _, v := range l.info.Neighbors {
+		out = append(out, congest.Message{From: l.info.ID, To: v, Data: l.sendBuf})
+	}
+	return out
 }
 
 // localMax reports whether (value, ID) strictly dominates every undecided
@@ -125,14 +135,6 @@ func (l *Luby) localMax() bool {
 		}
 	}
 	return true
-}
-
-func (l *Luby) appendBroadcast(out []congest.Message) []congest.Message {
-	l.sendBuf = appendStatus(l.sendBuf[:0], l.state, l.value)
-	for _, v := range l.info.Neighbors {
-		out = append(out, congest.Message{From: l.info.ID, To: v, Data: l.sendBuf})
-	}
-	return out
 }
 
 // Done implements congest.NodeProgram: a node halts once it is decided and
@@ -171,7 +173,7 @@ type RankGreedy struct {
 	sendBuf       []byte
 }
 
-var _ congest.BufferedProgram = (*RankGreedy)(nil)
+var _ congest.PushProgram = (*RankGreedy)(nil)
 
 // NewRankGreedyPrograms returns one RankGreedy program per node.
 func NewRankGreedyPrograms(n int) []congest.NodeProgram {
@@ -202,27 +204,32 @@ func (r *RankGreedy) Init(info congest.NodeInfo) {
 
 // Round implements congest.NodeProgram.
 func (r *RankGreedy) Round(round int, inbox []congest.Message) []congest.Message {
-	return r.AppendRound(round, inbox, nil)
+	for _, m := range inbox {
+		r.Receive(round-1, m)
+	}
+	return r.Send(round, nil)
 }
 
-// AppendRound implements congest.BufferedProgram.
-func (r *RankGreedy) AppendRound(round int, inbox []congest.Message, out []congest.Message) []congest.Message {
-	for _, m := range inbox {
-		state, rank, err := decodeStatus(m.Data)
-		if err != nil {
-			r.state = stateOut
-			continue
-		}
-		if i := neighborIndex(r.info.Neighbors, m.From); i >= 0 {
-			r.neighborState[i] = state
-			r.neighborRank[i] = rank
-			if !r.heard[i] {
-				r.heard[i] = true
-				r.heardCount++
-			}
+// Receive implements congest.PushProgram: it records the sender's latest
+// status and rank.
+func (r *RankGreedy) Receive(_ int, m congest.Message) {
+	state, rank, err := decodeStatus(m.Data)
+	if err != nil {
+		r.state = stateOut
+		return
+	}
+	if i := neighborIndex(r.info.Neighbors, m.From); i >= 0 {
+		r.neighborState[i] = state
+		r.neighborRank[i] = rank
+		if !r.heard[i] {
+			r.heard[i] = true
+			r.heardCount++
 		}
 	}
+}
 
+// Send implements congest.PushProgram.
+func (r *RankGreedy) Send(round int, out []congest.Message) []congest.Message {
 	// Round 1 only announces ranks; decisions start once every neighbour's
 	// rank is known (round ≥ 2).
 	if round >= 2 && r.state == stateUndecided {
@@ -272,6 +279,18 @@ func (r *RankGreedy) Done() bool {
 
 // Output implements congest.NodeProgram.
 func (r *RankGreedy) Output() any { return r.state == stateIn }
+
+// OutputError returns the first error a node output, in node order, or nil.
+// MembershipSet skips error outputs, so callers that must not mistake a
+// failed node for a non-member check this first.
+func OutputError(result congest.Result) error {
+	for u, out := range result.Outputs {
+		if err, ok := out.(error); ok {
+			return fmt.Errorf("congestalg: node %d failed: %w", u, err)
+		}
+	}
+	return nil
+}
 
 // MembershipSet extracts the independent set from a run of Luby or
 // RankGreedy programs: the IDs of all nodes whose output is true.

@@ -19,6 +19,7 @@ package congestalg
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Wire formats are deliberately compact so every message fits in the
@@ -67,6 +68,22 @@ type nodeRecord struct {
 	id     int
 	weight int64
 	degree int
+}
+
+// fits reports the first field of r that its wire record cannot carry:
+// the ID and the degree get 16 bits, the weight 32 (unsigned). A node whose
+// own record does not fit would send a truncated one, and every node
+// would solve the wrong graph.
+func (r nodeRecord) fits() error {
+	switch {
+	case r.id < 0 || r.id > math.MaxUint16:
+		return fmt.Errorf("congestalg: node ID %d does not fit the 16-bit wire field", r.id)
+	case r.weight < 0 || r.weight > math.MaxUint32:
+		return fmt.Errorf("congestalg: weight %d of node %d does not fit the 32-bit wire field", r.weight, r.id)
+	case r.degree > math.MaxUint16:
+		return fmt.Errorf("congestalg: degree %d of node %d does not fit the 16-bit wire field", r.degree, r.id)
+	}
+	return nil
 }
 
 // edgeRecord is a gossiped edge, u < v.
@@ -136,9 +153,9 @@ func decodeRecord(data []byte) (nr nodeRecord, er edgeRecord, kind byte, err err
 	}
 }
 
-// recArena retains small payloads beyond the engine's per-round delivery
-// window (which recycles inbox backing storage): retain copies data into a
-// chunk owned by the program and returns a stable slice. Chunks are never
+// recArena retains small payloads beyond the Receive call that lends them:
+// retain copies data into a chunk owned by the program and returns a
+// stable slice. Chunks are never
 // reallocated in place, so previously returned slices stay valid.
 type recArena struct {
 	chunk []byte

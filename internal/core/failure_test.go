@@ -7,6 +7,7 @@ import (
 
 	"congestlb/internal/bitvec"
 	"congestlb/internal/congest"
+	"congestlb/internal/congestalg"
 	"congestlb/internal/core"
 	"congestlb/internal/graphs"
 	"congestlb/internal/lbgraph"
@@ -98,6 +99,49 @@ func TestGossipOptRejectsDependentSet(t *testing.T) {
 	badBool := congest.Result{Outputs: []any{true, true}}
 	if _, err := core.WitnessOpt(badBool, inst); err == nil {
 		t.Fatal("dependent membership accepted by WitnessOpt")
+	}
+}
+
+// TestWeightOverWireFieldIsNamed: node records carry the weight in 32
+// bits. On an 8-node path whose node 0 weighs 2^32 the true optimum is
+// {0,2,4,6}, but a truncated record makes it look like weight 0, so both
+// exact programs used to report a wrong answer (CollectSolve {1,3,5,7},
+// GossipExact a disagreement between nodes). Now node 0 keeps taking part,
+// the run terminates, and the extractors fail with node 0's error naming
+// the field and the value.
+func TestWeightOverWireFieldIsNamed(t *testing.T) {
+	const n = 8
+	g := graphs.NewWithN(n)
+	g.AddNodeID(1 << 32)
+	for u := 1; u < n; u++ {
+		g.AddNodeID(1)
+		g.MustAddEdge(u-1, u)
+	}
+	inst := core.Instance{Graph: g, Partition: graphs.MustNewPartition(n, 1)}
+	for _, tc := range []struct {
+		name     string
+		programs []congest.NodeProgram
+		extract  core.OptExtractor
+		text     string
+	}{
+		{"GossipExact", congestalg.NewGossipExactPrograms(n), core.GossipOpt,
+			"congestalg: node 0 failed: gossip at node 0: congestalg: weight 4294967296 of node 0 does not fit the 32-bit wire field"},
+		{"CollectSolve", congestalg.NewCollectSolvePrograms(n), core.WitnessOpt,
+			"congestalg: node 0 failed: congestalg: weight 4294967296 of node 0 does not fit the 32-bit wire field"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, err := congest.NewNetwork(g, tc.programs, congest.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := net.Run()
+			if err != nil {
+				t.Fatalf("run did not terminate cleanly: %v", err)
+			}
+			if _, err := tc.extract(res, inst); err == nil || err.Error() != tc.text {
+				t.Fatalf("extractor error = %v, want %q", err, tc.text)
+			}
+		})
 	}
 }
 

@@ -66,8 +66,12 @@ func CollectProgramsWith(sess *cache.Session) ProgramFactory {
 // per-node booleans (Luby, RankGreedy, CollectSolve): it sums the weight
 // of the chosen set. For the exact algorithms the value is the optimum;
 // for the heuristics it is only the achieved weight — useful for
-// upper-bound experiments, not for exact gap decisions.
+// upper-bound experiments, not for exact gap decisions. A node that output
+// an error fails the extraction with the first such error.
 func WitnessOpt(result congest.Result, inst Instance) (int64, error) {
+	if err := congestalg.OutputError(result); err != nil {
+		return 0, err
+	}
 	set := congestalg.MembershipSet(result)
 	weight, err := mis.Verify(inst.Graph, set)
 	if err != nil {

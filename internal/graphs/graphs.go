@@ -39,6 +39,10 @@ type Graph struct {
 	rowWords int
 	arena    []uint64 // backing storage for pre-sized rows
 	arenaOff int
+	// flat counts the leading nodes whose rows are arena[u*rowWords:]
+	// in ID order — every node of a NewWithN graph within its pre-size —
+	// so HasEdge can index the arena without loading the row's header.
+	flat int
 	// hasAuto records that at least one node was added without a label
 	// (AddNodeID); such labels are synthesised on demand.
 	hasAuto bool
@@ -90,6 +94,7 @@ func (g *Graph) Grow(n int) {
 	g.rowWords = w
 	g.arena = make([]uint64, (n-g.N())*w)
 	g.arenaOff = 0
+	g.flat = 0
 	for u := range g.rows {
 		grown := make([]uint64, w)
 		copy(grown, g.rows[u])
@@ -104,8 +109,13 @@ func (g *Graph) newRow() []uint64 {
 		return nil // grown lazily on first edge
 	}
 	if g.arenaOff+g.rowWords > len(g.arena) {
-		// Pre-size exceeded; fall back to a direct allocation.
+		// Pre-size exceeded; fall back to a direct allocation. Rows may
+		// now regrow out of the arena, so it no longer mirrors them.
+		g.flat = 0
 		return make([]uint64, g.rowWords)
+	}
+	if g.flat == len(g.rows) && g.arenaOff == g.flat*g.rowWords {
+		g.flat++
 	}
 	row := g.arena[g.arenaOff : g.arenaOff+g.rowWords : g.arenaOff+g.rowWords]
 	g.arenaOff += g.rowWords
@@ -248,6 +258,9 @@ func (g *Graph) RemoveEdge(u, v NodeID) bool {
 func (g *Graph) HasEdge(u, v NodeID) bool {
 	if u < 0 || v < 0 || u >= g.N() || v >= g.N() {
 		return false
+	}
+	if u < g.flat {
+		return g.arena[u*g.rowWords+v/wordBits]&(1<<(uint(v)%wordBits)) != 0
 	}
 	wi := v / wordBits
 	if wi >= len(g.rows[u]) {

@@ -470,3 +470,63 @@ func BenchmarkAddEdgeDense(b *testing.B) {
 		}
 	}
 }
+
+// TestHasEdgeMatchesRowsThroughGrowth: HasEdge reads a NewWithN graph's
+// rows straight from the arena; it must agree with an edge set kept on
+// the side while the graph stays within its pre-size, after it outgrows
+// it (rows then regrow out of the arena), and after Grow on a graph that
+// already has nodes (their rows move out of the arena, and the new arena
+// starts at a later node).
+func TestHasEdgeMatchesRowsThroughGrowth(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, tc := range []struct {
+		name         string
+		g            *Graph
+		first, total int
+		grow         bool
+	}{
+		{"presized", NewWithN(70), 70, 70, false},
+		{"outgrown", NewWithN(70), 70, 200, false},
+		{"grown-late", New(0), 10, 140, true},
+		{"regrown", NewWithN(70), 70, 200, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, edges := tc.g, map[[2]int]bool{}
+			addEdges := func() {
+				for k := 0; k < 4*g.N(); k++ {
+					u, v := rng.Intn(g.N()), rng.Intn(g.N())
+					if u != v {
+						g.MustAddEdge(u, v)
+						edges[[2]int{u, v}], edges[[2]int{v, u}] = true, true
+					}
+				}
+			}
+			check := func() {
+				t.Helper()
+				for u := -1; u <= g.N(); u++ {
+					for v := -1; v <= g.N(); v++ {
+						if got := g.HasEdge(u, v); got != edges[[2]int{u, v}] {
+							t.Fatalf("n=%d: HasEdge(%d, %d) = %v", g.N(), u, v, got)
+						}
+					}
+				}
+			}
+			for g.N() < tc.first {
+				g.AddNodeID(1)
+			}
+			addEdges()
+			check()
+			if tc.grow {
+				g.Grow(tc.total)
+			}
+			for g.N() < tc.total {
+				g.AddNodeID(1)
+			}
+			addEdges()
+			check()
+			if err := g.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
