@@ -53,7 +53,7 @@ func BenchmarkFaultOverhead(b *testing.B) {
 // earlier iterations and the earlier benchmarks warmed, as an experiment
 // of a suite run meets its run's caches.
 var (
-	benchSolve  = cache.NewSession(cache.New(0), 0)
+	benchSolve  = cache.NewSession(cache.New(0))
 	benchBuilds = lbgraph.NewCacheSession(lbgraph.NewBuildCache(0))
 )
 
@@ -144,7 +144,7 @@ func BenchmarkLabOverhead(b *testing.B) {
 
 	b.Run("direct", func(b *testing.B) {
 		builds := lbgraph.NewCacheSession(lbgraph.NewBuildCache(0))
-		programs := core.GossipProgramsWith(cache.NewSession(cache.New(0), 0))
+		programs := core.GossipProgramsWith(cache.NewSession(cache.New(0)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			inst, err := fam.BuildWith(builds, in)

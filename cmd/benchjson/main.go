@@ -252,8 +252,8 @@ func checkEnvelope(r io.Reader, w io.Writer, requireDiskHits, requireBatched, re
 	if env.Schema != runner.Schema {
 		return fmt.Errorf("benchjson: envelope schema %q, want %q", env.Schema, runner.Schema)
 	}
-	fmt.Fprintf(w, "%d experiment(s), jobs=%d, solver workers=%d, wall %.0f ms (sequential %.0f ms), cache %d hit / %d miss\n",
-		len(env.Experiments), env.Jobs, env.SolverWorkers, env.WallMS, env.SequentialMS,
+	fmt.Fprintf(w, "%d experiment(s), jobs=%d, wall %.0f ms (sequential %.0f ms), cache %d hit / %d miss\n",
+		len(env.Experiments), env.Jobs, env.WallMS, env.SequentialMS,
 		env.Cache.Hits, env.Cache.Misses)
 	fmt.Fprintf(w, "disk tier: %d hit / %d miss, %d written, %d evicted\n",
 		env.Cache.DiskHits, env.Cache.DiskMisses, env.Cache.DiskWrites, env.Cache.DiskEvictions)
@@ -346,8 +346,8 @@ func checkEnvelope(r io.Reader, w io.Writer, requireDiskHits, requireBatched, re
 
 // failureLine renders a FailureStats block on one line.
 func failureLine(f runner.FailureStats) string {
-	return fmt.Sprintf("%d panic(s) recovered, %d solver worker panic(s), %d degraded solve(s), %d disk retry(ies), %d quarantined",
-		f.PanicsRecovered, f.SolverWorkerPanics, f.DegradedSolves, f.DiskRetries, f.DiskQuarantined)
+	return fmt.Sprintf("%d panic(s) recovered, %d degraded solve(s), %d disk retry(ies), %d quarantined",
+		f.PanicsRecovered, f.DegradedSolves, f.DiskRetries, f.DiskQuarantined)
 }
 
 // checkMetrics prints the v6 metrics/span block and enforces its
@@ -390,7 +390,7 @@ func checkMetrics(env runner.Envelope, w io.Writer) error {
 		// never sees, so the two are deliberately not cross-checked.)
 		{obs.MSolveCacheDiskRetries, m.Counter(obs.MSolveCacheDiskRetries), int64(env.Cache.DiskRetries)},
 		{obs.MSolveCacheDiskQuarantined, m.Counter(obs.MSolveCacheDiskQuarantined), int64(env.Cache.DiskQuarantined)},
-		{obs.MSolverWorkerPanics, m.Counter(obs.MSolverWorkerPanics), int64(env.Cache.WorkerPanics)},
+		{obs.MSolverDegradedSolves, m.Counter(obs.MSolverDegradedSolves), int64(env.Cache.DegradedSolves)},
 	}
 	if m.Counter(obs.MBuildCacheHits)+m.Counter(obs.MBuildCacheMisses) > 0 {
 		checks = append(checks,

@@ -333,7 +333,7 @@ func TestCheckEnvelopeRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestCheckEnvelopeFailures: the v7 failures blocks are printed, the
+// TestCheckEnvelopeFailures: the failures blocks are printed, the
 // run-level block must sum the per-experiment blocks exactly, and the
 // chaos flags behave: -allow-failed tolerates non-ok experiments while
 // -require-failures rejects a run that contained nothing.
@@ -346,9 +346,9 @@ func TestCheckEnvelopeFailures(t *testing.T) {
 			{ID: "figure1", Status: runner.StatusOK,
 				Failures: &runner.FailureStats{DiskRetries: 2}},
 			{ID: "scaling", Status: runner.StatusFailed, Error: "panic in job",
-				Failures: &runner.FailureStats{PanicsRecovered: 1, SolverWorkerPanics: 1}},
+				Failures: &runner.FailureStats{PanicsRecovered: 1, DegradedSolves: 1}},
 		},
-		Failures: &runner.FailureStats{PanicsRecovered: 1, SolverWorkerPanics: 1, DiskRetries: 2},
+		Failures: &runner.FailureStats{PanicsRecovered: 1, DegradedSolves: 1, DiskRetries: 2},
 	}
 	var buf bytes.Buffer
 	// Without -allow-failed the failed experiment still gates.

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	experiments [-id figure1,theorem5] [-jobs 4] [-solver-workers 4]
+//	experiments [-id figure1,theorem5] [-jobs 4]
 //	            [-cache-dir .solvecache] [-timeout 90s]
 //	            [-metrics-addr 127.0.0.1:9090] [-metrics-linger 5s]
 //	            [-o report.md] [-json out.json] [-list]
@@ -12,9 +12,7 @@
 // invocation runs inside its own congestlb.Lab built from the flags: -jobs
 // sizes the Lab's worker pool (experiments and their per-instance sweep
 // jobs share it; the markdown report is byte-identical whatever the pool
-// size), -solver-workers its branch-and-bound default (results are
-// deterministic at any setting), and -cache-dir its persistent solve-cache
-// tier — re-runs with the same directory serve previously solved graphs
+// size), and -cache-dir its persistent solve-cache tier — re-runs with the same directory serve previously solved graphs
 // from disk and skip branch-and-bound entirely. Lower-bound graph
 // constructions are memoised in the Lab's build cache, so repeated sweep
 // points and cross-experiment reuse skip rebuilds.
@@ -86,7 +84,6 @@ func run(args []string, stdout io.Writer) error {
 	out := fs.String("o", "", "write the report to this file instead of stdout")
 	jsonOut := fs.String("json", "", "write the JSON result envelope to this file")
 	jobs := fs.Int("jobs", 0, "experiment worker-pool size (default GOMAXPROCS)")
-	solverWorkers := fs.Int("solver-workers", 0, "branch-and-bound workers per exact solve (default GOMAXPROCS)")
 	cacheDir := fs.String("cache-dir", "", "persistent solve-cache directory; re-runs serve solved graphs from disk")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration; unfinished experiments are recorded as cancelled (0 = no limit)")
 	metricsAddr := fs.String("metrics-addr", "", "enable per-Lab metrics and serve the ops endpoint (/metrics, /metrics.json, /spans.json, /debug/pprof/) on this address for the run")
@@ -162,7 +159,6 @@ func run(args []string, stdout io.Writer) error {
 
 	lab, err := congestlb.New(
 		congestlb.WithJobs(*jobs),
-		congestlb.WithSolverWorkers(*solverWorkers),
 		congestlb.WithSolveCacheDir(*cacheDir),
 		congestlb.WithMetrics(*metricsAddr != ""),
 	)

@@ -134,23 +134,30 @@ func readEnvelope(t *testing.T, path string) runner.Envelope {
 	return env
 }
 
-// TestExperimentsSolverWorkersFlag pins -solver-workers into the envelope
-// and keeps the report identical to the default run (deterministic
-// solver).
+// TestExperimentsSolverWorkersFlag: the solver has no worker count, so
+// -solver-workers is an unknown flag that fails the run before anything
+// is written, and the envelope carries no solver_workers field.
 func TestExperimentsSolverWorkersFlag(t *testing.T) {
-	var def, par bytes.Buffer
-	path := filepath.Join(t.TempDir(), "env.json")
-	if err := run([]string{"-id", "figure1", "-jobs", "1"}, &def); err != nil {
+	dir := t.TempDir()
+	stale := filepath.Join(dir, "stale.json")
+	var out bytes.Buffer
+	err := run([]string{"-id", "figure1", "-jobs", "1", "-solver-workers", "4", "-json", stale}, &out)
+	if err == nil || !strings.Contains(err.Error(), "solver-workers") {
+		t.Fatalf("run with -solver-workers: err = %v, want an unknown-flag error", err)
+	}
+	if _, statErr := os.Stat(stale); !os.IsNotExist(statErr) {
+		t.Fatalf("rejected run wrote an envelope: %v", statErr)
+	}
+	path := filepath.Join(dir, "env.json")
+	if err := run([]string{"-id", "figure1", "-jobs", "1", "-json", path}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-id", "figure1", "-jobs", "1", "-solver-workers", "4", "-json", path}, &par); err != nil {
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(def.Bytes(), par.Bytes()) {
-		t.Fatal("-solver-workers changed the report")
-	}
-	if env := readEnvelope(t, path); env.SolverWorkers != 4 {
-		t.Fatalf("envelope solver_workers = %d, want 4", env.SolverWorkers)
+	if bytes.Contains(data, []byte("solver_workers")) {
+		t.Fatal("envelope still carries solver_workers")
 	}
 }
 

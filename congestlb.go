@@ -33,7 +33,7 @@
 // boundaries and branch-and-bound solves on their batched step cadence,
 // returning the best incumbent with ctx.Err().
 //
-//	lab, _ := congestlb.New(congestlb.WithSolverWorkers(4))
+//	lab, _ := congestlb.New(congestlb.WithJobs(4))
 //	defer lab.Close()
 //	p := congestlb.Params{T: 2, Alpha: 1, Ell: 3}
 //	fam, _ := congestlb.NewLinear(p)
@@ -47,6 +47,9 @@
 // process is shared by default. Version 2.0.0 removed the 1.x
 // package-level entry points (RunReduction, ExactMaxIS, the Set*/Shared*
 // configuration globals, …); docs/api.md maps each to its Lab method.
+// Version 3.0.0 removed the solver-worker settings: the exact solver runs
+// one deterministic search per solve, and WithSolverWorkers is a
+// deprecated no-op.
 //
 // See examples/ for runnable programs and EXPERIMENTS.md for the
 // regenerated paper results.
@@ -168,14 +171,13 @@ type (
 	// Solution is an independent set with its weight.
 	Solution = mis.Solution
 	// SolverOptions configures the exact MaxIS solver (clique cover, step
-	// budget, branch-and-bound worker count).
+	// budget, progress observer).
 	SolverOptions = mis.Options
 	// SolveCacheStats is a snapshot of a Lab's solve-cache counters,
 	// including the persistent disk tier's.
 	SolveCacheStats = cache.Stats
 	// SolveSession is a per-caller view of a Lab's solve cache with exact
-	// traffic attribution and a solver worker default; see
-	// Lab.NewSolveSession.
+	// traffic attribution; see Lab.NewSolveSession.
 	SolveSession = cache.Session
 	// BuildCacheStats is a snapshot of a Lab's lower-bound-graph build
 	// cache counters (lbgraph constructions memoised content-addressed,
@@ -301,7 +303,7 @@ func PlayersForEpsilon(epsilon float64, quadratic bool) int {
 }
 
 // Version identifies the library release.
-const Version = "2.0.0"
+const Version = "3.0.0"
 
 // BuildInstance is a convenience that constructs and validates an instance
 // for a family and input, with a descriptive error context. It builds from

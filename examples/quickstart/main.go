@@ -22,7 +22,7 @@ import (
 
 func main() {
 	ctx := context.Background()
-	lab, err := congestlb.New() // e.g. congestlb.WithSolverWorkers(4), congestlb.WithSolveCacheDir(".solvecache")
+	lab, err := congestlb.New() // e.g. congestlb.WithJobs(4), congestlb.WithSolveCacheDir(".solvecache")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func TestGossipExactSolvesOncePerDistinctGraph(t *testing.T) {
 	g := randomGraph(14, 0.3, 6, rand.New(rand.NewSource(21)))
 	n := g.N()
 
-	sess := cache.NewSession(cache.New(0), 0)
+	sess := cache.NewSession(cache.New(0))
 	result := runPrograms(t, g, NewGossipExactProgramsWith(sess, n), congest.Config{Seed: 9})
 	if _, err := ExactSetFromOutputs(result); err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestGossipExactCachedMatchesUncached(t *testing.T) {
 // well: the root's single solve registers in its session's counters.
 func TestCollectSolveUsesCache(t *testing.T) {
 	g := randomGraph(10, 0.3, 5, rand.New(rand.NewSource(55)))
-	sess := cache.NewSession(cache.New(0), 0)
+	sess := cache.NewSession(cache.New(0))
 	result := runPrograms(t, g, NewCollectSolveProgramsWith(sess, g.N()), congest.Config{Seed: 2})
 	set := MembershipSet(result)
 	if len(set) == 0 {

@@ -161,6 +161,25 @@ func TestRankGreedyMatchesSequentialGreedyWeight(t *testing.T) {
 	}
 }
 
+// TestRankGreedyWeightOverStatusField: on the 8-node path whose node 0
+// weighs 2^32, node 0's rank does not fit the 32-bit status value. The run
+// still terminates, and node 0 outputs an error naming its weight instead
+// of being silently ranked as weight 0.
+func TestRankGreedyWeightOverStatusField(t *testing.T) {
+	const n = 8
+	g := graphs.NewWithN(n)
+	g.AddNodeID(1 << 32)
+	for u := 1; u < n; u++ {
+		g.AddNodeID(1)
+		g.MustAddEdge(u-1, u)
+	}
+	result := runPrograms(t, g, NewRankGreedyPrograms(n), congest.Config{})
+	const want = "congestalg: node 0 failed: congestalg: weight 4294967296 of node 0 does not fit the 32-bit status field"
+	if err := OutputError(result); err == nil || err.Error() != want {
+		t.Fatalf("OutputError = %v, want %q", err, want)
+	}
+}
+
 func TestRankGreedyDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomGraph(30, 0.3, 7, rng)
@@ -266,7 +285,7 @@ func BenchmarkGossipExact16(b *testing.B) {
 func BenchmarkGossipExact90(b *testing.B) {
 	const n = 90
 	g := allocTestGraph(b, n, 0.08, 90)
-	sess := cache.NewSession(cache.New(4), 1)
+	sess := cache.NewSession(cache.New(4))
 	run := func() {
 		net, err := congest.NewNetwork(g, NewGossipExactProgramsWith(sess, n), congest.Config{})
 		if err != nil {

@@ -76,7 +76,7 @@ var _ congest.PushProgram = (*GossipExact)(nil)
 // branch-and-bounds the graph every node learns once, not n times, and
 // shares nothing with any other run.
 func NewGossipExactPrograms(n int) []congest.NodeProgram {
-	return NewGossipExactProgramsWith(cache.NewSession(cache.New(0), 0), n)
+	return NewGossipExactProgramsWith(cache.NewSession(cache.New(0)), n)
 }
 
 // NewGossipExactProgramsWith is NewGossipExactPrograms with every node's

@@ -2,6 +2,7 @@ package congestalg
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"congestlb/internal/congest"
@@ -159,12 +160,17 @@ func (l *Luby) Output() any { return l.state == stateIn }
 // dominates all undecided neighbours. It emulates the sequential greedy
 // algorithm that scans nodes in decreasing weight order.
 //
-// Output: bool — membership in the constructed maximal independent set.
+// The rank travels in the 32-bit value of a status message. A node whose
+// weight does not fit it declares itself out at Init, so the run still
+// terminates, and outputs an error naming the weight.
+//
+// Output: bool — membership in the constructed maximal independent set —
+// or the error of a node whose weight does not fit the status field.
 type RankGreedy struct {
 	info  congest.NodeInfo
 	state byte
-	// rank is weight truncated to 32 bits; the simulator's constructions
-	// use weights ≤ ℓ which fit comfortably.
+	err   error
+	// rank is the node's weight; Init checks that it fits 32 bits.
 	rank          uint32
 	neighborState []byte
 	neighborRank  []uint32
@@ -188,6 +194,10 @@ func NewRankGreedyPrograms(n int) []congest.NodeProgram {
 func (r *RankGreedy) Init(info congest.NodeInfo) {
 	r.info = info
 	r.state = stateUndecided
+	r.err = nil
+	if info.Weight < 0 || info.Weight > math.MaxUint32 {
+		r.err = fmt.Errorf("congestalg: weight %d of node %d does not fit the 32-bit status field", info.Weight, info.ID)
+	}
 	r.rank = uint32(info.Weight)
 	r.neighborState = make([]byte, len(info.Neighbors))
 	r.neighborRank = make([]uint32, len(info.Neighbors))
@@ -197,7 +207,10 @@ func (r *RankGreedy) Init(info congest.NodeInfo) {
 	for i := range r.neighborState {
 		r.neighborState[i] = stateUndecided
 	}
-	if len(info.Neighbors) == 0 {
+	switch {
+	case r.err != nil:
+		r.state = stateOut
+	case len(info.Neighbors) == 0:
 		r.state = stateIn
 	}
 }
@@ -278,7 +291,12 @@ func (r *RankGreedy) Done() bool {
 }
 
 // Output implements congest.NodeProgram.
-func (r *RankGreedy) Output() any { return r.state == stateIn }
+func (r *RankGreedy) Output() any {
+	if r.err != nil {
+		return r.err
+	}
+	return r.state == stateIn
+}
 
 // OutputError returns the first error a node output, in node order, or nil.
 // MembershipSet skips error outputs, so callers that must not mistake a

@@ -188,7 +188,7 @@ func linearGossip(t *testing.T) (simulate, run func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := core.GossipProgramsWith(cache.NewSession(cache.New(16), 1))
+	factory := core.GossipProgramsWith(cache.NewSession(cache.New(16)))
 	simulate = func() {
 		if _, err := core.SimulateBuilt(l, in, inst, factory, core.GossipOpt, congest.Config{}); err != nil {
 			t.Fatal(err)

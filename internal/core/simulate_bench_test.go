@@ -43,7 +43,7 @@ func BenchmarkSimulateReduce(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			factory := core.GossipProgramsWith(cache.NewSession(cache.New(16), 1))
+			factory := core.GossipProgramsWith(cache.NewSession(cache.New(16)))
 			cfg := congest.Config{Parallel: true}
 			run := func() {
 				if _, err := core.SimulateBuilt(fam, in, inst, factory, core.GossipOpt, cfg); err != nil {

@@ -50,10 +50,9 @@ func init() {
 
 // exactInstanceOpt solves an instance with its natural cover through the
 // context's solve session (its method-value form is a core.AuditGap
-// oracle). Callers consume the weight alone, so the solve is flagged
-// WeightOnly — the parallel engine skips its canonicalisation tail.
+// oracle).
 func (w *Ctx) exactInstanceOpt(inst core.Instance) (int64, error) {
-	sol, err := w.Solve.Exact(inst.Graph, mis.Options{CliqueCover: inst.CliqueCover, WeightOnly: true})
+	sol, err := w.Solve.Exact(inst.Graph, mis.Options{CliqueCover: inst.CliqueCover})
 	if err != nil {
 		return 0, err
 	}

@@ -310,8 +310,7 @@ func (s *Scheduler) Close() {
 // writer (embedded, so a *Ctx is written to directly), the solve session
 // through which the experiment's exact MaxIS work is routed, the build
 // session attributing its lower-bound graph constructions, and the
-// scheduler behind Ctx.Go/Ctx.Gather. The sessions carry the run's solver
-// worker count into every branch-and-bound call and book the cache
+// scheduler behind Ctx.Go/Ctx.Gather. The sessions book the cache
 // traffic the experiment generates — which is what makes the runner's
 // per-experiment envelope attribution exact at any -jobs count.
 type Ctx struct {
@@ -354,7 +353,7 @@ func NewCtx(w io.Writer, solve *cache.Session) *Ctx {
 		w = io.Discard
 	}
 	if solve == nil {
-		solve = cache.NewSession(cache.New(0), 0)
+		solve = cache.NewSession(cache.New(0))
 	}
 	return &Ctx{Writer: w, Solve: solve}
 }

@@ -134,13 +134,11 @@ func runRemark1(w *Ctx) error {
 			if err != nil {
 				return err
 			}
-			// Both sides consume the optimum value alone, so the solves
-			// are weight-only.
-			weighted, err := w.Solve.Exact(inst.Graph, mis.Options{CliqueCover: inst.CliqueCover, WeightOnly: true})
+			weighted, err := w.Solve.Exact(inst.Graph, mis.Options{CliqueCover: inst.CliqueCover})
 			if err != nil {
 				return err
 			}
-			unweighted, err := w.Solve.Exact(res.Graph, mis.Options{CliqueCover: lbgraph.BlowupCover(inst.CliqueCover, res), WeightOnly: true})
+			unweighted, err := w.Solve.Exact(res.Graph, mis.Options{CliqueCover: lbgraph.BlowupCover(inst.CliqueCover, res)})
 			if err != nil {
 				return err
 			}
@@ -240,7 +238,7 @@ func runUpperBounds(w *Ctx) error {
 		if err != nil {
 			return err
 		}
-		optSol, err := w.Solve.Exact(inst.Graph, mis.Options{CliqueCover: inst.CliqueCover, WeightOnly: true})
+		optSol, err := w.Solve.Exact(inst.Graph, mis.Options{CliqueCover: inst.CliqueCover})
 		if err != nil {
 			return err
 		}
@@ -280,6 +278,9 @@ func runUpperBounds(w *Ctx) error {
 					return err
 				}
 			} else {
+				if err := congestalg.OutputError(result); err != nil {
+					return err
+				}
 				set = congestalg.MembershipSet(result)
 			}
 			achieved, err := mis.Verify(inst.Graph, set)

@@ -14,9 +14,7 @@ import (
 // verification of Claims 1-7 tractable. It compares branch-and-bound work
 // with the construction's natural cover (the A^i and C^i_h cliques)
 // supplied against no cover at all, where the solver relies on the clique
-// partition it rebuilds at every search node. Both solves run sequentially
-// (Workers 1): Solution.Steps is schedule-dependent for parallel solves,
-// and the table must be deterministic.
+// partition it rebuilds at every search node.
 
 func init() {
 	register(Experiment{
@@ -71,11 +69,11 @@ func runSolver(w *Ctx) error {
 				if err != nil {
 					return err
 				}
-				natural, err := w.Solve.Exact(inst.Graph, mis.Options{CliqueCover: inst.CliqueCover, Workers: 1})
+				natural, err := w.Solve.Exact(inst.Graph, mis.Options{CliqueCover: inst.CliqueCover})
 				if err != nil {
 					return err
 				}
-				partition, err := w.Solve.Exact(inst.Graph, mis.Options{Workers: 1})
+				partition, err := w.Solve.Exact(inst.Graph, mis.Options{})
 				if err != nil {
 					return err
 				}

@@ -10,7 +10,7 @@
 //
 //	<seed>:<point>[@match][*count][=rate][,<point>...]
 //
-// e.g. "42:disk-read=0.25,worker-panic@w1*1". Decisions are pure functions
+// e.g. "42:disk-read=0.25,worker-panic@w0*1". Decisions are pure functions
 // of (seed, point, site key, attempt): the same spec fires at the same
 // content-addressed sites regardless of goroutine scheduling, worker
 // count, or wall-clock, which is what lets the chaos suite assert exact
@@ -19,7 +19,7 @@
 // one" fault without caring which racing site claims it.
 //
 // The package also owns PanicError, the structured error every recovery
-// site in the repo (scheduler jobs, experiment bodies, solver workers,
+// site in the repo (scheduler jobs, experiment bodies, the exact solver,
 // the batch engine) converts panics into. It lives here — not in
 // the congestlb facade — so that leaf packages can return it without an
 // import cycle; the facade re-exports it as congestlb.PanicError.
@@ -51,9 +51,9 @@ const (
 	DiskCorrupt
 	// JobPanic panics inside an experiment body or scheduler job.
 	JobPanic
-	// SolverPanic panics inside an exact-solver worker.
+	// SolverPanic panics inside the exact solver's search (keyed "w0").
 	SolverPanic
-	// WorkerStall stalls a solver worker at a frame boundary.
+	// WorkerStall stalls a scheduler job before it runs.
 	WorkerStall
 	numPoints
 )
@@ -298,7 +298,7 @@ func Stall(p Point, key string) {
 }
 
 // PanicError is the structured error a recovered panic becomes. Op names
-// the owning work item ("job", "experiment:scaling", "solver worker w1",
+// the owning work item ("job", "experiment:scaling", "solver worker w0",
 // "batch instance 3"); Value is the recovered panic
 // value and Stack the goroutine stack captured at recovery.
 //

@@ -96,13 +96,11 @@ type Stats struct {
 	// Fault-containment accounting (see docs/robustness.md). DiskRetries
 	// counts disk-tier I/O attempts retried after transient errors;
 	// DiskQuarantined counts invalid entries moved to the quarantine
-	// sidecar. WorkerPanics counts solver-worker panics recovered inside
-	// fresh solves; DegradedSolves counts fresh solves that lost every
-	// worker and fell back to the incumbent (surfaced as an error, so
-	// degraded results are never cached).
+	// sidecar. DegradedSolves counts fresh solves whose search panicked
+	// and fell back to the incumbent (surfaced as an error, so degraded
+	// results are never cached).
 	DiskRetries     uint64 `json:"disk_retries,omitempty"`
 	DiskQuarantined uint64 `json:"disk_quarantined,omitempty"`
-	WorkerPanics    uint64 `json:"worker_panics,omitempty"`
 	DegradedSolves  uint64 `json:"degraded_solves,omitempty"`
 }
 
@@ -144,7 +142,7 @@ type cacheMetrics struct {
 	sharedHits                   *obs.Counter
 	diskHits, diskMisses         *obs.Counter
 	diskRetries, diskQuarantined *obs.Counter
-	workerPanics, degraded       *obs.Counter
+	degraded                     *obs.Counter
 	steps, stepsSaved            *obs.Counter
 	latency, stepsHist           *obs.Histogram
 }
@@ -167,7 +165,6 @@ func (c *Cache) SetRegistry(r *obs.Registry) {
 		diskMisses:      r.Counter(obs.MSolveCacheDiskMisses),
 		diskRetries:     r.Counter(obs.MSolveCacheDiskRetries),
 		diskQuarantined: r.Counter(obs.MSolveCacheDiskQuarantined),
-		workerPanics:    r.Counter(obs.MSolverWorkerPanics),
 		degraded:        r.Counter(obs.MSolverDegradedSolves),
 		steps:           r.Counter(obs.MSolveSteps),
 		stepsSaved:      r.Counter(obs.MSolveStepsSaved),
@@ -304,36 +301,6 @@ func (c *Cache) exactAttempt(ctx context.Context, key Key, g *graphs.Graph, opts
 		}
 		return clone(e.sol), nil, false
 	}
-	// A weight-only miss may be served by a completed canonical solve of
-	// the same graph: a canonical Solution is a strict superset of what a
-	// weight-only caller needs (same Weight/Optimal, valid witness). The
-	// reverse never holds — a weight-only witness is schedule-dependent —
-	// which is why the flag is in the key at all. In-flight canonical
-	// solves are not waited on (the rare race costs one duplicate solve,
-	// not a wrong answer).
-	if opts.WeightOnly {
-		canonOpts := opts
-		canonOpts.WeightOnly = false
-		if ckey, cok := KeyOf(g, canonOpts); cok {
-			if cel, found := c.index[ckey]; found {
-				if ce := cel.Value.(*entry); ce.done && ce.err == nil {
-					c.lru.MoveToFront(cel)
-					c.stats.Hits++
-					c.stats.StepsSaved += ce.sol.Steps
-					c.mu.Unlock()
-					sess.record(func(st *Stats) {
-						st.Hits++
-						st.StepsSaved += ce.sol.Steps
-					})
-					if m != nil {
-						m.hits.Inc()
-						m.stepsSaved.Add(ce.sol.Steps)
-					}
-					return clone(ce.sol), nil, false
-				}
-			}
-		}
-	}
 	// A cross-cache tier hit is consulted *before* booking a miss: a
 	// solve another cache already paid for is a hit from this cache's
 	// point of view (zero branch-and-bound steps ran anywhere on its
@@ -342,18 +309,7 @@ func (c *Cache) exactAttempt(ctx context.Context, key Key, g *graphs.Graph, opts
 	// is an ordinary private hit. Lock order is c.mu → tier.mu (the tier
 	// never calls back), so holding c.mu here is safe.
 	if tier != nil {
-		tsol, tok := tier.get(key)
-		if !tok && opts.WeightOnly {
-			// Mirror the private weight-only fallback: a canonical
-			// solution published by any cache is a strict superset of
-			// what a weight-only caller needs.
-			canonOpts := opts
-			canonOpts.WeightOnly = false
-			if ckey, cok := KeyOf(g, canonOpts); cok {
-				tsol, tok = tier.get(ckey)
-			}
-		}
-		if tok {
+		if tsol, tok := tier.get(key); tok {
 			ready := make(chan struct{})
 			close(ready)
 			te := &entry{key: key, sol: tsol, done: true, ready: ready}
@@ -441,29 +397,18 @@ func (c *Cache) exactAttempt(ctx context.Context, key Key, g *graphs.Graph, opts
 			m.steps.Add(sol.Steps)
 			m.stepsHist.Observe(sol.Steps)
 		}
-		if sol.WorkerPanics > 0 || isPanicError(err) {
-			// Fault containment: attribute recovered worker panics (the
-			// solve still completed canonically on the survivors) and
-			// degraded solves (every worker lost — err is the structured
-			// panic and the incumbent came back) to this caller's session
-			// and the registry. Errors are never cached, so a degraded
-			// solve is retried by the next caller for the key.
-			panics := uint64(sol.WorkerPanics)
-			degraded := uint64(0)
-			if isPanicError(err) {
-				degraded = 1
-			}
+		if isPanicError(err) {
+			// Fault containment: attribute a degraded solve (err is the
+			// structured panic and the incumbent came back) to this
+			// caller's session and the registry. Errors are never cached,
+			// so a degraded solve is retried by the next caller for the
+			// key.
 			c.mu.Lock()
-			c.stats.WorkerPanics += panics
-			c.stats.DegradedSolves += degraded
+			c.stats.DegradedSolves++
 			c.mu.Unlock()
-			sess.record(func(st *Stats) {
-				st.WorkerPanics += panics
-				st.DegradedSolves += degraded
-			})
+			sess.record(func(st *Stats) { st.DegradedSolves++ })
 			if m != nil {
-				m.workerPanics.Add(int64(panics))
-				m.degraded.Add(int64(degraded))
+				m.degraded.Inc()
 			}
 		}
 		if err == nil && disk != nil {
@@ -489,11 +434,7 @@ func (c *Cache) exactAttempt(ctx context.Context, key Key, g *graphs.Graph, opts
 	}
 
 	c.mu.Lock()
-	cached := sol
-	// Worker panics are attributed to the solve that actually ran them:
-	// later hits (and single-flight waiters) see a clean count.
-	cached.WorkerPanics = 0
-	e.sol, e.err, e.done = cached, err, true
+	e.sol, e.err, e.done = sol, err, true
 	if err != nil {
 		// Do not cache failures: drop the entry so later callers retry
 		// (waiters already holding e still observe the error once).
@@ -511,7 +452,7 @@ func (c *Cache) exactAttempt(ctx context.Context, key Key, g *graphs.Graph, opts
 	if err == nil && tier != nil {
 		// Publish the completed solution (fresh or disk-served) so every
 		// other cache on the tier skips its own solve for this key.
-		tier.put(key, cached)
+		tier.put(key, sol)
 	}
 	close(e.ready)
 	return clone(sol), err, false
@@ -601,7 +542,7 @@ func clone(sol mis.Solution) mis.Solution {
 // node count, per-node weights, the sorted edge list, the clique cover as
 // a canonical partition (clique ids renumbered by first appearance in node
 // order, so the same partition hashes identically however its parts are
-// ordered), the step budget and the WeightOnly flag. It depends only on the graph's final
+// ordered) and the step budget. It depends only on the graph's final
 // content — never on labels or on the order nodes and edges were inserted.
 // ok is false when the cover is malformed (a node missing, repeated or out
 // of range); such solves are uncacheable and fall through to mis.Exact,
@@ -657,13 +598,9 @@ func KeyOf(g *graphs.Graph, opts mis.Options) (Key, bool) {
 		}
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(opts.MaxSteps))
-	// Weight-only solves may carry a schedule-dependent (non-canonical)
-	// witness set, so they must never share an entry with solves whose
-	// callers rely on the canonical witness.
-	if opts.WeightOnly {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
+	// The trailing byte once flagged weight-only solves. It stays a
+	// constant 0 so every key — and every disk-tier entry stored under
+	// one — is the one earlier versions computed.
+	buf = append(buf, 0)
 	return sha256.Sum256(buf), true
 }

@@ -269,41 +269,3 @@ func TestConcurrentSingleFlight(t *testing.T) {
 		}
 	}
 }
-
-// TestWeightOnlyServedByCanonicalEntry pins the one-directional fallback:
-// a weight-only lookup is served by a completed canonical entry for the
-// same graph (no duplicate branch-and-bound), while a canonical lookup is
-// never served by a weight-only entry (its witness is schedule-dependent).
-func TestWeightOnlyServedByCanonicalEntry(t *testing.T) {
-	c := New(16)
-	g := randomGraph(30, 0.3, 6, rand.New(rand.NewSource(21)))
-
-	canonical, err := c.Exact(g, mis.Options{}) // miss: solves
-	if err != nil {
-		t.Fatal(err)
-	}
-	wo, err := c.Exact(g, mis.Options{WeightOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wo.Weight != canonical.Weight {
-		t.Fatalf("weight-only fallback returned %d, canonical %d", wo.Weight, canonical.Weight)
-	}
-	st := c.Stats()
-	if st.Misses != 1 || st.Hits != 1 {
-		t.Fatalf("canonical entry did not serve the weight-only lookup: %+v", st)
-	}
-
-	// The reverse direction must stay a miss: canonical callers need the
-	// canonical witness, which a weight-only entry cannot guarantee.
-	c2 := New(16)
-	if _, err := c2.Exact(g, mis.Options{WeightOnly: true}); err != nil { // miss
-		t.Fatal(err)
-	}
-	if _, err := c2.Exact(g, mis.Options{}); err != nil { // must also miss
-		t.Fatal(err)
-	}
-	if st := c2.Stats(); st.Misses != 2 || st.Hits != 0 {
-		t.Fatalf("weight-only entry leaked to a canonical caller: %+v", st)
-	}
-}

@@ -179,7 +179,7 @@ func TestSessionWithContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	sess := NewSession(c, 0).WithContext(ctx)
+	sess := NewSession(c).WithContext(ctx)
 	if _, err := sess.Exact(g, mis.Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("bound-context solve err = %v, want context.Canceled", err)
 	}

@@ -10,8 +10,7 @@ import (
 )
 
 // Session is a per-caller view of a Cache: it forwards every solve to the
-// underlying cache while keeping its own exact event counters, and applies
-// a default solver worker count to solves that do not pin one.
+// underlying cache while keeping its own exact event counters.
 //
 // Sessions exist for attribution. The runner's experiment jobs all meet in
 // their run's one cache, so diffing the cache's counters around a job
@@ -21,13 +20,12 @@ import (
 // session that runs a solve books its steps under StepsSolved while every
 // session served by someone else's solve books them under StepsSaved.
 //
-// A session over no cache (NewSession(nil, w)) solves every call directly
+// A session over no cache (NewSession(nil)) solves every call directly
 // and books it as a miss. A nil *Session is valid too: it solves directly
 // with mis.ExactCtx and counts nothing, so deep callers (the CONGEST node
 // programs) can be handed "no session" without branching.
 type Session struct {
-	c       *Cache // nil = no cache: every solve runs and books a miss
-	workers int
+	c *Cache // nil = no cache: every solve runs and books a miss
 	// ctx is the context bound by WithContext (nil = Background): every
 	// Exact call through the session observes it. It exists because the
 	// deep solve sites — the CONGEST node programs — receive a session, not
@@ -43,11 +41,9 @@ type Session struct {
 	stats Stats
 }
 
-// NewSession returns a session over c (nil = no cache) whose solves
-// default to the given solver worker count (0 = leave Options.Workers
-// alone).
-func NewSession(c *Cache, workers int) *Session {
-	return &Session{c: c, workers: workers}
+// NewSession returns a session over c (nil = no cache).
+func NewSession(c *Cache) *Session {
+	return &Session{c: c}
 }
 
 // WithContext binds ctx to the session and returns it: every subsequent
@@ -84,14 +80,6 @@ func (s *Session) context() context.Context {
 	return s.ctx
 }
 
-// Workers reports the solver worker count this session stamps onto solves.
-func (s *Session) Workers() int {
-	if s == nil {
-		return 0
-	}
-	return s.workers
-}
-
 // Stats returns a snapshot of the session's counters. Entries is always 0:
 // occupancy belongs to the cache, not to a view of it.
 func (s *Session) Stats() Stats {
@@ -126,9 +114,6 @@ func (s *Session) Exact(g *graphs.Graph, opts mis.Options) (mis.Solution, error)
 func (s *Session) ExactCtx(ctx context.Context, g *graphs.Graph, opts mis.Options) (mis.Solution, error) {
 	if s == nil {
 		return mis.ExactCtx(ctx, g, opts)
-	}
-	if opts.Workers == 0 {
-		opts.Workers = s.workers
 	}
 	if opts.Progress == nil {
 		opts.Progress = s.progress

@@ -31,7 +31,7 @@ func TestSessionExactAttribution(t *testing.T) {
 	sess := make([]*Session, sessions)
 	var wg sync.WaitGroup
 	for si := 0; si < sessions; si++ {
-		sess[si] = NewSession(c, 0)
+		sess[si] = NewSession(c)
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
@@ -68,36 +68,6 @@ func TestSessionExactAttribution(t *testing.T) {
 	}
 }
 
-// TestSessionStampsWorkers pins the Options.Workers threading: a session
-// built with a worker count applies it to solves that left Workers at 0
-// and never overrides an explicit choice.
-func TestSessionStampsWorkers(t *testing.T) {
-	// Workers does not enter the cache key, so the same graph solved under
-	// different session worker defaults must be one miss + one hit.
-	c := New(8)
-	g := randomGraph(14, 0.3, 5, rand.New(rand.NewSource(3)))
-	s2 := NewSession(c, 2)
-	s8 := NewSession(c, 8)
-	a, err := s2.Exact(g, mis.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s8.Exact(g, mis.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Weight != b.Weight {
-		t.Fatalf("weights diverged across worker defaults: %d vs %d", a.Weight, b.Weight)
-	}
-	st := c.Stats()
-	if st.Misses != 1 || st.Hits != 1 {
-		t.Fatalf("Workers leaked into the cache key: %+v", st)
-	}
-	if s2.Workers() != 2 || s8.Workers() != 8 {
-		t.Fatalf("Workers() = %d, %d", s2.Workers(), s8.Workers())
-	}
-}
-
 // TestNilSessionSolvesDirectly keeps the nil-receiver contract deep
 // callers (CONGEST programs without a session) depend on: the solve runs
 // directly, exactly as mis.Exact would, and nothing is counted.
@@ -118,9 +88,6 @@ func TestNilSessionSolvesDirectly(t *testing.T) {
 	if st := s.Stats(); st != (Stats{}) {
 		t.Fatalf("nil session has stats: %+v", st)
 	}
-	if s.Workers() != 0 {
-		t.Fatalf("nil session Workers() = %d", s.Workers())
-	}
 }
 
 // TestSessionUncachedFallback keeps attribution exact on a session over no
@@ -128,7 +95,7 @@ func TestNilSessionSolvesDirectly(t *testing.T) {
 // under): every solve runs and books a miss.
 func TestSessionUncachedFallback(t *testing.T) {
 	g := randomGraph(12, 0.35, 5, rand.New(rand.NewSource(17)))
-	s := NewSession(nil, 0)
+	s := NewSession(nil)
 	var steps int64
 	for i := 0; i < 2; i++ {
 		sol, err := s.Exact(g, mis.Options{})

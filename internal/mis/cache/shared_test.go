@@ -83,31 +83,6 @@ func TestSharedTierIsolationAcrossKeys(t *testing.T) {
 	}
 }
 
-func TestSharedTierWeightOnlyFallback(t *testing.T) {
-	tier := NewSharedTier(16)
-	a, b := New(8), New(8)
-	a.SetSharedTier(tier)
-	b.SetSharedTier(tier)
-	g := pathGraph(12)
-
-	canonical, err := a.Exact(g, mis.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A weight-only lookup in a different cache is served by the tier's
-	// canonical solution for the same graph.
-	wo, err := b.Exact(g, mis.Options{WeightOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wo.Weight != canonical.Weight {
-		t.Fatalf("weight-only tier hit weight %d, want %d", wo.Weight, canonical.Weight)
-	}
-	if sb := b.Stats(); sb.SharedHits != 1 || sb.Misses != 0 {
-		t.Fatalf("weight-only fallback stats: %+v", sb)
-	}
-}
-
 func TestSharedTierEviction(t *testing.T) {
 	tier := NewSharedTier(2)
 	c := New(8)

@@ -10,10 +10,10 @@ import (
 	"congestlb/internal/graphs"
 )
 
-// Cancellation contract (the Lab API's gating property): ExactCtx observes
-// a cancelled context on the same batched cadence as the step budget and
-// returns the best incumbent found so far together with ctx.Err() — a
-// valid independent set, never a torn result — at every worker count.
+// Cancellation contract (the Lab API's gating property): ExactCtx polls
+// its context every stepFlushBatch explored nodes and returns the best
+// incumbent found so far together with ctx.Err() — a valid independent
+// set, never a torn result.
 
 // cancelTestGraph is a deliberately hard instance (~300k sequential search
 // nodes, ~180ms on a 2-vCPU Xeon) so a millisecond-scale cancel lands
@@ -24,90 +24,80 @@ func cancelTestGraph() *graphs.Graph {
 
 // TestExactCtxPreCancelled pins the fast path deterministically: a context
 // that is dead on arrival returns the greedy seed incumbent before the
-// search explores a single node — trivially within one budget-batch
-// cadence — at Workers 1, 2, 4 and 8.
+// search explores a single node.
 func TestExactCtxPreCancelled(t *testing.T) {
 	g := cancelTestGraph()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	greedy := Greedy(g, GreedyByRatio)
-	for _, workers := range []int{1, 2, 4, 8} {
-		sol, err := ExactCtx(ctx, g, Options{Workers: workers})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		if sol.Optimal {
-			t.Fatalf("workers=%d: cancelled solve claims optimality", workers)
-		}
-		if sol.Steps != 0 {
-			t.Fatalf("workers=%d: pre-cancelled solve explored %d nodes", workers, sol.Steps)
-		}
-		w, verr := Verify(g, sol.Set)
-		if verr != nil || w != sol.Weight {
-			t.Fatalf("workers=%d: incumbent invalid: w=%d err=%v", workers, w, verr)
-		}
-		if sol.Weight < greedy.Weight {
-			t.Fatalf("workers=%d: incumbent %d below greedy seed %d", workers, sol.Weight, greedy.Weight)
-		}
+	sol, err := ExactCtx(ctx, g, Options{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if sol.Optimal {
+		t.Fatal("cancelled solve claims optimality")
+	}
+	if sol.Steps != 0 {
+		t.Fatalf("pre-cancelled solve explored %d nodes", sol.Steps)
+	}
+	w, verr := Verify(g, sol.Set)
+	if verr != nil || w != sol.Weight {
+		t.Fatalf("incumbent invalid: w=%d err=%v", w, verr)
+	}
+	if sol.Weight < greedy.Weight {
+		t.Fatalf("incumbent %d below greedy seed %d", sol.Weight, greedy.Weight)
 	}
 }
 
-// TestExactCtxCancelMidSolve cancels a running solve at Workers 1/2/4/8:
-// the incumbent comes back valid with context.Canceled, having explored
-// strictly less of the tree than a full solve (the search actually
-// stopped), within one batch cadence per worker of the cancel point.
+// TestExactCtxCancelMidSolve cancels a running solve: the incumbent comes
+// back valid with context.Canceled, having explored strictly less of the
+// tree than a full solve (the search actually stopped), within one poll
+// cadence of the cancel point.
 func TestExactCtxCancelMidSolve(t *testing.T) {
 	g := cancelTestGraph()
-	full, err := Exact(g, Options{Workers: 1})
+	full, err := Exact(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(5 * time.Millisecond)
-			cancel()
-		}()
-		start := time.Now()
-		// MaxSteps is a failsafe: if cancellation regressed entirely the
-		// budget still stops the solve, and the error assertion below
-		// reports the regression instead of hanging the suite.
-		sol, err := ExactCtx(ctx, g, Options{Workers: workers, MaxSteps: 20_000_000})
-		elapsed := time.Since(start)
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(5 * time.Millisecond)
 		cancel()
-		if err == nil {
-			// An implausibly fast host finished the ~1M-node search inside
-			// the 5ms fuse; the contract was not exercised, not violated.
-			t.Skipf("workers=%d: solve completed in %v before the cancel fired", workers, elapsed)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		if sol.Optimal {
-			t.Fatalf("workers=%d: cancelled solve claims optimality", workers)
-		}
-		w, verr := Verify(g, sol.Set)
-		if verr != nil || w != sol.Weight {
-			t.Fatalf("workers=%d: incumbent invalid: w=%d err=%v", workers, w, verr)
-		}
-		if sol.Weight < Greedy(g, GreedyByRatio).Weight {
-			t.Fatalf("workers=%d: incumbent below the greedy seed", workers)
-		}
-		// The parallel engine legitimately explores up to ~11% more nodes
-		// than the sequential full solve (pruning races), so the "it
-		// actually stopped" bound carries a 2x margin — a broken stop
-		// would run to the 20M-step budget, far past it.
-		if sol.Steps >= 2*full.Steps {
-			t.Fatalf("workers=%d: cancelled solve explored %d nodes, full solve only %d — it never stopped",
-				workers, sol.Steps, full.Steps)
-		}
-		// The return must trail the cancel by at most the batched poll
-		// cadence, not by anything proportional to the remaining tree.
-		// 250ms is orders of magnitude above one 1024-node batch while
-		// still far below the ~50x-budget tail a broken poll would take.
-		if elapsed > 250*time.Millisecond {
-			t.Fatalf("workers=%d: solve returned %v after start (cancel at 5ms) — poll cadence broken", workers, elapsed)
-		}
+	}()
+	start := time.Now()
+	// MaxSteps is a failsafe: if cancellation regressed entirely the
+	// budget still stops the solve, and the error assertion below
+	// reports the regression instead of hanging the suite.
+	sol, err := ExactCtx(ctx, g, Options{MaxSteps: 20_000_000})
+	elapsed := time.Since(start)
+	cancel()
+	if err == nil {
+		// An implausibly fast host finished the search inside the 5ms
+		// fuse; the contract was not exercised, not violated.
+		t.Skipf("solve completed in %v before the cancel fired", elapsed)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if sol.Optimal {
+		t.Fatal("cancelled solve claims optimality")
+	}
+	w, verr := Verify(g, sol.Set)
+	if verr != nil || w != sol.Weight {
+		t.Fatalf("incumbent invalid: w=%d err=%v", w, verr)
+	}
+	if sol.Weight < Greedy(g, GreedyByRatio).Weight {
+		t.Fatal("incumbent below the greedy seed")
+	}
+	if sol.Steps >= full.Steps {
+		t.Fatalf("cancelled solve explored %d nodes, full solve only %d — it never stopped", sol.Steps, full.Steps)
+	}
+	// The return must trail the cancel by at most the batched poll
+	// cadence, not by anything proportional to the remaining tree.
+	// 250ms is orders of magnitude above one 1024-node batch while
+	// still far below the ~50x-budget tail a broken poll would take.
+	if elapsed > 250*time.Millisecond {
+		t.Fatalf("solve returned %v after start (cancel at 5ms) — poll cadence broken", elapsed)
 	}
 }
 
@@ -115,12 +105,12 @@ func TestExactCtxCancelMidSolve(t *testing.T) {
 // inert when unused: ExactCtx(Background) returns the bit-identical
 // Solution (set, weight, steps) Exact returns.
 func TestExactCtxBackgroundMatchesExact(t *testing.T) {
-	g := parallelTestGraph(parallelMinNodes+8, 0.3, 21)
-	plain, err := Exact(g, Options{Workers: 1})
+	g := randomGraph(56, 0.3, 9, rand.New(rand.NewSource(21)))
+	plain, err := Exact(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxed, err := ExactCtx(context.Background(), g, Options{Workers: 1})
+	ctxed, err := ExactCtx(context.Background(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +123,7 @@ func TestExactCtxBackgroundMatchesExact(t *testing.T) {
 		}
 	}
 	// nil ctx is documented to mean Background.
-	niled, err := ExactCtx(nil, g, Options{Workers: 1}) //nolint:staticcheck
+	niled, err := ExactCtx(nil, g, Options{}) //nolint:staticcheck
 	if err != nil || niled.Weight != plain.Weight {
 		t.Fatalf("nil-ctx solve diverged: %+v err=%v", niled, err)
 	}

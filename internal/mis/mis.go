@@ -39,17 +39,9 @@ type Solution struct {
 	Optimal bool
 	// Steps counts the branch-and-bound nodes explored by Exact (0 for
 	// the other solvers); it quantifies how much pruning the clique
-	// bound bought. Deterministic for sequential solves; for parallel
-	// solves (Options.Workers > 1) it varies run to run with incumbent
-	// timing, unlike Set and Weight which are canonical.
+	// bound bought. Like Set and Weight it is deterministic: the same
+	// graph and options always take the same number of steps.
 	Steps int64
-	// WorkerPanics counts solver-worker panics recovered during this
-	// solve (see docs/robustness.md). A recovered panic retires the
-	// worker and requeues its frame for the survivors, so Set and Weight
-	// stay canonical; only when every worker is lost does the solve
-	// degrade to the incumbent and report a *fault.PanicError. Always 0
-	// for cache hits — panics are attributed to the solve that ran.
-	WorkerPanics int
 }
 
 // Verify checks that set is an independent set in g with no duplicates and

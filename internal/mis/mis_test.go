@@ -344,6 +344,39 @@ func TestExactQuickAgainstExhaustive(t *testing.T) {
 	}
 }
 
+// TestWeightOnlyMatchesCanonicalWeight: every solve returns the canonical
+// witness; there is no weight-only mode whose set may differ. On random
+// graphs with n in [48, 64), a content-identical copy built with its
+// edges inserted in reverse order solves to the identical Solution — Set,
+// Weight and Steps — so a cached answer is the answer for every copy.
+func TestWeightOnlyMatchesCanonicalWeight(t *testing.T) {
+	rng := rand.New(rand.NewSource(777))
+	for trial := 0; trial < 6; trial++ {
+		n := 48 + rng.Intn(16)
+		g := randomGraph(n, 0.2+0.4*rng.Float64(), 9, rng)
+		rebuilt := graphs.NewWithN(n)
+		for v := 0; v < n; v++ {
+			rebuilt.AddNodeID(g.Weight(v))
+		}
+		edges := g.Edges()
+		for i := len(edges) - 1; i >= 0; i-- {
+			rebuilt.MustAddEdge(edges[i].V, edges[i].U)
+		}
+		want, err := Exact(g, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Exact(rebuilt, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n=%d): rebuilt copy solved to %v (w=%d, %d steps), original %v (w=%d, %d steps)",
+				trial, n, got.Set, got.Weight, got.Steps, want.Set, want.Weight, want.Steps)
+		}
+	}
+}
+
 func BenchmarkExactRandom60(b *testing.B) {
 	g := randomGraph(60, 0.3, 8, rand.New(rand.NewSource(3)))
 	b.ReportAllocs()

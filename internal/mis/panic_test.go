@@ -23,46 +23,46 @@ func armFaults(t *testing.T, spec string) {
 	t.Cleanup(func() { fault.Set(prev) })
 }
 
-// TestSolverWorkerPanicRecovered: a panic in one branch-and-bound worker
-// degrades the solve to the surviving workers, not to failure — the
-// panicked worker's frame is requeued, the result stays canonical
-// (bit-equal to the clean sequential witness), and the panic is counted
-// on the Solution. Checked at Workers ∈ {2, 4, 8}. The @w match hits
-// whichever worker draws a frame first (which worker that is depends on
-// scheduling) and the *1 budget caps the plan at exactly one panic, so
-// the count assertion is exact at any schedule.
+// TestSolverWorkerPanicRecovered: the chaos plan's worker-panic@w*1
+// matches the solver's one search, "w0", exactly once. The first solve
+// recovers the panic and degrades to its incumbent; the next solve runs
+// clean and returns the same Solution as a solve with no plan armed.
 func TestSolverWorkerPanicRecovered(t *testing.T) {
-	g := parallelTestGraph(64, 0.3, 71)
-	want, err := Exact(g, Options{Workers: 1})
+	g := randomGraph(64, 0.3, 9, rand.New(rand.NewSource(71)))
+	want, err := Exact(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, workers := range []int{2, 4, 8} {
-		// A fresh plan per worker count: the *1 budget is per injector.
-		armFaults(t, "7:worker-panic@w*1")
-		sol, err := Exact(g, Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: solve failed despite %d survivors: %v", workers, workers-1, err)
-		}
-		if !sol.Optimal || sol.Weight != want.Weight || !reflect.DeepEqual(sol.Set, want.Set) {
-			t.Fatalf("workers=%d: degraded result optimal=%v weight=%d set=%v, want clean %d %v",
-				workers, sol.Optimal, sol.Weight, sol.Set, want.Weight, want.Set)
-		}
-		if sol.WorkerPanics != 1 {
-			t.Fatalf("workers=%d: WorkerPanics = %d, want exactly 1 (*1 budget)", workers, sol.WorkerPanics)
-		}
+	armFaults(t, "7:worker-panic@w*1")
+	degraded, err := Exact(g, Options{})
+	var pe *fault.PanicError
+	if !errors.As(err, &pe) || !strings.Contains(pe.Op, "w0") {
+		t.Fatalf("first solve: err = %v, want a *fault.PanicError of solver worker w0", err)
+	}
+	if degraded.Optimal {
+		t.Fatal("degraded solve flagged optimal")
+	}
+	if w, verr := Verify(g, degraded.Set); verr != nil || w != degraded.Weight {
+		t.Fatalf("degraded incumbent invalid: w=%d err=%v", w, verr)
+	}
+	clean, err := Exact(g, Options{})
+	if err != nil {
+		t.Fatalf("second solve failed after the *1 budget was spent: %v", err)
+	}
+	if !reflect.DeepEqual(clean, want) {
+		t.Fatalf("second solve %+v, want the unarmed solve %+v", clean, want)
 	}
 }
 
-// TestSolverPanicSequentialDegrades: with Workers=1 the sequential engine
-// recovers the panic itself (the single worker is "w0" at the fault
-// layer) and degrades to the greedy-seeded incumbent — a valid witness
-// alongside a *fault.PanicError, the same contract as a blown budget.
+// TestSolverPanicSequentialDegrades: the search recovers the panic itself
+// (it is "w0" at the fault layer) and degrades to the greedy-seeded
+// incumbent — a valid witness alongside a *fault.PanicError, the same
+// contract as a blown budget.
 func TestSolverPanicSequentialDegrades(t *testing.T) {
 	armFaults(t, "7:worker-panic@w0*1")
 	g := randomGraph(30, 0.3, 9, rand.New(rand.NewSource(5)))
-	sol, err := Exact(g, Options{Workers: 1})
+	sol, err := Exact(g, Options{})
 	var pe *fault.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want a *fault.PanicError", err)
@@ -73,39 +73,30 @@ func TestSolverPanicSequentialDegrades(t *testing.T) {
 	if sol.Optimal {
 		t.Fatal("degraded solve flagged optimal")
 	}
-	if sol.WorkerPanics != 1 {
-		t.Fatalf("WorkerPanics = %d, want 1", sol.WorkerPanics)
-	}
 	if w, verr := Verify(g, sol.Set); verr != nil || w != sol.Weight {
 		t.Fatalf("incumbent witness invalid: w=%d err=%v", w, verr)
 	}
 }
 
-// TestAllSolverWorkersPanicDegrades: when every worker panics (the @w
-// match hits w0..wN with no budget), the pool drains, the last retiree
-// flags the solve degraded, and the caller still gets the greedy-seeded
-// incumbent — valid, non-optimal — with an error wrapping the first
-// panic. The solve must terminate (no deadlock on the requeued frames).
+// TestAllSolverWorkersPanicDegrades: an uncapped worker-panic@w plan fires
+// on every solve. Each one terminates with the greedy-seeded incumbent —
+// valid, non-optimal — and a *fault.PanicError; none is ever optimal.
 func TestAllSolverWorkersPanicDegrades(t *testing.T) {
-	for _, workers := range []int{2, 4, 8} {
-		armFaults(t, "7:worker-panic@w")
-		g := parallelTestGraph(64, 0.3, 71)
-		sol, err := Exact(g, Options{Workers: workers})
-		if err == nil || !strings.Contains(err.Error(), "solver workers panicked") {
-			t.Fatalf("workers=%d: err = %v, want all-workers-panicked", workers, err)
-		}
+	armFaults(t, "7:worker-panic@w")
+	g := randomGraph(64, 0.3, 9, rand.New(rand.NewSource(71)))
+	seed := SeedIncumbent(g)
+	for solve := 0; solve < 3; solve++ {
+		sol, err := Exact(g, Options{})
 		var pe *fault.PanicError
 		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: error does not wrap the first PanicError: %v", workers, err)
+			t.Fatalf("solve %d: err = %v, want a *fault.PanicError", solve, err)
 		}
 		if sol.Optimal {
-			t.Fatalf("workers=%d: fully degraded solve flagged optimal", workers)
+			t.Fatalf("solve %d: degraded solve flagged optimal", solve)
 		}
-		if sol.WorkerPanics != workers {
-			t.Fatalf("workers=%d: WorkerPanics = %d, want one per worker", workers, sol.WorkerPanics)
-		}
-		if w, verr := Verify(g, sol.Set); verr != nil || w != sol.Weight {
-			t.Fatalf("workers=%d: incumbent witness invalid: w=%d err=%v", workers, w, verr)
+		if sol.Weight != seed.Weight || !reflect.DeepEqual(sol.Set, seed.Set) {
+			t.Fatalf("solve %d: incumbent %v (w=%d), want the greedy seed %v (w=%d)",
+				solve, sol.Set, sol.Weight, seed.Set, seed.Weight)
 		}
 	}
 }
@@ -116,19 +107,12 @@ func TestAllSolverWorkersPanicDegrades(t *testing.T) {
 func TestSolverPanicDisabledInjectorClean(t *testing.T) {
 	prev := fault.Set(nil)
 	t.Cleanup(func() { fault.Set(prev) })
-	g := parallelTestGraph(56, 0.3, 13)
-	seq, err := Exact(g, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	g := randomGraph(56, 0.3, 9, rand.New(rand.NewSource(13)))
+	sol, err := Exact(g, Options{})
+	if err != nil || !sol.Optimal {
+		t.Fatalf("solve with injection disabled: optimal=%v err=%v", sol.Optimal, err)
 	}
-	par, err := Exact(g, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.WorkerPanics != 0 || seq.WorkerPanics != 0 {
-		t.Fatalf("panics counted with injection disabled: seq=%d par=%d", seq.WorkerPanics, par.WorkerPanics)
-	}
-	if !reflect.DeepEqual(par.Set, seq.Set) {
-		t.Fatal("parallel witness differs from sequential with injection disabled")
+	if w, verr := Verify(g, sol.Set); verr != nil || w != sol.Weight {
+		t.Fatalf("witness invalid: w=%d err=%v", w, verr)
 	}
 }

@@ -13,11 +13,10 @@ import (
 
 // Progress contract (Options.Progress): a solve delivers the greedy
 // seed weight first, then one event per strict incumbent improvement,
-// strictly weight-increasing end to end, at every worker count — even
-// when the solve is cancelled mid-search. This is the channel
-// Lab.WatchSolve and the planned anytime-portfolio racing build on.
+// strictly weight-increasing end to end — even when the solve is
+// cancelled mid-search. This is the channel Lab.WatchSolve builds on.
 
-// progressSink collects events; safe for parallel-engine delivery.
+// progressSink collects events; safe for concurrent delivery.
 type progressSink struct {
 	mu     sync.Mutex
 	events []obs.ProgressEvent
@@ -51,54 +50,50 @@ func assertStrictlyIncreasing(t *testing.T, ws []int64) {
 func TestProgressObserverSequence(t *testing.T) {
 	g := randomGraph(90, 0.15, 9, rand.New(rand.NewSource(11)))
 	seed := SeedIncumbent(g)
-	for _, workers := range []int{1, 2, 4} {
-		sink := &progressSink{}
-		sol, err := Exact(g, Options{Workers: workers, Progress: sink})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		ws := sink.weights()
-		if len(ws) == 0 {
-			t.Fatalf("workers=%d: no progress events", workers)
-		}
-		if ws[0] != seed.Weight {
-			t.Fatalf("workers=%d: first event %d, want greedy seed %d", workers, ws[0], seed.Weight)
-		}
-		assertStrictlyIncreasing(t, ws)
-		if last := ws[len(ws)-1]; last != sol.Weight {
-			t.Fatalf("workers=%d: last event %d, want final weight %d", workers, last, sol.Weight)
-		}
+	sink := &progressSink{}
+	sol, err := Exact(g, Options{Progress: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := sink.weights()
+	if len(ws) == 0 {
+		t.Fatal("no progress events")
+	}
+	if ws[0] != seed.Weight {
+		t.Fatalf("first event %d, want greedy seed %d", ws[0], seed.Weight)
+	}
+	assertStrictlyIncreasing(t, ws)
+	if last := ws[len(ws)-1]; last != sol.Weight {
+		t.Fatalf("last event %d, want final weight %d", last, sol.Weight)
 	}
 }
 
-// TestProgressObserverCancelled is the ISSUE's acceptance shape: a
-// cancelled large solve still delivers a strictly weight-increasing
-// sequence whose last event matches the returned incumbent.
+// TestProgressObserverCancelled: a cancelled large solve still delivers a
+// strictly weight-increasing sequence whose last event matches the
+// returned incumbent.
 func TestProgressObserverCancelled(t *testing.T) {
 	g := cancelTestGraph()
-	for _, workers := range []int{1, 4} {
-		sink := &progressSink{}
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(5 * time.Millisecond)
-			cancel()
-		}()
-		sol, err := ExactCtx(ctx, g, Options{Workers: workers, MaxSteps: 20_000_000, Progress: sink})
+	sink := &progressSink{}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(5 * time.Millisecond)
 		cancel()
-		if err == nil {
-			t.Skipf("workers=%d: solve finished before the cancel fired", workers)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v", workers, err)
-		}
-		ws := sink.weights()
-		if len(ws) == 0 {
-			t.Fatalf("workers=%d: cancelled solve delivered no events", workers)
-		}
-		assertStrictlyIncreasing(t, ws)
-		if last := ws[len(ws)-1]; last != sol.Weight {
-			t.Fatalf("workers=%d: last event %d, incumbent %d", workers, last, sol.Weight)
-		}
+	}()
+	sol, err := ExactCtx(ctx, g, Options{MaxSteps: 20_000_000, Progress: sink})
+	cancel()
+	if err == nil {
+		t.Skip("solve finished before the cancel fired")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v", err)
+	}
+	ws := sink.weights()
+	if len(ws) == 0 {
+		t.Fatal("cancelled solve delivered no events")
+	}
+	assertStrictlyIncreasing(t, ws)
+	if last := ws[len(ws)-1]; last != sol.Weight {
+		t.Fatalf("last event %d, incumbent %d", last, sol.Weight)
 	}
 }
 
@@ -108,12 +103,12 @@ func TestProgressObserverCancelled(t *testing.T) {
 // the search never reads it).
 func TestProgressObserverInert(t *testing.T) {
 	g := randomGraph(70, 0.2, 7, rand.New(rand.NewSource(42)))
-	plain, err := Exact(g, Options{Workers: 1})
+	plain, err := Exact(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := &progressSink{}
-	observed, err := Exact(g, Options{Workers: 1, Progress: sink})
+	observed, err := Exact(g, Options{Progress: sink})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,9 +103,8 @@ type witnessCase struct {
 }
 
 // witnessCases draws seeded G(n, p) graphs — n in [16, 40] at p 0.1, 0.3
-// and 0.5, plus n in [48, 60] at p 0.3 and 0.5 so Workers > 1 engages the
-// parallel engine and its canonicalisation — and linear t=2 lower-bound
-// instances with their natural cover.
+// and 0.5, plus n in [48, 60] at p 0.3 and 0.5 — and linear t=2
+// lower-bound instances with their natural cover.
 func witnessCases(t *testing.T) []witnessCase {
 	var cases []witnessCase
 	rng := rand.New(rand.NewSource(2024))
@@ -166,29 +165,24 @@ func TestExactPreservesReferenceWitness(t *testing.T) {
 		if len(ref.improvements) > 1 {
 			improved++
 		}
-		for _, workers := range []int{1, 2, 4} {
-			log := &weightLog{}
-			sol, err := mis.Exact(tc.g, mis.Options{CliqueCover: tc.cover, Workers: workers, Progress: log})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
-			}
-			if sol.Weight != ref.best || !reflect.DeepEqual(sol.Set, ref.bestSet) {
-				t.Fatalf("%s workers=%d: got %v (w=%d), reference %v (w=%d)",
-					tc.name, workers, sol.Set, sol.Weight, ref.bestSet, ref.best)
-			}
-			if workers != 1 {
-				continue
-			}
-			if !reflect.DeepEqual(log.weights, ref.improvements) {
-				t.Fatalf("%s: progress weights %v, reference improvements %v", tc.name, log.weights, ref.improvements)
-			}
-			if sol.Steps > ref.steps {
-				t.Fatalf("%s: %d steps, more than the trivial-bound reference's %d", tc.name, sol.Steps, ref.steps)
-			}
+		log := &weightLog{}
+		sol, err := mis.Exact(tc.g, mis.Options{CliqueCover: tc.cover, Progress: log})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if sol.Weight != ref.best || !reflect.DeepEqual(sol.Set, ref.bestSet) {
+			t.Fatalf("%s: got %v (w=%d), reference %v (w=%d)",
+				tc.name, sol.Set, sol.Weight, ref.bestSet, ref.best)
+		}
+		if !reflect.DeepEqual(log.weights, ref.improvements) {
+			t.Fatalf("%s: progress weights %v, reference improvements %v", tc.name, log.weights, ref.improvements)
+		}
+		if sol.Steps > ref.steps {
+			t.Fatalf("%s: %d steps, more than the trivial-bound reference's %d", tc.name, sol.Steps, ref.steps)
 		}
 	}
 	// Only a search that improves on the greedy seed compares witnesses the
-	// DFS order chose (and runs the parallel canonicalisation).
+	// DFS order chose.
 	if improved == 0 {
 		t.Fatal("no case improved on the greedy seed; the property went unexercised")
 	}

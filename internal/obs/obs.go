@@ -92,8 +92,7 @@ const (
 	// counted where they are caught; disk retry/quarantine traffic is
 	// counted at the solve cache's disk-tier call sites.
 	MSchedJobPanics            = "sched_job_panics"             // counter: panics recovered in scheduler jobs
-	MSolverWorkerPanics        = "solver_worker_panics"         // counter: panics recovered in exact-solver workers
-	MSolverDegradedSolves      = "solver_degraded_solves"       // counter: solves that fell back to the incumbent after worker loss
+	MSolverDegradedSolves      = "solver_degraded_solves"       // counter: solves whose search panicked and fell back to the incumbent
 	MSolveCacheDiskRetries     = "solve_cache_disk_retries"     // counter: disk-tier I/O attempts retried
 	MSolveCacheDiskQuarantined = "solve_cache_disk_quarantined" // counter: corrupt disk entries moved to quarantine
 

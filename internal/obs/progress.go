@@ -9,10 +9,7 @@ type ProgressEvent struct {
 	// improvement.
 	Weight int64
 	// Steps is the number of branch-and-bound nodes explored when the
-	// improvement was found. Under the parallel engine this is the
-	// reporting worker's batched global count, so it is approximate
-	// (within one stepFlushBatch per worker) but monotone enough to
-	// plot anytime curves against.
+	// improvement was found.
 	Steps int64
 	// Final marks the closing event of a watched solve
 	// (Lab.WatchSolve): the solve has returned and Weight is the
@@ -21,11 +18,10 @@ type ProgressEvent struct {
 }
 
 // ProgressObserver receives incumbent improvements. Implementations
-// must be safe for concurrent use when the parallel solver engine is
-// enabled (events themselves are serialised — see mis — but a solve
-// may run concurrently with whatever else the observer's owner does)
-// and must return quickly: the sequential engine fires the observer
-// inline from the search loop.
+// must be safe for concurrent use (one solve's events are serialised —
+// see mis — but a solve may run concurrently with whatever else the
+// observer's owner does) and must return quickly: the solver fires the
+// observer inline from the search loop.
 type ProgressObserver interface {
 	OnIncumbent(ev ProgressEvent)
 }
@@ -70,8 +66,8 @@ func (r *Registry) IncumbentObserver() ProgressObserver {
 // Monotonic wraps an observer with a strictly-increasing weight filter:
 // events whose weight does not exceed the best already delivered are
 // dropped, and delivery is serialised under a mutex, so the downstream
-// observer sees a strictly weight-increasing sequence no matter how
-// engine events interleave. Finish emits the closing Final event
+// observer sees a strictly weight-increasing sequence whatever the
+// observer is shared with. Finish emits the closing Final event
 // unconditionally — it is the termination marker and may repeat the
 // last weight.
 type Monotonic struct {

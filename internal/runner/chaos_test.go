@@ -183,15 +183,16 @@ func TestGoldenReportUnderDiskFaults(t *testing.T) {
 }
 
 // TestChaosSuite is the harness end to end: a real experiment subset under
-// a plan combining one experiment-body panic, one solver-worker panic and
+// a plan combining one experiment-body panic, one solver panic and
 // rate-based disk faults. The run must complete without crashing, the
 // envelope must attribute every contained fault exactly (the *1 budgets
-// make the counts exact), and every experiment that saw no fault must
-// render byte-identically to the clean run.
+// make the counts exact: the solver panic is one degraded solve), and
+// every experiment that saw no fault must render byte-identically to the
+// clean run.
 func TestChaosSuite(t *testing.T) {
 	exps := fastSubset(t)
 	var clean bytes.Buffer
-	if _, err := Run(exps, Options{Jobs: 2, SolverWorkers: 2}, &clean); err != nil {
+	if _, err := Run(exps, Options{Jobs: 2}, &clean); err != nil {
 		t.Fatal(err)
 	}
 
@@ -201,7 +202,7 @@ func TestChaosSuite(t *testing.T) {
 		t.Fatal(err)
 	}
 	var report bytes.Buffer
-	env, err := Run(exps, Options{Jobs: 2, SolverWorkers: 2, SolveCache: c}, &report)
+	env, err := Run(exps, Options{Jobs: 2, SolveCache: c}, &report)
 	if err == nil {
 		t.Fatal("chaos run reported no failures")
 	}
@@ -213,8 +214,8 @@ func TestChaosSuite(t *testing.T) {
 	if f.PanicsRecovered < 1 {
 		t.Fatalf("injected experiment-body panic not recovered: %+v", f)
 	}
-	if f.SolverWorkerPanics != 1 {
-		t.Fatalf("SolverWorkerPanics = %d, want exactly 1 (*1 budget)", f.SolverWorkerPanics)
+	if f.DegradedSolves != 1 {
+		t.Fatalf("DegradedSolves = %d, want exactly 1 (*1 budget)", f.DegradedSolves)
 	}
 	// Exact attribution: the run-level block is the sum of the
 	// per-experiment blocks, and the injected body panic belongs to

@@ -74,7 +74,10 @@ import (
 // all-zero, so fault-free envelopes are byte-identical to v6 apart from
 // the schema string. The cache blocks may additionally carry the
 // disk_retries/disk_quarantined/worker_panics/degraded_solves counters.
-const Schema = "congestlb/experiment-envelope/v7"
+// v8: one solver engine — the run-level solver worker count and the
+// worker-panic counters of the failures and cache blocks are gone. A
+// recovered solver panic is one degraded solve (degraded_solves).
+const Schema = "congestlb/experiment-envelope/v8"
 
 // Experiment statuses in the envelope.
 const (
@@ -89,10 +92,6 @@ type Options struct {
 	// values above the experiment count still buy parallelism. Ignored
 	// when Scheduler is set (the scheduler's own size wins).
 	Jobs int
-	// SolverWorkers is the branch-and-bound worker count stamped onto
-	// every exact solve of the run (0 = the solver's default, GOMAXPROCS).
-	// The effective value is recorded in the envelope.
-	SolverWorkers int
 	// SolveCache pins the run's exact solves to a caller-owned cache;
 	// BuildCache does the same for the lower-bound graph constructions.
 	// congestlb.Lab sets both, so two Labs in one process share no cache
@@ -178,12 +177,7 @@ type FailureStats struct {
 	// experiment: its body (Run), its scheduler instance jobs, and any
 	// engine worker panic that surfaced as a job error.
 	PanicsRecovered uint64 `json:"panics_recovered"`
-	// SolverWorkerPanics counts exact-solver worker panics recovered
-	// inside this experiment's fresh solves (the solve still completed
-	// canonically on the surviving workers unless DegradedSolves says
-	// otherwise).
-	SolverWorkerPanics uint64 `json:"solver_worker_panics"`
-	// DegradedSolves counts fresh solves that lost every worker and fell
+	// DegradedSolves counts fresh solves whose search panicked and fell
 	// back to the incumbent witness with an error.
 	DegradedSolves uint64 `json:"degraded_solves"`
 	// DiskRetries counts solve-cache disk-tier I/O attempts retried after
@@ -200,7 +194,6 @@ func (f FailureStats) Any() bool { return f != FailureStats{} }
 // blocks with it to validate the run-level block).
 func (f *FailureStats) Add(other FailureStats) {
 	f.PanicsRecovered += other.PanicsRecovered
-	f.SolverWorkerPanics += other.SolverWorkerPanics
 	f.DegradedSolves += other.DegradedSolves
 	f.DiskRetries += other.DiskRetries
 	f.DiskQuarantined += other.DiskQuarantined
@@ -215,10 +208,8 @@ type BatchTotals struct {
 // Envelope is the structured result of one runner invocation.
 type Envelope struct {
 	Schema string `json:"schema"`
-	// Jobs is the effective worker-pool size of the run; SolverWorkers the
-	// effective per-solve branch-and-bound worker count.
-	Jobs          int `json:"jobs"`
-	SolverWorkers int `json:"solver_workers"`
+	// Jobs is the effective worker-pool size of the run.
+	Jobs int `json:"jobs"`
 	// WallMS is the whole run's wall-clock time; SequentialMS sums the
 	// per-experiment wall times, so WallMS/SequentialMS exposes the
 	// sharding win on multi-core runs.
@@ -279,10 +270,6 @@ func RunCtx(ctx context.Context, exps []experiments.Experiment, opts Options, w 
 	if w == nil {
 		w = io.Discard
 	}
-	solverWorkers := opts.SolverWorkers
-	if solverWorkers <= 0 {
-		solverWorkers = runtime.GOMAXPROCS(0)
-	}
 	// The caches this run uses: the caller's own (a Lab's) when pinned in
 	// Options, else fresh ones. An UncachedBuilds run uses no build cache
 	// at all — its run-level lbgraph numbers come from summing the
@@ -336,10 +323,9 @@ func RunCtx(ctx context.Context, exps []experiments.Experiment, opts Options, w 
 	}
 
 	env := Envelope{
-		Schema:        Schema,
-		Jobs:          jobs,
-		SolverWorkers: solverWorkers,
-		Experiments:   make([]ExperimentResult, len(exps)),
+		Schema:      Schema,
+		Jobs:        jobs,
+		Experiments: make([]ExperimentResult, len(exps)),
 	}
 	start := time.Now()
 	cacheBefore := opts.SolveCache.Stats()
@@ -398,7 +384,6 @@ func RunCtx(ctx context.Context, exps []experiments.Experiment, opts Options, w 
 		env.Cache.DiskEvictions += st.DiskEvictions
 		env.Cache.DiskRetries += st.DiskRetries
 		env.Cache.DiskQuarantined += st.DiskQuarantined
-		env.Cache.WorkerPanics += st.WorkerPanics
 		env.Cache.DegradedSolves += st.DegradedSolves
 	}
 	cacheAfter := opts.SolveCache.Stats()
@@ -478,7 +463,7 @@ func runOne(ctx context.Context, e experiments.Experiment, sched *experiments.Sc
 	var esp obs.Span
 	ctx, esp = obs.Begin(ctx, "experiment:"+e.ID)
 	defer esp.End()
-	sess := cache.NewSession(opts.SolveCache, opts.SolverWorkers).WithContext(ctx)
+	sess := cache.NewSession(opts.SolveCache).WithContext(ctx)
 	bsess := lbgraph.NewCacheSession(opts.BuildCache) // no cache with UncachedBuilds
 	ectx := experiments.NewCtx(buf, sess).WithBuilds(bsess).WithScheduler(sched).WithContext(ctx)
 	start := time.Now()
@@ -509,11 +494,10 @@ func runOne(ctx context.Context, e experiments.Experiment, sched *experiments.Sc
 		// counting: a body panic never reaches the job layer (runBody
 		// recovers first), and job panics surface as job errors, not as
 		// body panics.
-		PanicsRecovered:    uint64(ectx.PanicsRecovered()),
-		SolverWorkerPanics: st.WorkerPanics,
-		DegradedSolves:     st.DegradedSolves,
-		DiskRetries:        st.DiskRetries,
-		DiskQuarantined:    st.DiskQuarantined,
+		PanicsRecovered: uint64(ectx.PanicsRecovered()),
+		DegradedSolves:  st.DegradedSolves,
+		DiskRetries:     st.DiskRetries,
+		DiskQuarantined: st.DiskQuarantined,
 	}
 	if recovered {
 		f.PanicsRecovered++

@@ -127,9 +127,6 @@ func TestPerJobAttributionExact(t *testing.T) {
 	if misses == 0 || solved == 0 {
 		t.Fatalf("fresh cache saw no solver work: %+v", env.Cache)
 	}
-	if env.SolverWorkers < 1 {
-		t.Fatalf("effective solver workers not recorded: %d", env.SolverWorkers)
-	}
 }
 
 // TestLBGraphAttributionExact is the build-cache twin of the solve-cache

@@ -32,13 +32,13 @@ type GraphSpec struct {
 }
 
 // graph materialises the spec, validating as it goes. The memory check
-// (solveBytes, for the tenant's solver workers) runs before anything of
-// the graph's size is allocated.
-func (s GraphSpec) graph(workers int) (*congestlb.Graph, error) {
+// (solveBytes against budget) runs before anything of the graph's size is
+// allocated.
+func (s GraphSpec) graph(budget int64) (*congestlb.Graph, error) {
 	if s.N <= 0 {
 		return nil, fmt.Errorf("graph: n must be positive, got %d", s.N)
 	}
-	if err := checkSolveBytes(int64(s.N), workers); err != nil {
+	if err := checkSolveBytes(int64(s.N), budget); err != nil {
 		return nil, err
 	}
 	if s.Weights != nil && len(s.Weights) != s.N {
@@ -73,9 +73,6 @@ type SolveRequest struct {
 	// MaxSteps bounds the branch-and-bound search (0 = the solver
 	// default); exhaustion returns the incumbent with optimal=false.
 	MaxSteps int64 `json:"max_steps,omitempty"`
-	// WeightOnly relaxes the witness guarantee to just the weight,
-	// letting the solve share cache entries with canonical solves.
-	WeightOnly bool `json:"weight_only,omitempty"`
 }
 
 // SolveResult is the solve job's result payload.
@@ -180,9 +177,9 @@ type ExperimentsResult struct {
 }
 
 // familyFrom resolves the wire family name and parameters. It validates
-// the parameters and checks reduceBytes against memBudget before the
-// family, whose codeword table alone is k·M words, is built.
-func familyFrom(name string, p ParamsSpec, workers int) (congestlb.Family, error) {
+// the parameters and checks reduceBytes against budget before the family,
+// whose codeword table alone is k·M words, is built.
+func familyFrom(name string, p ParamsSpec, budget int64) (congestlb.Family, error) {
 	params := congestlb.Params{T: p.T, Alpha: p.Alpha, Ell: p.Ell}
 	var build func() (congestlb.Family, error)
 	switch name {
@@ -198,7 +195,7 @@ func familyFrom(name string, p ParamsSpec, workers int) (congestlb.Family, error
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	if err := checkReduceBytes(name, params, workers); err != nil {
+	if err := checkReduceBytes(name, params, budget); err != nil {
 		return nil, err
 	}
 	return build()

@@ -37,12 +37,10 @@ const (
 )
 
 // Quota bounds one tenant's resource use. The zero value means "the
-// service defaults" for every field.
+// service defaults" for every field. LoadConfig ignores keys it does not
+// know, so a config that still sets the retired per-tenant solver worker
+// count loads unchanged and that key has no effect.
 type Quota struct {
-	// SolverWorkers pins the tenant Lab's branch-and-bound worker
-	// default (0 = GOMAXPROCS at solve time). Results are deterministic
-	// at any count, so this is purely a CPU-share knob.
-	SolverWorkers int `json:"solver_workers,omitempty"`
 	// MemoryCacheEntries bounds the tenant's private in-memory solve
 	// cache (0 = the cache package default).
 	MemoryCacheEntries int `json:"memory_cache_entries,omitempty"`

@@ -121,28 +121,27 @@ const (
 	keyAsync
 	keyGraph
 	keyMaxSteps
-	keyWeightOnly
 )
 
 // scanSolve decodes a POST /v1/solve body in one pass, building the
 // graph as it reads. It accepts only the canonical shape that
 // json.Marshal(SolveRequest) and the docs' examples produce:
 //
-//   - top-level keys deadline_ms, async, graph, max_steps and
-//     weight_only, in any order, each at most once and graph required;
+//   - top-level keys deadline_ms, async, graph and max_steps, in any
+//     order, each at most once and graph required;
 //   - graph keys n, then an optional weights, then edges;
 //   - keys spelled exactly and without escapes; integers matching
 //     -?(0|[1-9][0-9]*) that fit their type; booleans true or false;
 //     edges of exactly two integers; nothing after the closing brace.
 //
 // It also declines any body whose graph fails GraphSpec.graph's checks,
-// including a graph over memBudget, which it refuses before allocating
+// including a graph over budget, which it refuses before allocating
 // anything of the graph's size. On false the caller falls back to the
 // strict encoding/json decode and GraphSpec.graph: that path decides
 // every body the scanner declines and words every error, so the accepted
 // bodies, the decoded requests and the status codes are the same on both
 // paths.
-func scanSolve(body []byte, workers int) (SolveRequest, *congestlb.Graph, bool) {
+func scanSolve(body []byte, budget int64) (SolveRequest, *congestlb.Graph, bool) {
 	s := scanner{b: body}
 	var req SolveRequest
 	var g *congestlb.Graph
@@ -165,8 +164,6 @@ func scanSolve(body []byte, workers int) (SolveRequest, *congestlb.Graph, bool) 
 			bit = keyGraph
 		case "max_steps":
 			bit = keyMaxSteps
-		case "weight_only":
-			bit = keyWeightOnly
 		}
 		if bit == 0 || seen&bit != 0 {
 			return req, nil, false
@@ -178,11 +175,9 @@ func scanSolve(body []byte, workers int) (SolveRequest, *congestlb.Graph, bool) 
 		case keyAsync:
 			req.Async, ok = s.bool()
 		case keyGraph:
-			g, ok = s.graph(workers)
+			g, ok = s.graph(budget)
 		case keyMaxSteps:
 			req.MaxSteps, ok = s.int(math.MinInt64, math.MaxInt64)
-		case keyWeightOnly:
-			req.WeightOnly, ok = s.bool()
 		}
 		if !ok {
 			return req, nil, false
@@ -200,9 +195,9 @@ func scanSolve(body []byte, workers int) (SolveRequest, *congestlb.Graph, bool) 
 }
 
 // graph consumes the graph object and builds it, with GraphSpec.graph's
-// checks: n positive and within memBudget, exactly n non-negative
+// checks: n positive and within budget, exactly n non-negative
 // weights when present, and every edge accepted by AddEdge.
-func (s *scanner) graph(workers int) (*congestlb.Graph, bool) {
+func (s *scanner) graph(budget int64) (*congestlb.Graph, bool) {
 	if !s.eat('{') {
 		return nil, false
 	}
@@ -210,7 +205,7 @@ func (s *scanner) graph(workers int) (*congestlb.Graph, bool) {
 		return nil, false
 	}
 	n, ok := s.int(1, math.MaxInt)
-	if !ok || checkSolveBytes(n, workers) != nil || !s.eat(',') {
+	if !ok || checkSolveBytes(n, budget) != nil || !s.eat(',') {
 		return nil, false
 	}
 	k, ok := s.key()

@@ -14,14 +14,14 @@ import (
 
 // referenceSolve is the decode scanSolve must agree with: the strict
 // encoding/json decode followed by GraphSpec.graph.
-func referenceSolve(body []byte, workers int) (SolveRequest, *congestlb.Graph, error) {
+func referenceSolve(body []byte, budget int64) (SolveRequest, *congestlb.Graph, error) {
 	var req SolveRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return req, nil, err
 	}
-	g, err := req.Graph.graph(workers)
+	g, err := req.Graph.graph(budget)
 	req.Graph = GraphSpec{}
 	return req, g, err
 }
@@ -45,7 +45,7 @@ func sameGraph(t *testing.T, a, b *congestlb.Graph) {
 // sameOptions reports whether two decoded solve requests carry the same
 // options.
 func sameOptions(a, b SolveRequest) bool {
-	return a.jobOptions == b.jobOptions && a.MaxSteps == b.MaxSteps && a.WeightOnly == b.WeightOnly
+	return a.jobOptions == b.jobOptions && a.MaxSteps == b.MaxSteps
 }
 
 // marshalSolve is the bench client's body: json.Marshal(SolveRequest).
@@ -63,7 +63,7 @@ func marshalSolve(tb testing.TB, req SolveRequest) []byte {
 // They are small because they seed FuzzDecodeSolve, whose minimization of
 // new inputs is quadratic in their length.
 func canonicalBodies(tb testing.TB) [][]byte {
-	opts := SolveRequest{jobOptions: jobOptions{DeadlineMS: 5000, Async: true}, MaxSteps: 1 << 40, WeightOnly: true}
+	opts := SolveRequest{jobOptions: jobOptions{DeadlineMS: 5000, Async: true}, MaxSteps: 1 << 40}
 	opts.Graph = randSpec(12, 0.3, 8, 3)
 	unweighted := randSpec(9, 0.4, 1, 5)
 	unweighted.Weights = nil
@@ -74,7 +74,7 @@ func canonicalBodies(tb testing.TB) [][]byte {
 		marshalSolve(tb, SolveRequest{Graph: GraphSpec{N: 1, Edges: [][2]int{}}}),
 		[]byte(`{"graph":{"n":3,"edges":[[0,1],[1,2]]}}`),
 		[]byte("{\n  \"graph\": {\"n\": 5, \"weights\": [2,1,1,1,2], \"edges\": [[0,1],[1,2],[2,3],[3,4]]},\n  \"deadline_ms\": 5000\n}"),
-		[]byte(` { "max_steps" : -1 , "graph" : { "n" : 2 , "edges" : [ [ 1 , 0 ] , [0,1] ] } , "weight_only" : false } ` + "\t\r\n"),
+		[]byte(` { "max_steps" : -1 , "graph" : { "n" : 2 , "edges" : [ [ 1 , 0 ] , [0,1] ] } , "async" : false } ` + "\t\r\n"),
 	}
 }
 
@@ -116,6 +116,7 @@ var fallbackBodies = []string{
 	`{"graph":{"n":3,"edges":[]},"async":1}`,
 	`{"graph":{"n":3,"edges":[]},"async":null}`,
 	`{"graph":{"n":3,"edges":[]},"dedaline_ms":5}`,
+	`{"graph":{"n":3,"edges":[]},"weight_only":true}`,
 	`{"async":true}`,
 	`{}`,
 	`[]`,
@@ -130,11 +131,11 @@ func TestScanSolveCanonical(t *testing.T) {
 		marshalSolve(t, SolveRequest{Graph: randSpec(56, 0.2, 8, 1)}),
 		marshalSolve(t, SolveRequest{Graph: randSpec(95, 0.28, 8, 2)}))
 	for _, body := range bodies {
-		req, g, ok := scanSolve(body, 2)
+		req, g, ok := scanSolve(body, memBudget)
 		if !ok {
 			t.Fatalf("scanner declined canonical body %s", body)
 		}
-		ref, rg, err := referenceSolve(body, 2)
+		ref, rg, err := referenceSolve(body, memBudget)
 		if err != nil {
 			t.Fatalf("reference rejects %s: %v", body, err)
 		}
@@ -149,20 +150,20 @@ func TestScanSolveCanonical(t *testing.T) {
 // leaving its verdict to the reference decode.
 func TestScanSolveFallback(t *testing.T) {
 	for _, body := range fallbackBodies {
-		if _, _, ok := scanSolve([]byte(body), 2); ok {
+		if _, _, ok := scanSolve([]byte(body), memBudget); ok {
 			t.Errorf("scanner accepted %s", body)
 		}
 	}
 	// The overriding repeated key is why invalid bodies fall back rather
 	// than fail: the reference accepts this one.
-	if _, _, err := referenceSolve([]byte(overridingGraph), 2); err != nil {
+	if _, _, err := referenceSolve([]byte(overridingGraph), memBudget); err != nil {
 		t.Fatalf("reference rejects the overriding repeated graph: %v", err)
 	}
 }
 
 // FuzzDecodeSolve checks the scanner against the reference decode:
 // whatever the scanner accepts, the reference accepts with the same
-// options and the same graph, and no accepted graph is over memBudget.
+// options and the same graph, and no accepted graph is over the budget.
 func FuzzDecodeSolve(f *testing.F) {
 	for _, body := range canonicalBodies(f) {
 		f.Add(body)
@@ -170,18 +171,19 @@ func FuzzDecodeSolve(f *testing.F) {
 	for _, body := range fallbackBodies {
 		f.Add([]byte(body))
 	}
-	// 64 workers shrink the largest graph memBudget admits to a few MB,
-	// so the fuzzer cannot spend its time allocating huge graphs.
-	const workers = 64
+	// A 4 MiB budget admits graphs of up to ~3.3k nodes (a ~1.4 MB row
+	// arena), so the fuzzer cannot spend its time allocating the ~27k-node
+	// graphs memBudget admits.
+	const budget = 4 << 20
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, g, ok := scanSolve(body, workers)
+		req, g, ok := scanSolve(body, budget)
 		if !ok {
 			return
 		}
-		if b := solveBytes(int64(g.N()), workers); b > memBudget {
+		if b := solveBytes(int64(g.N())); b > budget {
 			t.Fatalf("scanner built n=%d, which needs %d bytes", g.N(), b)
 		}
-		ref, rg, err := referenceSolve(body, workers)
+		ref, rg, err := referenceSolve(body, budget)
 		if err != nil {
 			t.Fatalf("scanner accepted, reference rejects: %v", err)
 		}
@@ -261,7 +263,7 @@ func BenchmarkDecodeSolve(b *testing.B) {
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, ok := scanSolve(body, 2); !ok {
+				if _, _, ok := scanSolve(body, memBudget); !ok {
 					b.Fatal("scanner declined")
 				}
 			}

@@ -55,18 +55,17 @@ func rowBytes(n int64) int64 {
 
 // solveBytes is the memory an exact solve of an n-node graph asks for,
 // computed from n alone: the graph's n adjacency rows, the solver's
-// rank-space copy of them, and n+1 per-depth candidate rows for each
-// solver worker.
-func solveBytes(n int64, workers int) int64 {
-	rows := satAdd(2*n, satMul(int64(workers), satAdd(n, 1)))
-	return satMul(rows, rowBytes(n))
+// rank-space copy of them, and its n+1 per-depth candidate rows —
+// (3n+1)·⌈n/64⌉·8 bytes.
+func solveBytes(n int64) int64 {
+	return satMul(satAdd(satMul(3, n), 1), rowBytes(n))
 }
 
-// checkSolveBytes rejects an n-node solve over memBudget with errTooLarge.
-func checkSolveBytes(n int64, workers int) error {
-	if b := solveBytes(n, workers); b > memBudget {
-		return fmt.Errorf("graph: n=%d needs %d bytes with %d solver workers, %w of %d bytes",
-			n, b, workers, errTooLarge, memBudget)
+// checkSolveBytes rejects an n-node solve over budget (memBudget in
+// production) with errTooLarge.
+func checkSolveBytes(n, budget int64) error {
+	if b := solveBytes(n); b > budget {
+		return fmt.Errorf("graph: n=%d needs %d bytes, %w of %d bytes", n, b, errTooLarge, budget)
 	}
 	return nil
 }
@@ -91,19 +90,19 @@ func reduceNodes(name string, p congestlb.Params) int64 {
 // reduceBytes is the memory a reduction over n nodes asks for: every
 // node's GossipExact rebuild of the n-node graph, the exact solve of the
 // instance, and the family's k·M codeword table.
-func reduceBytes(n int64, p congestlb.Params, workers int) int64 {
+func reduceBytes(n int64, p congestlb.Params) int64 {
 	rebuilt := satMul(n, satMul(n, rowBytes(n)))
 	table := int64(p.K()) * int64(p.M()) * 8
-	return satAdd(satAdd(rebuilt, solveBytes(n, workers)), table)
+	return satAdd(satAdd(rebuilt, solveBytes(n)), table)
 }
 
-// checkReduceBytes rejects a reduction over memBudget with errTooLarge.
-// p must be valid.
-func checkReduceBytes(name string, p congestlb.Params, workers int) error {
+// checkReduceBytes rejects a reduction over budget (memBudget in
+// production) with errTooLarge. p must be valid.
+func checkReduceBytes(name string, p congestlb.Params, budget int64) error {
 	n := reduceNodes(name, p)
-	if b := reduceBytes(n, p, workers); b > memBudget {
-		return fmt.Errorf("reduce: %s at %v has n=%d nodes and needs %d bytes with %d solver workers, %w of %d bytes",
-			name, p, n, b, workers, errTooLarge, memBudget)
+	if b := reduceBytes(n, p); b > budget {
+		return fmt.Errorf("reduce: %s at %v has n=%d nodes and needs %d bytes, %w of %d bytes",
+			name, p, n, b, errTooLarge, budget)
 	}
 	return nil
 }

@@ -12,38 +12,44 @@ import (
 	"congestlb"
 )
 
-// TestSolveBytes pins the cost model at the budget's edge without
-// allocating the budget, and checks the bench's graphs cost a few KB.
+// TestSolveBytes pins the cost model, (3n+1)·⌈n/64⌉·8 bytes, and checks it
+// at the edge of the production budget and of a small one without
+// allocating either; the bench's graphs cost a few KB.
 func TestSolveBytes(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
+	for _, n := range []int64{1, 63, 64, 65, 95, 1000} {
+		if got, want := solveBytes(n), (3*n+1)*((n+63)/64)*8; got != want {
+			t.Fatalf("solveBytes(%d) = %d, want %d", n, got, want)
+		}
+	}
+	for _, budget := range []int64{memBudget, 4 << 20} {
 		// The largest n within the budget, by bisection.
 		lo, hi := int64(1), int64(1<<20)
 		for lo+1 < hi {
-			if mid := (lo + hi) / 2; solveBytes(mid, workers) <= memBudget {
+			if mid := (lo + hi) / 2; solveBytes(mid) <= budget {
 				lo = mid
 			} else {
 				hi = mid
 			}
 		}
-		if err := checkSolveBytes(lo, workers); err != nil {
-			t.Fatalf("workers %d: n=%d just under the budget rejected: %v", workers, lo, err)
+		if err := checkSolveBytes(lo, budget); err != nil {
+			t.Fatalf("budget %d: n=%d just under the budget rejected: %v", budget, lo, err)
 		}
-		err := checkSolveBytes(lo+1, workers)
-		if !errors.Is(err, errTooLarge) || !strings.Contains(err.Error(), fmt.Sprint(solveBytes(lo+1, workers))) {
-			t.Fatalf("workers %d: n=%d just over the budget: %v", workers, lo+1, err)
+		err := checkSolveBytes(lo+1, budget)
+		if !errors.Is(err, errTooLarge) || !strings.Contains(err.Error(), fmt.Sprint(solveBytes(lo+1))) {
+			t.Fatalf("budget %d: n=%d just over the budget: %v", budget, lo+1, err)
 		}
 		over := fmt.Sprintf(`{"graph":{"n":%d,"edges":[]}}`, lo+1)
-		if _, _, ok := scanSolve([]byte(over), workers); ok {
-			t.Fatalf("workers %d: scanner built a graph over the budget", workers)
+		if _, _, ok := scanSolve([]byte(over), budget); ok {
+			t.Fatalf("budget %d: scanner built a graph over the budget", budget)
 		}
-		if _, err := (GraphSpec{N: int(lo + 1)}).graph(workers); !errors.Is(err, errTooLarge) {
-			t.Fatalf("workers %d: GraphSpec.graph over the budget: %v", workers, err)
+		if _, err := (GraphSpec{N: int(lo + 1)}).graph(budget); !errors.Is(err, errTooLarge) {
+			t.Fatalf("budget %d: GraphSpec.graph over the budget: %v", budget, err)
 		}
 	}
-	if b := solveBytes(95, 2); b > 8<<10 {
+	if b := solveBytes(95); b > 8<<10 {
 		t.Fatalf("a solve-hard graph (n=95) costs %d bytes, want a few KB", b)
 	}
-	if b := solveBytes(1<<62, 1<<20); b != 1<<63-1 {
+	if b := solveBytes(1 << 62); b != 1<<63-1 {
 		t.Fatalf("huge n: %d, want the saturated figure", b)
 	}
 }
@@ -67,7 +73,7 @@ func TestReduceBytes(t *testing.T) {
 		{"unweighted", congestlb.Params{T: 2, Alpha: 1, Ell: 3}, false},
 	}
 	for _, c := range cases {
-		_, err := familyFrom(c.family, ParamsSpec{T: c.p.T, Alpha: c.p.Alpha, Ell: c.p.Ell}, 2)
+		_, err := familyFrom(c.family, ParamsSpec{T: c.p.T, Alpha: c.p.Alpha, Ell: c.p.Ell}, memBudget)
 		if got := errors.Is(err, errTooLarge); got != c.over {
 			t.Errorf("%s %v: over budget %v, want %v (%v)", c.family, c.p, got, c.over, err)
 		}
@@ -104,7 +110,7 @@ func TestTinyBodiesOverBudget(t *testing.T) {
 	}
 	defer s.Close()
 	cases := []struct{ path, body, figure string }{
-		{"/v1/solve", `{"graph":{"n":1048576,"edges":[]}}`, fmt.Sprint(solveBytes(1<<20, s.byName["alice"].solverWorkers()))},
+		{"/v1/solve", `{"graph":{"n":1048576,"edges":[]}}`, fmt.Sprint(solveBytes(1 << 20))},
 		{"/v1/reduce", `{"family":"linear","params":{"t":2,"alpha":1,"ell":65535},"inputs":["0","0"]}`, "n=8590196736"},
 	}
 	for _, c := range cases {

@@ -201,7 +201,7 @@ func decodeBody(w http.ResponseWriter, r io.Reader, v any) bool {
 // for every body the scanner declines. The returned request carries the
 // options only; its Graph is left empty. False means the error response
 // was already written.
-func decodeSolve(w http.ResponseWriter, r *http.Request, workers int) (SolveRequest, *congestlb.Graph, bool) {
+func decodeSolve(w http.ResponseWriter, r *http.Request) (SolveRequest, *congestlb.Graph, bool) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	defer func() {
 		if buf.Cap() <= maxPooledBody {
@@ -213,14 +213,14 @@ func decodeSolve(w http.ResponseWriter, r *http.Request, workers int) (SolveRequ
 		writeBodyError(w, err)
 		return SolveRequest{}, nil, false
 	}
-	if req, g, ok := scanSolve(buf.Bytes(), workers); ok {
+	if req, g, ok := scanSolve(buf.Bytes(), memBudget); ok {
 		return req, g, true
 	}
 	var req SolveRequest
 	if !decodeBody(w, bytes.NewReader(buf.Bytes()), &req) {
 		return req, nil, false
 	}
-	g, err := req.Graph.graph(workers)
+	g, err := req.Graph.graph(memBudget)
 	if err != nil {
 		writeError(w, statusOf(err), "%v", err)
 		return req, nil, false
@@ -332,7 +332,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
-	req, g, ok := decodeSolve(w, r, t.solverWorkers())
+	req, g, ok := decodeSolve(w, r)
 	if !ok {
 		return
 	}
@@ -354,7 +354,7 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, http.MaxBytesReader(w, r.Body, maxBody), &req) {
 		return
 	}
-	fam, err := familyFrom(req.Family, req.Params, t.solverWorkers())
+	fam, err := familyFrom(req.Family, req.Params, memBudget)
 	if err != nil {
 		writeError(w, statusOf(err), "%v", err)
 		return

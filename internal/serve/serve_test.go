@@ -9,6 +9,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -439,7 +442,8 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/solve", `{"graph":{"n":3,"edges":[[0,9]]}}`, 400},
 		{"/v1/solve", `{"graph":{"n":3,"weights":[1],"edges":[]}}`, 400},
 		{"/v1/solve", `{"graph":{"n":3,"edges":[]},"max_steps":-1}`, 400},
-		{"/v1/solve", `{"graph":{"n":3,"edges":[]},"dedaline_ms":5}`, 400}, // typo: unknown field
+		{"/v1/solve", `{"graph":{"n":3,"edges":[]},"dedaline_ms":5}`, 400},    // typo: unknown field
+		{"/v1/solve", `{"graph":{"n":3,"edges":[]},"weight_only":true}`, 400}, // retired field
 		{"/v1/solve", `{"graph":{"n":3,"edges":[[0,1]]},"max_steps":1.5}`, 400},
 		{"/v1/solve", `{"graph":{"n":1048576,"edges":[]}}`, 413},
 		{"/v1/solve", `{"graph":{"N":1048576,"Edges":[]}}`, 413},
@@ -460,6 +464,11 @@ func TestBadRequests(t *testing.T) {
 		if resp.StatusCode != c.code {
 			t.Errorf("%s %s: %d %s, want %d", c.path, c.body, resp.StatusCode, data, c.code)
 		}
+	}
+	// The retired weight_only key falls through to the strict decoder,
+	// which names it.
+	if _, data := call(t, "POST", ts.URL+"/v1/solve", "ka", `{"graph":{"n":3,"edges":[]},"weight_only":true}`); !strings.Contains(string(data), `unknown field \"weight_only\"`) {
+		t.Errorf("weight_only body: %s, want the unknown-field error", data)
 	}
 	// A body past maxBody is a 413 on every POST endpoint. It is served
 	// in-process: over a socket the client may still be writing when the
@@ -772,6 +781,25 @@ func TestConfigValidate(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
+	}
+}
+
+// TestLoadConfigIgnoresSolverWorkers: a tenants file written for a daemon
+// that still had a per-tenant solver worker count loads unchanged, and the
+// key has no effect.
+func TestLoadConfigIgnoresSolverWorkers(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tenants.json")
+	body := `{"tenants":[{"name":"alice","api_key":"ka","quota":{"solver_workers":4,"max_concurrent_jobs":2}}]}`
+	if err := os.WriteFile(path, []byte(body), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := LoadConfig(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Config{Tenants: []TenantConfig{{Name: "alice", APIKey: "ka", Quota: Quota{MaxConcurrentJobs: 2}}}}
+	if !reflect.DeepEqual(cfg, want) {
+		t.Fatalf("loaded %+v, want %+v", cfg, want)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -46,7 +45,6 @@ type Tenant struct {
 func newTenant(cfg TenantConfig, tier *congestlb.SharedSolveTier, reg *obs.Registry) (*Tenant, error) {
 	opts := []congestlb.Option{
 		congestlb.WithSharedSolveTier(tier),
-		congestlb.WithSolverWorkers(cfg.Quota.SolverWorkers),
 		congestlb.WithMemoryCacheSize(cfg.Quota.MemoryCacheEntries),
 		congestlb.WithJobs(cfg.Quota.Jobs),
 	}
@@ -65,15 +63,6 @@ func newTenant(cfg TenantConfig, tier *congestlb.SharedSolveTier, reg *obs.Regis
 		requests: reg.Counter(obs.Labeled(obs.MServeRequests, "tenant", cfg.Name)),
 		rejected: reg.Counter(obs.Labeled(obs.MServeRejected, "tenant", cfg.Name)),
 	}, nil
-}
-
-// solverWorkers is the branch-and-bound worker count the tenant's solves
-// run with: the Lab's setting, else GOMAXPROCS, as the Lab resolves it.
-func (t *Tenant) solverWorkers() int {
-	if w := t.Lab.SolverWorkers(); w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // setLastEnvelope stores the marshalled envelope of a completed
@@ -107,10 +96,7 @@ func ctxCut(err error) bool {
 func (t *Tenant) runSolve(ctx context.Context, g *congestlb.Graph, req SolveRequest, job *Job) (any, error, bool) {
 	guard := obs.NewMonotonic(job)
 	sess := t.Lab.NewSolveSession().WithContext(ctx).WithProgress(guard)
-	sol, err := sess.Exact(g, congestlb.SolverOptions{
-		MaxSteps:   req.MaxSteps,
-		WeightOnly: req.WeightOnly,
-	})
+	sol, err := sess.Exact(g, congestlb.SolverOptions{MaxSteps: req.MaxSteps})
 	guard.Finish(sol.Weight, sol.Steps)
 	cancelled := err != nil && ctxCut(err)
 	if err != nil && !cancelled {

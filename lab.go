@@ -2,14 +2,13 @@ package congestlb
 
 // Lab is the library's service handle: the one path to its caches and
 // solver configuration. Each Lab owns its own exact-solve cache (with an
-// optional persistent disk tier), its own lower-bound-graph build cache,
-// its own branch-and-bound worker default and its own experiment worker
-// pool — two Labs in one process share nothing, and nothing in the process
+// optional persistent disk tier), its own lower-bound-graph build cache
+// and its own experiment worker pool — two Labs in one process share nothing, and nothing in the process
 // is shared by default, so a server can host isolated tenants, A/B
 // configurations or concurrent workloads without any cross-talk. Every
 // long-running operation takes a context.Context that cancels it
 // cooperatively. See docs/api.md for the lifecycle, the full option set,
-// the migration table from the 1.x package-level API and the isolation
+// the migration tables from the 1.x and 2.x APIs and the isolation
 // guarantees.
 
 import (
@@ -71,8 +70,7 @@ var ErrClosed = errors.New("congestlb: Lab is closed")
 // value is not usable; create Labs with New.
 //
 // Isolation guarantees: a Lab owns a private solve cache, private disk
-// tier (if configured), private build cache, private solver worker default
-// and private scheduler pool. No operation on one Lab can observe or
+// tier (if configured), private build cache and private scheduler pool. No operation on one Lab can observe or
 // mutate another Lab's state; in particular two Labs with different
 // solve-cache directories never cross-populate. The only state Labs
 // inherently share is the process itself (GOMAXPROCS, memory).
@@ -107,7 +105,6 @@ type Lab struct {
 
 	mu            sync.Mutex
 	idle          *sync.Cond // signalled when active drops to zero
-	workers       int
 	jobs          int
 	buildCacheOff bool
 	sched         *experiments.Scheduler
@@ -121,7 +118,6 @@ type Lab struct {
 
 // labConfig accumulates functional options.
 type labConfig struct {
-	workers    int
 	jobs       int
 	memEntries int
 	cacheDir   string
@@ -134,16 +130,13 @@ type labConfig struct {
 // Option configures a Lab at construction time.
 type Option func(*labConfig)
 
-// WithSolverWorkers sets the Lab's branch-and-bound worker default, applied
-// to every exact solve that does not pin SolverOptions.Workers itself
-// (0 = GOMAXPROCS at solve time). Results are deterministic at any count.
-func WithSolverWorkers(n int) Option {
-	return func(c *labConfig) {
-		if n < 0 {
-			n = 0
-		}
-		c.workers = n
-	}
+// WithSolverWorkers is accepted and ignored: the exact solver runs one
+// search per solve.
+//
+// Deprecated: there is no worker count left to set. This option has no
+// effect and will be removed.
+func WithSolverWorkers(int) Option {
+	return func(*labConfig) {}
 }
 
 // WithSolveCacheDir attaches a persistent on-disk tier to the Lab's solve
@@ -241,9 +234,8 @@ func New(opts ...Option) (*Lab, error) {
 		o(&cfg)
 	}
 	l := &Lab{
-		solve:   cache.New(cfg.memEntries),
-		workers: cfg.workers,
-		jobs:    cfg.jobs,
+		solve: cache.New(cfg.memEntries),
+		jobs:  cfg.jobs,
 	}
 	if cfg.buildCache {
 		l.builds = lbgraph.NewBuildCache(0)
@@ -270,10 +262,9 @@ func New(opts ...Option) (*Lab, error) {
 }
 
 // solveSession builds a ctx-bound attributed session over the Lab's solve
-// cache, stamping the Lab's solver-worker default onto solves. On an
-// observed Lab the context carries the registry (so solves open spans
-// and record latency) and the session's solves fire the Lab's progress
-// observer.
+// cache. On an observed Lab the context carries the registry (so solves
+// open spans and record latency) and the session's solves fire the Lab's
+// progress observer.
 func (l *Lab) solveSession(ctx context.Context) *cache.Session {
 	if l.reg != nil {
 		if ctx == nil {
@@ -286,27 +277,6 @@ func (l *Lab) solveSession(ctx context.Context) *cache.Session {
 		s = s.WithProgress(l.progress)
 	}
 	return s
-}
-
-// SetSolverWorkers sets the Lab's branch-and-bound worker default and
-// returns the previous setting (0 = GOMAXPROCS at solve time).
-func (l *Lab) SetSolverWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	prev := l.workers
-	l.workers = n
-	return prev
-}
-
-// SolverWorkers reports the Lab's current worker default (0 = GOMAXPROCS
-// at solve time).
-func (l *Lab) SolverWorkers() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.workers
 }
 
 // SetSolveCacheDir attaches (or, with "", detaches) the persistent disk
@@ -376,10 +346,9 @@ func (l *Lab) SetBuildCacheEnabled(on bool) bool {
 }
 
 // NewSolveSession returns an attributed view of the Lab's solve cache that
-// counts exactly the traffic routed through it and stamps the Lab's solver
-// worker default onto its solves.
+// counts exactly the traffic routed through it.
 func (l *Lab) NewSolveSession() *SolveSession {
-	return cache.NewSession(l.solve, l.SolverWorkers())
+	return cache.NewSession(l.solve)
 }
 
 // NewBuildSession returns an attributed view of the Lab's build cache (a
@@ -553,9 +522,9 @@ func (l *Lab) ExactMaxIS(ctx context.Context, inst Instance) (Solution, error) {
 // WatchSolve is ExactMaxIS with a live progress stream: every incumbent
 // improvement the exact solve finds is delivered to o as a
 // strictly weight-increasing sequence (a monotonic guard serialises and
-// filters the engines' raw events), followed by exactly one Final event
+// filters the solver's raw events), followed by exactly one Final event
 // carrying the returned solution's weight — even when the solve was
-// answered from cache and no engine ever ran, and even when ctx
+// answered from cache and no search ever ran, and even when ctx
 // cancellation cut the search short (the Final event then carries the
 // best incumbent, mirroring the returned Solution). The Lab's
 // WithObserver callback and metrics registry, if any, observe the same
@@ -581,8 +550,7 @@ func (l *Lab) ExactMaxISGraph(ctx context.Context, g *Graph) (Solution, error) {
 
 // VerifyGap builds the instance for in through the Lab's build cache,
 // solves it exactly through the Lab's solve cache, and checks the correct
-// side of the family's gap predicate, returning the optimum. Only the
-// value is consumed, so the solve is flagged WeightOnly.
+// side of the family's gap predicate, returning the optimum.
 func (l *Lab) VerifyGap(ctx context.Context, fam Family, in Inputs) (int64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -596,7 +564,7 @@ func (l *Lab) VerifyGap(ctx context.Context, fam Family, in Inputs) (int64, erro
 	}
 	sess := l.solveSession(ctx)
 	return core.AuditGapBuilt(fam, in, inst, func(inst Instance) (int64, error) {
-		sol, err := sess.Exact(inst.Graph, SolverOptions{CliqueCover: inst.CliqueCover, WeightOnly: true})
+		sol, err := sess.Exact(inst.Graph, SolverOptions{CliqueCover: inst.CliqueCover})
 		if err != nil {
 			return 0, err
 		}
@@ -666,7 +634,6 @@ func (l *Lab) RunExperiments(ctx context.Context, ids []string, w io.Writer) (Ex
 	}
 	defer l.endRun()
 	return runner.RunCtx(ctx, exps, runner.Options{
-		SolverWorkers:  l.SolverWorkers(),
 		SolveCache:     l.solve,
 		BuildCache:     builds,
 		UncachedBuilds: uncached,
@@ -687,9 +654,6 @@ type LoadStats struct {
 	PoolWorkers int `json:"pool_workers"`
 	// ActiveRuns is the number of RunExperiments calls in flight.
 	ActiveRuns int `json:"active_runs"`
-	// SolverWorkers is the Lab's branch-and-bound worker default
-	// (0 = GOMAXPROCS at solve time).
-	SolverWorkers int `json:"solver_workers"`
 	// Closed reports that the Lab has been (or is being) closed.
 	Closed bool `json:"closed,omitempty"`
 }
@@ -700,9 +664,8 @@ type LoadStats struct {
 func (l *Lab) Load() LoadStats {
 	l.mu.Lock()
 	ls := LoadStats{
-		ActiveRuns:    l.active,
-		SolverWorkers: l.workers,
-		Closed:        l.closed,
+		ActiveRuns: l.active,
+		Closed:     l.closed,
 	}
 	sched := l.sched
 	l.mu.Unlock()

@@ -67,16 +67,13 @@ func TestSharedSolveTierAcrossLabs(t *testing.T) {
 }
 
 func TestLabLoad(t *testing.T) {
-	lab, err := congestlb.New(congestlb.WithJobs(2), congestlb.WithSolverWorkers(3))
+	lab, err := congestlb.New(congestlb.WithJobs(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ls := lab.Load()
 	if ls.QueueDepth != 0 || ls.PoolWorkers != 0 || ls.ActiveRuns != 0 || ls.Closed {
 		t.Fatalf("fresh Lab load: %+v", ls)
-	}
-	if ls.SolverWorkers != 3 {
-		t.Fatalf("SolverWorkers = %d, want 3", ls.SolverWorkers)
 	}
 	if _, err := lab.RunExperiments(context.Background(), []string{"lemma1"}, io.Discard); err != nil {
 		t.Fatal(err)
