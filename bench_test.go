@@ -13,8 +13,6 @@ import (
 	"testing"
 
 	"congestlb"
-	"congestlb/internal/congest"
-	"congestlb/internal/congestalg"
 	"congestlb/internal/core"
 	"congestlb/internal/experiments"
 	"congestlb/internal/fault"
@@ -214,65 +212,5 @@ func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("observed", func(b *testing.B) {
 		run(b, congestlb.WithMetrics(true),
 			congestlb.WithObserver(congestlb.ObserverFunc(func(congestlb.ProgressEvent) {})))
-	})
-}
-
-// BenchmarkBatchedSweep is the engine-level half of the batching story: B
-// identical-shape CONGEST runs as a loop of dedicated Networks versus one
-// congest.RunBatch lockstep pass over a shared graph. The batch side must
-// win on allocations (shared slabs, shared adjacency) and stay at least
-// even on time.
-func BenchmarkBatchedSweep(b *testing.B) {
-	p := congestlb.FigureParams(2)
-	fam, err := congestlb.NewLinear(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(99))
-	in, _, err := congestlb.RandomUniquelyIntersecting(fam.InputBits(), p.T, 0.3, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inst, err := fam.Build(in)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const sweep = 8
-	n := inst.Graph.N()
-
-	b.Run("loop", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < sweep; j++ {
-				net, err := congest.NewNetwork(inst.Graph, congestalg.NewRankGreedyPrograms(n), congest.Config{Seed: int64(j)})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := net.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			items := make([]congest.BatchItem, sweep)
-			for j := range items {
-				items[j] = congest.BatchItem{
-					Graph:    inst.Graph,
-					Programs: congestalg.NewRankGreedyPrograms(n),
-					Config:   congest.Config{Seed: int64(j)},
-				}
-			}
-			_, errs, _ := congest.RunBatch(context.Background(), items)
-			for _, err := range errs {
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
 	})
 }

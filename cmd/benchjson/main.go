@@ -40,8 +40,8 @@
 // A v6 envelope written by an observed run (cmd/experiments -metrics-addr)
 // carries the run's metrics delta and span summary. When present, both are
 // printed and cross-checked against the envelope's legacy counters — the
-// solve-cache and build-cache hit/miss counters and the batch totals must
-// agree exactly, since the registry instruments the very same code paths.
+// solve-cache and build-cache hit/miss counters must agree exactly, since
+// the registry instruments the very same code paths.
 // -require-metrics fails when the block is absent (the observed-smoke
 // assertion), and -scrape URL additionally fetches a live /metrics.json
 // snapshot from a still-running (or -metrics-linger'ing) process and
@@ -244,7 +244,7 @@ func fold(runs []Result) Result {
 // failures-block sums, metric consistency) still gate. requireFailures
 // fails unless the run-level failures block is present and non-zero, the
 // assertion that a chaos run actually injected something.
-func checkEnvelope(r io.Reader, w io.Writer, requireDiskHits, requireBatched, requireMetrics, allowFailed, requireFailures bool, scrapeURL string) error {
+func checkEnvelope(r io.Reader, w io.Writer, requireDiskHits, requireMetrics, allowFailed, requireFailures bool, scrapeURL string) error {
 	var env runner.Envelope
 	if err := json.NewDecoder(r).Decode(&env); err != nil {
 		return fmt.Errorf("benchjson: envelope: %w", err)
@@ -259,8 +259,6 @@ func checkEnvelope(r io.Reader, w io.Writer, requireDiskHits, requireBatched, re
 		env.Cache.DiskHits, env.Cache.DiskMisses, env.Cache.DiskWrites, env.Cache.DiskEvictions)
 	fmt.Fprintf(w, "lbgraph build cache: %d hit / %d miss, %d entries\n",
 		env.LBGraph.Hits, env.LBGraph.Misses, env.LBGraph.Entries)
-	fmt.Fprintf(w, "batched simulation: %d instance(s) over %d lockstep pass(es)\n",
-		env.Batch.BatchedInstances, env.Batch.BatchJobs)
 	var failed []string
 	cancelled := 0
 	var failureSum runner.FailureStats
@@ -270,9 +268,9 @@ func checkEnvelope(r io.Reader, w io.Writer, requireDiskHits, requireBatched, re
 			status += " (cancelled)"
 			cancelled++
 		}
-		fmt.Fprintf(w, "  %-12s %-6s %8.1f ms  %10d steps  %d hit / %d miss  %d builds (%d hit)  %d instance jobs  %d batched\n",
+		fmt.Fprintf(w, "  %-12s %-6s %8.1f ms  %10d steps  %d hit / %d miss  %d builds (%d hit)  %d instance jobs\n",
 			e.ID, status, e.WallMS, e.SolveSteps, e.CacheHits, e.CacheMisses,
-			e.LBGraphHits+e.LBGraphMisses, e.LBGraphHits, e.InstanceJobs, e.BatchedInstances)
+			e.LBGraphHits+e.LBGraphMisses, e.LBGraphHits, e.InstanceJobs)
 		if e.Failures != nil {
 			fmt.Fprintf(w, "  %-12s failures: %s\n", "", failureLine(*e.Failures))
 			failureSum.Add(*e.Failures)
@@ -304,15 +302,6 @@ func checkEnvelope(r io.Reader, w io.Writer, requireDiskHits, requireBatched, re
 	if env.Cancelled != cancelled {
 		return fmt.Errorf("benchjson: envelope claims %d cancellation(s) but flags %d", env.Cancelled, cancelled)
 	}
-	var batchJobs, batchedInstances int64
-	for _, e := range env.Experiments {
-		batchJobs += e.BatchJobs
-		batchedInstances += e.BatchedInstances
-	}
-	if env.Batch.BatchJobs != batchJobs || env.Batch.BatchedInstances != batchedInstances {
-		return fmt.Errorf("benchjson: envelope batch block %d/%d does not sum the per-experiment counters %d/%d",
-			env.Batch.BatchJobs, env.Batch.BatchedInstances, batchJobs, batchedInstances)
-	}
 	if len(failed) > 0 && !allowFailed {
 		return fmt.Errorf("benchjson: %d experiment(s) not ok:\n  %s", len(failed), strings.Join(failed, "\n  "))
 	}
@@ -321,9 +310,6 @@ func checkEnvelope(r io.Reader, w io.Writer, requireDiskHits, requireBatched, re
 	}
 	if requireDiskHits && env.Cache.DiskHits == 0 {
 		return fmt.Errorf("benchjson: run reported no disk-tier hits (warm cache expected)")
-	}
-	if requireBatched && env.Batch.BatchedInstances == 0 {
-		return fmt.Errorf("benchjson: run batched no simulations (batched sweep expected)")
 	}
 	if requireMetrics && env.Metrics == nil {
 		return fmt.Errorf("benchjson: envelope carries no metrics block (observed run expected)")
@@ -382,8 +368,6 @@ func checkMetrics(env runner.Envelope, w io.Writer) error {
 	checks := []pair{
 		{obs.MSolveCacheHits, m.Counter(obs.MSolveCacheHits), int64(env.Cache.Hits)},
 		{obs.MSolveCacheMisses, m.Counter(obs.MSolveCacheMisses), int64(env.Cache.Misses)},
-		{obs.MBatchPasses, m.Counter(obs.MBatchPasses), env.Batch.BatchJobs},
-		{obs.MBatchInstances, m.Counter(obs.MBatchInstances), env.Batch.BatchedInstances},
 		// The fault-containment counters are booked at the same sites the
 		// cache stats are, so equality is exact. (sched_job_panics has no
 		// envelope twin: the envelope counts body panics the scheduler
@@ -565,7 +549,6 @@ func main() {
 	experimentsEnv := flag.String("experiments", "", "validate an experiment result envelope instead of converting bench output: a file (cmd/experiments -json) or an http(s) URL (congestlbd /v1/experiments/last)")
 	bearer := flag.String("bearer", "", "with -experiments URL: send this API key as the Authorization bearer token")
 	requireDiskHits := flag.Bool("require-disk-hits", false, "with -experiments: fail unless the run served at least one solve from the disk tier")
-	requireBatched := flag.Bool("require-batched", false, "with -experiments: fail unless the run batched at least one simulation instance")
 	requireMetrics := flag.Bool("require-metrics", false, "with -experiments: fail unless the envelope carries the v6 metrics block")
 	allowFailed := flag.Bool("allow-failed", false, "with -experiments: tolerate failed experiments (chaos runs); structural invariants still gate")
 	requireFailures := flag.Bool("require-failures", false, "with -experiments: fail unless the run-level failures block is present and non-zero")
@@ -604,7 +587,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		if err := checkEnvelope(f, w, *requireDiskHits, *requireBatched, *requireMetrics, *allowFailed, *requireFailures, *scrape); err != nil {
+		if err := checkEnvelope(f, w, *requireDiskHits, *requireMetrics, *allowFailed, *requireFailures, *scrape); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

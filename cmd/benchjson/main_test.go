@@ -153,7 +153,7 @@ func TestCheckEnvelopeOK(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, false, ""); err != nil {
+	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, ""); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -175,7 +175,7 @@ func TestCheckEnvelopeFailsOnNonOK(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, false, "")
+	err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, "")
 	if err == nil {
 		t.Fatal("failed experiment accepted")
 	}
@@ -191,11 +191,11 @@ func TestCheckEnvelopeRequireDiskHits(t *testing.T) {
 		Experiments: []runner.ExperimentResult{{ID: "figure1", Status: runner.StatusOK}},
 	}
 	var buf bytes.Buffer
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, true, false, false, false, false, ""); err == nil {
+	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, true, false, false, false, ""); err == nil {
 		t.Fatal("cold run accepted with -require-disk-hits")
 	}
 	env.Cache.DiskHits = 3
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, true, false, false, false, false, ""); err != nil {
+	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, true, false, false, false, ""); err != nil {
 		t.Fatalf("warm run rejected: %v", err)
 	}
 }
@@ -315,10 +315,10 @@ func TestCompareBaselinesBadInput(t *testing.T) {
 
 func TestCheckEnvelopeRejectsGarbage(t *testing.T) {
 	var buf bytes.Buffer
-	if err := checkEnvelope(strings.NewReader("not json"), &buf, false, false, false, false, false, ""); err == nil {
+	if err := checkEnvelope(strings.NewReader("not json"), &buf, false, false, false, false, ""); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if err := checkEnvelope(strings.NewReader(`{"schema":"something/else"}`), &buf, false, false, false, false, false, ""); err == nil {
+	if err := checkEnvelope(strings.NewReader(`{"schema":"something/else"}`), &buf, false, false, false, false, ""); err == nil {
 		t.Fatal("wrong schema accepted")
 	}
 	// An envelope whose summary counters disagree with its records is
@@ -328,7 +328,7 @@ func TestCheckEnvelopeRejectsGarbage(t *testing.T) {
 		Failed:      1,
 		Experiments: []runner.ExperimentResult{{ID: "figure1", Status: runner.StatusOK}},
 	}
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, false, ""); err == nil {
+	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, ""); err == nil {
 		t.Fatal("inconsistent envelope accepted")
 	}
 }
@@ -352,11 +352,11 @@ func TestCheckEnvelopeFailures(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	// Without -allow-failed the failed experiment still gates.
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, false, ""); err == nil {
+	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, ""); err == nil {
 		t.Fatal("failed experiment accepted without -allow-failed")
 	}
 	buf.Reset()
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, true, true, ""); err != nil {
+	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, true, true, ""); err != nil {
 		t.Fatalf("chaos envelope rejected: %v", err)
 	}
 	out := buf.String()
@@ -370,12 +370,12 @@ func TestCheckEnvelopeFailures(t *testing.T) {
 	// corrupt in either direction.
 	short := env
 	short.Failures = &runner.FailureStats{PanicsRecovered: 1}
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, short)), &buf, false, false, false, true, false, ""); err == nil {
+	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, short)), &buf, false, false, true, false, ""); err == nil {
 		t.Fatal("short run-level failures block accepted")
 	}
 	missing := env
 	missing.Failures = nil
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, missing)), &buf, false, false, false, true, false, ""); err == nil {
+	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, missing)), &buf, false, false, true, false, ""); err == nil {
 		t.Fatal("missing run-level failures block accepted")
 	}
 
@@ -385,10 +385,10 @@ func TestCheckEnvelopeFailures(t *testing.T) {
 		OK:          1,
 		Experiments: []runner.ExperimentResult{{ID: "figure1", Status: runner.StatusOK}},
 	}
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, clean)), &buf, false, false, false, false, true, ""); err == nil {
+	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, clean)), &buf, false, false, false, true, ""); err == nil {
 		t.Fatal("clean run accepted with -require-failures")
 	}
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, clean)), &buf, false, false, false, false, false, ""); err != nil {
+	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, clean)), &buf, false, false, false, false, ""); err != nil {
 		t.Fatalf("clean run rejected without -require-failures: %v", err)
 	}
 }
@@ -461,17 +461,14 @@ func observedEnvelope() runner.Envelope {
 		OK:      1,
 		Cache:   cache.Stats{Hits: 3, Misses: 5},
 		LBGraph: lbgraph.CacheStats{Hits: 2, Misses: 4},
-		Batch:   runner.BatchTotals{BatchJobs: 1, BatchedInstances: 6},
 		Experiments: []runner.ExperimentResult{
-			{ID: "scaling", Status: runner.StatusOK, BatchJobs: 1, BatchedInstances: 6},
+			{ID: "scaling", Status: runner.StatusOK},
 		},
 		Metrics: &obs.Snapshot{Counters: map[string]int64{
 			obs.MSolveCacheHits:   3,
 			obs.MSolveCacheMisses: 5,
 			obs.MBuildCacheHits:   2,
 			obs.MBuildCacheMisses: 4,
-			obs.MBatchPasses:      1,
-			obs.MBatchInstances:   6,
 		}},
 		Spans: []obs.SpanStat{{Name: "run", Count: 1, TotalNS: 1e6, MaxNS: 1e6}},
 	}
@@ -482,7 +479,7 @@ func observedEnvelope() runner.Envelope {
 func TestCheckEnvelopeMetrics(t *testing.T) {
 	var buf bytes.Buffer
 	env := observedEnvelope()
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, true, false, false, ""); err != nil {
+	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, true, false, false, ""); err != nil {
 		t.Fatalf("consistent observed envelope rejected: %v", err)
 	}
 	out := buf.String()
@@ -496,15 +493,15 @@ func TestCheckEnvelopeMetrics(t *testing.T) {
 	// is corruption: the two instrument the same code paths.
 	env = observedEnvelope()
 	env.Metrics.Counters[obs.MSolveCacheMisses] = 99
-	err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, false, "")
+	err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, "")
 	if err == nil || !strings.Contains(err.Error(), obs.MSolveCacheMisses) {
 		t.Fatalf("metrics/legacy disagreement not flagged: %v", err)
 	}
 
 	env = observedEnvelope()
-	env.Metrics.Counters[obs.MBatchPasses] = 7
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, false, ""); err == nil {
-		t.Fatal("batch-pass disagreement accepted")
+	env.Metrics.Counters[obs.MBuildCacheHits] = 7
+	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, ""); err == nil {
+		t.Fatal("build-hit disagreement accepted")
 	}
 
 	// A run whose registry saw no build traffic (bypass sessions) skips the
@@ -512,7 +509,7 @@ func TestCheckEnvelopeMetrics(t *testing.T) {
 	env = observedEnvelope()
 	delete(env.Metrics.Counters, obs.MBuildCacheHits)
 	delete(env.Metrics.Counters, obs.MBuildCacheMisses)
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, false, ""); err != nil {
+	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, ""); err != nil {
 		t.Fatalf("bypass-build envelope rejected: %v", err)
 	}
 
@@ -520,17 +517,17 @@ func TestCheckEnvelopeMetrics(t *testing.T) {
 	// records.
 	env = observedEnvelope()
 	env.Spans = nil
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, false, ""); err == nil {
+	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, ""); err == nil {
 		t.Fatal("span-free observed envelope accepted")
 	}
 
 	// -require-metrics gates unobserved runs; without it they pass.
 	plain := observedEnvelope()
 	plain.Metrics, plain.Spans = nil, nil
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, plain)), &buf, false, false, true, false, false, ""); err == nil {
+	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, plain)), &buf, false, true, false, false, ""); err == nil {
 		t.Fatal("unobserved run accepted with -require-metrics")
 	}
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, plain)), &buf, false, false, false, false, false, ""); err != nil {
+	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, plain)), &buf, false, false, false, false, ""); err != nil {
 		t.Fatalf("unobserved run rejected without the flag: %v", err)
 	}
 }
@@ -550,7 +547,7 @@ func TestCheckEnvelopeScrape(t *testing.T) {
 	defer srv.Close()
 
 	var buf bytes.Buffer
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, false, srv.URL); err != nil {
+	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, srv.URL); err != nil {
 		t.Fatalf("covering scrape rejected: %v", err)
 	}
 	if !strings.Contains(buf.String(), "covered") {
@@ -558,59 +555,21 @@ func TestCheckEnvelopeScrape(t *testing.T) {
 	}
 
 	live.Counters[obs.MSolveCacheMisses] = 0 // scraped registry can't have seen less
-	err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, false, srv.URL)
+	err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, srv.URL)
 	if err == nil || !strings.Contains(err.Error(), "misses") {
 		t.Fatalf("short scrape not flagged: %v", err)
 	}
 
 	srv.Close()
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, false, srv.URL); err == nil {
+	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, srv.URL); err == nil {
 		t.Fatal("dead endpoint accepted")
 	}
 
 	// -scrape against an unobserved envelope has nothing to compare.
 	plain := observedEnvelope()
 	plain.Metrics, plain.Spans = nil, nil
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, plain)), &buf, false, false, false, false, false, srv.URL); err == nil {
+	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, plain)), &buf, false, false, false, false, srv.URL); err == nil {
 		t.Fatal("-scrape accepted an envelope without metrics")
-	}
-}
-
-// TestCheckEnvelopeBatch: the batch block must sum the per-experiment
-// counters, and -require-batched fails unbatched runs.
-func TestCheckEnvelopeBatch(t *testing.T) {
-	env := runner.Envelope{
-		Schema: runner.Schema,
-		OK:     2,
-		Batch:  runner.BatchTotals{BatchJobs: 2, BatchedInstances: 7},
-		Experiments: []runner.ExperimentResult{
-			{ID: "scaling", Status: runner.StatusOK, BatchJobs: 1, BatchedInstances: 3},
-			{ID: "upperbounds", Status: runner.StatusOK, BatchJobs: 1, BatchedInstances: 4},
-		},
-	}
-	var buf bytes.Buffer
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, true, false, false, false, ""); err != nil {
-		t.Fatalf("batched envelope rejected: %v", err)
-	}
-	if !strings.Contains(buf.String(), "7 instance(s) over 2 lockstep pass(es)") {
-		t.Fatalf("summary missing batch line:\n%s", buf.String())
-	}
-
-	env.Batch.BatchedInstances = 6 // disagree with the records
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, false, ""); err == nil {
-		t.Fatal("inconsistent batch block accepted")
-	}
-
-	unbatched := runner.Envelope{
-		Schema:      runner.Schema,
-		OK:          1,
-		Experiments: []runner.ExperimentResult{{ID: "cutsize", Status: runner.StatusOK}},
-	}
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, unbatched)), &buf, false, true, false, false, false, ""); err == nil {
-		t.Fatal("unbatched run accepted with -require-batched")
-	}
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, unbatched)), &buf, false, false, false, false, false, ""); err != nil {
-		t.Fatalf("unbatched run rejected without the flag: %v", err)
 	}
 }
 
@@ -631,7 +590,7 @@ func TestOpenEnvelopeFileAndURL(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := checkEnvelope(rc, &buf, false, false, false, false, false, ""); err != nil {
+	if err := checkEnvelope(rc, &buf, false, false, false, false, ""); err != nil {
 		t.Fatalf("file envelope rejected: %v", err)
 	}
 	rc.Close()
@@ -657,7 +616,7 @@ func TestOpenEnvelopeFileAndURL(t *testing.T) {
 	}
 	defer rc.Close()
 	buf.Reset()
-	if err := checkEnvelope(rc, &buf, false, false, false, false, false, ""); err != nil {
+	if err := checkEnvelope(rc, &buf, false, false, false, false, ""); err != nil {
 		t.Fatalf("URL envelope rejected: %v", err)
 	}
 	if !strings.Contains(buf.String(), "figure1") {

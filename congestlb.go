@@ -49,7 +49,9 @@
 // configuration globals, …); docs/api.md maps each to its Lab method.
 // Version 3.0.0 removed the solver-worker settings: the exact solver runs
 // one deterministic search per solve, and WithSolverWorkers is a
-// deprecated no-op.
+// deprecated no-op. Version 4.0.0 removed lockstep batching: every
+// simulation is one CONGEST run, and a sweep is a loop of RunReduction;
+// docs/api.md maps each removed name.
 //
 // See examples/ for runnable programs and EXPERIMENTS.md for the
 // regenerated paper results.
@@ -153,9 +155,6 @@ type (
 	NodeInfo = congest.NodeInfo
 	// RunResult is a finished CONGEST run with stats and outputs.
 	RunResult = congest.Result
-	// BatchStats describes one lockstep batched engine pass
-	// (Lab.RunReductionBatch, congest.RunBatch).
-	BatchStats = congest.BatchStats
 )
 
 // Communication-complexity types.
@@ -303,7 +302,7 @@ func PlayersForEpsilon(epsilon float64, quadratic bool) int {
 }
 
 // Version identifies the library release.
-const Version = "3.0.0"
+const Version = "4.0.0"
 
 // BuildInstance is a convenience that constructs and validates an instance
 // for a family and input, with a descriptive error context. It builds from

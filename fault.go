@@ -5,10 +5,11 @@ import "congestlb/internal/fault"
 // Fault containment (see docs/robustness.md).
 //
 // Every layer of a Lab that executes user work — scheduler jobs,
-// experiment bodies, the exact solver, the batched CONGEST engine —
-// recovers panics into a *PanicError that fails only the owning job,
-// solve or batch instance; the pool, the Lab, and sibling tenants keep
-// running. The chaos harness behind EnableFaults injects deterministic
+// experiment bodies, the exact solver — recovers panics into a
+// *PanicError that fails only the owning job or solve; the pool, the
+// Lab, and sibling tenants keep running. Inside an experiment, a
+// panicking CONGEST node program fails the scheduler job its simulation
+// runs in. The chaos harness behind EnableFaults injects deterministic
 // faults (disk errors, corrupt cache entries, panics, stalls) to prove
 // it.
 

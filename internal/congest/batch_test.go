@@ -8,7 +8,7 @@ import (
 )
 
 // runSolo executes one BatchItem as a dedicated Network — the reference
-// the batch engine must match bit-for-bit.
+// the deprecated RunBatch loop must match bit-for-bit.
 func runSolo(t *testing.T, item BatchItem) (Result, error) {
 	t.Helper()
 	net, err := NewNetwork(item.Graph, item.Programs, item.Config)
@@ -38,9 +38,9 @@ func batchItems(t *testing.T) []BatchItem {
 	}
 }
 
-// TestBatchMatchesIndividualRuns is the tentpole contract: every item of
-// a RunBatch pass returns the result (and hook transcript) a dedicated
-// Network.Run would, and the batch stats add up.
+// TestBatchMatchesIndividualRuns: every item of a RunBatch call returns
+// the result (and hook transcript) a dedicated Network.Run would, and the
+// stats count the items.
 func TestBatchMatchesIndividualRuns(t *testing.T) {
 	// Reference transcripts from solo runs.
 	solo := make([]Result, 4)
@@ -69,8 +69,6 @@ func TestBatchMatchesIndividualRuns(t *testing.T) {
 		}
 	}
 	results, errs, stats := RunBatch(context.Background(), items)
-	var totalRounds int64
-	maxRounds := 0
 	for i := range items {
 		if errs[i] != nil {
 			t.Fatalf("item %d: %v", i, errs[i])
@@ -81,12 +79,8 @@ func TestBatchMatchesIndividualRuns(t *testing.T) {
 		if !reflect.DeepEqual(soloTx[i], batchTx[i]) {
 			t.Fatalf("item %d hook transcript diverged (%d vs %d records)", i, len(soloTx[i]), len(batchTx[i]))
 		}
-		totalRounds += int64(results[i].Stats.Rounds)
-		if results[i].Stats.Rounds > maxRounds {
-			maxRounds = results[i].Stats.Rounds
-		}
 	}
-	want := BatchStats{Instances: 4, SharedGraphs: 1, EngineRounds: maxRounds, TotalRounds: totalRounds}
+	want := BatchStats{Instances: 4}
 	if stats != want {
 		t.Fatalf("batch stats %+v, want %+v", stats, want)
 	}
@@ -144,13 +138,13 @@ func TestBatchPerItemErrors(t *testing.T) {
 	if errs[4] == nil {
 		t.Fatal("program count mismatch accepted")
 	}
-	if stats.Instances != 5 || stats.SharedGraphs != 3 {
-		t.Fatalf("stats %+v: want 5 instances, 3 shared graph references", stats)
+	if stats.Instances != 5 {
+		t.Fatalf("stats %+v: want 5 instances", stats)
 	}
 }
 
-// TestBatchCancelled: a fired context fails every still-live instance
-// with the sequential engine's cancellation error.
+// TestBatchCancelled: a fired context fails every item with RunCtx's
+// cancellation error.
 func TestBatchCancelled(t *testing.T) {
 	g := ring(t, 6)
 	programs := make([]NodeProgram, 6)
@@ -165,7 +159,7 @@ func TestBatchCancelled(t *testing.T) {
 	}
 }
 
-// TestBatchEmpty: the degenerate pass is a no-op, not a panic.
+// TestBatchEmpty: the degenerate call is a no-op, not a panic.
 func TestBatchEmpty(t *testing.T) {
 	results, errs, stats := RunBatch(context.Background(), nil)
 	if len(results) != 0 || len(errs) != 0 || stats.Instances != 0 {

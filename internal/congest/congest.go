@@ -9,11 +9,10 @@
 // argument of Theorem 5 in Efron, Grossman and Khoury (PODC 2020) charges
 // the induced t-party protocol. internal/core runs its reductions that way.
 //
-// Node behaviour is written as a NodeProgram state machine. Every run goes
-// through one round loop (see instance.step), which is deterministic:
-// message delivery is ordered by sender ID and per-node randomness comes
-// from per-node seeded generators. Network.RunCtx steps one instance;
-// RunBatch steps many small instances in lockstep (see batch.go).
+// Node behaviour is written as a NodeProgram state machine. Every run is
+// one Network.RunCtx through one round loop (see Network.step), which is
+// deterministic: message delivery is ordered by sender ID and per-node
+// randomness comes from per-node seeded generators.
 //
 // Delivery is push: once a message is validated, tallied against the cut
 // and shown to the hook, the round loop hands it to its receiver's
@@ -242,12 +241,14 @@ func newAdjacency(g *graphs.Graph) *adjacency {
 	return a
 }
 
-// instance is the engine state of one run: the programs, the adjacency
-// their sends are checked against, the per-node outboxes and done flags,
-// and the running Stats. A Network holds one; RunBatch holds one per item,
-// with outboxes, done flags and seen marks cut out of slabs shared by the
-// batch.
-type instance struct {
+// Network binds a graph to one NodeProgram per node and holds the engine
+// state of its runs: the programs, the adjacency their sends are checked
+// against, the per-node outboxes and done flags, and the running Stats.
+// The state is retained across Run calls: repeated runs (benchmark
+// iterations, replayed simulations) reuse the outbox backing arrays and
+// the inbox adapters' buffers at their previous capacity instead of
+// re-growing them by doubling.
+type Network struct {
 	g   *graphs.Graph
 	adj *adjacency
 	// nodes[u] drives node u: its program if that is a PushProgram, else
@@ -256,8 +257,7 @@ type instance struct {
 	nodes     []PushProgram
 	bw        int64
 	maxRounds int
-	cut       *graphs.Partition
-	hook      MessageHook
+	cfg       Config
 
 	outboxes [][]Message
 	// done[u] is node u's Done(), read after Init and after each of its
@@ -268,12 +268,13 @@ type instance struct {
 	// per-node-per-round map: seen[v] == stamp means v already received a
 	// message from the outbox being validated. Stamps only ever grow.
 	seen  []int64
+	stamp int64
 	stats Stats
 }
 
-// newInstance applies the admission checks shared by NewNetwork and
-// RunBatch and resolves cfg's defaults for g.
-func newInstance(g *graphs.Graph, programs []NodeProgram, cfg Config) (*instance, error) {
+// NewNetwork validates the wiring and prepares a run. programs[u] drives
+// node u; len(programs) must equal g.N().
+func NewNetwork(g *graphs.Graph, programs []NodeProgram, cfg Config) (*Network, error) {
 	if g == nil {
 		return nil, fmt.Errorf("congest: nil graph")
 	}
@@ -310,36 +311,29 @@ func newInstance(g *graphs.Graph, programs []NodeProgram, cfg Config) (*instance
 			nodes[u] = &inboxAdapter{NodeProgram: p}
 		}
 	}
-	return &instance{
-		g:         g,
-		nodes:     nodes,
-		bw:        bw,
-		maxRounds: maxRounds,
-		cut:       cfg.Cut,
-		hook:      cfg.Hook,
-	}, nil
+	return &Network{g: g, nodes: nodes, bw: bw, maxRounds: maxRounds, cfg: cfg}, nil
 }
 
 // initPrograms hands every program its NodeInfo and reads its Done(). The
 // neighbour lists the programs get are copies, cut from one slab: the
-// round loop validates against s.adj, which no program may be able to
+// round loop validates against n.adj, which no program may be able to
 // modify.
-func (s *instance) initPrograms(seed int64) {
-	size := len(s.nodes)
-	nbrs := slices.Clone(s.adj.nbrs)
-	s.live = 0
-	for u, p := range s.nodes {
-		lo, hi := s.adj.off[u], s.adj.off[u+1]
+func (n *Network) initPrograms() {
+	size := len(n.nodes)
+	nbrs := slices.Clone(n.adj.nbrs)
+	n.live = 0
+	for u, p := range n.nodes {
+		lo, hi := n.adj.off[u], n.adj.off[u+1]
 		p.Init(NodeInfo{
 			ID:        u,
-			Weight:    s.g.Weight(u),
+			Weight:    n.g.Weight(u),
 			Neighbors: nbrs[lo:hi:hi],
 			N:         size,
-			Rand:      nodeRand(seed, u),
+			Rand:      nodeRand(n.cfg.Seed, u),
 		})
-		s.done[u] = p.Done()
-		if !s.done[u] {
-			s.live++
+		n.done[u] = p.Done()
+		if !n.done[u] {
+			n.live++
 		}
 	}
 }
@@ -348,26 +342,26 @@ func (s *instance) initPrograms(seed int64) {
 // Send calls of the nodes not done, each followed by a read of the node's
 // Done(), then deliver. finished reports that every node was done at the
 // round boundary; stats.Rounds is then set.
-func (s *instance) step(round int, stamp *int64) (finished bool, err error) {
-	if round > s.maxRounds {
-		return false, fmt.Errorf("%w: %d", ErrMaxRounds, s.maxRounds)
+func (n *Network) step(round int) (finished bool, err error) {
+	if round > n.maxRounds {
+		return false, fmt.Errorf("%w: %d", ErrMaxRounds, n.maxRounds)
 	}
-	if s.live == 0 {
-		s.stats.Rounds = round - 1
+	if n.live == 0 {
+		n.stats.Rounds = round - 1
 		return true, nil
 	}
-	for u, p := range s.nodes {
-		if s.done[u] {
-			s.outboxes[u] = s.outboxes[u][:0]
+	for u, p := range n.nodes {
+		if n.done[u] {
+			n.outboxes[u] = n.outboxes[u][:0]
 			continue
 		}
-		s.outboxes[u] = p.Send(round, s.outboxes[u][:0])
+		n.outboxes[u] = p.Send(round, n.outboxes[u][:0])
 		if p.Done() {
-			s.done[u] = true
-			s.live--
+			n.done[u] = true
+			n.live--
 		}
 	}
-	return false, s.deliver(round, stamp)
+	return false, n.deliver(round)
 }
 
 // deliver validates, accounts for and delivers the round's sends.
@@ -388,19 +382,19 @@ func (s *instance) step(round int, stamp *int64) (finished bool, err error) {
 // after its Send this round — in that order, with its payload in the
 // sender's buffer. The Stats are summed in locals and added once the
 // round is delivered.
-func (s *instance) deliver(round int, stamp *int64) error {
-	nodes, done, cut, hook, bw := s.nodes, s.done, s.cut, s.hook, s.bw
+func (n *Network) deliver(round int) error {
+	nodes, done, cut, hook, bw := n.nodes, n.done, n.cfg.Cut, n.cfg.Hook, n.bw
 	var messages, totalBits, maxBits, cutBits, cutMessages int64
-	for u, out := range s.outboxes {
+	for u, out := range n.outboxes {
 		if len(out) == 0 {
 			continue
 		}
-		*stamp++
+		n.stamp++
 		owner := 0
 		if cut != nil {
 			owner = cut.Of(u)
 		}
-		nbrs := s.adj.nbrs[s.adj.off[u]:s.adj.off[u+1]]
+		nbrs := n.adj.nbrs[n.adj.off[u]:n.adj.off[u+1]]
 		next, ordered := 0, true
 		for i := range out {
 			msg := &out[i]
@@ -417,12 +411,12 @@ func (s *instance) deliver(round int, stamp *int64) error {
 				}
 				if !ordered {
 					for _, prev := range out[:i] {
-						s.seen[prev.To] = *stamp
+						n.seen[prev.To] = n.stamp
 					}
 				}
 			}
 			if !ordered {
-				if err := validateMsg(s.g, bw, u, *msg, round, s.seen, *stamp); err != nil {
+				if err := validateMsg(n.g, bw, u, *msg, round, n.seen, n.stamp); err != nil {
 					return err
 				}
 			}
@@ -446,11 +440,11 @@ func (s *instance) deliver(round int, stamp *int64) error {
 			}
 		}
 	}
-	s.stats.Messages += messages
-	s.stats.TotalBits += totalBits
-	s.stats.MaxMessageBits = max(s.stats.MaxMessageBits, maxBits)
-	s.stats.CutBits += cutBits
-	s.stats.CutMessages += cutMessages
+	n.stats.Messages += messages
+	n.stats.TotalBits += totalBits
+	n.stats.MaxMessageBits = max(n.stats.MaxMessageBits, maxBits)
+	n.stats.CutBits += cutBits
+	n.stats.CutMessages += cutMessages
 	return nil
 }
 
@@ -505,33 +499,12 @@ func validateMsg(g *graphs.Graph, bw int64, u int, msg Message, round int, seen 
 	return nil
 }
 
-func (s *instance) collect() Result {
-	outputs := make([]any, len(s.nodes))
-	for u, p := range s.nodes {
+func (n *Network) collect() Result {
+	outputs := make([]any, len(n.nodes))
+	for u, p := range n.nodes {
 		outputs[u] = p.Output()
 	}
-	return Result{Stats: s.stats, Outputs: outputs}
-}
-
-// Network binds a graph to one NodeProgram per node.
-type Network struct {
-	// instance is retained across Run calls: repeated runs (benchmark
-	// iterations, replayed simulations) reuse the outbox backing arrays
-	// and the inbox adapters' buffers at their previous capacity instead
-	// of re-growing them by doubling.
-	instance
-	cfg   Config
-	stamp int64
-}
-
-// NewNetwork validates the wiring and prepares a run. programs[u] drives
-// node u; len(programs) must equal g.N().
-func NewNetwork(g *graphs.Graph, programs []NodeProgram, cfg Config) (*Network, error) {
-	inst, err := newInstance(g, programs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Network{instance: *inst, cfg: cfg}, nil
+	return Result{Stats: n.stats, Outputs: outputs}
 }
 
 // Bandwidth returns the effective per-edge bit budget B.
@@ -567,7 +540,7 @@ func (n *Network) RunCtx(ctx context.Context) (Result, error) {
 			n.outboxes[u] = n.outboxes[u][:0]
 		}
 	}
-	n.initPrograms(n.cfg.Seed)
+	n.initPrograms()
 	n.stats = Stats{}
 
 	for round := 1; ; round++ {
@@ -578,7 +551,7 @@ func (n *Network) RunCtx(ctx context.Context) (Result, error) {
 			default:
 			}
 		}
-		finished, err := n.step(round, &n.stamp)
+		finished, err := n.step(round)
 		if err != nil {
 			return Result{}, err
 		}

@@ -309,7 +309,7 @@ func scriptedRuns(t *testing.T) []scriptedRun {
 }
 
 // TestOrderedSendsMatchPerMessageValidation runs every scripted case
-// through the reference loop, Network.RunCtx and one RunBatch pass: each
+// through the reference loop, Network.RunCtx and one RunBatch call: each
 // run must give the reference's hook transcript, and its error string or
 // its Result (Stats with the cut tally, outputs). A failing run's
 // transcript pins where it failed: a send is refused before the hook

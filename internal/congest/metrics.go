@@ -5,8 +5,7 @@ import "congestlb/internal/obs"
 // EngineMetrics is the round loop's resolved observability handle set.
 // Resolve one from a registry with NewEngineMetrics and stamp it onto
 // Config.Metrics (internal/core does this automatically from a
-// context-bound registry); Network.RunCtx and RunBatch both record into
-// it.
+// context-bound registry); Network.RunCtx records into it.
 //
 // Only successfully completed runs are recorded: a cancelled or failed
 // simulation books nothing, so engine_runs counts results callers
@@ -14,9 +13,7 @@ import "congestlb/internal/obs"
 // over those results' Stats. A nil *EngineMetrics is a no-op sink, the
 // usual nil-registry fast path.
 type EngineMetrics struct {
-	runs, rounds, messages, bits        *obs.Counter
-	batchPasses, batchInst, batchShared *obs.Counter
-	occupancy                           *obs.Histogram
+	runs, rounds, messages, bits *obs.Counter
 }
 
 // NewEngineMetrics resolves the engine handles from a registry (nil
@@ -26,14 +23,10 @@ func NewEngineMetrics(r *obs.Registry) *EngineMetrics {
 		return nil
 	}
 	return &EngineMetrics{
-		runs:        r.Counter(obs.MEngineRuns),
-		rounds:      r.Counter(obs.MEngineRounds),
-		messages:    r.Counter(obs.MEngineMessages),
-		bits:        r.Counter(obs.MEngineBits),
-		batchPasses: r.Counter(obs.MBatchPasses),
-		batchInst:   r.Counter(obs.MBatchInstances),
-		batchShared: r.Counter(obs.MBatchSharedGraphs),
-		occupancy:   r.Histogram(obs.MBatchOccupancy),
+		runs:     r.Counter(obs.MEngineRuns),
+		rounds:   r.Counter(obs.MEngineRounds),
+		messages: r.Counter(obs.MEngineMessages),
+		bits:     r.Counter(obs.MEngineBits),
 	}
 }
 
@@ -46,17 +39,4 @@ func (m *EngineMetrics) recordRun(st Stats) {
 	m.rounds.Add(int64(st.Rounds))
 	m.messages.Add(st.Messages)
 	m.bits.Add(st.TotalBits)
-}
-
-// recordBatch books one completed RunBatch pass's occupancy and
-// graph-sharing numbers (per-instance run costs are booked separately
-// via recordRun as each instance finishes).
-func (m *EngineMetrics) recordBatch(bs BatchStats) {
-	if m == nil {
-		return
-	}
-	m.batchPasses.Inc()
-	m.batchInst.Add(int64(bs.Instances))
-	m.batchShared.Add(int64(bs.SharedGraphs))
-	m.occupancy.Observe(int64(bs.Instances))
 }

@@ -16,15 +16,13 @@ type RoundStat struct {
 //	var tr congest.Tracer
 //	cfg := congest.Config{Hook: tr.Hook()}
 //
-// Hook invocation contract: Network.RunCtx and RunBatch call hooks from
-// the goroutine running the round loop, in global sender-ID order within
-// a round, rounds ascending — so Tracer needs no locking. RunBatch calls
-// each item's hook from its single lockstep loop. A hook must not mutate
+// Hook invocation contract: Network.RunCtx calls hooks from the goroutine
+// running the round loop, in global sender-ID order within a round,
+// rounds ascending — so Tracer needs no locking. A hook must not mutate
 // engine or program state, and the Message passed to it is valid only for
 // the duration of the call: its Data is the sender's buffer, which the
-// hook must neither retain nor modify. One Tracer
-// must not be shared across concurrently running instances; per-item
-// Tracers under RunBatch are fine.
+// hook must neither retain nor modify. One Tracer must not be shared
+// across concurrently running networks.
 type Tracer struct {
 	stats []RoundStat
 }

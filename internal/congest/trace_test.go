@@ -75,10 +75,9 @@ func TestTracerPipelinedEngine(t *testing.T) {
 	}
 }
 
-// TestTracerBatchEngine pins the Tracer contract under RunBatch: each
-// item's hook fires from the single lockstep loop, so unlocked per-item
-// Tracers observe exactly the trace a dedicated solo run produces, even
-// when the items share one graph.
+// TestTracerBatchEngine pins the Tracer contract under the deprecated
+// RunBatch loop: unlocked per-item Tracers observe exactly the trace a
+// dedicated solo run produces, even when the items share one graph.
 func TestTracerBatchEngine(t *testing.T) {
 	g := ring(t, 12)
 	seeds := []int64{3, 7, 21}

@@ -212,7 +212,7 @@ func TestGossipExactMatchesQueueReference(t *testing.T) {
 		})
 	}
 
-	// One lockstep batch holds every network twice: GossipExact at even
+	// One RunBatch call holds every network twice: GossipExact at even
 	// positions, the reference at odd ones.
 	items := make([]congest.BatchItem, 0, 2*len(nets))
 	txs := make([][]delivered, 2*len(nets))

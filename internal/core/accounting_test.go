@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -47,9 +46,9 @@ func emptyPrograms(inst core.Instance) []congest.NodeProgram {
 }
 
 // TestSimulateRejectsZeroBitCutMessage: a message of 0 bits cannot be a
-// blackboard write, so one crossing the cut fails the run — alone, with
-// the deprecated Parallel and Workers set, and in a batch — with the
-// blackboard's error text.
+// blackboard write, so one crossing the cut fails the run — alone and
+// with the deprecated Parallel and Workers set — with the blackboard's
+// error text.
 func TestSimulateRejectsZeroBitCutMessage(t *testing.T) {
 	const want = "core: run: congest: hook: cc: write of 0 bits"
 	l := mustLinear(t)
@@ -73,12 +72,6 @@ func TestSimulateRejectsZeroBitCutMessage(t *testing.T) {
 			t.Fatalf("%s: error = %v, want %q", tc.name, err, want)
 		}
 	}
-	_, errs, _ := core.SimulateBatch(context.Background(), []core.BatchSim{
-		{Fam: l, In: in, Inst: inst, Factory: emptyPrograms, Extract: core.GossipOpt},
-	})
-	if errs[0] == nil || errs[0].Error() != want {
-		t.Fatalf("batch: error = %v, want %q", errs[0], want)
-	}
 }
 
 // referenceBoard returns a hook writing every cut-crossing message of inst
@@ -94,10 +87,10 @@ func referenceBoard(inst core.Instance, bb *cc.Blackboard) congest.MessageHook {
 }
 
 // TestCutCountsMatchBlackboardTranscript pins the count-only accounting to
-// a real transcript: on every family, alone, with the deprecated Parallel
-// and Workers set, and in a batch, BlackboardBits and BlackboardWrites
-// equal the Bits and Len of a blackboard that a chained user hook fills
-// with every cut-crossing message.
+// a real transcript: on every family, alone and with the deprecated
+// Parallel and Workers set, BlackboardBits and BlackboardWrites equal the
+// Bits and Len of a blackboard that a chained user hook fills with every
+// cut-crossing message.
 func TestCutCountsMatchBlackboardTranscript(t *testing.T) {
 	p := lbgraph.Params{T: 2, Alpha: 1, Ell: 3}
 	lin, err := lbgraph.NewLinear(p)
@@ -148,15 +141,6 @@ func TestCutCountsMatchBlackboardTranscript(t *testing.T) {
 			}
 			check(tc.name, rep, &bb)
 		}
-		var bb cc.Blackboard
-		reports, errs, _ := core.SimulateBatch(context.Background(), []core.BatchSim{{
-			Fam: fam, In: in, Inst: inst, Factory: core.GossipPrograms, Extract: core.GossipOpt,
-			Cfg: congest.Config{Hook: referenceBoard(inst, &bb)},
-		}})
-		if errs[0] != nil {
-			t.Fatalf("%s/batch: %v", fam.Name(), errs[0])
-		}
-		check("batch", reports[0], &bb)
 	}
 }
 

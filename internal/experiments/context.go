@@ -2,15 +2,11 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"io"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"congestlb/internal/bitvec"
-	"congestlb/internal/congest"
-	"congestlb/internal/core"
 	"congestlb/internal/fault"
 	"congestlb/internal/lbgraph"
 	"congestlb/internal/mis/cache"
@@ -68,7 +64,11 @@ type instanceJob struct {
 	state atomic.Int32
 	fn    func() error
 	err   error
-	done  chan struct{}
+	// panicked records that run recovered a panic from fn: the event
+	// Gather books as a recovered panic (a job that merely returns a
+	// *fault.PanicError, such as a degraded solve, is not one).
+	panicked bool
+	done     chan struct{}
 	// enqNS/om carry the scheduler's observability handles when a
 	// registry is attached (SetRegistry): enqNS is the enqueue instant,
 	// and whoever wins the claim books the enqueue→claim wait. Both stay
@@ -105,6 +105,7 @@ func (j *instanceJob) run() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fault.NewPanicError("job", r)
+			j.panicked = true
 			if j.om != nil {
 				j.om.panics.Inc()
 			}
@@ -328,15 +329,10 @@ type Ctx struct {
 	sched   *Scheduler
 	pending []*instanceJob
 	jobs    int64
-	// panics counts gathered jobs that failed with a recovered panic
-	// (*fault.PanicError) — the per-experiment attribution the runner's
-	// envelope failures block reports.
+	// panics counts gathered jobs whose run recovered a panic — the
+	// per-experiment attribution the runner's envelope failures block
+	// reports.
 	panics int64
-	// batchJobs/batchedInstances count the lockstep batch passes this run
-	// submitted (through GoBatch or NoteBatch) and the simulation
-	// instances they carried — the envelope's batch accounting.
-	batchJobs        int64
-	batchedInstances int64
 	// ctx is the run's cancellation signal (WithContext; nil = Background).
 	// Go-submitted jobs check it before running, so on cancellation the
 	// queued backlog drains as cancelled instead of executing; experiments
@@ -452,107 +448,25 @@ func (w *Ctx) Gather() error {
 	}
 	var first error
 	for _, j := range w.pending {
-		if j.err != nil {
-			var pe *fault.PanicError
-			if errors.As(j.err, &pe) {
-				w.panics++
-			}
-			if first == nil {
-				first = j.err
-			}
+		if j.panicked {
+			w.panics++
+		}
+		if j.err != nil && first == nil {
+			first = j.err
 		}
 	}
 	w.pending = w.pending[:0]
 	return first
 }
 
-// PanicsRecovered reports how many of this context's gathered jobs failed
-// with a recovered panic (*fault.PanicError) over the context's lifetime —
-// the runner copies it into the envelope's per-experiment failures block.
+// PanicsRecovered reports how many of this context's gathered jobs
+// panicked (and were recovered into a *fault.PanicError) over the
+// context's lifetime — the same events as the sched_job_panics counter.
+// A job that returns a *fault.PanicError without panicking, such as one
+// whose solve degraded, is not counted. The runner copies it into the
+// envelope's per-experiment failures block.
 func (w *Ctx) PanicsRecovered() int64 { return w.panics }
 
 // InstanceJobs reports how many jobs Go has submitted over the context's
 // lifetime — the per-instance count the runner records in the envelope.
 func (w *Ctx) InstanceJobs() int64 { return w.jobs }
-
-// BatchJobs and BatchedInstances report the batched-simulation accounting
-// over the context's lifetime: how many lockstep batch passes ran and how
-// many simulation instances rode them instead of occupying a pool job
-// each.
-func (w *Ctx) BatchJobs() int64        { return w.batchJobs }
-func (w *Ctx) BatchedInstances() int64 { return w.batchedInstances }
-
-// NoteBatch records one congest.RunBatch pass of the given instance count
-// run directly by the experiment body (outside GoBatch), so the envelope
-// accounting covers hand-rolled batches too. Experiment-goroutine-only,
-// like Go.
-func (w *Ctx) NoteBatch(instances int) {
-	w.batchJobs++
-	w.batchedInstances += int64(instances)
-}
-
-// BatchPoint is one sweep point of a batched simulation sweep: the family
-// and inputs, a Build callback producing the (cached) instance, the
-// algorithm, and the slot the report lands in. Points of one sweep that
-// Build the same underlying instance share its graph inside the engine by
-// pointer identity.
-type BatchPoint struct {
-	Fam     core.Family
-	In      bitvec.Inputs
-	Build   func() (core.Instance, error)
-	Factory core.ProgramFactory
-	Extract core.OptExtractor
-	Cfg     congest.Config
-	Report  *core.SimulationReport
-}
-
-// GoBatch submits a sweep of simulation points, fusing them into one
-// core.SimulateBatch lockstep pass per call instead of one pool job per
-// point — the batched counterpart of a w.Go-per-point loop. The fused job
-// is submitted in one Go call, which keeps Gather's earliest-error
-// contract exact; within the fused job the earliest point's error wins,
-// matching a sequential point loop. A point that wants a dedicated job
-// (runScaling's largest) is submitted with Go instead.
-//
-// Like Go, GoBatch is experiment-goroutine-only and the points' Build
-// callbacks and Report slots must not be shared with other jobs.
-func (w *Ctx) GoBatch(points []BatchPoint) {
-	if len(points) == 0 {
-		return
-	}
-	points = append([]BatchPoint(nil), points...)
-	w.NoteBatch(len(points))
-	w.Go(func() error {
-		pointErrs := make([]error, len(points))
-		sims := make([]core.BatchSim, 0, len(points))
-		simPoint := make([]int, 0, len(points))
-		for bi, pt := range points {
-			inst, err := pt.Build()
-			if err != nil {
-				pointErrs[bi] = err
-				continue
-			}
-			sims = append(sims, core.BatchSim{
-				Fam: pt.Fam, In: pt.In, Inst: inst,
-				Factory: pt.Factory, Extract: pt.Extract, Cfg: pt.Cfg,
-			})
-			simPoint = append(simPoint, bi)
-		}
-		reports, errs, _ := core.SimulateBatch(w.Context(), sims)
-		for k, bi := range simPoint {
-			if errs[k] != nil {
-				pointErrs[bi] = errs[k]
-				continue
-			}
-			if points[bi].Report != nil {
-				*points[bi].Report = reports[k]
-			}
-		}
-		for _, err := range pointErrs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}

@@ -11,6 +11,7 @@ import (
 	"congestlb/internal/bitvec"
 	"congestlb/internal/congest"
 	"congestlb/internal/core"
+	"congestlb/internal/fault"
 	"congestlb/internal/lbgraph"
 )
 
@@ -206,10 +207,10 @@ func TestCtxGatherReusable(t *testing.T) {
 	}
 }
 
-// TestCtxGoBatchMatchesPerPointJobs pins the batched submission path: a
-// GoBatch sweep plus one point submitted with w.Go (the shape runScaling
-// uses) produces the same reports a w.Go-per-point loop would, fuses the
-// batched points into one pool job, and books the batch accounting.
+// TestCtxGoBatchMatchesPerPointJobs pins per-point submission: a sweep of
+// simulations submitted as one w.Go job per point (the shape runScaling
+// uses) gives every point the report a solo SimulateBuilt gives it, at any
+// pool size, and books one instance job per point.
 func TestCtxGoBatchMatchesPerPointJobs(t *testing.T) {
 	p := lbgraph.Params{T: 2, Alpha: 1, Ell: 3}
 	l, err := lbgraph.NewLinear(p)
@@ -231,12 +232,10 @@ func TestCtxGoBatchMatchesPerPointJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := core.SimulateBuilt(l, in, inst, core.CollectProgramsWith(w.Solve), core.WitnessOpt, congest.Config{Seed: 11})
+		solo[i], err = core.SimulateBuilt(l, in, inst, core.CollectProgramsWith(w.Solve), core.WitnessOpt, congest.Config{Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep.SolveCacheHits, rep.SolveCacheMisses = 0, 0
-		solo[i] = rep
 	}
 
 	for _, workers := range []int{0, 1, 2} {
@@ -246,29 +245,17 @@ func TestCtxGoBatchMatchesPerPointJobs(t *testing.T) {
 		}
 		w := NewCtx(nil, nil).WithScheduler(sched)
 		reports := make([]core.SimulationReport, len(inputs))
-		points := make([]BatchPoint, len(inputs)-1)
-		for i, in := range inputs[:len(inputs)-1] {
-			in := in
-			points[i] = BatchPoint{
-				Fam: l, In: in,
-				Build:   func() (core.Instance, error) { return l.BuildWith(w.Builds, in) },
-				Factory: core.CollectProgramsWith(w.Solve),
-				Extract: core.WitnessOpt,
-				Cfg:     congest.Config{Seed: 11},
-				Report:  &reports[i],
-			}
-		}
-		w.GoBatch(points)
-		last := len(inputs) - 1
-		w.Go(func() error {
-			inst, err := l.BuildWith(w.Builds, inputs[last])
-			if err != nil {
+		for i, in := range inputs {
+			w.Go(func() error {
+				inst, err := l.BuildWith(w.Builds, in)
+				if err != nil {
+					return err
+				}
+				reports[i], err = core.SimulateBuiltCtx(w.Context(), l, in, inst,
+					core.CollectProgramsWith(w.Solve), core.WitnessOpt, congest.Config{Seed: 11})
 				return err
-			}
-			reports[last], err = core.SimulateBuiltCtx(w.Context(), l, inputs[last], inst,
-				core.CollectProgramsWith(w.Solve), core.WitnessOpt, congest.Config{Seed: 11})
-			return err
-		})
+			})
+		}
 		if err := w.Gather(); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -276,55 +263,46 @@ func TestCtxGoBatchMatchesPerPointJobs(t *testing.T) {
 			sched.Close()
 		}
 		for i := range inputs {
-			got := reports[i]
-			if i < len(inputs)-1 {
-				// Batched points leave solve-cache attribution zero.
-				if got != solo[i] {
-					t.Fatalf("workers=%d point %d diverged:\nbatch %+v\nsolo  %+v", workers, i, got, solo[i])
-				}
-			} else {
-				got.SolveCacheHits, got.SolveCacheMisses = 0, 0
-				if got != solo[i] {
-					t.Fatalf("workers=%d solo-job point diverged:\njob  %+v\nsolo %+v", workers, got, solo[i])
-				}
+			if reports[i] != solo[i] {
+				t.Fatalf("workers=%d point %d diverged:\njob  %+v\nsolo %+v", workers, i, reports[i], solo[i])
 			}
 		}
-		// One fused job for the two batched points plus the solo job.
-		if w.InstanceJobs() != 2 {
-			t.Fatalf("workers=%d: %d instance jobs, want 2", workers, w.InstanceJobs())
-		}
-		if w.BatchJobs() != 1 || w.BatchedInstances() != 2 {
-			t.Fatalf("workers=%d: batch accounting %d jobs / %d instances, want 1/2",
-				workers, w.BatchJobs(), w.BatchedInstances())
+		if w.InstanceJobs() != 3 {
+			t.Fatalf("workers=%d: %d instance jobs, want 3", workers, w.InstanceJobs())
 		}
 	}
 }
 
-// TestCtxGoBatchEarliestError: the fused job reports the earliest
-// point's error, matching a sequential point loop.
-func TestCtxGoBatchEarliestError(t *testing.T) {
-	p := lbgraph.Params{T: 2, Alpha: 1, Ell: 3}
-	l, err := lbgraph.NewLinear(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(67))
-	in, _, err := bitvec.RandomUniquelyIntersecting(p.K(), p.T, bitvec.GenOptions{Density: 0.3}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := NewCtx(nil, nil)
-	good := func() (core.Instance, error) { return l.BuildWith(w.Builds, in) }
-	w.GoBatch([]BatchPoint{
-		{Fam: l, In: in, Build: good, Factory: core.CollectProgramsWith(w.Solve), Extract: core.WitnessOpt},
-		{Fam: l, In: in, Build: func() (core.Instance, error) {
-			return core.Instance{}, errors.New("build of point 1 failed")
-		}, Factory: core.CollectProgramsWith(w.Solve), Extract: core.WitnessOpt},
-		{Fam: l, In: in, Build: func() (core.Instance, error) {
-			return core.Instance{}, errors.New("build of point 2 failed")
-		}, Factory: core.CollectProgramsWith(w.Solve), Extract: core.WitnessOpt},
-	})
-	if err := w.Gather(); err == nil || err.Error() != "build of point 1 failed" {
-		t.Fatalf("Gather returned %v, want the earliest point's error", err)
+// TestCtxGatherCountsOnlyRecoveredPanics: PanicsRecovered counts the jobs
+// whose run recovered a panic, inline and pooled alike. A job that returns
+// a *fault.PanicError without panicking — a degraded solve surfacing its
+// error — fails Gather but is no recovered panic.
+func TestCtxGatherCountsOnlyRecoveredPanics(t *testing.T) {
+	for _, workers := range []int{0, 1, 2} {
+		var sched *Scheduler
+		if workers > 0 {
+			sched = NewScheduler(workers)
+		}
+		returned := NewCtx(nil, nil).WithScheduler(sched)
+		returned.Go(func() error { return fault.NewPanicError("solver", "degraded") })
+		if err := returned.Gather(); err == nil {
+			t.Fatalf("workers=%d: returned PanicError lost", workers)
+		}
+		panicked := NewCtx(nil, nil).WithScheduler(sched)
+		panicked.Go(func() error { panic("boom") })
+		err := panicked.Gather()
+		var pe *fault.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: panicking job returned %v, want a *fault.PanicError", workers, err)
+		}
+		if sched != nil {
+			sched.Close()
+		}
+		if got := returned.PanicsRecovered(); got != 0 {
+			t.Fatalf("workers=%d: returned PanicError counted as %d recovered panic(s), want 0", workers, got)
+		}
+		if got := panicked.PanicsRecovered(); got != 1 {
+			t.Fatalf("workers=%d: panicking job counted as %d recovered panic(s), want 1", workers, got)
+		}
 	}
 }

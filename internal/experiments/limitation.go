@@ -10,6 +10,7 @@ import (
 	"congestlb/internal/core"
 	"congestlb/internal/lbgraph"
 	"congestlb/internal/mis"
+	"congestlb/internal/obs"
 )
 
 // Limitation-side experiments: the Section 1 limitation argument, the
@@ -228,10 +229,8 @@ func runUpperBounds(w *Ctx) error {
 		}, exact: true},
 	}
 
-	// One job for the reference optimum; the four algorithm runs fuse
-	// into a single lockstep congest.RunBatch job sharing one built graph
-	// — the programs only read NodeInfo.Neighbors, so sharing adjacency
-	// across batch items is safe and the engine counts it as sharing.
+	// One job for the reference optimum, one that runs the four
+	// algorithms on one built graph.
 	var opt int64
 	w.Go(func() error {
 		inst, err := l.BuildWith(w.Builds, in)
@@ -251,26 +250,24 @@ func runUpperBounds(w *Ctx) error {
 		achieved  int64
 	}
 	results := make([]algoResult, len(algos))
-	w.NoteBatch(len(algos))
 	w.Go(func() error {
 		inst, err := l.BuildWith(w.Builds, in)
 		if err != nil {
 			return err
 		}
-		items := make([]congest.BatchItem, len(algos))
+		// Stamped as SimulateBuiltCtx stamps it, so an observed run's
+		// engine_runs counts these four runs too.
+		ctx := w.Context()
+		metrics := congest.NewEngineMetrics(obs.FromContext(ctx))
 		for ai, a := range algos {
-			items[ai] = congest.BatchItem{
-				Graph:    inst.Graph,
-				Programs: a.programs(inst.Graph.N()),
-				Config:   congest.Config{Seed: 3},
+			net, err := congest.NewNetwork(inst.Graph, a.programs(inst.Graph.N()), congest.Config{Seed: 3, Metrics: metrics})
+			if err != nil {
+				return err
 			}
-		}
-		batchResults, errs, _ := congest.RunBatch(w.Context(), items)
-		for ai, a := range algos {
-			if errs[ai] != nil {
-				return errs[ai]
+			result, err := net.RunCtx(ctx)
+			if err != nil {
+				return err
 			}
-			result := batchResults[ai]
 			var set []int
 			if a.setsOut {
 				set, err = congestalg.ExactSetFromOutputs(result)

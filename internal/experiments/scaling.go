@@ -62,11 +62,17 @@ func RunScalingPoint(w *Ctx, i int) (core.SimulationReport, error) {
 			return core.SimulationReport{}, err
 		}
 	}
-	p := points[i]
-	l, err := lbgraph.NewLinear(p)
+	l, err := lbgraph.NewLinear(points[i])
 	if err != nil {
 		return core.SimulationReport{}, err
 	}
+	return simulateScalingPoint(w, l, in)
+}
+
+// simulateScalingPoint builds one sweep point's instance and runs the
+// Theorem 5 simulation of CollectSolve on it. CollectSolve keeps the sweep
+// fast: its traffic rides the BFS tree instead of flooding every edge.
+func simulateScalingPoint(w *Ctx, l *lbgraph.Linear, in bitvec.Inputs) (core.SimulationReport, error) {
 	inst, err := l.BuildWith(w.Builds, in)
 	if err != nil {
 		return core.SimulationReport{}, err
@@ -80,12 +86,9 @@ func runScaling(w *Ctx) error {
 	tab := newTable("params", "n", "k", "∣cut∣", "rounds T", "blackboard bits", "bound T·∣cut∣·B", "utilisation")
 	params := ScalingPoints()
 	// Inputs are drawn sequentially (the RNG stream must match the
-	// sequential run). The small points run the lockstep batch engine in
-	// a single pool job (GoBatch); the largest point, about as costly as
-	// both, runs as its own job. CollectSolve keeps the sweep fast: its
-	// traffic rides the BFS tree instead of flooding every edge.
+	// sequential run); each point then builds and simulates in its own
+	// job.
 	reports := make([]core.SimulationReport, len(params))
-	points := make([]BatchPoint, len(params))
 	for i, p := range params {
 		l, err := lbgraph.NewLinear(p)
 		if err != nil {
@@ -95,25 +98,11 @@ func runScaling(w *Ctx) error {
 		if err != nil {
 			return err
 		}
-		points[i] = BatchPoint{
-			Fam: l, In: in,
-			Build:   func() (core.Instance, error) { return l.BuildWith(w.Builds, in) },
-			Factory: core.CollectProgramsWith(w.Solve),
-			Extract: core.WitnessOpt,
-			Cfg:     scalingConfig,
-			Report:  &reports[i],
-		}
-	}
-	last := points[len(points)-1]
-	w.GoBatch(points[:len(points)-1])
-	w.Go(func() error {
-		inst, err := last.Build()
-		if err != nil {
+		w.Go(func() (err error) {
+			reports[i], err = simulateScalingPoint(w, l, in)
 			return err
-		}
-		*last.Report, err = core.SimulateBuiltCtx(w.Context(), last.Fam, last.In, inst, last.Factory, last.Extract, last.Cfg)
-		return err
-	})
+		})
+	}
 	if err := w.Gather(); err != nil {
 		return err
 	}

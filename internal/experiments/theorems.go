@@ -288,12 +288,9 @@ func runTheorem5(w *Ctx) error {
 		{name: "uniquely intersecting", intersect: true},
 		{name: "pairwise disjoint", intersect: false},
 	}
-	// The whole (case × algorithm) grid is one batched sweep: input
-	// generation stays on the RNG stream, and both algorithms of a case
-	// share one memoised build — the same *Graph by pointer, which the
-	// batch engine shares instead of duplicating adjacency.
+	// Input generation stays on the RNG stream; each (case, algorithm)
+	// pair then builds its instance and simulates in its own job.
 	reports := make([]core.SimulationReport, len(cases)*len(algos))
-	points := make([]BatchPoint, 0, len(cases)*len(algos))
 	for ci, tc := range cases {
 		var in bitvec.Inputs
 		if tc.intersect {
@@ -304,30 +301,17 @@ func runTheorem5(w *Ctx) error {
 		if err != nil {
 			return err
 		}
-		// Case-scoped build memo: Build callbacks run sequentially inside
-		// the batch job, so an unlocked closure is race-free.
-		var (
-			built     core.Instance
-			builtErr  error
-			haveBuilt bool
-		)
-		build := func() (core.Instance, error) {
-			if !haveBuilt {
-				built, builtErr = l.BuildWith(w.Builds, in)
-				haveBuilt = true
-			}
-			return built, builtErr
-		}
 		for ai, a := range algos {
-			points = append(points, BatchPoint{
-				Fam: l, In: in, Build: build,
-				Factory: a.factory, Extract: a.extract,
-				Cfg:    congest.Config{Seed: 5},
-				Report: &reports[ci*len(algos)+ai],
+			w.Go(func() error {
+				inst, err := l.BuildWith(w.Builds, in)
+				if err != nil {
+					return err
+				}
+				reports[ci*len(algos)+ai], err = core.SimulateBuiltCtx(w.Context(), l, in, inst, a.factory, a.extract, congest.Config{Seed: 5})
+				return err
 			})
 		}
 	}
-	w.GoBatch(points)
 	if err := w.Gather(); err != nil {
 		return err
 	}

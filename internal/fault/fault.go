@@ -19,8 +19,8 @@
 // one" fault without caring which racing site claims it.
 //
 // The package also owns PanicError, the structured error every recovery
-// site in the repo (scheduler jobs, experiment bodies, the exact solver,
-// the batch engine) converts panics into. It lives here — not in
+// site in the repo (scheduler jobs, experiment bodies, the exact solver)
+// converts panics into. It lives here — not in
 // the congestlb facade — so that leaf packages can return it without an
 // import cycle; the facade re-exports it as congestlb.PanicError.
 package fault
@@ -298,9 +298,9 @@ func Stall(p Point, key string) {
 }
 
 // PanicError is the structured error a recovered panic becomes. Op names
-// the owning work item ("job", "experiment:scaling", "solver worker w0",
-// "batch instance 3"); Value is the recovered panic
-// value and Stack the goroutine stack captured at recovery.
+// the owning work item ("job", "experiment:scaling", "solver worker w0");
+// Value is the recovered panic value and Stack the goroutine stack
+// captured at recovery.
 //
 // Error() deliberately excludes the stack: report lines built from it
 // must be byte-stable across runs, and stacks are not.

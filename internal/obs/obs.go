@@ -76,17 +76,11 @@ const (
 	MSchedJobs       = "sched_jobs"        // counter: jobs ever enqueued
 	MSchedJobWaitNS  = "sched_job_wait_ns" // histogram: enqueue→claim latency
 
-	// CONGEST round loop (Network.RunCtx and congest.RunBatch).
+	// CONGEST round loop (congest.Network.RunCtx).
 	MEngineRuns     = "engine_runs"     // counter: completed simulations
 	MEngineRounds   = "engine_rounds"   // counter: rounds across completed simulations
 	MEngineMessages = "engine_messages" // counter: messages delivered
 	MEngineBits     = "engine_bits"     // counter: payload bits delivered
-
-	// Lockstep batch engine (congest.RunBatch).
-	MBatchPasses       = "batch_passes"        // counter: RunBatch invocations
-	MBatchInstances    = "batch_instances"     // counter: instances across passes
-	MBatchSharedGraphs = "batch_shared_graphs" // counter: distinct graphs across passes
-	MBatchOccupancy    = "batch_occupancy"     // histogram: instances per pass
 
 	// Fault containment (see docs/robustness.md). Panic recoveries are
 	// counted where they are caught; disk retry/quarantine traffic is

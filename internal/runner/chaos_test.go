@@ -211,8 +211,8 @@ func TestChaosSuite(t *testing.T) {
 		t.Fatal("chaos run carries no run-level failures block")
 	}
 	f := *env.Failures
-	if f.PanicsRecovered < 1 {
-		t.Fatalf("injected experiment-body panic not recovered: %+v", f)
+	if f.PanicsRecovered != 1 {
+		t.Fatalf("PanicsRecovered = %d, want exactly 1: the injected experiment-body panic (the degraded solve is not a panic): %+v", f.PanicsRecovered, f)
 	}
 	if f.DegradedSolves != 1 {
 		t.Fatalf("DegradedSolves = %d, want exactly 1 (*1 budget)", f.DegradedSolves)

@@ -119,11 +119,14 @@ func TestGoldenReportDeterminismObserved(t *testing.T) {
 		if got, want := env.Metrics.Counter(obs.MBuildCacheMisses), int64(env.LBGraph.Misses); got != want {
 			t.Fatalf("jobs=%d: metrics build misses %d, envelope %d", jobs, got, want)
 		}
-		if got, want := env.Metrics.Counter(obs.MBatchPasses), env.Batch.BatchJobs; got != want {
-			t.Fatalf("jobs=%d: metrics batch passes %d, envelope %d", jobs, got, want)
+		// Every scheduler job is one experiment or one of its instance
+		// jobs, so the job counter has exactly one source of truth.
+		wantJobs := int64(len(env.Experiments))
+		for _, r := range env.Experiments {
+			wantJobs += r.InstanceJobs
 		}
-		if got, want := env.Metrics.Counter(obs.MBatchInstances), env.Batch.BatchedInstances; got != want {
-			t.Fatalf("jobs=%d: metrics batch instances %d, envelope %d", jobs, got, want)
+		if got := env.Metrics.Counter(obs.MSchedJobs); got != wantJobs {
+			t.Fatalf("jobs=%d: metrics sched jobs %d, want %d experiments + instance jobs", jobs, got, wantJobs)
 		}
 		if len(env.Spans) == 0 {
 			t.Fatalf("jobs=%d: envelope carries no span summary", jobs)

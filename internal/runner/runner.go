@@ -59,9 +59,9 @@ import (
 // caller-owned caches and a caller-owned scheduler (the congestlb.Lab
 // isolation seam) instead of the process-wide shared ones.
 // v5: batched-simulation accounting — per-experiment batch_jobs /
-// batched_instances count the lockstep congest.RunBatch passes the
-// experiment submitted and the simulation instances they carried, and the
-// run-level batch block sums them.
+// batched_instances counted the lockstep batch passes the experiment
+// submitted and the simulation instances they carried, and a run-level
+// batch block summed them (removed in v9).
 // v6: observability — when Options.Obs carries a registry, the envelope
 // embeds the run's metrics delta (run-scoped counter/gauge/histogram
 // snapshot, sum-consistent with the legacy cache/lbgraph/batch counters)
@@ -77,7 +77,11 @@ import (
 // v8: one solver engine — the run-level solver worker count and the
 // worker-panic counters of the failures and cache blocks are gone. A
 // recovered solver panic is one degraded solve (degraded_solves).
-const Schema = "congestlb/experiment-envelope/v8"
+// v9: no lockstep batching — the per-experiment batch_jobs /
+// batched_instances counters and the run-level batch block are gone;
+// every simulation is one instance job's CONGEST run. panics_recovered
+// counts only panics (a degraded solve is not one).
+const Schema = "congestlb/experiment-envelope/v9"
 
 // Experiment statuses in the envelope.
 const (
@@ -154,14 +158,6 @@ type ExperimentResult struct {
 	// lbgraph.CacheSession.
 	LBGraphHits   uint64 `json:"lbgraph_hits"`
 	LBGraphMisses uint64 `json:"lbgraph_misses"`
-	// BatchJobs counts the lockstep batch passes (Ctx.GoBatch fusions and
-	// direct congest.RunBatch calls the experiment noted) and
-	// BatchedInstances the simulation instances that rode them instead of
-	// occupying one pool job each. InstanceJobs counts a whole batch pass
-	// as one job, so BatchedInstances - BatchJobs is the submission work
-	// batching removed.
-	BatchJobs        int64 `json:"batch_jobs"`
-	BatchedInstances int64 `json:"batched_instances"`
 	// Failures is the experiment's fault-containment accounting, omitted
 	// when nothing went wrong (the overwhelmingly common case).
 	Failures *FailureStats `json:"failures,omitempty"`
@@ -174,8 +170,7 @@ type ExperimentResult struct {
 // private sessions — which is what the chaos suite asserts.
 type FailureStats struct {
 	// PanicsRecovered counts panics recovered while executing this
-	// experiment: its body (Run), its scheduler instance jobs, and any
-	// engine worker panic that surfaced as a job error.
+	// experiment: in its body (Run) and in its scheduler instance jobs.
 	PanicsRecovered uint64 `json:"panics_recovered"`
 	// DegradedSolves counts fresh solves whose search panicked and fell
 	// back to the incumbent witness with an error.
@@ -197,12 +192,6 @@ func (f *FailureStats) Add(other FailureStats) {
 	f.DegradedSolves += other.DegradedSolves
 	f.DiskRetries += other.DiskRetries
 	f.DiskQuarantined += other.DiskQuarantined
-}
-
-// BatchTotals is the run-level sum of the per-experiment batch accounting.
-type BatchTotals struct {
-	BatchJobs        int64 `json:"batch_jobs"`
-	BatchedInstances int64 `json:"batched_instances"`
 }
 
 // Envelope is the structured result of one runner invocation.
@@ -227,8 +216,6 @@ type Envelope struct {
 	// LBGraph reports the run's lower-bound-graph build-cache traffic, with
 	// the same delta/occupancy convention as Cache.
 	LBGraph lbgraph.CacheStats `json:"lbgraph_cache"`
-	// Batch sums the per-experiment batched-simulation accounting.
-	Batch BatchTotals `json:"batch"`
 	// Failures sums the per-experiment failures blocks; omitted when the
 	// whole run was fault-free.
 	Failures *FailureStats `json:"failures,omitempty"`
@@ -395,8 +382,6 @@ func RunCtx(ctx context.Context, exps []experiments.Experiment, opts Options, w 
 	for _, r := range env.Experiments {
 		env.LBGraph.Hits += r.LBGraphHits
 		env.LBGraph.Misses += r.LBGraphMisses
-		env.Batch.BatchJobs += r.BatchJobs
-		env.Batch.BatchedInstances += r.BatchedInstances
 	}
 	if opts.BuildCache != nil {
 		buildAfter := opts.BuildCache.Stats()
@@ -486,14 +471,12 @@ func runOne(ctx context.Context, e experiments.Experiment, sched *experiments.Sc
 	res.LBGraphHits = bst.Hits
 	res.LBGraphMisses = bst.Misses
 	res.InstanceJobs = ectx.InstanceJobs()
-	res.BatchJobs = ectx.BatchJobs()
-	res.BatchedInstances = ectx.BatchedInstances()
 	f := FailureStats{
-		// Gathered instance jobs that failed with a recovered panic, plus
-		// the experiment body itself if runBody caught one. No double
-		// counting: a body panic never reaches the job layer (runBody
-		// recovers first), and job panics surface as job errors, not as
-		// body panics.
+		// Gathered instance jobs that panicked, plus the experiment body
+		// itself if runBody caught a panic. No double counting: a body
+		// panic never reaches the job layer (runBody recovers first), job
+		// panics surface as job errors, not as body panics, and a degraded
+		// solve is booked in DegradedSolves alone.
 		PanicsRecovered: uint64(ectx.PanicsRecovered()),
 		DegradedSolves:  st.DegradedSolves,
 		DiskRetries:     st.DiskRetries,

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -239,12 +240,14 @@ func TestRunEmptyList(t *testing.T) {
 	}
 }
 
-// TestEnvelopeBatchAccounting: experiments that batch their sweeps
-// (upperbounds through NoteBatch, scaling/theorem5 through GoBatch)
-// record per-experiment batch counters, and the run-level Batch block is
-// exactly their sum.
+// TestEnvelopeBatchAccounting: the v9 envelope carries no batch
+// accounting, and every simulation is an instance job of its own —
+// scaling one per sweep point, theorem5 one per (case, algorithm) pair,
+// upperbounds one for the optimum and one for its four runs, cutsize one
+// per parameter set.
 func TestEnvelopeBatchAccounting(t *testing.T) {
-	exps, err := experiments.Select([]string{"upperbounds", "cutsize"})
+	want := map[string]int64{"scaling": 3, "theorem5": 4, "upperbounds": 2, "cutsize": 5}
+	exps, err := experiments.Select([]string{"scaling", "theorem5", "upperbounds", "cutsize"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,22 +255,18 @@ func TestEnvelopeBatchAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var jobs, instances int64
-	byID := map[string]ExperimentResult{}
+	data, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"batch_jobs":`, `"batched_instances":`, `"batch":`} {
+		if strings.Contains(string(data), key) {
+			t.Fatalf("v9 envelope carries %s", key)
+		}
+	}
 	for _, r := range env.Experiments {
-		jobs += r.BatchJobs
-		instances += r.BatchedInstances
-		byID[r.ID] = r
-	}
-	if env.Batch.BatchJobs != jobs || env.Batch.BatchedInstances != instances {
-		t.Fatalf("run-level batch %+v is not the per-experiment sum %d/%d", env.Batch, jobs, instances)
-	}
-	// upperbounds fuses its four algorithm runs into one lockstep pass.
-	if r := byID["upperbounds"]; r.BatchJobs != 1 || r.BatchedInstances != 4 {
-		t.Fatalf("upperbounds batch accounting %d jobs / %d instances, want 1/4", r.BatchJobs, r.BatchedInstances)
-	}
-	// cutsize has no simulations to batch.
-	if r := byID["cutsize"]; r.BatchJobs != 0 || r.BatchedInstances != 0 {
-		t.Fatalf("cutsize batch accounting %d/%d, want 0/0", r.BatchJobs, r.BatchedInstances)
+		if r.InstanceJobs != want[r.ID] {
+			t.Errorf("%s: %d instance jobs, want %d", r.ID, r.InstanceJobs, want[r.ID])
+		}
 	}
 }

@@ -427,62 +427,6 @@ func (l *Lab) RunReduction(ctx context.Context, fam Family, in Inputs, cfg Conge
 	return report, nil
 }
 
-// RunReductionBatch is RunReduction over a sweep of inputs in one
-// lockstep batched pass: every instance is built through the Lab's build
-// cache, then all simulations advance round-by-round together through
-// core.SimulateBatch, sharing adjacency whenever builds dedup to the
-// same graph. reports[i] is meaningful iff errs[i] is nil; an input
-// whose build fails is skipped (its error recorded) without disturbing
-// the rest of the sweep. BatchStats describes the engine pass: how many
-// simulations entered it, how many shared a graph, and the lockstep
-// round counts.
-//
-// Unlike RunReduction, the per-report SolveCacheHits/Misses stay zero:
-// the batch interleaves every instance's solves through one lockstep
-// pass, so the counters cannot be attributed to a single report. The
-// traffic is still fully visible at *batch* granularity: diff
-// SolveCacheStats across the call, or on a WithMetrics Lab diff
-// Lab.Metrics — the solve_cache_hits/solve_cache_misses counter deltas
-// over the call window are exactly this batch's lookups (plus, on the
-// snapshot, solve latency and step histograms the legacy counters never
-// had). Per-input attribution is the one thing the lockstep fusion
-// gives up.
-func (l *Lab) RunReductionBatch(ctx context.Context, fam Family, ins []Inputs, cfg CongestConfig) ([]SimulationReport, []error, BatchStats) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	reports := make([]SimulationReport, len(ins))
-	errs := make([]error, len(ins))
-	if err := ctx.Err(); err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-		return reports, errs, BatchStats{}
-	}
-	sess := l.solveSession(ctx)
-	factory := core.GossipProgramsWith(sess)
-	sims := make([]core.BatchSim, 0, len(ins))
-	simIdx := make([]int, 0, len(ins)) // sims index -> ins index
-	for i, in := range ins {
-		inst, err := l.buildInstance(fam, in)
-		if err != nil {
-			errs[i] = fmt.Errorf("core: build: %w", err)
-			continue
-		}
-		sims = append(sims, core.BatchSim{
-			Fam: fam, In: in, Inst: inst,
-			Factory: factory, Extract: core.GossipOpt, Cfg: cfg,
-		})
-		simIdx = append(simIdx, i)
-	}
-	batchReports, batchErrs, stats := core.SimulateBatch(ctx, sims)
-	for j, i := range simIdx {
-		reports[i] = batchReports[j]
-		errs[i] = batchErrs[j]
-	}
-	return reports, errs, stats
-}
-
 // Simulate is RunReduction with a caller-chosen CONGEST algorithm and
 // output interpretation. The instance is built through the Lab's build
 // cache; whether the *solves* inside the node programs go through the
