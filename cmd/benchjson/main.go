@@ -366,12 +366,18 @@ func checkMetrics(env runner.Envelope, w io.Writer) error {
 		legacy  int64
 	}
 	checks := []pair{
-		{obs.MSolveCacheHits, m.Counter(obs.MSolveCacheHits), int64(env.Cache.Hits)},
-		{obs.MSolveCacheMisses, m.Counter(obs.MSolveCacheMisses), int64(env.Cache.Misses)},
-		// The fault-containment counters are booked at the same sites the
-		// cache stats are, so equality is exact. (sched_job_panics has no
+		// Every solve-cache event is one Stats delta booked into the
+		// cache, the session and the registry together, so each counter
+		// equals its envelope field exactly. (sched_job_panics has no
 		// envelope twin: the envelope counts body panics the scheduler
 		// never sees, so the two are deliberately not cross-checked.)
+		{obs.MSolveCacheHits, m.Counter(obs.MSolveCacheHits), int64(env.Cache.Hits)},
+		{obs.MSolveCacheMisses, m.Counter(obs.MSolveCacheMisses), int64(env.Cache.Misses)},
+		{obs.MSolveCacheSharedHits, m.Counter(obs.MSolveCacheSharedHits), int64(env.Cache.SharedHits)},
+		{obs.MSolveCacheDiskHits, m.Counter(obs.MSolveCacheDiskHits), int64(env.Cache.DiskHits)},
+		{obs.MSolveCacheDiskMisses, m.Counter(obs.MSolveCacheDiskMisses), int64(env.Cache.DiskMisses)},
+		{obs.MSolveSteps, m.Counter(obs.MSolveSteps), env.Cache.StepsSolved},
+		{obs.MSolveStepsSaved, m.Counter(obs.MSolveStepsSaved), env.Cache.StepsSaved},
 		{obs.MSolveCacheDiskRetries, m.Counter(obs.MSolveCacheDiskRetries), int64(env.Cache.DiskRetries)},
 		{obs.MSolveCacheDiskQuarantined, m.Counter(obs.MSolveCacheDiskQuarantined), int64(env.Cache.DiskQuarantined)},
 		{obs.MSolverDegradedSolves, m.Counter(obs.MSolverDegradedSolves), int64(env.Cache.DegradedSolves)},

@@ -459,16 +459,21 @@ func observedEnvelope() runner.Envelope {
 	return runner.Envelope{
 		Schema:  runner.Schema,
 		OK:      1,
-		Cache:   cache.Stats{Hits: 3, Misses: 5},
+		Cache:   cache.Stats{Hits: 3, Misses: 5, SharedHits: 1, DiskHits: 2, DiskMisses: 3, StepsSolved: 40, StepsSaved: 25},
 		LBGraph: lbgraph.CacheStats{Hits: 2, Misses: 4},
 		Experiments: []runner.ExperimentResult{
 			{ID: "scaling", Status: runner.StatusOK},
 		},
 		Metrics: &obs.Snapshot{Counters: map[string]int64{
-			obs.MSolveCacheHits:   3,
-			obs.MSolveCacheMisses: 5,
-			obs.MBuildCacheHits:   2,
-			obs.MBuildCacheMisses: 4,
+			obs.MSolveCacheHits:       3,
+			obs.MSolveCacheMisses:     5,
+			obs.MSolveCacheSharedHits: 1,
+			obs.MSolveCacheDiskHits:   2,
+			obs.MSolveCacheDiskMisses: 3,
+			obs.MSolveSteps:           40,
+			obs.MSolveStepsSaved:      25,
+			obs.MBuildCacheHits:       2,
+			obs.MBuildCacheMisses:     4,
 		}},
 		Spans: []obs.SpanStat{{Name: "run", Count: 1, TotalNS: 1e6, MaxNS: 1e6}},
 	}
@@ -491,11 +496,20 @@ func TestCheckEnvelopeMetrics(t *testing.T) {
 
 	// Any disagreement between the registry delta and the legacy counters
 	// is corruption: the two instrument the same code paths.
-	env = observedEnvelope()
-	env.Metrics.Counters[obs.MSolveCacheMisses] = 99
-	err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, "")
-	if err == nil || !strings.Contains(err.Error(), obs.MSolveCacheMisses) {
-		t.Fatalf("metrics/legacy disagreement not flagged: %v", err)
+	for _, name := range []string{
+		obs.MSolveCacheMisses,
+		obs.MSolveCacheSharedHits,
+		obs.MSolveCacheDiskHits,
+		obs.MSolveCacheDiskMisses,
+		obs.MSolveSteps,
+		obs.MSolveStepsSaved,
+	} {
+		env = observedEnvelope()
+		env.Metrics.Counters[name] = 99
+		err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, "")
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("%s disagreement not flagged: %v", name, err)
+		}
 	}
 
 	env = observedEnvelope()

@@ -141,7 +141,9 @@ func parseRule(entry string) (*rule, error) {
 	rest := entry
 	if head, rateStr, ok := strings.Cut(rest, "="); ok {
 		rate, err := strconv.ParseFloat(rateStr, 64)
-		if err != nil || rate < 0 || rate > 1 {
+		// Written as a negated range check so NaN, which compares false
+		// with everything, is rejected too.
+		if err != nil || !(rate >= 0 && rate <= 1) {
 			return nil, fmt.Errorf("entry %q: rate must be in [0,1]", entry)
 		}
 		r.rate, rest = rate, head

@@ -27,6 +27,7 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"1:frobnicate",      // unknown point
 		"1:disk-read=2",     // rate out of range
 		"1:disk-read=-0.5",  // negative rate
+		"1:disk-read=NaN",   // NaN rate
 		"1:disk-read*0",     // zero count
 		"1:disk-read*x",     // non-numeric count
 		"1:disk-read=0.5=1", // double rate
@@ -53,6 +54,35 @@ func TestParseAcceptsFullSyntax(t *testing.T) {
 	if r.point != DiskCorrupt || r.max != 2 || r.rate != 0.5 {
 		t.Fatalf("rule[3] = %+v", r)
 	}
+}
+
+// FuzzParse: Parse never panics, and a spec it accepts has at least one
+// rule, every rule names a known point with a rate in [0,1] and a
+// non-negative count, and Spec() returns the input unchanged.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		in, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		if len(in.rules) == 0 {
+			t.Fatalf("Parse(%q) accepted an empty plan", spec)
+		}
+		for i, r := range in.rules {
+			if r.point >= numPoints {
+				t.Fatalf("Parse(%q): rule %d has unknown point %d", spec, i, r.point)
+			}
+			if !(r.rate >= 0 && r.rate <= 1) {
+				t.Fatalf("Parse(%q): rule %d has rate %v outside [0,1]", spec, i, r.rate)
+			}
+			if r.max < 0 {
+				t.Fatalf("Parse(%q): rule %d has count %d", spec, i, r.max)
+			}
+		}
+		if got := in.Spec(); got != spec {
+			t.Fatalf("Spec() = %q, want %q", got, spec)
+		}
+	})
 }
 
 func TestDisabledHelpersAreNoOps(t *testing.T) {

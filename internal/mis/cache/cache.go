@@ -9,13 +9,14 @@
 //
 // The cache is LRU-bounded, safe for concurrent use, and deduplicates
 // in-flight solves: concurrent callers with the same key block on the one
-// solve in progress instead of racing their own. Hit/miss/eviction and
-// branch-and-bound step counters are exposed for the experiment runner's
-// JSON result envelope and for tests asserting the one-solve-per-distinct-
-// graph property. Per-caller exact attribution of that traffic is
-// available through Session views; SetDir attaches a persistent
-// content-addressed disk tier (see disk.go) that survives the process, so
-// repeated suite runs skip branch-and-bound entirely.
+// solve in progress instead of racing their own. Each lookup books its
+// outcome once, as one Stats delta that feeds three views of the same
+// counters: the cache's Stats (the experiment runner's JSON result
+// envelope and the one-solve-per-distinct-graph tests read it), the
+// calling Session (exact per-caller attribution) and an attached
+// observability registry. SetDir attaches a persistent content-addressed
+// disk tier (see disk.go) that survives the process, so repeated suite
+// runs skip branch-and-bound entirely.
 //
 // There is no process-wide cache: every Cache belongs to its caller (a
 // congestlb.Lab, an experiment run, one session-less CONGEST run). The
@@ -104,6 +105,24 @@ type Stats struct {
 	DegradedSolves  uint64 `json:"degraded_solves,omitempty"`
 }
 
+// Add adds every counter of d to s. Entries, a level rather than a
+// counter, is left as it is.
+func (s *Stats) Add(d Stats) {
+	s.Hits += d.Hits
+	s.Misses += d.Misses
+	s.Evictions += d.Evictions
+	s.StepsSolved += d.StepsSolved
+	s.StepsSaved += d.StepsSaved
+	s.SharedHits += d.SharedHits
+	s.DiskHits += d.DiskHits
+	s.DiskMisses += d.DiskMisses
+	s.DiskWrites += d.DiskWrites
+	s.DiskEvictions += d.DiskEvictions
+	s.DiskRetries += d.DiskRetries
+	s.DiskQuarantined += d.DiskQuarantined
+	s.DegradedSolves += d.DegradedSolves
+}
+
 // entry is one cached (or in-flight) solve. ready is closed once sol/err
 // are final; done flips under the cache lock at the same moment, so the
 // eviction scan can skip in-flight entries without touching the channel.
@@ -127,16 +146,15 @@ type Cache struct {
 	// sharedTier is the optional cross-cache read-through tier (see
 	// shared.go); nil until SetSharedTier attaches one.
 	sharedTier *SharedTier
-	// om holds the observability handles attached by SetRegistry; an
-	// atomic pointer (not the cache mutex) so the nil-registry fast path
-	// costs one load and the attach can race live lookups under -race.
+	// om holds the registry handles resolved by SetRegistry; an atomic
+	// pointer (not the cache mutex) so the attach can race live lookups
+	// under -race. It is never nil once New returns.
 	om atomic.Pointer[cacheMetrics]
 }
 
-// cacheMetrics is the cache's resolved registry handle set. Events
-// mirror the Stats/Session bookkeeping one for one, which is what makes
-// the registry's solve_cache_* counters sum-consistent with the
-// envelope's legacy cache block.
+// cacheMetrics is the cache's resolved registry handle set. With no
+// registry attached every handle is nil, and a nil handle is a no-op, so
+// booking never asks whether a registry is there.
 type cacheMetrics struct {
 	hits, misses, waits          *obs.Counter
 	sharedHits                   *obs.Counter
@@ -147,15 +165,26 @@ type cacheMetrics struct {
 	latency, stepsHist           *obs.Histogram
 }
 
+// add books a delta on the registry: each Stats field that has a
+// solve_cache_* or solver_* counter lands on it.
+func (m *cacheMetrics) add(d Stats) {
+	m.hits.Add(int64(d.Hits))
+	m.misses.Add(int64(d.Misses))
+	m.sharedHits.Add(int64(d.SharedHits))
+	m.diskHits.Add(int64(d.DiskHits))
+	m.diskMisses.Add(int64(d.DiskMisses))
+	m.diskRetries.Add(int64(d.DiskRetries))
+	m.diskQuarantined.Add(int64(d.DiskQuarantined))
+	m.degraded.Add(int64(d.DegradedSolves))
+	m.steps.Add(d.StepsSolved)
+	m.stepsSaved.Add(d.StepsSaved)
+}
+
 // SetRegistry attaches (or with nil detaches) an observability registry:
-// every subsequent lookup books its hit/miss/single-flight-wait and
-// fresh solves record latency and step histograms. The per-Lab registry
-// wiring (congestlb.WithMetrics) calls this once at construction.
+// every subsequent lookup books its events and single-flight waits there
+// too, and fresh solves record latency and step histograms. The per-Lab
+// registry wiring (congestlb.WithMetrics) calls this once at construction.
 func (c *Cache) SetRegistry(r *obs.Registry) {
-	if r == nil {
-		c.om.Store(nil)
-		return
-	}
 	c.om.Store(&cacheMetrics{
 		hits:            r.Counter(obs.MSolveCacheHits),
 		misses:          r.Counter(obs.MSolveCacheMisses),
@@ -179,11 +208,24 @@ func New(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Cache{
+	c := &Cache{
 		capacity: capacity,
 		index:    make(map[Key]*list.Element, capacity),
 		lru:      list.New(),
 	}
+	c.SetRegistry(nil)
+	return c
+}
+
+// book counts one lookup event: d lands in the cache's counters, in the
+// calling session's (nil: none) and on the registry. It is the only
+// place a solve-cache event is counted, so the three views agree.
+func (c *Cache) book(sess *Session, d Stats) {
+	c.mu.Lock()
+	c.stats.Add(d)
+	c.mu.Unlock()
+	sess.add(d)
+	c.om.Load().add(d)
 }
 
 // Exact returns the maximum-weight independent set of g under opts,
@@ -207,8 +249,8 @@ func (c *Cache) ExactCtx(ctx context.Context, g *graphs.Graph, opts mis.Options)
 }
 
 // exact is the session-aware lookup behind Exact and Session.Exact: every
-// counter event lands in the cache's stats and, when sess is non-nil, in
-// the session's — giving callers exact attribution of the traffic they
+// event is booked in the cache's stats and, when sess is non-nil, in the
+// session's — giving callers exact attribution of the traffic they
 // generated even while other goroutines share the cache.
 func (c *Cache) exact(ctx context.Context, g *graphs.Graph, opts mis.Options, sess *Session) (mis.Solution, error) {
 	if ctx == nil {
@@ -232,12 +274,13 @@ func (c *Cache) exact(ctx context.Context, g *graphs.Graph, opts mis.Options, se
 
 // exactAttempt is one pass of the lookup protocol; retry reports that the
 // joined entry died of its owner's cancellation and the (still-live)
-// caller should attempt the lookup again.
+// caller should attempt the lookup again. Each outcome is booked with one
+// book call: a private hit, a shared-tier hit, or a miss — booked as soon
+// as its in-flight entry is registered — followed by the miss's disk,
+// solve and store result.
 func (c *Cache) exactAttempt(ctx context.Context, key Key, g *graphs.Graph, opts mis.Options, sess *Session) (_ mis.Solution, _ error, retry bool) {
-	m := c.om.Load() // nil when no registry is attached; every use is nil-guarded
 	c.mu.Lock()
-	disk := c.disk
-	tier := c.sharedTier
+	disk, tier := c.disk, c.sharedTier
 	if el, found := c.index[key]; found {
 		e := el.Value.(*entry)
 		c.lru.MoveToFront(el)
@@ -251,9 +294,7 @@ func (c *Cache) exactAttempt(ctx context.Context, key Key, g *graphs.Graph, opts
 		// must not leave it blocked on a solve another caller owns (which
 		// may be running under a context that never cancels).
 		if !done {
-			if m != nil {
-				m.waits.Inc()
-			}
+			c.om.Load().waits.Inc()
 			select {
 			case <-e.ready:
 			case <-ctx.Done():
@@ -265,41 +306,24 @@ func (c *Cache) exactAttempt(ctx context.Context, key Key, g *graphs.Graph, opts
 				return mis.SeedIncumbent(g), ctx.Err(), false
 			}
 		}
-		if e.err != nil {
-			// The owner's context dying is the owner's problem, not this
-			// waiter's: its entry was already dropped, so a waiter whose
-			// own context is still alive retries fresh (becoming the new
-			// owner or joining one) instead of reporting a cancellation
-			// that never happened to it. The retry books its own lookup;
-			// this one books nothing, keeping attribution at one event
-			// per call. Non-context errors propagate as always — they
-			// describe the solve, not the caller.
-			if ctx.Err() == nil &&
-				(errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
-				return mis.Solution{}, nil, true
-			}
-			c.mu.Lock()
-			c.stats.Hits++
-			c.mu.Unlock()
-			sess.record(func(st *Stats) { st.Hits++ })
-			if m != nil {
-				m.hits.Inc()
-			}
-			return clone(e.sol), e.err, false
+		// The owner's context dying is the owner's problem, not this
+		// waiter's: its entry was already dropped, so a waiter whose own
+		// context is still alive retries fresh (becoming the new owner or
+		// joining one) instead of reporting a cancellation that never
+		// happened to it. The retry books its own lookup; this one books
+		// nothing, keeping attribution at one event per call. Non-context
+		// errors propagate as hits — they describe the solve, not the
+		// caller — and save no steps.
+		if e.err != nil && ctx.Err() == nil &&
+			(errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
+			return mis.Solution{}, nil, true
 		}
-		c.mu.Lock()
-		c.stats.Hits++
-		c.stats.StepsSaved += e.sol.Steps
-		c.mu.Unlock()
-		sess.record(func(st *Stats) {
-			st.Hits++
-			st.StepsSaved += e.sol.Steps
-		})
-		if m != nil {
-			m.hits.Inc()
-			m.stepsSaved.Add(e.sol.Steps)
+		d := Stats{Hits: 1}
+		if e.err == nil {
+			d.StepsSaved = e.sol.Steps
 		}
-		return clone(e.sol), nil, false
+		c.book(sess, d)
+		return clone(e.sol), e.err, false
 	}
 	// A cross-cache tier hit is consulted *before* booking a miss: a
 	// solve another cache already paid for is a hit from this cache's
@@ -308,128 +332,52 @@ func (c *Cache) exactAttempt(ctx context.Context, key Key, g *graphs.Graph, opts
 	// the private LRU as a completed entry, so the tenant's next lookup
 	// is an ordinary private hit. Lock order is c.mu → tier.mu (the tier
 	// never calls back), so holding c.mu here is safe.
-	if tier != nil {
-		if tsol, tok := tier.get(key); tok {
-			ready := make(chan struct{})
-			close(ready)
-			te := &entry{key: key, sol: tsol, done: true, ready: ready}
-			c.index[key] = c.lru.PushFront(te)
-			c.stats.Hits++
-			c.stats.SharedHits++
-			c.stats.StepsSaved += tsol.Steps
-			c.evictLocked()
-			c.mu.Unlock()
-			sess.record(func(st *Stats) {
-				st.Hits++
-				st.SharedHits++
-				st.StepsSaved += tsol.Steps
-			})
-			if m != nil {
-				m.hits.Inc()
-				m.sharedHits.Inc()
-				m.stepsSaved.Add(tsol.Steps)
-			}
-			return clone(tsol), nil, false
-		}
+	if tsol, ok := tier.get(key); ok {
+		ready := make(chan struct{})
+		close(ready)
+		c.index[key] = c.lru.PushFront(&entry{key: key, sol: tsol, done: true, ready: ready})
+		c.evictLocked()
+		c.mu.Unlock()
+		c.book(sess, Stats{Hits: 1, SharedHits: 1, StepsSaved: tsol.Steps})
+		return clone(tsol), nil, false
 	}
 	e := &entry{key: key, ready: make(chan struct{})}
 	el := c.lru.PushFront(e)
 	c.index[key] = el
-	c.stats.Misses++
 	c.evictLocked()
 	c.mu.Unlock()
-	sess.record(func(st *Stats) { st.Misses++ })
-	if m != nil {
-		m.misses.Inc()
-	}
+	c.book(sess, Stats{Misses: 1})
 
 	// In-memory miss: try the persistent tier before paying for a solve.
 	var sol mis.Solution
 	var err error
+	var d Stats // the disk, solve and store result of this miss
 	fromDisk := false
 	if disk != nil {
-		var dio diskIO
-		sol, fromDisk, dio = disk.load(key, g)
-		c.mu.Lock()
-		if fromDisk {
-			c.stats.DiskHits++
-			c.stats.StepsSaved += sol.Steps
-		} else {
-			c.stats.DiskMisses++
-		}
-		c.stats.DiskRetries += dio.retries
-		c.stats.DiskQuarantined += dio.quarantined
-		c.mu.Unlock()
-		sess.record(func(st *Stats) {
-			if fromDisk {
-				st.DiskHits++
-				st.StepsSaved += sol.Steps
-			} else {
-				st.DiskMisses++
-			}
-			st.DiskRetries += dio.retries
-			st.DiskQuarantined += dio.quarantined
-		})
-		if m != nil {
-			if fromDisk {
-				m.diskHits.Inc()
-				m.stepsSaved.Add(sol.Steps)
-			} else {
-				m.diskMisses.Inc()
-			}
-			m.diskRetries.Add(int64(dio.retries))
-			m.diskQuarantined.Add(int64(dio.quarantined))
-		}
+		sol, fromDisk, d = disk.load(key, g)
 	}
 	if !fromDisk {
 		// This is the fresh-solve site: the only place branch-and-bound
 		// actually runs, so it carries the solve span and the latency/step
 		// histograms. With no registry, obs.Begin is one context lookup.
+		m := c.om.Load()
 		solveCtx, sp := obs.Begin(ctx, "solve")
-		var t0 time.Time
-		if m != nil {
-			t0 = time.Now()
-		}
+		t0 := time.Now()
 		sol, err = mis.ExactCtx(solveCtx, g, opts)
 		sp.End()
-		if m != nil && err == nil {
+		switch {
+		case err == nil:
 			m.latency.Observe(time.Since(t0).Nanoseconds())
-			m.steps.Add(sol.Steps)
 			m.stepsHist.Observe(sol.Steps)
-		}
-		if isPanicError(err) {
-			// Fault containment: attribute a degraded solve (err is the
-			// structured panic and the incumbent came back) to this
-			// caller's session and the registry. Errors are never cached,
-			// so a degraded solve is retried by the next caller for the
-			// key.
-			c.mu.Lock()
-			c.stats.DegradedSolves++
-			c.mu.Unlock()
-			sess.record(func(st *Stats) { st.DegradedSolves++ })
-			if m != nil {
-				m.degraded.Inc()
+			d.StepsSolved = sol.Steps
+			if disk != nil {
+				d.Add(disk.store(key, sol))
 			}
-		}
-		if err == nil && disk != nil {
-			evicted, dio, werr := disk.store(key, sol)
-			c.mu.Lock()
-			if werr == nil {
-				c.stats.DiskWrites++
-				c.stats.DiskEvictions += uint64(evicted)
-			}
-			c.stats.DiskRetries += dio.retries
-			c.mu.Unlock()
-			sess.record(func(st *Stats) {
-				if werr == nil {
-					st.DiskWrites++
-					st.DiskEvictions += uint64(evicted)
-				}
-				st.DiskRetries += dio.retries
-			})
-			if m != nil {
-				m.diskRetries.Add(int64(dio.retries))
-			}
+		case isPanicError(err):
+			// Fault containment: a degraded solve (err is the structured
+			// panic and the incumbent came back). Errors are never
+			// cached, so it is retried by the next caller for the key.
+			d.DegradedSolves = 1
 		}
 	}
 
@@ -442,14 +390,10 @@ func (c *Cache) exactAttempt(ctx context.Context, key Key, g *graphs.Graph, opts
 			c.lru.Remove(el)
 			delete(c.index, key)
 		}
-	} else if !fromDisk {
-		c.stats.StepsSolved += sol.Steps
 	}
 	c.mu.Unlock()
-	if err == nil && !fromDisk {
-		sess.record(func(st *Stats) { st.StepsSolved += sol.Steps })
-	}
-	if err == nil && tier != nil {
+	c.book(sess, d)
+	if err == nil {
 		// Publish the completed solution (fresh or disk-served) so every
 		// other cache on the tier skips its own solve for this key.
 		tier.put(key, sol)
@@ -514,18 +458,6 @@ func (c *Cache) Stats() Stats {
 	s := c.stats
 	s.Entries = c.lru.Len()
 	return s
-}
-
-// Reset drops every in-memory entry and zeroes the counters; an attached
-// disk tier keeps its files (detach with SetDir("")). In-flight solves
-// complete normally but are not re-inserted observable-y: their entries
-// are simply no longer indexed.
-func (c *Cache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.index = make(map[Key]*list.Element, c.capacity)
-	c.lru = list.New()
-	c.stats = Stats{}
 }
 
 // clone returns a Solution whose Set is an independent copy, so callers

@@ -11,8 +11,8 @@
 // `quarantine/` sidecar directory (suffixed with the rejection reason) so
 // operators can inspect what corrupted them; transient read/write errors
 // are retried with a short backoff before giving up. Both paths are
-// counted (Stats.DiskQuarantined / Stats.DiskRetries and the matching
-// obs counters). The tier is size-bounded: when the byte budget is
+// counted in the Stats delta each load and store returns (DiskQuarantined
+// / DiskRetries). The tier is size-bounded: when the byte budget is
 // exceeded, least-recently-used entries (by load/store recency, seeded
 // from file mtime at attach time) are deleted. Orphaned tmp-* files a
 // crashed writer left behind are swept on attach once they are old
@@ -58,14 +58,6 @@ const (
 	// another process racing the attach.
 	tmpOrphanAge = time.Minute
 )
-
-// diskIO accounts one load/store call's fault traffic: how many attempts
-// were retried after transient errors and how many entries were moved to
-// quarantine. The cache layer folds it into Stats and the obs registry.
-type diskIO struct {
-	retries     uint64
-	quarantined uint64
-}
 
 // diskSchema identifies the entry format; bump on incompatible change (old
 // entries then fail validation and are re-solved, never mis-read).
@@ -175,14 +167,16 @@ func (d *diskTier) path(key Key) string {
 	return filepath.Join(d.dir, hex.EncodeToString(key[:])+".json")
 }
 
-// load returns the persisted solution for key if a valid entry exists.
+// load returns the persisted solution for key if a valid entry exists,
+// with the lookup's delta: a disk hit crediting the entry's steps as
+// saved, or a disk miss, plus the retries and quarantines on the way.
 // Anything that fails validation — wrong schema, key mismatch, a set that
 // is not independent in g or whose weight disagrees — is quarantined and
 // reported as a miss, so corruption degrades to a re-solve, never to a
 // wrong answer. Transient read errors are retried (diskAttempts total)
 // before degrading to a miss.
-func (d *diskTier) load(key Key, g *graphs.Graph) (mis.Solution, bool, diskIO) {
-	var io diskIO
+func (d *diskTier) load(key Key, g *graphs.Graph) (mis.Solution, bool, Stats) {
+	st := Stats{DiskMisses: 1} // until an entry is served
 	path := d.path(key)
 	hexKey := hex.EncodeToString(key[:])
 	fault.Stall(fault.DiskSlow, hexKey)
@@ -196,32 +190,32 @@ func (d *diskTier) load(key Key, g *graphs.Graph) (mis.Solution, bool, diskIO) {
 			break
 		}
 		if os.IsNotExist(err) {
-			return mis.Solution{}, false, io // a plain miss, not a fault
+			return mis.Solution{}, false, st // a plain miss, not a fault
 		}
 		if attempt+1 >= diskAttempts {
-			return mis.Solution{}, false, io
+			return mis.Solution{}, false, st
 		}
-		io.retries++
+		st.DiskRetries++
 		time.Sleep(diskBackoff << attempt)
 	}
 	data = fault.Corrupt(hexKey, data)
 	var e diskEntry
 	if err := json.Unmarshal(data, &e); err != nil {
-		d.quarantine(key, path, "parse", &io)
-		return mis.Solution{}, false, io
+		d.quarantine(key, path, "parse", &st)
+		return mis.Solution{}, false, st
 	}
 	if e.Schema != diskSchema {
-		d.quarantine(key, path, "schema", &io)
-		return mis.Solution{}, false, io
+		d.quarantine(key, path, "schema", &st)
+		return mis.Solution{}, false, st
 	}
 	if e.Key != hexKey {
-		d.quarantine(key, path, "impostor", &io)
-		return mis.Solution{}, false, io
+		d.quarantine(key, path, "impostor", &st)
+		return mis.Solution{}, false, st
 	}
 	weight, err := mis.Verify(g, e.Set)
 	if err != nil || weight != e.Weight {
-		d.quarantine(key, path, "witness", &io)
-		return mis.Solution{}, false, io
+		d.quarantine(key, path, "witness", &st)
+		return mis.Solution{}, false, st
 	}
 	d.mu.Lock()
 	d.touch(key, int64(len(data)))
@@ -231,15 +225,18 @@ func (d *diskTier) load(key Key, g *graphs.Graph) (mis.Solution, bool, diskIO) {
 	_ = os.Chtimes(path, now, now)
 	set := append([]graphs.NodeID(nil), e.Set...)
 	sort.Ints(set)
-	return mis.Solution{Set: set, Weight: e.Weight, Optimal: true, Steps: e.Steps}, true, io
+	st.DiskHits, st.DiskMisses, st.StepsSaved = 1, 0, e.Steps
+	return mis.Solution{Set: set, Weight: e.Weight, Optimal: true, Steps: e.Steps}, true, st
 }
 
 // store persists an optimal solution atomically and crash-durably (temp
-// file + fsync + rename + parent-directory fsync) and returns how many
-// old entries the size bound evicted. Transient write errors are retried
-// (diskAttempts total) before the store is abandoned — the cache keeps
-// working either way, the entry just is not persisted.
-func (d *diskTier) store(key Key, sol mis.Solution) (evicted int, io diskIO, err error) {
+// file + fsync + rename + parent-directory fsync) and returns its delta:
+// the write and the old entries the size bound evicted, plus the retries.
+// Transient write errors are retried (diskAttempts total) before the
+// store is abandoned — the cache keeps working either way, the entry just
+// is not persisted, and the delta books only the retries.
+func (d *diskTier) store(key Key, sol mis.Solution) Stats {
+	var st Stats
 	hexKey := hex.EncodeToString(key[:])
 	e := diskEntry{
 		Schema: diskSchema,
@@ -250,7 +247,7 @@ func (d *diskTier) store(key Key, sol mis.Solution) (evicted int, io diskIO, err
 	}
 	data, err := json.Marshal(e)
 	if err != nil {
-		return 0, io, err
+		return st
 	}
 	fault.Stall(fault.DiskSlow, hexKey)
 	for attempt := 0; ; attempt++ {
@@ -262,9 +259,9 @@ func (d *diskTier) store(key Key, sol mis.Solution) (evicted int, io diskIO, err
 			break
 		}
 		if attempt+1 >= diskAttempts {
-			return 0, io, err
+			return st
 		}
-		io.retries++
+		st.DiskRetries++
 		time.Sleep(diskBackoff << attempt)
 	}
 	d.mu.Lock()
@@ -274,7 +271,8 @@ func (d *diskTier) store(key Key, sol mis.Solution) (evicted int, io diskIO, err
 	for _, path := range victims {
 		_ = os.Remove(path)
 	}
-	return len(victims), io, nil
+	st.DiskWrites, st.DiskEvictions = 1, uint64(len(victims))
+	return st
 }
 
 // writeEntry is the durable atomic write: data lands in a tmp file that
@@ -340,8 +338,8 @@ func (d *diskTier) touch(key Key, size int64) {
 // file is evidence of a bug or bad disk that deleting would destroy. If
 // the move itself fails the file is removed (the one thing that must not
 // happen is re-serving it).
-func (d *diskTier) quarantine(key Key, path, reason string, io *diskIO) {
-	io.quarantined++
+func (d *diskTier) quarantine(key Key, path, reason string, st *Stats) {
+	st.DiskQuarantined++
 	qdir := filepath.Join(d.dir, quarantineDirName)
 	moved := false
 	if err := os.MkdirAll(qdir, 0o755); err == nil {

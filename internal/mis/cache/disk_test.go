@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -251,4 +252,45 @@ func TestDiskKeyMismatchRejected(t *testing.T) {
 	if !strings.Contains(string(data), hex.EncodeToString(otherKey[:])) {
 		t.Fatalf("rewritten entry does not embed its own key:\n%s", data)
 	}
+}
+
+// FuzzDiskLoad writes arbitrary bytes as the entry file of a 4-node
+// path's key and loads it. load never panics, and exactly one of two
+// things happens: it serves a sorted set that mis.Verify accepts with the
+// served weight, booked as one disk hit, or the file has left its path
+// and the delta books one quarantine and one disk miss. Every input
+// reuses one tier directory, so an exec costs the entry's own I/O and
+// not a directory created and removed around it.
+func FuzzDiskLoad(f *testing.F) {
+	g := pathGraph(4)
+	key, _ := KeyOf(g, mis.Options{})
+	d, err := newDiskTier(f.TempDir(), 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := d.path(key)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sol, ok, st := d.load(key, g)
+		if ok {
+			if !sort.IntsAreSorted(sol.Set) {
+				t.Fatalf("served set %v is not sorted", sol.Set)
+			}
+			if w, err := mis.Verify(g, sol.Set); err != nil || w != sol.Weight {
+				t.Fatalf("served set %v with weight %d; Verify says %d, %v", sol.Set, sol.Weight, w, err)
+			}
+			if want := (Stats{DiskHits: 1, StepsSaved: sol.Steps}); st != want {
+				t.Fatalf("served entry booked %+v, want %+v", st, want)
+			}
+			return
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("rejected entry is still at its path (stat: %v)", err)
+		}
+		if want := (Stats{DiskMisses: 1, DiskQuarantined: 1}); st != want {
+			t.Fatalf("rejected entry booked %+v, want %+v", st, want)
+		}
+	})
 }

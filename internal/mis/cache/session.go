@@ -10,7 +10,8 @@ import (
 )
 
 // Session is a per-caller view of a Cache: it forwards every solve to the
-// underlying cache while keeping its own exact event counters.
+// underlying cache, which books each event's delta into the session's
+// counters as well as its own and the registry's (see Cache.book).
 //
 // Sessions exist for attribution. The runner's experiment jobs all meet in
 // their run's one cache, so diffing the cache's counters around a job
@@ -20,12 +21,12 @@ import (
 // session that runs a solve books its steps under StepsSolved while every
 // session served by someone else's solve books them under StepsSaved.
 //
-// A session over no cache (NewSession(nil)) solves every call directly
-// and books it as a miss. A nil *Session is valid too: it solves directly
-// with mis.ExactCtx and counts nothing, so deep callers (the CONGEST node
-// programs) can be handed "no session" without branching.
+// A nil *Session is valid: it solves directly with mis.ExactCtx and counts
+// nothing, so deep callers (the CONGEST node programs) can be handed "no
+// session" without branching, and cached-versus-uncached comparisons run
+// their uncached side through it.
 type Session struct {
-	c *Cache // nil = no cache: every solve runs and books a miss
+	c *Cache
 	// ctx is the context bound by WithContext (nil = Background): every
 	// Exact call through the session observes it. It exists because the
 	// deep solve sites — the CONGEST node programs — receive a session, not
@@ -41,7 +42,8 @@ type Session struct {
 	stats Stats
 }
 
-// NewSession returns a session over c (nil = no cache).
+// NewSession returns a session over c, which must not be nil (solving
+// with no cache at all is a nil *Session).
 func NewSession(c *Cache) *Session {
 	return &Session{c: c}
 }
@@ -91,13 +93,13 @@ func (s *Session) Stats() Stats {
 	return s.stats
 }
 
-// record applies a counter mutation; safe on a nil session (no-op).
-func (s *Session) record(f func(*Stats)) {
+// add books one event's delta; safe on a nil session (no-op).
+func (s *Session) add(d Stats) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	f(&s.stats)
+	s.stats.Add(d)
 	s.mu.Unlock()
 }
 
@@ -117,16 +119,6 @@ func (s *Session) ExactCtx(ctx context.Context, g *graphs.Graph, opts mis.Option
 	}
 	if opts.Progress == nil {
 		opts.Progress = s.progress
-	}
-	if s.c == nil {
-		sol, err := mis.ExactCtx(ctx, g, opts)
-		s.record(func(st *Stats) {
-			st.Misses++
-			if err == nil {
-				st.StepsSolved += sol.Steps
-			}
-		})
-		return sol, err
 	}
 	return s.c.exact(ctx, g, opts, s)
 }

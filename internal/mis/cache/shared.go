@@ -131,18 +131,6 @@ func (t *SharedTier) Stats() SharedTierStats {
 	return s
 }
 
-// Reset drops every entry and zeroes the counters.
-func (t *SharedTier) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.index = make(map[Key]*list.Element, t.capacity)
-	t.lru = list.New()
-	t.stats = SharedTierStats{}
-}
-
 // SetSharedTier attaches (or with nil detaches) a cross-cache read-through
 // tier. Subsequent in-memory misses consult the tier before booking a
 // miss: a tier hit is booked as Hits+SharedHits with StepsSaved credit and
@@ -154,11 +142,4 @@ func (c *Cache) SetSharedTier(t *SharedTier) {
 	c.mu.Lock()
 	c.sharedTier = t
 	c.mu.Unlock()
-}
-
-// SharedTier reports the attached cross-cache tier (nil when none).
-func (c *Cache) SharedTier() *SharedTier {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sharedTier
 }

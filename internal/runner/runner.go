@@ -359,19 +359,7 @@ func RunCtx(ctx context.Context, exps []experiments.Experiment, opts Options, w 
 	// book the other run's traffic too. Evictions and Entries stay
 	// snapshot-based — they belong to the cache, not to any one run.
 	for _, s := range slots {
-		st := s.sess
-		env.Cache.Hits += st.Hits
-		env.Cache.SharedHits += st.SharedHits
-		env.Cache.Misses += st.Misses
-		env.Cache.StepsSolved += st.StepsSolved
-		env.Cache.StepsSaved += st.StepsSaved
-		env.Cache.DiskHits += st.DiskHits
-		env.Cache.DiskMisses += st.DiskMisses
-		env.Cache.DiskWrites += st.DiskWrites
-		env.Cache.DiskEvictions += st.DiskEvictions
-		env.Cache.DiskRetries += st.DiskRetries
-		env.Cache.DiskQuarantined += st.DiskQuarantined
-		env.Cache.DegradedSolves += st.DegradedSolves
+		env.Cache.Add(s.sess)
 	}
 	cacheAfter := opts.SolveCache.Stats()
 	env.Cache.Evictions = cacheAfter.Evictions - cacheBefore.Evictions
