@@ -60,11 +60,13 @@
 //
 // The CONGEST simulator's round loop is (near-)zero-allocation: it hands
 // each message straight to its receiver's Receive with the payload still
-// in the sender's buffer, outboxes are recycled, and an outbox that walks
-// the sender's sorted neighbour list is validated by that walk.
-// Reference algorithms encode messages into per-program scratch buffers,
-// and the gossip/collect baselines rebuild the learned graph label-free
-// via graphs.NewWithN/AddNodeID. Exact MaxIS solves are memoised in a
+// in the sender's buffer, outboxes are recycled, an outbox that walks the
+// sender's sorted neighbour list is validated by that walk, and a payload
+// a node sends every neighbour is one broadcast, expanded over the
+// sender's adjacency row with no outbox entry per neighbour. Reference
+// algorithms encode messages into per-program scratch buffers, and the
+// gossip/collect baselines rebuild the learned graph label-free via
+// graphs.NewWithN/AddNodeID. Exact MaxIS solves are memoised in a
 // content-addressed cache (with an optional persistent disk tier) and the
 // lower-bound graph constructions in a content-addressed build cache with
 // copy-on-return instances; the experiment suite shards both across whole

@@ -19,6 +19,9 @@
 // PushProgram.Receive with the payload still in the sender's buffer, so no
 // message is queued in an inbox or copied. Programs that only implement
 // Round are driven through an inbox adapter that keeps Round's contract.
+// A payload a node sends to every neighbour is one broadcast, returned by
+// Send beside its outbox and expanded by the round loop over the sender's
+// adjacency row: one message per neighbour, with no outbox entry each.
 // Outbox backing arrays are recycled, and an outbox whose destinations
 // walk the sender's sorted neighbour list is validated by that walk alone;
 // any other outbox falls back to a stamped duplicate array and the graph's
@@ -123,8 +126,11 @@ type NodeProgram interface {
 // node's Done() right after it, and then delivers the round's messages:
 // each validated message is tallied, shown to the hook and handed to its
 // receiver's Receive(r, m), unless the receiver reported done after its
-// Send. Round must behave as Receive(round-1, m) for every inbox message,
-// in order, followed by Send(round, nil).
+// Send. A broadcast is delivered as one message per neighbour, in
+// neighbour order, before the node's unicasts, and hooks see each of
+// those messages. Round must behave as Receive(round-1, m) for every
+// inbox message, in order, followed by Send(round, nil), and return the
+// messages Send's results stand for (ExpandSend).
 type PushProgram interface {
 	NodeProgram
 	// Receive consumes one message sent to the node in the given round,
@@ -132,12 +138,31 @@ type PushProgram interface {
 	// sender's buffer: it is valid only during the call and must be
 	// neither retained nor modified.
 	Receive(round int, m Message)
-	// Send appends the messages the node sends in the given round to out
-	// (length 0, capacity recycled across rounds) and returns it. Their
-	// payloads are read in place while the round is delivered, which may
-	// interleave with the node's own Receive calls, so they must stay
-	// unchanged until the node's next Send.
-	Send(round int, out []Message) []Message
+	// Send appends the unicasts the node sends in the given round to out
+	// (length 0, capacity recycled across rounds) and returns them, with
+	// the payload the node sends to every neighbour this round: nil for
+	// none, a non-nil empty slice for a 0-bit broadcast. A broadcast
+	// already reaches every neighbour, so a unicast sent beside one is
+	// refused as a second message, a send to a non-neighbour or a forged
+	// one. All payloads are read in place while the round is delivered,
+	// which may interleave with the node's own Receive calls, so they
+	// must stay unchanged until the node's next Send.
+	Send(round int, out []Message) (unicasts []Message, broadcast []byte)
+}
+
+// ExpandSend returns the messages one Send result of node from stands
+// for, in the order the round loop delivers them: the broadcast, if not
+// nil, as one message to each neighbour in nbrs, then the unicasts in
+// out. A PushProgram's Round returns it over its Send results.
+func ExpandSend(from graphs.NodeID, nbrs []graphs.NodeID, out []Message, broadcast []byte) []Message {
+	if broadcast == nil {
+		return out
+	}
+	all := make([]Message, len(nbrs), len(nbrs)+len(out))
+	for i, v := range nbrs {
+		all[i] = Message{From: from, To: v, Data: broadcast}
+	}
+	return append(all, out...)
 }
 
 // MessageHook observes every delivered message, after the engine has
@@ -243,7 +268,8 @@ func newAdjacency(g *graphs.Graph) *adjacency {
 
 // Network binds a graph to one NodeProgram per node and holds the engine
 // state of its runs: the programs, the adjacency their sends are checked
-// against, the per-node outboxes and done flags, and the running Stats.
+// against and broadcasts are expanded over, the per-node outboxes,
+// broadcasts and done flags, and the running Stats.
 // The state is retained across Run calls: repeated runs (benchmark
 // iterations, replayed simulations) reuse the outbox backing arrays and
 // the inbox adapters' buffers at their previous capacity instead of
@@ -260,6 +286,8 @@ type Network struct {
 	cfg       Config
 
 	outboxes [][]Message
+	// bcasts[u] is the broadcast node u's last Send returned (nil: none).
+	bcasts [][]byte
 	// done[u] is node u's Done(), read after Init and after each of its
 	// Send calls; live counts the nodes not done.
 	done []bool
@@ -352,10 +380,10 @@ func (n *Network) step(round int) (finished bool, err error) {
 	}
 	for u, p := range n.nodes {
 		if n.done[u] {
-			n.outboxes[u] = n.outboxes[u][:0]
+			n.outboxes[u], n.bcasts[u] = n.outboxes[u][:0], nil
 			continue
 		}
-		n.outboxes[u] = p.Send(round, n.outboxes[u][:0])
+		n.outboxes[u], n.bcasts[u] = p.Send(round, n.outboxes[u][:0])
 		if p.Done() {
 			n.done[u] = true
 			n.live--
@@ -367,6 +395,12 @@ func (n *Network) step(round int) (finished bool, err error) {
 // deliver validates, accounts for and delivers the round's sends.
 // Iterating senders in ID order hands every receiver its messages in
 // sender order — the deterministic delivery order — with no sort pass.
+//
+// A sender's broadcast goes first, one message to each neighbour on its
+// adjacency row, in row order (see broadcast). It needs one check, of its
+// bandwidth, against the first neighbour: that is where the per-neighbour
+// outbox it stands for would fail. Its neighbours are then stamped into
+// seen, so any unicast beside it gets validateMsg's error for that outbox.
 //
 // An outbox is checked in two phases. While its destinations are strictly
 // increasing neighbours of the sender, each is found in the sender's
@@ -380,13 +414,14 @@ func (n *Network) step(round int) (finished bool, err error) {
 // A validated send is tallied against the cut, shown to the hook and
 // handed to its receiver's Receive — unless the receiver reported done
 // after its Send this round — in that order, with its payload in the
-// sender's buffer. The Stats are summed in locals and added once the
-// round is delivered.
+// sender's buffer. The unicasts' Stats are summed in locals and added
+// once the round is delivered.
 func (n *Network) deliver(round int) error {
 	nodes, done, cut, hook, bw := n.nodes, n.done, n.cfg.Cut, n.cfg.Hook, n.bw
 	var messages, totalBits, maxBits, cutBits, cutMessages int64
 	for u, out := range n.outboxes {
-		if len(out) == 0 {
+		data := n.bcasts[u]
+		if len(out) == 0 && data == nil {
 			continue
 		}
 		n.stamp++
@@ -395,7 +430,19 @@ func (n *Network) deliver(round int) error {
 			owner = cut.Of(u)
 		}
 		nbrs := n.adj.nbrs[n.adj.off[u]:n.adj.off[u+1]]
-		next, ordered := 0, true
+		ordered := true
+		if data != nil && len(nbrs) > 0 {
+			if err := n.broadcast(round, u, owner, nbrs, data); err != nil {
+				return err
+			}
+			if len(out) > 0 {
+				for _, v := range nbrs {
+					n.seen[v] = n.stamp
+				}
+				ordered = false
+			}
+		}
+		next := 0
 		for i := range out {
 			msg := &out[i]
 			bits := msg.Bits()
@@ -448,6 +495,43 @@ func (n *Network) deliver(round int) error {
 	return nil
 }
 
+// broadcast delivers node u's broadcast of data to each of its neighbours
+// nbrs, in order, as deliver delivers a validated unicast: cut tally
+// (owner is u's player), hook, then Receive unless the receiver is done.
+// It adds its messages to n.stats itself.
+func (n *Network) broadcast(round, u, owner int, nbrs []graphs.NodeID, data []byte) error {
+	nodes, done, cut, hook := n.nodes, n.done, n.cfg.Cut, n.cfg.Hook
+	bits := int64(len(data)) * 8
+	if bits > n.bw {
+		return errBandwidth(bits, n.bw, u, nbrs[0], round)
+	}
+	var cutBits, cutMessages int64
+	for _, v := range nbrs {
+		msg := Message{From: u, To: v, Data: data}
+		if cut != nil && cut.Of(v) != owner {
+			if bits == 0 {
+				return errZeroBitCut
+			}
+			cutBits += bits
+			cutMessages++
+		}
+		if hook != nil {
+			if err := hook(round, msg); err != nil {
+				return fmt.Errorf("congest: hook: %w", err)
+			}
+		}
+		if !done[v] {
+			nodes[v].Receive(round, msg)
+		}
+	}
+	n.stats.Messages += int64(len(nbrs))
+	n.stats.TotalBits += int64(len(nbrs)) * bits
+	n.stats.MaxMessageBits = max(n.stats.MaxMessageBits, bits)
+	n.stats.CutBits += cutBits
+	n.stats.CutMessages += cutMessages
+	return nil
+}
+
 // inboxAdapter drives a NodeProgram that only implements Round through the
 // push interface: Receive queues each message with its payload copied into
 // the adapter's buffer, and Send hands the queue to Round as the inbox of
@@ -471,10 +555,10 @@ func (a *inboxAdapter) Receive(_ int, m Message) {
 	a.inbox = append(a.inbox, m)
 }
 
-func (a *inboxAdapter) Send(round int, out []Message) []Message {
+func (a *inboxAdapter) Send(round int, out []Message) ([]Message, []byte) {
 	out = append(out, a.Round(round, a.inbox)...)
 	a.inbox, a.buf = a.inbox[:0], a.buf[:0]
-	return out
+	return out, nil
 }
 
 // validateMsg enforces the CONGEST sending rules for one outbox message of
@@ -493,10 +577,14 @@ func validateMsg(g *graphs.Graph, bw int64, u int, msg Message, round int, seen 
 	}
 	seen[msg.To] = stamp
 	if msg.Bits() > bw {
-		return fmt.Errorf("%w: %d bits > B=%d (node %d→%d, round %d)",
-			ErrBandwidthExceeded, msg.Bits(), bw, msg.From, msg.To, round)
+		return errBandwidth(msg.Bits(), bw, u, msg.To, round)
 	}
 	return nil
+}
+
+// errBandwidth is the error of a message of the given size from u to v.
+func errBandwidth(bits, bw int64, u, v, round int) error {
+	return fmt.Errorf("%w: %d bits > B=%d (node %d→%d, round %d)", ErrBandwidthExceeded, bits, bw, u, v, round)
 }
 
 func (n *Network) collect() Result {
@@ -533,6 +621,7 @@ func (n *Network) RunCtx(ctx context.Context) (Result, error) {
 	n.adj = newAdjacency(n.g)
 	if len(n.outboxes) != size {
 		n.outboxes = make([][]Message, size)
+		n.bcasts = make([][]byte, size)
 		n.done = make([]bool, size)
 		n.seen = make([]int64, size)
 	} else {

@@ -15,10 +15,11 @@ import (
 
 // The round loop validates an outbox by walking the sender's sorted
 // neighbour list while the destinations ascend, and falls back to
-// validateMsg at the first send that does not. These tests pin that fast
-// path to a reference loop that validates every message with validateMsg,
-// on random graphs and on outboxes that break every sending rule right
-// after a legal, in-order prefix.
+// validateMsg at the first send that does not; it expands a broadcast over
+// the sender's adjacency row with one bandwidth check. These tests pin
+// both to a reference loop that validates every message with validateMsg,
+// on random graphs, on outboxes that break every sending rule right after
+// a legal, in-order prefix, and on broadcasts that break them.
 
 // scriptBandwidth is B for the scripted runs: legal payloads are at most
 // 3 bytes, the oversize one is 5.
@@ -437,36 +438,43 @@ func TestCutTally(t *testing.T) {
 	}
 }
 
-// counter is a PushProgram that broadcasts its ID until its Send in round
-// stop, then reports done; its output is the number of messages Receive
-// got. Nodes stop at different rounds, so neighbours keep sending to a
-// node that is done.
+// counter is a PushProgram that sends its ID to every neighbour until its
+// Send in round stop, then reports done; its output is the number of
+// messages Receive got. Nodes stop at different rounds, so neighbours keep
+// sending to a node that is done. With bcast set it sends the ID as its
+// broadcast, else as one unicast per neighbour.
 type counter struct {
 	info     NodeInfo
+	bcast    bool
 	stop     int
 	received int
 	done     bool
 }
 
 func (c *counter) Init(info NodeInfo) {
-	*c = counter{info: info, stop: 1 + info.ID%3}
+	*c = counter{info: info, bcast: c.bcast, stop: 1 + info.ID%3}
 }
 
 func (c *counter) Receive(int, Message) { c.received++ }
 
-func (c *counter) Send(round int, out []Message) []Message {
-	for _, v := range c.info.Neighbors {
-		out = append(out, Message{From: c.info.ID, To: v, Data: []byte{byte(c.info.ID)}})
-	}
+func (c *counter) Send(round int, out []Message) ([]Message, []byte) {
 	c.done = round >= c.stop
-	return out
+	payload := []byte{byte(c.info.ID)}
+	if c.bcast {
+		return out, payload
+	}
+	for _, v := range c.info.Neighbors {
+		out = append(out, Message{From: c.info.ID, To: v, Data: payload})
+	}
+	return out, nil
 }
 
 func (c *counter) Round(round int, inbox []Message) []Message {
 	for _, m := range inbox {
 		c.Receive(round-1, m)
 	}
-	return c.Send(round, nil)
+	out, data := c.Send(round, nil)
+	return ExpandSend(c.info.ID, c.info.Neighbors, out, data)
 }
 
 func (c *counter) Done() bool  { return c.done }
@@ -476,36 +484,203 @@ func (c *counter) Output() any { return c.received }
 // no Receive calls for that round's messages — the inbox loop never
 // consumed them either — while the messages still count in the Stats and
 // reach the hook. Push delivery through RunCtx and RunBatch must give the
-// reference inbox loop's outputs, Stats and transcript.
+// reference inbox loop's outputs, Stats and transcript, whether the nodes
+// send per-neighbour unicasts or broadcasts.
 func TestReceiveSkipsNodesDone(t *testing.T) {
-	programs := func(n int) []NodeProgram {
-		out := make([]NodeProgram, n)
-		for i := range out {
-			out[i] = &counter{}
+	for _, bcast := range []bool{false, true} {
+		programs := func(n int) []NodeProgram {
+			out := make([]NodeProgram, n)
+			for i := range out {
+				out[i] = &counter{bcast: bcast}
+			}
+			return out
 		}
-		return out
+		g := ring(t, 7)
+		var refTx []hookRec
+		want, err := referenceRun(g, programs(7), Config{Hook: recorder(&refTx)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tx []hookRec
+		net, err := NewNetwork(g, programs(7), Config{Hook: recorder(&tx)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := net.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(tx, refTx) {
+			t.Fatalf("broadcast %v: RunCtx: %+v (%d hooked), reference %+v (%d hooked)", bcast, got, len(tx), want, len(refTx))
+		}
+		var batchTx []hookRec
+		results, errs, _ := RunBatch(context.Background(), []BatchItem{{Graph: g, Programs: programs(7), Config: Config{Hook: recorder(&batchTx)}}})
+		if errs[0] != nil || !reflect.DeepEqual(results[0], want) || !reflect.DeepEqual(batchTx, refTx) {
+			t.Fatalf("broadcast %v: RunBatch: %+v %v, reference %+v", bcast, results[0], errs[0], want)
+		}
 	}
-	g := ring(t, 7)
-	var refTx []hookRec
-	want, err := referenceRun(g, programs(7), Config{Hook: recorder(&refTx)})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// caster broadcasts for a few rounds: mostly 1–3 random bytes and, with
+// probability 1/bad, a 0-byte or an oversize broadcast, or a legal
+// broadcast with one unicast beside it (to a neighbour, to a
+// non-neighbour or with a forged sender). Its Round is the Send result
+// expanded, the unicast after the broadcast, which the reference loop
+// validates message by message. Its output digests everything it
+// received, in delivery order.
+type caster struct {
+	info   NodeInfo
+	bad    int
+	rounds int
+	digest uint64
+	done   bool
+	buf    []byte
+	// isolatedOversize counts the oversize broadcasts of nodes with no
+	// neighbours, shared by the programs of one run.
+	isolatedOversize *int
+}
+
+func (c *caster) Init(info NodeInfo) {
+	c.info = info
+	c.rounds = 1 + info.Rand.Intn(4)
+	c.buf = make([]byte, scriptBandwidth/8+1)
+}
+
+func (c *caster) Receive(round int, m Message) {
+	c.digest = c.digest*1099511628211 ^ uint64(round)<<32 ^ uint64(m.From)<<16 ^ uint64(m.To)
+	for _, b := range m.Data {
+		c.digest = c.digest*31 + uint64(b)
 	}
-	var tx []hookRec
-	net, err := NewNetwork(g, programs(7), Config{Hook: recorder(&tx)})
-	if err != nil {
-		t.Fatal(err)
+}
+
+func (c *caster) Send(round int, out []Message) ([]Message, []byte) {
+	if round > c.rounds {
+		c.done = true
+		return out, nil
 	}
-	got, err := net.Run()
-	if err != nil {
-		t.Fatal(err)
+	r, u, nbrs := c.info.Rand, c.info.ID, c.info.Neighbors
+	size := 1 + r.Intn(3)
+	if len(nbrs) == 0 && r.Intn(2) == 0 {
+		size = len(c.buf)
 	}
-	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(tx, refTx) {
-		t.Fatalf("RunCtx: %+v (%d hooked), reference %+v (%d hooked)", got, len(tx), want, len(refTx))
+	if r.Intn(c.bad) == 0 {
+		switch r.Intn(5) {
+		case 0:
+			size = 0
+		case 1:
+			size = len(c.buf)
+		case 2: // a second message to a neighbour
+			if len(nbrs) > 0 {
+				out = append(out, Message{From: u, To: nbrs[r.Intn(len(nbrs))], Data: []byte{1}})
+			}
+		case 3: // a non-neighbour: the sender itself, another node, or out of range
+			w := r.Intn(c.info.N+2) - 1
+			for w >= 0 && w < c.info.N && slices.Contains(nbrs, w) {
+				w = r.Intn(c.info.N+2) - 1
+			}
+			out = append(out, Message{From: u, To: w, Data: []byte{1}})
+		case 4: // a forged sender
+			out = append(out, Message{From: (u + 1) % c.info.N, To: r.Intn(c.info.N), Data: []byte{1}})
+		}
 	}
-	var batchTx []hookRec
-	results, errs, _ := RunBatch(context.Background(), []BatchItem{{Graph: g, Programs: programs(7), Config: Config{Hook: recorder(&batchTx)}}})
-	if errs[0] != nil || !reflect.DeepEqual(results[0], want) || !reflect.DeepEqual(batchTx, refTx) {
-		t.Fatalf("RunBatch: %+v %v, reference %+v", results[0], errs[0], want)
+	data := c.buf[:size]
+	r.Read(data)
+	if size > scriptBandwidth/8 && len(nbrs) == 0 {
+		(*c.isolatedOversize)++
+	}
+	return out, data
+}
+
+func (c *caster) Round(round int, inbox []Message) []Message {
+	for _, m := range inbox {
+		c.Receive(round-1, m)
+	}
+	out, data := c.Send(round, nil)
+	return ExpandSend(c.info.ID, c.info.Neighbors, out, data)
+}
+
+func (c *caster) Done() bool  { return c.done }
+func (c *caster) Output() any { return c.digest }
+
+func casterPrograms(n, bad int, isolatedOversize *int) []NodeProgram {
+	programs := make([]NodeProgram, n)
+	for i := range programs {
+		programs[i] = &caster{bad: bad, isolatedOversize: isolatedOversize}
+	}
+	return programs
+}
+
+// TestBroadcastMatchesPerMessageValidation runs broadcasting programs on
+// the scripted cases: the reference loop validates the per-neighbour
+// messages their Round returns one by one, and Network.RunCtx and one
+// RunBatch call, which get the broadcast from Send, must give the
+// reference's hook transcript and its error string or Result. Every
+// error kind must occur, and so must runs that succeed; so must a
+// successful run in which a node with no neighbours broadcast an oversize
+// payload, which no neighbour receives and so, like an empty
+// per-neighbour loop, breaks no rule.
+func TestBroadcastMatchesPerMessageValidation(t *testing.T) {
+	runs := scriptedRuns(t)
+	want := make([]outcome, len(runs))
+	isolated := make([]int, len(runs))
+	kinds := map[string]int{}
+	for i, r := range runs {
+		var tx []hookRec
+		cfg := r.cfg
+		cfg.Hook = recorder(&tx)
+		res, err := referenceRun(r.g, casterPrograms(r.g.N(), r.bad, &isolated[i]), cfg)
+		want[i] = outcomeOf(res, tx, err)
+		kind := "ok"
+		for _, k := range []string{"forged", "non-neighbour", "two messages", "exceeds bandwidth", "write of 0 bits"} {
+			if strings.Contains(want[i].err, k) {
+				kind = k
+			}
+		}
+		if want[i].err != "" && kind == "ok" {
+			t.Fatalf("unexpected reference error %q", want[i].err)
+		}
+		kinds[kind]++
+		if kind == "ok" && isolated[i] > 0 {
+			kinds["isolated oversize"]++
+		}
+	}
+	for _, k := range []string{"ok", "forged", "non-neighbour", "two messages", "exceeds bandwidth", "write of 0 bits", "isolated oversize"} {
+		if kinds[k] == 0 {
+			t.Fatalf("no broadcast run ended %q (outcomes %v)", k, kinds)
+		}
+	}
+	t.Logf("reference outcomes: %v", kinds)
+
+	check := func(engine string, i int, got outcome) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("%s run %d (n=%d, cut=%v): got %q %+v (%d hooked), reference %q %+v (%d hooked)",
+				engine, i, runs[i].g.N(), runs[i].cfg.Cut != nil,
+				got.err, got.res.Stats, len(got.tx), want[i].err, want[i].res.Stats, len(want[i].tx))
+		}
+	}
+	var ignored int
+	for i, r := range runs {
+		var tx []hookRec
+		cfg := r.cfg
+		cfg.Hook = recorder(&tx)
+		net, err := NewNetwork(r.g, casterPrograms(r.g.N(), r.bad, &ignored), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := net.RunCtx(context.Background())
+		check("RunCtx", i, outcomeOf(res, tx, err))
+	}
+
+	items := make([]BatchItem, len(runs))
+	txs := make([][]hookRec, len(runs))
+	for i, r := range runs {
+		cfg := r.cfg
+		cfg.Hook = recorder(&txs[i])
+		items[i] = BatchItem{Graph: r.g, Programs: casterPrograms(r.g.N(), r.bad, &ignored), Config: cfg}
+	}
+	results, errs, _ := RunBatch(context.Background(), items)
+	for i := range runs {
+		check("RunBatch", i, outcomeOf(results[i], txs[i], errs[i]))
 	}
 }

@@ -3,6 +3,7 @@ package congestalg
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"congestlb/internal/congest"
 	"congestlb/internal/graphs"
@@ -26,13 +27,19 @@ type BFSResult struct {
 // adopt the sender as parent. The program self-terminates after n rounds,
 // by which time the flood has stabilised on any connected graph.
 //
-// Output: BFSResult.
+// The leader travels in a 16-bit field of the flood message. A node whose
+// ID does not fit it declares itself done at Init and sends nothing, so
+// the run still terminates, and outputs an error naming the field.
+//
+// Output: BFSResult, or the error of a node whose ID does not fit the
+// leader field.
 type LeaderBFS struct {
 	info    congest.NodeInfo
 	leader  int
 	dist    int
 	parent  int
 	done    bool
+	err     error
 	sendBuf []byte
 }
 
@@ -53,7 +60,11 @@ func (b *LeaderBFS) Init(info congest.NodeInfo) {
 	b.leader = info.ID
 	b.dist = 0
 	b.parent = -1
-	b.done = false
+	b.err = nil
+	if info.ID > math.MaxUint16 {
+		b.err = fmt.Errorf("congestalg: node ID %d does not fit the 16-bit BFS leader field", info.ID)
+	}
+	b.done = b.err != nil
 	b.sendBuf = make([]byte, 0, bfsLen)
 }
 
@@ -62,7 +73,8 @@ func (b *LeaderBFS) Round(round int, inbox []congest.Message) []congest.Message 
 	for _, m := range inbox {
 		b.Receive(round-1, m)
 	}
-	return b.Send(round, nil)
+	out, data := b.Send(round, nil)
+	return congest.ExpandSend(b.info.ID, b.info.Neighbors, out, data)
 }
 
 // Receive implements congest.PushProgram: a better (leader, distance)
@@ -79,17 +91,15 @@ func (b *LeaderBFS) Receive(_ int, m congest.Message) {
 	}
 }
 
-// Send implements congest.PushProgram.
-func (b *LeaderBFS) Send(round int, out []congest.Message) []congest.Message {
-	if round > b.info.N {
+// Send implements congest.PushProgram: the node broadcasts its best
+// (leader, distance) pair.
+func (b *LeaderBFS) Send(round int, out []congest.Message) ([]congest.Message, []byte) {
+	if b.err != nil || round > b.info.N {
 		b.done = true
-		return out
+		return out, nil
 	}
 	b.sendBuf = appendBFS(b.sendBuf[:0], b.leader, b.dist)
-	for _, v := range b.info.Neighbors {
-		out = append(out, congest.Message{From: b.info.ID, To: v, Data: b.sendBuf})
-	}
-	return out
+	return out, b.sendBuf
 }
 
 // Done implements congest.NodeProgram.
@@ -97,6 +107,9 @@ func (b *LeaderBFS) Done() bool { return b.done }
 
 // Output implements congest.NodeProgram.
 func (b *LeaderBFS) Output() any {
+	if b.err != nil {
+		return b.err
+	}
 	return BFSResult{Leader: b.leader, Dist: b.dist, Parent: b.parent}
 }
 
@@ -120,8 +133,13 @@ func decodeBFS(data []byte) (leader, dist int, err error) {
 	return int(binary.BigEndian.Uint16(data[1:])), int(binary.BigEndian.Uint16(data[3:])), nil
 }
 
-// BFSResults extracts the typed outputs of a LeaderBFS run.
+// BFSResults extracts the typed outputs of a LeaderBFS run; a node that
+// output an error fails the extraction with the first such error
+// (OutputError).
 func BFSResults(result congest.Result) ([]BFSResult, error) {
+	if err := OutputError(result); err != nil {
+		return nil, err
+	}
 	out := make([]BFSResult, len(result.Outputs))
 	for u, o := range result.Outputs {
 		r, ok := o.(BFSResult)

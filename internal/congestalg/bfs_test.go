@@ -1,7 +1,9 @@
 package congestalg
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"congestlb/internal/congest"
@@ -83,5 +85,43 @@ func TestBFSResultsRejectsWrongOutputs(t *testing.T) {
 	result := congest.Result{Outputs: []any{BFSResult{}, "nope"}}
 	if _, err := BFSResults(result); err == nil {
 		t.Fatal("wrong output type accepted")
+	}
+}
+
+// TestLeaderBFSWideIDFails: the flood message carries the leader in 16
+// bits, so a node whose ID does not fit them is done at Init, broadcasts
+// nothing and outputs an error naming the field, and BFSResults returns
+// that error rather than the other nodes' results. A full run at
+// N > 2^16 is 2^16 rounds over 2^16 nodes, so the node is driven by hand.
+func TestLeaderBFSWideIDFails(t *testing.T) {
+	const n = 1<<16 + 2
+	info := func(id int) congest.NodeInfo {
+		return congest.NodeInfo{ID: id, Weight: 1, Neighbors: []int{1}, N: n, Rand: rand.New(rand.NewSource(1))}
+	}
+	wide := &LeaderBFS{}
+	wide.Init(info(1 << 16))
+	if !wide.Done() {
+		t.Fatal("node 65536 is not done after Init")
+	}
+	if out, data := wide.Send(1, nil); len(out) != 0 || data != nil {
+		t.Fatalf("node 65536 sent %v and broadcast %v", out, data)
+	}
+	err, ok := wide.Output().(error)
+	if !ok || !strings.Contains(err.Error(), "node ID 65536 does not fit the 16-bit BFS leader field") {
+		t.Fatalf("node 65536 output %v, want the 16-bit field error", wide.Output())
+	}
+
+	widest := &LeaderBFS{}
+	widest.Init(info(1<<16 - 1))
+	if _, data := widest.Send(1, nil); widest.Done() || data == nil {
+		t.Fatalf("node 65535 done %v, broadcast %v; its ID fits", widest.Done(), data)
+	}
+	if _, ok := widest.Output().(BFSResult); !ok {
+		t.Fatalf("node 65535 output %v, want a BFSResult", widest.Output())
+	}
+
+	result := congest.Result{Outputs: []any{BFSResult{Parent: -1}, BFSResult{Dist: 1}, err}}
+	if _, got := BFSResults(result); !errors.Is(got, err) {
+		t.Fatalf("BFSResults error %v, want the node's %v", got, err)
 	}
 }

@@ -139,7 +139,8 @@ func (cs *CollectSolve) Round(round int, inbox []congest.Message) []congest.Mess
 	for _, m := range inbox {
 		cs.Receive(round-1, m)
 	}
-	return cs.Send(round, nil)
+	out, data := cs.Send(round, nil)
+	return congest.ExpandSend(cs.info.ID, cs.info.Neighbors, out, data)
 }
 
 // Receive implements congest.PushProgram. The BFS flood runs in rounds
@@ -154,8 +155,9 @@ func (cs *CollectSolve) Receive(round int, m congest.Message) {
 	}
 }
 
-// Send implements congest.PushProgram.
-func (cs *CollectSolve) Send(round int, out []congest.Message) []congest.Message {
+// Send implements congest.PushProgram: the BFS flood and the parent
+// announcement are broadcasts, the tree phase sends unicasts.
+func (cs *CollectSolve) Send(round int, out []congest.Message) ([]congest.Message, []byte) {
 	n := cs.info.N
 	switch {
 	case round <= n:
@@ -164,12 +166,9 @@ func (cs *CollectSolve) Send(round int, out []congest.Message) []congest.Message
 		// BFS has stabilised; announce the parent to all neighbours.
 		cs.sendBuf = appendParent(cs.sendBuf[:0], cs.parent)
 	default:
-		return cs.treeSend(out)
+		return cs.treeSend(out), nil
 	}
-	for _, v := range cs.info.Neighbors {
-		out = append(out, congest.Message{From: cs.info.ID, To: v, Data: cs.sendBuf})
-	}
-	return out
+	return out, cs.sendBuf
 }
 
 // bfsReceive adopts a better (leader, distance) offer and its sender as

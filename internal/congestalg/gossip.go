@@ -165,7 +165,8 @@ func (g *GossipExact) Round(round int, inbox []congest.Message) []congest.Messag
 	for _, m := range inbox {
 		g.Receive(round-1, m)
 	}
-	return g.Send(round, nil)
+	out, _ := g.Send(round, nil)
+	return out
 }
 
 // Receive implements congest.PushProgram: a record that is new to the node
@@ -199,8 +200,9 @@ func (g *GossipExact) Receive(_ int, m congest.Message) {
 
 // Send implements congest.PushProgram: every neighbour gets the next
 // logged record that did not come from it, and a node that has learnt the
-// whole graph solves it.
-func (g *GossipExact) Send(_ int, out []congest.Message) []congest.Message {
+// whole graph solves it. Neighbours get different records, so nothing is
+// broadcast.
+func (g *GossipExact) Send(_ int, out []congest.Message) ([]congest.Message, []byte) {
 	for i, v := range g.info.Neighbors {
 		c := g.next(i)
 		if c < len(g.log) {
@@ -212,7 +214,7 @@ func (g *GossipExact) Send(_ int, out []congest.Message) []congest.Message {
 	if !g.solved && g.complete() {
 		g.solve()
 	}
-	return out
+	return out, nil
 }
 
 // complete reports whether the full graph is known locally.

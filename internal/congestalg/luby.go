@@ -77,7 +77,8 @@ func (l *Luby) Round(round int, inbox []congest.Message) []congest.Message {
 	for _, m := range inbox {
 		l.Receive(round-1, m)
 	}
-	return l.Send(round, nil)
+	out, data := l.Send(round, nil)
+	return congest.ExpandSend(l.info.ID, l.info.Neighbors, out, data)
 }
 
 // Receive implements congest.PushProgram: it records the sender's latest
@@ -96,8 +97,9 @@ func (l *Luby) Receive(_ int, m congest.Message) {
 	}
 }
 
-// Send implements congest.PushProgram.
-func (l *Luby) Send(round int, out []congest.Message) []congest.Message {
+// Send implements congest.PushProgram: the node broadcasts its state and
+// latest draw.
+func (l *Luby) Send(round int, out []congest.Message) ([]congest.Message, []byte) {
 	if round%2 == 1 { // draw round
 		// React to joins announced in the previous decide round.
 		if l.state == stateUndecided {
@@ -117,10 +119,7 @@ func (l *Luby) Send(round int, out []congest.Message) []congest.Message {
 		}
 	}
 	l.sendBuf = appendStatus(l.sendBuf[:0], l.state, l.value)
-	for _, v := range l.info.Neighbors {
-		out = append(out, congest.Message{From: l.info.ID, To: v, Data: l.sendBuf})
-	}
-	return out
+	return out, l.sendBuf
 }
 
 // localMax reports whether (value, ID) strictly dominates every undecided
@@ -220,7 +219,8 @@ func (r *RankGreedy) Round(round int, inbox []congest.Message) []congest.Message
 	for _, m := range inbox {
 		r.Receive(round-1, m)
 	}
-	return r.Send(round, nil)
+	out, data := r.Send(round, nil)
+	return congest.ExpandSend(r.info.ID, r.info.Neighbors, out, data)
 }
 
 // Receive implements congest.PushProgram: it records the sender's latest
@@ -241,8 +241,9 @@ func (r *RankGreedy) Receive(_ int, m congest.Message) {
 	}
 }
 
-// Send implements congest.PushProgram.
-func (r *RankGreedy) Send(round int, out []congest.Message) []congest.Message {
+// Send implements congest.PushProgram: the node broadcasts its state and
+// rank.
+func (r *RankGreedy) Send(round int, out []congest.Message) ([]congest.Message, []byte) {
 	// Round 1 only announces ranks; decisions start once every neighbour's
 	// rank is known (round ≥ 2).
 	if round >= 2 && r.state == stateUndecided {
@@ -258,10 +259,7 @@ func (r *RankGreedy) Send(round int, out []congest.Message) []congest.Message {
 	}
 
 	r.sendBuf = appendStatus(r.sendBuf[:0], r.state, r.rank)
-	for _, v := range r.info.Neighbors {
-		out = append(out, congest.Message{From: r.info.ID, To: v, Data: r.sendBuf})
-	}
-	return out
+	return out, r.sendBuf
 }
 
 func (r *RankGreedy) localMax() bool {

@@ -24,6 +24,39 @@ func roundOnlyPrograms(programs []congest.NodeProgram) []congest.NodeProgram {
 	return out
 }
 
+// unicastOnly drives a program through push delivery but sends its
+// broadcast as one unicast per neighbour, expanded by a loop of its own
+// over the neighbour list the program got at Init, so the round loop
+// delivers every message on its per-message path.
+type unicastOnly struct {
+	congest.PushProgram
+	id   graphs.NodeID
+	nbrs []graphs.NodeID
+}
+
+func (p *unicastOnly) Init(info congest.NodeInfo) {
+	p.id, p.nbrs = info.ID, info.Neighbors
+	p.PushProgram.Init(info)
+}
+
+func (p *unicastOnly) Send(round int, out []congest.Message) ([]congest.Message, []byte) {
+	unicasts, data := p.PushProgram.Send(round, nil)
+	if data != nil {
+		for _, v := range p.nbrs {
+			out = append(out, congest.Message{From: p.id, To: v, Data: data})
+		}
+	}
+	return append(out, unicasts...), nil
+}
+
+func unicastOnlyPrograms(programs []congest.NodeProgram) []congest.NodeProgram {
+	out := make([]congest.NodeProgram, len(programs))
+	for i, p := range programs {
+		out[i] = &unicastOnly{PushProgram: p.(congest.PushProgram)}
+	}
+	return out
+}
+
 // pushCase is one run of the equivalence test: a program family on a
 // graph under a config.
 type pushCase struct {
@@ -93,12 +126,15 @@ func pushCases(t *testing.T) []pushCase {
 
 // TestPushMatchesInboxDelivery: every program the round loop drives by
 // push delivery gives the same run when it is driven through the inbox
-// adapter instead — same Stats (cut tally included), Outputs, error text
-// and hook transcript — through Network.RunCtx and through one RunBatch
-// pass, with and without a cut. The adapter hands Round its inbox only
-// after the round's Done() reads, so a loop that read a program's Done()
-// after delivering to it would split the two: Luby's Done() reads the
-// neighbour states Receive writes.
+// adapter instead, and when its broadcasts are sent as per-neighbour
+// unicasts (unicastOnly) — same Stats (cut tally included), Outputs,
+// error text and hook transcript — through Network.RunCtx and through one
+// RunBatch pass, with and without a cut. The adapter hands Round its inbox
+// only after the round's Done() reads, so a loop that read a program's
+// Done() after delivering to it would split the two: Luby's Done() reads
+// the neighbour states Receive writes. unicastOnly pins the round loop's
+// broadcast path to its per-message path: hook, cut tally and Receive
+// once per neighbour.
 func TestPushMatchesInboxDelivery(t *testing.T) {
 	cases := pushCases(t)
 	native := func(p []congest.NodeProgram) []congest.NodeProgram { return p }
@@ -133,13 +169,16 @@ func TestPushMatchesInboxDelivery(t *testing.T) {
 				path, cases[i].name, got.err, got.res.Stats, len(got.tx), want[i].err, want[i].res.Stats, len(want[i].tx))
 		}
 	}
-	for i, c := range cases {
-		check("inbox RunCtx", i, runCtx(c, roundOnlyPrograms))
-	}
-	for _, w := range []struct {
+	wrappings := []struct {
 		name string
 		wrap func([]congest.NodeProgram) []congest.NodeProgram
-	}{{"push", native}, {"inbox", roundOnlyPrograms}} {
+	}{{"push", native}, {"inbox", roundOnlyPrograms}, {"unicast", unicastOnlyPrograms}}
+	for _, w := range wrappings[1:] {
+		for i, c := range cases {
+			check(w.name+" RunCtx", i, runCtx(c, w.wrap))
+		}
+	}
+	for _, w := range wrappings {
 		items := make([]congest.BatchItem, len(cases))
 		txs := make([][]delivered, len(cases))
 		for i, c := range cases {

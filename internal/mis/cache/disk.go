@@ -6,8 +6,9 @@
 // so a crashed or concurrent writer can never leave a half-entry that
 // parses, and a completed store survives power loss; on load every entry
 // is re-validated against the live graph (schema, key, independence,
-// weight), so truncated or garbage files — however they got there — fall
-// back to a fresh solve. Invalid entries are not deleted but moved into a
+// weight, and a weight no lower than the greedy seed of the search), so
+// truncated or garbage files — however they got there — fall back to a
+// fresh solve. Invalid entries are not deleted but moved into a
 // `quarantine/` sidecar directory (suffixed with the rejection reason) so
 // operators can inspect what corrupted them; transient read/write errors
 // are retried with a short backoff before giving up. Both paths are
@@ -171,10 +172,13 @@ func (d *diskTier) path(key Key) string {
 // with the lookup's delta: a disk hit crediting the entry's steps as
 // saved, or a disk miss, plus the retries and quarantines on the way.
 // Anything that fails validation — wrong schema, key mismatch, a set that
-// is not independent in g or whose weight disagrees — is quarantined and
-// reported as a miss, so corruption degrades to a re-solve, never to a
-// wrong answer. Transient read errors are retried (diskAttempts total)
-// before degrading to a miss.
+// is not independent in g, whose weight disagrees, or that weighs less
+// than mis.SeedIncumbent(g), where every exact search starts — is
+// quarantined and reported as a miss, so corruption degrades to a
+// re-solve. The check is not a proof of optimality: an independent set
+// weighing between the greedy seed and the optimum still passes and is
+// served as optimal. Transient read errors are retried (diskAttempts
+// total) before degrading to a miss.
 func (d *diskTier) load(key Key, g *graphs.Graph) (mis.Solution, bool, Stats) {
 	st := Stats{DiskMisses: 1} // until an entry is served
 	path := d.path(key)
@@ -213,7 +217,7 @@ func (d *diskTier) load(key Key, g *graphs.Graph) (mis.Solution, bool, Stats) {
 		return mis.Solution{}, false, st
 	}
 	weight, err := mis.Verify(g, e.Set)
-	if err != nil || weight != e.Weight {
+	if err != nil || weight != e.Weight || weight < mis.SeedIncumbent(g).Weight {
 		d.quarantine(key, path, "witness", &st)
 		return mis.Solution{}, false, st
 	}

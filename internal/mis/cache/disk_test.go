@@ -2,6 +2,7 @@ package cache
 
 import (
 	"encoding/hex"
+	"encoding/json"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -105,6 +106,24 @@ func TestDiskCorruptionFallsBackToSolve(t *testing.T) {
 			// Claim an absurd weight for the recorded set: Verify's weight
 			// cross-check must reject it.
 			return os.WriteFile(path, []byte(strings.Replace(string(data), "\"weight\":", "\"weight\":1", 1)), 0o644)
+		}},
+		{name: "below seed", corrupt: func(path string) error {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			// An independent set with its true weight, but lighter than
+			// the greedy seed every exact search starts from: one node.
+			var e diskEntry
+			if err := json.Unmarshal(data, &e); err != nil {
+				return err
+			}
+			e.Set = e.Set[:1]
+			e.Weight = buildGraph(t, 12, 0.3, 7).Weight(e.Set[0])
+			if data, err = json.Marshal(e); err != nil {
+				return err
+			}
+			return os.WriteFile(path, data, 0o644)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -257,8 +276,9 @@ func TestDiskKeyMismatchRejected(t *testing.T) {
 // FuzzDiskLoad writes arbitrary bytes as the entry file of a 4-node
 // path's key and loads it. load never panics, and exactly one of two
 // things happens: it serves a sorted set that mis.Verify accepts with the
-// served weight, booked as one disk hit, or the file has left its path
-// and the delta books one quarantine and one disk miss. Every input
+// served weight, at least the greedy seed's, booked as one disk hit, or
+// the file has left its path and the delta books one quarantine and one
+// disk miss. Every input
 // reuses one tier directory, so an exec costs the entry's own I/O and
 // not a directory created and removed around it.
 func FuzzDiskLoad(f *testing.F) {
@@ -280,6 +300,9 @@ func FuzzDiskLoad(f *testing.F) {
 			}
 			if w, err := mis.Verify(g, sol.Set); err != nil || w != sol.Weight {
 				t.Fatalf("served set %v with weight %d; Verify says %d, %v", sol.Set, sol.Weight, w, err)
+			}
+			if seed := mis.SeedIncumbent(g).Weight; sol.Weight < seed {
+				t.Fatalf("served set %v of weight %d below the greedy seed's %d", sol.Set, sol.Weight, seed)
 			}
 			if want := (Stats{DiskHits: 1, StepsSaved: sol.Steps}); st != want {
 				t.Fatalf("served entry booked %+v, want %+v", st, want)
