@@ -16,7 +16,6 @@ import (
 	"congestlb/internal/core"
 	"congestlb/internal/experiments"
 	"congestlb/internal/fault"
-	"congestlb/internal/lbgraph"
 	"congestlb/internal/mis/cache"
 )
 
@@ -46,18 +45,15 @@ func BenchmarkFaultOverhead(b *testing.B) {
 	}
 }
 
-// benchSolve and benchBuilds are the one solve session and build session
-// every experiment benchmark runs on: a benchmark meets the caches its own
-// earlier iterations and the earlier benchmarks warmed, as an experiment
-// of a suite run meets its run's caches.
-var (
-	benchSolve  = cache.NewSession(cache.New(0))
-	benchBuilds = lbgraph.NewCacheSession(lbgraph.NewBuildCache(0))
-)
+// benchSolve is the one solve session every experiment benchmark runs on:
+// a benchmark meets the cache its own earlier iterations and the earlier
+// benchmarks warmed, as an experiment of a suite run meets its run's
+// cache.
+var benchSolve = cache.NewSession(cache.New(0))
 
-// benchCtx is an experiment context over the benchmarks' shared sessions.
+// benchCtx is an experiment context over the benchmarks' shared session.
 func benchCtx() *experiments.Ctx {
-	return experiments.NewCtx(io.Discard, benchSolve).WithBuilds(benchBuilds)
+	return experiments.NewCtx(io.Discard, benchSolve)
 }
 
 // benchExperiment runs one registered experiment per iteration, failing the
@@ -122,9 +118,9 @@ func BenchmarkExpScaling(b *testing.B) {
 
 // BenchmarkLabOverhead measures what the Lab handle adds to a full
 // RunReduction on the figure instance, against the same reduction run
-// straight through the core machinery on build and solve sessions of its
-// own (both warm their caches after the first iteration, so the steady
-// state isolates the handle's session/context plumbing). The two numbers
+// straight through the core machinery on a solve session of its own (both
+// warm their solve caches after the first iteration, so the steady state
+// isolates the handle's session/context plumbing). The two numbers
 // must stay within noise of each other — the Lab is indirection, not
 // work.
 func BenchmarkLabOverhead(b *testing.B) {
@@ -141,11 +137,10 @@ func BenchmarkLabOverhead(b *testing.B) {
 	cfg := congestlb.CongestConfig{Seed: 7}
 
 	b.Run("direct", func(b *testing.B) {
-		builds := lbgraph.NewCacheSession(lbgraph.NewBuildCache(0))
 		programs := core.GossipProgramsWith(cache.NewSession(cache.New(0)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			inst, err := fam.BuildWith(builds, in)
+			inst, err := fam.Build(in)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -40,8 +40,8 @@
 // A v6 envelope written by an observed run (cmd/experiments -metrics-addr)
 // carries the run's metrics delta and span summary. When present, both are
 // printed and cross-checked against the envelope's legacy counters — the
-// solve-cache and build-cache hit/miss counters must agree exactly, since
-// the registry instruments the very same code paths.
+// solve-cache counters must agree exactly, since the registry instruments
+// the very same code paths.
 // -require-metrics fails when the block is absent (the observed-smoke
 // assertion), and -scrape URL additionally fetches a live /metrics.json
 // snapshot from a still-running (or -metrics-linger'ing) process and
@@ -257,8 +257,7 @@ func checkEnvelope(r io.Reader, w io.Writer, requireDiskHits, requireMetrics, al
 		env.Cache.Hits, env.Cache.Misses)
 	fmt.Fprintf(w, "disk tier: %d hit / %d miss, %d written, %d evicted\n",
 		env.Cache.DiskHits, env.Cache.DiskMisses, env.Cache.DiskWrites, env.Cache.DiskEvictions)
-	fmt.Fprintf(w, "lbgraph build cache: %d hit / %d miss, %d entries\n",
-		env.LBGraph.Hits, env.LBGraph.Misses, env.LBGraph.Entries)
+	fmt.Fprintf(w, "lbgraph: %d construction(s)\n", env.LBGraph.Misses)
 	var failed []string
 	cancelled := 0
 	var failureSum runner.FailureStats
@@ -268,9 +267,9 @@ func checkEnvelope(r io.Reader, w io.Writer, requireDiskHits, requireMetrics, al
 			status += " (cancelled)"
 			cancelled++
 		}
-		fmt.Fprintf(w, "  %-12s %-6s %8.1f ms  %10d steps  %d hit / %d miss  %d builds (%d hit)  %d instance jobs\n",
+		fmt.Fprintf(w, "  %-12s %-6s %8.1f ms  %10d steps  %d hit / %d miss  %d builds  %d instance jobs\n",
 			e.ID, status, e.WallMS, e.SolveSteps, e.CacheHits, e.CacheMisses,
-			e.LBGraphHits+e.LBGraphMisses, e.LBGraphHits, e.InstanceJobs)
+			e.LBGraphBuilds, e.InstanceJobs)
 		if e.Failures != nil {
 			fmt.Fprintf(w, "  %-12s failures: %s\n", "", failureLine(*e.Failures))
 			failureSum.Add(*e.Failures)
@@ -339,11 +338,7 @@ func failureLine(f runner.FailureStats) string {
 // checkMetrics prints the v6 metrics/span block and enforces its
 // sum-consistency with the envelope's legacy counters: the registry sits
 // on the same code paths the legacy per-session counters instrument, so a
-// single observed run's deltas must match them exactly. The build-cache
-// check is skipped for runs with no registry-visible build traffic — a
-// run solved entirely through bypass (uncached-builds) sessions books
-// nothing in the registry while the envelope still reports the bypass
-// builds.
+// single observed run's deltas must match them exactly.
 func checkMetrics(env runner.Envelope, w io.Writer) error {
 	m := *env.Metrics
 	fmt.Fprintf(w, "metrics delta: %d counter(s), %d gauge(s), %d histogram(s); %d span name(s)\n",
@@ -381,11 +376,6 @@ func checkMetrics(env runner.Envelope, w io.Writer) error {
 		{obs.MSolveCacheDiskRetries, m.Counter(obs.MSolveCacheDiskRetries), int64(env.Cache.DiskRetries)},
 		{obs.MSolveCacheDiskQuarantined, m.Counter(obs.MSolveCacheDiskQuarantined), int64(env.Cache.DiskQuarantined)},
 		{obs.MSolverDegradedSolves, m.Counter(obs.MSolverDegradedSolves), int64(env.Cache.DegradedSolves)},
-	}
-	if m.Counter(obs.MBuildCacheHits)+m.Counter(obs.MBuildCacheMisses) > 0 {
-		checks = append(checks,
-			pair{obs.MBuildCacheHits, m.Counter(obs.MBuildCacheHits), int64(env.LBGraph.Hits)},
-			pair{obs.MBuildCacheMisses, m.Counter(obs.MBuildCacheMisses), int64(env.LBGraph.Misses)})
 	}
 	for _, c := range checks {
 		if c.metrics != c.legacy {

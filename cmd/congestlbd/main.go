@@ -10,8 +10,8 @@
 //
 // Tenants come from -config (a serve.Config JSON file) and/or repeated
 // -tenant flags; at least one tenant is required. Each tenant gets a
-// private Lab — its own solve/build caches, solver-worker default and
-// experiment pool, bounded by its quota — while one shared
+// private Lab — its own solve cache and experiment pool, bounded by its
+// quota — while one shared
 // content-addressed tier underneath dedups identical solves across
 // tenants: a graph any tenant already paid to solve costs everyone else
 // zero branch-and-bound steps (visible as "shared_hits" in solve

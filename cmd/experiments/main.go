@@ -8,14 +8,14 @@
 //	            [-o report.md] [-json out.json] [-list]
 //
 // Without -id it runs every registered experiment and emits a combined
-// markdown report (the source of EXPERIMENTS.md's measured columns). Each
-// invocation runs inside its own congestlb.Lab built from the flags: -jobs
-// sizes the Lab's worker pool (experiments and their per-instance sweep
-// jobs share it; the markdown report is byte-identical whatever the pool
-// size), and -cache-dir its persistent solve-cache tier — re-runs with the same directory serve previously solved graphs
-// from disk and skip branch-and-bound entirely. Lower-bound graph
-// constructions are memoised in the Lab's build cache, so repeated sweep
-// points and cross-experiment reuse skip rebuilds.
+// markdown report (testdata/suite_report.golden.md is the committed copy).
+// Each invocation runs inside its own congestlb.Lab built from the flags:
+// -jobs sizes the Lab's worker pool (experiments and their per-instance
+// sweep jobs share it; the markdown report is byte-identical whatever the
+// pool size), and -cache-dir its persistent solve-cache tier — re-runs
+// with the same directory serve previously solved graphs from disk and
+// skip branch-and-bound entirely. Every lower-bound graph is built from
+// scratch.
 //
 // -timeout bounds the whole run with a context deadline. On expiry the
 // run stops cooperatively — in-flight simulations at a round boundary,
@@ -39,13 +39,13 @@
 // (and the process) alive for the given extra duration after the run —
 // CI's smoke test scrapes the final counters through it.
 //
-// -json writes the structured result envelope (schema v7) — one record
+// -json writes the structured result envelope (schema v10) — one record
 // per experiment with status, wall time, cancellation flag, instance-job
-// count, exactly-attributed solver steps, solve-cache and build-cache
-// statistics and a failures block when faults were contained, plus
-// run-level disk-tier and build-cache traffic and, with -metrics-addr,
-// the run's metrics delta and span summary — which cmd/benchjson
-// -experiments validates and CI archives.
+// count, exactly-attributed solver steps, solve-cache statistics, its
+// lower-bound graph constructions and a failures block when faults were
+// contained, plus run-level disk-tier traffic and construction count and,
+// with -metrics-addr, the run's metrics delta and span summary — which
+// cmd/benchjson -experiments validates and CI archives.
 //
 // Setting CONGESTLB_FAULTS="<seed>:<plan>" arms the deterministic
 // fault-injection layer for the run (chaos testing; see

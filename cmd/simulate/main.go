@@ -79,7 +79,7 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "bandwidth B:       %d bits\n", report.Bandwidth)
 	fmt.Fprintf(w, "rounds T:          %d\n", report.Rounds)
 	fmt.Fprintf(w, "blackboard:        %d writes, %d bits\n", report.BlackboardWrites, report.BlackboardBits)
-	fmt.Fprintf(w, "accounting bound:  T·|cut|·B = %d bits\n", report.AccountingBound)
+	fmt.Fprintf(w, "accounting bound:  2T·|cut|·B = %d bits\n", report.AccountingBound)
 	fmt.Fprintf(w, "accounting holds:  %v\n", report.AccountingHolds())
 	fmt.Fprintf(w, "all-edge traffic:  %d bits (for contrast)\n", report.CongestTotalBits)
 	fmt.Fprintf(w, "computed OPT:      %d (Beta=%d, SmallMax=%d)\n",

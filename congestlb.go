@@ -27,7 +27,7 @@
 // # Quick start
 //
 // The service handle is Lab (see lab.go and docs/api.md): an isolated
-// instance of the library's caches, solver configuration and worker pool,
+// instance of the library's solve cache and worker pool,
 // with context-first methods for everything long-running. Two Labs in one
 // process share nothing; cancelling a context stops simulations at round
 // boundaries and branch-and-bound solves on their batched step cadence,
@@ -41,20 +41,22 @@
 //	report, _ := lab.RunReduction(ctx, fam, in, congestlb.CongestConfig{})
 //	fmt.Println(report.Opt, report.AccountingHolds())
 //
-// Every solve and every build goes through a cache its caller owns: a
-// Lab's, or, for the session-less helpers (BuildInstance,
-// GossipExactPrograms, …), none or one of their own. Nothing in the
-// process is shared by default. Version 2.0.0 removed the 1.x
+// Every solve goes through a cache its caller owns: a Lab's, or, for the
+// session-less helpers (GossipExactPrograms, …), one of their own. Every
+// lower-bound graph is built from scratch. Nothing in the process is
+// shared by default. Version 2.0.0 removed the 1.x
 // package-level entry points (RunReduction, ExactMaxIS, the Set*/Shared*
 // configuration globals, …); docs/api.md maps each to its Lab method.
 // Version 3.0.0 removed the solver-worker settings: the exact solver runs
 // one deterministic search per solve, and WithSolverWorkers is a
 // deprecated no-op. Version 4.0.0 removed lockstep batching: every
-// simulation is one CONGEST run, and a sweep is a loop of RunReduction;
-// docs/api.md maps each removed name.
+// simulation is one CONGEST run, and a sweep is a loop of RunReduction.
+// Version 5.0.0 removed the lower-bound graph build cache (WithBuildCache,
+// Lab.BuildCacheStats, Lab.NewBuildSession, …): every construction runs
+// from scratch. docs/api.md maps each removed name.
 //
-// See examples/ for runnable programs and EXPERIMENTS.md for the
-// regenerated paper results.
+// See examples/ for runnable programs and testdata/suite_report.golden.md
+// for the regenerated paper results.
 //
 // # Performance
 //
@@ -67,16 +69,16 @@
 // algorithms encode messages into per-program scratch buffers, and the
 // gossip/collect baselines rebuild the learned graph label-free via
 // graphs.NewWithN/AddNodeID. Exact MaxIS solves are memoised in a
-// content-addressed cache (with an optional persistent disk tier) and the
-// lower-bound graph constructions in a content-addressed build cache with
-// copy-on-return instances; the experiment suite shards both across whole
-// experiments and within each experiment's sweep loop over one worker
-// pool, with markdown reports byte-identical to sequential runs. Relative
-// to the seed implementation this is a 4-4.6× wall-clock speedup and a
-// 22-115× allocation reduction on the two heaviest experiments;
-// docs/performance.md describes the architecture, the regression
-// guard-rails, and how to reproduce the profiles and the BENCH_0001.json
-// baseline.
+// content-addressed cache (with an optional persistent disk tier).
+// Lower-bound graphs are built from scratch every time: a memo over them
+// measured no faster (docs/performance.md). The experiment suite shards
+// its work across whole experiments and within each experiment's sweep
+// loop over one worker pool, with markdown reports byte-identical to
+// sequential runs. Relative to the seed implementation this is a
+// 4-4.6× wall-clock speedup and a 22-115× allocation reduction on the two
+// heaviest experiments; docs/performance.md describes the architecture,
+// the regression guard-rails, and how to reproduce the profiles and the
+// BENCH_0001.json baseline.
 package congestlb
 
 import (
@@ -180,13 +182,6 @@ type (
 	// SolveSession is a per-caller view of a Lab's solve cache with exact
 	// traffic attribution; see Lab.NewSolveSession.
 	SolveSession = cache.Session
-	// BuildCacheStats is a snapshot of a Lab's lower-bound-graph build
-	// cache counters (lbgraph constructions memoised content-addressed,
-	// returned as private deep copies).
-	BuildCacheStats = lbgraph.CacheStats
-	// BuildSession is a per-caller view of a Lab's build cache with exact
-	// traffic attribution; see Lab.NewBuildSession.
-	BuildSession = lbgraph.CacheSession
 )
 
 // NewLinear constructs the Section 4 family for the given parameters.
@@ -304,11 +299,11 @@ func PlayersForEpsilon(epsilon float64, quadratic bool) int {
 }
 
 // Version identifies the library release.
-const Version = "4.0.0"
+const Version = "5.0.0"
 
 // BuildInstance is a convenience that constructs and validates an instance
 // for a family and input, with a descriptive error context. It builds from
-// scratch; Lab.BuildInstance memoises in the Lab's build cache.
+// scratch.
 func BuildInstance(fam Family, in Inputs) (Instance, error) {
 	inst, err := fam.Build(in)
 	if err != nil {

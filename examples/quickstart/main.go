@@ -1,10 +1,11 @@
 // Quickstart: create a Lab, build a lower-bound instance, solve it
 // exactly, and see the gap predicate separate the two promise cases.
 //
-// The Lab is the library's service handle: it owns a private solve cache,
-// build cache and solver configuration (congestlb.New takes functional
-// options for all of them), and every long-running method takes a
-// context.Context for cancellation. Two Labs in one process share nothing.
+// The Lab is the library's service handle: it owns a private solve cache
+// and worker pool (congestlb.New takes functional options for both), and
+// every long-running method takes a context.Context for cancellation. Two
+// Labs in one process share nothing. Instances are built from scratch by
+// congestlb.BuildInstance; no Lab is involved.
 //
 // Run with:
 //
@@ -48,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	instI, err := lab.BuildInstance(fam, inter)
+	instI, err := congestlb.BuildInstance(fam, inter)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	instD, err := lab.BuildInstance(fam, dis)
+	instD, err := congestlb.BuildInstance(fam, dis)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Reduction: the Theorem 5 simulation live — a real CONGEST algorithm
 // runs on G_x̄ while every message crossing the player partition is
 // charged, bit for bit, to a shared blackboard; the resulting transcript
-// is checked against the T·|cut|·B accounting bound and the induced
+// is checked against the 2T·|cut|·B accounting bound and the induced
 // protocol's answer against the ground truth.
 //
 // Run with:
@@ -59,7 +59,7 @@ func main() {
 			report.Rounds, report.CongestTotalBits)
 		fmt.Printf("  blackboard:    %d writes, %d bits (only cut-crossing messages)\n",
 			report.BlackboardWrites, report.BlackboardBits)
-		fmt.Printf("  accounting:    %d ≤ T·|cut|·B = %d·%d·%d = %d  → holds: %v\n",
+		fmt.Printf("  accounting:    %d ≤ 2T·|cut|·B = 2·%d·%d·%d = %d  → holds: %v\n",
 			report.BlackboardBits, report.Rounds, report.CutSize, report.Bandwidth,
 			report.AccountingBound, report.AccountingHolds())
 		fmt.Printf("  decision:      OPT=%d ⇒ pairwise-disjoint=%v (truth %v, correct %v)\n\n",

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -8,7 +10,9 @@ import (
 	"congestlb/internal/bitvec"
 	"congestlb/internal/cc"
 	"congestlb/internal/congest"
+	"congestlb/internal/congestalg"
 	"congestlb/internal/core"
+	"congestlb/internal/graphs"
 	"congestlb/internal/lbgraph"
 	"congestlb/internal/mis/cache"
 )
@@ -140,6 +144,113 @@ func TestCutCountsMatchBlackboardTranscript(t *testing.T) {
 				t.Fatalf("%s/%s: %v", fam.Name(), tc.name, err)
 			}
 			check(tc.name, rep, &bb)
+		}
+	}
+}
+
+// directedCutLoad returns a hook failing the run when one directed cut
+// edge carries more than bw bits in one round. Hooks run in round order,
+// so the per-edge tally restarts whenever the round changes.
+func directedCutLoad(part *graphs.Partition, bw int64) congest.MessageHook {
+	round := -1
+	var load map[[2]graphs.NodeID]int64
+	return func(r int, msg congest.Message) error {
+		if part.Of(msg.From) == part.Of(msg.To) {
+			return nil
+		}
+		if r != round {
+			round, load = r, make(map[[2]graphs.NodeID]int64)
+		}
+		e := [2]graphs.NodeID{msg.From, msg.To}
+		load[e] += msg.Bits()
+		if load[e] > bw {
+			return fmt.Errorf("round %d: cut edge %d→%d carried %d bits, B = %d", r, msg.From, msg.To, load[e], bw)
+		}
+		return nil
+	}
+}
+
+// TestAccountingBoundLiveRuns runs every shipped program on a linear and a
+// quadratic instance, with the cut set, at B down to GossipExact's largest
+// record (72 bits) and at the default B. No directed cut edge may carry
+// more than B bits in a round, and the transcript must fit in
+// 2·T·|cut|·B: in one round a cut edge carries B bits each way. At B = 72
+// and 80 the linear gossip run writes more than T·|cut|·B bits, so the
+// factor 2 is needed.
+func TestAccountingBoundLiveRuns(t *testing.T) {
+	lin, err := lbgraph.NewLinear(lbgraph.Params{T: 2, Alpha: 1, Ell: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	quad, err := lbgraph.NewQuadratic(lbgraph.FigureParams(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := cache.NewSession(cache.New(0))
+	byN := func(f func(n int) []congest.NodeProgram) core.ProgramFactory {
+		return func(inst core.Instance) []congest.NodeProgram { return f(inst.Graph.N()) }
+	}
+	programs := []struct {
+		name    string
+		factory core.ProgramFactory
+		extract core.OptExtractor // nil: no extractor, run the network directly
+	}{
+		{"GossipExact", core.GossipProgramsWith(sess), core.GossipOpt},
+		{"CollectSolve", core.CollectProgramsWith(sess), core.WitnessOpt},
+		{"Luby", byN(congestalg.NewLubyPrograms), core.WitnessOpt},
+		{"RankGreedy", byN(congestalg.NewRankGreedyPrograms), core.WitnessOpt},
+		{"LeaderBFS", byN(congestalg.NewLeaderBFSPrograms), nil},
+	}
+	rng := rand.New(rand.NewSource(37))
+	for _, fam := range []core.Family{lin, quad} {
+		// Disjoint inputs: every independent set then weighs at most
+		// SmallMax, so the heuristics' weights decide the gap too.
+		in, err := bitvec.RandomPairwiseDisjoint(fam.InputBits(), fam.Players(), bitvec.GenOptions{Density: 0.3}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := fam.Build(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := int64(inst.Partition.CutSize(inst.Graph))
+		for _, bw := range []int64{72, 80, 96, 0} {
+			limit := bw
+			if bw == 0 {
+				limit = congest.DefaultBandwidth(inst.Graph.N())
+			}
+			for _, p := range programs {
+				name := fmt.Sprintf("%s/%s/B=%d", fam.Name(), p.name, limit)
+				cfg := congest.Config{BandwidthBits: bw, Seed: 5, Hook: directedCutLoad(inst.Partition, limit)}
+				var bits, bound int64
+				if p.extract != nil {
+					rep, err := core.SimulateBuiltCtx(context.Background(), fam, in, inst, p.factory, p.extract, cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if !rep.Correct() || !rep.AccountingHolds() {
+						t.Fatalf("%s: correct %v, %d bits against bound %d", name, rep.Correct(), rep.BlackboardBits, rep.AccountingBound)
+					}
+					if want := 2 * int64(rep.Rounds) * cut * limit; rep.AccountingBound != want {
+						t.Fatalf("%s: AccountingBound %d, want 2·T·|cut|·B = %d", name, rep.AccountingBound, want)
+					}
+					bits, bound = rep.BlackboardBits, rep.AccountingBound
+				} else {
+					cfg.Cut = inst.Partition
+					net, err := congest.NewNetwork(inst.Graph, p.factory(inst), cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					res, err := net.Run()
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					bits, bound = res.Stats.CutBits, 2*int64(res.Stats.Rounds)*cut*limit
+				}
+				if bits == 0 || bits > bound {
+					t.Fatalf("%s: %d cut bits against 2·T·|cut|·B = %d", name, bits, bound)
+				}
+			}
 		}
 	}
 }

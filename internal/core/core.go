@@ -10,8 +10,9 @@
 // simulates the distributed side, internal/cc accounts the communication
 // side, and Simulate runs them joined — every message crossing the player
 // partition is charged, bit-exactly, to a blackboard, and the resulting
-// transcript length is checked against the T·|cut|·B accounting bound that
-// the paper's lower bounds rest on.
+// transcript length is checked against the 2T·|cut|·B accounting bound
+// (B bits per cut edge, per direction, per round) that the paper's lower
+// bounds rest on.
 package core
 
 import (
@@ -164,8 +165,8 @@ func AuditGap(fam Family, in bitvec.Inputs, exact func(Instance) (int64, error))
 }
 
 // AuditGapBuilt is AuditGap over a caller-built instance of fam for in,
-// for callers that construct instances through an attributed build-cache
-// session.
+// for callers that build the instance themselves (the experiments count
+// their constructions).
 func AuditGapBuilt(fam Family, in bitvec.Inputs, inst Instance, exact func(Instance) (int64, error)) (int64, error) {
 	truth, err := in.PromisePairwiseDisjointness()
 	if err != nil {

@@ -25,7 +25,7 @@ type SimulationReport struct {
 	// Rounds is the number of CONGEST rounds the algorithm used (T).
 	Rounds int
 	// BlackboardBits is the transcript length of the induced protocol —
-	// the quantity Theorem 5 bounds by Rounds·CutSize·Bandwidth. It is
+	// the quantity Theorem 5 bounds by AccountingBound. It is
 	// counted (the bits of every cut-crossing message), not read off a
 	// stored transcript.
 	BlackboardBits int64
@@ -34,7 +34,8 @@ type SimulationReport struct {
 	// CongestTotalBits is the total volume sent on all edges (local
 	// simulation included), for contrast with BlackboardBits.
 	CongestTotalBits int64
-	// AccountingBound is Rounds·CutSize·Bandwidth.
+	// AccountingBound is 2·Rounds·CutSize·Bandwidth: in one round each
+	// cut edge carries up to Bandwidth bits in each of its two directions.
 	AccountingBound int64
 	// SolveCacheHits and SolveCacheMisses count the run's exact-solve
 	// cache lookups: in a GossipExact run the n per-node solves of the
@@ -54,7 +55,8 @@ type SimulationReport struct {
 }
 
 // AccountingHolds reports the Theorem 5 inequality
-// BlackboardBits ≤ Rounds·CutSize·Bandwidth.
+// BlackboardBits ≤ 2·Rounds·CutSize·Bandwidth (both directions of every
+// cut edge, every round).
 func (r SimulationReport) AccountingHolds() bool {
 	return r.BlackboardBits <= r.AccountingBound
 }
@@ -77,7 +79,7 @@ type OptExtractor func(result congest.Result, inst Instance) (int64, error)
 // output via the gap predicate.
 //
 // The returned report carries both sides of the accounting identity — the
-// actual transcript length and the Rounds·|cut|·B bound — so callers (and
+// actual transcript length and the 2·Rounds·|cut|·B bound — so callers (and
 // tests) can confirm the inequality the paper's lower bounds rest on.
 func Simulate(fam Family, in bitvec.Inputs, factory ProgramFactory, extract OptExtractor, cfg congest.Config) (SimulationReport, error) {
 	return SimulateCtx(context.Background(), fam, in, factory, extract, cfg)
@@ -97,9 +99,8 @@ func SimulateCtx(ctx context.Context, fam Family, in bitvec.Inputs, factory Prog
 }
 
 // SimulateBuilt is Simulate over a caller-built instance of fam for in.
-// Callers that construct instances through an attributed build-cache
-// session (the sharded experiment sweeps) use this form so the build
-// traffic books under their session; Simulate itself is the convenience
+// Callers that build the instance themselves (the experiment sweeps count
+// their constructions) use this form; Simulate itself is the convenience
 // wrapper that builds through the family.
 func SimulateBuilt(fam Family, in bitvec.Inputs, inst Instance, factory ProgramFactory, extract OptExtractor, cfg congest.Config) (SimulationReport, error) {
 	return SimulateBuiltCtx(context.Background(), fam, in, inst, factory, extract, cfg)
@@ -160,7 +161,7 @@ func SimulateBuiltCtx(ctx context.Context, fam Family, in bitvec.Inputs, inst In
 		BlackboardBits:   result.Stats.CutBits,
 		BlackboardWrites: result.Stats.CutMessages,
 		CongestTotalBits: result.Stats.TotalBits,
-		AccountingBound:  int64(result.Stats.Rounds) * int64(cut) * net.Bandwidth(),
+		AccountingBound:  2 * int64(result.Stats.Rounds) * int64(cut) * net.Bandwidth(),
 		Opt:              opt,
 		Decision:         decision,
 		Truth:            truth,

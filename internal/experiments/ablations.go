@@ -37,13 +37,10 @@ func runAblations(w *Ctx) error {
 	}
 
 	// solveOpt is the per-variant instance job body: build the variant's
-	// instance through the attributed cache session and solve for the
-	// optimum, into the given slot.
-	solveOpt := func(fam interface {
-		BuildWith(*lbgraph.CacheSession, bitvec.Inputs) (core.Instance, error)
-	}, in bitvec.Inputs, slot *int64) func() error {
+	// instance and solve for the optimum, into the given slot.
+	solveOpt := func(fam core.Family, in bitvec.Inputs, slot *int64) func() error {
 		return func() error {
-			inst, err := fam.BuildWith(w.Builds, in)
+			inst, err := w.Build(fam, in)
 			if err != nil {
 				return err
 			}

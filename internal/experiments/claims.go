@@ -83,7 +83,7 @@ func runProperties(w *Ctx) error {
 			return err
 		}
 		w.Go(func() error {
-			inst, err := l.BuildFixedWith(w.Builds)
+			inst, err := w.BuildFixed(l)
 			if err != nil {
 				return err
 			}
@@ -125,7 +125,7 @@ func runProperties(w *Ctx) error {
 				if err != nil {
 					return err
 				}
-				built, err := l.BuildWith(w.Builds, in)
+				built, err := w.Build(l, in)
 				if err != nil {
 					return err
 				}
@@ -201,7 +201,7 @@ func runLemma1(w *Ctx) error {
 			return err
 		}
 		w.Go(func() error {
-			instI, err := l.BuildWith(w.Builds, inter)
+			instI, err := w.Build(l, inter)
 			if err != nil {
 				return err
 			}
@@ -209,7 +209,7 @@ func runLemma1(w *Ctx) error {
 			if err != nil {
 				return err
 			}
-			instD, err := l.BuildWith(w.Builds, dis)
+			instD, err := w.Build(l, dis)
 			if err != nil {
 				return err
 			}
@@ -288,7 +288,7 @@ func runLemma2(w *Ctx) error {
 				if err != nil {
 					return err
 				}
-				instI, err := l.BuildWith(w.Builds, inter)
+				instI, err := w.Build(l, inter)
 				if err != nil {
 					return err
 				}
@@ -303,7 +303,7 @@ func runLemma2(w *Ctx) error {
 				if err != nil {
 					return err
 				}
-				instD, err := l.BuildWith(w.Builds, dis)
+				instD, err := w.Build(l, dis)
 				if err != nil {
 					return err
 				}
@@ -368,7 +368,7 @@ func runLemma3(w *Ctx) error {
 				if err != nil {
 					return err
 				}
-				instI, err := f.BuildWith(w.Builds, inter)
+				instI, err := w.Build(f, inter)
 				if err != nil {
 					return err
 				}
@@ -383,7 +383,7 @@ func runLemma3(w *Ctx) error {
 				if err != nil {
 					return err
 				}
-				instD, err := f.BuildWith(w.Builds, dis)
+				instD, err := w.Build(f, dis)
 				if err != nil {
 					return err
 				}

@@ -7,15 +7,18 @@ import (
 	"sync/atomic"
 	"time"
 
+	"congestlb/internal/bitvec"
+	"congestlb/internal/core"
 	"congestlb/internal/fault"
+	"congestlb/internal/graphs"
 	"congestlb/internal/lbgraph"
 	"congestlb/internal/mis/cache"
 	"congestlb/internal/obs"
 )
 
 // This file is the execution machinery handed to every experiment: the
-// Ctx (report writer + attributed cache sessions) and the intra-experiment
-// job scheduler behind Ctx.Go/Ctx.Gather.
+// Ctx (report writer, attributed solve session, construction count) and
+// the intra-experiment job scheduler behind Ctx.Go/Ctx.Gather.
 //
 // # Intra-experiment sharding
 //
@@ -309,20 +312,19 @@ func (s *Scheduler) Close() {
 
 // Ctx is the execution context handed to every experiment run: the report
 // writer (embedded, so a *Ctx is written to directly), the solve session
-// through which the experiment's exact MaxIS work is routed, the build
-// session attributing its lower-bound graph constructions, and the
-// scheduler behind Ctx.Go/Ctx.Gather. The sessions book the cache
-// traffic the experiment generates — which is what makes the runner's
+// through which the experiment's exact MaxIS work is routed, the count of
+// its lower-bound graph constructions (Build, BuildFixed, BuildBase), and
+// the scheduler behind Ctx.Go/Ctx.Gather. The session and the count book
+// only what this experiment did — which is what makes the runner's
 // per-experiment envelope attribution exact at any -jobs count.
 type Ctx struct {
 	io.Writer
 	// Solve memoises and attributes this run's exact solves; never nil
 	// when built by NewCtx.
 	Solve *cache.Session
-	// Builds memoises and attributes this run's lower-bound graph
-	// constructions; nil (build from scratch, count nothing) until
-	// WithBuilds sets it.
-	Builds *lbgraph.CacheSession
+	// builds counts the constructions made through Build, BuildFixed and
+	// BuildBase; jobs call them concurrently.
+	builds atomic.Int64
 
 	// sched executes Go's jobs; nil runs them inline at submission (the
 	// sequential mode of experiments.RunAll and direct Run calls).
@@ -370,13 +372,31 @@ func (w *Ctx) WithContext(ctx context.Context) *Ctx {
 	return w
 }
 
-// WithBuilds sets the build-cache session, so the runner can memoise and
-// attribute lower-bound graph constructions in a caller-chosen cache — the
-// per-Lab isolation seam.
-func (w *Ctx) WithBuilds(b *lbgraph.CacheSession) *Ctx {
-	w.Builds = b
-	return w
+// Build constructs fam's instance for in from scratch and counts the
+// construction. Safe to call from Go jobs.
+func (w *Ctx) Build(fam core.Family, in bitvec.Inputs) (core.Instance, error) {
+	w.builds.Add(1)
+	return fam.Build(in)
 }
+
+// BuildFixed constructs fam's input-free fixed graph and counts the
+// construction. Safe to call from Go jobs.
+func (w *Ctx) BuildFixed(fam interface{ BuildFixed() (core.Instance, error) }) (core.Instance, error) {
+	w.builds.Add(1)
+	return fam.BuildFixed()
+}
+
+// BuildBase constructs the base graph H of p and counts the construction.
+// Safe to call from Go jobs.
+func (w *Ctx) BuildBase(p lbgraph.Params) (*graphs.Graph, error) {
+	w.builds.Add(1)
+	return lbgraph.BuildBase(p)
+}
+
+// Builds reports how many constructions Build, BuildFixed and BuildBase
+// have made over the context's lifetime — the count the runner records in
+// the envelope.
+func (w *Ctx) Builds() int64 { return w.builds.Load() }
 
 // Context returns the run's cancellation context (Background when none was
 // bound). Experiments pass it to core.SimulateBuiltCtx and friends so a

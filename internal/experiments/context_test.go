@@ -228,7 +228,7 @@ func TestCtxGoBatchMatchesPerPointJobs(t *testing.T) {
 	solo := make([]core.SimulationReport, len(inputs))
 	w := NewCtx(nil, nil)
 	for i, in := range inputs {
-		inst, err := l.BuildWith(w.Builds, in)
+		inst, err := w.Build(l, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestCtxGoBatchMatchesPerPointJobs(t *testing.T) {
 		reports := make([]core.SimulationReport, len(inputs))
 		for i, in := range inputs {
 			w.Go(func() error {
-				inst, err := l.BuildWith(w.Builds, in)
+				inst, err := w.Build(l, in)
 				if err != nil {
 					return err
 				}
@@ -304,5 +304,41 @@ func TestCtxGatherCountsOnlyRecoveredPanics(t *testing.T) {
 		if got := panicked.PanicsRecovered(); got != 1 {
 			t.Fatalf("workers=%d: panicking job counted as %d recovered panic(s), want 1", workers, got)
 		}
+	}
+}
+
+// TestCtxBuildsCountExact: Builds counts every construction made through
+// Build, BuildFixed and BuildBase, including the ones pool workers make
+// concurrently.
+func TestCtxBuildsCountExact(t *testing.T) {
+	p := lbgraph.Params{T: 2, Alpha: 1, Ell: 3}
+	l, err := lbgraph.NewLinear(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, _, err := bitvec.RandomUniquelyIntersecting(p.K(), p.T, bitvec.GenOptions{Density: 0.3}, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := NewScheduler(4)
+	defer sched.Close()
+	w := NewCtx(nil, nil).WithScheduler(sched)
+	for i := 0; i < 64; i++ {
+		w.Go(func() error {
+			_, err := w.Build(l, in)
+			return err
+		})
+	}
+	if _, err := w.BuildFixed(l); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.BuildBase(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Gather(); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Builds(); got != 66 {
+		t.Fatalf("Builds() = %d, want 66", got)
 	}
 }

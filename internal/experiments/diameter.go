@@ -32,8 +32,8 @@ func runDiameter(w *Ctx) error {
 		{T: 2, Alpha: 2, Ell: 4},
 	}
 	quadParams := []lbgraph.Params{lbgraph.FigureParams(2), {T: 2, Alpha: 1, Ell: 3}}
-	// One instance job per family member: build (cache-served on repeat
-	// sweeps) plus the all-pairs BFS behind Diameter.
+	// One instance job per family member: build plus the all-pairs BFS
+	// behind Diameter.
 	type diamResult struct {
 		n, d      int
 		connected bool
@@ -45,7 +45,7 @@ func runDiameter(w *Ctx) error {
 			return err
 		}
 		w.Go(func() error {
-			inst, err := l.BuildFixedWith(w.Builds)
+			inst, err := w.BuildFixed(l)
 			if err != nil {
 				return err
 			}
@@ -63,7 +63,7 @@ func runDiameter(w *Ctx) error {
 			return err
 		}
 		w.Go(func() error {
-			inst, err := f.BuildFixedWith(w.Builds)
+			inst, err := w.BuildFixed(f)
 			if err != nil {
 				return err
 			}

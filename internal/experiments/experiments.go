@@ -3,8 +3,8 @@
 // experiment runs emitting markdown reports. DESIGN.md carries the index:
 // one experiment per paper object (Figures 1-6, Theorems 1-5 as consumed,
 // Lemmas 1-3, Remark 1, the Section 1 limitation, and the cut-size
-// measurement), each with a bench target in bench_test.go and a row in
-// EXPERIMENTS.md.
+// measurement), each with a bench target in bench_test.go and a section
+// in the committed suite report, testdata/suite_report.golden.md.
 package experiments
 
 import (

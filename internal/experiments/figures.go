@@ -58,7 +58,7 @@ func runFigure1(w *Ctx) error {
 	if err != nil {
 		return err
 	}
-	base, err := lbgraph.BuildBaseWith(w.Builds, p)
+	base, err := w.BuildBase(p)
 	if err != nil {
 		return err
 	}
@@ -107,7 +107,7 @@ func runFigure2(w *Ctx) error {
 	if err != nil {
 		return err
 	}
-	inst, err := l.BuildFixedWith(w.Builds)
+	inst, err := w.BuildFixed(l)
 	if err != nil {
 		return err
 	}
@@ -140,7 +140,7 @@ func runFigure3(w *Ctx) error {
 	if err != nil {
 		return err
 	}
-	inst, err := l.BuildFixedWith(w.Builds)
+	inst, err := w.BuildFixed(l)
 	if err != nil {
 		return err
 	}
@@ -173,7 +173,7 @@ func runFigure4(w *Ctx) error {
 	if err != nil {
 		return err
 	}
-	inst, err := f.BuildFixedWith(w.Builds)
+	inst, err := w.BuildFixed(f)
 	if err != nil {
 		return err
 	}
@@ -208,7 +208,7 @@ func runFigure5(w *Ctx) error {
 	if err != nil {
 		return err
 	}
-	inst, err := f.BuildFixedWith(w.Builds)
+	inst, err := w.BuildFixed(f)
 	if err != nil {
 		return err
 	}
@@ -251,7 +251,7 @@ func runFigure6(w *Ctx) error {
 	}
 	m0.Clear(0, 0)
 
-	inst, err := f.BuildWith(w.Builds, in)
+	inst, err := w.Build(f, in)
 	if err != nil {
 		return err
 	}

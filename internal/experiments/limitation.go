@@ -64,7 +64,7 @@ func runTwoParty(w *Ctx) error {
 			return err
 		}
 		w.Go(func() error {
-			inst, err := l.BuildWith(w.Builds, in)
+			inst, err := w.Build(l, in)
 			if err != nil {
 				return err
 			}
@@ -127,7 +127,7 @@ func runRemark1(w *Ctx) error {
 			return err
 		}
 		w.Go(func() error {
-			inst, err := l.BuildWith(w.Builds, in)
+			inst, err := w.Build(l, in)
 			if err != nil {
 				return err
 			}
@@ -180,7 +180,7 @@ func runRemark1(w *Ctx) error {
 	}
 	var report core.SimulationReport
 	w.Go(func() error {
-		uinst, err := ufam.BuildWith(w.Builds, uin)
+		uinst, err := w.Build(ufam, uin)
 		if err != nil {
 			return err
 		}
@@ -193,7 +193,7 @@ func runRemark1(w *Ctx) error {
 	c.assert(report.AccountingHolds(), "unweighted simulation: accounting violated")
 	c.assert(report.Correct(), "unweighted simulation: wrong decision")
 	fmt.Fprintf(w, "Live reduction on the unweighted family (%s): n=%d, T=%d rounds, blackboard %d ≤ "+
-		"T·|cut|·B = %d bits, decision correct: %v.\n",
+		"2T·|cut|·B = %d bits, decision correct: %v.\n",
 		report.Family, report.N, report.Rounds, report.BlackboardBits,
 		report.AccountingBound, report.Correct())
 	return c.err()
@@ -233,7 +233,7 @@ func runUpperBounds(w *Ctx) error {
 	// algorithms on one built graph.
 	var opt int64
 	w.Go(func() error {
-		inst, err := l.BuildWith(w.Builds, in)
+		inst, err := w.Build(l, in)
 		if err != nil {
 			return err
 		}
@@ -251,7 +251,7 @@ func runUpperBounds(w *Ctx) error {
 	}
 	results := make([]algoResult, len(algos))
 	w.Go(func() error {
-		inst, err := l.BuildWith(w.Builds, in)
+		inst, err := w.Build(l, in)
 		if err != nil {
 			return err
 		}

@@ -73,7 +73,7 @@ func RunScalingPoint(w *Ctx, i int) (core.SimulationReport, error) {
 // Theorem 5 simulation of CollectSolve on it. CollectSolve keeps the sweep
 // fast: its traffic rides the BFS tree instead of flooding every edge.
 func simulateScalingPoint(w *Ctx, l *lbgraph.Linear, in bitvec.Inputs) (core.SimulationReport, error) {
-	inst, err := l.BuildWith(w.Builds, in)
+	inst, err := w.Build(l, in)
 	if err != nil {
 		return core.SimulationReport{}, err
 	}
@@ -83,7 +83,7 @@ func simulateScalingPoint(w *Ctx, l *lbgraph.Linear, in bitvec.Inputs) (core.Sim
 func runScaling(w *Ctx) error {
 	var c check
 	rng := rand.New(rand.NewSource(73))
-	tab := newTable("params", "n", "k", "∣cut∣", "rounds T", "blackboard bits", "bound T·∣cut∣·B", "utilisation")
+	tab := newTable("params", "n", "k", "∣cut∣", "rounds T", "blackboard bits", "bound 2T·∣cut∣·B", "utilisation")
 	params := ScalingPoints()
 	// Inputs are drawn sequentially (the RNG stream must match the
 	// sequential run); each point then builds and simulates in its own
@@ -116,7 +116,7 @@ func runScaling(w *Ctx) error {
 	}
 	tab.write(w)
 	fmt.Fprintf(w, "As the construction grows, k tracks n while the cut stays polylogarithmic in k — the "+
-		"T·|cut|·B budget therefore forces T to grow nearly linearly in n once the Ω(k/(t log t)) "+
+		"2T·|cut|·B budget therefore forces T to grow nearly linearly in n once the Ω(k/(t log t)) "+
 		"communication bound must fit through the cut. The utilisation column shows the actual algorithm "+
 		"using only a fraction of the budget: the bound is conservative in the right direction.\n")
 	return c.err()

@@ -65,7 +65,7 @@ func runSolver(w *Ctx) error {
 			}
 			slot := pi*len(cases) + ci
 			w.Go(func() error {
-				inst, err := l.BuildWith(w.Builds, in)
+				inst, err := w.Build(l, in)
 				if err != nil {
 					return err
 				}

@@ -38,7 +38,7 @@ func init() {
 	})
 	register(Experiment{
 		ID:       "theorem5",
-		Title:    "Simulation accounting: blackboard bits ≤ T·|cut|·B on live runs",
+		Title:    "Simulation accounting: blackboard bits ≤ 2T·|cut|·B on live runs",
 		PaperRef: "Theorem 5 (Section 3)",
 		Run:      runTheorem5,
 	})
@@ -65,8 +65,7 @@ func runTheorem1(w *Ctx) error {
 
 	// Corollary 1 instantiated on real built instances: measure the cut,
 	// plug in CC(k,t) = k/(t log t), divide by cut·log n. One instance job
-	// per parameterisation; the builds are served from the build cache on
-	// repeat runs.
+	// per parameterisation.
 	params := []lbgraph.Params{
 		{T: 2, Alpha: 1, Ell: 3},
 		{T: 3, Alpha: 1, Ell: 4},
@@ -81,7 +80,7 @@ func runTheorem1(w *Ctx) error {
 			return err
 		}
 		w.Go(func() error {
-			built, err := l.BuildFixedWith(w.Builds)
+			built, err := w.BuildFixed(l)
 			if err != nil {
 				return err
 			}
@@ -132,7 +131,7 @@ func runTheorem2(w *Ctx) error {
 			return err
 		}
 		w.Go(func() error {
-			built, err := f.BuildFixedWith(w.Builds)
+			built, err := w.BuildFixed(f)
 			if err != nil {
 				return err
 			}
@@ -272,7 +271,7 @@ func runTheorem5(w *Ctx) error {
 		return err
 	}
 	rng := rand.New(rand.NewSource(29))
-	tab := newTable("algorithm", "case", "rounds T", "∣cut∣", "B", "blackboard bits", "bound T·∣cut∣·B", "holds", "decision correct")
+	tab := newTable("algorithm", "case", "rounds T", "∣cut∣", "B", "blackboard bits", "bound 2T·∣cut∣·B", "holds", "decision correct")
 	algos := []struct {
 		name    string
 		factory core.ProgramFactory
@@ -303,7 +302,7 @@ func runTheorem5(w *Ctx) error {
 		}
 		for ai, a := range algos {
 			w.Go(func() error {
-				inst, err := l.BuildWith(w.Builds, in)
+				inst, err := w.Build(l, in)
 				if err != nil {
 					return err
 				}
@@ -327,7 +326,7 @@ func runTheorem5(w *Ctx) error {
 	tab.write(w)
 	fmt.Fprintf(w, "Two different real CONGEST algorithms (flooding gossip and BFS-tree collect-and-solve) "+
 		"ran on G_x̄ with every cut-crossing message charged to a shared blackboard. The transcript lengths "+
-		"respect Theorem 5's T·|cut|·B bound — the inequality is algorithm-independent, exactly as the "+
+		"respect Theorem 5's 2T·|cut|·B bound — the inequality is algorithm-independent, exactly as the "+
 		"simulation argument requires — and both induced protocols decide promise pairwise disjointness "+
 		"correctly in both cases.\n")
 	return c.err()
@@ -350,7 +349,7 @@ func runCutSize(w *Ctx) error {
 			return err
 		}
 		w.Go(func() error {
-			inst, err := l.BuildFixedWith(w.Builds)
+			inst, err := w.BuildFixed(l)
 			if err != nil {
 				return err
 			}

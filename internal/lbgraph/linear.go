@@ -146,20 +146,8 @@ func (l *Linear) CodeNodes(i, m int) []graphs.NodeID {
 
 // BuildFixed constructs the fixed graph G (all weights 1) with its player
 // partition and natural clique cover. The weights of G_x̄ are applied on
-// top by Build. It builds from scratch; BuildFixedWith memoises.
+// top by Build.
 func (l *Linear) BuildFixed() (core.Instance, error) {
-	return l.BuildFixedWith(nil)
-}
-
-// BuildFixedWith is BuildFixed through the given build-cache session:
-// repeated builds are served from the session's cache as private deep
-// copies (see cache.go). A nil session builds from scratch.
-func (l *Linear) BuildFixedWith(sess *CacheSession) (core.Instance, error) {
-	return sess.instance(l.fixedKey, l.buildFixedUncached)
-}
-
-// buildFixedUncached performs the actual construction.
-func (l *Linear) buildFixedUncached() (core.Instance, error) {
 	p := l.p
 	k, m, q, t := l.k, p.M(), l.q, p.T
 	g := graphs.New(t * l.perCopy)
@@ -253,17 +241,10 @@ func (l *Linear) buildFixedUncached() (core.Instance, error) {
 // Build implements core.Family: the fixed graph with the x̄-dependent
 // weights w(v^i_m) = ℓ if x^i_m = 1 else 1.
 func (l *Linear) Build(in bitvec.Inputs) (core.Instance, error) {
-	return l.BuildWith(nil, in)
-}
-
-// BuildWith is Build with the fixed-construction cache traffic attributed
-// to the given session. The input weights are applied to the private copy
-// the cache returns, so the cached fixed graph is never mutated.
-func (l *Linear) BuildWith(sess *CacheSession, in bitvec.Inputs) (core.Instance, error) {
 	if err := l.checkInputs(in); err != nil {
 		return core.Instance{}, err
 	}
-	inst, err := l.BuildFixedWith(sess)
+	inst, err := l.BuildFixed()
 	if err != nil {
 		return core.Instance{}, err
 	}
@@ -316,18 +297,13 @@ func (l *Linear) WitnessLarge(in bitvec.Inputs, inst core.Instance) ([]graphs.No
 // — the object of the paper's Figure 1. It is the t=1 slice of the fixed
 // construction.
 func BuildBase(p Params) (*graphs.Graph, error) {
-	return BuildBaseWith(nil, p)
-}
-
-// BuildBaseWith is BuildBase through the given build-cache session.
-func BuildBaseWith(sess *CacheSession, p Params) (*graphs.Graph, error) {
 	single := p
 	single.T = 2 // NewLinear requires t ≥ 2; we keep only copy 0 below.
 	l, err := NewLinear(single)
 	if err != nil {
 		return nil, err
 	}
-	inst, err := l.BuildFixedWith(sess)
+	inst, err := l.BuildFixed()
 	if err != nil {
 		return nil, err
 	}

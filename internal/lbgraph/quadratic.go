@@ -123,21 +123,8 @@ func (f *Quadratic) CodeNodes(i, b, m int) []graphs.NodeID {
 }
 
 // BuildFixed constructs the fixed graph F: all structure except the
-// input edges. Weights are already final (they do not depend on x̄). It
-// builds from scratch; BuildFixedWith memoises.
+// input edges. Weights are already final (they do not depend on x̄).
 func (f *Quadratic) BuildFixed() (core.Instance, error) {
-	return f.BuildFixedWith(nil)
-}
-
-// BuildFixedWith is BuildFixed through the given build-cache session:
-// repeated builds are served from the session's cache as private deep
-// copies (see cache.go). A nil session builds from scratch.
-func (f *Quadratic) BuildFixedWith(sess *CacheSession) (core.Instance, error) {
-	return sess.instance(f.fixedKey, f.buildFixedUncached)
-}
-
-// buildFixedUncached performs the actual construction.
-func (f *Quadratic) buildFixedUncached() (core.Instance, error) {
 	p := f.p
 	k, m, q, t := f.k, p.M(), f.q, p.T
 	n := 2 * t * f.perCopy
@@ -230,17 +217,10 @@ func (f *Quadratic) buildFixedUncached() (core.Instance, error) {
 // Build implements core.Family: the fixed graph plus the input edges
 // {v^(i,1)_m1, v^(i,2)_m2} for every 0 bit x^i_(m1,m2).
 func (f *Quadratic) Build(in bitvec.Inputs) (core.Instance, error) {
-	return f.BuildWith(nil, in)
-}
-
-// BuildWith is Build with the fixed-construction cache traffic attributed
-// to the given session. Input edges are added to the private copy the
-// cache returns, so the cached fixed graph is never mutated.
-func (f *Quadratic) BuildWith(sess *CacheSession, in bitvec.Inputs) (core.Instance, error) {
 	if err := f.checkInputs(in); err != nil {
 		return core.Instance{}, err
 	}
-	inst, err := f.BuildFixedWith(sess)
+	inst, err := f.BuildFixed()
 	if err != nil {
 		return core.Instance{}, err
 	}

@@ -53,16 +53,9 @@ func (u *UnweightedLinear) Gap() core.GapPredicate { return u.inner.Gap() }
 
 // Build implements core.Family: the weighted instance followed by the
 // Remark 1 blow-up, with the clique cover translated layer by layer. The
-// blow-up is linear in the output size; BuildWith memoises only the
-// underlying fixed construction.
+// blow-up is linear in the output size.
 func (u *UnweightedLinear) Build(in bitvec.Inputs) (core.Instance, error) {
-	return u.BuildWith(nil, in)
-}
-
-// BuildWith is Build with the fixed-construction cache traffic attributed
-// to the given session.
-func (u *UnweightedLinear) BuildWith(sess *CacheSession, in bitvec.Inputs) (core.Instance, error) {
-	weighted, err := u.inner.BuildWith(sess, in)
+	weighted, err := u.inner.Build(in)
 	if err != nil {
 		return core.Instance{}, err
 	}

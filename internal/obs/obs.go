@@ -65,12 +65,6 @@ const (
 	MSolverIncumbents      = "solver_incumbent_updates" // counter
 	MSolverIncumbentWeight = "solver_incumbent_weight"  // gauge: last reported weight
 
-	// Lower-bound-graph build cache (lbgraph).
-	MBuildCacheHits   = "build_cache_hits"
-	MBuildCacheMisses = "build_cache_misses"
-	MBuildCacheWaits  = "build_cache_singleflight_waits"
-	MBuildLatencyNS   = "build_latency_ns" // histogram: wall time per fresh build
-
 	// Scheduler (experiments.Scheduler).
 	MSchedQueueDepth = "sched_queue_depth" // gauge: jobs sitting in the two queues
 	MSchedJobs       = "sched_jobs"        // counter: jobs ever enqueued

@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -10,7 +11,6 @@ import (
 	"testing"
 
 	"congestlb/internal/experiments"
-	"congestlb/internal/lbgraph"
 	"congestlb/internal/mis/cache"
 )
 
@@ -95,17 +95,16 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 }
 
 // TestGoldenReportThroughLabCaches is the golden-report determinism suite
-// run the way a congestlb.Lab runs it: private solve and build caches, a
+// run the way a congestlb.Lab runs it: a private solve cache, a
 // caller-owned scheduler and an explicit background context. One cache
-// pair serves the sequential baseline and every sharded rerun — exactly a
+// serves the sequential baseline and every sharded rerun — exactly a
 // Lab's lifecycle — and the markdown must stay byte-identical at every
 // pool size.
 func TestGoldenReportThroughLabCaches(t *testing.T) {
 	fast, _ := goldenPartition()
 	solve := cache.New(0)
-	builds := lbgraph.NewBuildCache(0)
 	labOpts := func(sched *experiments.Scheduler) Options {
-		return Options{SolveCache: solve, BuildCache: builds, Scheduler: sched}
+		return Options{SolveCache: solve, Scheduler: sched}
 	}
 
 	seqSched := experiments.NewScheduler(1)
@@ -133,12 +132,9 @@ func TestGoldenReportThroughLabCaches(t *testing.T) {
 			}
 		})
 	}
-	// The private caches — not the shared ones — absorbed the traffic.
+	// The private cache absorbed the traffic.
 	if st := solve.Stats(); st.Hits+st.Misses == 0 {
 		t.Fatalf("private solve cache saw no traffic: %+v", st)
-	}
-	if st := builds.Stats(); st.Hits+st.Misses == 0 {
-		t.Fatalf("private build cache saw no traffic: %+v", st)
 	}
 }
 
@@ -156,35 +152,36 @@ func TestRunCtxScheduledEnvelopeJobs(t *testing.T) {
 	}
 }
 
-// TestUncachedBuildsEnvelopeAttribution: with UncachedBuilds the run-level
-// lbgraph block must equal the sum of the per-experiment (all-miss)
-// session counters — the run has no build cache to diff.
+// TestUncachedBuildsEnvelopeAttribution: every build is uncached, so the
+// run-level lbgraph block must equal the sum of the per-experiment
+// construction counts, with 0 hits — the run has no build cache to diff
+// and no cache entries to report.
 func TestUncachedBuildsEnvelopeAttribution(t *testing.T) {
 	exps, err := experiments.Select([]string{"figure1", "codes"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := RunCtx(context.Background(), exps, Options{Jobs: 2, UncachedBuilds: true}, io.Discard)
+	env, err := RunCtx(context.Background(), exps, Options{Jobs: 2}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hits, misses uint64
+	var builds int64
 	for _, r := range env.Experiments {
-		hits += r.LBGraphHits
-		misses += r.LBGraphMisses
+		builds += r.LBGraphBuilds
 	}
-	if env.LBGraph.Hits != hits || env.LBGraph.Misses != misses {
-		t.Fatalf("run-level lbgraph %d/%d, per-experiment sum %d/%d",
-			env.LBGraph.Hits, env.LBGraph.Misses, hits, misses)
+	if env.LBGraph.Hits != 0 || env.LBGraph.Misses != builds {
+		t.Fatalf("run-level lbgraph %d/%d, want 0 hits and the per-experiment sum %d",
+			env.LBGraph.Hits, env.LBGraph.Misses, builds)
 	}
-	if hits != 0 {
-		t.Fatalf("uncached builds recorded %d hits", hits)
-	}
-	if misses == 0 {
+	if builds == 0 {
 		t.Fatal("no build traffic recorded at all")
 	}
-	if env.LBGraph.Entries != 0 {
-		t.Fatalf("uncached run reports %d cache entries", env.LBGraph.Entries)
+	block, err := json.Marshal(env.LBGraph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(block), "entries") {
+		t.Fatalf("uncached run reports cache entries: %s", block)
 	}
 }
 

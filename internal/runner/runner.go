@@ -11,8 +11,9 @@
 //     sequential pipeline; with many, only wall-clock changes.
 //   - Every run also produces a structured JSON result envelope — one
 //     record per experiment (status, wall time, exact-solver work, solve
-//     and build cache traffic, instance-job count) plus run-level totals —
-//     so CI and tooling consume results without parsing markdown.
+//     cache traffic, lower-bound graph constructions, instance-job count)
+//     plus run-level totals — so CI and tooling consume results without
+//     parsing markdown.
 //     cmd/benchjson validates the envelope; .github/workflows/ci.yml
 //     archives it.
 //
@@ -26,14 +27,14 @@
 // clamped to the experiment count — extra workers drain instance jobs.
 //
 // Experiments run concurrently, so their solver work meets in the run's
-// content-addressed solve cache (internal/mis/cache) and their graph
-// constructions in the run's build cache (internal/lbgraph): a graph
-// solved or built by one job is a cache hit for every other job that
-// needs the same one. Both caches belong to the caller (Options) or, when
-// it passes none, to the run alone. Each job nevertheless sees only its
-// own traffic: it runs under private cache.Session / lbgraph.CacheSession
-// views, which is what makes the per-experiment numbers in the envelope
-// exact at any pool size.
+// content-addressed solve cache (internal/mis/cache): a graph solved by
+// one job is a cache hit for every other job that needs the same one. The
+// cache belongs to the caller (Options) or, when it passes none, to the
+// run alone. Each job nevertheless sees only its own traffic: it runs
+// under a private cache.Session view, and its experiments.Ctx counts its
+// own lower-bound graph constructions (every one built from scratch),
+// which is what makes the per-experiment numbers in the envelope exact at
+// any pool size.
 package runner
 
 import (
@@ -47,7 +48,6 @@ import (
 
 	"congestlb/internal/experiments"
 	"congestlb/internal/fault"
-	"congestlb/internal/lbgraph"
 	"congestlb/internal/mis/cache"
 	"congestlb/internal/obs"
 )
@@ -81,7 +81,12 @@ import (
 // batched_instances counters and the run-level batch block are gone;
 // every simulation is one instance job's CONGEST run. panics_recovered
 // counts only panics (a degraded solve is not one).
-const Schema = "congestlb/experiment-envelope/v9"
+// v10: no build cache — every lower-bound graph construction runs from
+// scratch. The per-experiment lbgraph_hits / lbgraph_misses pair becomes
+// lbgraph_builds (the constructions the experiment made), and the
+// run-level lbgraph_cache block keeps only hits (always 0) and misses
+// (the sum of lbgraph_builds).
+const Schema = "congestlb/experiment-envelope/v10"
 
 // Experiment statuses in the envelope.
 const (
@@ -96,24 +101,18 @@ type Options struct {
 	// values above the experiment count still buy parallelism. Ignored
 	// when Scheduler is set (the scheduler's own size wins).
 	Jobs int
-	// SolveCache pins the run's exact solves to a caller-owned cache;
-	// BuildCache does the same for the lower-bound graph constructions.
-	// congestlb.Lab sets both, so two Labs in one process share no cache
+	// SolveCache pins the run's exact solves to a caller-owned cache.
+	// congestlb.Lab sets it, so two Labs in one process share no cache
 	// state whatsoever. A nil cache gives the run a fresh one of its own,
 	// so nothing carries over from one run to the next.
 	SolveCache *cache.Cache
-	BuildCache *lbgraph.BuildCache
-	// UncachedBuilds runs every construction from scratch (attribution
-	// intact) — the Lab's WithBuildCache(false) mode. BuildCache is
-	// ignored when set.
-	UncachedBuilds bool
 	// Scheduler reuses a caller-owned worker pool across runs instead of
 	// starting (and stopping) a private one. The caller keeps ownership:
 	// Run never closes it.
 	Scheduler *experiments.Scheduler
-	// Obs attaches a metrics registry to the run: solve/build caches and
-	// engines record into it (callers wire the caches via their
-	// SetRegistry before the run — congestlb.Lab does), spans wrap the run
+	// Obs attaches a metrics registry to the run: the solve cache and the
+	// engines record into it (callers wire the cache via its SetRegistry
+	// before the run — congestlb.Lab does), spans wrap the run
 	// → experiment → job/simulate/solve tree, and the envelope embeds the
 	// run-scoped Metrics delta and Spans summary. When the runner owns the
 	// scheduler it attaches the registry to it too; a caller-owned
@@ -153,11 +152,9 @@ type ExperimentResult struct {
 	StepsSaved  int64  `json:"steps_saved"`
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
-	// LBGraphHits/LBGraphMisses are the experiment's lower-bound graph
-	// build-cache lookups, attributed exactly through its private
-	// lbgraph.CacheSession.
-	LBGraphHits   uint64 `json:"lbgraph_hits"`
-	LBGraphMisses uint64 `json:"lbgraph_misses"`
+	// LBGraphBuilds counts the lower-bound graph constructions the
+	// experiment made (experiments.Ctx.Builds), each one from scratch.
+	LBGraphBuilds int64 `json:"lbgraph_builds"`
 	// Failures is the experiment's fault-containment accounting, omitted
 	// when nothing went wrong (the overwhelmingly common case).
 	Failures *FailureStats `json:"failures,omitempty"`
@@ -194,6 +191,16 @@ func (f *FailureStats) Add(other FailureStats) {
 	f.DiskQuarantined += other.DiskQuarantined
 }
 
+// BuildStats is the envelope's run-level lower-bound graph block. There
+// is no build cache, so Hits is always 0 and Misses is the run's
+// constructions: the sum of the per-experiment LBGraphBuilds. The block
+// keeps its JSON name and both fields because the benchmark in bench/
+// reads them.
+type BuildStats struct {
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
+}
+
 // Envelope is the structured result of one runner invocation.
 type Envelope struct {
 	Schema string `json:"schema"`
@@ -213,9 +220,9 @@ type Envelope struct {
 	// steps fields are counter deltas (this run only); Entries is the
 	// cache's occupancy level at the end of the run, not a delta.
 	Cache cache.Stats `json:"cache"`
-	// LBGraph reports the run's lower-bound-graph build-cache traffic, with
-	// the same delta/occupancy convention as Cache.
-	LBGraph lbgraph.CacheStats `json:"lbgraph_cache"`
+	// LBGraph reports the run's lower-bound graph constructions (see
+	// BuildStats).
+	LBGraph BuildStats `json:"lbgraph_cache"`
 	// Failures sums the per-experiment failures blocks; omitted when the
 	// whole run was fault-free.
 	Failures *FailureStats `json:"failures,omitempty"`
@@ -257,26 +264,16 @@ func RunCtx(ctx context.Context, exps []experiments.Experiment, opts Options, w 
 	if w == nil {
 		w = io.Discard
 	}
-	// The caches this run uses: the caller's own (a Lab's) when pinned in
-	// Options, else fresh ones. An UncachedBuilds run uses no build cache
-	// at all — its run-level lbgraph numbers come from summing the
-	// per-experiment sessions (below), so no snapshot is taken.
+	// The solve cache this run uses: the caller's own (a Lab's) when
+	// pinned in Options, else a fresh one.
 	if opts.SolveCache == nil {
 		opts.SolveCache = cache.New(0)
 	}
-	if opts.UncachedBuilds {
-		opts.BuildCache = nil
-	} else if opts.BuildCache == nil {
-		opts.BuildCache = lbgraph.NewBuildCache(0)
-	}
-	// An observed run points the caches it uses at its registry (a Lab
-	// already did this for its own caches; re-attaching the same registry
-	// is idempotent).
+	// An observed run points the cache at its registry (a Lab already did
+	// this for its own cache; re-attaching the same registry is
+	// idempotent).
 	if opts.Obs != nil {
 		opts.SolveCache.SetRegistry(opts.Obs)
-		if opts.BuildCache != nil {
-			opts.BuildCache.SetRegistry(opts.Obs)
-		}
 	}
 
 	// One scheduler serves both levels: experiment jobs submitted here and
@@ -316,10 +313,6 @@ func RunCtx(ctx context.Context, exps []experiments.Experiment, opts Options, w 
 	}
 	start := time.Now()
 	cacheBefore := opts.SolveCache.Stats()
-	var buildBefore lbgraph.CacheStats
-	if opts.BuildCache != nil {
-		buildBefore = opts.BuildCache.Stats()
-	}
 
 	type slot struct {
 		buf  strings.Builder
@@ -364,17 +357,8 @@ func RunCtx(ctx context.Context, exps []experiments.Experiment, opts Options, w 
 	cacheAfter := opts.SolveCache.Stats()
 	env.Cache.Evictions = cacheAfter.Evictions - cacheBefore.Evictions
 	env.Cache.Entries = cacheAfter.Entries
-	// Same summation story for the build cache (whose per-experiment
-	// session counters already sit in the records); with UncachedBuilds
-	// (no BuildCache) there is no cache to snapshot occupancy from.
 	for _, r := range env.Experiments {
-		env.LBGraph.Hits += r.LBGraphHits
-		env.LBGraph.Misses += r.LBGraphMisses
-	}
-	if opts.BuildCache != nil {
-		buildAfter := opts.BuildCache.Stats()
-		env.LBGraph.Evictions = buildAfter.Evictions - buildBefore.Evictions
-		env.LBGraph.Entries = buildAfter.Entries
+		env.LBGraph.Misses += r.LBGraphBuilds
 	}
 	if opts.Obs != nil {
 		runSpan.End()
@@ -417,10 +401,11 @@ func RunCtx(ctx context.Context, exps []experiments.Experiment, opts Options, w 
 
 // runOne executes a single experiment into its private buffer, fills its
 // envelope record, and returns the experiment's full solve-session
-// counters (the run-level totals are their sum). The markdown framing replicates experiments.RunAll
-// byte for byte. The private cache sessions make the solver/cache/build
-// numbers exactly this experiment's, however many jobs run concurrently;
-// the scheduler hands the experiment's Ctx.Go instance jobs to the shared
+// counters (the run-level totals are their sum). The markdown framing
+// replicates experiments.RunAll byte for byte. The private solve session
+// and the Ctx's construction count make the solver/cache/build numbers
+// exactly this experiment's, however many jobs run concurrently; the
+// scheduler hands the experiment's Ctx.Go instance jobs to the shared
 // pool.
 func runOne(ctx context.Context, e experiments.Experiment, sched *experiments.Scheduler, buf *strings.Builder, res *ExperimentResult, opts Options) cache.Stats {
 	res.ID, res.Title, res.PaperRef = e.ID, e.Title, e.PaperRef
@@ -437,8 +422,7 @@ func runOne(ctx context.Context, e experiments.Experiment, sched *experiments.Sc
 	ctx, esp = obs.Begin(ctx, "experiment:"+e.ID)
 	defer esp.End()
 	sess := cache.NewSession(opts.SolveCache).WithContext(ctx)
-	bsess := lbgraph.NewCacheSession(opts.BuildCache) // no cache with UncachedBuilds
-	ectx := experiments.NewCtx(buf, sess).WithBuilds(bsess).WithScheduler(sched).WithContext(ctx)
+	ectx := experiments.NewCtx(buf, sess).WithScheduler(sched).WithContext(ctx)
 	start := time.Now()
 	recovered, err := runBody(ectx, e)
 	// An experiment that errors between Go and Gather leaves instance
@@ -455,9 +439,7 @@ func runOne(ctx context.Context, e experiments.Experiment, sched *experiments.Sc
 	res.StepsSaved = st.StepsSaved
 	res.CacheHits = st.Hits
 	res.CacheMisses = st.Misses
-	bst := ectx.Builds.Stats()
-	res.LBGraphHits = bst.Hits
-	res.LBGraphMisses = bst.Misses
+	res.LBGraphBuilds = ectx.Builds()
 	res.InstanceJobs = ectx.InstanceJobs()
 	f := FailureStats{
 		// Gathered instance jobs that panicked, plus the experiment body

@@ -130,30 +130,28 @@ func TestPerJobAttributionExact(t *testing.T) {
 	}
 }
 
-// TestLBGraphAttributionExact is the build-cache twin of the solve-cache
-// attribution property: with a fresh build cache (the run's own) and
-// overlapping jobs, the per-experiment lbgraph session counters must sum
-// exactly to the run-level delta, and the sharded sweeps must record their
-// instance jobs.
+// TestLBGraphAttributionExact is the construction twin of the solve-cache
+// attribution property: with overlapping jobs, the run-level lbgraph
+// block reads 0 hits and, as misses, exactly the sum of the
+// per-experiment construction counts; and the sharded sweeps must record
+// their instance jobs.
 func TestLBGraphAttributionExact(t *testing.T) {
 	exps := fastSubset(t)
 	env, err := Run(exps, Options{Jobs: len(exps)}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hits, misses uint64
-	var instanceJobs int64
+	var builds, instanceJobs int64
 	for _, r := range env.Experiments {
-		hits += r.LBGraphHits
-		misses += r.LBGraphMisses
+		builds += r.LBGraphBuilds
 		instanceJobs += r.InstanceJobs
 	}
-	if hits != env.LBGraph.Hits || misses != env.LBGraph.Misses {
-		t.Fatalf("lbgraph attribution drifted: experiments sum %d/%d, run delta %d/%d",
-			hits, misses, env.LBGraph.Hits, env.LBGraph.Misses)
+	if env.LBGraph.Hits != 0 || env.LBGraph.Misses != builds {
+		t.Fatalf("lbgraph block %+v, want 0 hits and the experiments' %d constructions",
+			env.LBGraph, builds)
 	}
-	if misses == 0 {
-		t.Fatalf("fresh build cache saw no construction work: %+v", env.LBGraph)
+	if builds == 0 {
+		t.Fatalf("run made no constructions: %+v", env.LBGraph)
 	}
 	// The subset includes sharded sweeps (cutsize, solver, twoparty), so
 	// the run must have fanned out per-instance jobs.

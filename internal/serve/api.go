@@ -149,6 +149,8 @@ type ReduceResult struct {
 	BlackboardBits   int64  `json:"blackboard_bits"`
 	BlackboardWrites int64  `json:"blackboard_writes"`
 	CongestTotalBits int64  `json:"congest_total_bits"`
+	// AccountingBound is 2·Rounds·CutSize·Bandwidth: B bits per cut edge,
+	// per direction, per round. AccountingHolds is BlackboardBits ≤ it.
 	AccountingBound  int64  `json:"accounting_bound"`
 	AccountingHolds  bool   `json:"accounting_holds"`
 	Opt              int64  `json:"opt"`

@@ -1,8 +1,8 @@
 // Package serve is the congestlbd service layer: a multi-tenant HTTP
 // (JSON + SSE) front end over congestlb.Lab. Each tenant — identified by
-// an API key — owns a private Lab with its own solve/build caches,
-// solver-worker default and quotas, so no tenant can observe or perturb
-// another's work; underneath the private caches one shared
+// an API key — owns a private Lab with its own solve cache, experiment
+// pool and quotas, so no tenant can observe or perturb another's work;
+// underneath the private caches one shared
 // content-addressed read-through tier (congestlb.SharedSolveTier) dedups
 // identical solves across tenants, so a graph any tenant already paid to
 // solve costs everyone else zero branch-and-bound steps.

@@ -1,15 +1,14 @@
 package congestlb
 
-// Lab is the library's service handle: the one path to its caches and
-// solver configuration. Each Lab owns its own exact-solve cache (with an
-// optional persistent disk tier), its own lower-bound-graph build cache
-// and its own experiment worker pool — two Labs in one process share nothing, and nothing in the process
-// is shared by default, so a server can host isolated tenants, A/B
-// configurations or concurrent workloads without any cross-talk. Every
-// long-running operation takes a context.Context that cancels it
-// cooperatively. See docs/api.md for the lifecycle, the full option set,
-// the migration tables from the 1.x and 2.x APIs and the isolation
-// guarantees.
+// Lab is the library's service handle: the one path to its solve cache
+// and experiment pool. Each Lab owns its own exact-solve cache (with an
+// optional persistent disk tier) and its own experiment worker pool — two
+// Labs in one process share nothing, and nothing in the process is shared
+// by default, so a server can host isolated tenants, A/B configurations
+// or concurrent workloads without any cross-talk. Every long-running
+// operation takes a context.Context that cancels it cooperatively. See
+// docs/api.md for the lifecycle, the full option set, the migration
+// tables from the earlier major versions and the isolation guarantees.
 
 import (
 	"context"
@@ -22,7 +21,6 @@ import (
 
 	"congestlb/internal/core"
 	"congestlb/internal/experiments"
-	"congestlb/internal/lbgraph"
 	"congestlb/internal/mis/cache"
 	"congestlb/internal/obs"
 	"congestlb/internal/runner"
@@ -50,8 +48,8 @@ type SpanStat = obs.SpanStat
 type Experiment = experiments.Experiment
 
 // ExperimentEnvelope is the structured JSON result of one RunExperiments
-// call (schema v4): one record per experiment plus run-level cache and
-// timing totals.
+// call (schema v10): one record per experiment plus run-level cache,
+// construction and timing totals.
 type ExperimentEnvelope = runner.Envelope
 
 // ExperimentResult is one experiment's record in an ExperimentEnvelope.
@@ -70,10 +68,10 @@ var ErrClosed = errors.New("congestlb: Lab is closed")
 // value is not usable; create Labs with New.
 //
 // Isolation guarantees: a Lab owns a private solve cache, private disk
-// tier (if configured), private build cache and private scheduler pool. No operation on one Lab can observe or
-// mutate another Lab's state; in particular two Labs with different
-// solve-cache directories never cross-populate. The only state Labs
-// inherently share is the process itself (GOMAXPROCS, memory).
+// tier (if configured) and private scheduler pool. No operation on one
+// Lab can observe or mutate another Lab's state; in particular two Labs
+// with different solve-cache directories never cross-populate. The only
+// state Labs inherently share is the process itself (GOMAXPROCS, memory).
 //
 // Every potentially long-running method takes a context.Context:
 // cancellation stops CONGEST round loops at round boundaries, queued
@@ -88,13 +86,11 @@ var ErrClosed = errors.New("congestlb: Lab is closed")
 // detaches its disk tier; a closed Lab rejects RunExperiments but its
 // pure solve/simulate methods keep working.
 type Lab struct {
-	// solve is never nil. builds is nil until the build cache is first
-	// on (WithBuildCache(false) leaves it nil).
-	solve  *cache.Cache
-	builds *lbgraph.BuildCache
+	// solve is never nil.
+	solve *cache.Cache
 
 	// reg is the Lab's metrics registry (nil unless WithMetrics): the
-	// solve/build caches, scheduler, engines and spans all record into
+	// solve cache, scheduler, engines and spans all record into
 	// it. progress is the observer every solve session fires on incumbent
 	// improvements — the WithObserver callback teed with the registry's
 	// incumbent bookkeeping; nil when neither is configured, which is the
@@ -103,13 +99,12 @@ type Lab struct {
 	reg      *obs.Registry
 	progress obs.ProgressObserver
 
-	mu            sync.Mutex
-	idle          *sync.Cond // signalled when active drops to zero
-	jobs          int
-	buildCacheOff bool
-	sched         *experiments.Scheduler
-	active        int // in-flight RunExperiments calls; Close waits for zero
-	closed        bool
+	mu     sync.Mutex
+	idle   *sync.Cond // signalled when active drops to zero
+	jobs   int
+	sched  *experiments.Scheduler
+	active int // in-flight RunExperiments calls; Close waits for zero
+	closed bool
 	// closeDone is non-nil once a Close has taken ownership of the
 	// teardown and closed when that teardown finished — every other Close
 	// call blocks on it, so no caller returns before the pool is drained.
@@ -121,7 +116,6 @@ type labConfig struct {
 	jobs       int
 	memEntries int
 	cacheDir   string
-	buildCache bool
 	metrics    bool
 	observer   obs.ProgressObserver
 	sharedTier *cache.SharedTier
@@ -182,13 +176,6 @@ func WithSharedSolveTier(t *SharedSolveTier) Option {
 	return func(c *labConfig) { c.sharedTier = t }
 }
 
-// WithBuildCache switches the Lab's lower-bound-graph build cache on or
-// off (on by default). Builds are deterministic, so the cache is
-// semantically transparent; off exists for A/B measurements.
-func WithBuildCache(on bool) Option {
-	return func(c *labConfig) { c.buildCache = on }
-}
-
 // WithJobs sets the Lab's experiment worker-pool size used by
 // RunExperiments (0 = GOMAXPROCS). The pool is created lazily on first use
 // and lives until Close.
@@ -202,7 +189,7 @@ func WithJobs(n int) Option {
 }
 
 // WithMetrics attaches a per-Lab metrics registry (off by default).
-// When on, the Lab's solve and build caches, its scheduler, the CONGEST
+// When on, the Lab's solve cache, its scheduler, the CONGEST
 // engines and the exact solvers record counters, gauges, bounded
 // histograms and spans into it; Lab.Metrics snapshots it,
 // Lab.MetricsHandler serves it over HTTP, and RunExperiments embeds the
@@ -229,7 +216,7 @@ func WithObserver(o ProgressObserver) Option {
 // shares no mutable state with any other Lab; callers that use
 // RunExperiments should Close it when done to release its worker pool.
 func New(opts ...Option) (*Lab, error) {
-	cfg := labConfig{buildCache: true}
+	var cfg labConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -237,17 +224,9 @@ func New(opts ...Option) (*Lab, error) {
 		solve: cache.New(cfg.memEntries),
 		jobs:  cfg.jobs,
 	}
-	if cfg.buildCache {
-		l.builds = lbgraph.NewBuildCache(0)
-	} else {
-		l.buildCacheOff = true
-	}
 	if cfg.metrics {
 		l.reg = obs.NewRegistry()
 		l.solve.SetRegistry(l.reg)
-		if l.builds != nil {
-			l.builds.SetRegistry(l.reg)
-		}
 	}
 	if cfg.sharedTier != nil {
 		l.solve.SetSharedTier(cfg.sharedTier)
@@ -302,20 +281,8 @@ func (l *Lab) SolveCacheDir() string { return l.solve.DiskDir() }
 // SolveCacheStats snapshots the Lab's solve-cache counters.
 func (l *Lab) SolveCacheStats() SolveCacheStats { return l.solve.Stats() }
 
-// BuildCacheStats snapshots the Lab's build-cache counters (zero when the
-// Lab was configured with WithBuildCache(false)).
-func (l *Lab) BuildCacheStats() BuildCacheStats {
-	l.mu.Lock()
-	c := l.builds
-	l.mu.Unlock()
-	if c == nil {
-		return BuildCacheStats{}
-	}
-	return c.Stats()
-}
-
 // Metrics snapshots the Lab's metrics registry: every counter, gauge
-// and histogram its caches, scheduler, engines and solvers have
+// and histogram its solve cache, scheduler, engines and solvers have
 // recorded so far. On a Lab without WithMetrics the snapshot is empty.
 // Values are cumulative over the Lab's lifetime; diff two snapshots
 // (MetricsSnapshot.DeltaSince) to scope a window.
@@ -331,76 +298,23 @@ func (l *Lab) SpanStats() []SpanStat { return l.reg.SpanStatsSince(0) }
 // Lab without WithMetrics. cmd/experiments serves it via -metrics-addr.
 func (l *Lab) MetricsHandler() http.Handler { return obs.Handler(l.reg) }
 
-// SetBuildCacheEnabled switches the Lab's build cache on or off and
-// returns the previous setting.
-func (l *Lab) SetBuildCacheEnabled(on bool) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	prev := !l.buildCacheOff
-	l.buildCacheOff = !on
-	if on && l.builds == nil {
-		l.builds = lbgraph.NewBuildCache(0)
-		l.builds.SetRegistry(l.reg)
-	}
-	return prev
-}
-
 // NewSolveSession returns an attributed view of the Lab's solve cache that
 // counts exactly the traffic routed through it.
 func (l *Lab) NewSolveSession() *SolveSession {
 	return cache.NewSession(l.solve)
 }
 
-// NewBuildSession returns an attributed view of the Lab's build cache (a
-// view over no cache, counting every build as a miss, while the build
-// cache is off).
-func (l *Lab) NewBuildSession() *BuildSession {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.buildCacheOff {
-		return lbgraph.NewCacheSession(nil)
-	}
-	return lbgraph.NewCacheSession(l.builds)
-}
-
-// labBuilder is implemented by the concrete families (Linear, Quadratic,
-// UnweightedLinear): Build with the construction routed through an
-// attributed build-cache session. Families without it (external Family
-// implementations) fall back to their own Build.
-type labBuilder interface {
-	BuildWith(*lbgraph.CacheSession, Inputs) (Instance, error)
-}
-
-// buildInstance constructs G_x̄ through the Lab's build cache when the
-// family supports attribution, else through the family directly.
-func (l *Lab) buildInstance(fam Family, in Inputs) (Instance, error) {
-	if fb, ok := fam.(labBuilder); ok {
-		return fb.BuildWith(l.NewBuildSession(), in)
-	}
-	return fam.Build(in)
-}
-
-// BuildInstance constructs and validates an instance for a family and
-// input through this Lab's build cache — the Lab counterpart of the
-// package-level BuildInstance, which builds from scratch. Use this form
-// when the instance feeds the Lab's other methods, so build traffic books
-// (and memoises) inside the Lab.
-func (l *Lab) BuildInstance(fam Family, in Inputs) (Instance, error) {
-	inst, err := l.buildInstance(fam, in)
-	if err != nil {
-		return Instance{}, fmt.Errorf("congestlb: building %s: %w", fam.Name(), err)
-	}
-	if err := inst.Graph.Validate(); err != nil {
-		return Instance{}, fmt.Errorf("congestlb: built graph invalid: %w", err)
-	}
-	return inst, nil
-}
+// BuildInstance is the package-level BuildInstance: the Lab holds no
+// construction state.
+//
+// Deprecated: call BuildInstance. This method will be removed.
+func (l *Lab) BuildInstance(fam Family, in Inputs) (Instance, error) { return BuildInstance(fam, in) }
 
 // RunReduction executes the Theorem 5 simulation with the standard
-// gossip-and-solve-exactly CONGEST algorithm through this Lab's caches:
-// it builds G_x̄, runs the algorithm, charges every cut-crossing message to
-// a blackboard, decides promise pairwise disjointness via the gap
-// predicate and reports the full accounting. Cancelling ctx stops the
+// gossip-and-solve-exactly CONGEST algorithm through this Lab's solve
+// cache: it builds G_x̄, runs the algorithm, charges every cut-crossing
+// message to a blackboard, decides promise pairwise disjointness via the
+// gap predicate and reports the full accounting. Cancelling ctx stops the
 // round loop at a round boundary (or an in-flight local solve on its step
 // cadence) and returns the context's error.
 func (l *Lab) RunReduction(ctx context.Context, fam Family, in Inputs, cfg CongestConfig) (SimulationReport, error) {
@@ -410,7 +324,7 @@ func (l *Lab) RunReduction(ctx context.Context, fam Family, in Inputs, cfg Conge
 	if err := ctx.Err(); err != nil {
 		return SimulationReport{}, err
 	}
-	inst, err := l.buildInstance(fam, in)
+	inst, err := fam.Build(in)
 	if err != nil {
 		return SimulationReport{}, fmt.Errorf("core: build: %w", err)
 	}
@@ -428,14 +342,14 @@ func (l *Lab) RunReduction(ctx context.Context, fam Family, in Inputs, cfg Conge
 }
 
 // Simulate is RunReduction with a caller-chosen CONGEST algorithm and
-// output interpretation. The instance is built through the Lab's build
-// cache; whether the *solves* inside the node programs go through the
-// Lab's solve cache is up to the factory, since the Lab cannot reach
-// inside it. Factories whose programs solve MaxIS should route those
-// solves through a session from NewSolveSession, bound to ctx via
-// SolveSession.WithContext (as core.GossipProgramsWith/CollectProgramsWith
-// accept) — a session-less factory such as core.GossipPrograms solves on a
-// cache of its own, outside this Lab's counters and cancellation.
+// output interpretation. The instance is built from scratch; whether the
+// *solves* inside the node programs go through the Lab's solve cache is
+// up to the factory, since the Lab cannot reach inside it. Factories
+// whose programs solve MaxIS should route those solves through a session
+// from NewSolveSession, bound to ctx via SolveSession.WithContext (as
+// core.GossipProgramsWith/CollectProgramsWith accept) — a session-less
+// factory such as core.GossipPrograms solves on a cache of its own,
+// outside this Lab's counters and cancellation.
 //
 // The report's SolveCacheHits/Misses are zero: the Lab cannot see the
 // factory's session. Callers wanting the counts read Stats() on the
@@ -448,7 +362,7 @@ func (l *Lab) Simulate(ctx context.Context, fam Family, in Inputs, factory core.
 	if err := ctx.Err(); err != nil {
 		return SimulationReport{}, err
 	}
-	inst, err := l.buildInstance(fam, in)
+	inst, err := fam.Build(in)
 	if err != nil {
 		return SimulationReport{}, fmt.Errorf("core: build: %w", err)
 	}
@@ -492,9 +406,9 @@ func (l *Lab) ExactMaxISGraph(ctx context.Context, g *Graph) (Solution, error) {
 	return l.solveSession(ctx).Exact(g, SolverOptions{})
 }
 
-// VerifyGap builds the instance for in through the Lab's build cache,
-// solves it exactly through the Lab's solve cache, and checks the correct
-// side of the family's gap predicate, returning the optimum.
+// VerifyGap builds the instance for in, solves it exactly through the
+// Lab's solve cache, and checks the correct side of the family's gap
+// predicate, returning the optimum.
 func (l *Lab) VerifyGap(ctx context.Context, fam Family, in Inputs) (int64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -502,12 +416,8 @@ func (l *Lab) VerifyGap(ctx context.Context, fam Family, in Inputs) (int64, erro
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	inst, err := l.buildInstance(fam, in)
-	if err != nil {
-		return 0, err
-	}
 	sess := l.solveSession(ctx)
-	return core.AuditGapBuilt(fam, in, inst, func(inst Instance) (int64, error) {
+	return core.AuditGap(fam, in, func(inst Instance) (int64, error) {
 		sol, err := sess.Exact(inst.Graph, SolverOptions{CliqueCover: inst.CliqueCover})
 		if err != nil {
 			return 0, err
@@ -524,17 +434,17 @@ func (l *Lab) SplitBest(ctx context.Context, inst Instance) (SplitBestReport, er
 }
 
 // beginRun registers an in-flight RunExperiments call and returns the
-// Lab's lazily-created pool plus the run's build-cache configuration,
-// holding the Lab open against Close until endRun. The refcount is what
+// Lab's lazily-created pool, holding the Lab open against Close until
+// endRun. The refcount is what
 // makes Close safe to race with RunExperiments: Close drains the pool
 // only after every registered run has finished, so a run can never
 // submit onto a pool whose workers already exited (which would block
 // its flush loop forever).
-func (l *Lab) beginRun() (sched *experiments.Scheduler, builds *lbgraph.BuildCache, uncached bool, err error) {
+func (l *Lab) beginRun() (*experiments.Scheduler, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return nil, nil, false, ErrClosed
+		return nil, ErrClosed
 	}
 	if l.sched == nil {
 		jobs := l.jobs
@@ -547,7 +457,7 @@ func (l *Lab) beginRun() (sched *experiments.Scheduler, builds *lbgraph.BuildCac
 		}
 	}
 	l.active++
-	return l.sched, l.builds, l.buildCacheOff, nil
+	return l.sched, nil
 }
 
 // endRun releases a beginRun registration.
@@ -561,8 +471,8 @@ func (l *Lab) endRun() {
 }
 
 // RunExperiments executes the selected registered experiments (empty ids =
-// all of them, in ID order) over this Lab's worker pool, caches and solver
-// default, streaming the combined markdown report to w (nil discards) and
+// all of them, in ID order) over this Lab's worker pool and solve cache,
+// streaming the combined markdown report to w (nil discards) and
 // returning the structured result envelope. Cancellation drains queued
 // experiments and instance jobs as cancelled, stops in-flight simulations
 // and solves cooperatively, and still returns a complete envelope — every
@@ -572,17 +482,15 @@ func (l *Lab) RunExperiments(ctx context.Context, ids []string, w io.Writer) (Ex
 	if err != nil {
 		return ExperimentEnvelope{}, err
 	}
-	sched, builds, uncached, err := l.beginRun()
+	sched, err := l.beginRun()
 	if err != nil {
 		return ExperimentEnvelope{}, err
 	}
 	defer l.endRun()
 	return runner.RunCtx(ctx, exps, runner.Options{
-		SolveCache:     l.solve,
-		BuildCache:     builds,
-		UncachedBuilds: uncached,
-		Scheduler:      sched,
-		Obs:            l.reg,
+		SolveCache: l.solve,
+		Scheduler:  sched,
+		Obs:        l.reg,
 	}, w)
 }
 

@@ -119,7 +119,7 @@ func TestLabWatchSolveCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	lab := newTestLab(t)
-	inst, err := lab.BuildInstance(fam, in)
+	inst, err := congestlb.BuildInstance(fam, in)
 	if err != nil {
 		t.Fatal(err)
 	}

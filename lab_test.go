@@ -180,15 +180,13 @@ func TestTwoLabsConcurrentSuite(t *testing.T) {
 		// traffic booked in the wrong Lab's cache inflates its delta
 		// without a matching per-experiment record.
 		var hits, misses uint64
-		var solved, saved int64
-		var bHits, bMisses uint64
+		var solved, saved, builds int64
 		for _, er := range r.env.Experiments {
 			hits += er.CacheHits
 			misses += er.CacheMisses
 			solved += er.SolveSteps
 			saved += er.StepsSaved
-			bHits += er.LBGraphHits
-			bMisses += er.LBGraphMisses
+			builds += er.LBGraphBuilds
 		}
 		if hits != r.env.Cache.Hits || misses != r.env.Cache.Misses {
 			t.Fatalf("lab %d solve-cache attribution drifted: sum %d/%d, delta %d/%d",
@@ -198,9 +196,9 @@ func TestTwoLabsConcurrentSuite(t *testing.T) {
 			t.Fatalf("lab %d step attribution drifted: sum %d/%d, delta %d/%d",
 				i, solved, saved, r.env.Cache.StepsSolved, r.env.Cache.StepsSaved)
 		}
-		if bHits != r.env.LBGraph.Hits || bMisses != r.env.LBGraph.Misses {
-			t.Fatalf("lab %d build-cache attribution drifted: sum %d/%d, delta %d/%d",
-				i, bHits, bMisses, r.env.LBGraph.Hits, r.env.LBGraph.Misses)
+		if r.env.LBGraph.Hits != 0 || r.env.LBGraph.Misses != builds || builds == 0 {
+			t.Fatalf("lab %d lbgraph block %+v, want 0 hits and the %d constructions its experiments made",
+				i, r.env.LBGraph, builds)
 		}
 		if misses == 0 || solved == 0 {
 			t.Fatalf("lab %d saw no cold solver work on a fresh cache: %+v", i, r.env.Cache)
@@ -216,12 +214,6 @@ func TestTwoLabsConcurrentSuite(t *testing.T) {
 		}
 		if got, want := snap.Counter("solve_cache_misses"), int64(r.env.Cache.Misses); got != want {
 			t.Fatalf("lab %d registry solve misses %d, envelope %d", i, got, want)
-		}
-		if got, want := snap.Counter("build_cache_hits"), int64(r.env.LBGraph.Hits); got != want {
-			t.Fatalf("lab %d registry build hits %d, envelope %d", i, got, want)
-		}
-		if got, want := snap.Counter("build_cache_misses"), int64(r.env.LBGraph.Misses); got != want {
-			t.Fatalf("lab %d registry build misses %d, envelope %d", i, got, want)
 		}
 		if r.env.Metrics == nil || len(r.env.Spans) == 0 {
 			t.Fatalf("lab %d envelope missing observability blocks", i)
@@ -478,57 +470,6 @@ func TestLabSolverWorkersOption(t *testing.T) {
 			t.Fatalf("seed %d: WithSolverWorkers(3) solved %v (w=%d, %d steps), plain Lab %v (w=%d, %d steps)",
 				seed, got.Set, got.Weight, got.Steps, want.Set, want.Weight, want.Steps)
 		}
-	}
-}
-
-// TestLabBuildInstanceUsesLabCache: explicit builds through the handle
-// land in the Lab's own build cache, not the shared one.
-func TestLabBuildInstanceUsesLabCache(t *testing.T) {
-	fam, _ := buildTestInstance(t, 67)
-	lab := newTestLab(t)
-	rng := rand.New(rand.NewSource(67))
-	in, _, err := congestlb.RandomUniquelyIntersecting(fam.InputBits(), 2, 0.3, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lab.BuildInstance(fam, in); err != nil {
-		t.Fatal(err)
-	}
-	if st := lab.BuildCacheStats(); st.Misses != 1 || st.Entries != 1 {
-		t.Fatalf("Lab build cache missed the explicit build: %+v", st)
-	}
-	if _, err := lab.BuildInstance(fam, in); err != nil {
-		t.Fatal(err)
-	}
-	if st := lab.BuildCacheStats(); st.Hits != 1 {
-		t.Fatalf("repeat build not served from the Lab cache: %+v", st)
-	}
-}
-
-// TestLabBuildCacheToggle pins WithBuildCache(false): constructions still
-// work and cache nothing, and the per-Lab switch turns the cache back on.
-func TestLabBuildCacheToggle(t *testing.T) {
-	fam, _ := buildTestInstance(t, 61)
-	lab := newTestLab(t, congestlb.WithBuildCache(false))
-	rng := rand.New(rand.NewSource(61))
-	in, _, err := congestlb.RandomUniquelyIntersecting(fam.InputBits(), 2, 0.3, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lab.VerifyGap(context.Background(), fam, in); err != nil {
-		t.Fatal(err)
-	}
-	if st := lab.BuildCacheStats(); st.Entries != 0 {
-		t.Fatalf("uncached Lab retained build entries: %+v", st)
-	}
-	if prev := lab.SetBuildCacheEnabled(true); prev != false {
-		t.Fatalf("SetBuildCacheEnabled returned %v, want false", prev)
-	}
-	if _, err := lab.VerifyGap(context.Background(), fam, in); err != nil {
-		t.Fatal(err)
-	}
-	if st := lab.BuildCacheStats(); st.Entries == 0 {
-		t.Fatalf("re-enabled build cache cached nothing: %+v", st)
 	}
 }
 
