@@ -5,8 +5,7 @@
 //
 //	congestlbd [-addr :8080] [-config tenants.json]
 //	           [-tenant name:key[:max_jobs]]... [-shared-tier-entries n]
-//	           [-max-inflight n] [-queue n] [-executors n]
-//	           [-drain-timeout 30s]
+//	           [-max-inflight n] [-drain-timeout 30s]
 //
 // Tenants come from -config (a serve.Config JSON file) and/or repeated
 // -tenant flags; at least one tenant is required. Each tenant gets a
@@ -22,20 +21,20 @@
 //
 //	POST   /v1/solve             exact MaxIS on a submitted graph
 //	POST   /v1/reduce            Theorem 5 reduction run (+ gap audit)
-//	POST   /v1/experiments       experiment suite → v7 envelope
+//	POST   /v1/experiments       experiment suite → v10 envelope
 //	GET    /v1/experiments/last  bare envelope (benchjson -experiments URL)
 //	GET    /v1/jobs/{id}         job status/result
 //	GET    /v1/jobs/{id}/stream  live incumbent progress (SSE)
 //	DELETE /v1/jobs/{id}         cancel a job
-//	GET    /v1/status            admission/queue/tier snapshot
+//	GET    /v1/status            admission, tenant load and tier snapshot
 //	GET    /healthz              liveness
 //	/metrics, /metrics.json, /spans.json, /debug/pprof/*  ops surface
 //
-// Backpressure: requests are admitted against per-tenant and global
-// in-flight bounds and a bounded accept queue; the excess gets 429 with
-// a Retry-After header. SIGTERM/SIGINT drains gracefully — new work is
-// refused, queued and running jobs finish, tenant Labs close, the
-// process exits 0.
+// Backpressure: a request is admitted against the per-tenant and the
+// global in-flight bounds before its body is read; the excess gets 429
+// with a Retry-After header. SIGTERM/SIGINT drains gracefully — new work
+// is refused, admitted jobs finish, tenant Labs close, the process exits
+// 0.
 package main
 
 import (
@@ -75,8 +74,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	})
 	tierEntries := fs.Int("shared-tier-entries", 0, "cross-tenant solve tier entry bound (0 = default)")
 	maxInflight := fs.Int("max-inflight", 0, "global admitted-job bound (0 = default)")
-	queueDepth := fs.Int("queue", 0, "accept queue bound (0 = max-inflight)")
-	executors := fs.Int("executors", 0, "executor goroutines (0 = max-inflight)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "grace period for in-flight HTTP requests at shutdown")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -102,12 +99,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	}
 	if *maxInflight > 0 {
 		cfg.MaxInflight = *maxInflight
-	}
-	if *queueDepth > 0 {
-		cfg.QueueDepth = *queueDepth
-	}
-	if *executors > 0 {
-		cfg.Executors = *executors
 	}
 
 	srv, err := serve.New(cfg)

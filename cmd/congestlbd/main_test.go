@@ -151,6 +151,8 @@ func TestRunErrors(t *testing.T) {
 		{"-addr", "127.0.0.1:0", "-config", "/no/such"},               // missing config
 		{"-addr", "127.0.0.1:0", "-tenant", "a:k:-3"},                 // bad max_jobs
 		{"-addr", "127.0.0.1:0", "-tenant", "a:k", "-tenant", "a:k2"}, // dup name
+		{"-addr", "127.0.0.1:0", "-tenant", "a:k", "-queue", "4"},     // retired flag
+		{"-addr", "127.0.0.1:0", "-tenant", "a:k", "-executors", "2"}, // retired flag
 	}
 	for _, args := range cases {
 		if err := run(ctx, args, &strings.Builder{}); err == nil {

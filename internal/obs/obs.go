@@ -86,10 +86,10 @@ const (
 
 	// Service layer (internal/serve). Per-tenant series carry a tenant
 	// label (see Labeled); the unlabeled name is the daemon-wide series.
-	MServeRequests    = "serve_requests"            // counter: admitted API requests
+	MServeRequests    = "serve_requests"            // counter: POST requests past the draining check (admitted or 429)
 	MServeRejected    = "serve_rejected"            // counter: requests turned away with 429
-	MServeQueueDepth  = "serve_queue_depth"         // gauge: jobs waiting for an executor
-	MServeInflight    = "serve_inflight_jobs"       // gauge: admitted jobs not yet finished
+	MServeQueueDepth  = "serve_queue_depth"         // gauge, tenant-labeled only: jobs waiting in the tenant Lab's experiment scheduler
+	MServeInflight    = "serve_inflight_jobs"       // gauge: admitted requests whose job has not finished
 	MServeTierEntries = "serve_shared_tier_entries" // gauge: solutions held by the cross-tenant tier
 	MServeTierHits    = "serve_shared_tier_hits"    // gauge: cumulative cross-tenant tier hits
 )

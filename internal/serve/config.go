@@ -7,13 +7,14 @@
 // identical solves across tenants, so a graph any tenant already paid to
 // solve costs everyone else zero branch-and-bound steps.
 //
-// Admission control is a channel-fed accept loop in the PipeLineExecutor
-// shape: requests are admitted against a per-tenant and a global
-// in-flight bound, enqueue onto a bounded channel, and run on a fixed
-// pool of executor goroutines. A saturated tenant (or daemon) is turned
-// away with 429 and a Retry-After header while other tenants' requests
-// proceed. SIGTERM drains: new work is refused with 503, queued and
-// running jobs finish, then every tenant Lab is closed via the
+// Admission is one layer of checks, run right after authentication and
+// before the body is read: draining (503), then the tenant's
+// max_concurrent_jobs, then the daemon's max_inflight (429 with a
+// Retry-After header). An admitted request runs on its own goroutine: a
+// sync one on its HTTP handler's, an async one on a goroutine started
+// after the 202. A saturated tenant is turned away while other tenants'
+// requests proceed. SIGTERM drains: new work is refused with 503,
+// admitted jobs finish, then every tenant Lab is closed via the
 // concurrent-safe Lab.Close.
 //
 // See docs/service.md for the API reference and curl examples.
@@ -22,6 +23,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -48,7 +50,8 @@ type Quota struct {
 	// /v1/experiments (0 = GOMAXPROCS).
 	Jobs int `json:"jobs,omitempty"`
 	// MaxConcurrentJobs bounds the tenant's admitted-but-unfinished
-	// requests; the excess gets 429 (0 = DefaultMaxJobsPerTenant).
+	// requests, counted from admission, before the body is read; the
+	// excess gets 429 (0 = DefaultMaxJobsPerTenant).
 	MaxConcurrentJobs int `json:"max_concurrent_jobs,omitempty"`
 	// MaxDeadlineMS caps (and, for requests that specify none, supplies)
 	// the per-request deadline → context.WithTimeout. 0 = DefaultMaxDeadline.
@@ -63,10 +66,11 @@ func (q Quota) maxConcurrent() int {
 	return DefaultMaxJobsPerTenant
 }
 
-// maxDeadline resolves the per-request deadline cap.
+// maxDeadline resolves the per-request deadline cap. A cap past the
+// largest Duration saturates there instead of wrapping negative.
 func (q Quota) maxDeadline() time.Duration {
 	if q.MaxDeadlineMS > 0 {
-		return time.Duration(q.MaxDeadlineMS) * time.Millisecond
+		return time.Duration(min(q.MaxDeadlineMS, math.MaxInt64/int64(time.Millisecond))) * time.Millisecond
 	}
 	return DefaultMaxDeadline
 }
@@ -87,19 +91,15 @@ type TenantConfig struct {
 
 // Config is the daemon configuration: the tenant set plus global
 // admission limits. Zero-valued limits mean the defaults above.
+// LoadConfig ignores keys it does not know, so a config that still sets
+// the retired queue_depth or executors loads unchanged and those keys
+// have no effect.
 type Config struct {
 	Tenants []TenantConfig `json:"tenants"`
-	// MaxInflight bounds admitted-but-unfinished jobs across all
+	// MaxInflight bounds admitted-but-unfinished requests across all
 	// tenants; the excess gets 429 even when the tenant's own bound has
 	// room.
 	MaxInflight int `json:"max_inflight,omitempty"`
-	// QueueDepth bounds the accept queue between admission and the
-	// executors (0 = MaxInflight). A full queue rejects like a full
-	// in-flight table.
-	QueueDepth int `json:"queue_depth,omitempty"`
-	// Executors is the size of the fixed goroutine pool that runs
-	// admitted jobs (0 = MaxInflight).
-	Executors int `json:"executors,omitempty"`
 	// SharedTierEntries bounds the cross-tenant solve tier (0 = the
 	// cache package default).
 	SharedTierEntries int `json:"shared_tier_entries,omitempty"`
@@ -114,22 +114,6 @@ func (c Config) maxInflight() int {
 		return c.MaxInflight
 	}
 	return DefaultMaxInflight
-}
-
-// queueDepth resolves the accept-queue bound.
-func (c Config) queueDepth() int {
-	if c.QueueDepth > 0 {
-		return c.QueueDepth
-	}
-	return c.maxInflight()
-}
-
-// executors resolves the executor-pool size.
-func (c Config) executors() int {
-	if c.Executors > 0 {
-		return c.Executors
-	}
-	return c.maxInflight()
 }
 
 // retryAfter resolves the backpressure hint.

@@ -12,12 +12,12 @@ import (
 // JobStatus is a job's lifecycle state.
 type JobStatus string
 
-// Job lifecycle: queued (admitted, waiting for an executor) → running →
-// done/failed. A cancelled job still lands in done when it produced a
-// usable result (e.g. a deadline-cut solve returns its incumbent with
-// Cancelled set) and in failed when it produced none.
+// Job lifecycle: running → done/failed. A job is running from its
+// creation, once its admitted request's body is accepted: nothing queues
+// it. A cancelled job still lands in done when it produced a usable
+// result (e.g. a deadline-cut solve returns its incumbent with Cancelled
+// set) and in failed when it produced none.
 const (
-	JobQueued  JobStatus = "queued"
 	JobRunning JobStatus = "running"
 	JobDone    JobStatus = "done"
 	JobFailed  JobStatus = "failed"
@@ -57,7 +57,7 @@ func newJob(id, tenant, kind string, cancel context.CancelFunc) *Job {
 		Kind:    kind,
 		cancel:  cancel,
 		done:    make(chan struct{}),
-		status:  JobQueued,
+		status:  JobRunning,
 		created: time.Now(),
 		subs:    make(map[chan obs.ProgressEvent]struct{}),
 	}
@@ -92,13 +92,6 @@ func (j *Job) View() JobView {
 		v.WallMS = float64(j.finished.Sub(j.created).Nanoseconds()) / 1e6
 	}
 	return v
-}
-
-// start marks the job running (an executor claimed it).
-func (j *Job) start() {
-	j.mu.Lock()
-	j.status = JobRunning
-	j.mu.Unlock()
 }
 
 // OnIncumbent records one progress event and fans it out to live SSE
@@ -153,10 +146,14 @@ func (j *Job) finish(result json.RawMessage, errMsg string, cancelled bool) {
 	close(j.done)
 }
 
-// Cancel fires the job's context. Safe to call at any time, repeatedly.
+// Cancel fires the job's context and, while the job is still running,
+// flags it cancelled; a finished job keeps the result and flag it
+// finished with. Safe to call at any time, repeatedly.
 func (j *Job) Cancel() {
 	j.mu.Lock()
-	j.cancelled = true
+	if j.status == JobRunning {
+		j.cancelled = true
+	}
 	j.mu.Unlock()
 	j.cancel()
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net/http"
 
 	"congestlb"
 )
@@ -16,16 +15,8 @@ import (
 const memBudget = 256 << 20
 
 // errTooLarge marks a request whose computed memory exceeds memBudget;
-// the handlers answer it with 413.
+// writeRequestError answers it with 413.
 var errTooLarge = errors.New("over the memory budget")
-
-// statusOf maps a request validation error to its status code.
-func statusOf(err error) int {
-	if errors.Is(err, errTooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
 
 // satAdd and satMul add and multiply non-negative int64s, saturating at
 // math.MaxInt64, so a cost computed from hostile parameters cannot wrap

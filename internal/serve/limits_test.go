@@ -3,11 +3,13 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"congestlb"
 )
@@ -122,6 +124,36 @@ func TestTinyBodiesOverBudget(t *testing.T) {
 		}
 		if alloc >= 1<<20 {
 			t.Fatalf("%s %d-byte body allocated %d bytes, want under 1 MiB", c.path, len(c.body), alloc)
+		}
+	}
+}
+
+// TestEffectiveDeadline: the quota caps the request's deadline and
+// supplies it when absent, and millisecond counts past the largest
+// Duration saturate instead of wrapping to a negative deadline, which
+// would cut every such job, and every body read, at once.
+func TestEffectiveDeadline(t *testing.T) {
+	const huge = 9_300_000_000_000 // ms: past math.MaxInt64 ns
+	longest := time.Duration(math.MaxInt64/int64(time.Millisecond)) * time.Millisecond
+	cases := []struct {
+		req, quota int64
+		want       time.Duration
+	}{
+		{0, 0, DefaultMaxDeadline},
+		{2000, 0, 2 * time.Second},
+		{-5, 0, DefaultMaxDeadline},
+		{huge, 0, DefaultMaxDeadline},
+		{0, 5000, 5 * time.Second},
+		{9000, 5000, 5 * time.Second},
+		{5000, 5000, 5 * time.Second},
+		{0, huge, longest},
+		{huge, huge, longest},
+		{2000, huge, 2 * time.Second},
+	}
+	for _, c := range cases {
+		q := Quota{MaxDeadlineMS: c.quota}
+		if got := effectiveDeadline(jobOptions{DeadlineMS: c.req}, q); got != c.want {
+			t.Errorf("deadline_ms %d under max_deadline_ms %d: %v, want %v", c.req, c.quota, got, c.want)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,9 +19,11 @@ import (
 	"congestlb/internal/obs"
 )
 
-// Server is the congestlbd service: tenant registry, admission pipeline,
-// job table and HTTP handlers. Build one with New, mount Handler on a
-// listener (StartHTTP), and Close to drain.
+// Server is the congestlbd service: tenant registry, admission, job
+// table and HTTP handlers. Build one with New, mount Handler on a
+// listener (StartHTTP), and Close to drain. It starts no goroutine of its
+// own: a sync job runs on its HTTP handler's goroutine, and an async job
+// on one goroutine started after the 202.
 type Server struct {
 	cfg    Config
 	reg    *obs.Registry
@@ -29,20 +32,25 @@ type Server struct {
 	byName map[string]*Tenant
 	order  []string // tenant names in config order, for stable /v1/status
 	jobs   *jobTable
-	pipe   *pipeline
 	mux    *http.ServeMux
 
-	// inflight counts admitted-but-unfinished jobs daemon-wide.
+	// inflight counts admitted-but-unfinished requests daemon-wide.
 	inflight atomic.Int64
 	// draining flips when Close starts: new work gets 503.
 	draining atomic.Bool
+	// gate orders admission against Close: admit holds it shared from
+	// its draining check through running.Add, and Close holds it
+	// exclusively to set draining, so running.Wait never races an Add.
+	gate sync.RWMutex
+	// running counts admitted requests whose job has not finished.
+	running sync.WaitGroup
 
 	closeMu   sync.Mutex
 	closeDone chan struct{}
 }
 
 // New builds a Server from cfg: one private Lab per tenant over one
-// shared solve tier, a fresh metrics registry, and the executor pool.
+// shared solve tier, and a fresh metrics registry.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -54,7 +62,6 @@ func New(cfg Config) (*Server, error) {
 		byKey:  make(map[string]*Tenant, len(cfg.Tenants)),
 		byName: make(map[string]*Tenant, len(cfg.Tenants)),
 		jobs:   newJobTable(),
-		pipe:   newPipeline(cfg.executors(), cfg.queueDepth()),
 	}
 	for _, tc := range cfg.Tenants {
 		t, err := newTenant(tc, s.tier, s.reg)
@@ -84,9 +91,9 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // routes wires the mux.
 func (s *Server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/solve", s.handleSolve)
-	mux.HandleFunc("POST /v1/reduce", s.handleReduce)
-	mux.HandleFunc("POST /v1/experiments", s.handleExperiments)
+	mux.HandleFunc("POST /v1/solve", s.post("solve", prepareSolve))
+	mux.HandleFunc("POST /v1/reduce", s.post("reduce", prepareReduce))
+	mux.HandleFunc("POST /v1/experiments", s.post("experiments", prepareExperiments))
 	mux.HandleFunc("GET /v1/experiments/last", s.handleLastEnvelope)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleJobStream)
@@ -96,8 +103,8 @@ func (s *Server) routes() *http.ServeMux {
 		w.Write([]byte("ok\n"))
 	})
 	// Ops surface: the standard obs handler, with service gauges
-	// refreshed at scrape time so queue depth and in-flight counts are
-	// live values, not stale increments.
+	// refreshed at scrape time so in-flight counts and the tenant Labs'
+	// queue depths are live values, not stale increments.
 	ops := obs.Handler(s.reg)
 	withRefresh := func(w http.ResponseWriter, r *http.Request) {
 		s.refreshGauges()
@@ -115,10 +122,9 @@ func (s *Server) routes() *http.ServeMux {
 }
 
 // refreshGauges publishes the instantaneous load picture into the
-// registry: global and per-tenant queue depth and in-flight counts plus
-// shared-tier occupancy.
+// registry: global and per-tenant in-flight counts, each tenant Lab's
+// experiment-scheduler queue depth, and shared-tier occupancy.
 func (s *Server) refreshGauges() {
-	s.reg.Gauge(obs.MServeQueueDepth).Set(int64(s.pipe.depth()))
 	s.reg.Gauge(obs.MServeInflight).Set(s.inflight.Load())
 	ts := s.tier.Stats()
 	s.reg.Gauge(obs.MServeTierEntries).Set(int64(ts.Entries))
@@ -171,37 +177,41 @@ func (s *Server) rejectBusy(w http.ResponseWriter, code int, why string) {
 // maxBody bounds request bodies; a larger one is a 413.
 const maxBody = 32 << 20
 
-// writeBodyError answers a failed body read or decode: 413 when the body
-// ran past maxBody, 400 otherwise.
-func writeBodyError(w http.ResponseWriter, err error) {
+// writeRequestError answers a request refused after admission, before
+// its job ran: 413 for a body past maxBody or a request over the memory
+// budget, 408 for a body still unfinished at its read deadline, 400 for
+// anything else malformed.
+func writeRequestError(w http.ResponseWriter, err error) {
 	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
+	switch {
+	case errors.As(err, &tooBig):
 		writeError(w, http.StatusRequestEntityTooLarge, "body: over the %d-byte limit", tooBig.Limit)
-		return
+	case errors.Is(err, errTooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "%v", err)
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		writeError(w, http.StatusRequestTimeout, "%v", err)
+	default:
+		writeError(w, http.StatusBadRequest, "%v", err)
 	}
-	writeError(w, http.StatusBadRequest, "body: %v", err)
 }
 
 // decodeBody decodes the JSON request body from r into v (strictly —
 // unknown fields are an error, catching typos like "dedaline_ms" before
-// they silently change semantics). False means the error response was
-// already written.
-func decodeBody(w http.ResponseWriter, r io.Reader, v any) bool {
+// they silently change semantics).
+func decodeBody(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeBodyError(w, err)
-		return false
+		return fmt.Errorf("body: %w", err)
 	}
-	return true
+	return nil
 }
 
 // decodeSolve reads a POST /v1/solve body into a pooled buffer and
 // decodes it: scanSolve first, and the strict decode plus GraphSpec.graph
 // for every body the scanner declines. The returned request carries the
-// options only; its Graph is left empty. False means the error response
-// was already written.
-func decodeSolve(w http.ResponseWriter, r *http.Request) (SolveRequest, *congestlb.Graph, bool) {
+// options only; its Graph is left empty.
+func decodeSolve(w http.ResponseWriter, r *http.Request) (SolveRequest, *congestlb.Graph, error) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	defer func() {
 		if buf.Cap() <= maxPooledBody {
@@ -210,88 +220,126 @@ func decodeSolve(w http.ResponseWriter, r *http.Request) (SolveRequest, *congest
 	}()
 	buf.Reset()
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
-		writeBodyError(w, err)
-		return SolveRequest{}, nil, false
+		return SolveRequest{}, nil, fmt.Errorf("body: %w", err)
 	}
 	if req, g, ok := scanSolve(buf.Bytes(), memBudget); ok {
-		return req, g, true
+		return req, g, nil
 	}
 	var req SolveRequest
-	if !decodeBody(w, bytes.NewReader(buf.Bytes()), &req) {
-		return req, nil, false
+	if err := decodeBody(bytes.NewReader(buf.Bytes()), &req); err != nil {
+		return req, nil, err
 	}
 	g, err := req.Graph.graph(memBudget)
-	if err != nil {
-		writeError(w, statusOf(err), "%v", err)
-		return req, nil, false
-	}
 	req.Graph = GraphSpec{}
-	return req, g, true
+	return req, g, err
 }
 
 // effectiveDeadline resolves the job deadline from the request and the
 // tenant quota: the quota caps what the request asks for and supplies
-// the budget when the request is silent.
+// the budget when the request is silent. The request's milliseconds are
+// compared with the cap before they are converted, so no request value
+// wraps to a negative Duration.
 func effectiveDeadline(req jobOptions, q Quota) time.Duration {
 	max := q.maxDeadline()
-	if req.DeadlineMS <= 0 {
+	if req.DeadlineMS <= 0 || req.DeadlineMS > max.Milliseconds() {
 		return max
 	}
-	d := time.Duration(req.DeadlineMS) * time.Millisecond
-	if d > max {
-		return max
-	}
-	return d
+	return time.Duration(req.DeadlineMS) * time.Millisecond
 }
 
-// submit runs the admission protocol for one parsed request and, when
-// admitted, executes run on the pipeline. Sync requests block until the
-// job finishes; async ones return 202 with the job id immediately.
-//
-// Admission order: draining → per-tenant bound → global bound → queue
-// capacity. Every rejection is a 429 with Retry-After (503 when
-// draining) and books the tenant's rejected counter; nothing about one
-// tenant's saturation blocks another tenant's requests.
-func (s *Server) submit(w http.ResponseWriter, t *Tenant, kind string, opts jobOptions, run func(ctx context.Context, job *Job) (any, error, bool)) {
+// jobFunc runs one admitted job. It returns the job's result, its error
+// (with a nil result on failure) and whether the job's context cut it
+// short.
+type jobFunc func(ctx context.Context, job *Job) (any, error, bool)
+
+// post serves a job endpoint in the order every POST shares:
+// authenticate, admit, then prepare reads and validates the body into
+// the job's options and function, and the job runs. A prepare error
+// gives the admission slots back before it is answered. One tenant's
+// saturation never blocks another tenant's requests.
+func (s *Server) post(kind string, prepare func(http.ResponseWriter, *http.Request, *Tenant) (jobOptions, jobFunc, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		t := s.tenantFor(w, r)
+		if t == nil {
+			return
+		}
+		code, why, release := s.admit(t)
+		if code != 0 {
+			s.rejectBusy(w, code, why)
+			return
+		}
+		// A stalled upload holds its slots, and so Close, no longer than
+		// the tenant's deadline cap. Only a writer with no connection
+		// under it, whose body cannot stall, fails with ErrNotSupported.
+		rc := http.NewResponseController(w)
+		_ = rc.SetReadDeadline(time.Now().Add(t.quota.maxDeadline()))
+		opts, fn, err := prepare(w, r, t)
+		_ = rc.SetReadDeadline(time.Time{})
+		if err != nil {
+			release()
+			writeRequestError(w, err)
+			return
+		}
+		s.run(w, t, kind, opts, release, fn)
+	}
+}
+
+// admit runs admission for a request of t, in order: draining → 503,
+// the tenant's max_concurrent_jobs → 429, the daemon's max_inflight →
+// 429. It returns the refusal's status and reason, or 0 and the release
+// func that gives the request's slots in both bounds back, to be called
+// exactly once. A 429 books the tenant's rejected counter. admit holds
+// the gate only for the checks and running.Add, never while a response
+// is written.
+func (s *Server) admit(t *Tenant) (code int, why string, release func()) {
+	s.gate.RLock()
+	defer s.gate.RUnlock()
 	if s.draining.Load() {
-		s.rejectBusy(w, http.StatusServiceUnavailable, "server is draining")
-		return
+		return http.StatusServiceUnavailable, "server is draining", nil
 	}
 	t.requests.Inc()
 	if n := t.inflight.Add(1); n > int64(t.quota.maxConcurrent()) {
 		t.inflight.Add(-1)
 		t.rejected.Inc()
-		s.rejectBusy(w, http.StatusTooManyRequests,
-			fmt.Sprintf("tenant %s at max_concurrent_jobs (%d)", t.Name, t.quota.maxConcurrent()))
-		return
+		return http.StatusTooManyRequests, fmt.Sprintf("tenant %s at max_concurrent_jobs (%d)", t.Name, t.quota.maxConcurrent()), nil
 	}
 	if n := s.inflight.Add(1); n > int64(s.cfg.maxInflight()) {
 		s.inflight.Add(-1)
 		t.inflight.Add(-1)
 		t.rejected.Inc()
-		s.rejectBusy(w, http.StatusTooManyRequests,
-			fmt.Sprintf("server at max_inflight (%d)", s.cfg.maxInflight()))
-		return
+		return http.StatusTooManyRequests, fmt.Sprintf("server at max_inflight (%d)", s.cfg.maxInflight()), nil
 	}
+	s.running.Add(1)
+	return 0, "", func() {
+		t.inflight.Add(-1)
+		s.inflight.Add(-1)
+		s.running.Done()
+	}
+}
 
+// run executes an admitted job and answers its request. A sync request
+// runs the job on the handler's goroutine and answers with the finished
+// job's view; an async one answers 202 with the running job's view and
+// runs the job on a goroutine of its own. release gives the admission
+// slots back once the job has finished.
+func (s *Server) run(w http.ResponseWriter, t *Tenant, kind string, opts jobOptions, release func(), fn jobFunc) {
 	ctx, cancel := context.WithTimeout(context.Background(), effectiveDeadline(opts, t.quota))
 	job := newJob(fmt.Sprintf("%s-%d", t.Name, t.seq.Add(1)), t.Name, kind, cancel)
 	s.jobs.add(job)
-	tk := &task{job: job, run: func() {
+	exec := func() {
 		defer func() {
 			cancel()
-			t.inflight.Add(-1)
-			s.inflight.Add(-1)
 			s.jobs.retire(job)
+			release()
 		}()
 		defer func() {
 			// Fault containment, service edition: a panicking job fails
-			// alone; the executor, the tenant and the daemon live on.
+			// alone; its goroutine, the tenant and the daemon live on.
 			if rec := recover(); rec != nil {
 				job.finish(nil, fmt.Sprintf("panic: %v", rec), false)
 			}
 		}()
-		res, err, cancelled := run(ctx, job)
+		res, err, cancelled := fn(ctx, job)
 		if err != nil {
 			job.finish(nil, err.Error(), cancelled)
 			return
@@ -302,23 +350,15 @@ func (s *Server) submit(w http.ResponseWriter, t *Tenant, kind string, opts jobO
 			return
 		}
 		job.finish(data, "", cancelled)
-	}}
-	if !s.pipe.trySubmit(tk) {
-		cancel()
-		t.inflight.Add(-1)
-		s.inflight.Add(-1)
-		t.rejected.Inc()
-		s.jobs.retire(job)
-		job.finish(nil, "rejected: accept queue full", false)
-		s.rejectBusy(w, http.StatusTooManyRequests, "accept queue full")
-		return
 	}
 
 	if opts.Async {
-		writeJSON(w, http.StatusAccepted, job.View())
+		v := job.View()
+		go exec()
+		writeJSON(w, http.StatusAccepted, v)
 		return
 	}
-	<-job.done
+	exec()
 	v := job.View()
 	code := http.StatusOK
 	if v.Status == JobFailed {
@@ -327,64 +367,52 @@ func (s *Server) submit(w http.ResponseWriter, t *Tenant, kind string, opts jobO
 	writeJSON(w, code, v)
 }
 
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	t := s.tenantFor(w, r)
-	if t == nil {
-		return
-	}
-	req, g, ok := decodeSolve(w, r)
-	if !ok {
-		return
+// prepareSolve decodes a POST /v1/solve body into its job.
+func prepareSolve(w http.ResponseWriter, r *http.Request, t *Tenant) (jobOptions, jobFunc, error) {
+	req, g, err := decodeSolve(w, r)
+	if err != nil {
+		return jobOptions{}, nil, err
 	}
 	if req.MaxSteps < 0 {
-		writeError(w, http.StatusBadRequest, "max_steps must be non-negative")
-		return
+		return jobOptions{}, nil, errors.New("max_steps must be non-negative")
 	}
-	s.submit(w, t, "solve", req.jobOptions, func(ctx context.Context, job *Job) (any, error, bool) {
+	return req.jobOptions, func(ctx context.Context, job *Job) (any, error, bool) {
 		return t.runSolve(ctx, g, req, job)
-	})
+	}, nil
 }
 
-func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
-	t := s.tenantFor(w, r)
-	if t == nil {
-		return
-	}
+// prepareReduce decodes and validates a POST /v1/reduce body into its
+// job; familyFrom sizes the family against memBudget before building it.
+func prepareReduce(w http.ResponseWriter, r *http.Request, t *Tenant) (jobOptions, jobFunc, error) {
 	var req ReduceRequest
-	if !decodeBody(w, http.MaxBytesReader(w, r.Body, maxBody), &req) {
-		return
+	if err := decodeBody(http.MaxBytesReader(w, r.Body, maxBody), &req); err != nil {
+		return jobOptions{}, nil, err
 	}
 	fam, err := familyFrom(req.Family, req.Params, memBudget)
 	if err != nil {
-		writeError(w, statusOf(err), "%v", err)
-		return
+		return jobOptions{}, nil, err
 	}
 	in, err := parseInputs(fam, req.Inputs)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return jobOptions{}, nil, err
 	}
 	if err := req.Config.validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return jobOptions{}, nil, err
 	}
-	s.submit(w, t, "reduce", req.jobOptions, func(ctx context.Context, job *Job) (any, error, bool) {
+	return req.jobOptions, func(ctx context.Context, job *Job) (any, error, bool) {
 		return t.runReduce(ctx, fam, in, req, job)
-	})
+	}, nil
 }
 
-func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	t := s.tenantFor(w, r)
-	if t == nil {
-		return
-	}
+// prepareExperiments decodes a POST /v1/experiments body into its job.
+func prepareExperiments(w http.ResponseWriter, r *http.Request, t *Tenant) (jobOptions, jobFunc, error) {
 	var req ExperimentsRequest
-	if !decodeBody(w, http.MaxBytesReader(w, r.Body, maxBody), &req) {
-		return
+	if err := decodeBody(http.MaxBytesReader(w, r.Body, maxBody), &req); err != nil {
+		return jobOptions{}, nil, err
 	}
-	s.submit(w, t, "experiments", req.jobOptions, func(ctx context.Context, job *Job) (any, error, bool) {
+	return req.jobOptions, func(ctx context.Context, job *Job) (any, error, bool) {
 		return t.runExperiments(ctx, req, job)
-	})
+	}, nil
 }
 
 func (s *Server) handleLastEnvelope(w http.ResponseWriter, r *http.Request) {
@@ -517,7 +545,6 @@ type statusTenant struct {
 type statusBody struct {
 	Draining   bool                           `json:"draining"`
 	Inflight   int64                          `json:"inflight"`
-	QueueDepth int                            `json:"queue_depth"`
 	SharedTier congestlb.SharedSolveTierStats `json:"shared_tier"`
 	Tenants    []statusTenant                 `json:"tenants"`
 }
@@ -529,7 +556,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	body := statusBody{
 		Draining:   s.draining.Load(),
 		Inflight:   s.inflight.Load(),
-		QueueDepth: s.pipe.depth(),
 		SharedTier: s.tier.Stats(),
 	}
 	for _, name := range s.order {
@@ -543,10 +569,11 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// Close drains the service: new work is refused (503), queued and
-// running jobs finish, then every tenant Lab is closed. The first Close
-// owns the teardown and returns its result; every later or concurrent
-// Close blocks until that teardown finishes, then returns
+// Close drains the service: new work is refused (503), the job of every
+// admitted request finishes (a request still reading its body either
+// runs its job or is refused), then every tenant Lab is closed. The
+// first Close owns the teardown and returns its result; every later or
+// concurrent Close blocks until that teardown finishes, then returns
 // congestlb.ErrClosed — mirroring Lab.Close's contract, so any Close
 // returning means the daemon is fully drained.
 func (s *Server) Close() error {
@@ -561,8 +588,10 @@ func (s *Server) Close() error {
 	done := s.closeDone
 	s.closeMu.Unlock()
 
+	s.gate.Lock()
 	s.draining.Store(true)
-	s.pipe.drain()
+	s.gate.Unlock()
+	s.running.Wait()
 	var firstErr error
 	for _, name := range s.order {
 		if err := s.byName[name].Lab.Close(); err != nil && !errors.Is(err, congestlb.ErrClosed) && firstErr == nil {

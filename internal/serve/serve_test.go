@@ -399,6 +399,28 @@ func TestJobVisibility(t *testing.T) {
 	}
 }
 
+// TestCancelFinishedJob: cancelling a job that already finished leaves
+// its result as it was, not flagged cancelled.
+func TestCancelFinishedJob(t *testing.T) {
+	_, ts := testServer(t, twoTenants())
+	resp, data := call(t, "POST", ts.URL+"/v1/solve", "ka", solveBody(t, pathSpec(4), ""))
+	if resp.StatusCode != 200 {
+		t.Fatalf("solve: %d %s", resp.StatusCode, data)
+	}
+	v := jobView(t, data)
+	if res := solveResult(t, v); !res.Optimal || v.Cancelled {
+		t.Fatalf("path(4) solve: %+v, want optimal and not cancelled", v)
+	}
+	_, data = call(t, "DELETE", ts.URL+"/v1/jobs/"+v.ID, "ka", "")
+	if got := jobView(t, data); got.Cancelled || got.Status != JobDone {
+		t.Fatalf("DELETE of a finished job answered %s cancelled=%v, want done and not cancelled", got.Status, got.Cancelled)
+	}
+	_, data = call(t, "GET", ts.URL+"/v1/jobs/"+v.ID, "ka", "")
+	if got := jobView(t, data); got.Cancelled || !solveResult(t, got).Optimal {
+		t.Fatalf("finished job after DELETE reads %s cancelled=%v %s, want it unchanged", got.Status, got.Cancelled, got.Result)
+	}
+}
+
 // TestAuth: missing and unknown keys are 401 on every API route; the
 // ops surface stays open.
 func TestAuth(t *testing.T) {
@@ -429,7 +451,8 @@ func TestAuth(t *testing.T) {
 }
 
 // TestBadRequests: malformed bodies are 400, and requests over the
-// memory budget or the body limit 413, before admission ever runs.
+// memory budget or the body limit 413, after admission and before
+// anything of the request's size is allocated or any job runs.
 func TestBadRequests(t *testing.T) {
 	s, ts := testServer(t, twoTenants())
 	const linear = `"family":"linear","params":{"t":2,"alpha":1,"ell":3}`
@@ -615,16 +638,53 @@ func TestExperimentsAndLastEnvelope(t *testing.T) {
 	}
 }
 
+// TestExperimentsDeadlineCut: an experiments run cut by its deadline is
+// a done job flagged cancelled that carries the complete envelope, one
+// record per experiment, and /v1/experiments/last re-serves it.
+func TestExperimentsDeadlineCut(t *testing.T) {
+	_, ts := testServer(t, twoTenants())
+	ids := []string{"scaling", "theorem5", "lemma1"}
+	resp, data := call(t, "POST", ts.URL+"/v1/experiments", "ka", `{"ids":["scaling","theorem5","lemma1"],"deadline_ms":5}`)
+	if resp.StatusCode != 200 {
+		t.Fatalf("experiments: %d %s", resp.StatusCode, data)
+	}
+	v := jobView(t, data)
+	if v.Status != JobDone || !v.Cancelled {
+		t.Fatalf("deadline-cut experiments job: %s cancelled=%v (%s), want done and cancelled", v.Status, v.Cancelled, v.Error)
+	}
+	var res ExperimentsResult
+	if err := json.Unmarshal(v.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	env := res.Envelope
+	if len(env.Experiments) != len(ids) || env.Cancelled < 1 {
+		t.Fatalf("envelope has %d records and %d cancelled, want %d and at least 1", len(env.Experiments), env.Cancelled, len(ids))
+	}
+	for i, r := range env.Experiments {
+		if r.ID != ids[i] {
+			t.Fatalf("record %d is %q, want %q", i, r.ID, ids[i])
+		}
+	}
+
+	resp, last := call(t, "GET", ts.URL+"/v1/experiments/last", "ka", "")
+	if resp.StatusCode != 200 {
+		t.Fatalf("last envelope: %d %s", resp.StatusCode, last)
+	}
+	want, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(last) != string(want) {
+		t.Fatalf("/v1/experiments/last re-served\n%s\nwant the job's envelope\n%s", last, want)
+	}
+}
+
 // TestMetricsSurface: the ops endpoint renders the service gauges and
 // the tenant-labeled counters in Prometheus form. Zero-valued series are
-// elided by the registry snapshot, so the test arranges real load: one
-// executor, two admitted slow jobs — one running (inflight), one waiting
-// (queue depth).
+// elided by the registry snapshot, so the test arranges real load: two
+// admitted slow jobs, both in flight.
 func TestMetricsSurface(t *testing.T) {
-	cfg := twoTenants()
-	cfg.Executors = 1
-	cfg.QueueDepth = 4
-	_, ts := testServer(t, cfg)
+	_, ts := testServer(t, twoTenants())
 	call(t, "POST", ts.URL+"/v1/solve", "kb", solveBody(t, pathSpec(4), ""))
 
 	slow := `"async":true,"deadline_ms":30000`
@@ -637,24 +697,12 @@ func TestMetricsSurface(t *testing.T) {
 		ids = append(ids, jobView(t, data).ID)
 	}
 
-	// The lone executor claims the first job quickly but asynchronously;
-	// poll until the queue settles at exactly the one waiting job.
-	var body string
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, data := call(t, "GET", ts.URL+"/metrics", "", "")
-		if resp.StatusCode != 200 {
-			t.Fatalf("metrics: %d", resp.StatusCode)
-		}
-		body = string(data)
-		if strings.Contains(body, "congestlb_serve_queue_depth 1") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("queue depth never settled at 1:\n%s", body)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Both jobs hold their slots from admission, before the 202.
+	resp, data := call(t, "GET", ts.URL+"/metrics", "", "")
+	if resp.StatusCode != 200 {
+		t.Fatalf("metrics: %d", resp.StatusCode)
 	}
+	body := string(data)
 	for _, want := range []string{
 		"congestlb_serve_inflight_jobs 2",
 		"congestlb_serve_shared_tier_entries 1",
@@ -726,6 +774,11 @@ func TestDrain(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// Draining answers before the body is read, so a malformed body is a
+	// 503 too.
+	if resp, data = call(t, "POST", ts.URL+"/v1/solve", "ka", `{`); resp.StatusCode != 503 {
+		t.Fatalf("malformed body while draining: %d %s, want 503", resp.StatusCode, data)
+	}
 
 	if err := <-closed; err != nil {
 		t.Fatalf("close: %v", err)
@@ -785,11 +838,11 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // TestLoadConfigIgnoresSolverWorkers: a tenants file written for a daemon
-// that still had a per-tenant solver worker count loads unchanged, and the
-// key has no effect.
+// that still had a per-tenant solver worker count, an accept queue and an
+// executor pool loads unchanged, and those keys have no effect.
 func TestLoadConfigIgnoresSolverWorkers(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tenants.json")
-	body := `{"tenants":[{"name":"alice","api_key":"ka","quota":{"solver_workers":4,"max_concurrent_jobs":2}}]}`
+	body := `{"tenants":[{"name":"alice","api_key":"ka","quota":{"solver_workers":4,"max_concurrent_jobs":2}}],"queue_depth":4,"executors":2}`
 	if err := os.WriteFile(path, []byte(body), 0o600); err != nil {
 		t.Fatal(err)
 	}

@@ -155,10 +155,14 @@ func (t *Tenant) runReduce(ctx context.Context, fam congestlb.Family, in congest
 
 // runExperiments executes an experiments job through the tenant Lab's
 // worker pool and records the envelope for GET /v1/experiments/last.
+// A run the job's context cut returns its error together with a complete
+// envelope that records the unfinished experiments cancelled; the job is
+// then done, flagged cancelled, and carries the envelope, as a cut solve
+// carries its incumbent. Any other error fails the job.
 func (t *Tenant) runExperiments(ctx context.Context, req ExperimentsRequest, job *Job) (any, error, bool) {
 	var buf strings.Builder
 	env, err := t.Lab.RunExperiments(ctx, req.IDs, &buf)
-	if err != nil {
+	if err != nil && env.Cancelled == 0 {
 		return nil, err, ctxCut(err)
 	}
 	if data, merr := json.Marshal(env); merr == nil {
@@ -168,8 +172,5 @@ func (t *Tenant) runExperiments(ctx context.Context, req ExperimentsRequest, job
 	if req.Report {
 		res.Report = buf.String()
 	}
-	// A cancellation that fired mid-suite still yields a complete
-	// envelope (unfinished experiments are recorded cancelled), so the
-	// job is done, flagged cancelled when anything was cut.
 	return res, nil, env.Cancelled > 0
 }

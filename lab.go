@@ -495,8 +495,8 @@ func (l *Lab) RunExperiments(ctx context.Context, ids []string, w io.Writer) (Ex
 }
 
 // LoadStats is a point-in-time picture of how busy a Lab is — the
-// introspection hook admission control (congestlbd) keys its decisions
-// on. All fields are instantaneous; poll for trends.
+// introspection hook behind congestlbd's /v1/status and its per-tenant
+// queue-depth gauges. All fields are instantaneous; poll for trends.
 type LoadStats struct {
 	// QueueDepth is the number of scheduler jobs waiting for a worker
 	// (0 when the Lab's experiment pool has not been created yet).
