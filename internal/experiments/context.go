@@ -72,6 +72,9 @@ type instanceJob struct {
 	// *fault.PanicError, such as a degraded solve, is not one).
 	panicked bool
 	done     chan struct{}
+	// unclaimed is the count of its scheduler's submitted, unclaimed
+	// jobs, which the winner of the claim decrements.
+	unclaimed *atomic.Int64
 	// enqNS/om carry the scheduler's observability handles when a
 	// registry is attached (SetRegistry): enqNS is the enqueue instant,
 	// and whoever wins the claim books the enqueue→claim wait. Both stay
@@ -87,10 +90,13 @@ func (j *instanceJob) claim() bool {
 	if !j.state.CompareAndSwap(jobQueued, jobRunning) {
 		return false
 	}
+	// The job leaves the queue depth at claim, not at queue pop: a
+	// gatherer-claimed job stops waiting the moment the claim wins, even
+	// though its queue carcass is popped (and discarded) by a worker
+	// later.
+	j.unclaimed.Add(-1)
 	if j.om != nil {
-		// Booked at claim, not at queue pop: a gatherer-claimed job's wait
-		// ends the moment the claim wins, even though its queue carcass is
-		// popped (and discarded) by a worker later.
+		j.om.depth.Add(-1)
 		j.om.wait.Observe(time.Now().UnixNano() - j.enqNS)
 	}
 	j.err = j.run()
@@ -134,14 +140,16 @@ type Scheduler struct {
 	closed  bool
 	workers int
 	wg      sync.WaitGroup
+	// unclaimed counts submitted jobs that neither a worker nor an
+	// inline-claiming gatherer has started: QueueDepth.
+	unclaimed atomic.Int64
 	// om holds the observability handles attached by SetRegistry.
 	om atomic.Pointer[schedMetrics]
 }
 
 // schedMetrics is the scheduler's resolved registry handle set: the
-// queue-depth gauge counts jobs sitting in the two queues (a job
-// claimed inline by its gatherer still occupies a queue slot until a
-// worker pops its carcass), the jobs counter counts every submission,
+// queue-depth gauge moves with Scheduler.QueueDepth (up at submission,
+// down when the claim is won), the jobs counter counts every submission,
 // and the wait histogram records enqueue→claim latency — the admission
 // signal the planned congestlbd service needs.
 type schedMetrics struct {
@@ -188,25 +196,9 @@ func (s *Scheduler) Workers() int { return s.workers }
 // QueueDepth reports the number of submitted jobs that no worker (or
 // inline-claiming gatherer) has started yet. Claimed carcasses still
 // sitting in a queue slot are excluded — the count is work actually
-// waiting, which is what admission control wants; the MSchedQueueDepth
-// gauge deliberately differs by counting slots instead (see
-// schedMetrics).
-func (s *Scheduler) QueueDepth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, j := range s.inst {
-		if j != nil && j.state.Load() == jobQueued {
-			n++
-		}
-	}
-	for _, j := range s.exp {
-		if j != nil && j.state.Load() == jobQueued {
-			n++
-		}
-	}
-	return n
-}
+// waiting, which is what admission control wants. The MSchedQueueDepth
+// gauge reads the same count.
+func (s *Scheduler) QueueDepth() int { return int(s.unclaimed.Load()) }
 
 // worker drains the queue until the scheduler closes. Jobs claimed inline
 // by their gatherer are skipped — the atomic claim makes the race benign.
@@ -232,18 +224,12 @@ func (s *Scheduler) next() *instanceJob {
 			j := s.inst[0]
 			s.inst[0] = nil
 			s.inst = s.inst[1:]
-			if m := s.om.Load(); m != nil {
-				m.depth.Add(-1)
-			}
 			return j
 		}
 		if len(s.exp) > 0 {
 			j := s.exp[0]
 			s.exp[0] = nil
 			s.exp = s.exp[1:]
-			if m := s.om.Load(); m != nil {
-				m.depth.Add(-1)
-			}
 			return j
 		}
 		if s.closed {
@@ -258,17 +244,25 @@ func (s *Scheduler) next() *instanceJob {
 // gatherer's inline claim, and an entry point that half-works after Close
 // hides lifecycle bugs.
 func (s *Scheduler) submit(j *instanceJob) {
+	s.enqueue(&s.inst, j, "experiments: Ctx.Go on closed Scheduler")
+}
+
+// enqueue appends j to queue q, counts it as unclaimed and wakes a
+// worker; on a closed pool it panics with msg instead.
+func (s *Scheduler) enqueue(q *[]*instanceJob, j *instanceJob, msg string) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		panic(msg)
+	}
+	j.unclaimed = &s.unclaimed
+	s.unclaimed.Add(1)
 	if m := s.om.Load(); m != nil {
 		j.om, j.enqNS = m, time.Now().UnixNano()
 		m.jobs.Inc()
 		m.depth.Add(1)
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		panic("experiments: Ctx.Go on closed Scheduler")
-	}
-	s.inst = append(s.inst, j)
+	*q = append(*q, j)
 	s.mu.Unlock()
 	s.cond.Signal()
 }
@@ -281,22 +275,10 @@ func (s *Scheduler) submit(j *instanceJob) {
 // blocking).
 func (s *Scheduler) Submit(fn func()) (wait func()) {
 	j := &instanceJob{fn: func() error { fn(); return nil }, done: make(chan struct{})}
-	if m := s.om.Load(); m != nil {
-		j.om, j.enqNS = m, time.Now().UnixNano()
-		m.jobs.Inc()
-		m.depth.Add(1)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		// Enforce the documented contract loudly: a closed pool's workers
-		// have exited, so the job could never run and the returned wait
-		// would block forever — a silent deadlock is strictly worse.
-		panic("experiments: Submit on closed Scheduler")
-	}
-	s.exp = append(s.exp, j)
-	s.mu.Unlock()
-	s.cond.Signal()
+	// Enforce the documented contract loudly: a closed pool's workers
+	// have exited, so the job could never run and the returned wait would
+	// block forever — a silent deadlock is strictly worse.
+	s.enqueue(&s.exp, j, "experiments: Submit on closed Scheduler")
 	return func() { <-j.done }
 }
 

@@ -7,8 +7,8 @@ import (
 )
 
 // TestSchedulerQueueDepthGauge pins the scheduler's observability
-// contract: the queue-depth gauge counts exactly the jobs sitting in
-// the queues — rising as a Ctx fans out nested Go jobs while the pool
+// contract: the queue-depth gauge counts exactly the submitted jobs not
+// yet claimed — rising as a Ctx fans out nested Go jobs while the pool
 // is busy, draining to zero once everything ran — and the jobs counter
 // and wait histogram see every submission.
 func TestSchedulerQueueDepthGauge(t *testing.T) {
@@ -39,8 +39,8 @@ func TestSchedulerQueueDepthGauge(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Gather may have claimed jobs inline, leaving carcasses for the
-	// worker to pop; Close drains the queue before stopping it, so after
-	// Close the gauge must be back at zero.
+	// worker to pop; those left the gauge at their claim, so after Close
+	// the gauge must be back at zero.
 	sched.Close()
 	if got := depth.Value(); got != 0 {
 		t.Fatalf("queue depth after drain = %d, want 0", got)
@@ -53,6 +53,40 @@ func TestSchedulerQueueDepthGauge(t *testing.T) {
 	waits := snap.Histograms[obs.MSchedJobWaitNS]
 	if waits.Count != n+1 {
 		t.Fatalf("wait histogram saw %d claims, want %d", waits.Count, n+1)
+	}
+}
+
+// TestSchedulerQueueDepthCountsUnclaimed: jobs that their gatherer
+// claims inline leave the queue depth at the claim, in both the gauge
+// and QueueDepth, though their queue carcasses wait for a worker.
+func TestSchedulerQueueDepthCountsUnclaimed(t *testing.T) {
+	reg := obs.NewRegistry()
+	sched := NewScheduler(1)
+	defer sched.Close()
+	sched.SetRegistry(reg)
+	depth := reg.Gauge(obs.MSchedQueueDepth)
+
+	// Park the single worker, so the gatherer claims every job inline.
+	started := make(chan struct{})
+	block := make(chan struct{})
+	release := sched.Submit(func() { close(started); <-block })
+	defer release()
+	defer close(block)
+	<-started
+
+	const n = 4
+	w := NewCtx(nil, nil).WithScheduler(sched)
+	for i := 0; i < n; i++ {
+		w.Go(func() error { return nil })
+	}
+	if got, q := depth.Value(), sched.QueueDepth(); got != n || q != n {
+		t.Fatalf("with %d queued jobs: gauge %d, QueueDepth %d", n, got, q)
+	}
+	if err := w.Gather(); err != nil {
+		t.Fatal(err)
+	}
+	if got, q := depth.Value(), sched.QueueDepth(); got != 0 || q != 0 {
+		t.Fatalf("after Gather ran every job inline: gauge %d, QueueDepth %d, want 0 and 0", got, q)
 	}
 }
 

@@ -7,9 +7,12 @@
 // to one branch-and-bound plus n-1 cache hits, independent of how each
 // caller happened to build its copy of the graph.
 //
-// The cache is LRU-bounded, safe for concurrent use, and deduplicates
-// in-flight solves: concurrent callers with the same key block on the one
-// solve in progress instead of racing their own. Each lookup books its
+// The cache is safe for concurrent use and deduplicates in-flight solves:
+// concurrent callers with the same key block on the one solve in progress
+// instead of racing their own. Completed solves sit in an LRU bounded by
+// the cache's capacity; solves in flight sit beside it, outside the
+// bound. The same lru type (lru.go) backs the cross-cache SharedTier
+// (shared.go) and the disk tier's index. Each lookup books its
 // outcome once, as one Stats delta that feeds three views of the same
 // counters: the cache's Stats (the experiment runner's JSON result
 // envelope and the one-solve-per-distinct-graph tests read it), the
@@ -27,7 +30,6 @@
 package cache
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -65,9 +67,12 @@ type Stats struct {
 	Hits uint64 `json:"hits"`
 	// Misses counts lookups that ran a fresh branch-and-bound.
 	Misses uint64 `json:"misses"`
-	// Evictions counts entries dropped by the LRU bound.
+	// Evictions counts completed solves dropped by the LRU bound. A solve
+	// completing evicts; registering its miss does not, so a failed or
+	// cancelled solve evicts nothing.
 	Evictions uint64 `json:"evictions"`
-	// Entries is the number of entries currently cached.
+	// Entries is the number of completed solves cached; solves in flight
+	// are not counted.
 	Entries int `json:"entries"`
 	// StepsSolved sums the branch-and-bound steps of all misses — the work
 	// actually performed.
@@ -123,14 +128,11 @@ func (s *Stats) Add(d Stats) {
 	s.DegradedSolves += d.DegradedSolves
 }
 
-// entry is one cached (or in-flight) solve. ready is closed once sol/err
-// are final; done flips under the cache lock at the same moment, so the
-// eviction scan can skip in-flight entries without touching the channel.
-type entry struct {
-	key   Key
+// flight is one solve in progress. ready is closed once sol and err are
+// final.
+type flight struct {
 	sol   mis.Solution
 	err   error
-	done  bool
 	ready chan struct{}
 }
 
@@ -138,9 +140,8 @@ type entry struct {
 // mis.Exact. The zero value is not usable; call New.
 type Cache struct {
 	mu       sync.Mutex
-	capacity int
-	index    map[Key]*list.Element
-	lru      *list.List // front = most recently used; values are *entry
+	sols     *lru[mis.Solution] // completed solves, size 1 each
+	inflight map[Key]*flight    // solves running now, outside the bound
 	stats    Stats
 	disk     *diskTier // nil until SetDir attaches the persistent tier
 	// sharedTier is the optional cross-cache read-through tier (see
@@ -202,16 +203,18 @@ func (c *Cache) SetRegistry(r *obs.Registry) {
 	})
 }
 
-// New returns an empty cache bounded to the given number of entries
-// (DefaultCapacity if capacity is not positive).
+// New returns an empty cache bounded to the given number of completed
+// solves (DefaultCapacity if capacity is not positive). Solves in flight,
+// one per key being solved, sit outside the bound: a completing solve
+// evicts the least recently used completed one, never a solve another
+// caller is waiting for.
 func New(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
 	c := &Cache{
-		capacity: capacity,
-		index:    make(map[Key]*list.Element, capacity),
-		lru:      list.New(),
+		sols:     newLRU[mis.Solution](int64(capacity)),
+		inflight: make(map[Key]*flight),
 	}
 	c.SetRegistry(nil)
 	return c
@@ -273,78 +276,71 @@ func (c *Cache) exact(ctx context.Context, g *graphs.Graph, opts mis.Options, se
 }
 
 // exactAttempt is one pass of the lookup protocol; retry reports that the
-// joined entry died of its owner's cancellation and the (still-live)
-// caller should attempt the lookup again. Each outcome is booked with one
-// book call: a private hit, a shared-tier hit, or a miss — booked as soon
-// as its in-flight entry is registered — followed by the miss's disk,
-// solve and store result.
+// joined flight died of its owner's cancellation and the (still-live)
+// caller should attempt the lookup again. The order is: a completed
+// solve, a solve in flight, the shared tier, then the miss — booked as
+// soon as its flight is registered — followed by the disk tier, the
+// solve and the store. Each outcome is booked with one book call.
 func (c *Cache) exactAttempt(ctx context.Context, key Key, g *graphs.Graph, opts mis.Options, sess *Session) (_ mis.Solution, _ error, retry bool) {
 	c.mu.Lock()
 	disk, tier := c.disk, c.sharedTier
-	if el, found := c.index[key]; found {
-		e := el.Value.(*entry)
-		c.lru.MoveToFront(el)
-		done := e.done
+	// A completed solve is served even under a dead context: the result
+	// is already in hand.
+	if sol, ok := c.sols.get(key); ok {
 		c.mu.Unlock()
-		// A completed entry is served unconditionally — even under a dead
-		// context: the result is already in hand, and racing a closed
-		// ready channel against a closed ctx.Done() in a select would
-		// make the outcome a coin flip. Only genuinely in-flight solves
-		// wait, honouring the waiter's own deadline: its context firing
-		// must not leave it blocked on a solve another caller owns (which
-		// may be running under a context that never cancels).
-		if !done {
-			c.om.Load().waits.Inc()
-			select {
-			case <-e.ready:
-			case <-ctx.Done():
-				// No cached result to hand over, so meet the incumbent
-				// contract the direct solve path provides: the greedy
-				// seed — a valid witness — alongside ctx.Err(). The
-				// abandoned lookup books no counter events; the solve's
-				// owner keeps its own accounting.
-				return mis.SeedIncumbent(g), ctx.Err(), false
-			}
+		c.book(sess, Stats{Hits: 1, StepsSaved: sol.Steps})
+		return clone(sol), nil, false
+	}
+	if f, ok := c.inflight[key]; ok {
+		c.mu.Unlock()
+		// Join the solve in flight, honouring the waiter's own deadline:
+		// its context firing must not leave it blocked on a solve another
+		// caller owns (which may be running under a context that never
+		// cancels).
+		c.om.Load().waits.Inc()
+		select {
+		case <-f.ready:
+		case <-ctx.Done():
+			// No result to hand over, so meet the incumbent contract the
+			// direct solve path provides: the greedy seed — a valid
+			// witness — alongside ctx.Err(). The abandoned lookup books no
+			// counter events; the solve's owner keeps its own accounting.
+			return mis.SeedIncumbent(g), ctx.Err(), false
 		}
 		// The owner's context dying is the owner's problem, not this
-		// waiter's: its entry was already dropped, so a waiter whose own
+		// waiter's: its flight is already gone, so a waiter whose own
 		// context is still alive retries fresh (becoming the new owner or
 		// joining one) instead of reporting a cancellation that never
 		// happened to it. The retry books its own lookup; this one books
 		// nothing, keeping attribution at one event per call. Non-context
 		// errors propagate as hits — they describe the solve, not the
 		// caller — and save no steps.
-		if e.err != nil && ctx.Err() == nil &&
-			(errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
+		if f.err != nil && ctx.Err() == nil &&
+			(errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
 			return mis.Solution{}, nil, true
 		}
 		d := Stats{Hits: 1}
-		if e.err == nil {
-			d.StepsSaved = e.sol.Steps
+		if f.err == nil {
+			d.StepsSaved = f.sol.Steps
 		}
 		c.book(sess, d)
-		return clone(e.sol), e.err, false
+		return clone(f.sol), f.err, false
 	}
 	// A cross-cache tier hit is consulted *before* booking a miss: a
 	// solve another cache already paid for is a hit from this cache's
 	// point of view (zero branch-and-bound steps ran anywhere on its
 	// behalf), attributed separately as SharedHits. The result also fills
-	// the private LRU as a completed entry, so the tenant's next lookup
-	// is an ordinary private hit. Lock order is c.mu → tier.mu (the tier
-	// never calls back), so holding c.mu here is safe.
+	// the private LRU, so the tenant's next lookup is an ordinary private
+	// hit. Lock order is c.mu → tier.mu (the tier never calls back), so
+	// holding c.mu here is safe.
 	if tsol, ok := tier.get(key); ok {
-		ready := make(chan struct{})
-		close(ready)
-		c.index[key] = c.lru.PushFront(&entry{key: key, sol: tsol, done: true, ready: ready})
-		c.evictLocked()
+		c.stats.Evictions += uint64(len(c.sols.put(key, tsol, 1)))
 		c.mu.Unlock()
 		c.book(sess, Stats{Hits: 1, SharedHits: 1, StepsSaved: tsol.Steps})
 		return clone(tsol), nil, false
 	}
-	e := &entry{key: key, ready: make(chan struct{})}
-	el := c.lru.PushFront(e)
-	c.index[key] = el
-	c.evictLocked()
+	f := &flight{ready: make(chan struct{})}
+	c.inflight[key] = f
 	c.mu.Unlock()
 	c.book(sess, Stats{Misses: 1})
 
@@ -382,14 +378,12 @@ func (c *Cache) exactAttempt(ctx context.Context, key Key, g *graphs.Graph, opts
 	}
 
 	c.mu.Lock()
-	e.sol, e.err, e.done = sol, err, true
-	if err != nil {
-		// Do not cache failures: drop the entry so later callers retry
-		// (waiters already holding e still observe the error once).
-		if cur, present := c.index[key]; present && cur == el {
-			c.lru.Remove(el)
-			delete(c.index, key)
-		}
+	delete(c.inflight, key)
+	f.sol, f.err = sol, err
+	if err == nil {
+		// Failures are not cached: later callers retry (waiters already
+		// holding f still observe the error once).
+		c.stats.Evictions += uint64(len(c.sols.put(key, sol, 1)))
 	}
 	c.mu.Unlock()
 	c.book(sess, d)
@@ -398,22 +392,23 @@ func (c *Cache) exactAttempt(ctx context.Context, key Key, g *graphs.Graph, opts
 		// other cache on the tier skips its own solve for this key.
 		tier.put(key, sol)
 	}
-	close(e.ready)
+	close(f.ready)
 	return clone(sol), err, false
 }
 
 // SetDir attaches (or, with an empty dir, detaches) the persistent on-disk
 // tier. Entries a previous process left in dir become immediately
-// servable; maxBytes bounds the tier's total size (0 = DefaultDiskBytes).
-// Attaching is not retroactive for in-flight solves.
-func (c *Cache) SetDir(dir string, maxBytes int64) error {
+// servable, up to the tier's byte bound (64 MiB): the least recently
+// modified beyond it are deleted. Attaching is not retroactive for
+// in-flight solves.
+func (c *Cache) SetDir(dir string) error {
 	if dir == "" {
 		c.mu.Lock()
 		c.disk = nil
 		c.mu.Unlock()
 		return nil
 	}
-	d, err := newDiskTier(dir, maxBytes)
+	d, err := newDiskTier(dir)
 	if err != nil {
 		return err
 	}
@@ -433,30 +428,12 @@ func (c *Cache) DiskDir() string {
 	return c.disk.dir
 }
 
-// evictLocked trims the LRU to capacity, skipping in-flight entries (they
-// are always near the front anyway). Callers must hold c.mu.
-func (c *Cache) evictLocked() {
-	for c.lru.Len() > c.capacity {
-		el := c.lru.Back()
-		for el != nil && !el.Value.(*entry).done {
-			el = el.Prev()
-		}
-		if el == nil {
-			return // everything in flight; over-capacity resolves later
-		}
-		e := el.Value.(*entry)
-		c.lru.Remove(el)
-		delete(c.index, e.key)
-		c.stats.Evictions++
-	}
-}
-
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	s.Entries = c.lru.Len()
+	s.Entries = c.sols.len()
 	return s
 }
 
@@ -474,12 +451,24 @@ func clone(sol mis.Solution) mis.Solution {
 // node count, per-node weights, the sorted edge list, the clique cover as
 // a canonical partition (clique ids renumbered by first appearance in node
 // order, so the same partition hashes identically however its parts are
-// ordered) and the step budget. It depends only on the graph's final
-// content — never on labels or on the order nodes and edges were inserted.
-// ok is false when the cover is malformed (a node missing, repeated or out
-// of range); such solves are uncacheable and fall through to mis.Exact,
-// which reports the precise validation error.
+// ordered), the step budget and the solver generation. It depends only on
+// the graph's final content — never on labels or on the order nodes and
+// edges were inserted. ok is false when the cover is malformed (a node
+// missing, repeated or out of range); such solves are uncacheable and fall
+// through to mis.Exact, which reports the precise validation error.
 func KeyOf(g *graphs.Graph, opts mis.Options) (Key, bool) {
+	return keyOf(g, opts, solverGeneration)
+}
+
+// solverGeneration is the trailing byte of every key. Bump it with any
+// change to mis.Exact that can alter a solve's Set, Weight or Steps: every
+// key then changes, so entries an older solver wrote to a disk tier are
+// never found again, and they age out through the tier's byte bound. It is
+// 0, the byte earlier versions appended, so no existing key changed.
+const solverGeneration byte = 0
+
+// keyOf is KeyOf under an explicit solver generation.
+func keyOf(g *graphs.Graph, opts mis.Options, gen byte) (Key, bool) {
 	n := g.N()
 	buf := make([]byte, 0, 16+8*n+8*g.M()+4*n)
 	buf = append(buf, 'm', 'i', 's', 'v', '1')
@@ -530,9 +519,6 @@ func KeyOf(g *graphs.Graph, opts mis.Options) (Key, bool) {
 		}
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(opts.MaxSteps))
-	// The trailing byte once flagged weight-only solves. It stays a
-	// constant 0 so every key — and every disk-tier entry stored under
-	// one — is the one earlier versions computed.
-	buf = append(buf, 0)
+	buf = append(buf, gen)
 	return sha256.Sum256(buf), true
 }

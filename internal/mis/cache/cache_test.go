@@ -8,6 +8,7 @@ import (
 
 	"congestlb/internal/graphs"
 	"congestlb/internal/mis"
+	"congestlb/internal/obs"
 )
 
 // pathGraph builds a weighted path 0-1-...-(n-1) with weight w(v)=v+1.
@@ -267,5 +268,47 @@ func TestConcurrentSingleFlight(t *testing.T) {
 		if weights[i] != weights[0] {
 			t.Fatalf("caller %d got weight %d, caller 0 got %d", i, weights[i], weights[0])
 		}
+	}
+}
+
+// TestInflightSolveTakesNoSlot: a solve in flight sits outside the
+// capacity bound. With capacity 1, a cached g1 stays servable while g2
+// is being solved, and the cache never holds more than one completed
+// solve; g2 takes g1's slot only when it completes.
+func TestInflightSolveTakesNoSlot(t *testing.T) {
+	c := New(1)
+	rng := rand.New(rand.NewSource(3))
+	g1 := randomGraph(12, 0.3, 4, rng)
+	g2 := randomGraph(12, 0.3, 4, rng)
+	if _, err := c.Exact(g1, mis.Options{}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Hold g2's solve in flight: its observer blocks on the seed event,
+	// which every solve fires before it searches.
+	seeded, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	hold := obs.ObserverFunc(func(obs.ProgressEvent) {
+		once.Do(func() { close(seeded); <-release })
+	})
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Exact(g2, mis.Options{Progress: hold})
+		done <- err
+	}()
+	<-seeded
+
+	if _, err := c.Exact(g1, mis.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 2 || st.Evictions != 0 || st.Entries > 1 {
+		t.Fatalf("lookup of g1 while g2 is in flight: %+v, want 1 hit, 2 misses, no eviction, at most 1 entry", st)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Evictions != 1 || st.Entries != 1 {
+		t.Fatalf("after g2 completes: %+v, want 1 eviction, 1 entry", st)
 	}
 }

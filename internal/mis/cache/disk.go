@@ -13,11 +13,12 @@
 // operators can inspect what corrupted them; transient read/write errors
 // are retried with a short backoff before giving up. Both paths are
 // counted in the Stats delta each load and store returns (DiskQuarantined
-// / DiskRetries). The tier is size-bounded: when the byte budget is
-// exceeded, least-recently-used entries (by load/store recency, seeded
-// from file mtime at attach time) are deleted. Orphaned tmp-* files a
-// crashed writer left behind are swept on attach once they are old
-// enough to be provably dead.
+// / DiskRetries). The tier is bounded to diskBytes by the same lru type as
+// the in-memory tiers (lru.go), each file sized in bytes: the attach-time
+// index seed (oldest mtime first), every load and every store make an
+// entry the most recently used, and the files the bound evicts are
+// deleted. Orphaned tmp-* files a crashed writer left behind are swept on
+// attach once they are old enough to be provably dead.
 //
 // The point of the tier is cross-process reuse: a second experiment-suite
 // run, a CI re-run or a benchmark iteration with the same -cache-dir skips
@@ -26,7 +27,6 @@
 package cache
 
 import (
-	"container/list"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -64,10 +64,10 @@ const (
 // entries then fail validation and are re-solved, never mis-read).
 const diskSchema = "congestlb/solve-cache/v1"
 
-// DefaultDiskBytes is the disk tier's default size bound. Entries are a
-// few hundred bytes (a node-ID list plus counters), so this comfortably
-// holds every distinct solve the experiment suite can produce.
-const DefaultDiskBytes int64 = 64 << 20
+// diskBytes is the disk tier's size bound. Entries are a few hundred
+// bytes (a node-ID list plus counters), so this comfortably holds every
+// distinct solve the experiment suite can produce.
+const diskBytes = 64 << 20
 
 // diskEntry is the JSON schema of one persisted solve.
 type diskEntry struct {
@@ -87,35 +87,20 @@ type diskEntry struct {
 // the files themselves safe) — and it is never taken while the owning
 // Cache's lock is held.
 type diskTier struct {
-	dir      string
-	maxBytes int64
+	dir string
 
 	mu    sync.Mutex
-	index map[Key]*list.Element
-	lru   *list.List // front = most recently used; values are *diskFile
-	bytes int64
-}
-
-type diskFile struct {
-	key  Key
-	size int64
+	files *lru[struct{}] // sized in bytes
 }
 
 // newDiskTier attaches a directory, creating it if needed and indexing any
-// entries a previous process left behind (recency seeded from mtime).
-func newDiskTier(dir string, maxBytes int64) (*diskTier, error) {
-	if maxBytes <= 0 {
-		maxBytes = DefaultDiskBytes
-	}
+// entries a previous process left behind (recency seeded from mtime, and
+// the oldest beyond the byte bound deleted).
+func newDiskTier(dir string) (*diskTier, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: disk tier: %w", err)
 	}
-	d := &diskTier{
-		dir:      dir,
-		maxBytes: maxBytes,
-		index:    make(map[Key]*list.Element),
-		lru:      list.New(),
-	}
+	d := &diskTier{dir: dir, files: newLRU[struct{}](diskBytes)}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("cache: disk tier: %w", err)
@@ -158,8 +143,7 @@ func newDiskTier(dir string, maxBytes int64) (*diskTier, error) {
 	// Oldest first so the LRU ends up newest-at-front.
 	sort.Slice(found, func(i, j int) bool { return found[i].mtime.Before(found[j].mtime) })
 	for _, f := range found {
-		d.index[f.key] = d.lru.PushFront(&diskFile{key: f.key, size: f.size})
-		d.bytes += f.size
+		d.use(f.key, f.size)
 	}
 	return d, nil
 }
@@ -170,7 +154,8 @@ func (d *diskTier) path(key Key) string {
 
 // load returns the persisted solution for key if a valid entry exists,
 // with the lookup's delta: a disk hit crediting the entry's steps as
-// saved, or a disk miss, plus the retries and quarantines on the way.
+// saved (and counting the entries its use evicted), or a disk miss, plus
+// the retries and quarantines on the way.
 // Anything that fails validation — wrong schema, key mismatch, a set that
 // is not independent in g, whose weight disagrees, or that weighs less
 // than mis.SeedIncumbent(g), where every exact search starts — is
@@ -221,9 +206,7 @@ func (d *diskTier) load(key Key, g *graphs.Graph) (mis.Solution, bool, Stats) {
 		d.quarantine(key, path, "witness", &st)
 		return mis.Solution{}, false, st
 	}
-	d.mu.Lock()
-	d.touch(key, int64(len(data)))
-	d.mu.Unlock()
+	st.DiskEvictions = d.use(key, int64(len(data)))
 	// Refresh mtime so a future process's recency seed sees the use.
 	now := time.Now()
 	_ = os.Chtimes(path, now, now)
@@ -268,14 +251,7 @@ func (d *diskTier) store(key Key, sol mis.Solution) Stats {
 		st.DiskRetries++
 		time.Sleep(diskBackoff << attempt)
 	}
-	d.mu.Lock()
-	d.touch(key, int64(len(data)))
-	victims := d.evictLocked(key)
-	d.mu.Unlock()
-	for _, path := range victims {
-		_ = os.Remove(path)
-	}
-	st.DiskWrites, st.DiskEvictions = 1, uint64(len(victims))
+	st.DiskWrites, st.DiskEvictions = 1, d.use(key, int64(len(data)))
 	return st
 }
 
@@ -323,17 +299,17 @@ func fsyncDir(dir string) {
 	f.Close()
 }
 
-// touch records (key, size) as most recently used; callers hold d.mu.
-func (d *diskTier) touch(key Key, size int64) {
-	if el, ok := d.index[key]; ok {
-		f := el.Value.(*diskFile)
-		d.bytes += size - f.size
-		f.size = size
-		d.lru.MoveToFront(el)
-		return
+// use records key's entry, of size bytes, as the most recently used and
+// deletes the entries the byte bound evicts (never key's own), returning
+// how many.
+func (d *diskTier) use(key Key, size int64) uint64 {
+	d.mu.Lock()
+	victims := d.files.put(key, struct{}{}, size)
+	d.mu.Unlock()
+	for _, k := range victims {
+		_ = os.Remove(d.path(k))
 	}
-	d.index[key] = d.lru.PushFront(&diskFile{key: key, size: size})
-	d.bytes += size
+	return uint64(len(victims))
 }
 
 // quarantine moves an invalid entry into the quarantine sidecar directory
@@ -356,31 +332,6 @@ func (d *diskTier) quarantine(key Key, path, reason string, st *Stats) {
 		_ = os.Remove(path)
 	}
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	if el, ok := d.index[key]; ok {
-		d.bytes -= el.Value.(*diskFile).size
-		d.lru.Remove(el)
-		delete(d.index, key)
-	}
-}
-
-// evictLocked unindexes least-recently-used entries until the byte budget
-// holds, never evicting the entry just touched (keep), and returns the
-// victims' paths for the caller to delete outside the lock. Callers hold
-// d.mu.
-func (d *diskTier) evictLocked(keep Key) []string {
-	var victims []string
-	for d.bytes > d.maxBytes && d.lru.Len() > 1 {
-		el := d.lru.Back()
-		f := el.Value.(*diskFile)
-		if f.key == keep {
-			// keep is the only remaining candidate at the back; stop.
-			break
-		}
-		victims = append(victims, d.path(f.key))
-		d.bytes -= f.size
-		d.lru.Remove(el)
-		delete(d.index, f.key)
-	}
-	return victims
+	d.files.remove(key)
+	d.mu.Unlock()
 }

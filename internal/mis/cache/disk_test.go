@@ -30,7 +30,7 @@ func TestDiskRoundTrip(t *testing.T) {
 	g := buildGraph(t, 12, 0.3, 7)
 
 	first := New(8)
-	if err := first.SetDir(dir, 0); err != nil {
+	if err := first.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	want, err := first.Exact(g, mis.Options{})
@@ -43,7 +43,7 @@ func TestDiskRoundTrip(t *testing.T) {
 	}
 
 	second := New(8)
-	if err := second.SetDir(dir, 0); err != nil {
+	if err := second.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	got, err := second.Exact(g, mis.Options{})
@@ -130,7 +130,7 @@ func TestDiskCorruptionFallsBackToSolve(t *testing.T) {
 			dir := t.TempDir()
 			g := buildGraph(t, 12, 0.3, 7)
 			first := New(8)
-			if err := first.SetDir(dir, 0); err != nil {
+			if err := first.SetDir(dir); err != nil {
 				t.Fatal(err)
 			}
 			want, err := first.Exact(g, mis.Options{})
@@ -142,7 +142,7 @@ func TestDiskCorruptionFallsBackToSolve(t *testing.T) {
 			}
 
 			second := New(8)
-			if err := second.SetDir(dir, 0); err != nil {
+			if err := second.SetDir(dir); err != nil {
 				t.Fatal(err)
 			}
 			got, err := second.Exact(g, mis.Options{})
@@ -168,10 +168,11 @@ func TestDiskCorruptionFallsBackToSolve(t *testing.T) {
 func TestDiskSizeBoundEvicts(t *testing.T) {
 	dir := t.TempDir()
 	c := New(16)
-	// ~2 entries worth of budget: entries here are ≈150-300 bytes.
-	if err := c.SetDir(dir, 600); err != nil {
+	if err := c.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
+	// ~2 entries worth of budget: entries here are ≈150-300 bytes.
+	c.disk.files.bound = 600
 	for seed := int64(0); seed < 5; seed++ {
 		if _, err := c.Exact(buildGraph(t, 10+int(seed), 0.3, 100+seed), mis.Options{}); err != nil {
 			t.Fatal(err)
@@ -199,6 +200,37 @@ func TestDiskSizeBoundEvicts(t *testing.T) {
 	}
 }
 
+// TestSolverGenerationRetiresEntries: an entry written under the current
+// solver generation is served; under the next generation the same solve
+// has another key, so the entry is never found. That is a plain disk
+// miss, with nothing quarantined.
+func TestSolverGenerationRetiresEntries(t *testing.T) {
+	dir := t.TempDir()
+	g := buildGraph(t, 12, 0.3, 7)
+	c := New(8)
+	if err := c.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.Exact(g, mis.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d, err := newDiskTier(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, _ := keyOf(g, mis.Options{}, solverGeneration)
+	sol, ok, st := d.load(cur, g)
+	if !ok || !reflect.DeepEqual(sol.Set, want.Set) || st != (Stats{DiskHits: 1, StepsSaved: want.Steps}) {
+		t.Fatalf("current generation: served %v %+v, booked %+v; want %+v", ok, sol, st, want)
+	}
+	next, _ := keyOf(g, mis.Options{}, solverGeneration+1)
+	if _, ok, st := d.load(next, g); ok || st != (Stats{DiskMisses: 1}) {
+		t.Fatalf("next generation: served %v, booked %+v; want a plain disk miss", ok, st)
+	}
+}
+
 // TestDiskForeignFilesIgnored drops unrelated files into the directory:
 // the tier must neither index nor delete them.
 func TestDiskForeignFilesIgnored(t *testing.T) {
@@ -212,7 +244,7 @@ func TestDiskForeignFilesIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := New(8)
-	if err := c.SetDir(dir, 0); err != nil {
+	if err := c.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Exact(buildGraph(t, 10, 0.4, 3), mis.Options{}); err != nil {
@@ -231,7 +263,7 @@ func TestDiskKeyMismatchRejected(t *testing.T) {
 	dir := t.TempDir()
 	g := buildGraph(t, 12, 0.3, 7)
 	c := New(8)
-	if err := c.SetDir(dir, 0); err != nil {
+	if err := c.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Exact(g, mis.Options{}); err != nil {
@@ -249,7 +281,7 @@ func TestDiskKeyMismatchRejected(t *testing.T) {
 	}
 
 	second := New(8)
-	if err := second.SetDir(dir, 0); err != nil {
+	if err := second.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := second.Exact(g, mis.Options{MaxSteps: 123}); err != nil {
@@ -284,7 +316,7 @@ func TestDiskKeyMismatchRejected(t *testing.T) {
 func FuzzDiskLoad(f *testing.F) {
 	g := pathGraph(4)
 	key, _ := KeyOf(g, mis.Options{})
-	d, err := newDiskTier(f.TempDir(), 0)
+	d, err := newDiskTier(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestDiskReadRetryThenServe(t *testing.T) {
 	dir := t.TempDir()
 	g := buildGraph(t, 12, 0.3, 7)
 	first := New(8)
-	if err := first.SetDir(dir, 0); err != nil {
+	if err := first.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	want, err := first.Exact(g, mis.Options{})
@@ -44,7 +44,7 @@ func TestDiskReadRetryThenServe(t *testing.T) {
 	// read budget.
 	armFaults(t, "42:disk-read*2")
 	second := New(8)
-	if err := second.SetDir(dir, 0); err != nil {
+	if err := second.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	got, err := second.Exact(g, mis.Options{})
@@ -71,7 +71,7 @@ func TestDiskWriteRetryThenPersist(t *testing.T) {
 	g := buildGraph(t, 12, 0.3, 7)
 	armFaults(t, "42:disk-write*2")
 	first := New(8)
-	if err := first.SetDir(dir, 0); err != nil {
+	if err := first.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := first.Exact(g, mis.Options{}); err != nil {
@@ -86,7 +86,7 @@ func TestDiskWriteRetryThenPersist(t *testing.T) {
 	}
 
 	second := New(8)
-	if err := second.SetDir(dir, 0); err != nil {
+	if err := second.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := second.Exact(g, mis.Options{}); err != nil {
@@ -106,7 +106,7 @@ func TestDiskCorruptEntryQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	g := buildGraph(t, 12, 0.3, 7)
 	first := New(8)
-	if err := first.SetDir(dir, 0); err != nil {
+	if err := first.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	want, err := first.Exact(g, mis.Options{})
@@ -117,7 +117,7 @@ func TestDiskCorruptEntryQuarantined(t *testing.T) {
 
 	armFaults(t, "42:disk-corrupt*1")
 	second := New(8)
-	if err := second.SetDir(dir, 0); err != nil {
+	if err := second.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	got, err := second.Exact(g, mis.Options{})
@@ -137,7 +137,7 @@ func TestDiskCorruptEntryQuarantined(t *testing.T) {
 	// The main path holds a freshly re-written entry (the fallback solve
 	// stores its result); a third cache must serve it cleanly.
 	third := New(8)
-	if err := third.SetDir(dir, 0); err != nil {
+	if err := third.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := third.Exact(g, mis.Options{}); err != nil {
@@ -181,7 +181,7 @@ func TestDiskTmpOrphanSweep(t *testing.T) {
 	}
 
 	c := New(8)
-	if err := c.SetDir(dir, 0); err != nil {
+	if err := c.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(old); !os.IsNotExist(err) {
@@ -203,7 +203,7 @@ func TestDiskFaultsDisabledNoRetries(t *testing.T) {
 	dir := t.TempDir()
 	g := buildGraph(t, 12, 0.3, 7)
 	c := New(8)
-	if err := c.SetDir(dir, 0); err != nil {
+	if err := c.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Exact(g, mis.Options{}); err != nil {

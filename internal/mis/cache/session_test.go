@@ -98,7 +98,7 @@ func TestBookingAgreesAcrossViews(t *testing.T) {
 	}
 	dir := t.TempDir()
 	seeder := New(8)
-	if err := seeder.SetDir(dir, 0); err != nil {
+	if err := seeder.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	for _, g := range []*graphs.Graph{gDisk, gCorrupt} {
@@ -115,7 +115,7 @@ func TestBookingAgreesAcrossViews(t *testing.T) {
 	c := New(8)
 	c.SetRegistry(reg)
 	c.SetSharedTier(tier)
-	if err := c.SetDir(dir, 0); err != nil {
+	if err := c.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	sess := []*Session{NewSession(c), NewSession(c), NewSession(c)}

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"container/list"
 	"sync"
 
 	"congestlb/internal/mis"
@@ -25,28 +24,23 @@ type SharedTierStats struct {
 	// publications of a key it already holds are counted but change
 	// nothing).
 	Puts uint64 `json:"puts"`
-	// Evictions counts entries dropped by the LRU bound.
+	// Evictions counts solutions dropped by the LRU bound.
 	Evictions uint64 `json:"evictions"`
 	// Entries is the number of solutions currently held.
 	Entries int `json:"entries"`
 }
 
-// sharedEntry is one completed solution in the tier. Unlike the private
-// cache's entry there is no in-flight state: only finished, error-free
-// solves are ever published.
-type sharedEntry struct {
-	key Key
-	sol mis.Solution
-}
-
-// SharedTier is a content-addressed, LRU-bounded store of *completed*
-// solve results, designed to sit underneath several private Caches (one
-// per tenant of a daemon) as a read-through tier: a private-cache miss
-// consults the tier before booking a miss, so an identical solve already
-// paid for by any other cache is served with zero branch-and-bound steps
-// and booked as a hit (Stats.SharedHits) by the consulting cache.
+// SharedTier is a content-addressed store of *completed* solve results,
+// designed to sit underneath several private Caches (one per tenant of a
+// daemon) as a read-through tier: a private-cache miss consults the tier
+// before booking a miss, so an identical solve already paid for by any
+// other cache is served with zero branch-and-bound steps and booked as a
+// hit (Stats.SharedHits) by the consulting cache. It is bounded by the
+// same lru type as a private cache's completed solves (lru.go), one slot
+// per solution.
 //
-// The tier never deduplicates *in-flight* work across caches — two
+// The tier holds no solves in flight and never deduplicates them across
+// caches — two
 // tenants racing the same cold key both solve it (the race costs one
 // duplicate solve, never a wrong answer) and the second publication is a
 // no-op. Single-flight dedup stays a private-cache property so one
@@ -56,11 +50,9 @@ type sharedEntry struct {
 // order is always Cache.mu → SharedTier.mu; the tier never calls back
 // into a cache.
 type SharedTier struct {
-	mu       sync.Mutex
-	capacity int
-	index    map[Key]*list.Element
-	lru      *list.List // front = most recently used; values are *sharedEntry
-	stats    SharedTierStats
+	mu    sync.Mutex
+	sols  *lru[mis.Solution] // completed, error-free solves, size 1 each
+	stats SharedTierStats
 }
 
 // NewSharedTier returns an empty tier bounded to the given number of
@@ -69,11 +61,7 @@ func NewSharedTier(capacity int) *SharedTier {
 	if capacity <= 0 {
 		capacity = DefaultSharedCapacity
 	}
-	return &SharedTier{
-		capacity: capacity,
-		index:    make(map[Key]*list.Element, capacity),
-		lru:      list.New(),
-	}
+	return &SharedTier{sols: newLRU[mis.Solution](int64(capacity))}
 }
 
 // get returns the tier's solution for key, booking a tier hit or miss.
@@ -84,14 +72,13 @@ func (t *SharedTier) get(key Key) (mis.Solution, bool) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	el, found := t.index[key]
+	sol, found := t.sols.get(key)
 	if !found {
 		t.stats.Misses++
 		return mis.Solution{}, false
 	}
-	t.lru.MoveToFront(el)
 	t.stats.Hits++
-	return clone(el.Value.(*sharedEntry).sol), true
+	return clone(sol), true
 }
 
 // put publishes a completed solution under key. The first publication
@@ -105,18 +92,7 @@ func (t *SharedTier) put(key Key, sol mis.Solution) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.stats.Puts++
-	if el, found := t.index[key]; found {
-		t.lru.MoveToFront(el)
-		return
-	}
-	el := t.lru.PushFront(&sharedEntry{key: key, sol: clone(sol)})
-	t.index[key] = el
-	for t.lru.Len() > t.capacity {
-		back := t.lru.Back()
-		t.lru.Remove(back)
-		delete(t.index, back.Value.(*sharedEntry).key)
-		t.stats.Evictions++
-	}
+	t.stats.Evictions += uint64(len(t.sols.put(key, clone(sol), 1)))
 }
 
 // Stats returns a snapshot of the tier's counters.
@@ -127,7 +103,7 @@ func (t *SharedTier) Stats() SharedTierStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := t.stats
-	s.Entries = t.lru.Len()
+	s.Entries = t.sols.len()
 	return s
 }
 
@@ -136,8 +112,10 @@ func (t *SharedTier) Stats() SharedTierStats {
 // miss: a tier hit is booked as Hits+SharedHits with StepsSaved credit and
 // fills the private cache, so the "exactly one branch-and-bound per
 // distinct graph" property extends across every cache sharing the tier.
-// Completed error-free solves (fresh or disk-served) are published back.
-// Attaching is not retroactive for in-flight solves.
+// Completed error-free solves (fresh or disk-served) are published back;
+// the first publication of a key wins and a repeat only refreshes its
+// recency. A solve already in flight when the tier is attached does not
+// publish to it.
 func (c *Cache) SetSharedTier(t *SharedTier) {
 	c.mu.Lock()
 	c.sharedTier = t

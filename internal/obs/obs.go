@@ -66,7 +66,7 @@ const (
 	MSolverIncumbentWeight = "solver_incumbent_weight"  // gauge: last reported weight
 
 	// Scheduler (experiments.Scheduler).
-	MSchedQueueDepth = "sched_queue_depth" // gauge: jobs sitting in the two queues
+	MSchedQueueDepth = "sched_queue_depth" // gauge: submitted jobs not yet claimed (Scheduler.QueueDepth)
 	MSchedJobs       = "sched_jobs"        // counter: jobs ever enqueued
 	MSchedJobWaitNS  = "sched_job_wait_ns" // histogram: enqueue→claim latency
 

@@ -163,7 +163,7 @@ func TestGoldenReportUnderDiskFaults(t *testing.T) {
 	for _, jobs := range jobCounts {
 		armFaults(t, "99:disk-read=0.4,disk-write=0.4,disk-corrupt=0.5,disk-slow=0.1")
 		c := cache.New(256)
-		if err := c.SetDir(t.TempDir(), 0); err != nil {
+		if err := c.SetDir(t.TempDir()); err != nil {
 			t.Fatal(err)
 		}
 		var report bytes.Buffer
@@ -198,7 +198,7 @@ func TestChaosSuite(t *testing.T) {
 
 	armFaults(t, "13:job-panic@cutsize*1,worker-panic@w*1,disk-read=0.3,disk-corrupt=0.5")
 	c := cache.New(256)
-	if err := c.SetDir(t.TempDir(), 0); err != nil {
+	if err := c.SetDir(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
 	var report bytes.Buffer

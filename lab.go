@@ -233,7 +233,7 @@ func New(opts ...Option) (*Lab, error) {
 	}
 	l.progress = obs.Tee(cfg.observer, l.reg.IncumbentObserver())
 	if cfg.cacheDir != "" {
-		if err := l.solve.SetDir(cfg.cacheDir, 0); err != nil {
+		if err := l.solve.SetDir(cfg.cacheDir); err != nil {
 			return nil, fmt.Errorf("congestlb: solve cache dir: %w", err)
 		}
 	}
@@ -271,7 +271,7 @@ func (l *Lab) SetSolveCacheDir(dir string) error {
 	if l.closed {
 		return ErrClosed
 	}
-	return l.solve.SetDir(dir, 0)
+	return l.solve.SetDir(dir)
 }
 
 // SolveCacheDir reports the Lab's attached disk-tier directory ("" when
@@ -568,5 +568,5 @@ func (l *Lab) Close() error {
 	if sched != nil {
 		sched.Close()
 	}
-	return l.solve.SetDir("", 0)
+	return l.solve.SetDir("")
 }
