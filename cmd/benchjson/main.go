@@ -28,20 +28,22 @@
 // is how CI asserts that a warm -cache-dir re-run actually skipped
 // branch-and-bound.
 //
-// A v7 envelope additionally carries fault-containment failures blocks
-// (per experiment and run-level); both are printed, and the run-level
-// block must equal the sum of the per-experiment blocks. For chaos runs
-// (cmd/experiments under CONGESTLB_FAULTS), -allow-failed tolerates
-// experiments that finished non-ok — the structural invariants still
-// gate — and -require-failures fails unless the run actually contained
-// at least one fault, so a chaos job that silently ran clean cannot
-// pass.
+// Every experiment record carries its solve session's cache block and
+// its recovered panics. The run level must equal the sum of the records
+// in every cache counter except evictions and entries (snapshots of the
+// cache), and in panics_recovered. Fault counters (panics, degraded
+// solves, disk retries, quarantined entries) are printed where they are
+// non-zero. For chaos runs (cmd/experiments under CONGESTLB_FAULTS),
+// -allow-failed tolerates experiments that finished non-ok — the
+// structural invariants still gate — and -require-failures fails unless
+// the run actually contained at least one fault, so a chaos job that
+// silently ran clean cannot pass.
 //
-// A v6 envelope written by an observed run (cmd/experiments -metrics-addr)
+// An envelope written by an observed run (cmd/experiments -metrics-addr)
 // carries the run's metrics delta and span summary. When present, both are
-// printed and cross-checked against the envelope's legacy counters — the
-// solve-cache counters must agree exactly, since the registry instruments
-// the very same code paths.
+// printed, and each solve-cache registry counter (cache.RegistryCounters)
+// must equal its cache block field, since both are booked by the same
+// call.
 // -require-metrics fails when the block is absent (the observed-smoke
 // assertion), and -scrape URL additionally fetches a live /metrics.json
 // snapshot from a still-running (or -metrics-linger'ing) process and
@@ -76,6 +78,7 @@ import (
 	"strings"
 	"time"
 
+	"congestlb/internal/mis/cache"
 	"congestlb/internal/obs"
 	"congestlb/internal/runner"
 )
@@ -235,15 +238,16 @@ func fold(runs []Result) Result {
 // summary is written to w either way; a non-nil error means CI must fail.
 // With requireDiskHits, a run that served nothing from the persistent
 // disk tier also fails — the warm-cache CI smoke's assertion. With
-// requireMetrics, an envelope missing the v6 metrics block fails; with a
+// requireMetrics, an envelope missing the metrics block fails; with a
 // non-empty scrapeURL, a live /metrics.json snapshot is fetched and
 // cross-checked against the envelope's run delta.
 //
 // allowFailed is the chaos-CI switch: failed experiments are reported but
 // do not fail the check — the structural invariants (failure counts,
-// failures-block sums, metric consistency) still gate. requireFailures
-// fails unless the run-level failures block is present and non-zero, the
-// assertion that a chaos run actually injected something.
+// run-level sums, metric consistency) still gate. requireFailures fails
+// unless the run recovered a panic or counted a degraded solve, a disk
+// retry or a quarantined entry, the assertion that a chaos run actually
+// injected something.
 func checkEnvelope(r io.Reader, w io.Writer, requireDiskHits, requireMetrics, allowFailed, requireFailures bool, scrapeURL string) error {
 	var env runner.Envelope
 	if err := json.NewDecoder(r).Decode(&env); err != nil {
@@ -260,7 +264,8 @@ func checkEnvelope(r io.Reader, w io.Writer, requireDiskHits, requireMetrics, al
 	fmt.Fprintf(w, "lbgraph: %d construction(s)\n", env.LBGraph.Misses)
 	var failed []string
 	cancelled := 0
-	var failureSum runner.FailureStats
+	var sum cache.Stats
+	var panics uint64
 	for _, e := range env.Experiments {
 		status := e.Status
 		if e.Cancelled {
@@ -268,31 +273,35 @@ func checkEnvelope(r io.Reader, w io.Writer, requireDiskHits, requireMetrics, al
 			cancelled++
 		}
 		fmt.Fprintf(w, "  %-12s %-6s %8.1f ms  %10d steps  %d hit / %d miss  %d builds  %d instance jobs\n",
-			e.ID, status, e.WallMS, e.SolveSteps, e.CacheHits, e.CacheMisses,
+			e.ID, status, e.WallMS, e.Cache.StepsSolved, e.Cache.Hits, e.Cache.Misses,
 			e.LBGraphBuilds, e.InstanceJobs)
-		if e.Failures != nil {
-			fmt.Fprintf(w, "  %-12s failures: %s\n", "", failureLine(*e.Failures))
-			failureSum.Add(*e.Failures)
+		if f := faults(e.PanicsRecovered, e.Cache); f != "" {
+			fmt.Fprintf(w, "  %-12s faults: %s\n", "", f)
 		}
+		sum.Add(e.Cache)
+		panics += e.PanicsRecovered
 		if e.Status != runner.StatusOK {
 			failed = append(failed, fmt.Sprintf("%s: %s", e.ID, e.Error))
 		}
 	}
-	// The run-level failures block must be exactly the sum of the
-	// per-experiment blocks — both directions: a run block with no
-	// per-experiment backing is as wrong as a missing run block.
-	runFailures := runner.FailureStats{}
-	if env.Failures != nil {
-		runFailures = *env.Failures
+	// The run level must be exactly the sum of the records — both
+	// directions: run-level traffic with no record behind it is as wrong
+	// as a record missing from the run level. Evictions and entries are
+	// snapshots of the cache, which no record carries.
+	sum.Evictions, sum.Entries = env.Cache.Evictions, env.Cache.Entries
+	if sum != env.Cache {
+		return fmt.Errorf("benchjson: run-level cache block %+v does not sum the per-experiment blocks %+v",
+			env.Cache, sum)
 	}
-	if runFailures != failureSum {
-		return fmt.Errorf("benchjson: run-level failures block %+v does not sum the per-experiment blocks %+v",
-			runFailures, failureSum)
+	if panics != env.PanicsRecovered {
+		return fmt.Errorf("benchjson: run-level panics_recovered %d does not sum the per-experiment %d",
+			env.PanicsRecovered, panics)
 	}
-	if env.Failures != nil {
-		fmt.Fprintf(w, "failures (run): %s\n", failureLine(*env.Failures))
+	f := faults(env.PanicsRecovered, env.Cache)
+	if f != "" {
+		fmt.Fprintf(w, "faults (run): %s\n", f)
 	}
-	if requireFailures && !runFailures.Any() {
+	if requireFailures && f == "" {
 		return fmt.Errorf("benchjson: run reported no contained failures (chaos run expected)")
 	}
 	if env.Failed != len(failed) {
@@ -329,16 +338,20 @@ func checkEnvelope(r io.Reader, w io.Writer, requireDiskHits, requireMetrics, al
 	return nil
 }
 
-// failureLine renders a FailureStats block on one line.
-func failureLine(f runner.FailureStats) string {
+// faults renders the contained-fault counters on one line, or "" when
+// all four are zero.
+func faults(panics uint64, s cache.Stats) string {
+	if panics == 0 && s.DegradedSolves == 0 && s.DiskRetries == 0 && s.DiskQuarantined == 0 {
+		return ""
+	}
 	return fmt.Sprintf("%d panic(s) recovered, %d degraded solve(s), %d disk retry(ies), %d quarantined",
-		f.PanicsRecovered, f.DegradedSolves, f.DiskRetries, f.DiskQuarantined)
+		panics, s.DegradedSolves, s.DiskRetries, s.DiskQuarantined)
 }
 
-// checkMetrics prints the v6 metrics/span block and enforces its
-// sum-consistency with the envelope's legacy counters: the registry sits
-// on the same code paths the legacy per-session counters instrument, so a
-// single observed run's deltas must match them exactly.
+// checkMetrics prints the metrics/span block and checks each solve-cache
+// registry counter against its field of the envelope's cache block: the
+// cache books every event into both with one call, so a single observed
+// run's deltas must match exactly.
 func checkMetrics(env runner.Envelope, w io.Writer) error {
 	m := *env.Metrics
 	fmt.Fprintf(w, "metrics delta: %d counter(s), %d gauge(s), %d histogram(s); %d span name(s)\n",
@@ -355,38 +368,19 @@ func checkMetrics(env runner.Envelope, w io.Writer) error {
 		fmt.Fprintf(w, "  span %-27s %6d call(s)  %10.1f ms total  %8.1f ms max\n",
 			sp.Name, sp.Count, float64(sp.TotalNS)/1e6, float64(sp.MaxNS)/1e6)
 	}
-	type pair struct {
-		name    string
-		metrics int64
-		legacy  int64
-	}
-	checks := []pair{
-		// Every solve-cache event is one Stats delta booked into the
-		// cache, the session and the registry together, so each counter
-		// equals its envelope field exactly. (sched_job_panics has no
-		// envelope twin: the envelope counts body panics the scheduler
-		// never sees, so the two are deliberately not cross-checked.)
-		{obs.MSolveCacheHits, m.Counter(obs.MSolveCacheHits), int64(env.Cache.Hits)},
-		{obs.MSolveCacheMisses, m.Counter(obs.MSolveCacheMisses), int64(env.Cache.Misses)},
-		{obs.MSolveCacheSharedHits, m.Counter(obs.MSolveCacheSharedHits), int64(env.Cache.SharedHits)},
-		{obs.MSolveCacheDiskHits, m.Counter(obs.MSolveCacheDiskHits), int64(env.Cache.DiskHits)},
-		{obs.MSolveCacheDiskMisses, m.Counter(obs.MSolveCacheDiskMisses), int64(env.Cache.DiskMisses)},
-		{obs.MSolveSteps, m.Counter(obs.MSolveSteps), env.Cache.StepsSolved},
-		{obs.MSolveStepsSaved, m.Counter(obs.MSolveStepsSaved), env.Cache.StepsSaved},
-		{obs.MSolveCacheDiskRetries, m.Counter(obs.MSolveCacheDiskRetries), int64(env.Cache.DiskRetries)},
-		{obs.MSolveCacheDiskQuarantined, m.Counter(obs.MSolveCacheDiskQuarantined), int64(env.Cache.DiskQuarantined)},
-		{obs.MSolverDegradedSolves, m.Counter(obs.MSolverDegradedSolves), int64(env.Cache.DegradedSolves)},
-	}
-	for _, c := range checks {
-		if c.metrics != c.legacy {
-			return fmt.Errorf("benchjson: metrics %s = %d disagrees with the envelope's legacy counter %d",
-				c.name, c.metrics, c.legacy)
+	// (sched_job_panics has no envelope twin: the envelope counts body
+	// panics the scheduler never sees, so the two are deliberately not
+	// cross-checked.)
+	for _, rc := range cache.RegistryCounters {
+		if got, want := m.Counter(rc.Name), rc.Of(env.Cache); got != want {
+			return fmt.Errorf("benchjson: metrics %s = %d disagrees with the envelope's cache block (%d)",
+				rc.Name, got, want)
 		}
 	}
 	if len(env.Spans) == 0 {
 		return fmt.Errorf("benchjson: observed envelope recorded no spans (at least the run span is expected)")
 	}
-	fmt.Fprintf(w, "metrics block consistent with legacy counters (%d check(s))\n", len(checks))
+	fmt.Fprintf(w, "metrics block consistent with the cache block (%d check(s))\n", len(cache.RegistryCounters))
 	return nil
 }
 
@@ -545,9 +539,9 @@ func main() {
 	experimentsEnv := flag.String("experiments", "", "validate an experiment result envelope instead of converting bench output: a file (cmd/experiments -json) or an http(s) URL (congestlbd /v1/experiments/last)")
 	bearer := flag.String("bearer", "", "with -experiments URL: send this API key as the Authorization bearer token")
 	requireDiskHits := flag.Bool("require-disk-hits", false, "with -experiments: fail unless the run served at least one solve from the disk tier")
-	requireMetrics := flag.Bool("require-metrics", false, "with -experiments: fail unless the envelope carries the v6 metrics block")
+	requireMetrics := flag.Bool("require-metrics", false, "with -experiments: fail unless the envelope carries the metrics block")
 	allowFailed := flag.Bool("allow-failed", false, "with -experiments: tolerate failed experiments (chaos runs); structural invariants still gate")
-	requireFailures := flag.Bool("require-failures", false, "with -experiments: fail unless the run-level failures block is present and non-zero")
+	requireFailures := flag.Bool("require-failures", false, "with -experiments: fail unless the run recovered a panic or counted a degraded solve, disk retry or quarantined entry")
 	scrape := flag.String("scrape", "", "with -experiments: fetch this /metrics.json URL and verify the live counters cover the envelope's delta")
 	compare := flag.Bool("compare", false, "compare two baseline files (old.json new.json) and fail on regressions beyond -threshold")
 	threshold := flag.Float64("threshold", 0.25, "with -compare: allowed ns/op and B/op growth as a fraction (0.25 = +25%)")

@@ -146,8 +146,9 @@ func TestCheckEnvelopeOK(t *testing.T) {
 		Jobs:   4,
 		WallMS: 120,
 		OK:     2,
+		Cache:  cache.Stats{Misses: 3},
 		Experiments: []runner.ExperimentResult{
-			{ID: "figure1", Status: runner.StatusOK, WallMS: 60, CacheMisses: 3},
+			{ID: "figure1", Status: runner.StatusOK, WallMS: 60, Cache: cache.Stats{Misses: 3}},
 			{ID: "codes", Status: runner.StatusOK, WallMS: 60},
 		},
 	}
@@ -194,6 +195,7 @@ func TestCheckEnvelopeRequireDiskHits(t *testing.T) {
 		t.Fatal("cold run accepted with -require-disk-hits")
 	}
 	env.Cache.DiskHits = 3
+	env.Experiments[0].Cache.DiskHits = 3
 	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, true, false, false, false, ""); err != nil {
 		t.Fatalf("warm run rejected: %v", err)
 	}
@@ -332,63 +334,98 @@ func TestCheckEnvelopeRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestCheckEnvelopeFailures: the failures blocks are printed, the
-// run-level block must sum the per-experiment blocks exactly, and the
-// chaos flags behave: -allow-failed tolerates non-ok experiments while
-// -require-failures rejects a run that contained nothing.
+// TestCheckEnvelopeFailures: the run level must equal the sum of the
+// records in every cache counter but evictions and entries (snapshots of
+// the cache), and in panics_recovered. -require-failures accepts a run
+// whose only fault is a panic, a degraded solve, a disk retry or a
+// quarantine and rejects a clean one, and -allow-failed tolerates a
+// failed experiment.
 func TestCheckEnvelopeFailures(t *testing.T) {
-	env := runner.Envelope{
-		Schema: runner.Schema,
-		OK:     1,
-		Failed: 1,
-		Experiments: []runner.ExperimentResult{
-			{ID: "figure1", Status: runner.StatusOK,
-				Failures: &runner.FailureStats{DiskRetries: 2}},
-			{ID: "scaling", Status: runner.StatusFailed, Error: "panic in job",
-				Failures: &runner.FailureStats{PanicsRecovered: 1, DegradedSolves: 1}},
-		},
-		Failures: &runner.FailureStats{PanicsRecovered: 1, DegradedSolves: 1, DiskRetries: 2},
+	// consistent builds a clean two-experiment envelope, then gives the
+	// second experiment the fault counters of panics and faults.
+	consistent := func(panics uint64, faults cache.Stats) runner.Envelope {
+		a := cache.Stats{Hits: 3, Misses: 2, StepsSolved: 40, StepsSaved: 25, SharedHits: 1,
+			DiskHits: 1, DiskMisses: 1, DiskWrites: 1, DiskEvictions: 1}
+		run := a
+		run.Add(faults)
+		run.Evictions, run.Entries = 4, 7
+		return runner.Envelope{
+			Schema:          runner.Schema,
+			OK:              2,
+			Cache:           run,
+			PanicsRecovered: panics,
+			Experiments: []runner.ExperimentResult{
+				{ID: "figure1", Status: runner.StatusOK, Cache: a},
+				{ID: "scaling", Status: runner.StatusOK, Cache: faults, PanicsRecovered: panics},
+			},
+		}
 	}
-	var buf bytes.Buffer
-	// Without -allow-failed the failed experiment still gates.
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, false, false, ""); err == nil {
-		t.Fatal("failed experiment accepted without -allow-failed")
+	check := func(env runner.Envelope, allowFailed, requireFailures bool) (string, error) {
+		var buf bytes.Buffer
+		err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, allowFailed, requireFailures, "")
+		return buf.String(), err
 	}
-	buf.Reset()
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, env)), &buf, false, false, true, true, ""); err != nil {
-		t.Fatalf("chaos envelope rejected: %v", err)
+
+	// Bumping one run-level counter by one breaks the sum, unless it is a
+	// snapshot of the cache.
+	stats := reflect.TypeOf(cache.Stats{})
+	for i := 0; i < stats.NumField(); i++ {
+		name, _, _ := strings.Cut(stats.Field(i).Tag.Get("json"), ",")
+		env := consistent(0, cache.Stats{})
+		f := reflect.ValueOf(&env.Cache).Elem().Field(i)
+		if f.CanUint() {
+			f.SetUint(f.Uint() + 1)
+		} else {
+			f.SetInt(f.Int() + 1)
+		}
+		_, err := check(env, false, false)
+		if snapshot := name == "evictions" || name == "entries"; snapshot != (err == nil) {
+			t.Errorf("run-level %s bumped by one: err = %v", name, err)
+		}
 	}
-	out := buf.String()
-	for _, want := range []string{"failures (run):", "1 panic(s) recovered", "2 disk retry(ies)", "tolerated"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("summary missing %q:\n%s", want, out)
+	env := consistent(0, cache.Stats{})
+	env.PanicsRecovered++
+	if _, err := check(env, false, false); err == nil {
+		t.Error("run-level panics_recovered bumped by one: accepted")
+	}
+
+	// -require-failures rejects a clean run and accepts any one fault.
+	if _, err := check(consistent(0, cache.Stats{}), false, true); err == nil {
+		t.Error("clean run accepted with -require-failures")
+	}
+	if _, err := check(consistent(0, cache.Stats{}), false, false); err != nil {
+		t.Errorf("clean run rejected without -require-failures: %v", err)
+	}
+	for name, env := range map[string]runner.Envelope{
+		"panic":      consistent(1, cache.Stats{}),
+		"degraded":   consistent(0, cache.Stats{DegradedSolves: 1}),
+		"retry":      consistent(0, cache.Stats{DiskRetries: 1}),
+		"quarantine": consistent(0, cache.Stats{DiskQuarantined: 1}),
+	} {
+		out, err := check(env, false, true)
+		if err != nil {
+			t.Errorf("run whose only fault is a %s rejected with -require-failures: %v", name, err)
+		}
+		if !strings.Contains(out, "faults (run):") {
+			t.Errorf("%s: summary has no run-level faults line:\n%s", name, out)
 		}
 	}
 
-	// A run-level block that does not sum the per-experiment blocks is
-	// corrupt in either direction.
-	short := env
-	short.Failures = &runner.FailureStats{PanicsRecovered: 1}
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, short)), &buf, false, false, true, false, ""); err == nil {
-		t.Fatal("short run-level failures block accepted")
+	// Without -allow-failed a failed experiment still gates.
+	env = consistent(1, cache.Stats{DiskRetries: 2})
+	env.OK, env.Failed = 1, 1
+	env.Experiments[1].Status, env.Experiments[1].Error = runner.StatusFailed, "panic in job"
+	if _, err := check(env, false, false); err == nil {
+		t.Fatal("failed experiment accepted without -allow-failed")
 	}
-	missing := env
-	missing.Failures = nil
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, missing)), &buf, false, false, true, false, ""); err == nil {
-		t.Fatal("missing run-level failures block accepted")
+	out, err := check(env, true, true)
+	if err != nil {
+		t.Fatalf("chaos envelope rejected: %v", err)
 	}
-
-	// -require-failures rejects a clean run.
-	clean := runner.Envelope{
-		Schema:      runner.Schema,
-		OK:          1,
-		Experiments: []runner.ExperimentResult{{ID: "figure1", Status: runner.StatusOK}},
-	}
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, clean)), &buf, false, false, false, true, ""); err == nil {
-		t.Fatal("clean run accepted with -require-failures")
-	}
-	if err := checkEnvelope(strings.NewReader(envelopeJSON(t, clean)), &buf, false, false, false, false, ""); err != nil {
-		t.Fatalf("clean run rejected without -require-failures: %v", err)
+	for _, want := range []string{"faults (run):", "1 panic(s) recovered", "2 disk retry(ies)", "tolerated"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("summary missing %q:\n%s", want, out)
+		}
 	}
 }
 
@@ -452,16 +489,17 @@ func TestCompareBaselinesSuiteFallback(t *testing.T) {
 	}
 }
 
-// observedEnvelope builds a consistent v6 envelope with a metrics block
-// whose counters mirror the legacy fields exactly.
+// observedEnvelope builds a consistent envelope with a metrics block
+// whose counters mirror the cache block exactly.
 func observedEnvelope() runner.Envelope {
+	traffic := cache.Stats{Hits: 3, Misses: 5, SharedHits: 1, DiskHits: 2, DiskMisses: 3, StepsSolved: 40, StepsSaved: 25}
 	return runner.Envelope{
 		Schema:  runner.Schema,
 		OK:      1,
-		Cache:   cache.Stats{Hits: 3, Misses: 5, SharedHits: 1, DiskHits: 2, DiskMisses: 3, StepsSolved: 40, StepsSaved: 25},
+		Cache:   traffic,
 		LBGraph: runner.BuildStats{Misses: 4},
 		Experiments: []runner.ExperimentResult{
-			{ID: "scaling", Status: runner.StatusOK},
+			{ID: "scaling", Status: runner.StatusOK, Cache: traffic},
 		},
 		Metrics: &obs.Snapshot{Counters: map[string]int64{
 			obs.MSolveCacheHits:       3,
@@ -476,8 +514,8 @@ func observedEnvelope() runner.Envelope {
 	}
 }
 
-// TestCheckEnvelopeMetrics: a v6 metrics block is printed and enforced
-// against the legacy counters; -require-metrics fails unobserved runs.
+// TestCheckEnvelopeMetrics: a metrics block is printed and enforced
+// against the cache block; -require-metrics fails unobserved runs.
 func TestCheckEnvelopeMetrics(t *testing.T) {
 	var buf bytes.Buffer
 	env := observedEnvelope()
@@ -485,14 +523,14 @@ func TestCheckEnvelopeMetrics(t *testing.T) {
 		t.Fatalf("consistent observed envelope rejected: %v", err)
 	}
 	out := buf.String()
-	for _, want := range []string{"metrics delta", obs.MSolveCacheMisses, "span run", "consistent with legacy counters"} {
+	for _, want := range []string{"metrics delta", obs.MSolveCacheMisses, "span run", "consistent with the cache block"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("summary missing %q:\n%s", want, out)
 		}
 	}
 
-	// Any disagreement between the registry delta and the legacy counters
-	// is corruption: the two instrument the same code paths.
+	// Any disagreement between the registry delta and the cache block is
+	// corruption: the cache books both with one call.
 	for _, name := range []string{
 		obs.MSolveCacheMisses,
 		obs.MSolveCacheSharedHits,

@@ -21,7 +21,7 @@
 //
 //	POST   /v1/solve             exact MaxIS on a submitted graph
 //	POST   /v1/reduce            Theorem 5 reduction run (+ gap audit)
-//	POST   /v1/experiments       experiment suite → v10 envelope
+//	POST   /v1/experiments       experiment suite → v11 envelope
 //	GET    /v1/experiments/last  bare envelope (benchjson -experiments URL)
 //	GET    /v1/jobs/{id}         job status/result
 //	GET    /v1/jobs/{id}/stream  live incumbent progress (SSE)

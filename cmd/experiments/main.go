@@ -39,19 +39,21 @@
 // (and the process) alive for the given extra duration after the run —
 // CI's smoke test scrapes the final counters through it.
 //
-// -json writes the structured result envelope (schema v10) — one record
+// -json writes the structured result envelope (schema v11) — one record
 // per experiment with status, wall time, cancellation flag, instance-job
-// count, exactly-attributed solver steps, solve-cache statistics, its
-// lower-bound graph constructions and a failures block when faults were
-// contained, plus run-level disk-tier traffic and construction count and,
-// with -metrics-addr, the run's metrics delta and span summary — which
-// cmd/benchjson -experiments validates and CI archives.
+// count, its solve session's cache block (solver steps, hits, misses,
+// disk-tier traffic, degraded solves), its lower-bound graph
+// constructions and its recovered panics, plus run-level totals summed
+// from the records and, with -metrics-addr, the run's metrics delta and
+// span summary — which cmd/benchjson -experiments validates and CI
+// archives.
 //
 // Setting CONGESTLB_FAULTS="<seed>:<plan>" arms the deterministic
 // fault-injection layer for the run (chaos testing; see
 // docs/robustness.md). Contained faults surface in the report's FAILED
-// lines and the envelope's failures blocks; a malformed spec aborts the
-// run before any experiment starts.
+// lines and the envelope's fault counters (panics_recovered and the cache
+// blocks' degraded_solves, disk_retries and disk_quarantined); a
+// malformed spec aborts the run before any experiment starts.
 package main
 
 import (

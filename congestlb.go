@@ -53,7 +53,11 @@
 // simulation is one CONGEST run, and a sweep is a loop of RunReduction.
 // Version 5.0.0 removed the lower-bound graph build cache (WithBuildCache,
 // Lab.BuildCacheStats, Lab.NewBuildSession, …): every construction runs
-// from scratch. docs/api.md maps each removed name.
+// from scratch. Version 6.0.0 gave each ExperimentResult its solve
+// session's cache block (SolveCacheStats) in place of four copied
+// counters, dropped the envelope's failures blocks for panics_recovered,
+// and made SimulationReport's JSON keys those of /v1/reduce.
+// docs/api.md maps each removed name.
 //
 // See examples/ for runnable programs and testdata/suite_report.golden.md
 // for the regenerated paper results.
@@ -299,7 +303,7 @@ func PlayersForEpsilon(epsilon float64, quadratic bool) int {
 }
 
 // Version identifies the library release.
-const Version = "5.0.0"
+const Version = "6.0.0"
 
 // BuildInstance is a convenience that constructs and validates an instance
 // for a family and input, with a descriptive error context. It builds from

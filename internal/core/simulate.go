@@ -15,28 +15,28 @@ import (
 // charged to the induced blackboard protocol.
 type SimulationReport struct {
 	// Family and Players identify the construction.
-	Family  string
-	Players int
+	Family  string `json:"family"`
+	Players int    `json:"players"`
 	// N and CutSize describe the instance.
-	N       int
-	CutSize int
+	N       int `json:"n"`
+	CutSize int `json:"cut_size"`
 	// Bandwidth is the CONGEST per-edge bit budget B.
-	Bandwidth int64
+	Bandwidth int64 `json:"bandwidth"`
 	// Rounds is the number of CONGEST rounds the algorithm used (T).
-	Rounds int
+	Rounds int `json:"rounds"`
 	// BlackboardBits is the transcript length of the induced protocol —
 	// the quantity Theorem 5 bounds by AccountingBound. It is
 	// counted (the bits of every cut-crossing message), not read off a
 	// stored transcript.
-	BlackboardBits int64
+	BlackboardBits int64 `json:"blackboard_bits"`
 	// BlackboardWrites is the number of cut-crossing messages.
-	BlackboardWrites int64
+	BlackboardWrites int64 `json:"blackboard_writes"`
 	// CongestTotalBits is the total volume sent on all edges (local
 	// simulation included), for contrast with BlackboardBits.
-	CongestTotalBits int64
+	CongestTotalBits int64 `json:"congest_total_bits"`
 	// AccountingBound is 2·Rounds·CutSize·Bandwidth: in one round each
 	// cut edge carries up to Bandwidth bits in each of its two directions.
-	AccountingBound int64
+	AccountingBound int64 `json:"accounting_bound"`
 	// SolveCacheHits and SolveCacheMisses count the run's exact-solve
 	// cache lookups: in a GossipExact run the n per-node solves of the
 	// identical learned graph show up as one miss and n-1 hits. The
@@ -44,14 +44,15 @@ type SimulationReport struct {
 	// program factory, so it leaves both zero; the caller that owns the
 	// session fills them from its counters (congestlb.Lab.RunReduction
 	// does).
-	SolveCacheHits, SolveCacheMisses uint64
+	SolveCacheHits   uint64 `json:"solve_cache_hits"`
+	SolveCacheMisses uint64 `json:"solve_cache_misses"`
 	// Opt is the MaxIS value extracted from the algorithm's outputs.
-	Opt int64
+	Opt int64 `json:"opt"`
 	// Decision is the protocol's answer to promise pairwise disjointness,
 	// derived from Opt through the family's gap predicate.
-	Decision bool
+	Decision bool `json:"decision"`
 	// Truth is the ground-truth function value.
-	Truth bool
+	Truth bool `json:"truth"`
 }
 
 // AccountingHolds reports the Theorem 5 inequality

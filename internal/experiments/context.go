@@ -314,8 +314,7 @@ type Ctx struct {
 	pending []*instanceJob
 	jobs    int64
 	// panics counts gathered jobs whose run recovered a panic — the
-	// per-experiment attribution the runner's envelope failures block
-	// reports.
+	// per-experiment attribution behind the envelope's panics_recovered.
 	panics int64
 	// ctx is the run's cancellation signal (WithContext; nil = Background).
 	// Go-submitted jobs check it before running, so on cancellation the
@@ -465,8 +464,8 @@ func (w *Ctx) Gather() error {
 // panicked (and were recovered into a *fault.PanicError) over the
 // context's lifetime — the same events as the sched_job_panics counter.
 // A job that returns a *fault.PanicError without panicking, such as one
-// whose solve degraded, is not counted. The runner copies it into the
-// envelope's per-experiment failures block.
+// whose solve degraded, is not counted. The runner adds it to the
+// experiment record's PanicsRecovered.
 func (w *Ctx) PanicsRecovered() int64 { return w.panics }
 
 // InstanceJobs reports how many jobs Go has submitted over the context's

@@ -153,32 +153,51 @@ type Cache struct {
 	om atomic.Pointer[cacheMetrics]
 }
 
-// cacheMetrics is the cache's resolved registry handle set. With no
-// registry attached every handle is nil, and a nil handle is a no-op, so
-// booking never asks whether a registry is there.
-type cacheMetrics struct {
-	hits, misses, waits          *obs.Counter
-	sharedHits                   *obs.Counter
-	diskHits, diskMisses         *obs.Counter
-	diskRetries, diskQuarantined *obs.Counter
-	degraded                     *obs.Counter
-	steps, stepsSaved            *obs.Counter
-	latency, stepsHist           *obs.Histogram
+// RegistryCounter pairs one Stats counter with the registry counter it is
+// booked into.
+type RegistryCounter struct {
+	// Name is the counter's obs name.
+	Name string
+	// Of reads the Stats counter.
+	Of func(Stats) int64
 }
 
-// add books a delta on the registry: each Stats field that has a
-// solve_cache_* or solver_* counter lands on it.
+// RegistryCounters is the one mapping from Stats counters to registry
+// counters: the cache books each lookup's delta through it, and whoever
+// compares a registry with Stats (cmd/benchjson, the tests) iterates it.
+// Evictions, Entries, DiskWrites and DiskEvictions have no registry
+// counter.
+var RegistryCounters = [...]RegistryCounter{
+	{obs.MSolveCacheHits, func(s Stats) int64 { return int64(s.Hits) }},
+	{obs.MSolveCacheMisses, func(s Stats) int64 { return int64(s.Misses) }},
+	{obs.MSolveCacheSharedHits, func(s Stats) int64 { return int64(s.SharedHits) }},
+	{obs.MSolveCacheDiskHits, func(s Stats) int64 { return int64(s.DiskHits) }},
+	{obs.MSolveCacheDiskMisses, func(s Stats) int64 { return int64(s.DiskMisses) }},
+	{obs.MSolveCacheDiskRetries, func(s Stats) int64 { return int64(s.DiskRetries) }},
+	{obs.MSolveCacheDiskQuarantined, func(s Stats) int64 { return int64(s.DiskQuarantined) }},
+	{obs.MSolverDegradedSolves, func(s Stats) int64 { return int64(s.DegradedSolves) }},
+	{obs.MSolveSteps, func(s Stats) int64 { return s.StepsSolved }},
+	{obs.MSolveStepsSaved, func(s Stats) int64 { return s.StepsSaved }},
+}
+
+// cacheMetrics is the cache's resolved registry handle set: counters[i]
+// is RegistryCounters[i]'s handle. With no registry attached every handle
+// is nil, and a nil handle is a no-op.
+type cacheMetrics struct {
+	counters           [len(RegistryCounters)]*obs.Counter
+	waits              *obs.Counter
+	latency, stepsHist *obs.Histogram
+}
+
+// add books a delta on the registry through RegistryCounters. It returns
+// at once when no registry is attached.
 func (m *cacheMetrics) add(d Stats) {
-	m.hits.Add(int64(d.Hits))
-	m.misses.Add(int64(d.Misses))
-	m.sharedHits.Add(int64(d.SharedHits))
-	m.diskHits.Add(int64(d.DiskHits))
-	m.diskMisses.Add(int64(d.DiskMisses))
-	m.diskRetries.Add(int64(d.DiskRetries))
-	m.diskQuarantined.Add(int64(d.DiskQuarantined))
-	m.degraded.Add(int64(d.DegradedSolves))
-	m.steps.Add(d.StepsSolved)
-	m.stepsSaved.Add(d.StepsSaved)
+	if m.counters[0] == nil {
+		return
+	}
+	for i, rc := range RegistryCounters {
+		m.counters[i].Add(rc.Of(d))
+	}
 }
 
 // SetRegistry attaches (or with nil detaches) an observability registry:
@@ -186,21 +205,15 @@ func (m *cacheMetrics) add(d Stats) {
 // too, and fresh solves record latency and step histograms. The per-Lab
 // registry wiring (congestlb.WithMetrics) calls this once at construction.
 func (c *Cache) SetRegistry(r *obs.Registry) {
-	c.om.Store(&cacheMetrics{
-		hits:            r.Counter(obs.MSolveCacheHits),
-		misses:          r.Counter(obs.MSolveCacheMisses),
-		waits:           r.Counter(obs.MSolveCacheWaits),
-		sharedHits:      r.Counter(obs.MSolveCacheSharedHits),
-		diskHits:        r.Counter(obs.MSolveCacheDiskHits),
-		diskMisses:      r.Counter(obs.MSolveCacheDiskMisses),
-		diskRetries:     r.Counter(obs.MSolveCacheDiskRetries),
-		diskQuarantined: r.Counter(obs.MSolveCacheDiskQuarantined),
-		degraded:        r.Counter(obs.MSolverDegradedSolves),
-		steps:           r.Counter(obs.MSolveSteps),
-		stepsSaved:      r.Counter(obs.MSolveStepsSaved),
-		latency:         r.Histogram(obs.MSolveLatencyNS),
-		stepsHist:       r.Histogram(obs.MSolveStepsHist),
-	})
+	m := &cacheMetrics{
+		waits:     r.Counter(obs.MSolveCacheWaits),
+		latency:   r.Histogram(obs.MSolveLatencyNS),
+		stepsHist: r.Histogram(obs.MSolveStepsHist),
+	}
+	for i, rc := range RegistryCounters {
+		m.counters[i] = r.Counter(rc.Name)
+	}
+	c.om.Store(m)
 }
 
 // New returns an empty cache bounded to the given number of completed

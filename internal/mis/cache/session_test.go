@@ -220,3 +220,17 @@ func TestNilSessionSolvesDirectly(t *testing.T) {
 		t.Fatalf("nil session has stats: %+v", st)
 	}
 }
+
+// TestBookAllocatesNothing: booking a lookup's delta allocates nothing,
+// with no registry attached (where it returns at once) and with one.
+func TestBookAllocatesNothing(t *testing.T) {
+	c := New(1)
+	sess := NewSession(c)
+	d := Stats{Hits: 1, SharedHits: 1, StepsSaved: 3}
+	for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+		c.SetRegistry(reg)
+		if n := testing.AllocsPerRun(100, func() { c.book(sess, d) }); n != 0 {
+			t.Errorf("registry attached %v: book allocates %v times", reg != nil, n)
+		}
+	}
+}

@@ -94,12 +94,17 @@ const (
 	MServeTierHits    = "serve_shared_tier_hits"    // gauge: cumulative cross-tenant tier hits
 )
 
+// labelValue escapes a label value as the Prometheus text format
+// requires: backslash, double quote and newline.
+var labelValue = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // Labeled renders a metric name with label pairs attached in the
 // Prometheus exposition style: Labeled("serve_requests", "tenant", "a")
-// → `serve_requests{tenant="a"}`. The registry treats the result as an
-// ordinary (interned) name; the scrape endpoint knows to splice counter
-// suffixes before the brace. Pairs must come as key, value, key, value —
-// a trailing odd key is ignored.
+// → `serve_requests{tenant="a"}`. Values are escaped, so any string (a
+// tenant name) renders as valid exposition text. The registry treats the
+// result as an ordinary (interned) name; the scrape endpoint knows to
+// splice counter suffixes before the brace. Pairs must come as key,
+// value, key, value — a trailing odd key is ignored.
 func Labeled(name string, pairs ...string) string {
 	if len(pairs) < 2 {
 		return name
@@ -113,7 +118,7 @@ func Labeled(name string, pairs ...string) string {
 		}
 		b.WriteString(pairs[i])
 		b.WriteString(`="`)
-		b.WriteString(pairs[i+1])
+		labelValue.WriteString(&b, pairs[i+1])
 		b.WriteString(`"`)
 	}
 	b.WriteByte('}')
@@ -358,8 +363,8 @@ func (r *Registry) Snapshot() Snapshot {
 // counts/sums/buckets are subtracted (entries that did not move are
 // dropped), while gauges keep their end-of-window value — a gauge is a
 // level, not a flow. This is how the runner embeds a per-run metrics
-// block that stays sum-consistent with the envelope's legacy counters
-// even when the same Lab runs several suites back to back.
+// block that stays consistent with the envelope's cache block even when
+// the same Lab runs several suites back to back.
 func (s Snapshot) DeltaSince(prev Snapshot) Snapshot {
 	var d Snapshot
 	for name, v := range s.Counters {

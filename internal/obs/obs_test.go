@@ -194,14 +194,21 @@ func TestTee(t *testing.T) {
 }
 
 func TestLabeled(t *testing.T) {
-	if got := Labeled(MServeRequests, "tenant", "alice"); got != `serve_requests{tenant="alice"}` {
-		t.Fatalf("Labeled = %q", got)
-	}
-	if got := Labeled("g", "a", "1", "b", "2"); got != `g{a="1",b="2"}` {
-		t.Fatalf("Labeled two pairs = %q", got)
-	}
-	if got := Labeled("g"); got != "g" {
-		t.Fatalf("Labeled no pairs = %q", got)
+	for _, tc := range []struct {
+		name  string
+		pairs []string
+		want  string
+	}{
+		{MServeRequests, []string{"tenant", "alice"}, `serve_requests{tenant="alice"}`},
+		{"g", []string{"a", "1", "b", "2"}, `g{a="1",b="2"}`},
+		{"g", nil, "g"},
+		// A label value is escaped as the text format requires, so a
+		// tenant name cannot break the /metrics page.
+		{MServeRequests, []string{"tenant", "a\"b\\c\nd"}, `serve_requests{tenant="a\"b\\c\nd"}`},
+	} {
+		if got := Labeled(tc.name, tc.pairs...); got != tc.want {
+			t.Errorf("Labeled(%q, %q) = %q, want %q", tc.name, tc.pairs, got, tc.want)
+		}
 	}
 }
 

@@ -66,11 +66,11 @@ func TestExperimentBodyPanicContained(t *testing.T) {
 		if !strings.Contains(rec.Error, "panic in experiment:boom") {
 			t.Fatalf("jobs=%d: error not attributed to the experiment body: %q", jobs, rec.Error)
 		}
-		if rec.Failures == nil || rec.Failures.PanicsRecovered != 1 {
-			t.Fatalf("jobs=%d: failures block %+v, want exactly 1 recovered panic", jobs, rec.Failures)
+		if rec.PanicsRecovered != 1 {
+			t.Fatalf("jobs=%d: %d panics recovered, want exactly 1", jobs, rec.PanicsRecovered)
 		}
-		if env.Failures == nil || *env.Failures != *rec.Failures {
-			t.Fatalf("jobs=%d: run-level failures %+v do not mirror the single failing experiment", jobs, env.Failures)
+		if env.PanicsRecovered != 1 {
+			t.Fatalf("jobs=%d: run-level panics_recovered %d does not mirror the single failing experiment", jobs, env.PanicsRecovered)
 		}
 		out := report.String()
 		if !strings.Contains(out, "**FAILED**: panic in experiment:boom") {
@@ -130,8 +130,8 @@ func TestInstanceJobPanicContained(t *testing.T) {
 		if rec.Status != StatusFailed || !strings.Contains(rec.Error, "panic in job: job kaboom") {
 			t.Fatalf("jobs=%d: record %+v, want the job's PanicError", jobs, rec)
 		}
-		if rec.Failures == nil || rec.Failures.PanicsRecovered != 1 {
-			t.Fatalf("jobs=%d: failures block %+v, want exactly 1 recovered panic", jobs, rec.Failures)
+		if rec.PanicsRecovered != 1 {
+			t.Fatalf("jobs=%d: %d panics recovered, want exactly 1", jobs, rec.PanicsRecovered)
 		}
 		if env.Experiments[1].Status != StatusOK {
 			t.Fatalf("jobs=%d: sibling experiment dragged down: %+v", jobs, env.Experiments[1])
@@ -176,8 +176,8 @@ func TestGoldenReportUnderDiskFaults(t *testing.T) {
 		}
 		// The faults must actually have been exercised for this to prove
 		// anything: rate-based reads fire on the cold lookups.
-		if env.Failures == nil || env.Failures.DiskRetries == 0 {
-			t.Fatalf("jobs=%d: plan injected nothing (failures %+v)", jobs, env.Failures)
+		if env.Cache.DiskRetries == 0 {
+			t.Fatalf("jobs=%d: plan injected nothing (cache %+v)", jobs, env.Cache)
 		}
 	}
 }
@@ -207,32 +207,26 @@ func TestChaosSuite(t *testing.T) {
 		t.Fatal("chaos run reported no failures")
 	}
 
-	if env.Failures == nil {
-		t.Fatal("chaos run carries no run-level failures block")
+	if env.PanicsRecovered != 1 {
+		t.Fatalf("PanicsRecovered = %d, want exactly 1: the injected experiment-body panic (the degraded solve is not a panic)", env.PanicsRecovered)
 	}
-	f := *env.Failures
-	if f.PanicsRecovered != 1 {
-		t.Fatalf("PanicsRecovered = %d, want exactly 1: the injected experiment-body panic (the degraded solve is not a panic): %+v", f.PanicsRecovered, f)
+	if env.Cache.DegradedSolves != 1 {
+		t.Fatalf("DegradedSolves = %d, want exactly 1 (*1 budget)", env.Cache.DegradedSolves)
 	}
-	if f.DegradedSolves != 1 {
-		t.Fatalf("DegradedSolves = %d, want exactly 1 (*1 budget)", f.DegradedSolves)
-	}
-	// Exact attribution: the run-level block is the sum of the
-	// per-experiment blocks, and the injected body panic belongs to
-	// cutsize alone.
-	var sum FailureStats
+	// Exact attribution: the records' cache blocks sum to the cache's own
+	// counters (the run is the cache's only user), and the injected body
+	// panic belongs to cutsize alone.
+	var sum cache.Stats
 	for _, rec := range env.Experiments {
-		if rec.Failures != nil {
-			sum.Add(*rec.Failures)
-		}
-		if rec.ID == "cutsize" {
-			if rec.Status != StatusFailed || rec.Failures == nil || rec.Failures.PanicsRecovered != 1 {
-				t.Fatalf("cutsize not attributed its injected panic: %+v", rec)
-			}
+		sum.Add(rec.Cache)
+		if rec.ID == "cutsize" && (rec.Status != StatusFailed || rec.PanicsRecovered != 1) {
+			t.Fatalf("cutsize not attributed its injected panic: %+v", rec)
 		}
 	}
-	if sum != f {
-		t.Fatalf("run-level failures %+v do not sum the per-experiment blocks %+v", f, sum)
+	own := c.Stats()
+	sum.Evictions, sum.Entries = own.Evictions, own.Entries
+	if sum != own || sum != env.Cache {
+		t.Fatalf("records sum to %+v; the cache counted %+v and the run level reads %+v", sum, own, env.Cache)
 	}
 
 	// Fault-free experiments must be untouched: their report sections are
@@ -241,7 +235,8 @@ func TestChaosSuite(t *testing.T) {
 	chaosSec := reportSections(report.String())
 	compared := 0
 	for _, rec := range env.Experiments {
-		if rec.Status != StatusOK || rec.Failures != nil {
+		if rec.Status != StatusOK || rec.PanicsRecovered != 0 || rec.Cache.DegradedSolves != 0 ||
+			rec.Cache.DiskRetries != 0 || rec.Cache.DiskQuarantined != 0 {
 			continue
 		}
 		if chaosSec[rec.ID] != cleanSec[rec.ID] {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"congestlb/internal/experiments"
+	"congestlb/internal/mis/cache"
 	"congestlb/internal/obs"
 )
 
@@ -105,13 +106,12 @@ func TestGoldenReportDeterminismObserved(t *testing.T) {
 		if env.Metrics == nil {
 			t.Fatalf("jobs=%d: envelope carries no metrics block", jobs)
 		}
-		// The envelope's metrics delta must agree with the legacy counters
-		// it rides next to — the sum-consistency contract of schema v6.
-		if got, want := env.Metrics.Counter(obs.MSolveCacheHits), int64(env.Cache.Hits); got != want {
-			t.Fatalf("jobs=%d: metrics solve hits %d, envelope %d", jobs, got, want)
-		}
-		if got, want := env.Metrics.Counter(obs.MSolveCacheMisses), int64(env.Cache.Misses); got != want {
-			t.Fatalf("jobs=%d: metrics solve misses %d, envelope %d", jobs, got, want)
+		// Each solve-cache counter of the metrics delta must equal its
+		// field of the cache block it rides next to.
+		for _, rc := range cache.RegistryCounters {
+			if got, want := env.Metrics.Counter(rc.Name), rc.Of(env.Cache); got != want {
+				t.Fatalf("jobs=%d: metrics %s = %d, envelope %d", jobs, rc.Name, got, want)
+			}
 		}
 		// Every scheduler job is one experiment or one of its instance
 		// jobs, so the job counter has exactly one source of truth.

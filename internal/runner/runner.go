@@ -10,10 +10,10 @@
 //     its job finishes. With one worker this degenerates to exactly the
 //     sequential pipeline; with many, only wall-clock changes.
 //   - Every run also produces a structured JSON result envelope — one
-//     record per experiment (status, wall time, exact-solver work, solve
-//     cache traffic, lower-bound graph constructions, instance-job count)
-//     plus run-level totals — so CI and tooling consume results without
-//     parsing markdown.
+//     record per experiment (status, wall time, its solve session's
+//     cache.Stats, lower-bound graph constructions, instance-job count,
+//     recovered panics) plus run-level totals summed from those records —
+//     so CI and tooling consume results without parsing markdown.
 //     cmd/benchjson validates the envelope; .github/workflows/ci.yml
 //     archives it.
 //
@@ -64,10 +64,10 @@ import (
 // batch block summed them (removed in v9).
 // v6: observability — when Options.Obs carries a registry, the envelope
 // embeds the run's metrics delta (run-scoped counter/gauge/histogram
-// snapshot, sum-consistent with the legacy cache/lbgraph/batch counters)
-// and a span summary (count/total/max ns per span name). Both blocks are
-// omitted on registry-less runs, whose envelopes are byte-identical to v5
-// apart from the schema string.
+// snapshot; each solve-cache counter equals its cache block field, per
+// cache.RegistryCounters) and a span summary (count/total/max ns per span
+// name). Both blocks are omitted on registry-less runs, whose envelopes
+// are byte-identical to v5 apart from the schema string.
 // v7: fault containment — per-experiment and run-level failures blocks
 // (panics recovered, solver-worker panics, degraded solves, disk-tier
 // retries and quarantined entries; see docs/robustness.md), omitted when
@@ -86,7 +86,14 @@ import (
 // lbgraph_builds (the constructions the experiment made), and the
 // run-level lbgraph_cache block keeps only hits (always 0) and misses
 // (the sum of lbgraph_builds).
-const Schema = "congestlb/experiment-envelope/v10"
+// v11: one source per counter — each experiment record carries its solve
+// session's cache.Stats as a cache block, replacing solve_steps,
+// steps_saved, cache_hits and cache_misses, and the run-level cache block
+// is the sum of those blocks (evictions and entries stay snapshots of the
+// cache). The failures blocks are gone: degraded_solves, disk_retries and
+// disk_quarantined live in the cache blocks, and panics_recovered is an
+// omitempty field of the record and of the envelope.
+const Schema = "congestlb/experiment-envelope/v11"
 
 // Experiment statuses in the envelope.
 const (
@@ -141,54 +148,21 @@ type ExperimentResult struct {
 	// InstanceJobs counts the per-instance jobs the experiment submitted
 	// to the shared pool via Ctx.Go — the intra-experiment sharding grain.
 	InstanceJobs int64 `json:"instance_jobs"`
-	// SolveSteps is the branch-and-bound work (solver steps) performed on
-	// behalf of this experiment; CacheHits/CacheMisses are the solve-cache
-	// lookups it triggered, and StepsSaved the solver work those hits
-	// avoided. Each job runs under its own cache.Session, so all four are
+	// Cache is the solve-cache traffic booked on behalf of this
+	// experiment: the counters of the private cache.Session it ran under,
 	// exact at any Jobs count. With single-flight dedup, a solve two
-	// overlapping experiments both need books its steps under the one that
-	// ran it; the other records a hit and the StepsSaved.
-	SolveSteps  int64  `json:"solve_steps"`
-	StepsSaved  int64  `json:"steps_saved"`
-	CacheHits   uint64 `json:"cache_hits"`
-	CacheMisses uint64 `json:"cache_misses"`
+	// overlapping experiments both need books its steps as StepsSolved
+	// under the one that ran it; the other records a hit and StepsSaved.
+	// Evictions and Entries belong to the cache, not to a session, and
+	// stay 0 here.
+	Cache cache.Stats `json:"cache"`
 	// LBGraphBuilds counts the lower-bound graph constructions the
 	// experiment made (experiments.Ctx.Builds), each one from scratch.
 	LBGraphBuilds int64 `json:"lbgraph_builds"`
-	// Failures is the experiment's fault-containment accounting, omitted
-	// when nothing went wrong (the overwhelmingly common case).
-	Failures *FailureStats `json:"failures,omitempty"`
-}
-
-// FailureStats is the envelope's fault-containment block: what the
-// robustness layer absorbed on behalf of one experiment (or, at run
-// level, the whole run). All counters are exact — panics are counted
-// where they are recovered and attributed through the experiment's
-// private sessions — which is what the chaos suite asserts.
-type FailureStats struct {
 	// PanicsRecovered counts panics recovered while executing this
-	// experiment: in its body (Run) and in its scheduler instance jobs.
-	PanicsRecovered uint64 `json:"panics_recovered"`
-	// DegradedSolves counts fresh solves whose search panicked and fell
-	// back to the incumbent witness with an error.
-	DegradedSolves uint64 `json:"degraded_solves"`
-	// DiskRetries counts solve-cache disk-tier I/O attempts retried after
-	// transient errors; DiskQuarantined counts invalid disk entries moved
-	// to the quarantine sidecar instead of being served.
-	DiskRetries     uint64 `json:"disk_retries"`
-	DiskQuarantined uint64 `json:"disk_quarantined"`
-}
-
-// Any reports whether any counter is non-zero.
-func (f FailureStats) Any() bool { return f != FailureStats{} }
-
-// Add accumulates other into f (benchjson re-sums the per-experiment
-// blocks with it to validate the run-level block).
-func (f *FailureStats) Add(other FailureStats) {
-	f.PanicsRecovered += other.PanicsRecovered
-	f.DegradedSolves += other.DegradedSolves
-	f.DiskRetries += other.DiskRetries
-	f.DiskQuarantined += other.DiskQuarantined
+	// experiment: in its body (Run) and in its scheduler instance jobs. A
+	// degraded solve is not one; it is Cache.DegradedSolves.
+	PanicsRecovered uint64 `json:"panics_recovered,omitempty"`
 }
 
 // BuildStats is the envelope's run-level lower-bound graph block. There
@@ -216,16 +190,16 @@ type Envelope struct {
 	OK        int `json:"ok"`
 	Failed    int `json:"failed"`
 	Cancelled int `json:"cancelled,omitempty"`
-	// Cache reports the run's solve-cache traffic: the hit/miss/eviction/
-	// steps fields are counter deltas (this run only); Entries is the
-	// cache's occupancy level at the end of the run, not a delta.
+	// Cache reports the run's solve-cache traffic: every counter is the
+	// sum of the experiments' cache blocks, except Evictions, the cache's
+	// evictions during the run, and Entries, its occupancy at the end of
+	// the run.
 	Cache cache.Stats `json:"cache"`
 	// LBGraph reports the run's lower-bound graph constructions (see
 	// BuildStats).
 	LBGraph BuildStats `json:"lbgraph_cache"`
-	// Failures sums the per-experiment failures blocks; omitted when the
-	// whole run was fault-free.
-	Failures *FailureStats `json:"failures,omitempty"`
+	// PanicsRecovered sums the experiments' PanicsRecovered.
+	PanicsRecovered uint64 `json:"panics_recovered,omitempty"`
 	// Metrics is the run-scoped delta of the Options.Obs registry
 	// (counters/histograms diffed across the run window, gauges at their
 	// end-of-run level); Spans aggregates the spans the run completed, by
@@ -317,10 +291,6 @@ func RunCtx(ctx context.Context, exps []experiments.Experiment, opts Options, w 
 	type slot struct {
 		buf  strings.Builder
 		done chan struct{}
-		// sess holds the experiment's full session counters (a superset of
-		// what its envelope record carries — the disk-tier fields live only
-		// here); the run-level traffic totals are their sum.
-		sess cache.Stats
 	}
 	slots := make([]*slot, len(exps))
 	for i := range slots {
@@ -328,7 +298,7 @@ func RunCtx(ctx context.Context, exps []experiments.Experiment, opts Options, w 
 	}
 	for i := range exps {
 		sched.Submit(func() {
-			slots[i].sess = runOne(ctx, exps[i], sched, &slots[i].buf, &env.Experiments[i], opts)
+			runOne(ctx, exps[i], sched, &slots[i].buf, &env.Experiments[i], opts)
 			close(slots[i].done)
 		})
 	}
@@ -346,20 +316,6 @@ func RunCtx(ctx context.Context, exps []experiments.Experiment, opts Options, w 
 	}
 
 	env.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
-	// Run-level traffic is the sum of the per-experiment session counters:
-	// exact at any concurrency, including overlapping RunExperiments calls
-	// on one Lab, where diffing the cache across this run's window would
-	// book the other run's traffic too. Evictions and Entries stay
-	// snapshot-based — they belong to the cache, not to any one run.
-	for _, s := range slots {
-		env.Cache.Add(s.sess)
-	}
-	cacheAfter := opts.SolveCache.Stats()
-	env.Cache.Evictions = cacheAfter.Evictions - cacheBefore.Evictions
-	env.Cache.Entries = cacheAfter.Entries
-	for _, r := range env.Experiments {
-		env.LBGraph.Misses += r.LBGraphBuilds
-	}
 	if opts.Obs != nil {
 		runSpan.End()
 		delta := opts.Obs.Snapshot().DeltaSince(preMetrics)
@@ -367,12 +323,16 @@ func RunCtx(ctx context.Context, exps []experiments.Experiment, opts Options, w 
 		env.Spans = opts.Obs.SpanStatsSince(spanMark)
 	}
 
-	var runFailures FailureStats
+	// Run-level counters are sums of the records: exact at any
+	// concurrency, including overlapping RunExperiments calls on one Lab,
+	// where diffing the cache across this run's window would book the
+	// other run's traffic too. Evictions and Entries are snapshots — they
+	// belong to the cache, not to any one run.
 	var failures []string
 	for _, r := range env.Experiments {
-		if r.Failures != nil {
-			runFailures.Add(*r.Failures)
-		}
+		env.Cache.Add(r.Cache)
+		env.LBGraph.Misses += r.LBGraphBuilds
+		env.PanicsRecovered += r.PanicsRecovered
 		env.SequentialMS += r.WallMS
 		if r.Status == StatusFailed {
 			env.Failed++
@@ -384,9 +344,9 @@ func RunCtx(ctx context.Context, exps []experiments.Experiment, opts Options, w 
 			env.OK++
 		}
 	}
-	if runFailures.Any() {
-		env.Failures = &runFailures
-	}
+	cacheAfter := opts.SolveCache.Stats()
+	env.Cache.Evictions = cacheAfter.Evictions - cacheBefore.Evictions
+	env.Cache.Entries = cacheAfter.Entries
 	// Joined, not prioritised: a report-writer error (disk full) must not
 	// mask which experiments failed, and vice versa.
 	var failErr error
@@ -399,15 +359,13 @@ func RunCtx(ctx context.Context, exps []experiments.Experiment, opts Options, w 
 	return env, failErr
 }
 
-// runOne executes a single experiment into its private buffer, fills its
-// envelope record, and returns the experiment's full solve-session
-// counters (the run-level totals are their sum). The markdown framing
-// replicates experiments.RunAll byte for byte. The private solve session
-// and the Ctx's construction count make the solver/cache/build numbers
-// exactly this experiment's, however many jobs run concurrently; the
-// scheduler hands the experiment's Ctx.Go instance jobs to the shared
-// pool.
-func runOne(ctx context.Context, e experiments.Experiment, sched *experiments.Scheduler, buf *strings.Builder, res *ExperimentResult, opts Options) cache.Stats {
+// runOne executes a single experiment into its private buffer and fills
+// its envelope record. The markdown framing replicates
+// experiments.RunAll byte for byte. The private solve session and the
+// Ctx's construction count make the solver/cache/build numbers exactly
+// this experiment's, however many jobs run concurrently; the scheduler
+// hands the experiment's Ctx.Go instance jobs to the shared pool.
+func runOne(ctx context.Context, e experiments.Experiment, sched *experiments.Scheduler, buf *strings.Builder, res *ExperimentResult, opts Options) {
 	res.ID, res.Title, res.PaperRef = e.ID, e.Title, e.PaperRef
 	fmt.Fprintf(buf, "## %s — %s\n\n*Reproduces: %s*\n\n", e.ID, e.Title, e.PaperRef)
 	if err := ctx.Err(); err != nil {
@@ -416,7 +374,7 @@ func runOne(ctx context.Context, e experiments.Experiment, sched *experiments.Sc
 		// stays complete (one record per experiment) on a timeout.
 		res.Status, res.Error, res.Cancelled = StatusFailed, err.Error(), true
 		fmt.Fprintf(buf, "**FAILED**: %v\n\n", err)
-		return cache.Stats{}
+		return
 	}
 	var esp obs.Span
 	ctx, esp = obs.Begin(ctx, "experiment:"+e.ID)
@@ -433,30 +391,16 @@ func runOne(ctx context.Context, e experiments.Experiment, sched *experiments.Sc
 	// discarded — a sequential early-returning loop never ran them.
 	_ = ectx.Gather()
 	res.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
-	st := sess.Stats()
-	sessStats := st
-	res.SolveSteps = st.StepsSolved
-	res.StepsSaved = st.StepsSaved
-	res.CacheHits = st.Hits
-	res.CacheMisses = st.Misses
+	res.Cache = sess.Stats()
 	res.LBGraphBuilds = ectx.Builds()
 	res.InstanceJobs = ectx.InstanceJobs()
-	f := FailureStats{
-		// Gathered instance jobs that panicked, plus the experiment body
-		// itself if runBody caught a panic. No double counting: a body
-		// panic never reaches the job layer (runBody recovers first), job
-		// panics surface as job errors, not as body panics, and a degraded
-		// solve is booked in DegradedSolves alone.
-		PanicsRecovered: uint64(ectx.PanicsRecovered()),
-		DegradedSolves:  st.DegradedSolves,
-		DiskRetries:     st.DiskRetries,
-		DiskQuarantined: st.DiskQuarantined,
-	}
+	// Gathered instance jobs that panicked, plus the experiment body
+	// itself if runBody caught a panic. No double counting: a body panic
+	// never reaches the job layer (runBody recovers first), and job panics
+	// surface as job errors, not as body panics.
+	res.PanicsRecovered = uint64(ectx.PanicsRecovered())
 	if recovered {
-		f.PanicsRecovered++
-	}
-	if f.Any() {
-		res.Failures = &f
+		res.PanicsRecovered++
 	}
 	if err != nil {
 		res.Status = StatusFailed
@@ -471,11 +415,10 @@ func runOne(ctx context.Context, e experiments.Experiment, sched *experiments.Sc
 			res.Cancelled = true
 		}
 		fmt.Fprintf(buf, "**FAILED**: %v\n\n", err)
-		return sessStats
+		return
 	}
 	res.Status = StatusOK
 	fmt.Fprintf(buf, "\n")
-	return sessStats
 }
 
 // runBody executes the experiment's Run with panic containment: a panic

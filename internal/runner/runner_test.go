@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"congestlb/internal/experiments"
+	"congestlb/internal/mis/cache"
 )
 
 // fastSubset picks a handful of real experiments with distinct workloads.
@@ -99,33 +100,26 @@ func TestEnvelopeFields(t *testing.T) {
 }
 
 // TestPerJobAttributionExact is the thread-local accounting property: with
-// a fresh cache (the run's own) and heavily overlapping jobs, the
-// per-experiment session counters must sum exactly to the run-level cache
-// delta — no traffic double-counted, none lost to a concurrent job's
-// window.
+// a fresh cache and heavily overlapping jobs, the per-experiment session
+// counters must sum exactly to the cache's own counters — no traffic
+// double-counted, none lost to a concurrent job's window.
 func TestPerJobAttributionExact(t *testing.T) {
 	exps := fastSubset(t)
-	env, err := Run(exps, Options{Jobs: len(exps)}, io.Discard)
+	c := cache.New(0)
+	env, err := Run(exps, Options{Jobs: len(exps), SolveCache: c}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hits, misses uint64
-	var solved, saved int64
+	var sum cache.Stats
 	for _, r := range env.Experiments {
-		hits += r.CacheHits
-		misses += r.CacheMisses
-		solved += r.SolveSteps
-		saved += r.StepsSaved
+		sum.Add(r.Cache)
 	}
-	if hits != env.Cache.Hits || misses != env.Cache.Misses {
-		t.Fatalf("lookup attribution drifted: experiments sum %d/%d, run delta %d/%d",
-			hits, misses, env.Cache.Hits, env.Cache.Misses)
+	own := c.Stats()
+	sum.Evictions, sum.Entries = own.Evictions, own.Entries
+	if sum != own {
+		t.Fatalf("attribution drifted: experiments sum to %+v, the cache counted %+v", sum, own)
 	}
-	if solved != env.Cache.StepsSolved || saved != env.Cache.StepsSaved {
-		t.Fatalf("step attribution drifted: experiments sum %d solved / %d saved, run delta %d / %d",
-			solved, saved, env.Cache.StepsSolved, env.Cache.StepsSaved)
-	}
-	if misses == 0 || solved == 0 {
+	if sum.Misses == 0 || sum.StepsSolved == 0 {
 		t.Fatalf("fresh cache saw no solver work: %+v", env.Cache)
 	}
 }

@@ -137,28 +137,16 @@ type ReduceRequest struct {
 	VerifyGap bool `json:"verify_gap,omitempty"`
 }
 
-// ReduceResult is the reduce job's result payload — the simulation
-// report plus derived checks.
+// ReduceResult is the reduce job's result payload: the simulation
+// report (its fields are the payload's keys) plus the two checks derived
+// from it, and the audited optimum with verify_gap.
 type ReduceResult struct {
-	Family           string `json:"family"`
-	Players          int    `json:"players"`
-	N                int    `json:"n"`
-	CutSize          int    `json:"cut_size"`
-	Bandwidth        int64  `json:"bandwidth"`
-	Rounds           int    `json:"rounds"`
-	BlackboardBits   int64  `json:"blackboard_bits"`
-	BlackboardWrites int64  `json:"blackboard_writes"`
-	CongestTotalBits int64  `json:"congest_total_bits"`
-	// AccountingBound is 2·Rounds·CutSize·Bandwidth: B bits per cut edge,
-	// per direction, per round. AccountingHolds is BlackboardBits ≤ it.
-	AccountingBound  int64  `json:"accounting_bound"`
-	AccountingHolds  bool   `json:"accounting_holds"`
-	Opt              int64  `json:"opt"`
-	Decision         bool   `json:"decision"`
-	Truth            bool   `json:"truth"`
-	Correct          bool   `json:"correct"`
-	SolveCacheHits   uint64 `json:"solve_cache_hits"`
-	SolveCacheMisses uint64 `json:"solve_cache_misses"`
+	congestlb.SimulationReport
+	// AccountingHolds is the report's AccountingHolds(): BlackboardBits
+	// ≤ AccountingBound, the Theorem 5 inequality.
+	AccountingHolds bool `json:"accounting_holds"`
+	// Correct is the report's Correct(): Decision == Truth.
+	Correct bool `json:"correct"`
 	// GapOpt is the audited optimum; present only with verify_gap.
 	GapOpt *int64 `json:"gap_opt,omitempty"`
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -583,6 +584,106 @@ func TestReduce(t *testing.T) {
 	}
 	if res.GapOpt == nil || *res.GapOpt != res.Opt {
 		t.Fatalf("gap audit disagrees: %+v vs opt %d", res.GapOpt, res.Opt)
+	}
+}
+
+// TestReduceWireForm pins /v1/reduce's result keys and values: exactly
+// the 17 keys below (18 with verify_gap), each equal to the report a Lab
+// running the same reductions in the same order returns. The tenant's
+// second request finds the first one's solves in its cache, as the Lab's
+// second run does.
+func TestReduceWireForm(t *testing.T) {
+	_, ts := testServer(t, twoTenants())
+	p := congestlb.Params{T: 2, Alpha: 1, Ell: 3}
+	fam, err := congestlb.NewLinear(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := []string{"0110", "0001"}
+	in, err := parseInputs(fam, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab, err := congestlb.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lab.Close()
+	ctx := context.Background()
+	for _, verifyGap := range []bool{false, true} {
+		body, err := json.Marshal(ReduceRequest{
+			Family:    "linear",
+			Params:    ParamsSpec{T: 2, Alpha: 1, Ell: 3},
+			Inputs:    raw,
+			Config:    CongestSpec{Seed: 7},
+			VerifyGap: verifyGap,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, data := call(t, "POST", ts.URL+"/v1/reduce", "ka", string(body))
+		if resp.StatusCode != 200 {
+			t.Fatalf("reduce: %d %s", resp.StatusCode, data)
+		}
+		v := jobView(t, data)
+		if v.Status != JobDone {
+			t.Fatalf("reduce job %s: %s", v.Status, v.Error)
+		}
+		var got map[string]any
+		if err := json.Unmarshal(v.Result, &got); err != nil {
+			t.Fatal(err)
+		}
+
+		r, err := lab.RunReduction(ctx, fam, in, congestlb.CongestConfig{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]any{
+			"family":             r.Family,
+			"players":            r.Players,
+			"n":                  r.N,
+			"cut_size":           r.CutSize,
+			"bandwidth":          r.Bandwidth,
+			"rounds":             r.Rounds,
+			"blackboard_bits":    r.BlackboardBits,
+			"blackboard_writes":  r.BlackboardWrites,
+			"congest_total_bits": r.CongestTotalBits,
+			"accounting_bound":   r.AccountingBound,
+			"accounting_holds":   r.AccountingHolds(),
+			"opt":                r.Opt,
+			"decision":           r.Decision,
+			"truth":              r.Truth,
+			"correct":            r.Correct(),
+			"solve_cache_hits":   r.SolveCacheHits,
+			"solve_cache_misses": r.SolveCacheMisses,
+		}
+		if verifyGap {
+			opt, err := lab.VerifyGap(ctx, fam, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want["gap_opt"] = opt
+		}
+		// Round-trip the expectation so numbers compare as the decoded
+		// float64s.
+		data, err = json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = nil
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatal(err)
+		}
+		keys := 17
+		if verifyGap {
+			keys = 18
+		}
+		if len(got) != keys || len(want) != keys {
+			t.Errorf("verify_gap=%v: %d keys, want %d: %v", verifyGap, len(got), keys, got)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("verify_gap=%v: result\n got %v\nwant %v", verifyGap, got, want)
+		}
 	}
 }
 

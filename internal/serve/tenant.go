@@ -13,10 +13,10 @@ import (
 	"congestlb/internal/obs"
 )
 
-// Tenant is one API-key principal: a private Lab (own solve/build
-// caches, solver-worker default, experiment pool) plus quota state. The
-// only thing tenants share is the server's read-through solve tier —
-// results, never failures, cancellations or cache pressure.
+// Tenant is one API-key principal: a private Lab (own solve cache and
+// experiment pool) plus quota state. The only thing tenants share is the
+// server's read-through solve tier — results, never failures,
+// cancellations or cache pressure.
 type Tenant struct {
 	Name  string
 	key   string
@@ -125,23 +125,9 @@ func (t *Tenant) runReduce(ctx context.Context, fam congestlb.Family, in congest
 		return nil, err, ctxCut(err)
 	}
 	res := ReduceResult{
-		Family:           report.Family,
-		Players:          report.Players,
-		N:                report.N,
-		CutSize:          report.CutSize,
-		Bandwidth:        report.Bandwidth,
-		Rounds:           report.Rounds,
-		BlackboardBits:   report.BlackboardBits,
-		BlackboardWrites: report.BlackboardWrites,
-		CongestTotalBits: report.CongestTotalBits,
-		AccountingBound:  report.AccountingBound,
+		SimulationReport: report,
 		AccountingHolds:  report.AccountingHolds(),
-		Opt:              report.Opt,
-		Decision:         report.Decision,
-		Truth:            report.Truth,
 		Correct:          report.Correct(),
-		SolveCacheHits:   report.SolveCacheHits,
-		SolveCacheMisses: report.SolveCacheMisses,
 	}
 	if req.VerifyGap {
 		opt, err := t.Lab.VerifyGap(ctx, fam, in)

@@ -48,8 +48,8 @@ type SpanStat = obs.SpanStat
 type Experiment = experiments.Experiment
 
 // ExperimentEnvelope is the structured JSON result of one RunExperiments
-// call (schema v10): one record per experiment plus run-level cache,
-// construction and timing totals.
+// call (schema v11): one record per experiment, each with its solve
+// session's cache block, plus run-level totals summed from the records.
 type ExperimentEnvelope = runner.Envelope
 
 // ExperimentResult is one experiment's record in an ExperimentEnvelope.
@@ -203,8 +203,7 @@ func WithMetrics(on bool) Option {
 }
 
 // WithObserver streams every incumbent improvement of every exact solve
-// the Lab runs (both solver engines fire it; strict improvements only)
-// to o. The observer must be safe for concurrent use and return
+// the Lab runs (strict improvements only) to o. The observer must be safe for concurrent use and return
 // quickly — it runs inline in the solver's search loop. For a
 // per-solve, strictly-monotone stream with a termination marker, use
 // Lab.WatchSolve instead.

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"congestlb"
+	"congestlb/internal/mis/cache"
 )
 
 // buildTestInstance constructs a small solvable lower-bound instance.
@@ -175,45 +176,39 @@ func TestTwoLabsConcurrentSuite(t *testing.T) {
 			t.Fatalf("lab %d produced no report", i)
 		}
 		// Exact attribution: the experiments' session counters must sum to
-		// the run-level delta of this Lab's own cache. Any cross-Lab
-		// leakage would break the equality on one side or the other —
-		// traffic booked in the wrong Lab's cache inflates its delta
-		// without a matching per-experiment record.
-		var hits, misses uint64
-		var solved, saved, builds int64
+		// the counters of this Lab's own cache, which ran this suite alone.
+		// Any cross-Lab leakage would break the equality on one side or
+		// the other — traffic booked in the wrong Lab's cache inflates its
+		// counters without a matching per-experiment record.
+		var sum congestlb.SolveCacheStats
+		var builds int64
 		for _, er := range r.env.Experiments {
-			hits += er.CacheHits
-			misses += er.CacheMisses
-			solved += er.SolveSteps
-			saved += er.StepsSaved
+			sum.Add(er.Cache)
 			builds += er.LBGraphBuilds
 		}
-		if hits != r.env.Cache.Hits || misses != r.env.Cache.Misses {
-			t.Fatalf("lab %d solve-cache attribution drifted: sum %d/%d, delta %d/%d",
-				i, hits, misses, r.env.Cache.Hits, r.env.Cache.Misses)
-		}
-		if solved != r.env.Cache.StepsSolved || saved != r.env.Cache.StepsSaved {
-			t.Fatalf("lab %d step attribution drifted: sum %d/%d, delta %d/%d",
-				i, solved, saved, r.env.Cache.StepsSolved, r.env.Cache.StepsSaved)
+		own := r.lab.SolveCacheStats()
+		sum.Evictions, sum.Entries = own.Evictions, own.Entries
+		if sum != own {
+			t.Fatalf("lab %d solve-cache attribution drifted: experiments sum to %+v, the cache counted %+v",
+				i, sum, own)
 		}
 		if r.env.LBGraph.Hits != 0 || r.env.LBGraph.Misses != builds || builds == 0 {
 			t.Fatalf("lab %d lbgraph block %+v, want 0 hits and the %d constructions its experiments made",
 				i, r.env.LBGraph, builds)
 		}
-		if misses == 0 || solved == 0 {
+		if sum.Misses == 0 || sum.StepsSolved == 0 {
 			t.Fatalf("lab %d saw no cold solver work on a fresh cache: %+v", i, r.env.Cache)
 		}
 		// Per-Lab metrics never cross-contaminate: each registry is fresh
-		// and ran exactly one suite, so its lifetime counters must equal
-		// its own envelope's run delta. Traffic leaking from the
-		// concurrently running other Lab would inflate the registry side
-		// of the equality.
+		// and ran exactly one suite, so each of its lifetime solve-cache
+		// counters must equal its own envelope's cache block. Traffic
+		// leaking from the concurrently running other Lab would inflate
+		// the registry side of the equality.
 		snap := r.lab.Metrics()
-		if got, want := snap.Counter("solve_cache_hits"), int64(r.env.Cache.Hits); got != want {
-			t.Fatalf("lab %d registry solve hits %d, envelope %d", i, got, want)
-		}
-		if got, want := snap.Counter("solve_cache_misses"), int64(r.env.Cache.Misses); got != want {
-			t.Fatalf("lab %d registry solve misses %d, envelope %d", i, got, want)
+		for _, rc := range cache.RegistryCounters {
+			if got, want := snap.Counter(rc.Name), rc.Of(r.env.Cache); got != want {
+				t.Fatalf("lab %d registry %s = %d, envelope %d", i, rc.Name, got, want)
+			}
 		}
 		if r.env.Metrics == nil || len(r.env.Spans) == 0 {
 			t.Fatalf("lab %d envelope missing observability blocks", i)
@@ -230,7 +225,9 @@ func TestTwoLabsConcurrentSuite(t *testing.T) {
 // RunExperiments calls on the SAME Lab (sharing its caches and pool) must
 // each produce an envelope whose run-level traffic equals its own
 // per-experiment sums — run-level numbers are summed from the runs' own
-// sessions, never diffed across a window the other run was also writing.
+// sessions, never diffed across a window the other run was also writing —
+// and the two runs' records together must account for every lookup the
+// Lab's cache counted.
 func TestOneLabConcurrentRunsExactAttribution(t *testing.T) {
 	lab := newTestLab(t, congestlb.WithJobs(4))
 	type out struct {
@@ -248,24 +245,25 @@ func TestOneLabConcurrentRunsExactAttribution(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	var both congestlb.SolveCacheStats
 	for i, o := range outs {
 		if o.err != nil {
 			t.Fatalf("run %d: %v", i, o.err)
 		}
-		var hits, misses uint64
-		var solved, saved int64
+		var sum congestlb.SolveCacheStats
 		for _, r := range o.env.Experiments {
-			hits += r.CacheHits
-			misses += r.CacheMisses
-			solved += r.SolveSteps
-			saved += r.StepsSaved
+			sum.Add(r.Cache)
 		}
-		if hits != o.env.Cache.Hits || misses != o.env.Cache.Misses ||
-			solved != o.env.Cache.StepsSolved || saved != o.env.Cache.StepsSaved {
-			t.Fatalf("run %d: run-level traffic (%d/%d, %d/%d) != per-experiment sums (%d/%d, %d/%d)",
-				i, o.env.Cache.Hits, o.env.Cache.Misses, o.env.Cache.StepsSolved, o.env.Cache.StepsSaved,
-				hits, misses, solved, saved)
+		both.Add(sum)
+		sum.Evictions, sum.Entries = o.env.Cache.Evictions, o.env.Cache.Entries
+		if sum != o.env.Cache {
+			t.Fatalf("run %d: run-level traffic %+v != per-experiment sum %+v", i, o.env.Cache, sum)
 		}
+	}
+	own := lab.SolveCacheStats()
+	both.Evictions, both.Entries = own.Evictions, own.Entries
+	if both != own {
+		t.Fatalf("the two runs' records sum to %+v, the Lab's cache counted %+v", both, own)
 	}
 }
 
