@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"congestlb"
+	"congestlb/internal/fault"
 	"congestlb/internal/runner"
 )
 
@@ -215,6 +217,41 @@ func TestExperimentsUnknownID(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-id", "nope"}, &buf); err == nil {
 		t.Fatal("unknown ID accepted")
+	}
+}
+
+// TestExperimentsFaultEnv: a spec in CONGESTLB_FAULTS arms the fault
+// layer for the run, an unset variable leaves it disarmed, and a
+// malformed spec fails the run with an error naming the variable.
+func TestExperimentsFaultEnv(t *testing.T) {
+	for _, tc := range []struct {
+		name, spec   string
+		armed, fails bool
+	}{
+		{"unset", "", false, false},
+		{"armed", "1:disk-read", true, false},
+		{"malformed", "nonsense", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Setenv(congestlb.FaultEnv, tc.spec)
+			if tc.spec == "" {
+				if err := os.Unsetenv(congestlb.FaultEnv); err != nil {
+					t.Fatal(err)
+				}
+			}
+			t.Cleanup(func() { fault.Set(nil) })
+			err := run([]string{"-list"}, io.Discard)
+			if tc.fails {
+				if err == nil || !strings.Contains(err.Error(), congestlb.FaultEnv) {
+					t.Fatalf("err = %v, want an error naming %s", err, congestlb.FaultEnv)
+				}
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if got := fault.Should(fault.DiskRead, "k"); got != tc.armed {
+				t.Fatalf("disk-read fired = %v, want %v", got, tc.armed)
+			}
+		})
 	}
 }
 

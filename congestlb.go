@@ -56,8 +56,10 @@
 // from scratch. Version 6.0.0 gave each ExperimentResult its solve
 // session's cache block (SolveCacheStats) in place of four copied
 // counters, dropped the envelope's failures blocks for panics_recovered,
-// and made SimulationReport's JSON keys those of /v1/reduce.
-// docs/api.md maps each removed name.
+// and made SimulationReport's JSON keys those of /v1/reduce. Version
+// 7.0.0 removed Graph.Grow and Graph.NeighborRow: a graph's adjacency is
+// one block laid out by graphs.New for the node count it is given, and
+// it grows on its own past that. docs/api.md maps each removed name.
 //
 // See examples/ for runnable programs and testdata/suite_report.golden.md
 // for the regenerated paper results.
@@ -72,7 +74,7 @@
 // sender's adjacency row with no outbox entry per neighbour. Reference
 // algorithms encode messages into per-program scratch buffers, and the
 // gossip/collect baselines rebuild the learned graph label-free via
-// graphs.NewWithN/AddNodeID. Exact MaxIS solves are memoised in a
+// graphs.New/AddNodeID. Exact MaxIS solves are memoised in a
 // content-addressed cache (with an optional persistent disk tier).
 // Lower-bound graphs are built from scratch every time: a memo over them
 // measured no faster (docs/performance.md). The experiment suite shards
@@ -303,7 +305,7 @@ func PlayersForEpsilon(epsilon float64, quadratic bool) int {
 }
 
 // Version identifies the library release.
-const Version = "6.0.0"
+const Version = "7.0.0"
 
 // BuildInstance is a convenience that constructs and validates an instance
 // for a family and input, with a descriptive error context. It builds from

@@ -273,7 +273,7 @@ type scriptedRun struct {
 }
 
 func randomGraph(rng *rand.Rand, n int, p float64) *graphs.Graph {
-	g := graphs.NewWithN(n)
+	g := graphs.New(n)
 	for u := 0; u < n; u++ {
 		g.AddNodeID(1)
 	}

@@ -44,7 +44,7 @@ func TestWireAppendDecodeAllocationFree(t *testing.T) {
 func allocTestGraph(tb testing.TB, n int, chords float64, seed int64) *graphs.Graph {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	g := graphs.NewWithN(n)
+	g := graphs.New(n)
 	for i := 0; i < n; i++ {
 		g.AddNodeID(int64(rng.Intn(50) + 1))
 	}

@@ -34,10 +34,8 @@ type BFSResult struct {
 // Output: BFSResult, or the error of a node whose ID does not fit the
 // leader field.
 type LeaderBFS struct {
-	info    congest.NodeInfo
-	leader  int
-	dist    int
-	parent  int
+	info congest.NodeInfo
+	bfsState
 	done    bool
 	err     error
 	sendBuf []byte
@@ -57,9 +55,7 @@ func NewLeaderBFSPrograms(n int) []congest.NodeProgram {
 // Init implements congest.NodeProgram.
 func (b *LeaderBFS) Init(info congest.NodeInfo) {
 	b.info = info
-	b.leader = info.ID
-	b.dist = 0
-	b.parent = -1
+	b.start(info.ID)
 	b.err = nil
 	if info.ID > math.MaxUint16 {
 		b.err = fmt.Errorf("congestalg: node ID %d does not fit the 16-bit BFS leader field", info.ID)
@@ -79,17 +75,7 @@ func (b *LeaderBFS) Round(round int, inbox []congest.Message) []congest.Message 
 
 // Receive implements congest.PushProgram: a better (leader, distance)
 // offer is adopted with its sender as parent.
-func (b *LeaderBFS) Receive(_ int, m congest.Message) {
-	leader, dist, err := decodeBFS(m.Data)
-	if err != nil {
-		return // tolerate garbage; flooding is self-correcting
-	}
-	if leader < b.leader || (leader == b.leader && dist+1 < b.dist) {
-		b.leader = leader
-		b.dist = dist + 1
-		b.parent = m.From
-	}
-}
+func (b *LeaderBFS) Receive(_ int, m congest.Message) { b.adopt(m) }
 
 // Send implements congest.PushProgram: the node broadcasts its best
 // (leader, distance) pair.
@@ -111,6 +97,30 @@ func (b *LeaderBFS) Output() any {
 		return b.err
 	}
 	return BFSResult{Leader: b.leader, Dist: b.dist, Parent: b.parent}
+}
+
+// bfsState is one node's side of the min-ID leader flood, shared by
+// LeaderBFS and CollectSolve's first phase: the best (leader, distance)
+// offer the node knows and the neighbour it came from.
+type bfsState struct {
+	leader, dist, parent int
+}
+
+// start resets the flood at node id: it leads itself at distance 0 and
+// has no parent.
+func (s *bfsState) start(id int) { *s = bfsState{leader: id, parent: -1} }
+
+// adopt takes m's offer, with its sender as parent, when it names a
+// smaller leader or a shorter distance to the same one. Garbage is
+// dropped: flooding is self-correcting.
+func (s *bfsState) adopt(m congest.Message) {
+	leader, dist, err := decodeBFS(m.Data)
+	if err != nil {
+		return
+	}
+	if leader < s.leader || (leader == s.leader && dist+1 < s.dist) {
+		*s = bfsState{leader: leader, dist: dist + 1, parent: m.From}
+	}
 }
 
 // bfsLen is the wire size of a BFS flood message.

@@ -38,7 +38,7 @@ type CollectSolve struct {
 	info congest.NodeInfo
 
 	// BFS phase state.
-	leader, dist, parent int
+	bfsState
 
 	// Tree structure, learned in the parent-announcement round.
 	children  []graphs.NodeID
@@ -114,9 +114,7 @@ var (
 // Network can be Run repeatedly.
 func (cs *CollectSolve) Init(info congest.NodeInfo) {
 	cs.info = info
-	cs.leader = info.ID
-	cs.dist = 0
-	cs.parent = -1
+	cs.start(info.ID)
 	cs.children = nil
 	cs.childDone = make(map[graphs.NodeID]bool)
 	cs.arena = recArena{}
@@ -149,7 +147,7 @@ func (cs *CollectSolve) Round(round int, inbox []congest.Message) []congest.Mess
 func (cs *CollectSolve) Receive(round int, m congest.Message) {
 	switch n := cs.info.N; {
 	case round < n:
-		cs.bfsReceive(m)
+		cs.adopt(m)
 	case round > n:
 		cs.consume(m)
 	}
@@ -169,20 +167,6 @@ func (cs *CollectSolve) Send(round int, out []congest.Message) ([]congest.Messag
 		return cs.treeSend(out), nil
 	}
 	return out, cs.sendBuf
-}
-
-// bfsReceive adopts a better (leader, distance) offer and its sender as
-// parent.
-func (cs *CollectSolve) bfsReceive(m congest.Message) {
-	leader, dist, err := decodeBFS(m.Data)
-	if err != nil {
-		return
-	}
-	if leader < cs.leader || (leader == cs.leader && dist+1 < cs.dist) {
-		cs.leader = leader
-		cs.dist = dist + 1
-		cs.parent = m.From
-	}
 }
 
 // treeSend drives the upcast and downcast phases.
@@ -341,8 +325,9 @@ func (cs *CollectSolve) allChildrenDone() bool {
 	return true
 }
 
-// solveAtRoot rebuilds the component's subgraph (label-free, pre-sized),
-// solves it exactly, and fills the downcast queue with the membership list.
+// solveAtRoot rebuilds the component's subgraph (label-free, laid out by
+// New for its node count), solves it exactly, and fills the downcast
+// queue with the membership list.
 func (cs *CollectSolve) solveAtRoot() {
 	ids := make([]int, 0, len(cs.nodes))
 	for id := range cs.nodes {
@@ -350,7 +335,7 @@ func (cs *CollectSolve) solveAtRoot() {
 	}
 	sort.Ints(ids)
 	local := make(map[int]int, len(ids))
-	sub := graphs.NewWithN(len(ids))
+	sub := graphs.New(len(ids))
 	for i, id := range ids {
 		local[id] = i
 		sub.AddNodeID(cs.nodes[id].weight)

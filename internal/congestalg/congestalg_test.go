@@ -167,7 +167,7 @@ func TestRankGreedyMatchesSequentialGreedyWeight(t *testing.T) {
 // of being silently ranked as weight 0.
 func TestRankGreedyWeightOverStatusField(t *testing.T) {
 	const n = 8
-	g := graphs.NewWithN(n)
+	g := graphs.New(n)
 	g.AddNodeID(1 << 32)
 	for u := 1; u < n; u++ {
 		g.AddNodeID(1)

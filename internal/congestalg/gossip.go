@@ -24,10 +24,10 @@ import (
 //
 // Rather than buffering records and rebuilding the graph when gossip
 // completes, the program reconstructs the network graph incrementally as
-// records arrive, in a pre-sized label-free graphs.Graph (NewWithN +
-// AddNodeID): arrival-time deduplication doubles as the rebuild, and the
-// local solve runs directly on the reconstructed graph with no label
-// formatting at all.
+// records arrive, in a label-free graphs.Graph laid out for all n nodes
+// (New + AddNodeID): arrival-time deduplication doubles as the rebuild,
+// and the local solve runs directly on the reconstructed graph with no
+// label formatting at all.
 //
 // Forwarding runs off one append-only log per node: every record the node
 // keeps — its own at Init, then each first arrival — is logged once, and
@@ -94,7 +94,7 @@ func NewGossipExactProgramsWith(sess *cache.Session, n int) []congest.NodeProgra
 // Init implements congest.NodeProgram.
 func (g *GossipExact) Init(info congest.NodeInfo) {
 	g.info = info
-	g.rebuilt = graphs.NewWithN(info.N)
+	g.rebuilt = graphs.New(info.N)
 	for i := 0; i < info.N; i++ {
 		g.rebuilt.AddNodeID(0)
 	}

@@ -37,7 +37,7 @@ func queueGossipPrograms(n int) []congest.NodeProgram {
 
 func (q *queueGossip) Init(info congest.NodeInfo) {
 	q.info = info
-	q.rebuilt = graphs.NewWithN(info.N)
+	q.rebuilt = graphs.New(info.N)
 	for i := 0; i < info.N; i++ {
 		q.rebuilt.AddNodeID(0)
 	}
@@ -138,7 +138,7 @@ func recordTo(tx *[]delivered) congest.MessageHook {
 // shapeGraph returns an n-node graph with weights 1–5 holding the edges
 // {u, v}, u < v, that keep selects.
 func shapeGraph(n int, keep func(u, v int) bool) *graphs.Graph {
-	g := graphs.NewWithN(n)
+	g := graphs.New(n)
 	for u := 0; u < n; u++ {
 		g.AddNodeID(int64(u%5 + 1))
 	}

@@ -111,7 +111,7 @@ func TestGossipOptRejectsDependentSet(t *testing.T) {
 // the field and the value.
 func TestWeightOverWireFieldIsNamed(t *testing.T) {
 	const n = 8
-	g := graphs.NewWithN(n)
+	g := graphs.New(n)
 	g.AddNodeID(1 << 32)
 	for u := 1; u < n; u++ {
 		g.AddNodeID(1)

@@ -28,7 +28,6 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -102,9 +101,7 @@ type rule struct {
 // first-come-first-served across racing sites.
 type Injector struct {
 	seed  uint64
-	spec  string
 	rules []*rule
-	fired [numPoints]atomic.Int64
 }
 
 // Parse builds an Injector from a "<seed>:<plan>" spec.
@@ -117,7 +114,7 @@ func Parse(spec string) (*Injector, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fault: spec %q: bad seed: %v", spec, err)
 	}
-	in := &Injector{seed: seed, spec: spec}
+	in := &Injector{seed: seed}
 	for _, entry := range strings.Split(plan, ",") {
 		entry = strings.TrimSpace(entry)
 		if entry == "" {
@@ -175,30 +172,6 @@ func pointByName(name string) (Point, bool) {
 	return 0, false
 }
 
-// FromEnv parses CONGESTLB_FAULTS. Returns (nil, nil) when unset/empty.
-func FromEnv() (*Injector, error) {
-	spec := os.Getenv(EnvVar)
-	if spec == "" {
-		return nil, nil
-	}
-	return Parse(spec)
-}
-
-// Spec returns the spec the injector was parsed from.
-func (in *Injector) Spec() string { return in.spec }
-
-// Counts reports how many times each point fired, keyed by point name.
-// Points that never fired are omitted.
-func (in *Injector) Counts() map[string]int64 {
-	m := make(map[string]int64)
-	for p := range in.fired {
-		if n := in.fired[p].Load(); n > 0 {
-			m[Point(p).String()] = n
-		}
-	}
-	return m
-}
-
 // decide is the core decision: does point p fire at site key, attempt n?
 func (in *Injector) decide(p Point, key string, n uint64) bool {
 	for _, r := range in.rules {
@@ -229,7 +202,6 @@ func (in *Injector) decide(p Point, key string, n uint64) bool {
 		if r.max > 0 && r.fired.Add(1) > r.max {
 			continue
 		}
-		in.fired[p].Add(1)
 		return true
 	}
 	return false
@@ -242,9 +214,6 @@ var active atomic.Pointer[Injector]
 // Set installs in as the process-wide injector (nil disables injection)
 // and returns the previous one, letting tests restore it in a Cleanup.
 func Set(in *Injector) *Injector { return active.Swap(in) }
-
-// Active returns the installed injector, or nil when injection is off.
-func Active() *Injector { return active.Load() }
 
 // Should reports whether point p fires at site key.
 func Should(p Point, key string) bool {
@@ -322,17 +291,4 @@ func NewPanicError(op string, value any) *PanicError {
 	buf := make([]byte, 16<<10)
 	buf = buf[:runtime.Stack(buf, false)]
 	return &PanicError{Op: op, Value: value, Stack: buf}
-}
-
-// RecoverTo is a deferred one-liner for the common containment shape:
-//
-//	defer fault.RecoverTo(&err, "job")
-//
-// If the function is panicking, the panic is recovered into *errp as a
-// *PanicError (overwriting any earlier error — the panic is the more
-// urgent fact).
-func RecoverTo(errp *error, op string) {
-	if r := recover(); r != nil {
-		*errp = NewPanicError(op, r)
-	}
 }

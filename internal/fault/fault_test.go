@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-func install(t *testing.T, spec string) *Injector {
+func install(t *testing.T, spec string) {
 	t.Helper()
 	in, err := Parse(spec)
 	if err != nil {
@@ -15,7 +15,6 @@ func install(t *testing.T, spec string) *Injector {
 	}
 	prev := Set(in)
 	t.Cleanup(func() { Set(prev) })
-	return in
 }
 
 func TestParseRejectsBadSpecs(t *testing.T) {
@@ -57,8 +56,8 @@ func TestParseAcceptsFullSyntax(t *testing.T) {
 }
 
 // FuzzParse: Parse never panics, and a spec it accepts has at least one
-// rule, every rule names a known point with a rate in [0,1] and a
-// non-negative count, and Spec() returns the input unchanged.
+// rule, and every rule names a known point with a rate in [0,1] and a
+// non-negative count.
 func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, spec string) {
 		in, err := Parse(spec)
@@ -78,9 +77,6 @@ func FuzzParse(f *testing.F) {
 			if r.max < 0 {
 				t.Fatalf("Parse(%q): rule %d has count %d", spec, i, r.max)
 			}
-		}
-		if got := in.Spec(); got != spec {
-			t.Fatalf("Spec() = %q, want %q", got, spec)
 		}
 	})
 }
@@ -148,7 +144,7 @@ func TestAttemptIsPartOfTheDecision(t *testing.T) {
 }
 
 func TestMatchAndCountBudget(t *testing.T) {
-	in := install(t, "1:worker-panic@w1*2")
+	install(t, "1:worker-panic@w1*2")
 	if Should(SolverPanic, "w0") {
 		t.Fatal("fired on non-matching key")
 	}
@@ -160,9 +156,6 @@ func TestMatchAndCountBudget(t *testing.T) {
 	}
 	if hits != 2 {
 		t.Fatalf("count budget *2 fired %d times", hits)
-	}
-	if got := in.Counts()[SolverPanic.String()]; got != 2 {
-		t.Fatalf("Counts() = %d, want 2", got)
 	}
 }
 
@@ -196,7 +189,11 @@ func TestCorruptChangesBytesDeterministically(t *testing.T) {
 func TestMaybePanicAndRecoverTo(t *testing.T) {
 	install(t, "1:job-panic@boom")
 	run := func(key string) (err error) {
-		defer RecoverTo(&err, "job")
+		defer func() {
+			if r := recover(); r != nil {
+				err = NewPanicError("job", r)
+			}
+		}()
 		MaybePanic(JobPanic, key)
 		return nil
 	}
@@ -213,24 +210,5 @@ func TestMaybePanicAndRecoverTo(t *testing.T) {
 	}
 	if s := pe.Error(); strings.Contains(s, "goroutine") || !strings.Contains(s, "panic in job") {
 		t.Fatalf("Error() = %q — must be stack-free and name the op", s)
-	}
-}
-
-func TestFromEnv(t *testing.T) {
-	t.Setenv(EnvVar, "")
-	if in, err := FromEnv(); in != nil || err != nil {
-		t.Fatalf("empty env: %v, %v", in, err)
-	}
-	t.Setenv(EnvVar, "9:disk-read=0.5")
-	in, err := FromEnv()
-	if err != nil || in == nil {
-		t.Fatalf("FromEnv: %v, %v", in, err)
-	}
-	if in.Spec() != "9:disk-read=0.5" {
-		t.Fatalf("Spec = %q", in.Spec())
-	}
-	t.Setenv(EnvVar, "nonsense")
-	if _, err := FromEnv(); err == nil {
-		t.Fatal("bad env accepted")
 	}
 }

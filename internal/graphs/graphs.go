@@ -30,32 +30,57 @@ type Graph struct {
 	weights []int64
 	labels  []string
 	byLabel map[string]NodeID
-	rows    [][]uint64 // rows[u] is the neighbour bitset of u
-	edges   int
-
-	// rowWords, when non-zero, is the pre-sized bitset row width set by
-	// Grow/NewWithN: rows are materialised at this width up front, out of
-	// the flat arena below, so AddEdge never regrows-and-copies.
-	rowWords int
-	arena    []uint64 // backing storage for pre-sized rows
-	arenaOff int
-	// flat counts the leading nodes whose rows are arena[u*rowWords:]
-	// in ID order — every node of a NewWithN graph within its pre-size —
-	// so HasEdge can index the arena without loading the row's header.
-	flat int
+	// adj is the adjacency block: node u's neighbour bitset is the
+	// stride-word row adj[u*stride:(u+1)*stride], and stride is
+	// ⌈capacity/64⌉ for the capacity the block was laid out for.
+	adj    []uint64
+	stride int
+	edges  int
 	// hasAuto records that at least one node was added without a label
 	// (AddNodeID); such labels are synthesised on demand.
 	hasAuto bool
 }
 
-// New returns an empty graph. Capacity hints avoid re-allocation when the
-// final node count is known; pass 0 if unknown.
-func New(capacityHint int) *Graph {
-	return &Graph{
-		weights: make([]int64, 0, capacityHint),
-		labels:  make([]string, 0, capacityHint),
-		rows:    make([][]uint64, 0, capacityHint),
+// New returns an empty graph with capacity for n nodes: its adjacency
+// block is laid out once, so AddNode, AddNodeID and AddEdge among the
+// first n nodes do not regrow it. A graph grows past its capacity on its
+// own; pass 0 if the node count is unknown.
+func New(n int) *Graph {
+	g := &Graph{
+		weights: make([]int64, 0, n),
+		labels:  make([]string, 0, n),
 	}
+	g.layout(n)
+	return g
+}
+
+// NewWithN returns New(n).
+//
+// Deprecated: call New, which lays the adjacency block out for n nodes.
+func NewWithN(n int) *Graph { return New(n) }
+
+// layout lays the adjacency block out for capacity nodes, copying the
+// row of every node already added.
+func (g *Graph) layout(capacity int) {
+	stride := (capacity + wordBits - 1) / wordBits
+	adj := make([]uint64, capacity*stride)
+	for u := 0; u < g.N(); u++ {
+		copy(adj[u*stride:], g.row(u))
+	}
+	g.adj, g.stride = adj, stride
+}
+
+// addNode appends node N() with the given label and weight, laying the
+// block out again at double the capacity, and at least 64, when it is
+// full.
+func (g *Graph) addNode(label string, weight int64) NodeID {
+	id := len(g.weights)
+	if id*g.stride == len(g.adj) { // row id would start at the block's end
+		g.layout(max(2*id, wordBits))
+	}
+	g.weights = append(g.weights, weight)
+	g.labels = append(g.labels, label)
+	return id
 }
 
 // labelTable returns the label index, creating it on the first labelled
@@ -68,60 +93,6 @@ func (g *Graph) labelTable() map[string]NodeID {
 	return g.byLabel
 }
 
-// NewWithN returns an empty graph pre-sized for exactly n nodes: node
-// tables have capacity n and every bitset row is materialised at full
-// n-bit width out of one contiguous allocation, making the subsequent
-// AddNodeID/AddEdge calls allocation-free. This is the fast path used by
-// CONGEST programs that rebuild the network graph locally every run.
-func NewWithN(n int) *Graph {
-	g := New(n)
-	g.Grow(n)
-	return g
-}
-
-// Grow pre-sizes the graph for n nodes (a no-op if n is not larger than
-// the current pre-size or node count): existing rows are widened to the
-// n-node width once, and rows of future nodes are carved out of a single
-// flat arena, eliminating the lazy per-edge regrow-and-copy.
-func (g *Graph) Grow(n int) {
-	if n < g.N() {
-		n = g.N()
-	}
-	w := (n + wordBits - 1) / wordBits
-	if w <= g.rowWords {
-		return
-	}
-	g.rowWords = w
-	g.arena = make([]uint64, (n-g.N())*w)
-	g.arenaOff = 0
-	g.flat = 0
-	for u := range g.rows {
-		grown := make([]uint64, w)
-		copy(grown, g.rows[u])
-		g.rows[u] = grown
-	}
-}
-
-// newRow returns the bitset row for a node being added: a full-width slice
-// from the arena when the graph is pre-sized, nil (lazily grown) otherwise.
-func (g *Graph) newRow() []uint64 {
-	if g.rowWords == 0 {
-		return nil // grown lazily on first edge
-	}
-	if g.arenaOff+g.rowWords > len(g.arena) {
-		// Pre-size exceeded; fall back to a direct allocation. Rows may
-		// now regrow out of the arena, so it no longer mirrors them.
-		g.flat = 0
-		return make([]uint64, g.rowWords)
-	}
-	if g.flat == len(g.rows) && g.arenaOff == g.flat*g.rowWords {
-		g.flat++
-	}
-	row := g.arena[g.arenaOff : g.arenaOff+g.rowWords : g.arenaOff+g.rowWords]
-	g.arenaOff += g.rowWords
-	return row
-}
-
 // AddNode adds a node with the given label and weight and returns its ID.
 // Labels must be unique and non-empty; the lower-bound constructions use
 // them to address nodes symbolically (e.g. "v[i=1,m=3]" or "sigma[i=2,h=1,r=3]").
@@ -132,11 +103,8 @@ func (g *Graph) AddNode(label string, weight int64) (NodeID, error) {
 	if _, dup := g.byLabel[label]; dup {
 		return 0, fmt.Errorf("graphs: duplicate node label %q", label)
 	}
-	id := len(g.weights)
-	g.weights = append(g.weights, weight)
-	g.labels = append(g.labels, label)
+	id := g.addNode(label, weight)
 	g.labelTable()[label] = id
-	g.rows = append(g.rows, g.newRow())
 	return id, nil
 }
 
@@ -144,14 +112,10 @@ func (g *Graph) AddNode(label string, weight int64) (NodeID, error) {
 // ID. The label is synthesised lazily ("n<id>") only if Label or
 // NodeByLabel is ever called, so graphs rebuilt purely by ID (the CONGEST
 // gossip/collect programs) never pay for label formatting or the label
-// table. On a pre-sized graph (NewWithN/Grow) this performs no allocation.
+// table. Within the capacity New was given this performs no allocation.
 func (g *Graph) AddNodeID(weight int64) NodeID {
-	id := len(g.weights)
-	g.weights = append(g.weights, weight)
-	g.labels = append(g.labels, "")
-	g.rows = append(g.rows, g.newRow())
 	g.hasAuto = true
-	return id
+	return g.addNode("", weight)
 }
 
 // autoLabel is the synthesised label of an unlabelled node.
@@ -200,19 +164,8 @@ func (g *Graph) N() int { return len(g.weights) }
 // M returns the number of edges.
 func (g *Graph) M() int { return g.edges }
 
-// wordsPerRow returns the bitset row width for the current node count.
-func (g *Graph) wordsPerRow() int { return (len(g.weights) + wordBits - 1) / wordBits }
-
-// row returns the bitset row of u, materialising it at the current width.
-func (g *Graph) row(u NodeID) []uint64 {
-	w := g.wordsPerRow()
-	if len(g.rows[u]) < w {
-		grown := make([]uint64, w)
-		copy(grown, g.rows[u])
-		g.rows[u] = grown
-	}
-	return g.rows[u]
-}
+// row is u's neighbour bitset, a view into the adjacency block.
+func (g *Graph) row(u NodeID) []uint64 { return g.adj[u*g.stride : (u+1)*g.stride] }
 
 // AddEdge inserts the undirected edge {u, v}. Self-loops and out-of-range
 // endpoints are errors. Adding an existing edge is a silent no-op so that
@@ -259,14 +212,7 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 	if u < 0 || v < 0 || u >= g.N() || v >= g.N() {
 		return false
 	}
-	if u < g.flat {
-		return g.arena[u*g.rowWords+v/wordBits]&(1<<(uint(v)%wordBits)) != 0
-	}
-	wi := v / wordBits
-	if wi >= len(g.rows[u]) {
-		return false
-	}
-	return g.rows[u][wi]&(1<<(uint(v)%wordBits)) != 0
+	return g.adj[u*g.stride+v/wordBits]&(1<<(uint(v)%wordBits)) != 0
 }
 
 func (g *Graph) checkNode(u NodeID) error {
@@ -301,7 +247,7 @@ func (g *Graph) NodeByLabel(label string) (NodeID, bool) {
 // Degree returns the number of neighbours of u.
 func (g *Graph) Degree(u NodeID) int {
 	d := 0
-	for _, w := range g.rows[u] {
+	for _, w := range g.row(u) {
 		d += bits.OnesCount64(w)
 	}
 	return d
@@ -321,7 +267,7 @@ func (g *Graph) MaxDegree() int {
 // Neighbors returns the sorted neighbour list of u (freshly allocated).
 func (g *Graph) Neighbors(u NodeID) []NodeID {
 	out := make([]NodeID, 0, g.Degree(u))
-	for wi, w := range g.rows[u] {
+	for wi, w := range g.row(u) {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			out = append(out, wi*wordBits+b)
@@ -334,21 +280,13 @@ func (g *Graph) Neighbors(u NodeID) []NodeID {
 // ForEachNeighbor calls fn for every neighbour of u in increasing order,
 // without allocating.
 func (g *Graph) ForEachNeighbor(u NodeID, fn func(v NodeID)) {
-	for wi, w := range g.rows[u] {
+	for wi, w := range g.row(u) {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			fn(wi*wordBits + b)
 			w &= w - 1
 		}
 	}
-}
-
-// NeighborRow copies u's neighbour bitset into a fresh slice padded to the
-// current row width. Exact solvers use this to avoid per-query allocation.
-func (g *Graph) NeighborRow(u NodeID) []uint64 {
-	out := make([]uint64, g.wordsPerRow())
-	copy(out, g.rows[u])
-	return out
 }
 
 // Edge is an undirected edge with U < V.
@@ -396,8 +334,8 @@ func (g *Graph) Clone() *Graph {
 	for label, id := range g.byLabel {
 		out.labelTable()[label] = id
 	}
-	for _, row := range g.rows {
-		out.rows = append(out.rows, append([]uint64(nil), row...))
+	for u := 0; u < g.N(); u++ {
+		copy(out.row(u), g.row(u))
 	}
 	out.edges = g.edges
 	return out

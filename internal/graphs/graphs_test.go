@@ -2,9 +2,12 @@ package graphs
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -289,13 +292,14 @@ func TestZeroValueGraph(t *testing.T) {
 	}
 }
 
-// AddNodeID documents that it does not allocate on a NewWithN graph.
+// New(n) lays the whole adjacency block out: adding its n nodes and
+// edges among them allocates nothing more.
 func TestAddNodeIDPresizedAllocationFree(t *testing.T) {
 	const n, runs = 90, 10
 	// AllocsPerRun calls the function once more to warm up.
 	graphs := make([]*Graph, runs+1)
 	for i := range graphs {
-		graphs[i] = NewWithN(n)
+		graphs[i] = New(n)
 	}
 	next := 0
 	allocs := testing.AllocsPerRun(runs, func() {
@@ -304,16 +308,21 @@ func TestAddNodeIDPresizedAllocationFree(t *testing.T) {
 		for i := 0; i < n; i++ {
 			g.AddNodeID(1)
 		}
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v += 7 {
+				g.MustAddEdge(u, v)
+			}
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("%d AddNodeID calls on NewWithN(%d) allocated %.1f times, want 0", n, n, allocs)
+		t.Fatalf("%d AddNodeID calls and their edges on New(%d) allocated %.1f times, want 0", n, n, allocs)
 	}
 }
 
 func TestValidateDetectsCorruption(t *testing.T) {
 	g := buildPath(t, 3)
 	// Corrupt: break symmetry by hand.
-	g.rows[0][0] &^= 1 << 1 // remove 1 from 0's row only
+	g.adj[0] &^= 1 << 1 // remove 1 from 0's row only
 	if err := g.Validate(); err == nil {
 		t.Fatal("Validate missed asymmetric adjacency")
 	}
@@ -471,62 +480,158 @@ func BenchmarkAddEdgeDense(b *testing.B) {
 	}
 }
 
-// TestHasEdgeMatchesRowsThroughGrowth: HasEdge reads a NewWithN graph's
-// rows straight from the arena; it must agree with an edge set kept on
-// the side while the graph stays within its pre-size, after it outgrows
-// it (rows then regrow out of the arena), and after Grow on a graph that
-// already has nodes (their rows move out of the arena, and the new arena
-// starts at a later node).
+// TestHasEdgeMatchesRowsThroughGrowth runs one random sequence of
+// AddNode, AddNodeID, AddEdge and RemoveEdge from each starting layout:
+// the zero value, New(0), New(h) with h below the final node count, and
+// New(n). All but the last lay their block out again as they grow. After
+// every node added, each read method must agree with a map of the edges;
+// at the end an edge added to a Clone must leave the original unchanged.
 func TestHasEdgeMatchesRowsThroughGrowth(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+	const n = 150
 	for _, tc := range []struct {
-		name         string
-		g            *Graph
-		first, total int
-		grow         bool
+		name string
+		g    *Graph
 	}{
-		{"presized", NewWithN(70), 70, 70, false},
-		{"outgrown", NewWithN(70), 70, 200, false},
-		{"grown-late", New(0), 10, 140, true},
-		{"regrown", NewWithN(70), 70, 200, true},
+		{"zero-value", &Graph{}},
+		{"new-0", New(0)},
+		{"outgrown", New(40)},
+		{"presized", New(n)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			g, edges := tc.g, map[[2]int]bool{}
-			addEdges := func() {
-				for k := 0; k < 4*g.N(); k++ {
+			rng := rand.New(rand.NewSource(5))
+			g, edges := tc.g, map[Edge]bool{}
+			for g.N() < n {
+				if rng.Intn(2) == 0 {
+					g.MustAddNode(fmt.Sprintf("v%d", g.N()), int64(rng.Intn(9)))
+				} else {
+					g.AddNodeID(int64(rng.Intn(9)))
+				}
+				for k := rng.Intn(8); k > 0; k-- {
 					u, v := rng.Intn(g.N()), rng.Intn(g.N())
-					if u != v {
-						g.MustAddEdge(u, v)
-						edges[[2]int{u, v}], edges[[2]int{v, u}] = true, true
+					if u == v {
+						continue
 					}
-				}
-			}
-			check := func() {
-				t.Helper()
-				for u := -1; u <= g.N(); u++ {
-					for v := -1; v <= g.N(); v++ {
-						if got := g.HasEdge(u, v); got != edges[[2]int{u, v}] {
-							t.Fatalf("n=%d: HasEdge(%d, %d) = %v", g.N(), u, v, got)
+					e := edgeOf(u, v)
+					if rng.Intn(4) == 0 {
+						if got := g.RemoveEdge(u, v); got != edges[e] {
+							t.Fatalf("n=%d: RemoveEdge(%d, %d) = %v", g.N(), u, v, got)
 						}
+						delete(edges, e)
+					} else {
+						g.MustAddEdge(u, v)
+						edges[e] = true
 					}
 				}
+				checkEdges(t, g, edges)
 			}
-			for g.N() < tc.first {
-				g.AddNodeID(1)
+			c, e := g.Clone(), Edge{U: 0, V: 1}
+			for edges[e] {
+				e.V++
 			}
-			addEdges()
-			check()
-			if tc.grow {
-				g.Grow(tc.total)
-			}
-			for g.N() < tc.total {
-				g.AddNodeID(1)
-			}
-			addEdges()
-			check()
-			if err := g.Validate(); err != nil {
-				t.Fatal(err)
-			}
+			c.MustAddEdge(e.U, e.V)
+			checkEdges(t, g, edges)
+			edges[e] = true
+			checkEdges(t, c, edges)
 		})
 	}
+}
+
+// edgeOf is the map key of the undirected edge {u, v}.
+func edgeOf(u, v NodeID) Edge {
+	if u > v {
+		u, v = v, u
+	}
+	return Edge{U: u, V: v}
+}
+
+// checkEdges checks HasEdge (out-of-range pairs included), Degree,
+// Neighbors, the order ForEachNeighbor visits, Edges, M and Validate
+// against the edge set edges.
+func checkEdges(t *testing.T, g *Graph, edges map[Edge]bool) {
+	t.Helper()
+	for u := -1; u <= g.N(); u++ {
+		for v := -1; v <= g.N(); v++ {
+			if got := g.HasEdge(u, v); got != edges[edgeOf(u, v)] {
+				t.Fatalf("n=%d: HasEdge(%d, %d) = %v", g.N(), u, v, got)
+			}
+		}
+	}
+	var all []Edge
+	for u := 0; u < g.N(); u++ {
+		var want, visited []NodeID
+		for v := 0; v < g.N(); v++ {
+			if edges[edgeOf(u, v)] {
+				want = append(want, v)
+				if u < v {
+					all = append(all, Edge{U: u, V: v})
+				}
+			}
+		}
+		g.ForEachNeighbor(u, func(v NodeID) { visited = append(visited, v) })
+		if d := g.Degree(u); d != len(want) {
+			t.Fatalf("n=%d: Degree(%d) = %d, want %d", g.N(), u, d, len(want))
+		}
+		if got := g.Neighbors(u); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: Neighbors(%d) = %v, want %v", g.N(), u, got, want)
+		}
+		if !slices.Equal(visited, want) {
+			t.Fatalf("n=%d: ForEachNeighbor(%d) visited %v, want %v", g.N(), u, visited, want)
+		}
+	}
+	if got := g.Edges(); !slices.Equal(got, all) {
+		t.Fatalf("n=%d: Edges = %v, want %v", g.N(), got, all)
+	}
+	if g.M() != len(all) {
+		t.Fatalf("n=%d: M = %d, want %d", g.N(), g.M(), len(all))
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatalf("n=%d: %v", g.N(), err)
+	}
+}
+
+// TestConcurrentReaders: every read goes through row, a view into the
+// block, so goroutines may share a graph without locking. Node n-1 has
+// no edges, the case where a row used to be materialised on first read;
+// run under -race.
+func TestConcurrentReaders(t *testing.T) {
+	const n, readers = 150, 4
+	g := New(n)
+	for i := 0; i < n; i++ {
+		g.AddNodeID(1)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for k := 0; k < 3*n; k++ {
+		if u, v := rng.Intn(n-1), rng.Intn(n-1); u != v {
+			g.MustAddEdge(u, v)
+		}
+	}
+	want := g.Edges()
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for u := 0; u < n; u++ {
+				d := 0
+				for _, w := range g.row(u) {
+					d += bits.OnesCount64(w)
+				}
+				visited := 0
+				g.ForEachNeighbor(u, func(v NodeID) {
+					if g.HasEdge(v, u) {
+						visited++
+					}
+				})
+				if d != g.Degree(u) || d != len(g.Neighbors(u)) || d != visited {
+					t.Errorf("node %d: row has %d bits, Degree %d, Neighbors %d, ForEachNeighbor %d",
+						u, d, g.Degree(u), len(g.Neighbors(u)), visited)
+					return
+				}
+			}
+			if got := g.Edges(); !slices.Equal(got, want) {
+				t.Errorf("Edges = %v, want %v", got, want)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -13,7 +13,7 @@ import (
 
 // pathGraph builds a weighted path 0-1-...-(n-1) with weight w(v)=v+1.
 func pathGraph(n int) *graphs.Graph {
-	g := graphs.NewWithN(n)
+	g := graphs.New(n)
 	for v := 0; v < n; v++ {
 		g.AddNodeID(int64(v + 1))
 	}
@@ -24,7 +24,7 @@ func pathGraph(n int) *graphs.Graph {
 }
 
 func randomGraph(n int, p float64, maxW int64, rng *rand.Rand) *graphs.Graph {
-	g := graphs.NewWithN(n)
+	g := graphs.New(n)
 	for v := 0; v < n; v++ {
 		g.AddNodeID(1 + rng.Int63n(maxW))
 	}
@@ -112,7 +112,7 @@ func TestKeyInsensitiveToInsertionOrder(t *testing.T) {
 		labelled.MustAddEdge(e[0], e[1])
 	}
 
-	reversed := graphs.NewWithN(len(weights))
+	reversed := graphs.New(len(weights))
 	for _, w := range weights {
 		reversed.AddNodeID(w)
 	}
@@ -120,7 +120,7 @@ func TestKeyInsensitiveToInsertionOrder(t *testing.T) {
 		reversed.MustAddEdge(edges[i][1], edges[i][0])
 	}
 
-	redundant := graphs.NewWithN(len(weights))
+	redundant := graphs.New(len(weights))
 	for _, w := range weights {
 		redundant.AddNodeID(w)
 	}

@@ -11,7 +11,7 @@ import (
 
 // pinnedKeyGraph builds a graph from weights and an edge list.
 func pinnedKeyGraph(weights []int64, edges [][2]int) *graphs.Graph {
-	g := graphs.NewWithN(len(weights))
+	g := graphs.New(len(weights))
 	for _, w := range weights {
 		g.AddNodeID(w)
 	}
@@ -136,7 +136,7 @@ func decodeKeyInput(data []byte) (keyInput, bool) {
 // graph builds the input's graph with its edges inserted in the given
 // order.
 func (in keyInput) graph(edges [][2]int) *graphs.Graph {
-	g := graphs.NewWithN(len(in.weights))
+	g := graphs.New(len(in.weights))
 	for _, w := range in.weights {
 		g.AddNodeID(w)
 	}

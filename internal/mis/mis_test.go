@@ -354,7 +354,7 @@ func TestWeightOnlyMatchesCanonicalWeight(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		n := 48 + rng.Intn(16)
 		g := randomGraph(n, 0.2+0.4*rng.Float64(), 9, rng)
-		rebuilt := graphs.NewWithN(n)
+		rebuilt := graphs.New(n)
 		for v := 0; v < n; v++ {
 			rebuilt.AddNodeID(g.Weight(v))
 		}

@@ -20,7 +20,7 @@ func seededGraph(n int, prob float64, seed int64) *graphs.Graph {
 // order and must still reach the same optimal weight.
 func reversedCopy(g *graphs.Graph) *graphs.Graph {
 	n := g.N()
-	r := graphs.NewWithN(n)
+	r := graphs.New(n)
 	for v := 0; v < n; v++ {
 		r.AddNodeID(g.Weight(n - 1 - v))
 	}

@@ -44,7 +44,7 @@ func (s GraphSpec) graph(budget int64) (*congestlb.Graph, error) {
 	if s.Weights != nil && len(s.Weights) != s.N {
 		return nil, fmt.Errorf("graph: %d weights for %d nodes", len(s.Weights), s.N)
 	}
-	g := graphs.NewWithN(s.N)
+	g := graphs.New(s.N)
 	for v := 0; v < s.N; v++ {
 		w := int64(1)
 		if s.Weights != nil {

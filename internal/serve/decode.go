@@ -212,7 +212,7 @@ func (s *scanner) graph(budget int64) (*congestlb.Graph, bool) {
 	if !ok {
 		return nil, false
 	}
-	g := graphs.NewWithN(int(n))
+	g := graphs.New(int(n))
 	if string(k) == "weights" {
 		if !s.eat('[') {
 			return nil, false

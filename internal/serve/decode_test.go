@@ -272,7 +272,7 @@ func BenchmarkDecodeSolve(b *testing.B) {
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := referenceSolve(body, 2); err != nil {
+				if _, _, err := referenceSolve(body, memBudget); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -14,7 +14,7 @@ import (
 // solver steps but quick to solve.
 func loadTestGraph(seed int64) *congestlb.Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := graphs.NewWithN(30)
+	g := graphs.New(30)
 	for v := 0; v < 30; v++ {
 		g.AddNodeID(1 + rng.Int63n(6))
 	}
