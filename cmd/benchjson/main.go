@@ -56,13 +56,14 @@
 //
 //	benchjson -compare [-threshold 0.25] [-floor 1000000] old.json new.json
 //
-// prints per-benchmark ns/op and B/op deltas (medians, for baselines
-// recorded with -count) and exits non-zero if any
-// benchmark regressed by more than the threshold (default 0.25 = +25%).
-// -floor exempts benchmarks whose old ns/op is below the given value from
-// the ns/op gate: at a 1-iteration smoke, microsecond-scale timings are
-// noise-dominated and would trip any threshold spuriously. B/op is
-// deterministic and gates regardless of the floor.
+// prints per-benchmark ns/op, B/op and allocs/op deltas (medians, for
+// baselines recorded with -count) and exits non-zero if any benchmark
+// regressed in any of the three by more than the threshold (default
+// 0.25 = +25%). -floor exempts benchmarks whose old ns/op is below the
+// given value from the ns/op gate: at a 1-iteration smoke,
+// microsecond-scale timings are noise-dominated and would trip any
+// threshold spuriously. B/op and allocs/op are deterministic and gate
+// regardless of the floor.
 package main
 
 import (
@@ -94,7 +95,8 @@ type Result struct {
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 	// Metrics holds the remaining units by name ("steps/op": 2977). They
-	// are archived only: -compare gates on ns/op and B/op alone.
+	// are archived only: -compare gates on ns/op, B/op and allocs/op
+	// alone.
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
 	Samples    int                `json:"samples,omitempty"`
 	MinNsPerOp float64            `json:"min_ns_per_op,omitempty"`
@@ -474,13 +476,14 @@ func pctDelta(oldV, newV float64) string {
 }
 
 // compareBaselines diffs two baselines benchmark by benchmark and fails on
-// any ns/op or B/op regression beyond threshold (a fraction: 0.25 = +25%).
-// Benchmarks present in only one file are reported but never fail the
-// comparison — the suite is allowed to grow and shrink. Benchmarks whose
-// old ns/op is below floor are exempt from the ns/op gate only: at the
-// 1-iteration CI smoke a microsecond-scale bench's timing is
-// noise-dominated (a single cold-cache miss reads as a 3x "regression"),
-// but B/op stays deterministic and gates at every size.
+// any ns/op, B/op or allocs/op regression beyond threshold (a fraction:
+// 0.25 = +25%). Benchmarks present in only one file are reported but
+// never fail the comparison — the suite is allowed to grow and shrink.
+// Benchmarks whose old ns/op is below floor are exempt from the ns/op
+// gate only: at the 1-iteration CI smoke a microsecond-scale bench's
+// timing is noise-dominated (a single cold-cache miss reads as a 3x
+// "regression"), but B/op and allocs/op stay deterministic and gate at
+// every size.
 func compareBaselines(oldPath, newPath string, threshold, floor float64, w io.Writer) error {
 	oldBy, oldNames, err := readBaseline(oldPath)
 	if err != nil {
@@ -490,8 +493,8 @@ func compareBaselines(oldPath, newPath string, threshold, floor float64, w io.Wr
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%-32s %14s %14s %9s %12s %12s %9s\n",
-		"benchmark", "old ns/op", "new ns/op", "Δ", "old B/op", "new B/op", "Δ")
+	fmt.Fprintf(w, "%-32s %14s %14s %9s %12s %12s %9s %10s %10s %9s\n",
+		"benchmark", "old ns/op", "new ns/op", "Δ", "old B/op", "new B/op", "Δ", "old allocs", "new allocs", "Δ")
 	var regressions []string
 	consumed := make(map[string]bool, len(oldNames))
 	for _, name := range oldNames {
@@ -510,15 +513,25 @@ func compareBaselines(oldPath, newPath string, threshold, floor float64, w io.Wr
 			continue
 		}
 		consumed[matched] = true
-		fmt.Fprintf(w, "%-32s %14.0f %14.0f %9s %12d %12d %9s\n",
+		fmt.Fprintf(w, "%-32s %14.0f %14.0f %9s %12d %12d %9s %10d %10d %9s\n",
 			name, oldR.NsPerOp, newR.NsPerOp, pctDelta(oldR.NsPerOp, newR.NsPerOp),
 			oldR.BytesPerOp, newR.BytesPerOp,
-			pctDelta(float64(oldR.BytesPerOp), float64(newR.BytesPerOp)))
+			pctDelta(float64(oldR.BytesPerOp), float64(newR.BytesPerOp)),
+			oldR.AllocsPerOp, newR.AllocsPerOp,
+			pctDelta(float64(oldR.AllocsPerOp), float64(newR.AllocsPerOp)))
 		if oldR.NsPerOp >= floor && newR.NsPerOp > oldR.NsPerOp*(1+threshold) {
 			regressions = append(regressions, fmt.Sprintf("%s: ns/op %s", name, pctDelta(oldR.NsPerOp, newR.NsPerOp)))
 		}
-		if oldR.BytesPerOp > 0 && float64(newR.BytesPerOp) > float64(oldR.BytesPerOp)*(1+threshold) {
-			regressions = append(regressions, fmt.Sprintf("%s: B/op %s", name, pctDelta(float64(oldR.BytesPerOp), float64(newR.BytesPerOp))))
+		for _, u := range []struct {
+			unit          string
+			before, after int64
+		}{
+			{"B/op", oldR.BytesPerOp, newR.BytesPerOp},
+			{"allocs/op", oldR.AllocsPerOp, newR.AllocsPerOp},
+		} {
+			if u.before > 0 && float64(u.after) > float64(u.before)*(1+threshold) {
+				regressions = append(regressions, fmt.Sprintf("%s: %s %s", name, u.unit, pctDelta(float64(u.before), float64(u.after))))
+			}
 		}
 	}
 	for _, name := range newNames {
@@ -544,8 +557,8 @@ func main() {
 	requireFailures := flag.Bool("require-failures", false, "with -experiments: fail unless the run recovered a panic or counted a degraded solve, disk retry or quarantined entry")
 	scrape := flag.String("scrape", "", "with -experiments: fetch this /metrics.json URL and verify the live counters cover the envelope's delta")
 	compare := flag.Bool("compare", false, "compare two baseline files (old.json new.json) and fail on regressions beyond -threshold")
-	threshold := flag.Float64("threshold", 0.25, "with -compare: allowed ns/op and B/op growth as a fraction (0.25 = +25%)")
-	floor := flag.Float64("floor", 0, "with -compare: exempt benchmarks whose old ns/op is below this from the ns/op gate (1-iteration timing noise; B/op still gates)")
+	threshold := flag.Float64("threshold", 0.25, "with -compare: allowed ns/op, B/op and allocs/op growth as a fraction (0.25 = +25%)")
+	floor := flag.Float64("floor", 0, "with -compare: exempt benchmarks whose old ns/op is below this from the ns/op gate (1-iteration timing noise; B/op and allocs/op still gate)")
 	flag.Parse()
 
 	w := io.Writer(os.Stdout)

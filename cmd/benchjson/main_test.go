@@ -237,24 +237,34 @@ func TestCompareBaselinesPassAndDeltas(t *testing.T) {
 }
 
 func TestCompareBaselinesFailsOnRegression(t *testing.T) {
-	oldPath := writeBaseline(t, []Result{{Name: "BenchmarkA", Iterations: 3, NsPerOp: 1000, BytesPerOp: 100}})
-	var buf bytes.Buffer
-
-	slow := writeBaseline(t, []Result{{Name: "BenchmarkA", Iterations: 3, NsPerOp: 1500, BytesPerOp: 100}})
-	err := compareBaselines(oldPath, slow, 0.25, 0, &buf)
-	if err == nil || !strings.Contains(err.Error(), "ns/op") {
-		t.Fatalf("+50%% ns/op regression not flagged: %v", err)
-	}
-
-	fat := writeBaseline(t, []Result{{Name: "BenchmarkA", Iterations: 3, NsPerOp: 1000, BytesPerOp: 200}})
-	err = compareBaselines(oldPath, fat, 0.25, 0, &buf)
-	if err == nil || !strings.Contains(err.Error(), "B/op") {
-		t.Fatalf("+100%% B/op regression not flagged: %v", err)
-	}
-
-	// A looser threshold lets the same delta through.
-	if err := compareBaselines(oldPath, slow, 0.60, 0, &buf); err != nil {
-		t.Fatalf("+50%% rejected at +60%% threshold: %v", err)
+	old := Result{Name: "BenchmarkA", Iterations: 3, NsPerOp: 1000, BytesPerOp: 100, AllocsPerOp: 10}
+	oldPath := writeBaseline(t, []Result{old})
+	for _, tc := range []struct {
+		name      string
+		edit      func(r *Result)
+		threshold float64
+		floor     float64
+		want      string // the unit named in the error; "" = passes
+	}{
+		{"ns/op +50%", func(r *Result) { r.NsPerOp = 1500 }, 0.25, 0, "ns/op"},
+		{"B/op +100%", func(r *Result) { r.BytesPerOp = 200 }, 0.25, 0, "B/op"},
+		{"allocs/op +100%", func(r *Result) { r.AllocsPerOp = 20 }, 0.25, 0, "allocs/op"},
+		// allocs/op is deterministic: the ns/op floor does not exempt it.
+		{"allocs/op +100% under the floor", func(r *Result) { r.AllocsPerOp = 20 }, 0.25, 1_000_000, "allocs/op"},
+		{"allocs/op +20%", func(r *Result) { r.AllocsPerOp = 12 }, 0.25, 0, ""},
+		// A looser threshold lets the same delta through.
+		{"ns/op +50% at a +60% threshold", func(r *Result) { r.NsPerOp = 1500 }, 0.60, 0, ""},
+	} {
+		r := old
+		tc.edit(&r)
+		var buf bytes.Buffer
+		err := compareBaselines(oldPath, writeBaseline(t, []Result{r}), tc.threshold, tc.floor, &buf)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), "BenchmarkA: "+tc.want+" ")):
+			t.Errorf("%s: error %v, want a %s regression", tc.name, err, tc.want)
+		}
 	}
 }
 

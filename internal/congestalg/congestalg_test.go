@@ -219,14 +219,35 @@ func TestGossipExactFindsOptimum(t *testing.T) {
 	}
 }
 
+// TestGossipExactRoundsScaleWithEdges checks the O(n + m + D) round count
+// that GossipExact's doc claims, as Rounds ≤ n + m + D, on connected
+// graphs: allocTestGraph at several sizes and chord densities, one dense
+// randomGraph, and stars, paths and cliques. Each run must also end with
+// every node agreeing.
 func TestGossipExactRoundsScaleWithEdges(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	g := randomGraph(20, 0.4, 4, rng)
-	result := runPrograms(t, g, NewGossipExactPrograms(20), congest.Config{BandwidthBits: 80})
-	// Gossip needs at least max over nodes of records-to-transfer rounds;
-	// n + m is the coarse upper bound used by the paper's O(n²) framing.
-	if result.Stats.Rounds > 20+g.M()+g.Diameter()+4 {
-		t.Fatalf("gossip took %d rounds for n=20 m=%d", result.Stats.Rounds, g.M())
+	nets := []*graphs.Graph{randomGraph(20, 0.4, 4, rand.New(rand.NewSource(23)))}
+	for _, n := range []int{2, 3, 5, 9, 14, 22, 34} {
+		for _, chords := range []float64{0, 0.05, 0.15, 0.4, 0.8} {
+			for seed := int64(1); seed <= 8; seed++ {
+				nets = append(nets, allocTestGraph(t, n, chords, 100*seed+int64(n)))
+			}
+		}
+	}
+	for _, n := range []int{2, 3, 6, 11, 19, 30} {
+		nets = append(nets,
+			shapeGraph(n, func(u, _ int) bool { return u == 0 }),
+			shapeGraph(n, func(u, v int) bool { return v == u+1 }),
+			shapeGraph(n, func(int, int) bool { return true }))
+	}
+	for _, g := range nets {
+		n, m, d := g.N(), g.M(), g.Diameter()
+		res := runPrograms(t, g, NewGossipExactPrograms(n), congest.Config{BandwidthBits: 8 * nodeRecordLen})
+		if _, err := ExactSetFromOutputs(res); err != nil {
+			t.Fatalf("n=%d m=%d: %v", n, m, err)
+		}
+		if res.Stats.Rounds > n+m+d {
+			t.Fatalf("n=%d m=%d D=%d: %d rounds, more than n + m + D = %d", n, m, d, res.Stats.Rounds, n+m+d)
+		}
 	}
 }
 

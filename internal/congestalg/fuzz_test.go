@@ -18,7 +18,12 @@ import (
 //     cannot read as a tree-phase message, fails the node: its output is
 //     an error carrying the decoder's text;
 //   - a payload decodeRecord, decodeStatus or decodeBFS accepts
-//     re-encodes to the same bytes.
+//     re-encodes to the same bytes;
+//   - an edge record GossipExact decodes in line follows decodeRecord's
+//     rules: one with an endpoint ≥ n or equal endpoints fails the node,
+//     a copy of an edge the node holds, in either orientation, is a
+//     duplicate (no error, nothing logged), and any other edge is logged
+//     once, as the bytes that arrived.
 //
 // Seeds live in testdata/fuzz/FuzzReceive; keep each to a few hundred
 // bytes.
@@ -31,7 +36,7 @@ func FuzzReceive(f *testing.F) {
 		round := int(r) % (2*n + 3)
 		m := congest.Message{From: 1, To: self, Data: data}
 
-		_, _, _, recordErr := decodeRecord(data)
+		_, er, kind, recordErr := decodeRecord(data)
 		for _, p := range []congest.NodeProgram{
 			NewGossipExactPrograms(n)[self],
 			NewCollectSolvePrograms(n)[self],
@@ -41,11 +46,18 @@ func FuzzReceive(f *testing.F) {
 		} {
 			pp := p.(congest.PushProgram)
 			pp.Init(info())
+			var logged int
+			if g, ok := p.(*GossipExact); ok {
+				logged = len(g.log)
+			}
 			pp.Receive(round, m)
 			var wantErr error
-			switch p.(type) {
+			switch p := p.(type) {
 			case *GossipExact:
 				wantErr = recordErr
+				if recordErr == nil && kind == wireEdge {
+					checkGossipEdge(t, p, er, logged, data)
+				}
 			case *CollectSolve:
 				if round > n {
 					wantErr = checkTreeMessage(data)
@@ -83,4 +95,28 @@ func FuzzReceive(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkGossipEdge checks what FuzzReceive's node 2 (neighbours 1 and 3, of
+// 5 nodes) did with the edge record e, which decodeRecord accepted, given
+// its log length before Receive. The only edge the node holds after Init
+// is its own {2, 3}.
+func checkGossipEdge(t *testing.T, g *GossipExact, e edgeRecord, logged int, data []byte) {
+	t.Helper()
+	u, v := min(e.u, e.v), max(e.u, e.v)
+	_, failed := g.Output().(error)
+	switch {
+	case v >= g.info.N || u == v:
+		if !failed {
+			t.Fatalf("edge record % x: output %v, want an error", data, g.Output())
+		}
+	case u == 2 && v == 3:
+		if failed || len(g.log) != logged {
+			t.Fatalf("held edge % x: output %v, log %d → %d entries; want no error and no entry", data, g.Output(), logged, len(g.log))
+		}
+	default:
+		if failed || len(g.log) != logged+1 || !bytes.Equal(g.payload(g.log[logged]), data) {
+			t.Fatalf("new edge % x: output %v, log %d → %d entries; want no error and one entry of the bytes that arrived", data, g.Output(), logged, len(g.log))
+		}
+	}
 }

@@ -2,6 +2,7 @@ package congestalg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"congestlb/internal/congest"
@@ -22,12 +23,11 @@ import (
 // knows m = Σdeg/2 and can tell when its edge-record collection is
 // complete.
 //
-// Rather than buffering records and rebuilding the graph when gossip
-// completes, the program reconstructs the network graph incrementally as
-// records arrive, in a label-free graphs.Graph laid out for all n nodes
-// (New + AddNodeID): arrival-time deduplication doubles as the rebuild,
-// and the local solve runs directly on the reconstructed graph with no
-// label formatting at all.
+// A node's knowledge is one bitset with a bit per record it can learn
+// (node records first, then one bit per vertex pair), its node weights and
+// two counts. Most deliveries are duplicates, and each costs one bit test.
+// Only when the node holds every record does it build the graph, once,
+// from its log, solve it and drop it.
 //
 // Forwarding runs off one append-only log per node: every record the node
 // keeps — its own at Init, then each first arrival — is logged once, and
@@ -42,12 +42,15 @@ import (
 type GossipExact struct {
 	info congest.NodeInfo
 
-	// rebuilt is the incrementally reconstructed network graph; known
-	// marks node IDs whose records arrived, degSum their degree total.
-	rebuilt    *graphs.Graph
-	known      []bool
-	knownCount int
-	degSum     int
+	// have holds one bit per record: bit id for node id's record, bit
+	// n + u·n + v for the edge {u, v}, u < v. weights holds the weights
+	// of the nodes learnt so far; nodes and edges count the set bits of
+	// each kind, degSum is the learnt nodes' degree total.
+	have    []uint64
+	weights []int64
+	nodes   int
+	edges   int
+	degSum  int
 
 	// buf keeps the record payloads, which are only lent to Receive
 	// (append-only; records are addressed by offset, so growth never
@@ -93,14 +96,11 @@ func NewGossipExactProgramsWith(sess *cache.Session, n int) []congest.NodeProgra
 
 // Init implements congest.NodeProgram.
 func (g *GossipExact) Init(info congest.NodeInfo) {
+	n := info.N
 	g.info = info
-	g.rebuilt = graphs.New(info.N)
-	for i := 0; i < info.N; i++ {
-		g.rebuilt.AddNodeID(0)
-	}
-	g.known = make([]bool, info.N)
-	g.knownCount = 0
-	g.degSum = 0
+	g.have = make([]uint64, (n+n*n+63)/64)
+	g.weights = make([]int64, n)
+	g.nodes, g.edges, g.degSum = 0, 0, 0
 	g.buf = nil
 	g.log = nil
 	g.cursor = make([]int, len(info.Neighbors))
@@ -114,15 +114,47 @@ func (g *GossipExact) Init(info congest.NodeInfo) {
 		// the error.
 		g.errVal = fmt.Errorf("gossip at node %d: %w", info.ID, err)
 	}
-	g.storeNode(self)
+	g.learnNode(self)
 	g.keep(encodeNodeRecord(self), -1)
 	for _, v := range info.Neighbors {
 		if info.ID < v {
-			e := edgeRecord{u: info.ID, v: v}
-			g.rebuilt.MustAddEdge(e.u, e.v)
-			g.keep(encodeEdgeRecord(e), -1)
+			g.learnEdge(info.ID, v)
+			g.keep(encodeEdgeRecord(edgeRecord{u: info.ID, v: v}), -1)
 		}
 	}
+}
+
+// learn sets bit b of the record set, reporting whether it was clear.
+func (g *GossipExact) learn(b int) bool {
+	w, mask := uint(b)/64, uint64(1)<<(uint(b)%64)
+	if g.have[w]&mask != 0 {
+		return false
+	}
+	g.have[w] |= mask
+	return true
+}
+
+// learnNode records a node record unless the node holds it already: its
+// weight, and its degree in the termination accounting. It reports
+// whether the record was new.
+func (g *GossipExact) learnNode(r nodeRecord) bool {
+	if !g.learn(r.id) {
+		return false
+	}
+	g.nodes++
+	g.degSum += r.degree
+	g.weights[r.id] = r.weight
+	return true
+}
+
+// learnEdge records the edge {u, v}, u < v < n, unless the node holds it
+// already, reporting whether it was new.
+func (g *GossipExact) learnEdge(u, v int) bool {
+	if !g.learn(g.info.N + u*g.info.N + v) {
+		return false
+	}
+	g.edges++
+	return true
 }
 
 // keep appends a record to the store and its entry to the forwarding log.
@@ -151,15 +183,6 @@ func (g *GossipExact) payload(entry uint64) []byte {
 	return g.buf[off : off+length : off+length]
 }
 
-// storeNode records a newly learned node: its weight lands in the rebuilt
-// graph, its degree in the termination accounting.
-func (g *GossipExact) storeNode(r nodeRecord) {
-	g.known[r.id] = true
-	g.knownCount++
-	g.degSum += r.degree
-	g.rebuilt.SetWeight(r.id, r.weight)
-}
-
 // Round implements congest.NodeProgram.
 func (g *GossipExact) Round(round int, inbox []congest.Message) []congest.Message {
 	for _, m := range inbox {
@@ -170,47 +193,65 @@ func (g *GossipExact) Round(round int, inbox []congest.Message) []congest.Messag
 }
 
 // Receive implements congest.PushProgram: a record that is new to the node
-// lands in the rebuilt graph and is logged for forwarding.
+// sets its bit and is logged for forwarding. An edge record is decoded in
+// line and costs one bit test; {u, v} and {v, u} are one record, and a new
+// one is forwarded as the bytes that arrived. Node records and malformed
+// payloads go through decodeRecord.
 func (g *GossipExact) Receive(_ int, m congest.Message) {
-	nr, er, kind, err := decodeRecord(m.Data)
+	e, ok := decodeEdgeRecord(m.Data)
+	if !ok {
+		g.receiveOther(m)
+		return
+	}
+	u, v, n := e.u, e.v, g.info.N
+	if u > v {
+		u, v = v, u
+	}
+	if v >= n || u == v {
+		g.fail(fmt.Errorf("gossip at node %d: edge record {%d, %d} is no edge on nodes [0,%d)", g.info.ID, e.u, e.v, n))
+		return
+	}
+	if g.learnEdge(u, v) {
+		g.keep(m.Data, neighborIndex(g.info.Neighbors, m.From))
+	}
+}
+
+// receiveOther is Receive for every payload that is not an edge record:
+// a node record, or a malformed payload that fails the node.
+func (g *GossipExact) receiveOther(m congest.Message) {
+	r, _, _, err := decodeRecord(m.Data)
 	if err != nil {
 		g.fail(fmt.Errorf("gossip at node %d: %w", g.info.ID, err))
 		return
 	}
-	switch kind {
-	case wireNode:
-		if nr.id >= g.info.N {
-			g.fail(fmt.Errorf("gossip at node %d: node record %d out of range", g.info.ID, nr.id))
-			return
-		}
-		if !g.known[nr.id] {
-			g.storeNode(nr)
-			g.keep(m.Data, neighborIndex(g.info.Neighbors, m.From))
-		}
-	case wireEdge:
-		if !g.rebuilt.HasEdge(er.u, er.v) {
-			if err := g.rebuilt.AddEdge(er.u, er.v); err != nil {
-				g.fail(fmt.Errorf("gossip at node %d: rebuild edge: %w", g.info.ID, err))
-				return
-			}
-			g.keep(m.Data, neighborIndex(g.info.Neighbors, m.From))
-		}
+	// decodeRecord accepted no edge record: Receive took those.
+	if r.id >= g.info.N {
+		g.fail(fmt.Errorf("gossip at node %d: node record %d out of range", g.info.ID, r.id))
+		return
+	}
+	if g.learnNode(r) {
+		g.keep(m.Data, neighborIndex(g.info.Neighbors, m.From))
 	}
 }
 
 // Send implements congest.PushProgram: every neighbour gets the next
 // logged record that did not come from it, and a node that has learnt the
 // whole graph solves it. Neighbours get different records, so nothing is
-// broadcast.
+// broadcast. out grows once, and each message is written in place.
 func (g *GossipExact) Send(_ int, out []congest.Message) ([]congest.Message, []byte) {
+	k := len(out)
+	out = slices.Grow(out, len(g.info.Neighbors))[:k+len(g.info.Neighbors)]
 	for i, v := range g.info.Neighbors {
 		c := g.next(i)
 		if c < len(g.log) {
-			out = append(out, congest.Message{From: g.info.ID, To: v, Data: g.payload(g.log[c])})
+			m := &out[k]
+			m.From, m.To, m.Data = g.info.ID, v, g.payload(g.log[c])
+			k++
 			c++
 		}
 		g.cursor[i] = c
 	}
+	out = out[:k]
 	if !g.solved && g.complete() {
 		g.solve()
 	}
@@ -219,20 +260,26 @@ func (g *GossipExact) Send(_ int, out []congest.Message) ([]congest.Message, []b
 
 // complete reports whether the full graph is known locally.
 func (g *GossipExact) complete() bool {
-	return g.knownCount == g.info.N && g.rebuilt.M() == g.degSum/2
+	return g.nodes == g.info.N && g.edges == g.degSum/2
 }
 
-// solve runs the exact MaxIS solver on the reconstructed graph. Every node
-// performs the identical deterministic computation, so all outputs agree —
-// which is exactly why the solve goes through the content-addressed cache:
-// all n nodes reconstruct the same graph, so one node pays for the
-// branch-and-bound and the other n-1 hit the cached solution.
+// solve builds the learnt graph and runs the exact MaxIS solver on it.
+// Every node performs the identical deterministic computation, so all
+// outputs agree — which is exactly why the solve goes through the
+// content-addressed cache: all n nodes learn the same graph, so one node
+// pays for the branch-and-bound and the other n-1 hit the cached
+// solution.
 func (g *GossipExact) solve() {
 	g.solved = true
 	if g.errVal != nil {
 		return
 	}
-	sol, err := g.sess.Exact(g.rebuilt, mis.Options{})
+	learnt, err := g.learnt()
+	if err != nil {
+		g.fail(fmt.Errorf("gossip at node %d: learnt graph: %w", g.info.ID, err))
+		return
+	}
+	sol, err := g.sess.Exact(learnt, mis.Options{})
 	if err != nil {
 		g.fail(fmt.Errorf("gossip at node %d: local solve: %w", g.info.ID, err))
 		return
@@ -240,6 +287,25 @@ func (g *GossipExact) solve() {
 	set := append([]graphs.NodeID(nil), sol.Set...)
 	sort.Ints(set)
 	g.result = set
+}
+
+// learnt builds the graph the node holds: its n nodes with their weights
+// and one edge per edge record in the log. Receive admits only edges of
+// an n-node graph, so AddEdge can fail only on one of the node's own
+// records, to a neighbour whose ID the 16-bit wire field truncated.
+func (g *GossipExact) learnt() (*graphs.Graph, error) {
+	learnt := graphs.New(g.info.N)
+	for _, w := range g.weights {
+		learnt.AddNodeID(w)
+	}
+	for _, entry := range g.log {
+		if e, ok := decodeEdgeRecord(g.payload(entry)); ok {
+			if err := learnt.AddEdge(e.u, e.v); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return learnt, nil
 }
 
 // fail ends the node's part in the solve; the first error is its output.

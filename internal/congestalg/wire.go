@@ -122,35 +122,53 @@ func encodeEdgeRecord(r edgeRecord) []byte {
 	return appendEdgeRecord(make([]byte, 0, edgeRecordLen), r)
 }
 
+// decodeNodeRecord unpacks data if it is a node record. It is small
+// enough to inline.
+func decodeNodeRecord(data []byte) (nodeRecord, bool) {
+	if len(data) != nodeRecordLen || data[0] != wireNode {
+		return nodeRecord{}, false
+	}
+	return nodeRecord{
+		id:     int(binary.BigEndian.Uint16(data[1:])),
+		weight: int64(binary.BigEndian.Uint32(data[3:])),
+		degree: int(binary.BigEndian.Uint16(data[7:])),
+	}, true
+}
+
+// decodeEdgeRecord unpacks data if it is an edge record. It is small
+// enough to inline, so GossipExact.Receive decodes edge records, the bulk
+// of its traffic, without a call. The endpoints are as sent: neither
+// their order nor their range is checked.
+func decodeEdgeRecord(data []byte) (edgeRecord, bool) {
+	if len(data) != edgeRecordLen || data[0] != wireEdge {
+		return edgeRecord{}, false
+	}
+	return edgeRecord{
+		u: int(binary.BigEndian.Uint16(data[1:])),
+		v: int(binary.BigEndian.Uint16(data[3:])),
+	}, true
+}
+
 // decodeRecord unpacks either record type by value (no heap traffic); kind
 // is wireNode or wireEdge and selects which return value is meaningful.
 func decodeRecord(data []byte) (nr nodeRecord, er edgeRecord, kind byte, err error) {
 	if len(data) == 0 {
 		return nr, er, 0, fmt.Errorf("congestalg: empty record")
 	}
-	switch data[0] {
+	var ok bool
+	switch kind = data[0]; kind {
 	case wireNode:
-		if len(data) != nodeRecordLen {
+		if nr, ok = decodeNodeRecord(data); !ok {
 			return nr, er, 0, fmt.Errorf("congestalg: malformed node record % x", data)
 		}
-		nr = nodeRecord{
-			id:     int(binary.BigEndian.Uint16(data[1:])),
-			weight: int64(binary.BigEndian.Uint32(data[3:])),
-			degree: int(binary.BigEndian.Uint16(data[7:])),
-		}
-		return nr, er, wireNode, nil
 	case wireEdge:
-		if len(data) != edgeRecordLen {
+		if er, ok = decodeEdgeRecord(data); !ok {
 			return nr, er, 0, fmt.Errorf("congestalg: malformed edge record % x", data)
 		}
-		er = edgeRecord{
-			u: int(binary.BigEndian.Uint16(data[1:])),
-			v: int(binary.BigEndian.Uint16(data[3:])),
-		}
-		return nr, er, wireEdge, nil
 	default:
 		return nr, er, 0, fmt.Errorf("congestalg: unknown record type %d", data[0])
 	}
+	return nr, er, kind, nil
 }
 
 // recArena retains small payloads beyond the Receive call that lends them:

@@ -34,6 +34,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -480,10 +481,33 @@ func KeyOf(g *graphs.Graph, opts mis.Options) (Key, bool) {
 // 0, the byte earlier versions appended, so no existing key changed.
 const solverGeneration byte = 0
 
+// keyBufs recycles the buffers keyOf serialises a solve into, so a lookup
+// allocates nothing to hash its graph. Buffers that grew past
+// maxPooledKeyBuf are dropped, not pooled.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledKeyBuf = 1 << 20
+
 // keyOf is KeyOf under an explicit solver generation.
 func keyOf(g *graphs.Graph, opts mis.Options, gen byte) (Key, bool) {
+	bp := keyBufs.Get().(*[]byte)
+	buf, ok := appendKeyInput((*bp)[:0], g, opts, gen)
+	var key Key
+	if ok {
+		key = sha256.Sum256(buf)
+	}
+	if cap(buf) <= maxPooledKeyBuf {
+		*bp = buf
+		keyBufs.Put(bp)
+	}
+	return key, ok
+}
+
+// appendKeyInput appends the bytes keyOf hashes to buf; ok is false when
+// the cover is malformed.
+func appendKeyInput(buf []byte, g *graphs.Graph, opts mis.Options, gen byte) (_ []byte, ok bool) {
 	n := g.N()
-	buf := make([]byte, 0, 16+8*n+8*g.M()+4*n)
+	buf = slices.Grow(buf, 24+12*n+8*g.M())
 	buf = append(buf, 'm', 'i', 's', 'v', '1')
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
 	for v := 0; v < n; v++ {
@@ -508,7 +532,7 @@ func keyOf(g *graphs.Graph, opts mis.Options, gen byte) (Key, bool) {
 		for ci, clique := range opts.CliqueCover {
 			for _, v := range clique {
 				if v < 0 || v >= n || id[v] != -1 {
-					return Key{}, false
+					return buf, false
 				}
 				id[v] = int32(ci)
 			}
@@ -522,7 +546,7 @@ func keyOf(g *graphs.Graph, opts mis.Options, gen byte) (Key, bool) {
 		var next int32
 		for v := 0; v < n; v++ {
 			if id[v] == -1 {
-				return Key{}, false
+				return buf, false
 			}
 			if renum[id[v]] == -1 {
 				renum[id[v]] = next
@@ -532,6 +556,5 @@ func keyOf(g *graphs.Graph, opts mis.Options, gen byte) (Key, bool) {
 		}
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(opts.MaxSteps))
-	buf = append(buf, gen)
-	return sha256.Sum256(buf), true
+	return append(buf, gen), true
 }

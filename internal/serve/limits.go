@@ -78,13 +78,17 @@ func reduceNodes(name string, p congestlb.Params) int64 {
 	}
 }
 
-// reduceBytes is the memory a reduction over n nodes asks for: every
-// node's GossipExact rebuild of the n-node graph, the exact solve of the
-// instance, and the family's k·M codeword table.
+// reduceBytes is the memory a reduction over n nodes asks for: n
+// n-node adjacency blocks, the exact solve of the instance, and the
+// family's k·M codeword table. Each GossipExact node holds a record
+// bitset of n + n² bits, about one such block, with n weights, its record
+// store and its forwarding log; it builds the n-node graph it has learnt
+// only to solve it, and drops it after. The blocks stand for the bitsets;
+// the stores and logs are not counted.
 func reduceBytes(n int64, p congestlb.Params) int64 {
-	rebuilt := satMul(n, satMul(n, rowBytes(n)))
+	bitsets := satMul(n, satMul(n, rowBytes(n)))
 	table := int64(p.K()) * int64(p.M()) * 8
-	return satAdd(satAdd(rebuilt, solveBytes(n)), table)
+	return satAdd(satAdd(bitsets, solveBytes(n)), table)
 }
 
 // checkReduceBytes rejects a reduction over budget (memBudget in
