@@ -39,7 +39,7 @@
 // (and the process) alive for the given extra duration after the run —
 // CI's smoke test scrapes the final counters through it.
 //
-// -json writes the structured result envelope (schema v11) — one record
+// -json writes the structured result envelope (schema v12) — one record
 // per experiment with status, wall time, cancellation flag, instance-job
 // count, its solve session's cache block (solver steps, hits, misses,
 // disk-tier traffic, degraded solves), its lower-bound graph

@@ -88,6 +88,48 @@ func TestExperimentsJSONEnvelope(t *testing.T) {
 	}
 }
 
+// TestExperimentsRecordsOmitCacheSnapshots: a full -jobs 4 run writes no
+// evictions or entries key into any record's cache block, since a
+// session books neither; the run-level block carries them only when they
+// are not 0.
+func TestExperimentsRecordsOmitCacheSnapshots(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "env.json")
+	if err := run([]string{"-jobs", "4", "-json", path}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type block map[string]json.RawMessage
+	var env struct {
+		Cache       block `json:"cache"`
+		Experiments []struct {
+			ID    string `json:"id"`
+			Cache block  `json:"cache"`
+		} `json:"experiments"`
+	}
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatal(err)
+	}
+	if len(env.Experiments) != len(congestlb.AllExperiments()) {
+		t.Fatalf("%d records, want one per experiment (%d)", len(env.Experiments), len(congestlb.AllExperiments()))
+	}
+	for _, snapshot := range []string{"evictions", "entries"} {
+		for _, r := range env.Experiments {
+			if r.Cache == nil {
+				t.Fatalf("%s: no cache block", r.ID)
+			}
+			if _, ok := r.Cache[snapshot]; ok {
+				t.Fatalf("%s: cache block carries %q", r.ID, snapshot)
+			}
+		}
+		if raw, ok := env.Cache[snapshot]; ok && string(raw) == "0" {
+			t.Fatalf("run-level cache block carries %q: 0", snapshot)
+		}
+	}
+}
+
 // TestExperimentsCacheDirWarmRun is the persistence story end to end: a
 // cold run with -cache-dir writes solve entries; a second run over the
 // same directory (on a fresh Lab, so with an empty in-memory cache, as a

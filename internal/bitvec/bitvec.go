@@ -10,8 +10,10 @@
 package bitvec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -58,6 +60,64 @@ func MustFromBits(bits []int) *Vector {
 		panic(err)
 	}
 	return v
+}
+
+// AppendBytes appends v to dst as ⌈k/8⌉ bytes, bit i at bit i%8 of byte
+// i/8, and returns the extended slice. That is a word's little-endian
+// layout, so whole words are appended at once.
+func AppendBytes(dst []byte, v *Vector) []byte {
+	size := (v.n + 7) / 8
+	dst = slices.Grow(dst, size)
+	full := size / 8
+	for _, w := range v.words[:full] {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	if rest := size - 8*full; rest > 0 {
+		var tail [8]byte
+		binary.LittleEndian.PutUint64(tail[:], v.words[full])
+		dst = append(dst, tail[:rest]...)
+	}
+	return dst
+}
+
+// FromBytes returns the length-k vector whose bit i is bit i%8 of
+// data[i/8], the layout AppendBytes writes. It reads the first ⌈k/8⌉
+// bytes of data, which must hold them, and clears the bits past k. It
+// panics for negative k.
+func FromBytes(data []byte, k int) *Vector {
+	v := New(k)
+	data = data[:(k+7)/8]
+	full := len(data) / 8
+	for i := range v.words[:full] {
+		v.words[i] = binary.LittleEndian.Uint64(data[8*i:])
+	}
+	if full < len(v.words) {
+		var tail [8]byte
+		copy(tail[:], data[8*full:])
+		v.words[full] = binary.LittleEndian.Uint64(tail[:])
+	}
+	v.clearTail()
+	return v
+}
+
+// Prefix returns a new vector of v's first p bits. It panics unless
+// 0 ≤ p ≤ v.Len().
+func Prefix(v *Vector, p int) *Vector {
+	if p < 0 || p > v.n {
+		panic(fmt.Sprintf("bitvec: prefix %d out of range [0,%d]", p, v.n))
+	}
+	out := New(p)
+	copy(out.words, v.words)
+	out.clearTail()
+	return out
+}
+
+// clearTail clears the bits of the last word past the length, which every
+// other method assumes are 0.
+func (v *Vector) clearTail() {
+	if r := v.n % wordBits; r != 0 {
+		v.words[len(v.words)-1] &= 1<<uint(r) - 1
+	}
 }
 
 // Len returns the vector length k.

@@ -424,3 +424,83 @@ func BenchmarkDisjoint(b *testing.B) {
 		in[0].Disjoint(in[1])
 	}
 }
+
+// perBitBytes is the reference encoder for AppendBytes: ⌈k/8⌉ bytes, bit i
+// of v at bit i%8 of byte i/8.
+func perBitBytes(v *Vector) []byte {
+	out := make([]byte, (v.Len()+7)/8)
+	for i := 0; i < v.Len(); i++ {
+		if v.Get(i) {
+			out[i/8] |= 1 << (uint(i) % 8)
+		}
+	}
+	return out
+}
+
+// TestBytesRoundTrip: for every length from 1 to 200, AppendBytes writes
+// the per-bit reference's bytes after what dst held, FromBytes reads them
+// back to an equal vector, and FromBytes drops the bits of the last byte
+// past the length (and any bytes past ⌈k/8⌉).
+func TestBytesRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for k := 1; k <= 200; k++ {
+		v := New(k)
+		for i := 0; i < k; i++ {
+			if rng.Intn(2) == 0 {
+				v.Set(i)
+			}
+		}
+		want := perBitBytes(v)
+		got := AppendBytes([]byte{0xAB}, v)
+		if got[0] != 0xAB || !reflect.DeepEqual(got[1:], want) {
+			t.Fatalf("k=%d: AppendBytes = % x, want ab % x", k, got, want)
+		}
+		if back := FromBytes(want, k); !back.Equal(v) {
+			t.Fatalf("k=%d: FromBytes(AppendBytes(v)) = %s, want %s", k, back, v)
+		}
+		full := make([]byte, len(want)+2)
+		for i := range full {
+			full[i] = 0xFF
+		}
+		if ones := FromBytes(full, k); ones.Count() != k || !reflect.DeepEqual(AppendBytes(nil, ones), perBitBytes(ones)) {
+			t.Fatalf("k=%d: FromBytes of 0xff bytes has %d ones, want %d", k, ones.Count(), k)
+		}
+	}
+	if got := AppendBytes(nil, New(0)); len(got) != 0 {
+		t.Fatalf("empty vector encodes to % x", got)
+	}
+}
+
+// TestPrefix: Prefix keeps the first p bits, for every p from 0 to k, and
+// clears the rest of its last word; p outside [0, k] panics.
+func TestPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	v := New(150)
+	for i := 0; i < v.Len(); i++ {
+		if rng.Intn(2) == 0 {
+			v.Set(i)
+		}
+	}
+	for p := 0; p <= v.Len(); p++ {
+		pre := Prefix(v, p)
+		want := New(p)
+		for i := 0; i < p; i++ {
+			if v.Get(i) {
+				want.Set(i)
+			}
+		}
+		if !pre.Equal(want) || pre.Count() != want.Count() {
+			t.Fatalf("Prefix(v, %d) = %s, want %s", p, pre, want)
+		}
+	}
+	for _, p := range []int{-1, v.Len() + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Prefix(v, %d) did not panic", p)
+				}
+			}()
+			Prefix(v, p)
+		}()
+	}
+}

@@ -23,18 +23,29 @@ func RandomPairwiseDisjoint(k, t int, opts GenOptions, rng *rand.Rand) (Inputs, 
 	if err := checkKT(k, t); err != nil {
 		return nil, err
 	}
-	in := make(Inputs, t)
-	for i := range in {
-		in[i] = New(k)
-	}
+	in := newInputs(k, t)
 	if opts.Density > 0 {
 		for idx := 0; idx < k; idx++ {
 			if rng.Float64() < opts.Density {
-				in[rng.Intn(t)].Set(idx)
+				in[rng.Intn(t)].words[idx/wordBits] |= 1 << (uint(idx) % wordBits)
 			}
 		}
 	}
 	return in, nil
+}
+
+// newInputs returns t all-zeros vectors of length k, their headers and
+// their words each cut from one allocation.
+func newInputs(k, t int) Inputs {
+	size := (k + wordBits - 1) / wordBits
+	vecs := make([]Vector, t)
+	words := make([]uint64, t*size)
+	in := make(Inputs, t)
+	for i := range in {
+		vecs[i] = Vector{n: k, words: words[i*size : (i+1)*size : (i+1)*size]}
+		in[i] = &vecs[i]
+	}
+	return in
 }
 
 // RandomUniquelyIntersecting returns t strings of length k that all share

@@ -73,15 +73,26 @@ func (b *Blackboard) Write(player int, label string, data []byte, bits int64) er
 	if bits > int64(len(data))*8 {
 		return fmt.Errorf("cc: %d bits charged but payload only holds %d", bits, len(data)*8)
 	}
+	off := b.payloadEnd()
+	b.payload = append(b.payload, data...)
+	b.book(player, label, off, bits)
+	return nil
+}
+
+// payloadEnd returns the offset the next entry's payload starts at,
+// allocating a payload buffer dropped by Reset at its high-water mark.
+func (b *Blackboard) payloadEnd() int32 {
 	if b.payload == nil && b.hwPayload > 0 {
 		b.payload = make([]byte, 0, b.hwPayload)
 	}
-	off := int32(len(b.payload))
-	b.payload = append(b.payload, data...)
-	b.recs = append(b.recs, rec{player: int32(player), off: off, length: int32(len(data)), bits: bits})
+	return int32(len(b.payload))
+}
+
+// book records the entry whose payload was appended at offset off.
+func (b *Blackboard) book(player int, label string, off int32, bits int64) {
+	b.recs = append(b.recs, rec{player: int32(player), off: off, length: int32(len(b.payload)) - off, bits: bits})
 	b.labels = append(b.labels, label)
 	b.bits += bits
-	return nil
 }
 
 // WriteBit appends a single-bit entry.
@@ -93,14 +104,18 @@ func (b *Blackboard) WriteBit(player int, label string, bit bool) error {
 	return b.Write(player, label, []byte{payload}, 1)
 }
 
-// WriteVector appends a full bit string, charged at its exact length.
+// WriteVector appends a full bit string, charged at its exact length: the
+// entry Write would book for its ⌈k/8⌉ bytes (bit i at bit i%8 of byte
+// i/8), which it appends to the payload buffer a word at a time.
 func (b *Blackboard) WriteVector(player int, label string, v *bitvec.Vector) error {
-	k := v.Len()
-	data := make([]byte, (k+7)/8)
-	for _, i := range v.Ones() {
-		data[i/8] |= 1 << (uint(i) % 8)
+	k := int64(v.Len())
+	if k <= 0 {
+		return fmt.Errorf("cc: write of %d bits", k)
 	}
-	return b.Write(player, label, data, int64(k))
+	off := b.payloadEnd()
+	b.payload = bitvec.AppendBytes(b.payload, v)
+	b.book(player, label, off, k)
+	return nil
 }
 
 // Bits returns the total number of bits written so far — the |π_Q(x̄)| of
@@ -144,7 +159,8 @@ func (b *Blackboard) Reset() {
 // volume in bytes (bits are charged separately and may be fewer).
 func (b *Blackboard) PayloadBytes() int { return len(b.payload) }
 
-// ReadVector decodes entry index idx back into a bit vector of length k.
+// ReadVector decodes entry index idx back into a bit vector of length k,
+// a word at a time; the bits of its last byte past k are dropped.
 // Protocol implementations use it to model players reading the blackboard.
 func (b *Blackboard) ReadVector(idx, k int) (*bitvec.Vector, error) {
 	if idx < 0 || idx >= len(b.recs) {
@@ -154,14 +170,7 @@ func (b *Blackboard) ReadVector(idx, k int) (*bitvec.Vector, error) {
 	if r.bits != int64(k) {
 		return nil, fmt.Errorf("cc: entry %d holds %d bits, want %d", idx, r.bits, k)
 	}
-	data := b.payload[r.off : r.off+r.length]
-	v := bitvec.New(k)
-	for i := 0; i < k; i++ {
-		if data[i/8]&(1<<(uint(i)%8)) != 0 {
-			v.Set(i)
-		}
-	}
-	return v, nil
+	return bitvec.FromBytes(b.payload[r.off:r.off+r.length], k), nil
 }
 
 // Protocol computes the promise pairwise disjointness function over a
@@ -330,27 +339,15 @@ func (p TruncatedProbe) Run(in bitvec.Inputs, bb *Blackboard) (bool, error) {
 	if prefix > k {
 		prefix = k
 	}
-	trunc := bitvec.New(prefix)
-	for _, i := range in[0].Ones() {
-		if i < prefix {
-			trunc.Set(i)
-		}
-	}
 	start := bb.Len()
-	if err := bb.WriteVector(0, fmt.Sprintf("x^1[:%d]", prefix), trunc); err != nil {
+	if err := bb.WriteVector(0, fmt.Sprintf("x^1[:%d]", prefix), bitvec.Prefix(in[0], prefix)); err != nil {
 		return false, err
 	}
 	seen, err := bb.ReadVector(start, prefix)
 	if err != nil {
 		return false, err
 	}
-	hit := false
-	for _, i := range in[1].Ones() {
-		if i < prefix && seen.Get(i) {
-			hit = true
-			break
-		}
-	}
+	hit := !seen.Disjoint(bitvec.Prefix(in[1], prefix))
 	if err := bb.WriteBit(1, "prefix hit", hit); err != nil {
 		return false, err
 	}

@@ -3,6 +3,7 @@ package cc
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"congestlb/internal/bitvec"
@@ -81,6 +82,61 @@ func TestWriteAndReadVectorRoundTrip(t *testing.T) {
 	}
 	if _, err := bb.ReadVector(7, 11); err == nil {
 		t.Fatal("out-of-range read accepted")
+	}
+}
+
+// TestWriteVectorMatchesPerBitWrite: for every length from 1 to 200,
+// WriteVector books the entry Write books for the per-bit encoding (bit i
+// at bit i%8 of byte i/8), and ReadVector reads the vector back.
+func TestWriteVectorMatchesPerBitWrite(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var got, want Blackboard
+	for k := 1; k <= 200; k++ {
+		v := bitvec.New(k)
+		data := make([]byte, (k+7)/8)
+		for i := 0; i < k; i++ {
+			if rng.Intn(2) == 0 {
+				v.Set(i)
+				data[i/8] |= 1 << (uint(i) % 8)
+			}
+		}
+		if err := got.WriteVector(k%3, "x", v); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Write(k%3, "x", data, int64(k)); err != nil {
+			t.Fatal(err)
+		}
+		back, err := got.ReadVector(got.Len()-1, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !back.Equal(v) {
+			t.Fatalf("k=%d: read back %s, wrote %s", k, back, v)
+		}
+	}
+	if !reflect.DeepEqual(got.Entries(), want.Entries()) || got.Bits() != want.Bits() ||
+		got.Len() != want.Len() || got.PayloadBytes() != want.PayloadBytes() {
+		t.Fatalf("WriteVector transcript differs from per-bit Write: %d/%d bits, %d/%d entries", got.Bits(), want.Bits(), got.Len(), want.Len())
+	}
+	if err := got.WriteVector(0, "empty", bitvec.New(0)); err == nil || err.Error() != "cc: write of 0 bits" {
+		t.Fatalf("empty vector write: %v, want cc: write of 0 bits", err)
+	}
+}
+
+// TestReadVectorDropsBitsPastLength: a 9-bit entry written from two 0xFF
+// bytes reads back as nine 1 bits; the seven bits past the length in its
+// last byte are dropped.
+func TestReadVectorDropsBitsPastLength(t *testing.T) {
+	var bb Blackboard
+	if err := bb.Write(0, "", []byte{0xFF, 0xFF}, 9); err != nil {
+		t.Fatal(err)
+	}
+	v, err := bb.ReadVector(0, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Len() != 9 || v.Count() != 9 {
+		t.Fatalf("ReadVector(0, 9) = %s: length %d, %d ones; want 9 and 9", v, v.Len(), v.Count())
 	}
 }
 

@@ -1,7 +1,9 @@
 package cc
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"congestlb/internal/bitvec"
@@ -109,5 +111,53 @@ func TestTruncatedProbeNeedsTwoPlayers(t *testing.T) {
 	var bb Blackboard
 	if _, err := (TruncatedProbe{PrefixBits: 4}).Run(bitvec.Inputs{bitvec.New(8)}, &bb); err == nil {
 		t.Fatal("t=1 accepted")
+	}
+}
+
+// TestTruncatedProbeMatchesPerBitReference: on random inputs, for every
+// prefix from 1 to k, the probe's answer and transcript are what a per-bit
+// reference gives — player 1 writes x¹'s first p bits (bit i at bit i%8 of
+// byte i/8), and player 2 writes whether some index below p is 1 in both
+// x¹ and x².
+func TestTruncatedProbeMatchesPerBitReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for _, k := range []int{1, 7, 63, 64, 65, 130} {
+		for trial := 0; trial < 3; trial++ {
+			in := make(bitvec.Inputs, 2+trial%2)
+			for i := range in {
+				in[i] = bitvec.New(k)
+				for j := 0; j < k; j++ {
+					if rng.Intn(3) == 0 {
+						in[i].Set(j)
+					}
+				}
+			}
+			for p := 1; p <= k; p++ {
+				written := make([]byte, (p+7)/8)
+				hit := false
+				for i := 0; i < p; i++ {
+					if in[0].Get(i) {
+						written[i/8] |= 1 << (uint(i) % 8)
+						hit = hit || in[1].Get(i)
+					}
+				}
+				var bit byte
+				if hit {
+					bit = 1
+				}
+				want := []Entry{
+					{Player: 0, Label: fmt.Sprintf("x^1[:%d]", p), Data: written, Bits: int64(p)},
+					{Player: 1, Label: "prefix hit", Data: []byte{bit}, Bits: 1},
+				}
+				var bb Blackboard
+				got, err := TruncatedProbe{PrefixBits: p}.Run(in, &bb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != !hit || !reflect.DeepEqual(bb.Entries(), want) {
+					t.Fatalf("k=%d p=%d: probe %v with %+v, reference %v with %+v", k, p, got, bb.Entries(), !hit, want)
+				}
+			}
+		}
 	}
 }

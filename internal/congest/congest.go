@@ -269,7 +269,7 @@ func newAdjacency(g *graphs.Graph) *adjacency {
 // Network binds a graph to one NodeProgram per node and holds the engine
 // state of its runs: the programs, the adjacency their sends are checked
 // against and broadcasts are expanded over, the per-node outboxes,
-// broadcasts and done flags, and the running Stats.
+// broadcasts, done flags and cut crossing counts, and the running Stats.
 // The state is retained across Run calls: repeated runs (benchmark
 // iterations, replayed simulations) reuse the outbox backing arrays and
 // the inbox adapters' buffers at their previous capacity instead of
@@ -292,6 +292,11 @@ type Network struct {
 	// Send calls; live counts the nodes not done.
 	done []bool
 	live int
+	// cross[u] is the number of node u's neighbours another player owns
+	// under Config.Cut, counted by RunCtx (see countCrossings): a broadcast
+	// of u crosses the cut cross[u] times. Unused without a Cut. It shares
+	// one block with seen, so a Cut costs a run no allocation.
+	cross []int64
 	// seen implements duplicate-destination detection without a
 	// per-node-per-round map: seen[v] == stamp means v already received a
 	// message from the outbox being validated. Stamps only ever grow.
@@ -399,8 +404,9 @@ func (n *Network) step(round int) (finished bool, err error) {
 // A sender's broadcast goes first, one message to each neighbour on its
 // adjacency row, in row order (see broadcast). It needs one check, of its
 // bandwidth, against the first neighbour: that is where the per-neighbour
-// outbox it stands for would fail. Its neighbours are then stamped into
-// seen, so any unicast beside it gets validateMsg's error for that outbox.
+// outbox it stands for would fail. Its cut tally is booked once, from the
+// sender's crossing count. Its neighbours are then stamped into seen, so
+// any unicast beside it gets validateMsg's error for that outbox.
 //
 // An outbox is checked in two phases. While its destinations are strictly
 // increasing neighbours of the sender, each is found in the sender's
@@ -432,7 +438,7 @@ func (n *Network) deliver(round int) error {
 		nbrs := n.adj.nbrs[n.adj.off[u]:n.adj.off[u+1]]
 		ordered := true
 		if data != nil && len(nbrs) > 0 {
-			if err := n.broadcast(round, u, owner, nbrs, data); err != nil {
+			if err := n.broadcast(round, u, nbrs, data); err != nil {
 				return err
 			}
 			if len(out) > 0 {
@@ -496,25 +502,35 @@ func (n *Network) deliver(round int) error {
 }
 
 // broadcast delivers node u's broadcast of data to each of its neighbours
-// nbrs, in order, as deliver delivers a validated unicast: cut tally
-// (owner is u's player), hook, then Receive unless the receiver is done.
+// nbrs, in order, as deliver delivers a validated unicast: hook, then
+// Receive unless the receiver is done. With a Cut, the tally is booked
+// once, from u's crossing count: cross[u] messages of 8·len(data) bits.
+// A 0-bit broadcast that crosses the cut reaches the neighbours before the
+// first crossing one and then fails the run, where the per-message tally
+// fails it; that is the one case that looks up each neighbour's owner.
 // It adds its messages to n.stats itself.
-func (n *Network) broadcast(round, u, owner int, nbrs []graphs.NodeID, data []byte) error {
+func (n *Network) broadcast(round, u int, nbrs []graphs.NodeID, data []byte) error {
 	nodes, done, cut, hook := n.nodes, n.done, n.cfg.Cut, n.cfg.Hook
 	bits := int64(len(data)) * 8
 	if bits > n.bw {
 		return errBandwidth(bits, n.bw, u, nbrs[0], round)
 	}
-	var cutBits, cutMessages int64
-	for _, v := range nbrs {
-		msg := Message{From: u, To: v, Data: data}
-		if cut != nil && cut.Of(v) != owner {
-			if bits == 0 {
-				return errZeroBitCut
+	var crossing int64
+	reach := nbrs
+	if cut != nil {
+		crossing = n.cross[u]
+		if bits == 0 && crossing > 0 {
+			owner := cut.Of(u)
+			for i, v := range nbrs {
+				if cut.Of(v) != owner {
+					reach = nbrs[:i]
+					break
+				}
 			}
-			cutBits += bits
-			cutMessages++
 		}
+	}
+	for _, v := range reach {
+		msg := Message{From: u, To: v, Data: data}
 		if hook != nil {
 			if err := hook(round, msg); err != nil {
 				return fmt.Errorf("congest: hook: %w", err)
@@ -524,12 +540,34 @@ func (n *Network) broadcast(round, u, owner int, nbrs []graphs.NodeID, data []by
 			nodes[v].Receive(round, msg)
 		}
 	}
+	if len(reach) < len(nbrs) {
+		return errZeroBitCut
+	}
 	n.stats.Messages += int64(len(nbrs))
 	n.stats.TotalBits += int64(len(nbrs)) * bits
 	n.stats.MaxMessageBits = max(n.stats.MaxMessageBits, bits)
-	n.stats.CutBits += cutBits
-	n.stats.CutMessages += cutMessages
+	n.stats.CutBits += crossing * bits
+	n.stats.CutMessages += crossing
 	return nil
+}
+
+// countCrossings sets cross[u], for every node u, to the number of u's
+// neighbours that another player owns under Config.Cut, in one pass over
+// the adjacency. Without a Cut it does nothing.
+func (n *Network) countCrossings() {
+	cut := n.cfg.Cut
+	if cut == nil {
+		return
+	}
+	for u := range n.cross {
+		owner, crossing := cut.Of(u), int64(0)
+		for _, v := range n.adj.nbrs[n.adj.off[u]:n.adj.off[u+1]] {
+			if cut.Of(v) != owner {
+				crossing++
+			}
+		}
+		n.cross[u] = crossing
+	}
 }
 
 // inboxAdapter drives a NodeProgram that only implements Round through the
@@ -623,12 +661,14 @@ func (n *Network) RunCtx(ctx context.Context) (Result, error) {
 		n.outboxes = make([][]Message, size)
 		n.bcasts = make([][]byte, size)
 		n.done = make([]bool, size)
-		n.seen = make([]int64, size)
+		counts := make([]int64, 2*size)
+		n.seen, n.cross = counts[:size:size], counts[size:]
 	} else {
 		for u := range n.outboxes {
 			n.outboxes[u] = n.outboxes[u][:0]
 		}
 	}
+	n.countCrossings()
 	n.initPrograms()
 	n.stats = Stats{}
 

@@ -614,7 +614,8 @@ func casterPrograms(n, bad int, isolatedOversize *int) []NodeProgram {
 // the scripted cases: the reference loop validates the per-neighbour
 // messages their Round returns one by one, and Network.RunCtx and one
 // RunBatch call, which get the broadcast from Send, must give the
-// reference's hook transcript and its error string or Result. Every
+// reference's hook transcript and its error string or Result; so must
+// RunCtx with no hook, on the error string or Result alone. Every
 // error kind must occur, and so must runs that succeed; so must a
 // successful run in which a node with no neighbours broadcast an oversize
 // payload, which no neighbour receives and so, like an empty
@@ -671,6 +672,37 @@ func TestBroadcastMatchesPerMessageValidation(t *testing.T) {
 		res, err := net.RunCtx(context.Background())
 		check("RunCtx", i, outcomeOf(res, tx, err))
 	}
+
+	// With no hook, a broadcast's per-neighbour loop only calls Receive,
+	// and its cut tally is booked from the sender's crossing count: the
+	// error text and the Result (Stats with the cut tally, outputs) must
+	// still be the reference's. Both outcomes must occur with a cut.
+	cutOK, cutZeroBit := 0, 0
+	for i, r := range runs {
+		net, err := NewNetwork(r.g, casterPrograms(r.g.N(), r.bad, &ignored), r.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := net.RunCtx(context.Background())
+		got, ref := outcomeOf(res, nil, err), want[i]
+		ref.tx = nil
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("RunCtx without a hook, run %d (n=%d, cut=%v): got %q %+v, reference %q %+v",
+				i, r.g.N(), r.cfg.Cut != nil, got.err, got.res.Stats, ref.err, ref.res.Stats)
+		}
+		if r.cfg.Cut != nil {
+			switch {
+			case got.err == "":
+				cutOK++
+			case strings.Contains(got.err, "write of 0 bits"):
+				cutZeroBit++
+			}
+		}
+	}
+	if cutOK == 0 || cutZeroBit == 0 {
+		t.Fatalf("hook-free runs with a cut: %d succeeded, %d hit the 0-bit error; both must occur", cutOK, cutZeroBit)
+	}
+	t.Logf("hook-free runs with a cut: %d succeeded, %d hit the 0-bit error", cutOK, cutZeroBit)
 
 	items := make([]BatchItem, len(runs))
 	txs := make([][]hookRec, len(runs))

@@ -29,8 +29,8 @@ func TestWireAppendDecodeAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		scratch = appendBFS(scratch[:0], 7, 3)
-		if _, _, err := decodeBFS(scratch); err != nil {
-			t.Fatal(err)
+		if _, _, ok := decodeBFS(scratch); !ok {
+			t.Fatal("BFS message did not decode")
 		}
 	})
 	if allocs != 0 {

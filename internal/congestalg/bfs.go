@@ -75,7 +75,7 @@ func (b *LeaderBFS) Round(round int, inbox []congest.Message) []congest.Message 
 
 // Receive implements congest.PushProgram: a better (leader, distance)
 // offer is adopted with its sender as parent.
-func (b *LeaderBFS) Receive(_ int, m congest.Message) { b.adopt(m) }
+func (b *LeaderBFS) Receive(_ int, m congest.Message) { b.adopt(m.From, m.Data) }
 
 // Send implements congest.PushProgram: the node broadcasts its best
 // (leader, distance) pair.
@@ -110,16 +110,24 @@ type bfsState struct {
 // has no parent.
 func (s *bfsState) start(id int) { *s = bfsState{leader: id, parent: -1} }
 
-// adopt takes m's offer, with its sender as parent, when it names a
-// smaller leader or a shorter distance to the same one. Garbage is
+// adopt takes the offer in data, with its sender from as parent, when it
+// names a smaller leader or a shorter distance to the same one. Garbage is
 // dropped: flooding is self-correcting.
-func (s *bfsState) adopt(m congest.Message) {
-	leader, dist, err := decodeBFS(m.Data)
-	if err != nil {
+//
+// It takes the sender and the payload, not the congest.Message, so that
+// it inlines into the Receive methods on the delivery path with nothing
+// to copy. Inlined with a Message parameter, a helper can make the
+// compiler spill the message, which arrives in registers, with 8-byte
+// stores and copy it back with 16-byte loads that cannot be
+// store-forwarded, a stall on every flood message (docs/performance.md,
+// "Crossing counts, in-place BFS offers and word-wise walks").
+func (s *bfsState) adopt(from int, data []byte) {
+	leader, dist, ok := decodeBFS(data)
+	if !ok {
 		return
 	}
 	if leader < s.leader || (leader == s.leader && dist+1 < s.dist) {
-		*s = bfsState{leader: leader, dist: dist + 1, parent: m.From}
+		*s = bfsState{leader: leader, dist: dist + 1, parent: from}
 	}
 }
 
@@ -136,11 +144,14 @@ func encodeBFS(leader, dist int) []byte {
 	return appendBFS(make([]byte, 0, bfsLen), leader, dist)
 }
 
-func decodeBFS(data []byte) (leader, dist int, err error) {
-	if len(data) != 5 || data[0] != wireStatus+100 {
-		return 0, 0, fmt.Errorf("congestalg: malformed BFS message % x", data)
+// decodeBFS unpacks a BFS flood message; ok is false for any payload
+// appendBFS does not produce. It returns no error value, so that it
+// inlines into adopt.
+func decodeBFS(data []byte) (leader, dist int, ok bool) {
+	if len(data) != bfsLen || data[0] != wireStatus+100 {
+		return 0, 0, false
 	}
-	return int(binary.BigEndian.Uint16(data[1:])), int(binary.BigEndian.Uint16(data[3:])), nil
+	return int(binary.BigEndian.Uint16(data[1:])), int(binary.BigEndian.Uint16(data[3:])), true
 }
 
 // BFSResults extracts the typed outputs of a LeaderBFS run; a node that

@@ -72,11 +72,11 @@ func TestLeaderBFSTreeIsSpanning(t *testing.T) {
 
 func TestBFSWireRoundTrip(t *testing.T) {
 	data := encodeBFS(513, 77)
-	leader, dist, err := decodeBFS(data)
-	if err != nil || leader != 513 || dist != 77 {
-		t.Fatalf("round trip: %d %d %v", leader, dist, err)
+	leader, dist, ok := decodeBFS(data)
+	if !ok || leader != 513 || dist != 77 {
+		t.Fatalf("round trip: %d %d %v", leader, dist, ok)
 	}
-	if _, _, err := decodeBFS([]byte{1, 2}); err == nil {
+	if _, _, ok := decodeBFS([]byte{1, 2}); ok {
 		t.Fatal("malformed BFS message accepted")
 	}
 }

@@ -147,7 +147,7 @@ func (cs *CollectSolve) Round(round int, inbox []congest.Message) []congest.Mess
 func (cs *CollectSolve) Receive(round int, m congest.Message) {
 	switch n := cs.info.N; {
 	case round < n:
-		cs.adopt(m)
+		cs.adopt(m.From, m.Data)
 	case round > n:
 		cs.consume(m)
 	}

@@ -427,20 +427,8 @@ func (g *Graph) BFS(src NodeID) []int {
 	for i := range dist {
 		dist[i] = -1
 	}
-	if src < 0 || src >= g.N() {
-		return dist
-	}
-	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		g.ForEachNeighbor(u, func(v NodeID) {
-			if dist[v] == -1 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		})
+	if src >= 0 && src < g.N() {
+		g.newWalk().from(src, dist)
 	}
 	return dist
 }
@@ -451,33 +439,91 @@ func (g *Graph) IsConnected() bool {
 	if g.N() <= 1 {
 		return true
 	}
-	for _, d := range g.BFS(0) {
-		if d == -1 {
-			return false
-		}
-	}
-	return true
+	reached, _ := g.newWalk().from(0, nil)
+	return reached == g.N()
 }
 
 // Diameter returns the largest BFS eccentricity, or -1 if the graph is
-// disconnected or empty. Quadratic; intended for analysis of constructed
+// disconnected or empty: one frontier walk per source, the deepest level
+// over all of them. Quadratic; intended for analysis of constructed
 // instances, not hot paths.
 func (g *Graph) Diameter() int {
 	if g.N() == 0 {
 		return -1
 	}
+	w := g.newWalk()
 	diameter := 0
 	for u := 0; u < g.N(); u++ {
-		for _, d := range g.BFS(u) {
-			if d == -1 {
-				return -1
-			}
-			if d > diameter {
-				diameter = d
-			}
+		reached, depth := w.from(u, nil)
+		if reached < g.N() {
+			return -1
 		}
+		diameter = max(diameter, depth)
 	}
 	return diameter
+}
+
+// walk is a breadth-first search over bitset frontiers: the next frontier
+// is the OR of the frontier's adjacency rows, minus the visited set. Its
+// three scratch bitsets are as wide as the used part of a row, and one
+// walk serves any number of sources on its graph.
+type walk struct {
+	g                     *Graph
+	seen, frontier, ahead []uint64
+}
+
+func (g *Graph) newWalk() *walk {
+	size := (g.N() + wordBits - 1) / wordBits
+	buf := make([]uint64, 3*size)
+	return &walk{g: g, seen: buf[:size:size], frontier: buf[size : 2*size : 2*size], ahead: buf[2*size:]}
+}
+
+// from walks from src and returns the number of nodes reached and the
+// deepest level. If dist is not nil, it sets dist[v] to v's level for
+// every node v reached and leaves the other entries alone.
+func (w *walk) from(src NodeID, dist []int) (reached, depth int) {
+	g, seen, frontier, ahead := w.g, w.seen, w.frontier, w.ahead
+	clear(seen)
+	clear(frontier)
+	seen[src/wordBits] = 1 << (uint(src) % wordBits)
+	frontier[src/wordBits] = seen[src/wordBits]
+	if dist != nil {
+		dist[src] = 0
+	}
+	reached = 1
+	for {
+		clear(ahead)
+		for wi, fw := range frontier {
+			for fw != 0 {
+				u := wi*wordBits + bits.TrailingZeros64(fw)
+				fw &= fw - 1
+				for j, rw := range g.row(u)[:len(ahead)] {
+					ahead[j] |= rw
+				}
+			}
+		}
+		grew := 0
+		for j, aw := range ahead {
+			aw &^= seen[j]
+			ahead[j] = aw
+			seen[j] |= aw
+			grew += bits.OnesCount64(aw)
+		}
+		if grew == 0 {
+			return reached, depth
+		}
+		reached += grew
+		depth++
+		if dist != nil {
+			for wi, aw := range ahead {
+				for aw != 0 {
+					dist[wi*wordBits+bits.TrailingZeros64(aw)] = depth
+					aw &= aw - 1
+				}
+			}
+		}
+		frontier, ahead = ahead, frontier
+	}
 }
 
 // Validate performs internal consistency checks: symmetric adjacency, no

@@ -256,6 +256,135 @@ func TestBFSAndDiameter(t *testing.T) {
 	}
 }
 
+// queueBFS is the reference walk for BFS, IsConnected and Diameter: a
+// FIFO queue over the neighbour lists nbrs (nbrs[u] = Neighbors(u)).
+func queueBFS(nbrs [][]NodeID, src NodeID) []int {
+	dist := make([]int, len(nbrs))
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	for queue := []NodeID{src}; len(queue) > 0; queue = queue[1:] {
+		u := queue[0]
+		for _, v := range nbrs[u] {
+			if dist[v] == -1 {
+				dist[v] = dist[u] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	return dist
+}
+
+// queueWalks returns, from queue BFS runs over every source, the BFS
+// distances of each source, whether node 0 reaches every node, and the
+// diameter (-1 when empty or disconnected).
+func queueWalks(g *Graph) (dists [][]int, connected bool, diameter int) {
+	nbrs := make([][]NodeID, g.N())
+	for u := range nbrs {
+		nbrs[u] = g.Neighbors(u)
+	}
+	connected, diameter = true, -1
+	everyPair := g.N() > 0
+	for u := range nbrs {
+		dist := queueBFS(nbrs, u)
+		dists = append(dists, dist)
+		for _, d := range dist {
+			diameter = max(diameter, d)
+			if d == -1 {
+				everyPair = false
+				connected = connected && u != 0
+			}
+		}
+	}
+	if !everyPair {
+		diameter = -1
+	}
+	return dists, connected, diameter
+}
+
+// TestFrontierWalkMatchesQueueBFS: BFS from every source, IsConnected and
+// Diameter equal a queue BFS over Neighbors on 300 random graphs — n from
+// 0 to 150 on both sides of 64 and 128, densities from 0.01 to 0.5 (so
+// disconnected graphs too), laid out by New(n), grown from New(0), or
+// grown past New's capacity midway through their edges, which leaves a
+// stride wider than the rows need.
+func TestFrontierWalkMatchesQueueBFS(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var connected, disconnected, wide, past64, past128 int
+	for i := 0; i < 300; i++ {
+		n := rng.Intn(151)
+		p := 0.01 + 0.49*rng.Float64()
+		var g *Graph
+		switch i % 3 {
+		case 0:
+			g = New(n)
+		case 1:
+			g = New(0)
+		case 2:
+			g = New(n / 2)
+		}
+		addEdges := func(lo int) {
+			for u := 0; u < g.N(); u++ {
+				for v := max(u+1, lo); v < g.N(); v++ {
+					if rng.Float64() < p {
+						g.MustAddEdge(u, v)
+					}
+				}
+			}
+		}
+		half := n / 2
+		for u := 0; u < half; u++ {
+			g.AddNodeID(1)
+		}
+		addEdges(0)
+		for u := half; u < n; u++ {
+			g.AddNodeID(1)
+		}
+		addEdges(half)
+
+		dists, conn, diameter := queueWalks(g)
+		for u := 0; u < n; u++ {
+			if got := g.BFS(u); !slices.Equal(got, dists[u]) {
+				t.Fatalf("graph %d (n=%d, p=%.2f): BFS(%d) = %v, queue BFS %v", i, n, p, u, got, dists[u])
+			}
+		}
+		for _, src := range []NodeID{-1, n} {
+			if got := g.BFS(src); len(got) != n || slices.ContainsFunc(got, func(d int) bool { return d != -1 }) {
+				t.Fatalf("graph %d: BFS(%d) out of range = %v, want %d entries of -1", i, src, got, n)
+			}
+		}
+		if got := g.IsConnected(); got != conn {
+			t.Fatalf("graph %d (n=%d, p=%.2f): IsConnected = %v, queue BFS %v", i, n, p, got, conn)
+		}
+		if got := g.Diameter(); got != diameter {
+			t.Fatalf("graph %d (n=%d, p=%.2f): Diameter = %d, queue BFS %d", i, n, p, got, diameter)
+		}
+		if conn && n > 1 {
+			connected++
+		} else if !conn {
+			disconnected++
+		}
+		if g.stride > (n+wordBits-1)/wordBits {
+			wide++
+		}
+		if n > 64 {
+			past64++
+		}
+		if n > 128 {
+			past128++
+		}
+	}
+	t.Logf("%d connected, %d disconnected, %d with a wider stride, %d with n > 64, %d with n > 128",
+		connected, disconnected, wide, past64, past128)
+	for name, count := range map[string]int{"connected": connected, "disconnected": disconnected,
+		"wider stride": wide, "n > 64": past64, "n > 128": past128} {
+		if count == 0 {
+			t.Fatalf("no %s graph drawn", name)
+		}
+	}
+}
+
 func TestClone(t *testing.T) {
 	g := buildPath(t, 4)
 	c := g.Clone()
@@ -606,12 +735,23 @@ func TestConcurrentReaders(t *testing.T) {
 		}
 	}
 	want := g.Edges()
+	dists, connected, diameter := queueWalks(g)
 	var wg sync.WaitGroup
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			if got := g.Diameter(); got != diameter {
+				t.Errorf("Diameter = %d, want %d", got, diameter)
+			}
+			if got := g.IsConnected(); got != connected {
+				t.Errorf("IsConnected = %v, want %v", got, connected)
+			}
 			for u := 0; u < n; u++ {
+				if got := g.BFS(u); !slices.Equal(got, dists[u]) {
+					t.Errorf("BFS(%d) = %v, want %v", u, got, dists[u])
+					return
+				}
 				d := 0
 				for _, w := range g.row(u) {
 					d += bits.OnesCount64(w)

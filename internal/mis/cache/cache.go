@@ -71,10 +71,14 @@ type Stats struct {
 	// Evictions counts completed solves dropped by the LRU bound. A solve
 	// completing evicts; registering its miss does not, so a failed or
 	// cancelled solve evicts nothing.
-	Evictions uint64 `json:"evictions"`
+	Evictions uint64 `json:"evictions,omitempty"`
 	// Entries is the number of completed solves cached; solves in flight
 	// are not counted.
-	Entries int `json:"entries"`
+	//
+	// Evictions and Entries describe the cache, not a session, so a
+	// session's Stats never carries them; both are omitted from the JSON
+	// form when zero.
+	Entries int `json:"entries,omitempty"`
 	// StepsSolved sums the branch-and-bound steps of all misses — the work
 	// actually performed.
 	StepsSolved int64 `json:"steps_solved"`

@@ -93,7 +93,11 @@ import (
 // cache). The failures blocks are gone: degraded_solves, disk_retries and
 // disk_quarantined live in the cache blocks, and panics_recovered is an
 // omitempty field of the record and of the envelope.
-const Schema = "congestlb/experiment-envelope/v11"
+// v12: records carry only what they book — the cache blocks omit
+// evictions and entries when they are 0. A record's block never carries
+// them (a session books neither); the run-level block keeps them when the
+// run evicted or left entries in the cache.
+const Schema = "congestlb/experiment-envelope/v12"
 
 // Experiment statuses in the envelope.
 const (
@@ -153,8 +157,8 @@ type ExperimentResult struct {
 	// exact at any Jobs count. With single-flight dedup, a solve two
 	// overlapping experiments both need books its steps as StepsSolved
 	// under the one that ran it; the other records a hit and StepsSaved.
-	// Evictions and Entries belong to the cache, not to a session, and
-	// stay 0 here.
+	// Evictions and Entries belong to the cache, not to a session: they
+	// stay 0 here, and the JSON block omits them.
 	Cache cache.Stats `json:"cache"`
 	// LBGraphBuilds counts the lower-bound graph constructions the
 	// experiment made (experiments.Ctx.Builds), each one from scratch.

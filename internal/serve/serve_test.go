@@ -183,6 +183,34 @@ func TestCrossTenantSharedTier(t *testing.T) {
 	}
 }
 
+// TestSolveResultOmitsCacheSnapshots: a /v1/solve result's cache block is
+// the request's session, which books neither evictions nor entries, so
+// neither key appears — on a miss or on a shared-tier hit.
+func TestSolveResultOmitsCacheSnapshots(t *testing.T) {
+	_, ts := testServer(t, twoTenants())
+	body := solveBody(t, randSpec(30, 0.2, 5, 3), "")
+	for _, key := range []string{"ka", "kb"} {
+		resp, data := call(t, "POST", ts.URL+"/v1/solve", key, body)
+		if resp.StatusCode != 200 {
+			t.Fatalf("solve: %d %s", resp.StatusCode, data)
+		}
+		var res struct {
+			Cache map[string]json.RawMessage `json:"cache"`
+		}
+		if err := json.Unmarshal(jobView(t, data).Result, &res); err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Cache) == 0 {
+			t.Fatalf("no cache block in %s", data)
+		}
+		for _, snapshot := range []string{"evictions", "entries"} {
+			if _, ok := res.Cache[snapshot]; ok {
+				t.Fatalf("tenant %s: cache block carries %q: %s", key, snapshot, data)
+			}
+		}
+	}
+}
+
 // TestDeadlineCutSolve: a deadline-cut solve is a done job carrying the
 // incumbent with cancelled set, never a failure.
 func TestDeadlineCutSolve(t *testing.T) {

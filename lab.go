@@ -48,7 +48,7 @@ type SpanStat = obs.SpanStat
 type Experiment = experiments.Experiment
 
 // ExperimentEnvelope is the structured JSON result of one RunExperiments
-// call (schema v11): one record per experiment, each with its solve
+// call (schema v12): one record per experiment, each with its solve
 // session's cache block, plus run-level totals summed from the records.
 type ExperimentEnvelope = runner.Envelope
 
