@@ -144,7 +144,7 @@ func BenchmarkLabOverhead(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := core.SimulateBuilt(fam, in, inst, programs, core.GossipOpt, cfg); err != nil {
+			if _, err := core.Simulate(context.Background(), fam, in, inst, programs, core.GossipOpt, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -41,19 +41,20 @@ func run(args []string, w io.Writer) error {
 
 	p := congestlb.Params{T: *t, Alpha: *alpha, Ell: *ell}
 	var fam congestlb.Family
+	var nodeName func(congestlb.NodeID) string
 	switch *family {
 	case "linear":
 		l, err := congestlb.NewLinear(p)
 		if err != nil {
 			return err
 		}
-		fam = l
+		fam, nodeName = l, l.NodeName
 	case "quadratic":
 		q, err := congestlb.NewQuadratic(p)
 		if err != nil {
 			return err
 		}
-		fam = q
+		fam, nodeName = q, q.NodeName
 	default:
 		return fmt.Errorf("unknown family %q", *family)
 	}
@@ -107,7 +108,7 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "exact OPT:   %d (|set|=%d)\n", sol.Weight, len(sol.Set))
 	}
 	if *dot {
-		fmt.Fprint(w, g.DOT(fam.Name(), part))
+		fmt.Fprint(w, g.DOT(fam.Name(), nodeName, part))
 	}
 	return nil
 }

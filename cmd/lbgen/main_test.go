@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -30,6 +32,32 @@ func TestLbgenQuadraticDOT(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "graph \"quadratic[") {
 		t.Fatalf("DOT output missing:\n%.200s", buf.String())
+	}
+}
+
+// TestLbgenDOTGolden pins lbgen's whole -dot output, node names included,
+// for one instance of each family.
+func TestLbgenDOTGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"linear-t2-a1-l3-intersecting.dot.golden",
+			[]string{"-family", "linear", "-t", "2", "-alpha", "1", "-ell", "3", "-case", "intersecting", "-seed", "1", "-dot"}},
+		{"quadratic-t2-a1-l2-disjoint.dot.golden",
+			[]string{"-family", "quadratic", "-t", "2", "-alpha", "1", "-ell", "2", "-case", "disjoint", "-seed", "1", "-dot"}},
+	} {
+		var buf bytes.Buffer
+		if err := run(tc.args, &buf); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%v: output differs from testdata/%s", tc.args, tc.golden)
+		}
 	}
 }
 

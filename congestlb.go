@@ -59,7 +59,12 @@
 // and made SimulationReport's JSON keys those of /v1/reduce. Version
 // 7.0.0 removed Graph.Grow and Graph.NeighborRow: a graph's adjacency is
 // one block laid out by graphs.New for the node count it is given, and
-// it grows on its own past that. docs/api.md maps each removed name.
+// it grows on its own past that. Version 8.0.0 removed node labels: a
+// Graph adds nodes only by AddNodeID and keeps no names (AddNode,
+// MustAddNode, Label, NodeByLabel and SortedLabels are gone), the linear
+// and quadratic families name their nodes from their layout (NodeName),
+// Graph.DOT takes that name function, and Blackboard writes carry no
+// label. docs/api.md maps each removed name.
 //
 // See examples/ for runnable programs and testdata/suite_report.golden.md
 // for the regenerated paper results.
@@ -73,7 +78,7 @@
 // a node sends every neighbour is one broadcast, expanded over the
 // sender's adjacency row with no outbox entry per neighbour. Reference
 // algorithms encode messages into per-program scratch buffers, and the
-// gossip/collect baselines rebuild the learned graph label-free via
+// gossip/collect baselines rebuild the learned graph via
 // graphs.New/AddNodeID. Exact MaxIS solves are memoised in a
 // content-addressed cache (with an optional persistent disk tier).
 // Lower-bound graphs are built from scratch every time: a memo over them
@@ -305,7 +310,7 @@ func PlayersForEpsilon(epsilon float64, quadratic bool) int {
 }
 
 // Version identifies the library release.
-const Version = "7.0.0"
+const Version = "8.0.0"
 
 // BuildInstance is a convenience that constructs and validates an instance
 // for a family and input, with a descriptive error context. It builds from

@@ -29,10 +29,11 @@ func main() {
 	for m := 0; m < p.K(); m++ {
 		fmt.Printf("  C(%d) = %v\n", m+1, fam.Codeword(m))
 	}
-	v1, _ := base.NodeByLabel("v[i=1,m=1]")
+	// H is copy 0 of fam's layout, so fam names its nodes.
+	v1 := fam.ANode(0, 0)
 	fmt.Printf("  v1 neighbours (%d):", base.Degree(v1))
 	for _, u := range base.Neighbors(v1) {
-		fmt.Printf(" %s", base.Label(u))
+		fmt.Printf(" %s", fam.NodeName(u))
 	}
 	fmt.Println()
 
@@ -89,5 +90,5 @@ func main() {
 	fmt.Printf("  (Figure 6: each 0 bit x^i_(m1,m2) adds the edge {v^(i,1)_m1, v^(i,2)_m2})\n")
 
 	// DOT export of the base graph, ready for `dot -Tsvg`.
-	fmt.Printf("\n--- Graphviz DOT of H (Figure 1) ---\n%s", base.DOT("H", nil))
+	fmt.Printf("\n--- Graphviz DOT of H (Figure 1) ---\n%s", base.DOT("H", fam.NodeName, nil))
 }

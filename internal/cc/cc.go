@@ -22,9 +22,6 @@ import (
 type Entry struct {
 	// Player is the writing player in [0, t).
 	Player int
-	// Label annotates the write for transcript inspection; it carries no
-	// cost.
-	Label string
 	// Data is the payload. Only Bits of it are charged, supporting
 	// sub-byte messages (e.g. a single decision bit).
 	Data []byte
@@ -35,8 +32,7 @@ type Entry struct {
 // rec is the compact internal form of a transcript entry: pointer-free
 // (nothing for the garbage collector to scan) and payload-addressed by
 // offset into the shared payload buffer, so appending never copies more
-// than the new bytes. Its label is the
-// same-index element of the labels table.
+// than the new bytes.
 type rec struct {
 	player      int32
 	off, length int32
@@ -52,7 +48,6 @@ type rec struct {
 // entries are compact pointer-free records.
 type Blackboard struct {
 	recs    []rec
-	labels  []string
 	payload []byte
 	bits    int64
 	// hwPayload is the payload high-water mark recorded by Reset. Because
@@ -66,7 +61,7 @@ type Blackboard struct {
 // Write appends an entry of the given bit size. bits must be positive and
 // no larger than 8*len(data) (data must actually carry the bits charged).
 // The data is copied; callers may reuse their buffer.
-func (b *Blackboard) Write(player int, label string, data []byte, bits int64) error {
+func (b *Blackboard) Write(player int, data []byte, bits int64) error {
 	if bits <= 0 {
 		return fmt.Errorf("cc: write of %d bits", bits)
 	}
@@ -75,7 +70,7 @@ func (b *Blackboard) Write(player int, label string, data []byte, bits int64) er
 	}
 	off := b.payloadEnd()
 	b.payload = append(b.payload, data...)
-	b.book(player, label, off, bits)
+	b.book(player, off, bits)
 	return nil
 }
 
@@ -89,32 +84,31 @@ func (b *Blackboard) payloadEnd() int32 {
 }
 
 // book records the entry whose payload was appended at offset off.
-func (b *Blackboard) book(player int, label string, off int32, bits int64) {
+func (b *Blackboard) book(player int, off int32, bits int64) {
 	b.recs = append(b.recs, rec{player: int32(player), off: off, length: int32(len(b.payload)) - off, bits: bits})
-	b.labels = append(b.labels, label)
 	b.bits += bits
 }
 
 // WriteBit appends a single-bit entry.
-func (b *Blackboard) WriteBit(player int, label string, bit bool) error {
+func (b *Blackboard) WriteBit(player int, bit bool) error {
 	var payload byte
 	if bit {
 		payload = 1
 	}
-	return b.Write(player, label, []byte{payload}, 1)
+	return b.Write(player, []byte{payload}, 1)
 }
 
 // WriteVector appends a full bit string, charged at its exact length: the
 // entry Write would book for its ⌈k/8⌉ bytes (bit i at bit i%8 of byte
 // i/8), which it appends to the payload buffer a word at a time.
-func (b *Blackboard) WriteVector(player int, label string, v *bitvec.Vector) error {
+func (b *Blackboard) WriteVector(player int, v *bitvec.Vector) error {
 	k := int64(v.Len())
 	if k <= 0 {
 		return fmt.Errorf("cc: write of %d bits", k)
 	}
 	off := b.payloadEnd()
 	b.payload = bitvec.AppendBytes(b.payload, v)
-	b.book(player, label, off, k)
+	b.book(player, off, k)
 	return nil
 }
 
@@ -130,7 +124,6 @@ func (b *Blackboard) Entries() []Entry {
 	for i, r := range b.recs {
 		out[i] = Entry{
 			Player: int(r.player),
-			Label:  b.labels[i],
 			Data:   b.payload[r.off : r.off+r.length : r.off+r.length],
 			Bits:   r.bits,
 		}
@@ -148,7 +141,6 @@ func (b *Blackboard) Reset() {
 		b.hwPayload = len(b.payload)
 	}
 	b.recs = b.recs[:0]
-	b.labels = b.labels[:0]
 	b.bits = 0
 	// Drop (don't truncate) the payload buffer: transcript views handed
 	// out by Entries alias it and must survive the reuse.
@@ -203,7 +195,7 @@ func (WriteAll) Run(in bitvec.Inputs, bb *Blackboard) (bool, error) {
 	k := in.Len()
 	start := bb.Len()
 	for i, v := range in {
-		if err := bb.WriteVector(i, fmt.Sprintf("x^%d", i+1), v); err != nil {
+		if err := bb.WriteVector(i, v); err != nil {
 			return false, err
 		}
 	}
@@ -243,7 +235,7 @@ func (FirstPlayerProbe) Run(in bitvec.Inputs, bb *Blackboard) (bool, error) {
 	}
 	k := in.Len()
 	start := bb.Len()
-	if err := bb.WriteVector(0, "x^1", in[0]); err != nil {
+	if err := bb.WriteVector(0, in[0]); err != nil {
 		return false, err
 	}
 	// Player 2 reads x^1 off the blackboard and probes its own string.
@@ -252,7 +244,7 @@ func (FirstPlayerProbe) Run(in bitvec.Inputs, bb *Blackboard) (bool, error) {
 		return false, err
 	}
 	hit := !x1.Disjoint(in[1])
-	if err := bb.WriteBit(1, "x^1∩x^2≠∅", hit); err != nil {
+	if err := bb.WriteBit(1, hit); err != nil {
 		return false, err
 	}
 	return !hit, nil
@@ -282,7 +274,7 @@ func (AllPlayersProbe) Run(in bitvec.Inputs, bb *Blackboard) (bool, error) {
 	}
 	k := in.Len()
 	start := bb.Len()
-	if err := bb.WriteVector(0, "x^1", in[0]); err != nil {
+	if err := bb.WriteVector(0, in[0]); err != nil {
 		return false, err
 	}
 	x1, err := bb.ReadVector(start, k)
@@ -292,7 +284,7 @@ func (AllPlayersProbe) Run(in bitvec.Inputs, bb *Blackboard) (bool, error) {
 	anyHit := false
 	for i := 1; i < in.Players(); i++ {
 		hit := !x1.Disjoint(in[i])
-		if err := bb.WriteBit(i, fmt.Sprintf("x^1∩x^%d≠∅", i+1), hit); err != nil {
+		if err := bb.WriteBit(i, hit); err != nil {
 			return false, err
 		}
 		if hit {
@@ -340,7 +332,7 @@ func (p TruncatedProbe) Run(in bitvec.Inputs, bb *Blackboard) (bool, error) {
 		prefix = k
 	}
 	start := bb.Len()
-	if err := bb.WriteVector(0, fmt.Sprintf("x^1[:%d]", prefix), bitvec.Prefix(in[0], prefix)); err != nil {
+	if err := bb.WriteVector(0, bitvec.Prefix(in[0], prefix)); err != nil {
 		return false, err
 	}
 	seen, err := bb.ReadVector(start, prefix)
@@ -348,7 +340,7 @@ func (p TruncatedProbe) Run(in bitvec.Inputs, bb *Blackboard) (bool, error) {
 		return false, err
 	}
 	hit := !seen.Disjoint(bitvec.Prefix(in[1], prefix))
-	if err := bb.WriteBit(1, "prefix hit", hit); err != nil {
+	if err := bb.WriteBit(1, hit); err != nil {
 		return false, err
 	}
 	return !hit, nil

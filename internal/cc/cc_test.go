@@ -14,10 +14,10 @@ func TestBlackboardAccounting(t *testing.T) {
 	if bb.Bits() != 0 || bb.Len() != 0 {
 		t.Fatal("fresh blackboard not empty")
 	}
-	if err := bb.Write(0, "msg", []byte{0xFF}, 5); err != nil {
+	if err := bb.Write(0, []byte{0xFF}, 5); err != nil {
 		t.Fatal(err)
 	}
-	if err := bb.WriteBit(1, "bit", true); err != nil {
+	if err := bb.WriteBit(1, true); err != nil {
 		t.Fatal(err)
 	}
 	if bb.Bits() != 6 {
@@ -38,13 +38,13 @@ func TestBlackboardAccounting(t *testing.T) {
 
 func TestBlackboardWriteValidation(t *testing.T) {
 	var bb Blackboard
-	if err := bb.Write(0, "zero", []byte{1}, 0); err == nil {
+	if err := bb.Write(0, []byte{1}, 0); err == nil {
 		t.Fatal("zero-bit write accepted")
 	}
-	if err := bb.Write(0, "neg", []byte{1}, -3); err == nil {
+	if err := bb.Write(0, []byte{1}, -3); err == nil {
 		t.Fatal("negative-bit write accepted")
 	}
-	if err := bb.Write(0, "overrun", []byte{1}, 9); err == nil {
+	if err := bb.Write(0, []byte{1}, 9); err == nil {
 		t.Fatal("bits exceeding payload accepted")
 	}
 }
@@ -52,7 +52,7 @@ func TestBlackboardWriteValidation(t *testing.T) {
 func TestBlackboardEntriesAreCopies(t *testing.T) {
 	var bb Blackboard
 	payload := []byte{0xAB}
-	if err := bb.Write(0, "m", payload, 8); err != nil {
+	if err := bb.Write(0, payload, 8); err != nil {
 		t.Fatal(err)
 	}
 	payload[0] = 0 // caller mutates after write
@@ -64,7 +64,7 @@ func TestBlackboardEntriesAreCopies(t *testing.T) {
 func TestWriteAndReadVectorRoundTrip(t *testing.T) {
 	var bb Blackboard
 	v := bitvec.MustFromBits([]int{1, 0, 0, 1, 1, 0, 1, 0, 1, 1, 0})
-	if err := bb.WriteVector(2, "x", v); err != nil {
+	if err := bb.WriteVector(2, v); err != nil {
 		t.Fatal(err)
 	}
 	if bb.Bits() != int64(v.Len()) {
@@ -100,10 +100,10 @@ func TestWriteVectorMatchesPerBitWrite(t *testing.T) {
 				data[i/8] |= 1 << (uint(i) % 8)
 			}
 		}
-		if err := got.WriteVector(k%3, "x", v); err != nil {
+		if err := got.WriteVector(k%3, v); err != nil {
 			t.Fatal(err)
 		}
-		if err := want.Write(k%3, "x", data, int64(k)); err != nil {
+		if err := want.Write(k%3, data, int64(k)); err != nil {
 			t.Fatal(err)
 		}
 		back, err := got.ReadVector(got.Len()-1, k)
@@ -118,7 +118,7 @@ func TestWriteVectorMatchesPerBitWrite(t *testing.T) {
 		got.Len() != want.Len() || got.PayloadBytes() != want.PayloadBytes() {
 		t.Fatalf("WriteVector transcript differs from per-bit Write: %d/%d bits, %d/%d entries", got.Bits(), want.Bits(), got.Len(), want.Len())
 	}
-	if err := got.WriteVector(0, "empty", bitvec.New(0)); err == nil || err.Error() != "cc: write of 0 bits" {
+	if err := got.WriteVector(0, bitvec.New(0)); err == nil || err.Error() != "cc: write of 0 bits" {
 		t.Fatalf("empty vector write: %v, want cc: write of 0 bits", err)
 	}
 }
@@ -128,7 +128,7 @@ func TestWriteVectorMatchesPerBitWrite(t *testing.T) {
 // last byte are dropped.
 func TestReadVectorDropsBitsPastLength(t *testing.T) {
 	var bb Blackboard
-	if err := bb.Write(0, "", []byte{0xFF, 0xFF}, 9); err != nil {
+	if err := bb.Write(0, []byte{0xFF, 0xFF}, 9); err != nil {
 		t.Fatal(err)
 	}
 	v, err := bb.ReadVector(0, 9)
@@ -346,7 +346,7 @@ func TestBlackboardResetHighWaterReuse(t *testing.T) {
 	var bb Blackboard
 	payload := make([]byte, 100)
 	for i := 0; i < 50; i++ {
-		if err := bb.Write(0, "w", payload, 800); err != nil {
+		if err := bb.Write(0, payload, 800); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -358,7 +358,7 @@ func TestBlackboardResetHighWaterReuse(t *testing.T) {
 	// The first write after Reset must land in a buffer pre-sized to the
 	// previous transcript's full volume — no append-doubling on the way
 	// back to steady state.
-	if err := bb.Write(0, "w", payload, 800); err != nil {
+	if err := bb.Write(0, payload, 800); err != nil {
 		t.Fatal(err)
 	}
 	if got := cap(bb.payload); got < grown {
@@ -372,13 +372,13 @@ func TestBlackboardResetHighWaterReuse(t *testing.T) {
 
 func TestBlackboardResetKeepsOldViewsValid(t *testing.T) {
 	var bb Blackboard
-	if err := bb.Write(0, "keep", []byte{42}, 8); err != nil {
+	if err := bb.Write(0, []byte{42}, 8); err != nil {
 		t.Fatal(err)
 	}
 	view := bb.Entries()[0]
 	bb.Reset()
 	for i := 0; i < 8; i++ {
-		if err := bb.Write(0, "new", []byte{byte(i)}, 8); err != nil {
+		if err := bb.Write(0, []byte{byte(i)}, 8); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,7 +1,6 @@
 package cc
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -146,8 +145,8 @@ func TestTruncatedProbeMatchesPerBitReference(t *testing.T) {
 					bit = 1
 				}
 				want := []Entry{
-					{Player: 0, Label: fmt.Sprintf("x^1[:%d]", p), Data: written, Bits: int64(p)},
-					{Player: 1, Label: "prefix hit", Data: []byte{bit}, Bits: 1},
+					{Player: 0, Data: written, Bits: int64(p)},
+					{Player: 1, Data: []byte{bit}, Bits: 1},
 				}
 				var bb Blackboard
 				got, err := TruncatedProbe{PrefixBits: p}.Run(in, &bb)

@@ -89,7 +89,7 @@ func ring(t *testing.T, n int) *graphs.Graph {
 	t.Helper()
 	g := graphs.New(n)
 	for i := 0; i < n; i++ {
-		g.MustAddNode(fmt.Sprintf("r%d", i), 1)
+		g.AddNodeID(1)
 	}
 	for i := 0; i < n; i++ {
 		g.MustAddEdge(i, (i+1)%n)
@@ -386,7 +386,7 @@ func TestSeedDeterminism(t *testing.T) {
 func BenchmarkFloodRing256(b *testing.B) {
 	g := graphs.New(256)
 	for i := 0; i < 256; i++ {
-		g.MustAddNode(fmt.Sprintf("r%d", i), 1)
+		g.AddNodeID(1)
 	}
 	for i := 0; i < 256; i++ {
 		g.MustAddEdge(i, (i+1)%256)
@@ -409,7 +409,7 @@ func star(t *testing.T, n int) *graphs.Graph {
 	t.Helper()
 	g := graphs.New(n)
 	for i := 0; i < n; i++ {
-		g.MustAddNode(fmt.Sprintf("s%d", i), 1)
+		g.AddNodeID(1)
 	}
 	for i := 1; i < n; i++ {
 		g.MustAddEdge(0, i)

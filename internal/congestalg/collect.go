@@ -325,8 +325,8 @@ func (cs *CollectSolve) allChildrenDone() bool {
 	return true
 }
 
-// solveAtRoot rebuilds the component's subgraph (label-free, laid out by
-// New for its node count), solves it exactly, and fills the downcast
+// solveAtRoot rebuilds the component's subgraph (laid out by New for its
+// node count), solves it exactly, and fills the downcast
 // queue with the membership list.
 func (cs *CollectSolve) solveAtRoot() {
 	ids := make([]int, 0, len(cs.nodes))

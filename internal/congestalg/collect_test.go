@@ -1,7 +1,6 @@
 package congestalg
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -45,7 +44,7 @@ func TestCollectSolveFindsOptimum(t *testing.T) {
 func TestCollectSolveSingleAndIsolatedNodes(t *testing.T) {
 	g := graphs.New(3)
 	for i := 0; i < 3; i++ {
-		g.MustAddNode(fmt.Sprintf("iso%d", i), int64(i+1))
+		g.AddNodeID(int64(i + 1))
 	}
 	got, _ := collectWeight(t, g, congest.Config{BandwidthBits: 96})
 	if got != 6 {
@@ -59,7 +58,7 @@ func TestCollectSolveSingleAndIsolatedNodes(t *testing.T) {
 func TestCollectSolveTwoTriangles(t *testing.T) {
 	g := graphs.New(6)
 	for i := 0; i < 6; i++ {
-		g.MustAddNode(fmt.Sprintf("n%d", i), int64(1+i%3))
+		g.AddNodeID(int64(1 + i%3))
 	}
 	if err := g.AddClique([]graphs.NodeID{0, 1, 2}); err != nil {
 		t.Fatal(err)
@@ -106,7 +105,7 @@ func TestCollectSolveOnPathGraph(t *testing.T) {
 	const n = 24
 	g := graphs.New(n)
 	for i := 0; i < n; i++ {
-		g.MustAddNode(fmt.Sprintf("p%d", i), int64(1+i%4))
+		g.AddNodeID(int64(1 + i%4))
 	}
 	for i := 0; i+1 < n; i++ {
 		g.MustAddEdge(i, i+1)

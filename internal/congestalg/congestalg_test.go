@@ -16,7 +16,7 @@ import (
 func randomGraph(n int, extraProb float64, maxW int64, rng *rand.Rand) *graphs.Graph {
 	g := graphs.New(n)
 	for i := 0; i < n; i++ {
-		g.MustAddNode(fmt.Sprintf("n%d", i), 1+rng.Int63n(maxW))
+		g.AddNodeID(1 + rng.Int63n(maxW))
 	}
 	for i := 1; i < n; i++ {
 		g.MustAddEdge(i, rng.Intn(i))
@@ -107,7 +107,7 @@ func TestLubyProducesMaximalIS(t *testing.T) {
 func TestLubyIsolatedNodes(t *testing.T) {
 	g := graphs.New(3)
 	for i := 0; i < 3; i++ {
-		g.MustAddNode(fmt.Sprintf("iso%d", i), 1)
+		g.AddNodeID(1)
 	}
 	result := runPrograms(t, g, NewLubyPrograms(3), congest.Config{})
 	set := MembershipSet(result)

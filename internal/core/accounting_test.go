@@ -71,7 +71,7 @@ func TestSimulateRejectsZeroBitCutMessage(t *testing.T) {
 		{"sequential", congest.Config{}},
 		{"parallel-w4", congest.Config{Parallel: true, Workers: 4}},
 	} {
-		_, err := core.SimulateBuilt(l, in, inst, emptyPrograms, core.GossipOpt, tc.cfg)
+		_, err := core.Simulate(context.Background(), l, in, inst, emptyPrograms, core.GossipOpt, tc.cfg)
 		if err == nil || err.Error() != want {
 			t.Fatalf("%s: error = %v, want %q", tc.name, err, want)
 		}
@@ -86,7 +86,7 @@ func referenceBoard(inst core.Instance, bb *cc.Blackboard) congest.MessageHook {
 		if part.Of(msg.From) == part.Of(msg.To) {
 			return nil
 		}
-		return bb.Write(part.Of(msg.From), "", msg.Data, msg.Bits())
+		return bb.Write(part.Of(msg.From), msg.Data, msg.Bits())
 	}
 }
 
@@ -139,7 +139,7 @@ func TestCutCountsMatchBlackboardTranscript(t *testing.T) {
 			var bb cc.Blackboard
 			cfg := tc.cfg
 			cfg.Hook = referenceBoard(inst, &bb)
-			rep, err := core.SimulateBuilt(fam, in, inst, core.GossipPrograms, core.GossipOpt, cfg)
+			rep, err := core.Simulate(context.Background(), fam, in, inst, core.GossipPrograms, core.GossipOpt, cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", fam.Name(), tc.name, err)
 			}
@@ -224,7 +224,7 @@ func TestAccountingBoundLiveRuns(t *testing.T) {
 				cfg := congest.Config{BandwidthBits: bw, Seed: 5, Hook: directedCutLoad(inst.Partition, limit)}
 				var bits, bound int64
 				if p.extract != nil {
-					rep, err := core.SimulateBuiltCtx(context.Background(), fam, in, inst, p.factory, p.extract, cfg)
+					rep, err := core.Simulate(context.Background(), fam, in, inst, p.factory, p.extract, cfg)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -285,7 +285,7 @@ func linearGossip(t *testing.T) (simulate, run func()) {
 	}
 	factory := core.GossipProgramsWith(cache.NewSession(cache.New(16)))
 	simulate = func() {
-		if _, err := core.SimulateBuilt(l, in, inst, factory, core.GossipOpt, congest.Config{}); err != nil {
+		if _, err := core.Simulate(context.Background(), l, in, inst, factory, core.GossipOpt, congest.Config{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -311,7 +311,7 @@ func TestSimulateAllocatesNoTranscript(t *testing.T) {
 	simulate, run := linearGossip(t)
 	base, sim := allocated(run), allocated(simulate)
 	if sim > base+1<<20 {
-		t.Fatalf("SimulateBuilt allocated %d B, hook-free run %d B: accounting costs %d B, want < 1 MiB",
+		t.Fatalf("Simulate allocated %d B, hook-free run %d B: accounting costs %d B, want < 1 MiB",
 			sim, base, sim-base)
 	}
 }

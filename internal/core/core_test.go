@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -24,6 +25,16 @@ func mustLinear(t *testing.T) *lbgraph.Linear {
 		t.Fatal(err)
 	}
 	return l
+}
+
+// simulate builds fam's instance for in and runs core.Simulate on it.
+func simulate(t *testing.T, fam core.Family, in bitvec.Inputs, factory core.ProgramFactory, extract core.OptExtractor, cfg congest.Config) (core.SimulationReport, error) {
+	t.Helper()
+	inst, err := fam.Build(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.Simulate(context.Background(), fam, in, inst, factory, extract, cfg)
 }
 
 func TestGapPredicate(t *testing.T) {
@@ -138,7 +149,7 @@ func TestSimulateTheorem5EndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			report, err := core.Simulate(l, in, core.GossipPrograms, core.GossipOpt, congest.Config{})
+			report, err := simulate(t, l, in, core.GossipPrograms, core.GossipOpt, congest.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,7 +193,7 @@ func TestSessionlessSimulateSharesNoState(t *testing.T) {
 	}
 	var reports [2]core.SimulationReport
 	for i := range reports {
-		reports[i], err = core.Simulate(l, in, core.GossipPrograms, core.GossipOpt, congest.Config{})
+		reports[i], err = simulate(t, l, in, core.GossipPrograms, core.GossipOpt, congest.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,8 +214,12 @@ func TestSimulateRejectsPromiseViolation(t *testing.T) {
 	// across all players is impossible at t=2 — any pairwise hit is a
 	// common index. Violate differently: three players needed; here use
 	// mismatched lengths instead.
+	inst, err := l.BuildFixed()
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad := bitvec.Inputs{bitvec.New(k), bitvec.New(k + 1)}
-	if _, err := core.Simulate(l, bad, core.GossipPrograms, core.GossipOpt, congest.Config{}); err == nil {
+	if _, err := core.Simulate(context.Background(), l, bad, inst, core.GossipPrograms, core.GossipOpt, congest.Config{}); err == nil {
 		t.Fatal("mismatched inputs accepted")
 	}
 }
@@ -278,22 +293,5 @@ func TestTwoPartyApproximationFloor(t *testing.T) {
 	}
 	if core.TwoPartyApproximationFloor(0) != 0 {
 		t.Fatal("degenerate t")
-	}
-}
-
-func TestCutEdgesOf(t *testing.T) {
-	l := mustLinear(t)
-	inst, err := l.BuildFixed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := core.CutEdgesOf(inst)
-	if len(cut) != inst.Partition.CutSize(inst.Graph) {
-		t.Fatalf("CutEdgesOf length %d vs CutSize %d", len(cut), inst.Partition.CutSize(inst.Graph))
-	}
-	for _, e := range cut {
-		if inst.Partition.Of(e.U) == inst.Partition.Of(e.V) {
-			t.Fatal("non-cut edge reported")
-		}
 	}
 }

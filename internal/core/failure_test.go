@@ -25,7 +25,7 @@ func TestSimulateRejectsOverBudgetAlgorithm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = core.Simulate(l, in, core.GossipPrograms, core.GossipOpt,
+	_, err = simulate(t, l, in, core.GossipPrograms, core.GossipOpt,
 		congest.Config{BandwidthBits: 8})
 	if !errors.Is(err, congest.ErrBandwidthExceeded) {
 		t.Fatalf("error = %v, want ErrBandwidthExceeded", err)
@@ -61,7 +61,7 @@ func TestSimulateRejectsLyingExtractor(t *testing.T) {
 		}
 		return programs
 	}
-	_, err = core.Simulate(lw, inWide, silentFactory, liar, congest.Config{})
+	_, err = simulate(t, lw, inWide, silentFactory, liar, congest.Config{})
 	if !errors.Is(err, core.ErrGapViolated) {
 		t.Fatalf("error = %v, want ErrGapViolated", err)
 	}
@@ -82,8 +82,8 @@ func TestGossipOptRejectsDependentSet(t *testing.T) {
 	// WitnessOpt/GossipOpt re-verify independence; feed them a result
 	// claiming an adjacent pair.
 	g := graphs.New(2)
-	a := g.MustAddNode("a", 1)
-	b := g.MustAddNode("b", 1)
+	a := g.AddNodeID(1)
+	b := g.AddNodeID(1)
 	g.MustAddEdge(a, b)
 	part := graphs.MustNewPartition(2, 2)
 	inst := core.Instance{Graph: g, Partition: part}
@@ -168,8 +168,8 @@ func (f *cheatingFamily) Gap() core.GapPredicate {
 
 func (f *cheatingFamily) Build(in bitvec.Inputs) (core.Instance, error) {
 	g := graphs.New(2)
-	a := g.MustAddNode("a", 1)
-	b := g.MustAddNode("b", 1)
+	a := g.AddNodeID(1)
+	b := g.AddNodeID(1)
 	part := graphs.MustNewPartition(2, 2)
 	part.MustAssign(b, 1)
 	if in[0].Get(0) { // cross-player edge depending on player 0's input

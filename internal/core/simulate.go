@@ -6,7 +6,6 @@ import (
 
 	"congestlb/internal/bitvec"
 	"congestlb/internal/congest"
-	"congestlb/internal/graphs"
 	"congestlb/internal/obs"
 )
 
@@ -73,42 +72,22 @@ type ProgramFactory func(inst Instance) []congest.NodeProgram
 // of the instance (e.g. the weight of the set computed by GossipExact).
 type OptExtractor func(result congest.Result, inst Instance) (int64, error)
 
-// Simulate realises Theorem 5 for one input vector: it builds G_x̄, runs
-// the given CONGEST algorithm on it, counts the bits and messages crossing
-// the player partition — the blackboard cost of the induced protocol — and
-// decides the promise pairwise disjointness function from the algorithm's
-// output via the gap predicate.
+// Simulate realises Theorem 5 for one input vector: it runs the given
+// CONGEST algorithm on inst, the caller-built G_x̄ of fam for in, counts
+// the bits and messages crossing the player partition — the blackboard
+// cost of the induced protocol — and decides the promise pairwise
+// disjointness function from the algorithm's output via the gap
+// predicate.
 //
 // The returned report carries both sides of the accounting identity — the
 // actual transcript length and the 2·Rounds·|cut|·B bound — so callers (and
 // tests) can confirm the inequality the paper's lower bounds rest on.
-func Simulate(fam Family, in bitvec.Inputs, factory ProgramFactory, extract OptExtractor, cfg congest.Config) (SimulationReport, error) {
-	return SimulateCtx(context.Background(), fam, in, factory, extract, cfg)
-}
-
-// SimulateCtx is Simulate under a context: the CONGEST round loop observes
-// cancellation at round boundaries, and solve sessions bound to the same
-// context (cache.Session.WithContext) stop any in-flight branch-and-bound
-// the node programs run. A cancelled simulation returns ctx.Err() wrapped
-// with where the run stopped.
-func SimulateCtx(ctx context.Context, fam Family, in bitvec.Inputs, factory ProgramFactory, extract OptExtractor, cfg congest.Config) (SimulationReport, error) {
-	inst, err := fam.Build(in)
-	if err != nil {
-		return SimulationReport{}, fmt.Errorf("core: build: %w", err)
-	}
-	return SimulateBuiltCtx(ctx, fam, in, inst, factory, extract, cfg)
-}
-
-// SimulateBuilt is Simulate over a caller-built instance of fam for in.
-// Callers that build the instance themselves (the experiment sweeps count
-// their constructions) use this form; Simulate itself is the convenience
-// wrapper that builds through the family.
-func SimulateBuilt(fam Family, in bitvec.Inputs, inst Instance, factory ProgramFactory, extract OptExtractor, cfg congest.Config) (SimulationReport, error) {
-	return SimulateBuiltCtx(context.Background(), fam, in, inst, factory, extract, cfg)
-}
-
-// SimulateBuiltCtx is SimulateBuilt under a context (see SimulateCtx).
-// When the context carries an obs.Registry (obs.NewContext), the run is
+//
+// The CONGEST round loop observes ctx's cancellation at round boundaries,
+// and solve sessions bound to the same context (cache.Session.WithContext)
+// stop any in-flight branch-and-bound the node programs run. A cancelled
+// simulation returns ctx.Err() wrapped with where the run stopped. When
+// the context carries an obs.Registry (obs.NewContext), the run is
 // wrapped in a "simulate" span and — unless the caller stamped
 // cfg.Metrics itself — the engine records its round/message/bit totals
 // into that registry.
@@ -119,7 +98,7 @@ func SimulateBuilt(fam Family, in bitvec.Inputs, inst Instance, factory ProgramF
 // sets cfg.Hook (a congest.Tracer, or a hook writing each cut-crossing
 // message to a cc.Blackboard), which runs after the tally. A cut-crossing
 // message of 0 bits fails the run, as a blackboard write of 0 bits would.
-func SimulateBuiltCtx(ctx context.Context, fam Family, in bitvec.Inputs, inst Instance, factory ProgramFactory, extract OptExtractor, cfg congest.Config) (SimulationReport, error) {
+func Simulate(ctx context.Context, fam Family, in bitvec.Inputs, inst Instance, factory ProgramFactory, extract OptExtractor, cfg congest.Config) (SimulationReport, error) {
 	var sp obs.Span
 	ctx, sp = obs.Begin(ctx, "simulate")
 	defer sp.End()
@@ -168,10 +147,4 @@ func SimulateBuiltCtx(ctx context.Context, fam Family, in bitvec.Inputs, inst In
 		Truth:            truth,
 	}
 	return report, nil
-}
-
-// CutEdgesOf is a convenience wrapper exposing the partition cut of an
-// instance (the c of the r·c·log n accounting).
-func CutEdgesOf(inst Instance) []graphs.Edge {
-	return inst.Partition.CutEdges(inst.Graph)
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestReduceTranscriptPinned(t *testing.T) {
 		"quadratic-t2": {Rounds: 721, BlackboardBits: 9_141_064, BlackboardWrites: 206_013, CongestTotalBits: 37_078_728, Opt: 28},
 	}
 	for _, ri := range reduceInstances(t) {
-		rep, err := core.SimulateBuilt(ri.fam, ri.in, ri.inst, core.GossipPrograms, core.GossipOpt, congest.Config{})
+		rep, err := core.Simulate(context.Background(), ri.fam, ri.in, ri.inst, core.GossipPrograms, core.GossipOpt, congest.Config{})
 		if err != nil {
 			t.Fatalf("%s: %v", ri.name, err)
 		}
@@ -91,7 +92,7 @@ func BenchmarkSimulateReduce(b *testing.B) {
 			factory := core.GossipProgramsWith(cache.NewSession(cache.New(16)))
 			cfg := congest.Config{Parallel: true}
 			run := func() {
-				if _, err := core.SimulateBuilt(ri.fam, ri.in, ri.inst, factory, core.GossipOpt, cfg); err != nil {
+				if _, err := core.Simulate(context.Background(), ri.fam, ri.in, ri.inst, factory, core.GossipOpt, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -67,12 +67,12 @@ func SplitBestWith(sess *cache.Session, inst Instance) (SplitBestReport, error) 
 			return SplitBestReport{}, fmt.Errorf("core: player %d local solve: %w", i, err)
 		}
 		values[i] = sol.Weight
-		// Announce the value: 8 bytes, charged at 64 = O(log n) bits.
+		// Announce w(OPT(G[V^i])): 8 bytes, charged at 64 = O(log n) bits.
 		payload := make([]byte, 8)
 		for b := 0; b < 8; b++ {
 			payload[b] = byte(sol.Weight >> (8 * b))
 		}
-		if err := board.Write(i, fmt.Sprintf("w(OPT(G[V^%d]))", i+1), payload, 64); err != nil {
+		if err := board.Write(i, payload, 64); err != nil {
 			return SplitBestReport{}, err
 		}
 	}

@@ -380,8 +380,8 @@ func (w *Ctx) BuildBase(p lbgraph.Params) (*graphs.Graph, error) {
 func (w *Ctx) Builds() int64 { return w.builds.Load() }
 
 // Context returns the run's cancellation context (Background when none was
-// bound). Experiments pass it to core.SimulateBuiltCtx and friends so a
-// cancelled run stops between CONGEST rounds, not only between jobs.
+// bound). Experiments pass it to core.Simulate, so a cancelled run stops
+// between CONGEST rounds, not only between jobs.
 func (w *Ctx) Context() context.Context {
 	if w.ctx == nil {
 		return context.Background()

@@ -209,7 +209,7 @@ func TestCtxGatherReusable(t *testing.T) {
 
 // TestCtxGoBatchMatchesPerPointJobs pins per-point submission: a sweep of
 // simulations submitted as one w.Go job per point (the shape runScaling
-// uses) gives every point the report a solo SimulateBuilt gives it, at any
+// uses) gives every point the report a solo core.Simulate gives it, at any
 // pool size, and books one instance job per point.
 func TestCtxGoBatchMatchesPerPointJobs(t *testing.T) {
 	p := lbgraph.Params{T: 2, Alpha: 1, Ell: 3}
@@ -232,7 +232,7 @@ func TestCtxGoBatchMatchesPerPointJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		solo[i], err = core.SimulateBuilt(l, in, inst, core.CollectProgramsWith(w.Solve), core.WitnessOpt, congest.Config{Seed: 11})
+		solo[i], err = core.Simulate(context.Background(), l, in, inst, core.CollectProgramsWith(w.Solve), core.WitnessOpt, congest.Config{Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestCtxGoBatchMatchesPerPointJobs(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				reports[i], err = core.SimulateBuiltCtx(w.Context(), l, in, inst,
+				reports[i], err = core.Simulate(w.Context(), l, in, inst,
 					core.CollectProgramsWith(w.Solve), core.WitnessOpt, congest.Config{Seed: 11})
 				return err
 			})

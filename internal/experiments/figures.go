@@ -85,12 +85,12 @@ func runFigure1(w *Ctx) error {
 	c.assert(w1[0] == 2 && w1[1] == 3 && w1[2] == 1, "C(1) = %v, want [2 3 1]", w1)
 
 	// v1 is adjacent to Code \ Code_1 (6 nodes) and its A-clique (2).
-	v1, _ := base.NodeByLabel("v[i=1,m=1]")
+	// H is copy 0 of the family's layout, so its node IDs are l's.
+	v1 := l.ANode(0, 0)
 	c.assert(base.Degree(v1) == 8, "deg(v1) = %d, want 8", base.Degree(v1))
 	for h := 1; h <= 3; h++ {
 		for r := 1; r <= 3; r++ {
-			u, ok := base.NodeByLabel(fmt.Sprintf("sigma[i=1,h=%d,r=%d]", h, r))
-			c.assert(ok, "missing sigma node")
+			u := l.SigmaNode(0, h-1, r-1)
 			inCode1 := w1[h-1] == r
 			c.assert(base.HasEdge(v1, u) != inCode1,
 				"v1-σ(%d,%d) adjacency wrong (inCode1=%v)", h, r, inCode1)

@@ -184,7 +184,7 @@ func runRemark1(w *Ctx) error {
 		if err != nil {
 			return err
 		}
-		report, err = core.SimulateBuiltCtx(w.Context(), ufam, uin, uinst, core.CollectProgramsWith(w.Solve), core.WitnessOpt, congest.Config{Seed: 13})
+		report, err = core.Simulate(w.Context(), ufam, uin, uinst, core.CollectProgramsWith(w.Solve), core.WitnessOpt, congest.Config{Seed: 13})
 		return err
 	})
 	if err := w.Gather(); err != nil {
@@ -255,7 +255,7 @@ func runUpperBounds(w *Ctx) error {
 		if err != nil {
 			return err
 		}
-		// Stamped as SimulateBuiltCtx stamps it, so an observed run's
+		// Stamped as core.Simulate stamps it, so an observed run's
 		// engine_runs counts these four runs too.
 		ctx := w.Context()
 		metrics := congest.NewEngineMetrics(obs.FromContext(ctx))

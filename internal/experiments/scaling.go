@@ -77,7 +77,7 @@ func simulateScalingPoint(w *Ctx, l *lbgraph.Linear, in bitvec.Inputs) (core.Sim
 	if err != nil {
 		return core.SimulationReport{}, err
 	}
-	return core.SimulateBuiltCtx(w.Context(), l, in, inst, core.CollectProgramsWith(w.Solve), core.WitnessOpt, scalingConfig)
+	return core.Simulate(w.Context(), l, in, inst, core.CollectProgramsWith(w.Solve), core.WitnessOpt, scalingConfig)
 }
 
 func runScaling(w *Ctx) error {

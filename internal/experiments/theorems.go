@@ -306,7 +306,7 @@ func runTheorem5(w *Ctx) error {
 				if err != nil {
 					return err
 				}
-				reports[ci*len(algos)+ai], err = core.SimulateBuiltCtx(w.Context(), l, in, inst, a.factory, a.extract, congest.Config{Seed: 5})
+				reports[ci*len(algos)+ai], err = core.Simulate(w.Context(), l, in, inst, a.factory, a.extract, congest.Config{Seed: 5})
 				return err
 			})
 		}

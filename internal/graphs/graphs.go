@@ -7,49 +7,41 @@
 //
 // Graphs are dense-friendly: adjacency is stored as a bitset matrix, which
 // the exact MaxIS solver and the clique-heavy lower-bound constructions
-// both exploit. Node identifiers are dense ints assigned by AddNode.
+// both exploit. Node identifiers are dense ints assigned by AddNodeID; a
+// graph keeps no node names (a lower-bound family names its nodes from its
+// layout).
 package graphs
 
 import (
 	"fmt"
 	"math/bits"
-	"sort"
-	"strconv"
 	"strings"
 )
 
 const wordBits = 64
 
 // NodeID identifies a node within one Graph. IDs are dense: the i'th call
-// to AddNode returns NodeID(i).
+// to AddNodeID returns NodeID(i).
 type NodeID = int
 
 // Graph is a mutable vertex-weighted undirected graph without self-loops
 // or parallel edges. The zero value is an empty graph ready to use.
 type Graph struct {
 	weights []int64
-	labels  []string
-	byLabel map[string]NodeID
 	// adj is the adjacency block: node u's neighbour bitset is the
 	// stride-word row adj[u*stride:(u+1)*stride], and stride is
 	// ⌈capacity/64⌉ for the capacity the block was laid out for.
 	adj    []uint64
 	stride int
 	edges  int
-	// hasAuto records that at least one node was added without a label
-	// (AddNodeID); such labels are synthesised on demand.
-	hasAuto bool
 }
 
 // New returns an empty graph with capacity for n nodes: its adjacency
-// block is laid out once, so AddNode, AddNodeID and AddEdge among the
-// first n nodes do not regrow it. A graph grows past its capacity on its
+// block is laid out once, so AddNodeID and AddEdge among the first n
+// nodes do not regrow it. A graph grows past its capacity on its
 // own; pass 0 if the node count is unknown.
 func New(n int) *Graph {
-	g := &Graph{
-		weights: make([]int64, 0, n),
-		labels:  make([]string, 0, n),
-	}
+	g := &Graph{weights: make([]int64, 0, n)}
 	g.layout(n)
 	return g
 }
@@ -70,91 +62,16 @@ func (g *Graph) layout(capacity int) {
 	g.adj, g.stride = adj, stride
 }
 
-// addNode appends node N() with the given label and weight, laying the
-// block out again at double the capacity, and at least 64, when it is
-// full.
-func (g *Graph) addNode(label string, weight int64) NodeID {
+// AddNodeID adds a node with the given weight and returns its ID, laying
+// the adjacency block out again at double the capacity, and at least 64,
+// when it is full. Within the capacity New was given this performs no
+// allocation.
+func (g *Graph) AddNodeID(weight int64) NodeID {
 	id := len(g.weights)
 	if id*g.stride == len(g.adj) { // row id would start at the block's end
 		g.layout(max(2*id, wordBits))
 	}
 	g.weights = append(g.weights, weight)
-	g.labels = append(g.labels, label)
-	return id
-}
-
-// labelTable returns the label index, creating it on the first labelled
-// write sized for the node capacity: labelled builds still get a pre-sized
-// table, and label-free rebuilds never allocate one.
-func (g *Graph) labelTable() map[string]NodeID {
-	if g.byLabel == nil {
-		g.byLabel = make(map[string]NodeID, cap(g.weights))
-	}
-	return g.byLabel
-}
-
-// AddNode adds a node with the given label and weight and returns its ID.
-// Labels must be unique and non-empty; the lower-bound constructions use
-// them to address nodes symbolically (e.g. "v[i=1,m=3]" or "sigma[i=2,h=1,r=3]").
-func (g *Graph) AddNode(label string, weight int64) (NodeID, error) {
-	if label == "" {
-		return 0, fmt.Errorf("graphs: empty node label")
-	}
-	if _, dup := g.byLabel[label]; dup {
-		return 0, fmt.Errorf("graphs: duplicate node label %q", label)
-	}
-	id := g.addNode(label, weight)
-	g.labelTable()[label] = id
-	return id, nil
-}
-
-// AddNodeID adds a node with the given weight and no label, returning its
-// ID. The label is synthesised lazily ("n<id>") only if Label or
-// NodeByLabel is ever called, so graphs rebuilt purely by ID (the CONGEST
-// gossip/collect programs) never pay for label formatting or the label
-// table. Within the capacity New was given this performs no allocation.
-func (g *Graph) AddNodeID(weight int64) NodeID {
-	g.hasAuto = true
-	return g.addNode("", weight)
-}
-
-// autoLabel is the synthesised label of an unlabelled node.
-func autoLabel(id NodeID) string { return "n" + strconv.Itoa(id) }
-
-// materializeLabels assigns the synthesised label to every unlabelled node
-// and registers it in the label table, so label-based lookups see them. A
-// synthesised label that collides with an explicit one gets apostrophes
-// appended until unique (only possible when AddNode and AddNodeID are
-// mixed with clashing names).
-func (g *Graph) materializeLabels() {
-	if !g.hasAuto {
-		return
-	}
-	g.hasAuto = false
-	byLabel := g.labelTable()
-	for u, label := range g.labels {
-		if label != "" {
-			continue
-		}
-		candidate := autoLabel(u)
-		for {
-			if _, taken := byLabel[candidate]; !taken {
-				break
-			}
-			candidate += "'"
-		}
-		g.labels[u] = candidate
-		byLabel[candidate] = u
-	}
-}
-
-// MustAddNode is AddNode panicking on error, for fixed constructions whose
-// labels are generated and cannot collide.
-func (g *Graph) MustAddNode(label string, weight int64) NodeID {
-	id, err := g.AddNode(label, weight)
-	if err != nil {
-		panic(err)
-	}
 	return id
 }
 
@@ -178,7 +95,7 @@ func (g *Graph) AddEdge(u, v NodeID) error {
 		return err
 	}
 	if u == v {
-		return fmt.Errorf("graphs: self-loop at node %d (%s)", u, g.labels[u])
+		return fmt.Errorf("graphs: self-loop at node %d", u)
 	}
 	if g.HasEdge(u, v) {
 		return nil
@@ -227,22 +144,6 @@ func (g *Graph) Weight(u NodeID) int64 { return g.weights[u] }
 
 // SetWeight updates the weight of u.
 func (g *Graph) SetWeight(u NodeID, w int64) { g.weights[u] = w }
-
-// Label returns the label of u, synthesising it for nodes added by
-// AddNodeID.
-func (g *Graph) Label(u NodeID) string {
-	if g.labels[u] == "" {
-		g.materializeLabels()
-	}
-	return g.labels[u]
-}
-
-// NodeByLabel resolves a label to its node ID.
-func (g *Graph) NodeByLabel(label string) (NodeID, bool) {
-	g.materializeLabels()
-	id, ok := g.byLabel[label]
-	return id, ok
-}
 
 // Degree returns the number of neighbours of u.
 func (g *Graph) Degree(u NodeID) int {
@@ -328,12 +229,7 @@ func (g *Graph) WeightOfSet(set []NodeID) int64 {
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
 	out := New(g.N())
-	out.hasAuto = g.hasAuto
 	out.weights = append(out.weights, g.weights...)
-	out.labels = append(out.labels, g.labels...)
-	for label, id := range g.byLabel {
-		out.labelTable()[label] = id
-	}
 	for u := 0; u < g.N(); u++ {
 		copy(out.row(u), g.row(u))
 	}
@@ -403,11 +299,7 @@ func (g *Graph) InducedSubgraph(nodes []NodeID) (*Graph, []NodeID, error) {
 		if _, dup := newID[u]; dup {
 			return nil, nil, fmt.Errorf("graphs: duplicate node %d in induced subgraph", u)
 		}
-		id, err := sub.AddNode(g.Label(u), g.weights[u])
-		if err != nil {
-			return nil, nil, err
-		}
-		newID[u] = id
+		newID[u] = sub.AddNodeID(g.weights[u])
 		back = append(back, u)
 	}
 	for _, u := range nodes {
@@ -527,7 +419,7 @@ func (w *walk) from(src NodeID, dist []int) (reached, depth int) {
 }
 
 // Validate performs internal consistency checks: symmetric adjacency, no
-// self-loops, edge count matching the bitsets, and label table integrity.
+// self-loops, and edge count matching the bitsets.
 func (g *Graph) Validate() error {
 	count := 0
 	for u := 0; u < g.N(); u++ {
@@ -558,22 +450,18 @@ func (g *Graph) Validate() error {
 	if count != g.edges {
 		return fmt.Errorf("graphs: edge count %d, bitsets contain %d", g.edges, count)
 	}
-	for label, id := range g.byLabel {
-		if id < 0 || id >= g.N() || g.labels[id] != label {
-			return fmt.Errorf("graphs: label table corrupt at %q -> %d", label, id)
-		}
-	}
 	return nil
 }
 
-// DOT renders the graph in Graphviz format. Weighted nodes show their
-// weight; an optional partition colours nodes by owner.
-func (g *Graph) DOT(name string, p *Partition) string {
-	g.materializeLabels()
+// DOT renders the graph in Graphviz format. Each node is labelled with
+// nodeName(u) and its weight; a graph keeps no names, so the caller that
+// knows the layout (a family's NodeName) supplies them. An optional
+// partition colours nodes by owner.
+func (g *Graph) DOT(name string, nodeName func(NodeID) string, p *Partition) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "graph %q {\n", name)
 	for u := 0; u < g.N(); u++ {
-		attrs := []string{fmt.Sprintf("label=%q", fmt.Sprintf("%s (w=%d)", g.labels[u], g.weights[u]))}
+		attrs := []string{fmt.Sprintf("label=%q", fmt.Sprintf("%s (w=%d)", nodeName(u), g.weights[u]))}
 		if p != nil {
 			attrs = append(attrs, fmt.Sprintf("colorscheme=set19, style=filled, fillcolor=%d", p.Of(u)%9+1))
 		}
@@ -584,13 +472,4 @@ func (g *Graph) DOT(name string, p *Partition) string {
 	}
 	sb.WriteString("}\n")
 	return sb.String()
-}
-
-// SortedLabels returns all labels in sorted order; deterministic output for
-// golden tests.
-func (g *Graph) SortedLabels() []string {
-	g.materializeLabels()
-	out := append([]string(nil), g.labels...)
-	sort.Strings(out)
-	return out
 }

@@ -134,6 +134,18 @@ func (l *Linear) SigmaNode(i, h, r int) graphs.NodeID {
 	return i*l.perCopy + l.k + h*l.q + r
 }
 
+// NodeName returns the paper's name of node u of the family's graph,
+// 1-based: "v[i=1,m=2]" for v^1_2 and "sigma[i=1,h=2,r=3]" for σ^1_(2,3).
+// It inverts ANode and SigmaNode; u must lie in [0, t·NodesPerCopy).
+func (l *Linear) NodeName(u graphs.NodeID) string {
+	i, off := u/l.perCopy, u%l.perCopy
+	if off < l.k {
+		return fmt.Sprintf("v[i=%d,m=%d]", i+1, off+1)
+	}
+	off -= l.k
+	return fmt.Sprintf("sigma[i=%d,h=%d,r=%d]", i+1, off/l.q+1, off%l.q+1)
+}
+
 // CodeNodes returns Code^i_m — the M nodes spelling codeword C(m) in copy
 // i, one per code-gadget clique.
 func (l *Linear) CodeNodes(i, m int) []graphs.NodeID {
@@ -150,44 +162,30 @@ func (l *Linear) CodeNodes(i, m int) []graphs.NodeID {
 func (l *Linear) BuildFixed() (core.Instance, error) {
 	p := l.p
 	k, m, q, t := l.k, p.M(), l.q, p.T
-	g := graphs.New(t * l.perCopy)
-	part, err := graphs.NewPartition(t*l.perCopy, t)
+	n := t * l.perCopy
+	g := graphs.New(n)
+	part, err := graphs.NewPartition(n, t)
 	if err != nil {
 		return core.Instance{}, err
+	}
+	// Nodes in layout order: copy i, owned by player i, is v^i_1..v^i_k
+	// and then σ^i_(h,r) by position and symbol (ANode, SigmaNode).
+	for u := 0; u < n; u++ {
+		part.MustAssign(g.AddNodeID(1), u/l.perCopy)
 	}
 	var cover [][]graphs.NodeID
 
 	for i := 0; i < t; i++ {
 		// Clique A^i = {v^i_1..v^i_k}.
 		aNodes := make([]graphs.NodeID, k)
-		for mm := 0; mm < k; mm++ {
-			id, err := g.AddNode(fmt.Sprintf("v[i=%d,m=%d]", i+1, mm+1), 1)
-			if err != nil {
-				return core.Instance{}, err
-			}
-			if id != l.ANode(i, mm) {
-				return core.Instance{}, fmt.Errorf("lbgraph: node layout drift at v[%d,%d]", i, mm)
-			}
-			aNodes[mm] = id
-			part.MustAssign(id, i)
-		}
-		// Code gadget cliques C^i_h = {σ^i_(h,1)..σ^i_(h,q)}.
-		for h := 0; h < m; h++ {
-			for r := 0; r < q; r++ {
-				id, err := g.AddNode(fmt.Sprintf("sigma[i=%d,h=%d,r=%d]", i+1, h+1, r+1), 1)
-				if err != nil {
-					return core.Instance{}, err
-				}
-				if id != l.SigmaNode(i, h, r) {
-					return core.Instance{}, fmt.Errorf("lbgraph: node layout drift at sigma[%d,%d,%d]", i, h, r)
-				}
-				part.MustAssign(id, i)
-			}
+		for mm := range aNodes {
+			aNodes[mm] = l.ANode(i, mm)
 		}
 		if err := g.AddClique(aNodes); err != nil {
 			return core.Instance{}, err
 		}
 		cover = append(cover, aNodes)
+		// Code gadget cliques C^i_h = {σ^i_(h,1)..σ^i_(h,q)}.
 		for h := 0; h < m; h++ {
 			cNodes := make([]graphs.NodeID, q)
 			for r := 0; r < q; r++ {

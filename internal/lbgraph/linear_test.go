@@ -45,7 +45,14 @@ func TestBuildBaseMatchesFigure1(t *testing.T) {
 	if err := base.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	v1, ok := base.NodeByLabel("v[i=1,m=1]")
+	// H is copy 0 of the family's layout: look its nodes up by the
+	// paper's names.
+	l := mustLinear(t, FigureParams(2))
+	byName := make(map[string]int, base.N())
+	for u := 0; u < base.N(); u++ {
+		byName[l.NodeName(u)] = u
+	}
+	v1, ok := byName["v[i=1,m=1]"]
 	if !ok {
 		t.Fatal("v1 missing")
 	}
@@ -53,7 +60,7 @@ func TestBuildBaseMatchesFigure1(t *testing.T) {
 	nonSet := map[string]bool{}
 	for _, lbl := range nonNeighbors {
 		nonSet[lbl] = true
-		u, ok := base.NodeByLabel(lbl)
+		u, ok := byName[lbl]
 		if !ok {
 			t.Fatalf("%s missing", lbl)
 		}
@@ -68,7 +75,7 @@ func TestBuildBaseMatchesFigure1(t *testing.T) {
 			if nonSet[lbl] {
 				continue
 			}
-			u, ok := base.NodeByLabel(lbl)
+			u, ok := byName[lbl]
 			if !ok {
 				t.Fatalf("%s missing", lbl)
 			}
@@ -120,7 +127,7 @@ func TestBuildFixedStructure(t *testing.T) {
 			v := l.ANode(i, m)
 			g.ForEachNeighbor(v, func(u int) {
 				if part.Of(u) != i {
-					t.Fatalf("A-node %s adjacent to other player's node %s", g.Label(v), g.Label(u))
+					t.Fatalf("A-node %s adjacent to other player's node %s", l.NodeName(v), l.NodeName(u))
 				}
 			})
 		}

@@ -149,6 +149,9 @@ func TestQuickQuadraticCutIsTwiceLinear(t *testing.T) {
 	}
 }
 
+// TestQuickLabelsAreUniqueAndResolvable: each family's NodeName is
+// injective over its graph's nodes and names the node that ANode and
+// SigmaNode place there.
 func TestQuickLabelsAreUniqueAndResolvable(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -160,22 +163,47 @@ func TestQuickLabelsAreUniqueAndResolvable(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		inst, err := l.BuildFixed()
+		f, err := NewQuadratic(p)
 		if err != nil {
 			return false
 		}
-		g := inst.Graph
-		for u := 0; u < g.N(); u++ {
-			id, ok := g.NodeByLabel(g.Label(u))
-			if !ok || id != u {
-				return false
+		want := map[string]int{}  // linear name -> node
+		wantQ := map[string]int{} // quadratic name -> node
+		for i := 0; i < p.T; i++ {
+			for m := 0; m < p.K(); m++ {
+				want[fmt.Sprintf("v[i=%d,m=%d]", i+1, m+1)] = l.ANode(i, m)
+				for b := 0; b < 2; b++ {
+					wantQ[fmt.Sprintf("v[i=%d,b=%d,m=%d]", i+1, b+1, m+1)] = f.ANode(i, b, m)
+				}
+			}
+			for h := 0; h < p.M(); h++ {
+				for r := 0; r < p.Q(); r++ {
+					want[fmt.Sprintf("sigma[i=%d,h=%d,r=%d]", i+1, h+1, r+1)] = l.SigmaNode(i, h, r)
+					for b := 0; b < 2; b++ {
+						wantQ[fmt.Sprintf("sigma[i=%d,b=%d,h=%d,r=%d]", i+1, b+1, h+1, r+1)] = f.SigmaNode(i, b, h, r)
+					}
+				}
 			}
 		}
-		return true
+		return namesInvert(l.NodeName, p.LinearN(), want) && namesInvert(f.NodeName, p.QuadraticN(), wantQ)
 	}
 	if err := quick.Check(prop, quickCfg(109, 15)); err != nil {
 		t.Error(err)
 	}
+}
+
+// namesInvert reports whether name maps [0, n) one to one onto want's
+// keys, each node to the name want gives it.
+func namesInvert(name func(int) string, n int, want map[string]int) bool {
+	if len(want) != n {
+		return false
+	}
+	for u := 0; u < n; u++ {
+		if id, ok := want[name(u)]; !ok || id != u {
+			return false
+		}
+	}
+	return true
 }
 
 func TestQuickGapThresholdsConsistent(t *testing.T) {
@@ -236,7 +264,7 @@ func TestQuickBlowupWeightConservation(t *testing.T) {
 func buildRandomWeighted(n int, r *rand.Rand) *graphs.Graph {
 	g := graphs.New(n)
 	for i := 0; i < n; i++ {
-		g.MustAddNode(fmt.Sprintf("n%d", i), 1+r.Int63n(4))
+		g.AddNodeID(1 + r.Int63n(4))
 	}
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {

@@ -113,6 +113,19 @@ func (f *Quadratic) SigmaNode(i, b, h, r int) graphs.NodeID {
 	return f.copyOffset(i, b) + f.k + h*f.q + r
 }
 
+// NodeName returns the paper's name of node u of the family's graph,
+// 1-based: "v[i=1,b=2,m=3]" for v^(1,2)_3 and "sigma[i=1,b=2,h=3,r=4]"
+// for σ^(1,2)_(3,4). It inverts ANode and SigmaNode; u must lie in
+// [0, 2t·NodesPerCopy).
+func (f *Quadratic) NodeName(u graphs.NodeID) string {
+	c, off := u/f.perCopy, u%f.perCopy
+	if off < f.k {
+		return fmt.Sprintf("v[i=%d,b=%d,m=%d]", c/2+1, c%2+1, off+1)
+	}
+	off -= f.k
+	return fmt.Sprintf("sigma[i=%d,b=%d,h=%d,r=%d]", c/2+1, c%2+1, off/f.q+1, off%f.q+1)
+}
+
 // CodeNodes returns Code^(i,b)_m.
 func (f *Quadratic) CodeNodes(i, b, m int) []graphs.NodeID {
 	out := make([]graphs.NodeID, f.p.M())
@@ -133,33 +146,23 @@ func (f *Quadratic) BuildFixed() (core.Instance, error) {
 	if err != nil {
 		return core.Instance{}, err
 	}
+	// Nodes in layout order: copies (i,1) and (i,2), owned by player i,
+	// each v^(i,b)_1..v^(i,b)_k at weight ℓ and then σ^(i,b)_(h,r) at
+	// weight 1 (ANode, SigmaNode).
+	for u := 0; u < n; u++ {
+		w := int64(1)
+		if u%f.perCopy < k {
+			w = int64(p.Ell)
+		}
+		part.MustAssign(g.AddNodeID(w), u/(2*f.perCopy))
+	}
 	var cover [][]graphs.NodeID
 
 	for i := 0; i < t; i++ {
 		for b := 0; b < 2; b++ {
 			aNodes := make([]graphs.NodeID, k)
-			for mm := 0; mm < k; mm++ {
-				id, err := g.AddNode(fmt.Sprintf("v[i=%d,b=%d,m=%d]", i+1, b+1, mm+1), int64(p.Ell))
-				if err != nil {
-					return core.Instance{}, err
-				}
-				if id != f.ANode(i, b, mm) {
-					return core.Instance{}, fmt.Errorf("lbgraph: node layout drift at v[%d,%d,%d]", i, b, mm)
-				}
-				aNodes[mm] = id
-				part.MustAssign(id, i)
-			}
-			for h := 0; h < m; h++ {
-				for r := 0; r < q; r++ {
-					id, err := g.AddNode(fmt.Sprintf("sigma[i=%d,b=%d,h=%d,r=%d]", i+1, b+1, h+1, r+1), 1)
-					if err != nil {
-						return core.Instance{}, err
-					}
-					if id != f.SigmaNode(i, b, h, r) {
-						return core.Instance{}, fmt.Errorf("lbgraph: node layout drift at sigma[%d,%d,%d,%d]", i, b, h, r)
-					}
-					part.MustAssign(id, i)
-				}
+			for mm := range aNodes {
+				aNodes[mm] = f.ANode(i, b, mm)
 			}
 			if err := g.AddClique(aNodes); err != nil {
 				return core.Instance{}, err

@@ -35,22 +35,24 @@ func Blowup(g *graphs.Graph, part *graphs.Partition) (BlowupResult, error) {
 		return BlowupResult{}, fmt.Errorf("lbgraph: blow-up would have %d nodes", total)
 	}
 	out := graphs.New(int(total))
+	var newPart *graphs.Partition
+	if part != nil {
+		var err error
+		if newPart, err = graphs.NewPartition(int(total), part.T()); err != nil {
+			return BlowupResult{}, err
+		}
+	}
 	groups := make([][]graphs.NodeID, g.N())
-	owners := make([]int, 0, total)
 	for v := 0; v < g.N(); v++ {
 		w := g.Weight(v)
 		if w < 1 {
 			return BlowupResult{}, fmt.Errorf("lbgraph: node %d has weight %d < 1", v, w)
 		}
 		group := make([]graphs.NodeID, w)
-		for c := int64(0); c < w; c++ {
-			id, err := out.AddNode(fmt.Sprintf("%s#%d", g.Label(v), c+1), 1)
-			if err != nil {
-				return BlowupResult{}, err
-			}
-			group[c] = id
+		for c := range group {
+			group[c] = out.AddNodeID(1)
 			if part != nil {
-				owners = append(owners, part.Of(v))
+				newPart.MustAssign(group[c], part.Of(v))
 			}
 		}
 		groups[v] = group
@@ -58,17 +60,6 @@ func Blowup(g *graphs.Graph, part *graphs.Partition) (BlowupResult, error) {
 	for _, e := range g.Edges() {
 		if err := out.AddBiclique(groups[e.U], groups[e.V]); err != nil {
 			return BlowupResult{}, err
-		}
-	}
-	var newPart *graphs.Partition
-	if part != nil {
-		var err error
-		newPart, err = graphs.NewPartition(out.N(), part.T())
-		if err != nil {
-			return BlowupResult{}, err
-		}
-		for u, o := range owners {
-			newPart.MustAssign(u, o)
 		}
 	}
 	return BlowupResult{Graph: out, Partition: newPart, Groups: groups}, nil

@@ -1,7 +1,6 @@
 package lbgraph
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -14,9 +13,9 @@ func TestBlowupSmallKnownGraph(t *testing.T) {
 	// Edge {a(w=3), b(w=2)} plus isolated c(w=1): blow-up has 6 nodes and
 	// a 3×2 biclique. MaxIS weight 3+1=4 in both.
 	g := graphs.New(3)
-	a := g.MustAddNode("a", 3)
-	b := g.MustAddNode("b", 2)
-	g.MustAddNode("c", 1)
+	a := g.AddNodeID(3)
+	b := g.AddNodeID(2)
+	g.AddNodeID(1)
 	g.MustAddEdge(a, b)
 
 	res, err := Blowup(g, nil)
@@ -54,7 +53,7 @@ func TestBlowupPreservesOptimumRandom(t *testing.T) {
 		n := 2 + rng.Intn(8)
 		g := graphs.New(n)
 		for i := 0; i < n; i++ {
-			g.MustAddNode(fmt.Sprintf("n%d", i), 1+rng.Int63n(3))
+			g.AddNodeID(1 + rng.Int63n(3))
 		}
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
@@ -86,8 +85,8 @@ func TestBlowupPreservesOptimumRandom(t *testing.T) {
 
 func TestBlowupPartitionFollowsOwners(t *testing.T) {
 	g := graphs.New(2)
-	a := g.MustAddNode("a", 2)
-	b := g.MustAddNode("b", 3)
+	a := g.AddNodeID(2)
+	b := g.AddNodeID(3)
 	g.MustAddEdge(a, b)
 	part := graphs.MustNewPartition(2, 2)
 	part.MustAssign(b, 1)
@@ -110,7 +109,7 @@ func TestBlowupPartitionFollowsOwners(t *testing.T) {
 
 func TestBlowupRejectsNonPositiveWeights(t *testing.T) {
 	g := graphs.New(1)
-	g.MustAddNode("zero", 0)
+	g.AddNodeID(0)
 	if _, err := Blowup(g, nil); err == nil {
 		t.Fatal("zero weight accepted")
 	}
@@ -118,7 +117,7 @@ func TestBlowupRejectsNonPositiveWeights(t *testing.T) {
 
 func TestBlowupRejectsHuge(t *testing.T) {
 	g := graphs.New(1)
-	g.MustAddNode("huge", 1<<23)
+	g.AddNodeID(1 << 23)
 	if _, err := Blowup(g, nil); err == nil {
 		t.Fatal("oversized blow-up accepted")
 	}
@@ -129,7 +128,7 @@ func TestBlowupCoverIsValidCover(t *testing.T) {
 	// exactly.
 	g := graphs.New(3)
 	for i := 0; i < 3; i++ {
-		g.MustAddNode(fmt.Sprintf("t%d", i), int64(i+1))
+		g.AddNodeID(int64(i + 1))
 	}
 	g.MustAddEdge(0, 1)
 	g.MustAddEdge(1, 2)

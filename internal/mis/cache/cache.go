@@ -470,8 +470,8 @@ func clone(sol mis.Solution) mis.Solution {
 // a canonical partition (clique ids renumbered by first appearance in node
 // order, so the same partition hashes identically however its parts are
 // ordered), the step budget and the solver generation. It depends only on
-// the graph's final content — never on labels or on the order nodes and
-// edges were inserted. ok is false when the cover is malformed (a node
+// the graph's final content — never on the order nodes and edges were
+// inserted. ok is false when the cover is malformed (a node
 // missing, repeated or out of range); such solves are uncacheable and fall
 // through to mis.Exact, which reports the precise validation error.
 func KeyOf(g *graphs.Graph, opts mis.Options) (Key, bool) {

@@ -3,7 +3,6 @@ package cache
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -20,7 +19,7 @@ func ctxTestGraph(n int, p float64) *graphs.Graph {
 	rng := rand.New(rand.NewSource(33))
 	g := graphs.New(n)
 	for i := 0; i < n; i++ {
-		g.MustAddNode(fmt.Sprintf("n%d", i), 1+rng.Int63n(9))
+		g.AddNodeID(1 + rng.Int63n(9))
 	}
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {

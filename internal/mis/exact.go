@@ -419,7 +419,7 @@ func validateCover(g *graphs.Graph, cover [][]graphs.NodeID) error {
 	}
 	for v, c := range id {
 		if c == -1 {
-			return fmt.Errorf("mis: node %d (%s) missing from cover", v, g.Label(v))
+			return fmt.Errorf("mis: node %d missing from cover", v)
 		}
 	}
 	return nil

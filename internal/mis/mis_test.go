@@ -2,7 +2,6 @@ package mis
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -16,7 +15,7 @@ import (
 func randomGraph(n int, prob float64, maxW int64, rng *rand.Rand) *graphs.Graph {
 	g := graphs.New(n)
 	for i := 0; i < n; i++ {
-		g.MustAddNode(fmt.Sprintf("n%d", i), 1+rng.Int63n(maxW))
+		g.AddNodeID(1 + rng.Int63n(maxW))
 	}
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
@@ -30,9 +29,9 @@ func randomGraph(n int, prob float64, maxW int64, rng *rand.Rand) *graphs.Graph 
 
 func TestVerify(t *testing.T) {
 	g := graphs.New(3)
-	a := g.MustAddNode("a", 2)
-	b := g.MustAddNode("b", 3)
-	c := g.MustAddNode("c", 4)
+	a := g.AddNodeID(2)
+	b := g.AddNodeID(3)
+	c := g.AddNodeID(4)
 	g.MustAddEdge(a, b)
 
 	w, err := Verify(g, []graphs.NodeID{a, c})
@@ -60,9 +59,9 @@ func TestIsMaximal(t *testing.T) {
 	// Path a-b-c: {b} is maximal, {a} is not (c is undominated), {a,c} is
 	// maximal and maximum.
 	g := graphs.New(3)
-	a := g.MustAddNode("a", 1)
-	b := g.MustAddNode("b", 1)
-	c := g.MustAddNode("c", 1)
+	a := g.AddNodeID(1)
+	b := g.AddNodeID(1)
+	c := g.AddNodeID(1)
 	g.MustAddEdge(a, b)
 	g.MustAddEdge(b, c)
 
@@ -104,9 +103,9 @@ func TestExhaustiveEmptyGraph(t *testing.T) {
 
 func TestExhaustiveTriangle(t *testing.T) {
 	g := graphs.New(3)
-	a := g.MustAddNode("a", 1)
-	b := g.MustAddNode("b", 5)
-	c := g.MustAddNode("c", 3)
+	a := g.AddNodeID(1)
+	b := g.AddNodeID(5)
+	c := g.AddNodeID(3)
 	g.MustAddEdge(a, b)
 	g.MustAddEdge(b, c)
 	g.MustAddEdge(a, c)
@@ -123,7 +122,7 @@ func TestExhaustiveC5(t *testing.T) {
 	// 5-cycle with unit weights: MaxIS = 2.
 	g := graphs.New(5)
 	for i := 0; i < 5; i++ {
-		g.MustAddNode(fmt.Sprintf("c%d", i), 1)
+		g.AddNodeID(1)
 	}
 	for i := 0; i < 5; i++ {
 		g.MustAddEdge(i, (i+1)%5)
@@ -179,7 +178,7 @@ func TestExactWithProvidedCover(t *testing.T) {
 	// triangles.
 	g := graphs.New(6)
 	for i := 0; i < 6; i++ {
-		g.MustAddNode(fmt.Sprintf("n%d", i), int64(i+1))
+		g.AddNodeID(int64(i + 1))
 	}
 	tri1 := []graphs.NodeID{0, 1, 2}
 	tri2 := []graphs.NodeID{3, 4, 5}
@@ -203,9 +202,9 @@ func TestExactWithProvidedCover(t *testing.T) {
 
 func TestExactCoverValidation(t *testing.T) {
 	g := graphs.New(3)
-	a := g.MustAddNode("a", 1)
-	b := g.MustAddNode("b", 1)
-	c := g.MustAddNode("c", 1)
+	a := g.AddNodeID(1)
+	b := g.AddNodeID(1)
+	c := g.AddNodeID(1)
 	g.MustAddEdge(a, b)
 
 	tests := []struct {
@@ -268,7 +267,7 @@ func TestExactEmptyAndSingleton(t *testing.T) {
 		t.Fatalf("empty weight = %d", sol.Weight)
 	}
 	g := graphs.New(1)
-	g.MustAddNode("solo", 7)
+	g.AddNodeID(7)
 	sol, err = Exact(g, Options{})
 	if err != nil {
 		t.Fatal(err)

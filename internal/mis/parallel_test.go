@@ -283,7 +283,7 @@ func TestParallelDenseClique(t *testing.T) {
 	n := 64
 	g := graphs.New(n)
 	for i := 0; i < n; i++ {
-		g.MustAddNode(fmt.Sprintf("n%d", i), 1+rng.Int63n(9))
+		g.AddNodeID(1 + rng.Int63n(9))
 	}
 	const cliqueSize = 8
 	var cover [][]graphs.NodeID

@@ -121,7 +121,7 @@ func witnessCases(t *testing.T) []witnessCase {
 				n := size.lo + rng.Intn(size.span)
 				g := graphs.New(n)
 				for i := 0; i < n; i++ {
-					g.MustAddNode(fmt.Sprintf("n%d", i), 1+rng.Int63n(9))
+					g.AddNodeID(1 + rng.Int63n(9))
 				}
 				for u := 0; u < n; u++ {
 					for v := u + 1; v < n; v++ {

@@ -181,7 +181,7 @@ type ctxVal struct {
 }
 
 // NewContext binds a registry to the context so downstream layers
-// (core.Simulate*, the solve cache, Ctx.Go job wrappers) can open spans
+// (core.Simulate, the solve cache, Ctx.Go job wrappers) can open spans
 // and resolve engine metrics without threading the registry through
 // every signature. A nil registry returns ctx unchanged.
 func NewContext(ctx context.Context, r *Registry) context.Context {

@@ -537,6 +537,21 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestSolveSelfLoopError: a self-loop in a /v1/solve graph is a 400 that
+// names the edge and its node, and nothing else.
+func TestSolveSelfLoopError(t *testing.T) {
+	_, ts := testServer(t, twoTenants())
+	resp, data := call(t, "POST", ts.URL+"/v1/solve", "ka", `{"graph":{"n":3,"edges":[[1,1]]}}`)
+	var body errorBody
+	if err := json.Unmarshal(data, &body); err != nil {
+		t.Fatalf("%v in %s", err, data)
+	}
+	const want = "graph: edge 0 [1,1]: graphs: self-loop at node 1"
+	if resp.StatusCode != http.StatusBadRequest || body.Error != want {
+		t.Fatalf("self-loop: %d %q, want 400 %q", resp.StatusCode, body.Error, want)
+	}
+}
+
 // spaces is an endless reader of JSON whitespace.
 type spaces struct{}
 

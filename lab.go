@@ -328,7 +328,7 @@ func (l *Lab) RunReduction(ctx context.Context, fam Family, in Inputs, cfg Conge
 		return SimulationReport{}, fmt.Errorf("core: build: %w", err)
 	}
 	sess := l.solveSession(ctx)
-	report, err := core.SimulateBuiltCtx(ctx, fam, in, inst, core.GossipProgramsWith(sess), core.GossipOpt, cfg)
+	report, err := core.Simulate(ctx, fam, in, inst, core.GossipProgramsWith(sess), core.GossipOpt, cfg)
 	if err != nil {
 		return report, err
 	}
@@ -365,7 +365,7 @@ func (l *Lab) Simulate(ctx context.Context, fam Family, in Inputs, factory core.
 	if err != nil {
 		return SimulationReport{}, fmt.Errorf("core: build: %w", err)
 	}
-	return core.SimulateBuiltCtx(ctx, fam, in, inst, factory, extract, cfg)
+	return core.Simulate(ctx, fam, in, inst, factory, extract, cfg)
 }
 
 // ExactMaxIS solves an instance exactly using its natural clique cover,
